@@ -58,7 +58,10 @@ def resolve_curve(config: ScenarioConfig, default_id: str = "x5m1"):
     if ident not in corpus:
         raise ConfigError(f"curve {ident!r} not found in corpus "
                           f"(available: {', '.join(sorted(corpus))})")
-    return ident, corpus[ident]
+    spec = corpus[ident]
+    if spec.genus != 2:
+        raise ConfigError(f"{config.scenario} needs a genus-2 curve")
+    return ident, spec
 
 
 def _tol(config: ScenarioConfig, name: str, default: float) -> float:
@@ -74,15 +77,22 @@ def _win(config: ScenarioConfig, name: str, default: int) -> int:
 # ----------------------------------------------------------------------
 
 def seeded_curve_points(data, rng: Xoshiro256, count: int):
-    """Generic points on a genus-2 curve, away from branch points."""
-    from .curves import CurvePoint
+    """Generic points on a genus-2 curve, away from branch points and cuts.
+
+    A point within CUT_CLEARANCE of a cut ends no clear segment, so no
+    integration path could be routed from it.
+    """
+    from .curves import CUT_CLEARANCE, CurvePoint, _seg_seg_dist
     roots = data._engine.e
+    cuts = data._engine.obstacles()
     pts = []
     guard = 0
     while len(pts) < count and guard < 4000:
         guard += 1
         x = complex(rng.uniform_in(-1.8, 1.8), rng.uniform_in(-1.8, 1.8))
         if min(abs(x - r) for r in roots) < 0.3:
+            continue
+        if min(_seg_seg_dist(x, x, u, v) for (u, v) in cuts) < CUT_CLEARANCE:
             continue
         if any(abs(x - q.x) < 0.35 for q in pts):
             continue
@@ -165,8 +175,6 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
     from .curves import build_abel_data
     from .kummer import (collinearity_defect, fit_secancy_discrete, kummer_map)
     ident, spec = resolve_curve(config)
-    if spec.genus != 2:
-        raise ConfigError("fay-trisecant needs a genus-2 curve")
     data = build_abel_data(spec)
     B = data.B
     rng = Xoshiro256(config.seed)
@@ -207,8 +215,6 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     from .divisor import (residual_cm7, residual_cm7d, sample_theta_divisor,
                           singular_locus_probe, verify_sample)
     ident, spec = resolve_curve(config)
-    if spec.genus != 2:
-        raise ConfigError("divisor-identities needs a genus-2 curve")
     data = build_abel_data(spec)
     B = data.B
     rng = Xoshiro256(config.seed)
@@ -433,6 +439,7 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     from .series import (SemidiscreteSystem, discrete_residue_consistency,
                          new_semidiscrete_table, semidiscrete_cyclic_defect,
                          semidiscrete_resubstitution, semidiscrete_series_extend)
+    ident, spec = resolve_curve(config)
     checks = []
     B1 = PeriodMatrix([[1j]])
     U1 = np.array([F2D_SEED[0]])
@@ -450,7 +457,6 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     checks.append(CheckRecord.le("f2d_genus1", worst_g1,
                                  _tol(config, "f2d_genus1", 1e-8)))
     # genus-2
-    ident, spec = resolve_curve(config)
     data = build_abel_data(spec)
     B2 = data.B
     rng = Xoshiro256(config.seed)

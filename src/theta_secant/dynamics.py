@@ -363,25 +363,32 @@ class EllipticKernel:
         self.B = PeriodMatrix([[self.tau]])
         self.char = ThetaCharacteristic((0.5,), (0.5,))
         self.tol = tol
+        self._unit = np.array([1.0 + 0j])
+        self._q = None
+        self._q_jets = None
 
-    def _logderiv(self, v: complex) -> complex:
-        j = theta_jet(np.array([v]), self.B, dirs=(np.array([1.0 + 0j]),),
-                      char=self.char, tol=self.tol)
-        return (j["d0"] / j["f"]).to_complex()
+    def _jets(self, q: complex) -> list:
+        """(v, theta1 1-jet at v) for v = (q + d)/omega1, d = 0, 1, -1.
 
-    def _theta1_hat(self, v: complex) -> float:
-        w = np.array([v])
-        j = theta_jet(w, self.B, char=self.char, tol=self.tol)
-        la = normalized_log_abs(j["f"], self.B, w)
-        return 0.0 if la == -math.inf else math.exp(la)
+        guard and F evaluate at the same separation in turn, so the jets of
+        the last q are kept and shared between them.
+        """
+        if q != self._q:
+            points = [np.array([u / self.omega1]) for u in (q, q + 1.0, q - 1.0)]
+            self._q_jets = [(w, theta_jet(w, self.B, dirs=(self._unit,),
+                                          char=self.char, tol=self.tol))
+                            for w in points]
+            self._q = q
+        return self._q_jets
 
     def F(self, q: complex) -> complex:
-        L = lambda u: self._logderiv(u / self.omega1) / self.omega1
-        return 2.0 * L(q) - L(q + 1.0) - L(q - 1.0)
+        L0, Lp, Lm = ((j["d0"] / j["f"]).to_complex() / self.omega1
+                      for _, j in self._jets(q))
+        return 2.0 * L0 - Lp - Lm
 
     def guard(self, q: complex) -> bool:
-        return min(self._theta1_hat((q + d) / self.omega1)
-                   for d in (0.0, 1.0, -1.0)) > 1e-8
+        return min(math.exp(normalized_log_abs(j["f"], self.B, w))
+                   for w, j in self._jets(q)) > 1e-8
 
 
 def make_kernel(spec) -> object:

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalError
+
 _LOG_FLOOR = -745.0  # exp() underflows to 0 below this
 
 
@@ -28,7 +30,10 @@ class ScaledComplex:
         a = abs(m)
         if a == 0.0 or math.isinf(logscale) and logscale < 0:
             return ScaledComplex(0j, 0.0)
-        shift = math.floor(math.log(a))
+        try:
+            shift = math.floor(math.log(a))
+        except (ValueError, OverflowError) as exc:
+            raise NumericalError(f"non-finite mantissa {m!r}") from exc
         return ScaledComplex(m * math.exp(-shift), logscale + shift)
 
     @staticmethod

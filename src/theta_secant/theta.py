@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -196,16 +197,30 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
         count(rho) * exp(-lam_min * (rho - 1/2)^2 / 2) * poly(rho)
 
     where poly collects the 2*pi*(d, n) factors of requested derivatives.
-    The factor-of-two slack versus the true exp(-pi*lam*r^2) decay keeps
-    the bound conservative against off-center peaks and roundoff.
+    The exponent 0.5*lam*(rho - 1/2)^2 against the true exp(-pi*lam*rho^2)
+    decay is a factor-of-2*pi slack, which keeps the bound conservative
+    against off-center peaks and roundoff.
+
+    The radius depends only on (g, lam_min, tol, cap, deriv_norms) and is
+    cached per that key; z is unused.  The cap is resolved on every call,
+    so THETA_SECANT_CAP is read each time.
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidationError(f"tol {tol} outside {TOL_RANGE}")
     cap = resolve_cap(cap)
-    g = B.g
     lam = B.lam_min
     if lam <= 0:
         raise NonPosDef("Im B is not positive definite")
+    r = _shell_radius(B.g, lam, tol, cap, tuple(deriv_norms))
+    if r is None:
+        raise RadiusCap(f"radius bound exceeds cap {cap} (lam_min={lam:.3g}, tol={tol:g})")
+    return r
+
+
+@lru_cache(maxsize=1024)
+def _shell_radius(g: int, lam: float, tol: float, cap: int,
+                  deriv_norms: tuple) -> int | None:
+    """The shell/tail loop of truncation_radius; None past the cap."""
     sqrt_g = math.sqrt(g)
 
     def shell(rho: int) -> float:
@@ -231,7 +246,7 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
     for r in range(2, cap + 1):
         if tail(r) <= tol:
             return r
-    raise RadiusCap(f"radius bound exceeds cap {cap} (lam_min={lam:.3g}, tol={tol:g})")
+    return None
 
 
 # ----------------------------------------------------------------------

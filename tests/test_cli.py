@@ -4,11 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from theta_secant.cli import main, run_scenario
+from theta_secant.cli import jacobian_fay_data, main, run_scenario
+from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.errors import ConfigError
 from theta_secant.reports import CheckRecord, Report, ScenarioConfig
+from theta_secant.rng import Xoshiro256
 
 
 class TestConfig:
@@ -88,6 +91,14 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert rc == 2 and out["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("scenario", ["fay-trisecant", "divisor-identities",
+                                          "toda", "bdhe", "wave-series", "controls"])
+    def test_genus1_curve_config_exit(self, capsys, scenario):
+        rc = main([scenario, "--curve", "g1i"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2 and out["error"] == "ConfigError"
+        assert out["message"] == f"{scenario} needs a genus-2 curve"
+
     def test_bad_tol_exit(self, capsys):
         rc = main(["bdhe", "--tol", "fit_residual=0.9"])
         out = json.loads(capsys.readouterr().out)
@@ -127,3 +138,13 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("ident,seed", [("x5m1", 897), ("x5pert", 456),
+                                        ("x5pert", 481)])
+def test_seeded_points_clear_of_cuts(ident, seed):
+    # these seeds once drew a point within CUT_CLEARANCE of a cut, from
+    # which no integration path can be routed
+    data = build_abel_data(default_corpus()[ident])
+    U, V, A, pts = jacobian_fay_data(data, Xoshiro256(seed))
+    assert len(pts) == 4 and np.all(np.isfinite(A))

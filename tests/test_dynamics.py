@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import theta_secant.dynamics as dynamics
 from theta_secant.dynamics import (
     DiscreteTau,
     EllipticKernel,
@@ -22,7 +23,7 @@ from theta_secant.dynamics import (
 )
 from theta_secant.errors import Collision, GuardFailed, LostZero, ValidationError
 from theta_secant.rng import Xoshiro256
-from theta_secant.theta import PeriodMatrix
+from theta_secant.theta import PeriodMatrix, theta_jet
 
 B_I = PeriodMatrix([[1j]])
 U1 = np.array([0.85 + 0.00j])
@@ -115,6 +116,44 @@ class TestKernels:
         ker = EllipticKernel(0.5j, omega1=omega1)
         half = 0.5 * omega1
         assert abs(ker.F(half)) <= 1e-9 * (1 + abs(ker.F(half + 0.3)))
+
+    def test_elliptic_guard_and_F_share_jets(self, monkeypatch):
+        ker = EllipticKernel(1.1j, omega1=2.5)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return theta_jet(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "theta_jet", counting)
+        q = 0.7 - 0.2j
+        assert ker.guard(q)
+        ker.F(q)
+        assert len(calls) == 3
+
+    def test_elliptic_F_matches_per_point_log_derivative(self):
+        ker = EllipticKernel(1.1j, omega1=2.5)
+        unit = np.array([1.0 + 0j])
+
+        def L(u):
+            j = theta_jet(np.array([u / ker.omega1]), ker.B, dirs=(unit,),
+                          char=ker.char, tol=ker.tol)
+            return (j["d0"] / j["f"]).to_complex() / ker.omega1
+
+        rng = Xoshiro256(5)
+        for _ in range(20):
+            q = np.complex128(complex(rng.uniform_in(-1.2, 1.2),
+                                      rng.uniform_in(-1.0, 1.0)))
+            assert ker.F(q) == 2.0 * L(q) - L(q + 1.0) - L(q - 1.0)
+
+    def test_elliptic_guard_fresh_after_other_separation(self):
+        ker = EllipticKernel(1.1j, omega1=2.5)
+        ker.F(0.6 + 0.1j)
+        assert not ker.guard(1e-10 + 0j)
+        st = RSState(x=np.array([0.2 + 0.1j, 0.2 + 0.1j + 1e-10]),
+                     xdot=np.array([0.1, -0.1]), kernel=ker)
+        with pytest.raises(Collision):
+            rs_integrate(st, 0.01, 1e-3)
 
 
 class TestRS:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from theta_secant.errors import NumericalError
 from theta_secant.scaled import ScaledComplex, rel_diff
 
 
@@ -56,3 +57,10 @@ def test_rel_diff():
     c = ScaledComplex.make(-1.0, 50.0)
     assert rel_diff(a, c) == pytest.approx(1.0)
     assert rel_diff(ScaledComplex.zero(), ScaledComplex.zero()) == 0.0
+
+
+@pytest.mark.parametrize("mantissa", [complex(math.nan, 1.0), math.inf,
+                                      complex(1.0, -math.inf)])
+def test_non_finite_mantissa_is_numerical_error(mantissa):
+    with pytest.raises(NumericalError):
+        ScaledComplex.make(mantissa, 3.0)

@@ -10,6 +10,7 @@ from theta_secant.errors import NonPosDef, RadiusCap, ValidationError
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.scaled import ScaledComplex, rel_diff
 from theta_secant.theta import (
+    DEFAULT_RADIUS_CAP,
     PeriodMatrix,
     ThetaCharacteristic,
     ThetaRequest,
@@ -20,6 +21,7 @@ from theta_secant.theta import (
     theta,
     theta_fd_check,
     theta_hat_abs,
+    _shell_radius,
     truncation_radius,
 )
 
@@ -156,6 +158,36 @@ class TestTruncation:
         B = PeriodMatrix([[0.01j]])
         r = truncation_radius(B, np.array([0j]), 1e-14)
         assert 64 < r <= 200
+
+    def test_cached_radius_matches_fresh_loop(self):
+        rng = Xoshiro256(31)
+        for k in range(40):
+            B = random_siegel(rng, 1 + (k % 2))
+            B = PeriodMatrix(B.entries * (0.1 + 0.9 * rng.uniform()))
+            tol = 10.0 ** rng.uniform_in(-16, -4)
+            norms = [2.0 * rng.uniform() for _ in range(k % 3)]
+            fresh = _shell_radius.__wrapped__(B.g, B.lam_min, tol,
+                                              DEFAULT_RADIUS_CAP, tuple(norms))
+            for _ in range(2):   # a miss, then a hit
+                assert truncation_radius(B, np.array([0j] * B.g), tol,
+                                         deriv_norms=norms) == fresh
+
+    def test_radius_cap_raised_on_every_call(self):
+        B = PeriodMatrix([[0.01j]])
+        for _ in range(2):
+            with pytest.raises(RadiusCap):
+                truncation_radius(B, np.array([0j]), 1e-14)
+
+    def test_cap_env_read_on_every_call(self, monkeypatch):
+        assert truncation_radius(B_I, np.array([0j]), 1e-14) > 2
+        monkeypatch.setenv("THETA_SECANT_CAP", "2")
+        with pytest.raises(RadiusCap):
+            truncation_radius(B_I, np.array([0j]), 1e-14)
+
+    def test_bad_tol_rejected(self):
+        for tol in (1e-2, 1e-18):
+            with pytest.raises(ValidationError):
+                truncation_radius(B_I, np.array([0j]), tol)
 
     def test_radius_stability_oracle(self):
         rng = Xoshiro256(9)
