@@ -64,6 +64,12 @@ def resolve_curve(config: ScenarioConfig, default_id: str = "x5m1"):
     return ident, spec
 
 
+def _reject_curve(config: ScenarioConfig) -> None:
+    """For scenarios that use no curve: --curve and --corpus are errors."""
+    if config.curve or config.corpus:
+        raise ConfigError(f"{config.scenario} takes no --curve or --corpus")
+
+
 def _tol(config: ScenarioConfig, name: str, default: float) -> float:
     return float(config.tolerances.get(name, default))
 
@@ -115,6 +121,7 @@ def jacobian_fay_data(data, rng: Xoshiro256):
 # ----------------------------------------------------------------------
 
 def run_theta_selftest(config: ScenarioConfig) -> Report:
+    _reject_curve(config)
     rng = Xoshiro256(config.seed)
     n_even = _win(config, "samples", 200)
     n_qp = max(20, n_even // 5)
@@ -379,6 +386,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     from .dynamics import (PerturbedTau, RSState, ThetaTau, cm5_residual,
                            elliptic_zero_crosscheck, rs_integrate,
                            track_tau_zero, track_zero)
+    _reject_curve(config)
     checks = []
     # free particle
     st1 = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]))

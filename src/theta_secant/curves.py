@@ -27,6 +27,7 @@ branch points taken with the global branch Y.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -52,22 +53,6 @@ CUT_CLEARANCE = 1e-3
 # ----------------------------------------------------------------------
 # specs and points
 # ----------------------------------------------------------------------
-
-def _resultant_with_derivative(c: tuple) -> complex:
-    """Res(p, p') via the Sylvester determinant; zero iff p has a repeated root.
-
-    c holds the coefficients of the monic degree-5 p in increasing order.
-    """
-    p = np.array(c[::-1], dtype=complex)                   # descending
-    dp = np.array([5, 4, 3, 2, 1], dtype=complex) * p[:5]
-    n, m = 5, 4
-    S = np.zeros((n + m, n + m), dtype=complex)
-    for i in range(m):
-        S[i, i:i + n + 1] = p
-    for i in range(n):
-        S[m + i, i:i + m + 1] = dp
-    return complex(np.linalg.det(S))
-
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -98,15 +83,20 @@ class CurveSpec:
                 raise ValidationError("poly must have 6 coefficients (degree 5)")
             if abs(c[5] - 1.0) > 1e-9:
                 raise ValidationError("poly must be monic (leading coefficient 1)")
-            disc = _resultant_with_derivative(c)
-            if abs(disc) <= 1e-10 * max(1.0, max(abs(v) for v in c)) ** 8:
-                raise DegenerateCurve("polynomial discriminant vanishes")
-            roots = np.roots(np.array(c[::-1], dtype=complex))
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    if abs(roots[i] - roots[j]) <= 1e-8:
-                        raise DegenerateCurve(
-                            f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
+            p = np.array(c[::-1])
+            roots = np.roots(p)
+            # Root separation relative to the root scale S = max |root|, read
+            # at the critical points: two roots d*S apart give
+            # |p| ~ (d/2)^2 S^5 there (so d of a few 1e-6 is rejected),
+            # and a repeated root of any multiplicity gives |p| at rounding
+            # level, below 5e-15 S^5, whereas the computed roots of a double
+            # root stay about 1e-8 S apart.
+            scale = float(np.max(np.abs(roots)))
+            if not np.min(np.abs(np.polyval(p, np.roots(np.polyder(p))))) > 1e-12 * scale ** 5:
+                gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag([np.inf] * 5)
+                i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+                raise DegenerateCurve(
+                    f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
             object.__setattr__(self, "tau", None)
             object.__setattr__(self, "poly", c)
         object.__setattr__(self, "kind", kind)
@@ -483,16 +473,41 @@ def _c(pair):
     return complex(pair[0], pair[1])
 
 
-def parse_curve_record(rec: dict) -> CurveSpec:
+def parse_curve_record(rec) -> CurveSpec:
+    if not isinstance(rec, dict):
+        raise ValidationError("curve record must be a JSON object")
     kind = rec.get("kind")
-    if kind == "genus1":
-        return CurveSpec("genus1", tau=_c(rec["tau"]))
-    if kind == "hyperelliptic2":
-        return CurveSpec("hyperelliptic2", poly=[_c(p) for p in rec["poly"]])
+    try:
+        if kind == "genus1":
+            return CurveSpec("genus1", tau=_c(rec["tau"]))
+        if kind == "hyperelliptic2":
+            return CurveSpec("hyperelliptic2", poly=[_c(p) for p in rec["poly"]])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} record: {exc!r}") from exc
     raise ValidationError(f"unknown curve kind {kind!r}")
 
 
-def load_corpus(path) -> dict:
+class Corpus(Mapping):
+    """Curve records by id, each parsed and validated when it is looked up,
+    so that a bad record fails only its own lookups."""
+
+    def __init__(self, records: dict):
+        self._records = records
+
+    def __getitem__(self, ident) -> CurveSpec:
+        return parse_curve_record(self._records[ident])
+
+    def __contains__(self, ident) -> bool:
+        return ident in self._records
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
+def load_corpus(path) -> Corpus:
     """Load a JSON corpus: array of records with optional "id" keys."""
     with open(path) as fh:
         try:
@@ -501,16 +516,16 @@ def load_corpus(path) -> dict:
             raise ValidationError(f"corpus file {path} is not valid JSON") from exc
     if not isinstance(data, list):
         raise ValidationError("curve corpus must be a JSON array")
-    out = {}
+    records = {}
     for i, rec in enumerate(data):
-        ident = rec.get("id", f"curve{i}")
-        out[ident] = parse_curve_record(rec)
-    return out
+        ident = rec.get("id", f"curve{i}") if isinstance(rec, dict) else f"curve{i}"
+        records[str(ident)] = rec
+    return Corpus(records)
 
 
 def default_corpus_path() -> Path:
     return Path(__file__).parent / "data" / "corpus.json"
 
 
-def default_corpus() -> dict:
+def default_corpus() -> Corpus:
     return load_corpus(default_corpus_path())

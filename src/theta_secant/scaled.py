@@ -34,6 +34,9 @@ class ScaledComplex:
             shift = math.floor(math.log(a))
         except (ValueError, OverflowError) as exc:
             raise NumericalError(f"non-finite mantissa {m!r}") from exc
+        if shift < -700:    # subnormal |m|: exp(-shift) would overflow
+            half = math.exp(-0.5 * shift)
+            return ScaledComplex(m * half * half, logscale + shift)
         return ScaledComplex(m * math.exp(-shift), logscale + shift)
 
     @staticmethod

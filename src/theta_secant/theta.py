@@ -21,12 +21,19 @@ Evaluation strategy:
              * theta[eps,delta](z'),
 
    accumulating the exponential prefactor in a ScaledComplex logscale;
-2. certified truncation: an axis-aligned box of radius r around zero, with
-   r chosen from a conservative Gaussian shell bound driven by the smallest
-   eigenvalue of Im B, so the discarded tail is below tolerance on the
-   scaled mantissa;
-3. the boxed lattice sum, vectorized, with the largest exponent factored
-   out before exponentiation.
+2. certified truncation: the sum runs over the ellipsoid
+
+       { n in Z^g + eps : pi * (n, Im B n) <= R^2 },
+
+   whose radius R comes from the tail bound of Deconinck, Heil, Bobenko,
+   van Hoeij and Schmies (Computing Riemann theta functions, Math. Comp. 73,
+   2004), extended by the derivative factors: the discarded terms sum to
+   less than tol times the largest term (see truncation_radius).  R is
+   fixed by an integer r, the largest coordinate of the ellipsoid; r, the
+   points and their phases pi*i*(B n, n) are cached on the matrix;
+3. the ellipsoid sum, vectorized, with the largest exponent factored out
+   before exponentiation.  A level-two vector is one such sum for B/2,
+   binned by the parity of n.
 
 The normalized modulus |theta(z)| * exp(-pi * Im z . (Im B)^-1 . Im z) is
 invariant under lattice translations of z and O(1) on the fundamental cell;
@@ -38,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +56,7 @@ DEFAULT_RADIUS_CAP = 64
 DEFAULT_TOL = 1e-13
 TOL_RANGE = (1e-16, 1e-4)
 _TWO_PI_I = 2j * np.pi
+_JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of dirs
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -88,8 +95,9 @@ class PeriodMatrix:
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_y_inv", np.linalg.inv(Y))
         object.__setattr__(self, "_lam_min", float(np.linalg.eigvalsh(Y)[0]))
-        object.__setattr__(self, "_quad_cache", {})
-        object.__setattr__(self, "_doubled", None)
+        object.__setattr__(self, "_radii", {})
+        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_halved", None)
 
     @property
     def g(self) -> int:
@@ -107,11 +115,11 @@ class PeriodMatrix:
     def lam_min(self) -> float:
         return self._lam_min
 
-    def doubled(self) -> "PeriodMatrix":
-        """Period matrix 2B (for level-two thetas), cached."""
-        if self._doubled is None:
-            object.__setattr__(self, "_doubled", PeriodMatrix(2.0 * self.entries))
-        return self._doubled
+    def halved(self) -> "PeriodMatrix":
+        """Period matrix B/2 (level-two vectors are one theta sum for it), cached."""
+        if self._halved is None:
+            object.__setattr__(self, "_halved", PeriodMatrix(0.5 * self.entries))
+        return self._halved
 
     def __eq__(self, other):
         return self is other
@@ -189,112 +197,185 @@ class ThetaRequest:
 def truncation_radius(B: PeriodMatrix, z, tol: float,
                       cap: int | None = None,
                       deriv_norms: Sequence[float] = ()) -> int:
-    """Smallest box radius whose Gaussian tail bound is below tol.
+    """Largest coordinate r of the certified summation ellipsoid.
 
-    The bound is relative to the peak term of the sum: shells at sup-norm
-    distance rho from the box center contribute at most
+    With Y = Im B, the sum runs over the n in Z^g + eps with
+    pi * (n, Y n) <= R^2, where R = r / w and w = max_j sqrt((Y^-1)_jj / pi),
+    so that r bounds |n_j| on the ellipsoid.  r is the smallest integer
+    whose R satisfies the bound of Deconinck et al. (2004)
 
-        count(rho) * exp(-lam_min * (rho - 1/2)^2 / 2) * poly(rho)
+        (g/2) (2/rho)^g sum_j c_j Gamma((g+j)/2, (R - delta - rho/2)^2)
+            <= tol * exp(-delta^2),    R - delta - rho/2 >= t_N,
 
-    where poly collects the 2*pi*(d, n) factors of requested derivatives.
-    The exponent 0.5*lam*(rho - 1/2)^2 against the true exp(-pi*lam*rho^2)
-    decay is a factor-of-2*pi slack, which keeps the bound conservative
-    against off-center peaks and roundoff.
+    which makes the discarded terms, with their derivative factors, sum to
+    less than tol times the largest term:
 
-    The radius depends only on (g, lam_min, tol, cap, deriv_norms) and is
-    cached per that key; z is unused.  The cap is resolved on every call,
-    so THETA_SECANT_CAP is read each time.
+    * after argument reduction (see _reduce_argument) the terms decay as
+      exp(-|v|^2), v = sqrt(pi) T (n - c), Y = T^T T, about a centre c in
+      the cube [-1/2, 1/2]^g; pi (c, Y c) <= delta^2 = (pi/4) sum |Y_ij|,
+      so a discarded n has |v| > R - delta, and the largest term is at
+      least exp(-delta^2) times the envelope's peak;
+    * rho = sqrt(pi lam_min) bounds the shortest vector of the lattice of
+      the v from below; disjoint balls of radius rho/2 around them turn the
+      sum into an integral, where |v|^j exp(-|v|^2) is subharmonic for
+      |v| >= t_N = sqrt(g + 2N + sqrt(g^2 + 8N)) / 2;
+    * c_j are the coefficients of prod_k (1 + 2 pi |d_k| (|v| / rho + b))
+      in |v|^j, b = sqrt(g)/2, since |(d_k, n)| <= |d_k| (|v|/rho + |c|):
+      one bound for the value and every requested derivative (N of them).
+      After a reduction by B b the factors are (d_k, n - b), which adds
+      |(d_k, b)| times the value's error: tol times about the largest term
+      of the derivative series when b is large.
+
+    Gamma(s, x) for half-integer s is closed-form in erfc and exp.  The
+    derivative norms are rounded up to powers of two (at least 1/64), and r
+    is cached on the matrix per tolerance and rounded norms; z is unused.
+    The cap is resolved on every call, so THETA_SECANT_CAP is read each
+    time, and RadiusCap is raised whenever r exceeds it.
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidationError(f"tol {tol} outside {TOL_RANGE}")
     cap = resolve_cap(cap)
-    lam = B.lam_min
-    if lam <= 0:
-        raise NonPosDef("Im B is not positive definite")
-    r = _shell_radius(B.g, lam, tol, cap, tuple(deriv_norms))
+    key = (tol, _norm_octaves(deriv_norms))
+    r = B._radii.get(key)
     if r is None:
-        raise RadiusCap(f"radius bound exceeds cap {cap} (lam_min={lam:.3g}, tol={tol:g})")
+        r = B._radii[key] = _ellipsoid_radius(B, tol, key[1])
+    if r > cap:
+        raise RadiusCap(f"radius {r} exceeds cap {cap} "
+                        f"(lam_min={B.lam_min:.3g}, tol={tol:g})")
     return r
 
 
-@lru_cache(maxsize=1024)
-def _shell_radius(g: int, lam: float, tol: float, cap: int,
-                  deriv_norms: tuple) -> int | None:
-    """The shell/tail loop of truncation_radius; None past the cap."""
-    sqrt_g = math.sqrt(g)
+def _norm_octaves(deriv_norms) -> tuple:
+    """Sorted exponents of the derivative norms rounded up to powers of two."""
+    return tuple(sorted([math.ceil(math.log2(max(n, 2.0 ** -6))) for n in deriv_norms]))
 
-    def shell(rho: int) -> float:
-        cnt = (2 * rho + 1) ** g - (2 * rho - 1) ** g
-        expo = -0.5 * lam * max(rho - 0.5, 0.0) ** 2
-        for dn in deriv_norms:
-            expo += math.log(2.0 * math.pi * dn * sqrt_g * (rho + 1) + 1.0)
-        if expo < -740.0:
-            return 0.0
-        return cnt * math.exp(expo)
 
-    def tail(r: int) -> float:
-        total = 0.0
-        for rho in range(r + 1, r + 500):
-            t = shell(rho)
-            total += t
-            if t != 0.0 and t < 1e-320:
-                break
-            if t == 0.0:
-                break
-        return total
+def _upper_gamma(k: int, x: float) -> float:
+    """Gamma(k/2, x) for a positive integer k.
 
-    for r in range(2, cap + 1):
-        if tail(r) <= tol:
-            return r
-    return None
+    From Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) or Gamma(1, x) = exp(-x),
+    stepping with Gamma(s + 1, x) = s Gamma(s, x) + x^s exp(-x).
+    """
+    if k % 2:
+        s, val = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    else:
+        s, val = 1.0, math.exp(-x)
+    while s < 0.5 * k:
+        val = s * val + x ** s * math.exp(-x)
+        s += 1.0
+    return val
+
+
+def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
+    """Smallest r that passes the tail bound of truncation_radius."""
+    g, lam = B.g, B.lam_min
+    if lam <= 0:
+        raise NonPosDef("Im B is not positive definite")
+    rho = math.sqrt(math.pi * lam)
+    delta = math.sqrt(0.25 * math.pi * float(np.abs(B.im).sum()))
+    w = math.sqrt(float(np.max(np.diag(B.im_inv))) / math.pi)
+    coeffs = np.ones(1)
+    for e in octaves:
+        s = 2.0 * math.pi * 2.0 ** e
+        coeffs = np.convolve(coeffs, [1.0 + s * 0.5 * math.sqrt(g), s / rho])
+    order = len(octaves)
+    t_min = 0.5 * math.sqrt(g + 2 * order + math.sqrt(g * g + 8 * order))
+    pref = 0.5 * g * (2.0 / rho) ** g
+    target = tol * math.exp(-delta * delta)
+
+    def certified(r: int) -> bool:
+        t = r / w - delta - 0.5 * rho
+        return t >= t_min and pref * sum(
+            c * _upper_gamma(g + j, t * t) for j, c in enumerate(coeffs)) <= target
+
+    hi = 1
+    while not certified(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+    return hi
 
 
 # ----------------------------------------------------------------------
 # lattice sums
 # ----------------------------------------------------------------------
 
-def _box(g: int, r: int) -> np.ndarray:
-    key = (g, r)
-    box = _box_cache.get(key)
-    if box is None:
-        rng = np.arange(-r, r + 1, dtype=float)
-        if g == 1:
-            box = rng.reshape(-1, 1)
-        else:
-            grids = np.meshgrid(*([rng] * g), indexing="ij")
-            box = np.stack([a.ravel() for a in grids], axis=-1)
-        box.setflags(write=False)
-        _box_cache[key] = box
-    return box
+def _lex_weights(g: int) -> np.ndarray:
+    """Weights turning a 0/1 vector into its lex index (first component high)."""
+    return 2.0 ** np.arange(g - 1, -1, -1)
 
 
-_box_cache: dict = {}
+def _ellipsoid(B: PeriodMatrix, r: int, eps: tuple, binned: bool) -> tuple:
+    """(N, pi*i*(B n, n), sel) over the ellipsoid of largest coordinate r.
 
-
-def _quad_phase(B: PeriodMatrix, r: int, eps: tuple) -> tuple:
-    """(N, pi*i*(B n, n)) for the box lattice, cached on the matrix."""
-    key = (r, eps)
-    hit = B._quad_cache.get(key)
+    N holds the points n in Z^g + eps with pi * (n, Im B n) <= R^2 (see
+    truncation_radius); rows @ sel sums rows of terms per bin: one bin, or
+    with binned the 2^g classes of n mod 2 in lex order.  Cached on the
+    matrix.
+    """
+    key = (r, eps, binned)
+    hit = B._points.get(key)
     if hit is None:
-        N = _box(B.g, r) + np.asarray(eps, dtype=float)
+        yinv = np.diag(B.im_inv)
+        half = r * np.sqrt(yinv / yinv.max())
+        axes = [np.arange(math.ceil(-h - e), math.floor(h - e) + 1) + e
+                for h, e in zip(half, eps)]
+        N = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, B.g)
+        N = N[np.pi * np.einsum("ij,jk,ik->i", N, B.im, N) <= math.pi * r * r / yinv.max()]
         quad = 1j * np.pi * np.einsum("ij,jk,ik->i", N, B.entries, N)
-        N.setflags(write=False)
-        quad.setflags(write=False)
-        hit = (N, quad)
-        B._quad_cache[key] = hit
+        if binned:
+            idx = np.mod(N, 2.0) @ _lex_weights(B.g)
+            sel = (idx[:, None] == np.arange(2 ** B.g)).astype(complex)
+        else:
+            sel = np.ones((len(N), 1), dtype=complex)
+        for a in (N, quad, sel):
+            a.setflags(write=False)
+        hit = B._points[key] = (N, quad, sel)
     return hit
 
 
 def _reduce_argument(z: np.ndarray, B: PeriodMatrix, eps, delta):
     """Return z', integer shifts, and the complex log of the prefactor."""
-    bvec = np.round(B.im_inv @ z.imag)
+    bvec = np.rint(B.im_inv @ z.imag)
     w = z - B.entries @ bvec
-    avec = np.round(w.real)
+    avec = np.rint(w.real)
     zr = w - avec
-    log_factor = (_TWO_PI_I * float(avec @ np.asarray(eps))
+    log_factor = (_TWO_PI_I * float(avec @ eps)
                   - 1j * np.pi * (bvec @ B.entries @ bvec)
-                  - _TWO_PI_I * (bvec @ (zr + np.asarray(delta))))
+                  - _TWO_PI_I * (bvec @ (zr + delta)))
     return zr, bvec, log_factor
+
+
+def _lattice_jet(z, B: PeriodMatrix, eps, delta, dirs: tuple, tol: float,
+                 radius: int | None = None, binned: bool = False) -> tuple:
+    """One ellipsoid pass: sums of the value and directional derivatives.
+
+    Returns (sums, logscale): sums maps "f", and with dirs "d0", "d1",
+    "d01" (see _theta_jet), to an array with one entry per bin (see
+    _ellipsoid) of mantissas relative to exp(logscale).
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zr, bvec, log_factor = _reduce_argument(z, B, eps, delta)
+    if radius is None:
+        radius = truncation_radius(B, zr, tol,
+                                   deriv_norms=[float(np.linalg.norm(d)) for d in dirs])
+    N, quad, sel = _ellipsoid(B, radius, tuple(eps), binned)
+    expo = quad + _TWO_PI_I * (N @ (zr + delta))
+    emax = float(np.max(expo.real))
+    terms = np.exp(expo - emax)
+    # derivative factors 2*pi*i*(d, n - bvec) of the terms before reduction
+    lin = [_TWO_PI_I * ((N - bvec) @ d) for d in dirs]
+    rows = [terms] + [l * terms for l in lin]
+    if len(dirs) == 2:
+        rows.append(lin[0] * lin[1] * terms)
+    sums = np.array(rows) @ sel * np.exp(1j * log_factor.imag)
+    if binned:
+        # the sum ran over n + bvec: the parity class of n is that bin xor bvec's
+        flip = int(np.mod(bvec, 2.0) @ _lex_weights(B.g))
+        sums = sums[:, np.arange(sums.shape[1]) ^ flip]
+    return dict(zip(_JET_KEYS[len(dirs)], sums)), emax + log_factor.real
 
 
 def _theta_jet(z, B: PeriodMatrix, char: ThetaCharacteristic | None,
@@ -307,41 +388,10 @@ def _theta_jet(z, B: PeriodMatrix, char: ThetaCharacteristic | None,
     direction pass dirs = (V, V)).
     """
     g = B.g
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
     eps = np.asarray(char.eps if char else (0.0,) * g, dtype=float)
     delta = np.asarray(char.delta if char else (0.0,) * g, dtype=float)
-    zr, bvec, log_factor = _reduce_argument(z, B, eps, delta)
-    if radius is None:
-        radius = truncation_radius(B, zr, tol,
-                                   deriv_norms=[float(np.linalg.norm(d)) for d in dirs])
-    N, quad = _quad_phase(B, radius, tuple(eps))
-    expo = quad + _TWO_PI_I * (N @ (zr + delta))
-    emax = float(np.max(expo.real))
-    terms = np.exp(expo - emax)
-
-    # correction factors from the quasi-periodicity prefactor
-    corr = [-_TWO_PI_I * (bvec @ d) for d in dirs]
-    phase = complex(np.exp(1j * log_factor.imag))
-    base_scale = emax + log_factor.real
-
-    def pack(msum: complex) -> ScaledComplex:
-        return ScaledComplex.make(msum * phase, base_scale)
-
-    out = {}
-    s_f = terms.sum()
-    if dirs:
-        lin = [_TWO_PI_I * (N @ d) for d in dirs]
-        s_d = [(l * terms).sum() for l in lin]
-    if len(dirs) == 2:
-        s_dd = (lin[0] * lin[1] * terms).sum()
-    out["f"] = pack(s_f)
-    if len(dirs) >= 1:
-        out["d0"] = pack(s_d[0] + corr[0] * s_f)
-    if len(dirs) == 2:
-        out["d1"] = pack(s_d[1] + corr[1] * s_f)
-        out["d01"] = pack(s_dd + corr[0] * s_d[1] + corr[1] * s_d[0]
-                          + corr[0] * corr[1] * s_f)
-    return out
+    sums, scale = _lattice_jet(z, B, eps, delta, dirs, tol, radius)
+    return {key: ScaledComplex.make(v[0], scale) for key, v in sums.items()}
 
 
 def theta(req: ThetaRequest, radius: int | None = None) -> ScaledComplex:
@@ -415,24 +465,23 @@ def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None,
                      tol: float = DEFAULT_TOL) -> Level2Vector:
     """Vector of theta[eps,0](2Z | 2B) over eps in {0,1/2}^g (lex order).
 
-    With deriv_dir = V the components are the directional derivatives of
-    the level-two functions with respect to Z (chain rule factor 2).
+    All 2^g components are one sum over m in Z^g of
+    exp(pi*i*(B m, m)/2 + 2*pi*i*(Z, m)), i.e. the plain theta of Z for
+    B/2, binned by m mod 2 (m = 2n + 2 eps).  With deriv_dir = V the
+    components are the directional derivatives with respect to Z.
     """
     Z = np.atleast_1d(np.asarray(Z, dtype=complex))
-    B2 = B.doubled()
-    g = B.g
-    vals = []
-    for k in range(2 ** g):
-        ch = characteristic_by_index(k, g)
-        if deriv_dir is None:
-            vals.append(theta(ThetaRequest(2.0 * Z, B2, ch, (), tol)))
-        else:
-            d = theta(ThetaRequest(2.0 * Z, B2, ch, (np.asarray(deriv_dir, complex),), tol))
-            vals.append(2.0 * d)
-    ref = max(v.logscale for v in vals if not v.is_zero()) if any(
-        not v.is_zero() for v in vals) else 0.0
-    coords = np.array([v.rescaled(ref) for v in vals], dtype=complex)
-    return Level2Vector(coords, ref, g)
+    dirs = () if deriv_dir is None else (np.atleast_1d(np.asarray(deriv_dir, complex)),)
+    if any(v.shape != (B.g,) for v in (Z,) + dirs):
+        raise DimensionMismatch(f"level-two argument or direction is not of length {B.g}")
+    zero = np.zeros(B.g)
+    sums, scale = _lattice_jet(Z, B.halved(), zero, zero, dirs, tol, binned=True)
+    coords = sums["d0" if dirs else "f"]
+    peak = float(np.max(np.abs(coords)))
+    if peak > 0.0:
+        coords = coords / peak
+        scale += math.log(peak)
+    return Level2Vector(coords, scale, B.g)
 
 
 def gauss_exponent(B: PeriodMatrix, z) -> float:

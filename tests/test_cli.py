@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from theta_secant.cli import jacobian_fay_data, main, run_scenario
+from theta_secant.cli import jacobian_fay_data, main, resolve_curve, run_scenario
 from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.errors import ConfigError
 from theta_secant.reports import CheckRecord, Report, ScenarioConfig
@@ -90,6 +90,27 @@ class TestMain:
         rc = main(["bdhe", "--curve", "nosuch"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 2 and out["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("scenario", ["theta-selftest", "rs-dynamics"])
+    @pytest.mark.parametrize("option", [["--curve", "nosuch"], ["--curve", "x5m1"],
+                                        ["--corpus", "corpus.json"]])
+    def test_curveless_scenario_rejects_curve(self, capsys, scenario, option):
+        rc = main([scenario, *option])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2 and out["error"] == "ConfigError"
+        assert out["message"] == f"{scenario} takes no --curve or --corpus"
+
+    def test_bad_corpus_record_fails_only_its_lookup(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps([
+            {"id": "x5m1", "kind": "hyperelliptic2", "poly": [-1, 0, 0, 0, 0, 1]},
+            {"id": "double", "kind": "hyperelliptic2", "poly": [2, -4, 2, 1, -2, 1]},
+        ]))
+        rc = main(["toda", "--corpus", str(path), "--curve", "double"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2 and out["error"] == "DegenerateCurve"
+        ident, spec = resolve_curve(ScenarioConfig("toda", curve="x5m1", corpus=str(path)))
+        assert ident == "x5m1" and spec.genus == 2
 
     @pytest.mark.parametrize("scenario", ["fay-trisecant", "divisor-identities",
                                           "toda", "bdhe", "wave-series", "controls"])

@@ -5,6 +5,8 @@ originally cross-checked against a doubled-node, perturbed-path quadrature
 family and validated end to end by the trisecant fits.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ class TestSpecs:
 
     def test_near_degenerate_by_distance(self):
         roots = [0.0, 1e-9, 1.0, 2.0, 3.0]
+        poly = np.polynomial.polynomial.polyfromroots(roots)
+        with pytest.raises(DegenerateCurve):
+            CurveSpec("hyperelliptic2", poly=list(poly))
+
+    def test_scale_free_separation(self):
+        # roots 15.8 apart, and roots 1.2e-4 apart: both well separated
+        # relative to their scale
+        for c0 in (-1e6, -1e-20):
+            assert CurveSpec("hyperelliptic2", poly=[c0, 0, 0, 0, 0, 1]).genus == 2
+
+    @pytest.mark.parametrize("mult", [2, 3, 4, 5])
+    def test_repeated_root_any_multiplicity(self, mult):
+        roots = [0.7 - 0.2j] * mult + [1.5, -0.4 + 1.1j, -1.2 - 0.9j][:5 - mult]
         poly = np.polynomial.polynomial.polyfromroots(roots)
         with pytest.raises(DegenerateCurve):
             CurveSpec("hyperelliptic2", poly=list(poly))
@@ -191,3 +206,25 @@ def test_corpus_round_trip(tmp_path):
     assert corpus["t"].tau == 2j
     with pytest.raises(ValidationError):
         load_corpus(__file__)  # not JSON
+
+
+def test_corpus_validated_per_lookup(tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps([
+        {"id": "good", "kind": "hyperelliptic2",
+         "poly": [[-1.0, 0.0], [0, 0], [0, 0], [0, 0], [0, 0], [1.0, 0.0]]},
+        {"id": "double", "kind": "hyperelliptic2",      # (x - 1)^2 (x^3 + 2)
+         "poly": [2, -4, 2, 1, -2, 1]},
+        {"id": "nopoly", "kind": "hyperelliptic2"},
+        ["not", "a", "record"],
+        {"id": [5], "kind": "genus1", "tau": [0.0, 1.0]},
+    ]))
+    corpus = load_corpus(path)
+    assert sorted(corpus) == ["[5]", "curve3", "double", "good", "nopoly"]
+    assert "double" in corpus
+    assert corpus["good"].poly[0] == -1.0
+    with pytest.raises(DegenerateCurve):
+        corpus["double"]
+    for ident in ("nopoly", "curve3"):
+        with pytest.raises(ValidationError):
+            corpus[ident]

@@ -64,3 +64,11 @@ def test_rel_diff():
 def test_non_finite_mantissa_is_numerical_error(mantissa):
     with pytest.raises(NumericalError):
         ScaledComplex.make(mantissa, 3.0)
+
+
+def test_subnormal_mantissa_normalizes():
+    # a difference of two values whose real parts cancel can leave a
+    # subnormal imaginary part; exp(-shift) alone would overflow
+    d = ScaledComplex.make(1.0 + 3e-316j, 2.0) - ScaledComplex.make(1.0 + 1e-316j, 2.0)
+    assert 1.0 <= abs(d.mantissa) < math.e
+    assert d.log_abs() == pytest.approx(math.log(2e-316) + 2.0, abs=1e-6)

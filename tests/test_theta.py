@@ -10,7 +10,6 @@ from theta_secant.errors import NonPosDef, RadiusCap, ValidationError
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.scaled import ScaledComplex, rel_diff
 from theta_secant.theta import (
-    DEFAULT_RADIUS_CAP,
     PeriodMatrix,
     ThetaCharacteristic,
     ThetaRequest,
@@ -21,8 +20,9 @@ from theta_secant.theta import (
     theta,
     theta_fd_check,
     theta_hat_abs,
-    _shell_radius,
     truncation_radius,
+    _ellipsoid_radius,
+    _norm_octaves,
 )
 
 
@@ -148,14 +148,16 @@ class TestTruncation:
         r_tight = truncation_radius(B_I, np.array([0j]), 1e-14)
         assert r_loose <= r_tight
 
+    # Im B = 0.001: the certified radius (about 100 at tol 1e-14) exceeds
+    # the default cap of 64
     def test_radius_cap(self):
-        B = PeriodMatrix([[0.01j]])
+        B = PeriodMatrix([[0.001j]])
         with pytest.raises(RadiusCap):
             truncation_radius(B, np.array([0j]), 1e-14)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("THETA_SECANT_CAP", "200")
-        B = PeriodMatrix([[0.01j]])
+        B = PeriodMatrix([[0.001j]])
         r = truncation_radius(B, np.array([0j]), 1e-14)
         assert 64 < r <= 200
 
@@ -166,14 +168,15 @@ class TestTruncation:
             B = PeriodMatrix(B.entries * (0.1 + 0.9 * rng.uniform()))
             tol = 10.0 ** rng.uniform_in(-16, -4)
             norms = [2.0 * rng.uniform() for _ in range(k % 3)]
-            fresh = _shell_radius.__wrapped__(B.g, B.lam_min, tol,
-                                              DEFAULT_RADIUS_CAP, tuple(norms))
+            fresh = _ellipsoid_radius(B, tol, _norm_octaves(norms))
+            assert not B._radii
             for _ in range(2):   # a miss, then a hit
                 assert truncation_radius(B, np.array([0j] * B.g), tol,
                                          deriv_norms=norms) == fresh
+            assert B._radii == {(tol, _norm_octaves(norms)): fresh}
 
     def test_radius_cap_raised_on_every_call(self):
-        B = PeriodMatrix([[0.01j]])
+        B = PeriodMatrix([[0.001j]])
         for _ in range(2):
             with pytest.raises(RadiusCap):
                 truncation_radius(B, np.array([0j]), 1e-14)

@@ -1,0 +1,89 @@
+"""Property tests of the theta engine over random Siegel matrices, thin ones
+included (smallest eigenvalue of Im B down to 0.01).
+
+Gaps are measured in units of the Gaussian envelope exp(pi y Y^-1 y),
+y = Im z, Y = Im B, which bounds every term of the series from above and
+the largest one within a factor exp(pi/4 sum |Y_ij|).  Points are drawn in
+the fundamental cell, Im z = Y t with t in [-1/2, 1/2]^g.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from theta_secant.scaled import ScaledComplex
+from theta_secant.theta import (
+    PeriodMatrix,
+    ThetaRequest,
+    gauss_exponent,
+    level_two_vector,
+    theta,
+)
+
+GAP = 1e-12
+unit = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def siegel_points(draw, count=1):
+    """(B, [z, ...]): Im B with smallest eigenvalue 10^[-2, 0.3] and a random
+    orientation, Re B in [-1/2, 1/2]; points in the fundamental cell."""
+    g = draw(st.sampled_from((1, 2)))
+    lam = 10.0 ** draw(st.floats(-2.0, 0.3))
+    if g == 1:
+        Y = np.array([[lam]])
+        X = np.array([[draw(unit)]])
+    else:
+        lam2 = draw(st.floats(max(lam, 0.3), 2.5))
+        a = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        Y = rot @ np.diag([lam, lam2]) @ rot.T
+        off = draw(unit)
+        X = np.array([[draw(unit), off], [off, draw(unit)]])
+    zs = [np.array([draw(unit) for _ in range(g)])
+          + 1j * Y @ np.array([draw(unit) for _ in range(g)]) for _ in range(count)]
+    return PeriodMatrix(X + 1j * Y), zs
+
+
+def envelope_gap(a: ScaledComplex, b: ScaledComplex, log_envelope: float) -> float:
+    """|a - b| in units of exp(log_envelope)."""
+    d = a - b
+    return 0.0 if d.is_zero() else math.exp(d.log_abs() - log_envelope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(siegel_points())
+def test_evenness(case):
+    B, (z,) = case
+    gap = envelope_gap(theta(ThetaRequest(z, B)), theta(ThetaRequest(-z, B)),
+                       gauss_exponent(B, z))
+    assert gap <= GAP
+
+
+@settings(max_examples=60, deadline=None)
+@given(siegel_points())
+def test_quasi_periodicity(case):
+    """theta(z + B e_j) = exp(-pi i B_jj - 2 pi i z_j) theta(z)."""
+    B, (z,) = case
+    base = theta(ThetaRequest(z, B))
+    for j in range(B.g):
+        shifted = z + B.entries[:, j]
+        expo = -1j * math.pi * B.entries[j, j] - 2j * math.pi * z[j]
+        factor = ScaledComplex.make(np.exp(1j * expo.imag), expo.real)
+        gap = envelope_gap(theta(ThetaRequest(shifted, B)), base * factor,
+                           gauss_exponent(B, shifted))
+        assert gap <= GAP
+
+
+@settings(max_examples=60, deadline=None)
+@given(siegel_points(count=2))
+def test_addition_formula(case):
+    """theta(z+w) theta(z-w) = sum_eps theta[eps,0](2z|2B) theta[eps,0](2w|2B):
+    plain theta on the left, the binned level-two sum on the right."""
+    B, (z, w) = case
+    lhs = theta(ThetaRequest(z + w, B)) * theta(ThetaRequest(z - w, B))
+    vz, vw = level_two_vector(z, B), level_two_vector(w, B)
+    rhs = ScaledComplex.make(complex(vz.coords @ vw.coords), vz.logscale + vw.logscale)
+    log_envelope = gauss_exponent(B, z + w) + gauss_exponent(B, z - w)
+    assert envelope_gap(lhs, rhs, log_envelope) <= GAP
