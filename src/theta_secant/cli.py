@@ -705,7 +705,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
+        # ArithmeticError: a value no float holds (ScaledComplex.to_complex
+        # raises OverflowError) is a numerical failure too, not a crash
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 3

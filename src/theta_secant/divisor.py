@@ -23,6 +23,7 @@ from .theta import (
     PeriodMatrix,
     normalized_log_abs,
     theta_jet,
+    theta_jets,
     truncation_radius,
 )
 
@@ -53,18 +54,19 @@ class _Line:
     def jet(self, s: complex):
         return theta_jet(self.Z0 + s * self.D, self.B, dirs=(self.D,), tol=self.tol)
 
+    def seed_phases(self, ss) -> None:
+        """Phases of theta at every s in ss, from one lattice pass, into the cache."""
+        J = theta_jets(self.Z0 + np.multiply.outer(ss, self.D), self.B, tol=self.tol)
+        self._phase_cache.update(zip(ss, np.angle(J.sums["f"]).tolist()))
+
     def phase(self, s: complex) -> float:
-        v = self._phase_cache.get(s)
-        if v is None:
-            j = theta_jet(self.Z0 + s * self.D, self.B, tol=self.tol)
-            v = math.atan2(j["f"].mantissa.imag, j["f"].mantissa.real)
-            self._phase_cache[s] = v
-        return v
+        if s not in self._phase_cache:
+            self.seed_phases([s])
+        return self._phase_cache[s]
 
     def hat_abs(self, s: complex) -> float:
         j = theta_jet(self.Z0 + s * self.D, self.B, tol=self.tol)
-        la = normalized_log_abs(j["f"], self.B, self.Z0 + s * self.D)
-        return 0.0 if la == -math.inf else math.exp(la)
+        return math.exp(normalized_log_abs(j["f"], self.B, self.Z0 + s * self.D))
 
 
 def _wrap(d: float) -> float:
@@ -115,6 +117,7 @@ def line_roots(Z0, D, B: PeriodMatrix, tol: float = DEFAULT_TOL,
     """
     line = _Line(np.asarray(Z0, complex), np.asarray(D, complex), B, tol)
     nodes = np.linspace(-box, box, grid + 1)
+    line.seed_phases([complex(x, y) for y in nodes for x in nodes])
     # phase increments per horizontal/vertical edge, evaluated once
     horiz = {}
     vert = {}
@@ -176,8 +179,7 @@ def verify_sample(sample: DivisorSample, B: PeriodMatrix,
     zr = lattice_reduce(sample.Z, B)
     r = truncation_radius(B, zr, tol)
     val = theta(ThetaRequest(sample.Z, B, None, (), tol), radius=radius_boost * r)
-    la = normalized_log_abs(val, B, sample.Z)
-    return 0.0 if la == -math.inf else math.exp(la)
+    return math.exp(normalized_log_abs(val, B, sample.Z))
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +242,5 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,
     best = 0.0
     for k in range(-K, K + 1):
         z = Z + k * W
-        la = normalized_log_abs(theta_jet(z, B, tol=tol)["f"], B, z)
-        if la != -math.inf:
-            best = max(best, math.exp(la))
+        best = max(best, math.exp(normalized_log_abs(theta_jet(z, B, tol=tol)["f"], B, z)))
     return best

@@ -33,6 +33,7 @@ elliptic case (the Weierstrass linear corrections cancel in F).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -50,8 +51,10 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     ThetaCharacteristic,
+    gauss_exponent,
     normalized_log_abs,
-    theta_jet,
+    normalized_log_abs_many,
+    theta_jets,
 )
 
 ZERO_TARGET = 1e-10
@@ -63,7 +66,47 @@ FACTOR_GUARD = 1e-8
 # tau sections
 # ----------------------------------------------------------------------
 
-class ThetaTau:
+class _ThetaSection:
+    """A tau section theta(arg(x, t) | B) with derivatives along dirs.
+
+    The array forms (jets, hat_abs_many, v_many) take xs and ts of one
+    shape, or a scalar t, and make one lattice pass; jet, value, hat_abs
+    and v are their one-point views.
+    """
+
+    def jets(self, xs, ts) -> list:
+        """(tau, tau_x, tau_t) at each (x, t) as ScaledComplex triples
+        (tau_t is None for a section without a t direction)."""
+        J = theta_jets(self.arg(xs, ts), self.B, dirs=self.dirs, tol=self.tol)
+        return [(j["f"], j["d0"], j.get("d1")) for j in map(J.jet, range(len(J)))]
+
+    def jet(self, x: complex, t: float):
+        return self.jets([x], t)[0]
+
+    def value(self, x: complex, t: float) -> ScaledComplex:
+        return self.jet(x, t)[0]
+
+    def hat_abs_many(self, xs, ts) -> np.ndarray:
+        """Normalized |tau| at each (x, t): O(1) generically, 0 on a zero."""
+        W = self.arg(xs, ts)
+        J = theta_jets(W, self.B, tol=self.tol)
+        return np.exp(normalized_log_abs_many(J, self.B, W))
+
+    def hat_abs(self, x: complex, t: float) -> float:
+        return float(self.hat_abs_many([x], t)[0])
+
+    def hat_abs_of(self, value: ScaledComplex, x: complex, t: float) -> float:
+        return math.exp(normalized_log_abs(value, self.B, self.arg(x, t)))
+
+    def v_many(self, xs, ts) -> np.ndarray:
+        """v = -tau_t / tau at each (x, t), for a section with a t direction."""
+        return np.array([-(ft / f).to_complex() for f, _, ft in self.jets(xs, ts)])
+
+    def v(self, x: complex, t: float) -> complex:
+        return self.v_many([x], t)[0]
+
+
+class ThetaTau(_ThetaSection):
     """tau(x, t) = theta(x U + t V + Z | B) with analytic x/t derivatives."""
 
     def __init__(self, U, V, Z, B: PeriodMatrix, tol: float = DEFAULT_TOL):
@@ -72,31 +115,13 @@ class ThetaTau:
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
         self.tol = tol
+        self.dirs = (self.U, self.V)
 
-    def arg(self, x: complex, t: float):
-        return x * self.U + t * self.V + self.Z
-
-    def jet(self, x: complex, t: float):
-        """(tau, tau_x, tau_t) as ScaledComplex triple."""
-        w = self.arg(x, t)
-        j = theta_jet(w, self.B, dirs=(self.U, self.V), tol=self.tol)
-        return j["f"], j["d0"], j["d1"]
-
-    def hat_abs(self, x: complex, t: float) -> float:
-        w = self.arg(x, t)
-        la = normalized_log_abs(theta_jet(w, self.B, tol=self.tol)["f"], self.B, w)
-        return 0.0 if la == -math.inf else math.exp(la)
-
-    def hat_abs_of(self, value: ScaledComplex, x: complex, t: float) -> float:
-        la = normalized_log_abs(value, self.B, self.arg(x, t))
-        return 0.0 if la == -math.inf else math.exp(la)
-
-    def v(self, x: complex, t: float) -> complex:
-        f, _, ft = self.jet(x, t)
-        return -(ft / f).to_complex()
+    def arg(self, x, t):
+        return np.multiply.outer(x, self.U) + np.multiply.outer(t, self.V) + self.Z
 
 
-class PerturbedTau:
+class PerturbedTau(_ThetaSection):
     """tau plus an additive non-theta term, for negative controls.
 
     The term is pinned to the lattice-invariant Gaussian scale of theta at
@@ -110,11 +135,12 @@ class PerturbedTau:
     space of theta-family deformations (argument shifts and rescalings,
     under which the identities are exact), so their first-order effect on
     the six-factor ratio largely cancels; the oscillatory term does not.
+    The array forms add the term to each point of the base section's one
+    lattice pass.
     """
 
     def __init__(self, base, epsilon: float, x_ref: complex = 0j,
                  t_ref: float = 0.0, mode: str = "const"):
-        from .theta import gauss_exponent
         if mode not in ("const", "oscillatory"):
             raise ValidationError(f"unknown perturbation mode {mode!r}")
         self.base = base
@@ -132,22 +158,17 @@ class PerturbedTau:
         osc = self.offset * complex(np.exp(1j * np.pi * complex(x)))
         return osc, osc * (1j * np.pi)
 
-    def jet(self, x, t):
-        f, fx, ft = self.base.jet(x, t)
-        term, dterm = self._term(x)
-        fx = fx + dterm if not dterm.is_zero() else fx
-        return f + term, fx, ft
+    def jets(self, xs, ts) -> list:
+        out = []
+        for x, (f, fx, ft) in zip(np.ravel(xs), self.base.jets(xs, ts)):
+            term, dterm = self._term(x)
+            out.append((f + term, fx + dterm if not dterm.is_zero() else fx, ft))
+        return out
 
-    def hat_abs(self, x, t):
-        f, _, _ = self.jet(x, t)
-        return self.base.hat_abs_of(f, x, t)
-
-    def hat_abs_of(self, value, x, t):
-        return self.base.hat_abs_of(value, x, t)
-
-    def v(self, x, t):
-        f, _, ft = self.jet(x, t)
-        return -(ft / f).to_complex()
+    def hat_abs_many(self, xs, ts) -> np.ndarray:
+        xs, ts = np.broadcast_arrays(np.ravel(xs), ts)
+        return np.array([self.hat_abs_of(f, x, t)
+                         for (f, _, _), x, t in zip(self.jets(xs, ts), xs, ts)])
 
 
 # ----------------------------------------------------------------------
@@ -177,14 +198,8 @@ def scan_zero(tau, t: float, center: complex = 0j, span: float = 2.0,
               n: int = 21) -> complex:
     """Coarse |tau| scan followed by Newton; finds some zero on the line."""
     xs = np.linspace(-span, span, n)
-    best, best_val = None, math.inf
-    for a in xs:
-        for b in xs:
-            x = center + complex(a, b)
-            v = tau.hat_abs(x, t)
-            if v < best_val:
-                best, best_val = x, v
-    return newton_zero(tau, best, t)
+    grid = center + (xs[:, None] + 1j * xs[None, :]).ravel()
+    return newton_zero(tau, grid[np.argmin(tau.hat_abs_many(grid, t))], t)
 
 
 @dataclass
@@ -209,18 +224,17 @@ class ZeroPath:
 
 
 def _laurent_data(tau, x: complex, t: float, fit_radius: float = 0.01):
-    f, fx, ft = tau.jet(x, t)
+    """(eta_dot, v0) at a zero x: one lattice pass for x and the 5-point circle."""
+    rho = fit_radius * (1.0 + abs(x))
+    circle = x + rho * np.exp(2j * np.pi * np.arange(5) / 5.0)
+    (f, fx, ft), *ring = tau.jets(np.concatenate([[x], circle]), t)
     scale = tau.hat_abs_of(fx, x, t)
     if scale < SIMPLE_ZERO_GUARD:
         raise DegenerateZero(f"|tau_x| ~ {scale:.2e} at tracked zero")
     etadot = -(ft / fx).to_complex()
-    rho = fit_radius * (1.0 + abs(x))
     acc = 0j
-    for k in range(5):
-        xk = x + rho * np.exp(2j * np.pi * k / 5.0)
-        fk, _, ftk = tau.jet(xk, t)
-        vk = -(ftk / fk).to_complex()
-        acc += vk - etadot / (xk - x)
+    for xk, (fk, _, ftk) in zip(circle, ring):
+        acc += -(ftk / fk).to_complex() - etadot / (xk - x)
     return etadot, acc / 5.0
 
 
@@ -252,12 +266,12 @@ def track_zero(tau, grid, x0: complex | None = None,
                 raise LostZero(f"zero jumped by {abs(x - eta[k-1]):.3g} "
                                f"(limit {limit:.3g}) at t={t:.4g}")
         eta[k] = x
-        tau_abs[k] = tau.hat_abs(x, t)
+        hats = tau.hat_abs_many([x, x + 1.0, x - 1.0] if guard_shifts else [x], t)
+        tau_abs[k] = hats[0]
         etadot[k], v0[k] = _laurent_data(tau, x, t)
-        if guard_shifts:
-            for off in (1.0, -1.0):
-                if tau.hat_abs(x + off, t) < FACTOR_GUARD:
-                    raise GuardFailed(f"tau(eta{off:+g}, t) vanishes at t={t:.4g}")
+        for off, h in zip((1.0, -1.0), hats[1:]):
+            if h < FACTOR_GUARD:
+                raise GuardFailed(f"tau(eta{off:+g}, t) vanishes at t={t:.4g}")
     return ZeroPath(grid, eta, etadot, v0, tau_abs)
 
 
@@ -289,15 +303,18 @@ def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix,
     h = t[1] - t[0]
     if np.max(np.abs(np.diff(t) - h)) > 1e-12 * max(abs(h), 1.0):
         raise ValidationError("cm5 residual needs a uniform grid")
+    # tau and v at eta(t_k) +- 1 for every inner k, each in one lattice pass
+    shifts = [(k, off) for k in range(2, len(t) - 2) for off in (1.0, -1.0)]
+    xs = np.array([eta[k] + off for k, off in shifts])
+    ts = np.array([t[k] for k, _ in shifts])
+    for (k, off), h_abs in zip(shifts, tau.hat_abs_many(xs, ts)):
+        if h_abs < FACTOR_GUARD:
+            raise GuardFailed(f"tau(eta{off:+g}) vanished at t={t[k]:.4g}")
+    v_shift = tau.v_many(xs, ts).reshape(-1, 2)
     worst = 0.0
-    for k in range(2, len(t) - 2):
+    for k, (vp, vm) in zip(range(2, len(t) - 2), v_shift):
         ddot = (-eta[k - 2] + 16 * eta[k - 1] - 30 * eta[k]
                 + 16 * eta[k + 1] - eta[k + 2]) / (12.0 * h * h)
-        for off in (1.0, -1.0):
-            if tau.hat_abs(eta[k] + off, t[k]) < FACTOR_GUARD:
-                raise GuardFailed(f"tau(eta{off:+g}) vanished at t={t[k]:.4g}")
-        vp = tau.v(eta[k] + 1.0, t[k])
-        vm = tau.v(eta[k] - 1.0, t[k])
         rhs = path.etadot[k] * (2.0 * path.v0[k] - vp - vm)
         scale = (abs(ddot) + abs(path.etadot[k])
                  * (2.0 * abs(path.v0[k]) + abs(vp) + abs(vm)))
@@ -333,13 +350,13 @@ class TrigKernel:
         self.L = period
 
     def _zeta(self, q: complex) -> complex:
-        return (np.pi / self.L) / np.tan(np.pi * q / self.L)
+        return (math.pi / self.L) / cmath.tan(math.pi * q / self.L)
 
     def F(self, q: complex) -> complex:
         return 2.0 * self._zeta(q) - self._zeta(q + 1.0) - self._zeta(q - 1.0)
 
     def guard(self, q: complex) -> bool:
-        s = min(abs(np.sin(np.pi * (q + d) / self.L)) for d in (0.0, 1.0, -1.0))
+        s = min(abs(cmath.sin(math.pi * (q + d) / self.L)) for d in (0.0, 1.0, -1.0))
         return s > 1e-6
 
 
@@ -364,22 +381,23 @@ class EllipticKernel:
         self.char = ThetaCharacteristic((0.5,), (0.5,))
         self.tol = tol
         self._unit = np.array([1.0 + 0j])
-        self._q = None
-        self._q_jets = None
+        self._stage = {}
+
+    def prepare(self, qs) -> None:
+        """Evaluate the theta1 1-jets of every separation in qs in one
+        lattice pass: at v = (q + d)/omega1, d = 0, 1, -1.  guard and F
+        read them until the next call."""
+        W = np.array([u / self.omega1 for q in qs for u in (q, q + 1.0, q - 1.0)],
+                     dtype=complex).reshape(-1, 1)
+        J = theta_jets(W, self.B, dirs=(self._unit,), char=self.char, tol=self.tol)
+        self._stage = {q: [(W[p], J.jet(p)) for p in range(3 * i, 3 * i + 3)]
+                       for i, q in enumerate(qs)}
 
     def _jets(self, q: complex) -> list:
-        """(v, theta1 1-jet at v) for v = (q + d)/omega1, d = 0, 1, -1.
-
-        guard and F evaluate at the same separation in turn, so the jets of
-        the last q are kept and shared between them.
-        """
-        if q != self._q:
-            points = [np.array([u / self.omega1]) for u in (q, q + 1.0, q - 1.0)]
-            self._q_jets = [(w, theta_jet(w, self.B, dirs=(self._unit,),
-                                          char=self.char, tol=self.tol))
-                            for w in points]
-            self._q = q
-        return self._q_jets
+        """(v, theta1 1-jet at v) for the three points of q (see prepare)."""
+        if q not in self._stage:
+            self.prepare([q])
+        return self._stage[q]
 
     def F(self, q: complex) -> complex:
         L0, Lp, Lm = ((j["d0"] / j["f"]).to_complex() / self.omega1
@@ -444,6 +462,10 @@ class Trajectory:
 
 def _accel(kernel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     N = len(x)
+    # a kernel that evaluates in batches takes every separation of the stage at once
+    prepare = getattr(kernel, "prepare", None)
+    if prepare is not None:
+        prepare([x[i] - x[j] for i in range(N) for j in range(N) if j != i])
     a = np.zeros(N, complex)
     for i in range(N):
         s = 0j
@@ -524,7 +546,7 @@ def elliptic_zero_crosscheck(tau_mod: complex, U: complex, V: complex, Z: comple
 # discrete six-factor identity
 # ----------------------------------------------------------------------
 
-class DiscreteTau:
+class DiscreteTau(_ThetaSection):
     """tau(x, nu) = theta((x/2)(U-V) + ((nu+1)/2)(U+V) + Z)."""
 
     def __init__(self, U, V, Z, B: PeriodMatrix, tol: float = DEFAULT_TOL):
@@ -535,26 +557,10 @@ class DiscreteTau:
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
         self.tol = tol
+        self.dirs = (self.W,)
 
-    def arg(self, x: complex, nu: float):
-        return x * self.W + (nu + 1.0) * self.S + self.Z
-
-    def jet(self, x: complex, nu: float):
-        w = self.arg(x, nu)
-        j = theta_jet(w, self.B, dirs=(self.W,), tol=self.tol)
-        return j["f"], j["d0"], None
-
-    def value(self, x: complex, nu: float) -> ScaledComplex:
-        return self.jet(x, nu)[0]
-
-    def hat_abs(self, x: complex, nu: float) -> float:
-        w = self.arg(x, nu)
-        la = normalized_log_abs(theta_jet(w, self.B, tol=self.tol)["f"], self.B, w)
-        return 0.0 if la == -math.inf else math.exp(la)
-
-    def hat_abs_of(self, value, x, nu):
-        la = normalized_log_abs(value, self.B, self.arg(x, nu))
-        return 0.0 if la == -math.inf else math.exp(la)
+    def arg(self, x, nu):
+        return np.multiply.outer(x, self.W) + np.multiply.outer(nu + 1.0, self.S) + self.Z
 
 
 class PerturbedDiscreteTau(PerturbedTau):
@@ -564,27 +570,12 @@ class PerturbedDiscreteTau(PerturbedTau):
                  nu_ref=0.0, mode: str = "const"):
         super().__init__(base, epsilon, x_ref=x_ref, t_ref=nu_ref, mode=mode)
 
-    def value(self, x, nu):
-        return self.jet(x, nu)[0]
-
 
 def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:
     """A zero of x -> tau(x, nu), scanned if no warm start is given."""
-
-    class _Wrap:
-        def jet(self, x, t):
-            return tau.jet(x, t)
-
-        def hat_abs(self, x, t):
-            return tau.hat_abs(x, t)
-
-        def hat_abs_of(self, v, x, t):
-            return tau.hat_abs_of(v, x, t)
-
-    w = _Wrap()
     if x_guess is None:
-        return scan_zero(w, nu, span=2.5, n=25)
-    return newton_zero(w, x_guess, nu)
+        return scan_zero(tau, nu, span=2.5, n=25)
+    return newton_zero(tau, x_guess, nu)
 
 
 def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,
@@ -600,12 +591,11 @@ def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,
     eta = find_tau_zero(tau, nu, x_guess)
     factors = [(eta + 1.0, nu + 1.0), (eta - 2.0, nu), (eta + 1.0, nu - 1.0),
                (eta - 1.0, nu + 1.0), (eta + 2.0, nu), (eta - 1.0, nu - 1.0)]
-    vals = []
-    for (x, n) in factors:
-        val = tau.value(x, n)
+    xs, ns = (np.array(c) for c in zip(*factors))
+    vals = [f for f, _, _ in tau.jets(xs, ns)]
+    for (x, n), val in zip(factors, vals):
         if tau.hat_abs_of(val, x, n) < 1e-10:
             raise GuardFailed(f"factor tau({x:.3g}, {n:g}) too close to zero")
-        vals.append(val)
     num = vals[0] * vals[1] * vals[2]
     den = vals[3] * vals[4] * vals[5]
     ratio = (num / den).to_complex()

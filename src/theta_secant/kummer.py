@@ -12,7 +12,8 @@ Both secancy fits are linear least-squares problems in two unknowns:
 
 A is only determined up to theta-characteristic conventions, so the fit
 is repeated over all 4^g half-period shifts of A and the best residual
-wins (deterministic tie-break: lowest shift index).  Note the literal
+wins (deterministic tie-break: lowest shift index).  The level-two vectors
+of all shifts come from one binned lattice pass.  Note the literal
 covariance of the semidiscrete fit: replacing V by lam*V rescales the
 fitted (e^p, E) to (lam e^p, lam E) and leaves the residual unchanged.
 """
@@ -31,6 +32,7 @@ from .theta import (
     half_period,
     lattice_distance,
     level_two_vector,
+    level_two_vectors,
 )
 
 RANK_TOL = 1e-12
@@ -131,13 +133,12 @@ def fit_secancy_discrete(U, V, A, B: PeriodMatrix,
     V = np.atleast_1d(np.asarray(V, complex))
     A = np.atleast_1d(np.asarray(A, complex))
     _check_distinct(B, [("U-V", U - V), ("U-A", U - A), ("V-A", V - A)])
+    shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
+    vecs = level_two_vectors([p for As in shifts for p in (
+        (As - U - V) / 2.0, (As + U - V) / 2.0, (As + V - U) / 2.0)], B, tol=tol)["f"]
     best = None
     for k in range(4 ** B.g):
-        As = A + half_period(B, k)
-        v1 = level_two_vector((As - U - V) / 2.0, B, tol=tol)
-        v2 = level_two_vector((As + U - V) / 2.0, B, tol=tol)
-        v3 = level_two_vector((As + V - U) / 2.0, B, tol=tol)
-        c1, c2, c3 = _common_scale([v1, v2, v3])
+        c1, c2, c3 = _common_scale(vecs[3 * k:3 * k + 3])
         M = np.stack([c2, -c3], axis=1)
         sol = _solve(M, -c1)
         if sol is None:
@@ -161,13 +162,13 @@ def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix,
     _check_distinct(B, [("U-A", U - A)])
     if np.linalg.norm(V) == 0:
         raise CoincidentPoints("V must be nonzero")
+    shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
+    vecs = level_two_vectors([p for As in shifts for p in ((As - U) / 2.0, (As + U) / 2.0)],
+                             B, deriv_dir=V, tol=tol)
     best = None
     for k in range(4 ** B.g):
-        As = A + half_period(B, k)
-        vm = level_two_vector((As - U) / 2.0, B, tol=tol)
-        vp = level_two_vector((As + U) / 2.0, B, tol=tol)
-        dv = level_two_vector((As - U) / 2.0, B, deriv_dir=V, tol=tol)
-        cm_, cp, cd = _common_scale([vm, vp, dv])
+        vm, vp = vecs["f"][2 * k:2 * k + 2]
+        cm_, cp, cd = _common_scale([vm, vp, vecs["d0"][2 * k]])
         M = np.stack([cp, -cm_], axis=1)
         sol = _solve(M, cd)
         if sol is None:

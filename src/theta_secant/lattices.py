@@ -126,9 +126,9 @@ def _exp_factor(arg: complex) -> ScaledComplex:
 def _guarded_jet(w, B, dirs, tol, context):
     jet = theta_jet(w, B, dirs=dirs, tol=tol)
     la = normalized_log_abs(jet["f"], B, w)
-    if la == -math.inf or math.exp(la) < DIVISOR_GUARD:
+    if math.exp(la) < DIVISOR_GUARD:
         raise DivisorHit(f"theta value at {context} is on the divisor "
-                         f"(normalized modulus {0.0 if la == -math.inf else math.exp(la):.2e})")
+                         f"(normalized modulus {math.exp(la):.2e})")
     return jet
 
 
@@ -324,7 +324,7 @@ def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
         for (cm, cn, with_a) in spans:
             w = cm * U + cn * V + Z + (A if with_a else 0.0)
             la = normalized_log_abs(theta_jet(w, B, tol=tol)["f"], B, w)
-            low = min(low, 0.0 if la == -math.inf else math.exp(la))
+            low = min(low, math.exp(la))
             if low < best_val:
                 break
         if low > best_val:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
-from .theta import DEFAULT_TOL, PeriodMatrix, theta_jet
+from .theta import DEFAULT_TOL, PeriodMatrix, theta_jets
 from .dynamics import DiscreteTau, find_tau_zero
 
 ORBIT_CAP = 64
@@ -171,14 +171,13 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     if tau is None:
         tau = DiscreteTau(U, V, Z, B, tol=tol)
     eta = find_tau_zero(tau, nu, x_guess)
-    # Laurent coefficient of tau at eta: directional derivative along the
-    # x-translation direction
-    _, fx, _ = tau.jet(eta, nu)
-    v0 = fx
-
+    # the Laurent coefficient of tau at eta (the directional derivative along
+    # the x-translation direction) and the six factors, in one lattice pass
+    shifts = ((0, 0), (1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0))
+    (_, v0, _), *jets = tau.jets(np.array([eta + dx for dx, _ in shifts]),
+                                 np.array([nu + dn for _, dn in shifts]))
     vals = {}
-    for (dx, dn) in ((1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0)):
-        val = tau.value(eta + dx, nu + dn)
+    for (dx, dn), (val, _, _) in zip(shifts[1:], jets):
         if tau.hat_abs_of(val, eta + dx, nu + dn) < 1e-10:
             raise GuardFailed(f"tau(eta{dx:+d}, nu{dn:+d}) too close to zero")
         vals[(dx, dn)] = val
@@ -212,7 +211,9 @@ class SemidiscreteSystem:
     """Closures for the periodic semi-discrete problem on Z/N.
 
     tau = theta(x U + t V + Z); v = -d_V log theta, u = (T-1)v, and the
-    analytic time derivative of v for resubstitution oracles.
+    analytic time derivative of v for resubstitution oracles.  v, vdot and
+    u take x and t as scalars or as arrays of one shape (or a scalar t) and
+    make one lattice pass per call.
     """
 
     def __init__(self, U, V, Z, B: PeriodMatrix, N: int, tol: float = DEFAULT_TOL):
@@ -226,26 +227,31 @@ class SemidiscreteSystem:
         if np.max(np.abs(NU - np.round(NU.real))) > 1e-9:
             raise NonPeriodic(f"N U = {NU} is not an integer vector")
 
-    def _jet2(self, x, t):
-        w = x * self.U + t * self.V + self.Z
-        return theta_jet(w, self.B, dirs=(self.V, self.V), tol=self.tol)
+    def _ratios(self, x, t):
+        """(theta_V / theta, theta_VV / theta) at the points (x, t), shaped like x."""
+        x = np.asarray(x, dtype=float)
+        W = np.multiply.outer(x, self.U) + np.multiply.outer(t, self.V) + self.Z
+        J = theta_jets(W.reshape(-1, self.B.g), self.B, dirs=(self.V, self.V),
+                       tol=self.tol).sums
+        f = J["f"]
+        return (J["d0"] / f).reshape(x.shape), (J["d01"] / f).reshape(x.shape)
 
-    def v(self, x: float, t: float) -> complex:
-        j = self._jet2(x, t)
-        return -(j["d0"] / j["f"]).to_complex()
+    def v(self, x, t):
+        return -self._ratios(x, t)[0][()]
 
-    def vdot(self, x: float, t: float) -> complex:
-        j = self._jet2(x, t)
-        r1 = (j["d01"] / j["f"]).to_complex()
-        r0 = (j["d0"] / j["f"]).to_complex()
-        return -(r1 - r0 * r0)
+    def vdot(self, x, t):
+        r0, r1 = self._ratios(x, t)
+        return (r0 * r0 - r1)[()]
 
-    def u(self, x: float, t: float) -> complex:
-        return self.v(x + 1.0, t) - self.v(x, t)
+    def u(self, x, t):
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), t)
+        v = self.v(np.stack([x + 1.0, x]), np.stack([t, t]))
+        return v[0] - v[1]
 
     def check_periodic(self, t: float):
-        worst = max(abs(self.u(x + self.N, t) - self.u(x, t))
-                    for x in range(self.N))
+        x = np.arange(self.N, dtype=float)
+        shifted = self.u(np.stack([x + self.N, x]), t)
+        worst = float(np.max(np.abs(shifted[0] - shifted[1])))
         if worst > 1e-10:
             raise NonPeriodic(f"u not N-periodic: defect {worst:.2e}")
         return worst
@@ -285,10 +291,8 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
     for j in range(5):
         for x in range(N):
             xi_s[j, x] = table.xi(s, j, x)
-    u = np.empty((5, N), complex)
-    for j in range(5):
-        for x in range(N):
-            u[j, x] = system.u(float(x), ts[j])
+    u = system.u(np.tile(np.arange(N, dtype=float), (5, 1)),
+                 np.repeat(np.array(ts)[:, None], N, axis=1))
 
     xidot = (_D5 @ xi_s) / dt if s > 0 else np.zeros((5, N), complex)
     rhs = xidot + u * xi_s
@@ -335,21 +339,20 @@ def semidiscrete_resubstitution(table: SeriesTable, system: SemidiscreteSystem,
     N = system.N
     t_c = ts[2]
     xi_s = np.array([table.xi(s, 2, x) for x in range(N)])
-    u = np.array([system.u(float(x), t_c) for x in range(N)])
+    xs = np.arange(N, dtype=float)
+    u = system.u(xs, t_c)
     if s == 0:
         xidot = np.zeros(N, complex)
     else:
-        vdot0 = system.vdot(0.0, t_c)
-        xidot = np.array([system.vdot(float(x), t_c) - vdot0 for x in range(N)])
+        vdot = system.vdot(xs, t_c)
+        xidot = vdot - vdot[0]
     rhs = xidot + u * xi_s
     rhs = rhs - rhs.mean()
     worst = 0.0
     scale = float(np.max(np.abs(rhs))) + 1e-300
     for x in range(N):
+        # (x + 1) % N wraps: the prefix sums close up to the removed mean
         delta = table.xi(s + 1, 2, (x + 1) % N) - table.xi(s + 1, 2, x)
-        if x == N - 1:
-            # cyclic wrap: prefix sums close up to the removed mean
-            delta = table.xi(s + 1, 2, 0) - table.xi(s + 1, 2, N - 1)
         worst = max(worst, abs(delta - rhs[x]) / scale)
     return worst
 

@@ -31,9 +31,16 @@ Evaluation strategy:
    less than tol times the largest term (see truncation_radius).  R is
    fixed by an integer r, the largest coordinate of the ellipsoid; r, the
    points and their phases pi*i*(B n, n) are cached on the matrix;
-3. the ellipsoid sum, vectorized, with the largest exponent factored out
-   before exponentiation.  A level-two vector is one such sum for B/2,
-   binned by the parity of n.
+3. one pass for P points at once (_lattice_jets): step 1 row by row, the
+   radius looked up once, the exponents of every point and lattice term as
+   one (P, M) array with each row's largest real part factored out and the
+   prefactor's phase folded in, one exp, the derivative factors multiplied
+   in, and row-wise sums (np.add.reduceat over the bins of the points).  A
+   level-two vector is one such sum for B/2, its points stored sorted by
+   the parity of n, one bin per class.  Each row is computed alone and in
+   an order that does not depend on P, so a point's result is bitwise the
+   same in any batch: theta, theta_jet and level_two_vector are one-point
+   views of theta_jets and level_two_vectors.
 
 The normalized modulus |theta(z)| * exp(-pi * Im z . (Im B)^-1 . Im z) is
 invariant under lattice translations of z and O(1) on the fundamental cell;
@@ -42,6 +49,7 @@ it is the right yardstick for "how close to the theta divisor" questions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -288,10 +296,18 @@ def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
         return t >= t_min and pref * sum(
             c * _upper_gamma(g + j, t * t) for j, c in enumerate(coeffs)) <= target
 
-    hi = 1
+    # gallop from the radius where the Gaussian factor alone meets the
+    # target, then bisect: certified(lo) fails (lo = 0 stands for "none")
+    # and certified(hi) holds
+    t_guess = math.sqrt(max(math.log(pref * coeffs.sum() / tol) + delta * delta, t_min ** 2))
+    hi = max(1, math.ceil(w * (t_guess + delta + 0.5 * rho)))
+    lo, step = 0, 1
     while not certified(hi):
-        hi *= 2
-    lo = hi // 2
+        lo, hi, step = hi, hi + step, 2 * step
+    if lo == 0:
+        lo, step = hi - 1, 1
+        while lo > 0 and certified(lo):
+            hi, lo, step = lo, max(lo - step, 0), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if certified(mid) else (mid, hi)
@@ -302,112 +318,195 @@ def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
 # lattice sums
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _lex_weights(g: int) -> np.ndarray:
     """Weights turning a 0/1 vector into its lex index (first component high)."""
-    return 2.0 ** np.arange(g - 1, -1, -1)
+    w = 2.0 ** np.arange(g - 1, -1, -1)
+    w.setflags(write=False)
+    return w
+
+
+def _sum_last(T: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order.
+
+    Batched products are summed this way and not by matmul, whose kernels
+    (and so roundings) may change with the number of rows: each entry
+    depends on its own row alone.
+    """
+    out = T[..., 0]
+    for j in range(1, T.shape[-1]):
+        out = out + T[..., j]
+    return out
 
 
 def _ellipsoid(B: PeriodMatrix, r: int, eps: tuple, binned: bool) -> tuple:
-    """(N, pi*i*(B n, n), sel) over the ellipsoid of largest coordinate r.
+    """(2*pi*i*N, pi*i*(B n, n), starts) over the ellipsoid of largest coordinate r.
 
-    N holds the points n in Z^g + eps with pi * (n, Im B n) <= R^2 (see
-    truncation_radius); rows @ sel sums rows of terms per bin: one bin, or
-    with binned the 2^g classes of n mod 2 in lex order.  Cached on the
-    matrix.
+    N, of shape (g, M), holds as columns the points n in Z^g + eps with
+    pi * (n, Im B n) <= R^2 (see truncation_radius); starts are the first
+    columns of the bins: one bin, or with binned the 2^g classes of n mod 2
+    in lex order, the points sorted by class.  A class the ellipsoid misses
+    (possible when Im B is large and skew) gets one point of zero weight
+    (phase -inf), so that no bin is empty.  Cached on the matrix.
     """
     key = (r, eps, binned)
     hit = B._points.get(key)
     if hit is None:
         yinv = np.diag(B.im_inv)
         half = r * np.sqrt(yinv / yinv.max())
-        axes = [np.arange(math.ceil(-h - e), math.floor(h - e) + 1) + e
-                for h, e in zip(half, eps)]
-        N = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, B.g)
+        lo = [math.ceil(-h - e) for h, e in zip(half, eps)]
+        size = [math.floor(h - e) + 1 - a for h, e, a in zip(half, eps, lo)]
+        N = np.indices(size).reshape(B.g, -1).T + np.add(lo, eps)
         N = N[np.pi * np.einsum("ij,jk,ik->i", N, B.im, N) <= math.pi * r * r / yinv.max()]
         quad = 1j * np.pi * np.einsum("ij,jk,ik->i", N, B.entries, N)
+        starts = np.zeros(1, dtype=np.intp)
         if binned:
-            idx = np.mod(N, 2.0) @ _lex_weights(B.g)
-            sel = (idx[:, None] == np.arange(2 ** B.g)).astype(complex)
-        else:
-            sel = np.ones((len(N), 1), dtype=complex)
-        for a in (N, quad, sel):
+            idx = (np.mod(N, 2.0) @ _lex_weights(B.g)).astype(np.intp)
+            missing = np.flatnonzero(np.bincount(idx, minlength=2 ** B.g) == 0)
+            if len(missing):
+                N = np.vstack([N, (missing[:, None] >> np.arange(B.g - 1, -1, -1)) & 1])
+                quad = np.append(quad, np.full(len(missing), -np.inf + 0j))
+                idx = np.append(idx, missing)
+            order = np.argsort(idx, kind="stable")
+            N, quad = N[order], quad[order]
+            starts = np.searchsorted(idx[order], np.arange(2 ** B.g))
+        N = _TWO_PI_I * np.ascontiguousarray(N.T)
+        for a in (N, quad, starts):
             a.setflags(write=False)
-        hit = B._points[key] = (N, quad, sel)
+        hit = B._points[key] = (N, quad, starts)
     return hit
 
 
-def _reduce_argument(z: np.ndarray, B: PeriodMatrix, eps, delta):
-    """Return z', integer shifts, and the complex log of the prefactor."""
-    bvec = np.rint(B.im_inv @ z.imag)
-    w = z - B.entries @ bvec
-    avec = np.rint(w.real)
-    zr = w - avec
-    log_factor = (_TWO_PI_I * float(avec @ eps)
-                  - 1j * np.pi * (bvec @ B.entries @ bvec)
-                  - _TWO_PI_I * (bvec @ (zr + delta)))
-    return zr, bvec, log_factor
+def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, eps: tuple, delta: tuple,
+                  dirs: tuple, tol: float, radius: int | None = None,
+                  binned: bool = False) -> tuple:
+    """One ellipsoid pass at P points: sums of the value and directional derivatives.
 
+    Z has shape (P, g).  Returns (sums, logscale): sums has shape
+    (K, P, bins), its K rows the keys _JET_KEYS[len(dirs)] ("f", and with
+    dirs "d0", "d1", "d01", see theta_jet) and its bins those of
+    _ellipsoid, holding mantissas relative to exp(logscale), shape (P,).
 
-def _lattice_jet(z, B: PeriodMatrix, eps, delta, dirs: tuple, tol: float,
-                 radius: int | None = None, binned: bool = False) -> tuple:
-    """One ellipsoid pass: sums of the value and directional derivatives.
-
-    Returns (sums, logscale): sums maps "f", and with dirs "d0", "d1",
-    "d01" (see _theta_jet), to an array with one entry per bin (see
-    _ellipsoid) of mantissas relative to exp(logscale).
+    Every step acts on each point alone, in the same order whatever P, so
+    row p is bitwise the result for Z[p] alone.  That rules out matmul
+    (see _sum_last) and a broadcast product of two general complex arrays,
+    which numpy may evaluate with or without fused multiply-adds depending
+    on the strides: the prefactor's phase joins the exponent instead, and
+    the derivative factors multiply the terms elementwise, shape for shape.
+    Products with a real or imaginary factor are exact either way.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zr, bvec, log_factor = _reduce_argument(z, B, eps, delta)
+    # argument reduction (step 1): z = z' + a + B b, and the prefactor
+    # exp(2 pi i s), s = (a, eps) - (b, z' + delta + B b / 2)
+    g = Z.shape[1]
+    bvec = np.rint(_sum_last(Z.imag[:, None, :] * B.im_inv))
+    Bb = _sum_last(bvec[:, None, :] * B.entries)
+    u = Z - Bb
+    avec = np.rint(u.real)
+    u.real -= avec
+    if any(delta):
+        u = u + np.asarray(delta)
+    s = _sum_last(bvec * (-0.5 * Bb - u))
+    if any(eps):
+        s = s + _sum_last(avec * np.asarray(eps))
     if radius is None:
-        radius = truncation_radius(B, zr, tol,
-                                   deriv_norms=[float(np.linalg.norm(d)) for d in dirs])
-    N, quad, sel = _ellipsoid(B, radius, tuple(eps), binned)
-    expo = quad + _TWO_PI_I * (N @ (zr + delta))
-    emax = float(np.max(expo.real))
-    terms = np.exp(expo - emax)
-    # derivative factors 2*pi*i*(d, n - bvec) of the terms before reduction
-    lin = [_TWO_PI_I * ((N - bvec) @ d) for d in dirs]
-    rows = [terms] + [l * terms for l in lin]
-    if len(dirs) == 2:
-        rows.append(lin[0] * lin[1] * terms)
-    sums = np.array(rows) @ sel * np.exp(1j * log_factor.imag)
+        radius = truncation_radius(B, Z, tol, deriv_norms=[
+            math.hypot(*map(abs, d.tolist())) for d in dirs])
+    N2pi, quad, starts = _ellipsoid(B, radius, eps, binned)
+    expo = quad + u[:, :1] * N2pi[0]
+    for j in range(1, g):
+        expo += u[:, j:j + 1] * N2pi[j]
+    emax = expo.real.max(axis=1)
+    # the prefactor's phase 2 pi Re(s), taken mod 2 pi so that adding it to
+    # each exponent costs no more than the exponent's own rounding
+    turns = s.real - np.rint(s.real)
+    rows = np.empty((len(_JET_KEYS[len(dirs)]),) + expo.shape, dtype=complex)
+    np.exp(expo - (emax - _TWO_PI_I * turns)[:, None], out=rows[0])
+    if dirs:
+        # derivative factors 2*pi*i*(d, n - b) of the terms before reduction
+        b2pi = _TWO_PI_I * bvec
+        shifted = [N2pi[j] - b2pi[:, j:j + 1] for j in range(g)]
+        lin = []
+        for k, d in enumerate(dirs):
+            factor = shifted[0] * d[0]
+            for j in range(1, g):
+                factor += shifted[j] * d[j]
+            lin.append(factor)
+            np.multiply(factor, rows[0], out=rows[k + 1])
+        if len(dirs) == 2:
+            np.multiply(lin[0], rows[2], out=rows[3])
+    sums = np.add.reduceat(rows, starts, axis=2)
     if binned:
-        # the sum ran over n + bvec: the parity class of n is that bin xor bvec's
-        flip = int(np.mod(bvec, 2.0) @ _lex_weights(B.g))
-        sums = sums[:, np.arange(sums.shape[1]) ^ flip]
-    return dict(zip(_JET_KEYS[len(dirs)], sums)), emax + log_factor.real
+        # the sum ran over n + b: the parity class of n is that bin xor b's
+        # (a matmul of small integers is exact in any order)
+        flip = (np.mod(bvec, 2.0) @ _lex_weights(g)).astype(np.intp)
+        sums = sums[:, np.arange(len(flip))[:, None], np.arange(len(starts)) ^ flip[:, None]]
+    return sums, emax - 2.0 * np.pi * s.imag
 
 
-def _theta_jet(z, B: PeriodMatrix, char: ThetaCharacteristic | None,
-               dirs: tuple, tol: float, radius: int | None = None) -> dict:
-    """Jet of theta at z: value and requested directional derivatives.
+class ThetaJets:
+    """Jets of theta at P points, from one lattice pass.
+
+    sums maps each jet key ("f", and with derivative directions "d0",
+    "d1", "d01", see theta_jet) to a (P,) array of mantissas relative to
+    exp(logscale), a (P,) array.  Point p is bitwise the jet of that point
+    evaluated alone.
+    """
+
+    __slots__ = ("sums", "logscale")
+
+    def __init__(self, sums: dict, logscale: np.ndarray):
+        self.sums = sums
+        self.logscale = logscale
+
+    def __len__(self) -> int:
+        return len(self.logscale)
+
+    def jet(self, p: int) -> dict:
+        """The jet at point p as ScaledComplex values, as theta_jet returns it."""
+        scale = float(self.logscale[p])
+        return {key: ScaledComplex.make(v[p], scale) for key, v in self.sums.items()}
+
+
+def _theta_jets(Z: np.ndarray, B: PeriodMatrix, char: ThetaCharacteristic | None,
+                dirs: tuple, tol: float, radius: int | None = None) -> ThetaJets:
+    """Jets of theta[char] at the rows of Z (see theta_jet for the keys)."""
+    if Z.ndim != 2 or Z.shape[1] != B.g:
+        raise DimensionMismatch(f"points have shape {Z.shape}, expected (P, {B.g})")
+    zero = (0.0,) * B.g
+    eps, delta = (char.eps, char.delta) if char else (zero, zero)
+    sums, scale = _lattice_jets(Z, B, eps, delta, dirs, tol, radius)
+    return ThetaJets(dict(zip(_JET_KEYS[len(dirs)], sums[..., 0])), scale)
+
+
+def _directions(dirs) -> tuple:
+    return tuple(np.atleast_1d(np.asarray(d, dtype=complex)) for d in dirs)
+
+
+def theta(req: ThetaRequest, radius: int | None = None) -> ScaledComplex:
+    """theta[char](z | B) with 0, 1 or 2 directional derivatives applied."""
+    jets = _theta_jets(req.z[None], req.B, req.char, req.deriv_dirs, req.tol, radius)
+    return ScaledComplex.make(jets.sums[_JET_KEYS[len(req.deriv_dirs)][-1]][0],
+                              float(jets.logscale[0]))
+
+
+def theta_jet(z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> dict:
+    """Jet of theta[char] at z from one lattice pass: value and directional derivatives.
 
     Returns a dict with keys drawn from {"f", "d0", "d1", "d01"} holding
     ScaledComplex values: "d0"/"d1" are first derivatives along dirs[0]
     and dirs[1], "d01" the mixed second derivative (for a single repeated
     direction pass dirs = (V, V)).
     """
-    g = B.g
-    eps = np.asarray(char.eps if char else (0.0,) * g, dtype=float)
-    delta = np.asarray(char.delta if char else (0.0,) * g, dtype=float)
-    sums, scale = _lattice_jet(z, B, eps, delta, dirs, tol, radius)
-    return {key: ScaledComplex.make(v[0], scale) for key, v in sums.items()}
+    Z = np.asarray(z, dtype=complex).reshape(1, -1)
+    return _theta_jets(Z, B, char, _directions(dirs), tol).jet(0)
 
 
-def theta(req: ThetaRequest, radius: int | None = None) -> ScaledComplex:
-    """theta[char](z | B) with 0, 1 or 2 directional derivatives applied."""
-    jet = _theta_jet(req.z, req.B, req.char, req.deriv_dirs, req.tol, radius)
-    if len(req.deriv_dirs) == 0:
-        return jet["f"]
-    if len(req.deriv_dirs) == 1:
-        return jet["d0"]
-    return jet["d01"]
+def theta_jets(Z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> ThetaJets:
+    """Jets of theta at the rows of Z, shape (P, g), from one lattice pass.
 
-
-def theta_jet(z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> dict:
-    """Convenience jet evaluation sharing one lattice pass (see _theta_jet)."""
-    dirs = tuple(np.atleast_1d(np.asarray(d, dtype=complex)) for d in dirs)
-    return _theta_jet(z, B, char, dirs, tol)
+    Point p is bitwise theta_jet(Z[p], ...) (see ThetaJets).
+    """
+    return _theta_jets(np.asarray(Z, dtype=complex), B, char, _directions(dirs), tol)
 
 
 def theta_fd_check(req: ThetaRequest, h: float) -> float:
@@ -461,6 +560,34 @@ class Level2Vector:
         return ScaledComplex.make(self.coords[k], self.logscale)
 
 
+def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, tol: float, keys: tuple) -> dict:
+    """The level-two vectors of the given jet keys at the rows of Z (one binned pass)."""
+    dirs = _directions(() if deriv_dir is None else (deriv_dir,))
+    if Z.ndim != 2 or any(v.shape[-1] != B.g for v in (Z,) + dirs):
+        raise DimensionMismatch(f"level-two arguments or direction not of length {B.g}")
+    zero = (0.0,) * B.g
+    sums, scale = _lattice_jets(Z, B.halved(), zero, zero, dirs, tol, binned=True)
+    out = {}
+    for key, coords in zip(_JET_KEYS[len(dirs)], sums):
+        if key in keys:
+            # each vector scaled by its largest modulus (1 for a zero vector)
+            out[key] = [Level2Vector(c / (pk or 1.0), ls + math.log(pk or 1.0), B.g)
+                        for c, pk, ls in zip(coords, np.abs(coords).max(axis=1).tolist(),
+                                             scale.tolist())]
+    return out
+
+
+def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None,
+                      tol: float = DEFAULT_TOL) -> dict:
+    """Level-two vectors at the rows of Z, shape (P, g), from one binned pass.
+
+    Maps "f" to the vectors of theta[eps,0](2Z | 2B), one Level2Vector per
+    row, and with deriv_dir = V also "d0" to their directional derivatives
+    with respect to Z.  Row p is bitwise level_two_vector(Z[p], ...).
+    """
+    return _level_two(np.asarray(Z, dtype=complex), B, deriv_dir, tol, ("f", "d0"))
+
+
 def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None,
                      tol: float = DEFAULT_TOL) -> Level2Vector:
     """Vector of theta[eps,0](2Z | 2B) over eps in {0,1/2}^g (lex order).
@@ -470,24 +597,21 @@ def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None,
     B/2, binned by m mod 2 (m = 2n + 2 eps).  With deriv_dir = V the
     components are the directional derivatives with respect to Z.
     """
-    Z = np.atleast_1d(np.asarray(Z, dtype=complex))
-    dirs = () if deriv_dir is None else (np.atleast_1d(np.asarray(deriv_dir, complex)),)
-    if any(v.shape != (B.g,) for v in (Z,) + dirs):
-        raise DimensionMismatch(f"level-two argument or direction is not of length {B.g}")
-    zero = np.zeros(B.g)
-    sums, scale = _lattice_jet(Z, B.halved(), zero, zero, dirs, tol, binned=True)
-    coords = sums["d0" if dirs else "f"]
-    peak = float(np.max(np.abs(coords)))
-    if peak > 0.0:
-        coords = coords / peak
-        scale += math.log(peak)
-    return Level2Vector(coords, scale, B.g)
+    key = "f" if deriv_dir is None else "d0"
+    Z = np.asarray(Z, dtype=complex).reshape(1, -1)
+    return _level_two(Z, B, deriv_dir, tol, (key,))[key][0]
+
+
+def gauss_exponents(B: PeriodMatrix, Z) -> np.ndarray:
+    """pi * Im z . (Im B)^-1 . Im z, the invariant growth exponent of theta,
+    per row z of Z."""
+    Y = np.asarray(Z, dtype=complex).imag
+    return np.pi * _sum_last(Y * _sum_last(Y[:, None, :] * B.im_inv))
 
 
 def gauss_exponent(B: PeriodMatrix, z) -> float:
-    """pi * Im z . (Im B)^-1 . Im z, the invariant growth exponent of theta."""
-    y = np.atleast_1d(np.asarray(z, dtype=complex)).imag
-    return float(np.pi * (y @ B.im_inv @ y))
+    """gauss_exponents at one point z."""
+    return float(gauss_exponents(B, np.atleast_1d(np.asarray(z, dtype=complex))[None])[0])
 
 
 def normalized_log_abs(value: ScaledComplex, B: PeriodMatrix, z) -> float:
@@ -495,11 +619,17 @@ def normalized_log_abs(value: ScaledComplex, B: PeriodMatrix, z) -> float:
     return value.log_abs() - gauss_exponent(B, z)
 
 
+def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:
+    """normalized_log_abs of the values of jets at the rows of Z, as an
+    array (-inf where a value vanishes)."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(jets.sums["f"])) + jets.logscale - gauss_exponents(B, Z)
+
+
 def theta_hat_abs(z, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     """Normalized modulus of theta at z: O(1) on the cell, 0 on the divisor."""
     val = theta(ThetaRequest(z, B, None, (), tol))
-    la = normalized_log_abs(val, B, z)
-    return 0.0 if la == -math.inf else math.exp(la)
+    return math.exp(normalized_log_abs(val, B, z))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures: the expensive genus-2 objects are built once per session."""
 
+import importlib
 import time
 
 import pytest
@@ -52,3 +53,18 @@ def semidiscrete_fit(x5m1, tangent_data):
 @pytest.fixture(scope="session")
 def divisor_samples(x5m1):
     return sample_theta_divisor(x5m1.B, seed=7, count=10)
+
+
+@pytest.fixture
+def lattice_passes(monkeypatch):
+    """(points, binned) of every lattice pass made while the test runs."""
+    theta_module = importlib.import_module("theta_secant.theta")
+    core = theta_module._lattice_jets
+    passes = []
+
+    def counting(Z, *args, **kwargs):
+        passes.append((len(Z), kwargs.get("binned", False)))
+        return core(Z, *args, **kwargs)
+
+    monkeypatch.setattr(theta_module, "_lattice_jets", counting)
+    return passes

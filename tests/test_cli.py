@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+import theta_secant.cli as cli
 from theta_secant.cli import jacobian_fay_data, main, resolve_curve, run_scenario
 from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.errors import ConfigError
-from theta_secant.reports import CheckRecord, Report, ScenarioConfig
+from theta_secant.reports import SCENARIOS, CheckRecord, Report, ScenarioConfig
 from theta_secant.rng import Xoshiro256
 
 
@@ -140,6 +141,19 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert rc == 3 and out["error"] == "RadiusCap"
 
+    def test_arithmetic_error_exit_three(self, capsys, monkeypatch):
+        # ScaledComplex.to_complex raises OverflowError for a value beyond
+        # float range; the CLI reports it like any numerical failure
+        def overflowing(config):
+            raise OverflowError("logscale 812.5 too large for complex")
+
+        monkeypatch.setitem(cli.RUNNERS, "toda", overflowing)
+        rc = main(["toda"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 3
+        assert out == {"error": "OverflowError",
+                       "message": "logscale 812.5 too large for complex"}
+
     def test_rs_simulate_free_particle(self, tmp_path, capsys):
         csv_path = tmp_path / "traj.csv"
         rc = main(["rs", "simulate", "--n", "1", "--t-end", "1", "--h", "1e-3",
@@ -169,3 +183,23 @@ def test_seeded_points_clear_of_cuts(ident, seed):
     data = build_abel_data(default_corpus()[ident])
     U, V, A, pts = jacobian_fay_data(data, Xoshiro256(seed))
     assert len(pts) == 4 and np.all(np.isfinite(A))
+
+
+MALFORMED = [{"id": "bad", "kind": "hyperelliptic2", "poly": [[1.0, "x"], 0, 0, 0, 0, 1]}]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("curve", sorted(default_corpus()) + ["malformed#bad"])
+def test_every_scenario_and_corpus_entry_keeps_the_exit_contract(
+        capsys, tmp_path, scenario, curve):
+    """Each run exits 0 (pass), 1 (a check failed), 2 (bad input) or 3
+    (numerical failure), and prints one JSON object: a report (indented
+    over many lines) or an error."""
+    if curve.startswith("malformed"):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(MALFORMED))
+        curve = f"{path}#bad"
+    rc = main([scenario, "--curve", curve])
+    out = json.loads(capsys.readouterr().out)
+    assert rc in (0, 1, 2, 3)
+    assert ("error" in out) == (rc in (2, 3))

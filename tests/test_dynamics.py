@@ -117,19 +117,25 @@ class TestKernels:
         half = 0.5 * omega1
         assert abs(ker.F(half)) <= 1e-9 * (1 + abs(ker.F(half + 0.3)))
 
-    def test_elliptic_guard_and_F_share_jets(self, monkeypatch):
+    def test_elliptic_guard_and_F_share_jets(self, lattice_passes):
+        # one lattice pass of three points serves a guard + F pair
         ker = EllipticKernel(1.1j, omega1=2.5)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return theta_jet(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "theta_jet", counting)
         q = 0.7 - 0.2j
         assert ker.guard(q)
         ker.F(q)
-        assert len(calls) == 3
+        assert lattice_passes == [(3, False)]
+
+    def test_elliptic_stage_is_one_pass(self, lattice_passes):
+        # _accel hands all N(N-1) separations of an RK4 stage to the kernel
+        ker = EllipticKernel(1.1j, omega1=2.5)
+        x = np.array([0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j])
+        v = np.array([0.4, -0.3 + 0.1j, 0.1j])
+        a = dynamics._accel(ker, x, v)
+        # F reads the stage's jets: no further pass
+        want = [v[i] * sum(v[j] * ker.F(x[i] - x[j]) for j in range(3) if j != i)
+                for i in range(3)]
+        assert lattice_passes == [(18, False)]
+        assert np.array_equal(a, want)
 
     def test_elliptic_F_matches_per_point_log_derivative(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
@@ -161,6 +167,13 @@ class TestRS:
         st = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]))
         tr = rs_integrate(st, 1.0, 1e-3)
         assert abs(tr.x[-1, 0] - (st.x[0] + st.xdot[0])) <= 1e-12
+
+    def test_free_particle_elliptic(self):
+        # one particle has no separations: the elliptic stage is empty
+        st = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]),
+                     kernel=EllipticKernel(1.1j, omega1=2.5))
+        tr = rs_integrate(st, 0.1, 1e-3)
+        assert abs(tr.x[-1, 0] - (st.x[0] + 0.1 * st.xdot[0])) <= 1e-12
 
     def test_three_body_momentum(self):
         st = RSState(x=np.array([0.0, 1.7 + 0.4j, -1.5 + 0.9j]),

@@ -113,8 +113,8 @@ class TestDiscreteFit:
             logscale = 0.0
             coords = np.array([1.0 + 0j, 2.0 + 0j])
 
-        monkeypatch.setattr(km, "level_two_vector",
-                            lambda *a, **k: FakeVec())
+        monkeypatch.setattr(km, "level_two_vectors",
+                            lambda Z, *a, **k: {"f": [FakeVec()] * len(Z)})
         rng = Xoshiro256(59)
         with pytest.raises(RankDeficient):
             km.fit_secancy_discrete(random_z(rng, 1), random_z(rng, 1),
@@ -162,3 +162,17 @@ class TestSemidiscreteFit:
             assert abs(fit.exp_p / semidiscrete_fit.exp_p - lam) <= 1e-8 * lam
             assert abs(fit.E / semidiscrete_fit.E - lam) <= 1e-8 * lam
             assert abs(fit.residual - semidiscrete_fit.residual) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["discrete", "semidiscrete"])
+def test_fit_is_one_lattice_pass(lattice_passes, x5m1, fay_data, tangent_data, kind):
+    """All 4^g shifts x (3 value vectors, or 2 value vectors with their
+    V-derivatives) are one binned pass."""
+    if kind == "discrete":
+        fit = fit_secancy_discrete(fay_data["U"], fay_data["V"], fay_data["A"], x5m1.B)
+        assert lattice_passes == [(3 * 16, True)]
+    else:
+        fit = fit_secancy_semidiscrete(tangent_data["U"], tangent_data["V"],
+                                       tangent_data["A"], x5m1.B)
+        assert lattice_passes == [(2 * 16, True)]
+    assert fit.residual <= 1e-8

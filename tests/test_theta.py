@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from theta_secant.errors import NonPosDef, RadiusCap, ValidationError
+from theta_secant.errors import DimensionMismatch, NonPosDef, RadiusCap, ValidationError
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.scaled import ScaledComplex, rel_diff
 from theta_secant.theta import (
@@ -17,9 +17,12 @@ from theta_secant.theta import (
     half_periods,
     lattice_reduce,
     level_two_vector,
+    level_two_vectors,
+    normalized_log_abs_many,
     theta,
     theta_fd_check,
     theta_hat_abs,
+    theta_jets,
     truncation_radius,
     _ellipsoid_radius,
     _norm_octaves,
@@ -259,6 +262,47 @@ class TestLevelTwo:
         fm = level_two_vector(Z - h * V, B).component(1).to_complex()
         fd = (fp - fm) / (2 * h)
         assert abs(dv - fd) <= 1e-7 * (abs(dv) + 1)
+
+    def test_parity_class_outside_the_ellipsoid(self):
+        # for Im B this large and skew, the ellipsoid of B/2 misses two
+        # parity classes; their components are far below the tolerance
+        Y = np.array([[5691.746882614263, -177.69899393400672],
+                      [-177.69899393400672, 332.38366522239556]])
+        B = PeriodMatrix(2j * Y)
+        z = np.array([0.2 + 1.3j, -0.1 + 0.4j])
+        vec = level_two_vector(z, B)
+        want = [theta(ThetaRequest(2 * z, PeriodMatrix(4j * Y),
+                                   characteristic_by_index(k, 2)))
+                for k in range(4)]
+        ref = max(w.logscale for w in want)
+        got = vec.coords * np.exp(vec.logscale - ref)
+        exact = np.array([w.rescaled(ref) for w in want])
+        assert np.all(np.isfinite(vec.coords))
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+class TestBatch:
+    def test_shapes_and_keys(self):
+        rng = Xoshiro256(12)
+        B = random_siegel(rng, 2)
+        Z = np.array([random_z(rng, 2) for _ in range(5)])
+        V = np.array(rng.complex_vector(2))
+        jets = theta_jets(Z, B, dirs=(V, V))
+        assert len(jets) == 5 and set(jets.sums) == {"f", "d0", "d1", "d01"}
+        assert all(v.shape == (5,) for v in jets.sums.values())
+        vecs = level_two_vectors(Z, B, deriv_dir=V)
+        assert set(vecs) == {"f", "d0"} and all(len(v) == 5 for v in vecs.values())
+        hats = np.exp(normalized_log_abs_many(theta_jets(Z, B), B, Z))
+        assert np.allclose(hats, [theta_hat_abs(z, B) for z in Z], rtol=1e-12)
+
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            theta_jets(np.zeros(2, complex), B_I)
+        with pytest.raises(DimensionMismatch):
+            theta_jets(np.zeros((3, 2), complex), B_I)
+        with pytest.raises(DimensionMismatch):
+            level_two_vectors(np.zeros((3, 1), complex), B_I,
+                              deriv_dir=np.ones(2, complex))
 
 
 class TestValidation:

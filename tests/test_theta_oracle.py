@@ -18,13 +18,16 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
+from theta_secant.scaled import ScaledComplex
 from theta_secant.theta import (
     PeriodMatrix,
     ThetaRequest,
     characteristic_by_index,
     level_two_vector,
+    level_two_vectors,
     theta,
     theta_jet,
+    theta_jets,
 )
 
 DIGITS = 30
@@ -171,3 +174,43 @@ def test_level_two_against_oracle(name, Bm, z):
             mine_d = mpc(der.coords[k]) * mpmath.exp(mpf(der.logscale))
             assert float(abs(mine_f - ref["f"])) <= GAP * peak_f
             assert float(abs(mine_d - ref["d0"])) <= GAP * peak_d
+
+
+def _batch(z):
+    """Three points of the fundamental cell around z, for one batched pass."""
+    return np.array([z, 0.5 - z, 0.5 * z])
+
+
+@pytest.mark.parametrize("name,Bm,z", CASES, ids=[c[0] for c in CASES])
+def test_batched_jets_against_oracle(name, Bm, z):
+    """theta_jets: every point of one three-point pass against the oracle."""
+    B = PeriodMatrix(Bm)
+    g = B.g
+    V = np.array([0.6 - 0.3j, 0.5 + 0.1j][:g])
+    W = np.array([-0.2 + 0.7j, 0.4][:g])
+    Z = _batch(z)
+    jets = theta_jets(Z, B, dirs=(V, W))
+    for p, zp in enumerate(Z):
+        ref, peaks = brute_jet(zp, Bm, (V, W))
+        got = jets.jet(p)
+        for k in KEYS:
+            assert gap(got[k], ref[k], peaks[k]) <= GAP, (p, k)
+
+
+@pytest.mark.parametrize("name,Bm,z", CASES, ids=[c[0] for c in CASES])
+def test_batched_level_two_against_oracle(name, Bm, z):
+    """level_two_vectors: values and V-derivatives of one three-point
+    binned pass against the per-characteristic oracle sums."""
+    B = PeriodMatrix(Bm)
+    g = B.g
+    V = np.array([0.3 + 0.8j, -0.5 + 0.2j][:g])
+    Z = _batch(z)
+    vecs = level_two_vectors(Z, B, deriv_dir=V)
+    for p, zp in enumerate(Z):
+        refs = [brute_jet(2 * zp, 2 * Bm, (2 * V,), eps=characteristic_by_index(k, g).eps)
+                for k in range(2 ** g)]
+        for key, vec in (("f", vecs["f"][p]), ("d0", vecs["d0"][p])):
+            peak = max(pk[key] for _, pk in refs)
+            for k, (ref, _) in enumerate(refs):
+                mine = ScaledComplex.make(vec.coords[k], vec.logscale)
+                assert gap(mine, ref[key], peak) <= GAP, (p, key, k)

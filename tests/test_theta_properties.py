@@ -15,10 +15,13 @@ from hypothesis import given, settings, strategies as st
 from theta_secant.scaled import ScaledComplex
 from theta_secant.theta import (
     PeriodMatrix,
+    ThetaCharacteristic,
     ThetaRequest,
     gauss_exponent,
     level_two_vector,
+    level_two_vectors,
     theta,
+    theta_jets,
 )
 
 GAP = 1e-12
@@ -87,3 +90,33 @@ def test_addition_formula(case):
     rhs = ScaledComplex.make(complex(vz.coords @ vw.coords), vz.logscale + vw.logscale)
     log_envelope = gauss_exponent(B, z + w) + gauss_exponent(B, z - w)
     assert envelope_gap(lhs, rhs, log_envelope) <= GAP
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit (as float64 patterns)."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(siegel_points(count=5), st.integers(0, 2), st.booleans(),
+       st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4))
+def test_batch_rows_equal_single_point_calls(case, order, with_char, dir_entries):
+    """Row p of a P-point pass is bitwise the one-point pass at that row:
+    value, 1-jet and 2-jet, with and without a characteristic, and the
+    level-two vectors with and without a derivative direction."""
+    B, zs = case
+    g = B.g
+    Z = np.array(zs) + np.arange(len(zs))[:, None] * (0.7 + 0.4j)   # far cells too
+    dirs = tuple(np.array(dir_entries[2 * k:2 * k + g]) for k in range(order))
+    char = ThetaCharacteristic((0.5,) * g, (0.0,) * (g - 1) + (0.5,)) if with_char else None
+    jets = theta_jets(Z, B, dirs=dirs, char=char)
+    vecs = level_two_vectors(Z, B, deriv_dir=dirs[0] if dirs else None)
+    for p in range(len(Z)):
+        one = theta_jets(Z[p:p + 1], B, dirs=dirs, char=char)
+        assert _same(one.logscale, jets.logscale[p:p + 1])
+        for key, v in jets.sums.items():
+            assert _same(one.sums[key], v[p:p + 1]), key
+        single = level_two_vectors(Z[p:p + 1], B, deriv_dir=dirs[0] if dirs else None)
+        for key, vs in vecs.items():
+            assert _same(single[key][0].coords, vs[p].coords), key
+            assert single[key][0].logscale == vs[p].logscale
