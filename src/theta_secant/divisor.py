@@ -199,8 +199,9 @@ def residual_cm7(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    jp = theta_jet(Z + U, B, dirs=(V,), tol=tol)
-    jm = theta_jet(Z - U, B, dirs=(V,), tol=tol)
+    # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius
+    J = theta_jets([Z + U, Z - U], B, dirs=(V,), tol=tol)
+    jp, jm = J.jet(0), J.jet(1)
     jz = theta_jet(Z, B, dirs=(V, V), tol=tol)
     lhs = (jp["d0"] * jm["f"] + jp["f"] * jm["d0"]) * jz["d0"]
     rhs = jp["f"] * jm["f"] * jz["d01"]
@@ -216,13 +217,9 @@ def residual_cm7d(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-
-    def th(w):
-        return theta_jet(w, B, tol=tol)["f"]
-
-    t1 = th(Z + U) * th(Z - V) * th(Z - U + V)
-    t2 = th(Z - U) * th(Z + V) * th(Z + U - V)
-    return rel_diff(t1, -t2)
+    J = theta_jets([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V], B, tol=tol)
+    f = [J.jet(p)["f"] for p in range(6)]
+    return rel_diff(f[0] * f[1] * f[2], -(f[3] * f[4] * f[5]))
 
 
 def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,
@@ -238,9 +235,6 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    W = U - V
-    best = 0.0
-    for k in range(-K, K + 1):
-        z = Z + k * W
-        best = max(best, math.exp(normalized_log_abs(theta_jet(z, B, tol=tol)["f"], B, z)))
-    return best
+    W = [Z + k * (U - V) for k in range(-K, K + 1)]
+    J = theta_jets(W, B, tol=tol)
+    return max(math.exp(normalized_log_abs(J.jet(p)["f"], B, z)) for p, z in enumerate(W))

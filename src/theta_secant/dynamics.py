@@ -70,8 +70,8 @@ class _ThetaSection:
     """A tau section theta(arg(x, t) | B) with derivatives along dirs.
 
     The array forms (jets, hat_abs_many, v_many) take xs and ts of one
-    shape, or a scalar t, and make one lattice pass; jet, value, hat_abs
-    and v are their one-point views.
+    shape, or a scalar t, and make one lattice pass; jet and hat_abs are
+    their one-point views.
     """
 
     def jets(self, xs, ts) -> list:
@@ -82,9 +82,6 @@ class _ThetaSection:
 
     def jet(self, x: complex, t: float):
         return self.jets([x], t)[0]
-
-    def value(self, x: complex, t: float) -> ScaledComplex:
-        return self.jet(x, t)[0]
 
     def hat_abs_many(self, xs, ts) -> np.ndarray:
         """Normalized |tau| at each (x, t): O(1) generically, 0 on a zero."""
@@ -101,9 +98,6 @@ class _ThetaSection:
     def v_many(self, xs, ts) -> np.ndarray:
         """v = -tau_t / tau at each (x, t), for a section with a t direction."""
         return np.array([-(ft / f).to_complex() for f, _, ft in self.jets(xs, ts)])
-
-    def v(self, x: complex, t: float) -> complex:
-        return self.v_many([x], t)[0]
 
 
 class ThetaTau(_ThetaSection):

@@ -19,7 +19,6 @@ least-squares estimate of (e^p, e^E) (resp. (e^p, E)) used for the
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -27,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivisorHit, ValidationError
-from .scaled import ScaledComplex
-from .theta import DEFAULT_TOL, PeriodMatrix, normalized_log_abs, theta_jet
+from .scaled import exp_scaled, rel_residual
+from .theta import DEFAULT_TOL, PeriodMatrix, normalized_log_abs, theta_jets
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -119,17 +118,25 @@ class FieldTable:
                                 psi.mantissa.real, psi.mantissa.imag, psi.logscale])
 
 
-def _exp_factor(arg: complex) -> ScaledComplex:
-    return ScaledComplex.make(cmath.exp(1j * arg.imag), arg.real)
+def _guarded_jets(A, B: PeriodMatrix, dirs, tol: float, points):
+    """(jet at w, jet at A + w) for each (w, context) of points, from one pass.
 
-
-def _guarded_jet(w, B, dirs, tol, context):
-    jet = theta_jet(w, B, dirs=dirs, tol=tol)
-    la = normalized_log_abs(jet["f"], B, w)
-    if math.exp(la) < DIVISOR_GUARD:
-        raise DivisorHit(f"theta value at {context} is on the divisor "
-                         f"(normalized modulus {math.exp(la):.2e})")
-    return jet
+    The pairs come in order, each value checked against the divisor as it
+    is taken (w, then A + w), so the first point on it raises DivisorHit
+    as a point-by-point loop would.
+    """
+    Z = [z for w, _ in points for z in (w, A + w)]
+    J = theta_jets(Z, B, dirs=dirs, tol=tol)
+    for p, (_, context) in enumerate(points):
+        pair = []
+        for q, where in ((2 * p, context), (2 * p + 1, "A+, " + context)):
+            jet = J.jet(q)
+            la = normalized_log_abs(jet["f"], B, Z[q])
+            if math.exp(la) < DIVISOR_GUARD:
+                raise DivisorHit(f"theta value at {where} is on the divisor "
+                                 f"(normalized modulus {math.exp(la):.2e})")
+            pair.append(jet)
+        yield pair
 
 
 # ----------------------------------------------------------------------
@@ -153,25 +160,24 @@ def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
     tab = FieldTable("toda", win,
                      meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
     x0, x1 = win.x_range
+    ts = win.t_samples
+    grid = [(x, it) for it in range(len(ts)) for x in range(x0, x1 + 2)]
+    jets = _guarded_jets(A, B, (V,), tol, [(x * U + ts[it] * V + win.Z, f"x={x}, t={ts[it]}")
+                                           for x, it in grid])
     vloc = {}
-    for it, t in enumerate(win.t_samples):
-        for x in range(x0, x1 + 2):
-            w = x * U + t * V + win.Z
-            jw = _guarded_jet(w, B, (V,), tol, f"x={x}, t={t}")
-            ja = _guarded_jet(A + w, B, (V,), tol, f"A+, x={x}, t={t}")
-            lv = jw["d0"] / jw["f"]          # d_V log theta(w)
-            la = ja["d0"] / ja["f"]
-            vloc[(x, it)] = -lv
-            ratio = ja["f"] / jw["f"]
-            psi = ratio * _exp_factor(x * p + t * E)
-            dl = la - lv
-            tab.ratio[(x, it)] = ratio
-            tab.dlog[(x, it)] = dl
-            tab.psi[(x, it)] = psi
-            tab.psi_t[(x, it)] = psi * (dl.to_complex() + E)
-        for x in range(x0, x1 + 1):
-            tab.v[(x, it)] = vloc[(x, it)]
-            tab.u[(x, it)] = vloc[(x + 1, it)] - vloc[(x, it)]
+    for (x, it), (jw, ja) in zip(grid, jets):
+        lv = jw["d0"] / jw["f"]          # d_V log theta(w)
+        la = ja["d0"] / ja["f"]
+        vloc[(x, it)] = -lv
+        ratio = ja["f"] / jw["f"]
+        psi = ratio * exp_scaled(x * p + ts[it] * E)
+        dl = la - lv
+        tab.ratio[(x, it)] = ratio
+        tab.dlog[(x, it)] = dl
+        tab.psi[(x, it)] = psi
+        tab.psi_t[(x, it)] = psi * (dl.to_complex() + E)
+    tab.v = {key: v for key, v in vloc.items() if key[0] <= x1}
+    tab.u = {(x, it): vloc[(x + 1, it)] - v for (x, it), v in tab.v.items()}
     return tab
 
 
@@ -186,13 +192,7 @@ def toda_psi_residual(table: FieldTable) -> float:
             dpsi = table.psi_t[(x, it)]
             shift = table.psi[(x + 1, it)]
             res = dpsi - shift + table.u[(x, it)] * table.psi[(x, it)]
-            ref = max(shift.logscale if not shift.is_zero() else -math.inf,
-                      dpsi.logscale if not dpsi.is_zero() else -math.inf)
-            if ref == -math.inf:
-                continue
-            num = abs(res.rescaled(ref))
-            den = abs(shift.rescaled(ref)) + abs(dpsi.rescaled(ref)) + 1e-300
-            worst = max(worst, num / den)
+            worst = max(worst, rel_residual(res, shift, dpsi))
     return worst
 
 
@@ -238,16 +238,14 @@ def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
                      meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
     m0, m1 = win.m_range
     n0, n1 = win.n_range
-    th, ratio = {}, {}
-    for m in range(m0, m1 + 2):
-        for n in range(n0, n1 + 2):
-            w = m * U + n * V + win.Z
-            jw = _guarded_jet(w, B, (), tol, f"m={m}, n={n}")
-            ja = _guarded_jet(A + w, B, (), tol, f"A+, m={m}, n={n}")
-            th[(m, n)] = jw["f"]
-            ratio[(m, n)] = ja["f"] / jw["f"]
-            tab.psi[(m, n)] = ratio[(m, n)] * _exp_factor(m * p + n * E)
-            tab.ratio[(m, n)] = ratio[(m, n)]
+    grid = [(m, n) for m in range(m0, m1 + 2) for n in range(n0, n1 + 2)]
+    jets = _guarded_jets(A, B, (), tol, [(m * U + n * V + win.Z, f"m={m}, n={n}")
+                                         for m, n in grid])
+    th = {}
+    for (m, n), (jw, ja) in zip(grid, jets):
+        th[(m, n)] = jw["f"]
+        tab.ratio[(m, n)] = ja["f"] / jw["f"]
+        tab.psi[(m, n)] = tab.ratio[(m, n)] * exp_scaled(m * p + n * E)
     for m in range(m0, m1 + 1):
         for n in range(n0, n1 + 1):
             tab.u[(m, n)] = (th[(m + 1, n + 1)] * th[(m, n)]) / \
@@ -266,13 +264,7 @@ def bdhe_psi_residual(table: FieldTable) -> float:
             up = table.psi[(m, n + 1)]
             right = table.psi[(m + 1, n)]
             res = up - right - table.u[(m, n)] * table.psi[(m, n)]
-            ref = max(up.logscale if not up.is_zero() else -math.inf,
-                      right.logscale if not right.is_zero() else -math.inf)
-            if ref == -math.inf:
-                continue
-            num = abs(res.rescaled(ref))
-            den = abs(up.rescaled(ref)) + abs(right.rescaled(ref)) + 1e-300
-            worst = max(worst, num / den)
+            worst = max(worst, rel_residual(res, up, right))
     return worst
 
 
@@ -320,13 +312,9 @@ def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
     best, best_val = None, -1.0
     for _ in range(tries):
         Z = np.array(rng.complex_vector(B.g, scale=0.5))
-        low = math.inf
-        for (cm, cn, with_a) in spans:
-            w = cm * U + cn * V + Z + (A if with_a else 0.0)
-            la = normalized_log_abs(theta_jet(w, B, tol=tol)["f"], B, w)
-            low = min(low, math.exp(la))
-            if low < best_val:
-                break
+        W = [cm * U + cn * V + Z + (A if with_a else 0.0) for (cm, cn, with_a) in spans]
+        J = theta_jets(W, B, tol=tol)
+        low = min(math.exp(normalized_log_abs(J.jet(k)["f"], B, w)) for k, w in enumerate(W))
         if low > best_val:
             best, best_val = Z, low
         if best_val >= margin:

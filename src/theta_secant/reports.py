@@ -1,6 +1,7 @@
 """Scenario configuration and machine-readable reports.
 
-Configs reject unknown fields; tolerance overrides are range checked.
+Configs reject unknown fields; tolerance overrides are range checked, and
+window overrides must be integers of at least 1 (probe_depth at least 0).
 Reports serialize to JSON with sorted keys so identical config + seed
 yields byte-identical output up to the isolated "timing" object.
 """
@@ -8,6 +9,7 @@ yields byte-identical output up to the isolated "timing" object.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -55,6 +57,15 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"tolerance {name}={value:g} outside [{TOL_BOUNDS[0]:g}, {TOL_BOUNDS[1]:g}]")
             self.tolerances[name] = value
+        for name, value in self.window.items():
+            try:
+                count = int(value, 10) if isinstance(value, str) else operator.index(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"window {name}={value!r} is not an integer")
+            low = 0 if name == "probe_depth" else 1
+            if count < low:
+                raise ConfigError(f"window {name}={count} is below {low}")
+            self.window[name] = count
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":

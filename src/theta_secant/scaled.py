@@ -127,6 +127,11 @@ class ScaledComplex:
         return self.mantissa * math.exp(d)
 
 
+def exp_scaled(arg: complex) -> ScaledComplex:
+    """exp(arg) as a ScaledComplex, for any real part."""
+    return ScaledComplex.make(cmath.exp(1j * arg.imag), arg.real)
+
+
 def rel_diff(a: ScaledComplex, b: ScaledComplex, floor: float = 1e-300) -> float:
     """|a - b| / (|a| + |b| + floor), computed at a common scale."""
     ref = max(a.logscale if not a.is_zero() else -math.inf,
@@ -135,3 +140,17 @@ def rel_diff(a: ScaledComplex, b: ScaledComplex, floor: float = 1e-300) -> float
         return 0.0
     ma, mb = a.rescaled(ref), b.rescaled(ref)
     return abs(ma - mb) / (abs(ma) + abs(mb) + floor)
+
+
+def rel_residual(res: ScaledComplex, a: ScaledComplex, b: ScaledComplex,
+                 floor: float = 1e-300) -> float:
+    """|res| / (|a| + |b| + floor), computed at the larger scale of a and b.
+
+    The relative residual of an identity between the terms a and b (0 when
+    both vanish); rel_diff is the case res = a - b, taken at that scale.
+    """
+    ref = max(a.logscale if not a.is_zero() else -math.inf,
+              b.logscale if not b.is_zero() else -math.inf)
+    if ref == -math.inf:
+        return 0.0
+    return abs(res.rescaled(ref)) / (abs(a.rescaled(ref)) + abs(b.rescaled(ref)) + floor)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
+from .scaled import rel_residual
 from .theta import DEFAULT_TOL, PeriodMatrix, theta_jets
 from .dynamics import DiscreteTau, find_tau_zero
 
@@ -88,9 +89,12 @@ class SeriesTable:
 def tau_u_fn(tau):
     """Potential u(x, nu) of the discrete linear problem from a tau section."""
 
+    # one pass per point: a section forms the arguments of a multi-point
+    # call with numpy products that at g = 1 round differently (fused
+    # multiply-adds), so one four-point pass would move u in its last bits
     def u(x: complex, nu: float) -> complex:
-        num = tau.value(x, nu + 1.0) * tau.value(x, nu - 1.0)
-        den = tau.value(x - 1.0, nu) * tau.value(x + 1.0, nu)
+        num = tau.jet(x, nu + 1.0)[0] * tau.jet(x, nu - 1.0)[0]
+        den = tau.jet(x - 1.0, nu)[0] * tau.jet(x + 1.0, nu)[0]
         return (num / den).to_complex()
 
     return u
@@ -196,11 +200,7 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
 
     r_plus = (vals[(1, 1)] * vals[(1, -1)] / (v0 * vals[(2, 0)])) * xi_p
     r_minus_expr = (vals[(-1, 1)] * vals[(-1, -1)] / (v0 * vals[(-2, 0)])) * xi_m
-    mismatch_num = (r_plus + r_minus_expr)
-    ref = max(r_plus.logscale, r_minus_expr.logscale)
-    num = abs(mismatch_num.rescaled(ref))
-    den = abs(r_plus.rescaled(ref)) + abs(r_minus_expr.rescaled(ref)) + 1e-300
-    return num / den, eta, fd4d_gap
+    return rel_residual(r_plus + r_minus_expr, r_plus, r_minus_expr), eta, fd4d_gap
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonPosDef, RadiusCap, ValidationError
-from .scaled import ScaledComplex
+from .scaled import ScaledComplex, rel_diff
 
 DEFAULT_RADIUS_CAP = 64
 DEFAULT_TOL = 1e-13
@@ -218,7 +218,7 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
     which makes the discarded terms, with their derivative factors, sum to
     less than tol times the largest term:
 
-    * after argument reduction (see _reduce_argument) the terms decay as
+    * after argument reduction (step 1 of _lattice_jets) the terms decay as
       exp(-|v|^2), v = sqrt(pi) T (n - c), Y = T^T T, about a centre c in
       the cube [-1/2, 1/2]^g; pi (c, Y c) <= delta^2 = (pi/4) sum |Y_ij|,
       so a discarded n has |v| > R - delta, and the largest term is at
@@ -530,12 +530,7 @@ def theta_fd_check(req: ThetaRequest, h: float) -> float:
         fd = (plain(req.z + h * V + h * W) - plain(req.z + h * V - h * W)
               - plain(req.z - h * V + h * W) + plain(req.z - h * V - h * W)) \
             * (0.25 / h ** 2)
-    ref = max(analytic.logscale if not analytic.is_zero() else -math.inf,
-              fd.logscale if not fd.is_zero() else -math.inf)
-    if ref == -math.inf:
-        return 0.0
-    ma, mf = analytic.rescaled(ref), fd.rescaled(ref)
-    return abs(ma - mf) / (abs(ma) + abs(mf) + 1e-300)
+    return rel_diff(analytic, fd)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,15 @@ class TestConfig:
         cfg = ScenarioConfig(scenario="bdhe", tolerances={"x": "1e-6"})
         assert cfg.tolerances["x"] == 1e-6
 
+    def test_window_values(self):
+        cfg = ScenarioConfig(scenario="divisor-identities",
+                             window={"samples": "3", "probe_depth": "0", "g1_pairs": 2})
+        assert cfg.window == {"samples": 3, "probe_depth": 0, "g1_pairs": 2}
+        for window in ({"samples": 0}, {"samples": "abc"}, {"samples": "2.5"},
+                       {"samples": 2.0}, {"probe_depth": -1}):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(scenario="divisor-identities", window=window)
+
 
 class TestReport:
     def test_round_trip(self):
@@ -203,3 +212,18 @@ def test_every_scenario_and_corpus_entry_keeps_the_exit_contract(
     out = json.loads(capsys.readouterr().out)
     assert rc in (0, 1, 2, 3)
     assert ("error" in out) == (rc in (2, 3))
+
+
+@pytest.mark.parametrize("argv", [
+    ["divisor-identities", "--window", "samples=0"],
+    ["divisor-identities", "--window", "samples=abc"],
+    ["divisor-identities", "--window", "probe_depth=-1"],
+    ["controls", "--window", "trials=0"],
+    ["rs", "simulate", "--n", "0", "--t-end", "1", "--h", "1e-3"],
+])
+def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
+    """A window or particle count that leaves nothing to check is rejected
+    (exit 2), not passed vacuously or left to crash."""
+    rc = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 2 and out["error"] == "ConfigError"

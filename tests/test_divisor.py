@@ -124,3 +124,20 @@ class TestProbe:
         with pytest.raises(ValidationError):
             singular_locus_probe(divisor_samples[0], fay_data["U"],
                                  fay_data["V"], x5m1.B, -1)
+
+
+class TestPasses:
+    def test_one_pass_per_residual(self, x5m1, fay_data, divisor_samples,
+                                   lattice_passes):
+        s, U, V, B = divisor_samples[0], fay_data["U"], fay_data["V"], x5m1.B
+        residual_cm7d(s, U, V, B)
+        assert lattice_passes == [(6, False)]
+        lattice_passes.clear()
+        singular_locus_probe(s, U, V, B, 4)
+        assert lattice_passes == [(9, False)]
+
+    def test_cm7_makes_two_passes(self, x5m1, tangent_data, divisor_samples,
+                                  lattice_passes):
+        # Z +- U share the 1-jet pass; Z's 2-jet keeps a radius of its own
+        residual_cm7(divisor_samples[0], tangent_data["U"], tangent_data["V"], x5m1.B)
+        assert lattice_passes == [(2, False), (1, False)]

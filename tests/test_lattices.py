@@ -19,6 +19,7 @@ from theta_secant.lattices import (
     toda_psi_residual,
     window_spans,
 )
+from theta_secant.rng import Xoshiro256
 from theta_secant.scaled import ScaledComplex
 from theta_secant.theta import half_period
 
@@ -122,8 +123,14 @@ class TestBdhe:
         # base the window exactly on a divisor point: the (0,0) theta is zero
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
         win = LatticeWindow(divisor_samples[0].Z, m_range=(0, 2), n_range=(0, 2))
-        with pytest.raises(DivisorHit):
+        with pytest.raises(DivisorHit, match="theta value at m=0, n=0 is on the divisor"):
             bdhe_fields(U, V, A, discrete_fit.p, discrete_fit.E, win, x5m1.B)
+
+    def test_table_is_one_lattice_pass(self, bdhe_setup, discrete_fit, lattice_passes):
+        s = bdhe_setup
+        bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p, discrete_fit.E,
+                    s["win"], s["B"])
+        assert lattice_passes == [(2 * 11 * 11, False)]     # w and A + w
 
     def test_csv_export(self, bdhe_setup, tmp_path):
         path = tmp_path / "bdhe.csv"
@@ -148,6 +155,13 @@ class TestToda:
                             semidiscrete_fit.E + 1e-3, s["win"], s["B"])
         assert toda_psi_residual(table) >= 1e-4
 
+    def test_table_is_one_lattice_pass(self, toda_setup, semidiscrete_fit,
+                                       lattice_passes):
+        s = toda_setup
+        toda_fields(s["U"], s["V"], s["As"], semidiscrete_fit.p, semidiscrete_fit.E,
+                    s["win"], s["B"])
+        assert lattice_passes == [(2 * 9 * 8, False)]       # x in [-4, 4], 8 t
+
     def test_zero_direction_fields_vanish(self, x5m1, fay_data):
         # V = 0 kills every time derivative: v and u vanish identically
         U, A = fay_data["U"], fay_data["A"]
@@ -164,3 +178,32 @@ class TestToda:
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 8 * 8
         assert {"x", "t", "re_v", "psi_logscale"} <= set(rows[0])
+
+
+class TestBasePoint:
+    def test_one_lattice_pass_per_try(self, x5m1, fay_data, lattice_passes):
+        U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
+        spans = window_spans(LatticeWindow(np.zeros(2, complex), m_range=(0, 2),
+                                           n_range=(0, 1)))
+        find_clear_base_point(U, V, A, x5m1.B, seed=3, spans=spans, margin=0.0)
+        assert lattice_passes == [(len(spans), False)]
+        lattice_passes.clear()
+        # no point is this clear, so every try is made
+        with pytest.raises(DivisorHit, match="no clear base point"):
+            find_clear_base_point(U, V, A, x5m1.B, seed=3, spans=spans,
+                                  margin=1e9, tries=3)
+        assert lattice_passes == [(len(spans), False)] * 3
+
+    def test_first_draw_clear_by_margin(self, x5m1, fay_data):
+        # seed 5 on this 5 x 5 window: the clearest of the first 11 draws
+        # keeps 0.223 from the divisor, the 12th 0.246
+        U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
+        spans = window_spans(LatticeWindow(np.zeros(2, complex), m_range=(-2, 2),
+                                           n_range=(-2, 2)))
+        rng = Xoshiro256(5)
+        draws = [np.array(rng.complex_vector(2, scale=0.5)) for _ in range(12)]
+        Z = find_clear_base_point(U, V, A, x5m1.B, seed=5, spans=spans, margin=0.24)
+        assert np.array_equal(Z, draws[11])
+        with pytest.raises(DivisorHit, match=r"best margin 2\.23e-01"):
+            find_clear_base_point(U, V, A, x5m1.B, seed=5, spans=spans,
+                                  margin=0.24, tries=11)
