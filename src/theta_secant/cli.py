@@ -70,14 +70,6 @@ def _reject_curve(config: ScenarioConfig) -> None:
         raise ConfigError(f"{config.scenario} takes no --curve or --corpus")
 
 
-def _tol(config: ScenarioConfig, name: str, default: float) -> float:
-    return float(config.tolerances.get(name, default))
-
-
-def _win(config: ScenarioConfig, name: str, default: int) -> int:
-    return config.window.get(name, default)
-
-
 # ----------------------------------------------------------------------
 # shared seeded data
 # ----------------------------------------------------------------------
@@ -123,7 +115,7 @@ def jacobian_fay_data(data, rng: Xoshiro256):
 def run_theta_selftest(config: ScenarioConfig) -> Report:
     _reject_curve(config)
     rng = Xoshiro256(config.seed)
-    n_even = _win(config, "samples", 200)
+    n_even = config.win("samples")
     n_qp = max(20, n_even // 5)
     n_fd = max(10, n_even // 10)
     worst_even = 0.0
@@ -161,13 +153,11 @@ def run_theta_selftest(config: ScenarioConfig) -> Report:
         worst_rad = max(worst_rad, rel_diff(theta(ThetaRequest(z, B), radius=r),
                                             theta(ThetaRequest(z, B), radius=r + 4)))
     checks = [
-        CheckRecord.le("evenness", worst_even, _tol(config, "evenness", 1e-12)),
-        CheckRecord.le("quasi_periodicity", worst_qp,
-                       _tol(config, "quasi_periodicity", 1e-10)),
-        CheckRecord.le("fd_first", worst_fd1, _tol(config, "fd_first", 1e-6)),
-        CheckRecord.le("fd_second", worst_fd2, _tol(config, "fd_second", 1e-4)),
-        CheckRecord.le("radius_stability", worst_rad,
-                       _tol(config, "radius_stability", 1e-13)),
+        CheckRecord.le("evenness", worst_even, config.tol("evenness")),
+        CheckRecord.le("quasi_periodicity", worst_qp, config.tol("quasi_periodicity")),
+        CheckRecord.le("fd_first", worst_fd1, config.tol("fd_first")),
+        CheckRecord.le("fd_second", worst_fd2, config.tol("fd_second")),
+        CheckRecord.le("radius_stability", worst_rad, config.tol("radius_stability")),
     ]
     return Report("theta-selftest", config.seed, checks)
 
@@ -179,7 +169,7 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
     data = build_abel_data(spec)
     B = data.B
     rng = Xoshiro256(config.seed)
-    tuples = _win(config, "tuples", 2)
+    tuples = config.win("tuples")
     worst_fit, worst_coll = 0.0, 0.0
     last = None
     for _ in range(tuples):
@@ -200,11 +190,9 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
     # order of evaluation moves this ratio by 1e-5 to 3e-3 relative
     gap = best_ctrl / max(worst_fit, 1e-300)
     checks = [
-        CheckRecord.le("fit_residual", worst_fit, _tol(config, "fit_residual", 1e-8)),
-        CheckRecord.le("fay_collinearity", worst_coll,
-                       _tol(config, "fay_collinearity", 1e-7)),
-        CheckRecord.ge("random_control", best_ctrl,
-                       _tol(config, "random_control", 1e-2)),
+        CheckRecord.le("fit_residual", worst_fit, config.tol("fit_residual")),
+        CheckRecord.le("fay_collinearity", worst_coll, config.tol("fay_collinearity")),
+        CheckRecord.ge("random_control", best_ctrl, config.tol("random_control")),
         CheckRecord.ge("discrimination_gap", gap, 1e4),
     ]
     rep = Report("fay-trisecant", config.seed, checks, curve=ident)
@@ -227,12 +215,12 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     Z1 = np.array([(1.0 + 1j) / 2.0])
     g1rng = rng.spawn(5)
     worst_g1 = 0.0
-    for _ in range(_win(config, "g1_pairs", 5)):
+    for _ in range(config.win("g1_pairs")):
         U1 = random_z(g1rng, 1, 0.4)
         V1 = random_z(g1rng, 1, 0.4)
         worst_g1 = max(worst_g1, residual_cm7d(Z1, U1, V1, B1))
 
-    count = _win(config, "samples", 5)
+    count = config.win("samples")
     samples = sample_theta_divisor(B, config.seed, count)
     worst_member = max(s.theta_abs for s in samples)
     worst_reverify = max(verify_sample(s, B) for s in samples)
@@ -242,7 +230,7 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     Vt = abel_tangent(data, pts[1])
     Ut = abel_map(data, pts[2]) - abel_map(data, pts[1])
     worst_cm7 = max(residual_cm7(s, Ut, Vt, B) for s in samples)
-    probe = min(singular_locus_probe(s, U, V, B, _win(config, "probe_depth", 10))
+    probe = min(singular_locus_probe(s, U, V, B, config.win("probe_depth"))
                 for s in samples)
 
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
@@ -257,20 +245,19 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
         for _ in range(3))
 
     checks = [
-        CheckRecord.le("genus1_identity", worst_g1,
-                       _tol(config, "genus1_identity", 1e-10)),
+        CheckRecord.le("genus1_identity", worst_g1, config.tol("genus1_identity")),
         CheckRecord.le("divisor_membership", worst_member,
-                       _tol(config, "divisor_membership", 1e-10)),
+                       config.tol("divisor_membership")),
         CheckRecord.le("divisor_reverify", worst_reverify,
-                       _tol(config, "divisor_reverify", 1e-10)),
-        CheckRecord.le("cm7d", worst_cm7d, _tol(config, "cm7d", 1e-8)),
-        CheckRecord.le("cm7", worst_cm7, _tol(config, "cm7", 1e-7)),
+                       config.tol("divisor_reverify")),
+        CheckRecord.le("cm7d", worst_cm7d, config.tol("cm7d")),
+        CheckRecord.le("cm7", worst_cm7, config.tol("cm7")),
         CheckRecord.ge("cm7d_decomposable_control", ctrl_dec,
-                       _tol(config, "cm7d_decomposable_control", 1e-2)),
+                       config.tol("cm7d_decomposable_control")),
         CheckRecord.ge("cm7_random_control", ctrl_cm7,
-                       _tol(config, "cm7_random_control", 1e-2)),
+                       config.tol("cm7_random_control")),
         CheckRecord.ge("singular_locus_probe", probe,
-                       _tol(config, "singular_locus_probe", 1e-3)),
+                       config.tol("singular_locus_probe")),
     ]
     return Report("divisor-identities", config.seed, checks, curve=ident)
 
@@ -288,8 +275,8 @@ def _toda_workload(config: ScenarioConfig):
     Vt = abel_tangent(data, pts[1])
     fit = fit_secancy_semidiscrete(U, Vt, A, B)
     As = A + half_period(B, fit.calibration_shift)
-    nx = _win(config, "x_size", 8)
-    nt = _win(config, "t_size", 8)
+    nx = config.win("x_size")
+    nt = config.win("t_size")
     t_samples = tuple(np.linspace(-0.3, 0.3, nt))
     x_range = (-nx // 2, nx - nx // 2 - 1)
     probe_win = LatticeWindow(np.zeros(B.g, complex), x_range=x_range,
@@ -311,13 +298,10 @@ def run_toda(config: ScenarioConfig) -> Report:
     pert_table = toda_fields(U, Vt, As, fit.p, fit.E + 1e-3, win, B)
     pert = toda_psi_residual(pert_table)
     checks = [
-        CheckRecord.le("fit_residual", fit.residual,
-                       _tol(config, "fit_residual", 1e-7)),
-        CheckRecord.le("psi_residual", res, _tol(config, "psi_residual", 1e-6)),
-        CheckRecord.le("ab_consistency", ab_gap,
-                       _tol(config, "ab_consistency", 1e-6)),
-        CheckRecord.ge("perturbed_E_control", pert,
-                       _tol(config, "perturbed_E_control", 1e-4)),
+        CheckRecord.le("fit_residual", fit.residual, config.tol("fit_residual")),
+        CheckRecord.le("psi_residual", res, config.tol("psi_residual")),
+        CheckRecord.le("ab_consistency", ab_gap, config.tol("ab_consistency")),
+        CheckRecord.ge("perturbed_E_control", pert, config.tol("perturbed_E_control")),
     ]
     rep = Report("toda", config.seed, checks, curve=ident)
     rep.extra["calibration_shift"] = fit.calibration_shift
@@ -339,8 +323,8 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     U, V, A, _pts = jacobian_fay_data(data, rng)
     fit = fit_secancy_discrete(U, V, A, B)
     As = A + half_period(B, fit.calibration_shift)
-    nm = _win(config, "m_size", 10)
-    nn = _win(config, "n_size", 10)
+    nm = config.win("m_size")
+    nn = config.win("n_size")
     m_range = (-nm // 2, nm - nm // 2 - 1)
     n_range = (-nn // 2, nn - nn // 2 - 1)
     probe_win = LatticeWindow(np.zeros(B.g, complex), m_range=m_range,
@@ -357,13 +341,10 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     Ur, Vr, Ar = (random_z(ctrl_rng, B.g, 0.35) for _ in range(3))
     ctrl = fit_secancy_discrete(Ur, Vr, Ar, B).residual
     checks = [
-        CheckRecord.le("fit_residual", fit.residual,
-                       _tol(config, "fit_residual", 1e-8)),
-        CheckRecord.le("psi_residual", res, _tol(config, "psi_residual", 1e-8)),
-        CheckRecord.le("ab_consistency", ab_gap,
-                       _tol(config, "ab_consistency", 1e-6)),
-        CheckRecord.ge("random_control", ctrl,
-                       _tol(config, "random_control", 1e-2)),
+        CheckRecord.le("fit_residual", fit.residual, config.tol("fit_residual")),
+        CheckRecord.le("psi_residual", res, config.tol("psi_residual")),
+        CheckRecord.le("ab_consistency", ab_gap, config.tol("ab_consistency")),
+        CheckRecord.ge("random_control", ctrl, config.tol("random_control")),
     ]
     rep = Report("bdhe", config.seed, checks, curve=ident)
     rep.extra["calibration_shift"] = fit.calibration_shift
@@ -389,7 +370,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     tr1 = rs_integrate(st1, 1.0, 1e-3)
     lin = abs(tr1.x[-1, 0] - (st1.x[0] + 1.0 * st1.xdot[0]))
     checks.append(CheckRecord.le("free_particle_linear", lin,
-                                 _tol(config, "free_particle_linear", 1e-12)))
+                                 config.tol("free_particle_linear")))
     # three rational particles: total velocity conserved
     st3 = RSState(x=np.array([0.0, 1.7 + 0.4j, -1.5 + 0.9j]),
                   xdot=np.array([0.3, 0.2 - 0.1j, -0.25 + 0.05j]))
@@ -397,13 +378,13 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     drift3 = float(max(abs(tr3.xdot[k].sum() - tr3.xdot[0].sum())
                        for k in range(len(tr3.t))))
     checks.append(CheckRecord.le("momentum_rational", drift3,
-                                 _tol(config, "momentum_rational", 1e-9)))
+                                 config.tol("momentum_rational")))
     # two elliptic particles vs tracked theta zeros
     dev, _paths, _traj = elliptic_zero_crosscheck(
         1j, 0.35 + 0.02j, 0.21 - 0.05j, 0.12 + 0.28j,
         t_end=0.5, h=2e-3, samples=26)
     checks.append(CheckRecord.le("elliptic_vs_tracking", dev,
-                                 _tol(config, "elliptic_vs_tracking", 1e-5)))
+                                 config.tol("elliptic_vs_tracking")))
     # generic elliptic pair: conservation
     from .dynamics import EllipticKernel
     ker = EllipticKernel(1.1j, omega1=2.5)
@@ -413,22 +394,22 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     drifte = float(max(abs(tre.xdot[k].sum() - tre.xdot[0].sum())
                        for k in range(len(tre.t))))
     checks.append(CheckRecord.le("momentum_elliptic", drifte,
-                                 _tol(config, "momentum_elliptic", 1e-8)))
+                                 config.tol("momentum_elliptic")))
     # zero law on genus-1 data + perturbed control
     B1 = PeriodMatrix([[1j]])
     U1 = np.array([CM5_SEED[0]])
     V1 = np.array([CM5_SEED[1]])
     Z1 = np.array([CM5_SEED[2]])
-    grid = np.linspace(0.0, 0.5, _win(config, "grid", 101))
+    grid = np.linspace(0.0, 0.5, config.win("grid"))
     path = track_tau_zero(U1, V1, Z1, B1, grid)
     r5 = cm5_residual(path, U1, V1, Z1, B1)
-    checks.append(CheckRecord.le("cm5", r5, _tol(config, "cm5", 1e-6)))
+    checks.append(CheckRecord.le("cm5", r5, config.tol("cm5")))
     base = ThetaTau(U1, V1, Z1, B1)
     pert = PerturbedTau(base, 0.05, x_ref=path.eta[0] + 0.5)
     pathp = track_zero(pert, grid, x0=path.eta[0])
     r5p = cm5_residual(pathp, U1, V1, Z1, B1, tau=pert)
     checks.append(CheckRecord.ge("cm5_perturbed_control", r5p,
-                                 _tol(config, "cm5_perturbed_control", 1e-2)))
+                                 config.tol("cm5_perturbed_control")))
     rep = Report("rs-dynamics", config.seed, checks)
     if config.csv_dir:
         tr3.to_csv(Path(config.csv_dir) / "rs_trajectory.csv")
@@ -438,8 +419,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
 
 def run_wave_series(config: ScenarioConfig) -> Report:
     from .curves import build_abel_data
-    from .dynamics import (DiscreteTau, PerturbedDiscreteTau, f2d_residual,
-                           find_tau_zero)
+    from .dynamics import DiscreteTau, PerturbedTau, f2d_residual, find_tau_zero
     from .series import (SemidiscreteSystem, discrete_residue_consistency,
                          new_semidiscrete_table, semidiscrete_cyclic_defect,
                          semidiscrete_resubstitution, semidiscrete_series_extend)
@@ -449,7 +429,7 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     U1 = np.array([F2D_SEED[0]])
     V1 = np.array([F2D_SEED[1]])
     Z1 = np.array([F2D_SEED[2]])
-    n_zero = _win(config, "zeros", 5)
+    n_zero = config.win("zeros")
     # genus-1 six-factor identity across a sweep of levels
     worst_g1 = 0.0
     tau1 = DiscreteTau(U1, V1, Z1, B1)
@@ -458,8 +438,7 @@ def run_wave_series(config: ScenarioConfig) -> Report:
         nu = 0.25 * k
         guess = find_tau_zero(tau1, nu, guess)
         worst_g1 = max(worst_g1, f2d_residual(U1, V1, Z1, B1, nu, x_guess=guess))
-    checks.append(CheckRecord.le("f2d_genus1", worst_g1,
-                                 _tol(config, "f2d_genus1", 1e-8)))
+    checks.append(CheckRecord.le("f2d_genus1", worst_g1, config.tol("f2d_genus1")))
     # genus-2
     data = build_abel_data(spec)
     B2 = data.B
@@ -473,25 +452,24 @@ def run_wave_series(config: ScenarioConfig) -> Report:
         nu = 0.5 * k
         guess = find_tau_zero(tau2, nu, guess)
         worst_g2 = max(worst_g2, f2d_residual(U2, V2, Z2, B2, nu, x_guess=guess))
-    checks.append(CheckRecord.le("f2d_genus2", worst_g2,
-                                 _tol(config, "f2d_genus2", 1e-7)))
+    checks.append(CheckRecord.le("f2d_genus2", worst_g2, config.tol("f2d_genus2")))
     # perturbed-tau control (oscillatory: constants are nearly tangent to
     # theta-family deformations and barely move the six-factor ratio)
     eta0 = find_tau_zero(tau1, 0.0)
-    pert = PerturbedDiscreteTau(tau1, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
+    pert = PerturbedTau(tau1, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
     rp = f2d_residual(U1, V1, Z1, B1, 0.0, tau=pert)
     checks.append(CheckRecord.ge("f2d_perturbed_control", rp,
-                                 _tol(config, "f2d_perturbed_control", 1e-2)))
+                                 config.tol("f2d_perturbed_control")))
     # residue consistency at s = 0, 1
     m0, _, _ = discrete_residue_consistency(U1, V1, Z1, B1, 0.0, 0)
     m1, _, gap = discrete_residue_consistency(U1, V1, Z1, B1, 0.0, 1)
     checks.append(CheckRecord.le("residue_consistency_s0", m0,
-                                 _tol(config, "residue_consistency", 1e-8)))
+                                 config.tol("residue_consistency")))
     checks.append(CheckRecord.le("residue_consistency_s1", m1,
-                                 _tol(config, "residue_consistency", 1e-8)))
+                                 config.tol("residue_consistency")))
     mp, _, _ = discrete_residue_consistency(U1, V1, Z1, B1, 0.0, 0, tau=pert)
     checks.append(CheckRecord.ge("residue_perturbed_control", mp,
-                                 _tol(config, "residue_perturbed_control", 1e-2)))
+                                 config.tol("residue_perturbed_control")))
     # semi-discrete recursion with the periodic normalization
     sysd = SemidiscreteSystem(np.array([0.2 + 0j]), V1, Z1 + 0.1, B1, N=5)
     table = new_semidiscrete_table(t_center=0.1, dt=0.01)
@@ -501,13 +479,13 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     r1 = semidiscrete_resubstitution(table, sysd, 1)
     checks.append(CheckRecord.le("semidiscrete_resubstitution",
                                  max(r0, r1),
-                                 _tol(config, "semidiscrete_resubstitution", 1e-6)))
+                                 config.tol("semidiscrete_resubstitution")))
     t2 = new_semidiscrete_table(t_center=0.1, dt=0.01)
     semidiscrete_series_extend(t2, sysd, 0)
     semidiscrete_series_extend(t2, sysd, 1, skip_normalization=True)
     defect = semidiscrete_cyclic_defect(t2, sysd, 2)
     checks.append(CheckRecord.ge("kp4_skip_defect", defect,
-                                 _tol(config, "kp4_skip_defect", 1e-3)))
+                                 config.tol("kp4_skip_defect")))
     return Report("wave-series", config.seed, checks, curve=ident)
 
 
@@ -519,7 +497,7 @@ def run_controls(config: ScenarioConfig) -> Report:
     data = build_abel_data(spec)
     B = data.B
     rng = Xoshiro256(config.seed)
-    trials = _win(config, "trials", 3)
+    trials = config.win("trials")
     pos_fit, neg_fit = 0.0, np.inf
     for _ in range(trials):
         U, V, A, _ = jacobian_fay_data(data, rng)
@@ -540,12 +518,11 @@ def run_controls(config: ScenarioConfig) -> Report:
     checks = [
         CheckRecord.ge("fit_gap", neg_fit / max(pos_fit, 1e-300), 1e4),
         CheckRecord.ge("identity_gap", neg_id / max(pos_id, 1e-300), 1e4),
-        CheckRecord.le("jacobian_fit", pos_fit, _tol(config, "jacobian_fit", 1e-8)),
-        CheckRecord.ge("random_fit", neg_fit, _tol(config, "random_fit", 1e-2)),
-        CheckRecord.le("jacobian_identity", pos_id,
-                       _tol(config, "jacobian_identity", 1e-8)),
+        CheckRecord.le("jacobian_fit", pos_fit, config.tol("jacobian_fit")),
+        CheckRecord.ge("random_fit", neg_fit, config.tol("random_fit")),
+        CheckRecord.le("jacobian_identity", pos_id, config.tol("jacobian_identity")),
         CheckRecord.ge("decomposable_identity", neg_id,
-                       _tol(config, "decomposable_identity", 1e-2)),
+                       config.tol("decomposable_identity")),
     ]
     return Report("controls", config.seed, checks, curve=ident)
 

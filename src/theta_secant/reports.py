@@ -1,7 +1,9 @@
 """Scenario configuration and machine-readable reports.
 
-Configs reject unknown fields; tolerance overrides are range checked, and
-window overrides must be integers of at least 1 (probe_depth at least 0).
+Configs reject unknown fields and any tolerance or window name that the
+scenario does not read (PARAMETERS lists them with their defaults);
+tolerance overrides are range checked, and window overrides must be
+integers of at least 1 (probe_depth at least 0).
 Reports serialize to JSON with sorted keys so identical config + seed
 yields byte-identical output up to the isolated "timing" object.
 """
@@ -14,16 +16,58 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-SCENARIOS = (
-    "theta-selftest",
-    "fay-trisecant",
-    "divisor-identities",
-    "toda",
-    "bdhe",
-    "rs-dynamics",
-    "wave-series",
-    "controls",
-)
+# every scenario's tolerance and window names with their defaults: the
+# config accepts no other name, and the runners read the defaults here
+PARAMETERS = {
+    "theta-selftest": {
+        "tolerances": {"evenness": 1e-12, "quasi_periodicity": 1e-10,
+                       "fd_first": 1e-6, "fd_second": 1e-4,
+                       "radius_stability": 1e-13},
+        "window": {"samples": 200},
+    },
+    "fay-trisecant": {
+        "tolerances": {"fit_residual": 1e-8, "fay_collinearity": 1e-7,
+                       "random_control": 1e-2},
+        "window": {"tuples": 2},
+    },
+    "divisor-identities": {
+        "tolerances": {"genus1_identity": 1e-10, "divisor_membership": 1e-10,
+                       "divisor_reverify": 1e-10, "cm7d": 1e-8, "cm7": 1e-7,
+                       "cm7d_decomposable_control": 1e-2,
+                       "cm7_random_control": 1e-2, "singular_locus_probe": 1e-3},
+        "window": {"g1_pairs": 5, "samples": 5, "probe_depth": 10},
+    },
+    "toda": {
+        "tolerances": {"fit_residual": 1e-7, "psi_residual": 1e-6,
+                       "ab_consistency": 1e-6, "perturbed_E_control": 1e-4},
+        "window": {"x_size": 8, "t_size": 8},
+    },
+    "bdhe": {
+        "tolerances": {"fit_residual": 1e-8, "psi_residual": 1e-8,
+                       "ab_consistency": 1e-6, "random_control": 1e-2},
+        "window": {"m_size": 10, "n_size": 10},
+    },
+    "rs-dynamics": {
+        "tolerances": {"free_particle_linear": 1e-12, "momentum_rational": 1e-9,
+                       "elliptic_vs_tracking": 1e-5, "momentum_elliptic": 1e-8,
+                       "cm5": 1e-6, "cm5_perturbed_control": 1e-2},
+        "window": {"grid": 101},
+    },
+    "wave-series": {
+        "tolerances": {"f2d_genus1": 1e-8, "f2d_genus2": 1e-7,
+                       "f2d_perturbed_control": 1e-2, "residue_consistency": 1e-8,
+                       "residue_perturbed_control": 1e-2,
+                       "semidiscrete_resubstitution": 1e-6, "kp4_skip_defect": 1e-3},
+        "window": {"zeros": 5},
+    },
+    "controls": {
+        "tolerances": {"jacobian_fit": 1e-8, "random_fit": 1e-2,
+                       "jacobian_identity": 1e-8, "decomposable_identity": 1e-2},
+        "window": {"trials": 3},
+    },
+}
+
+SCENARIOS = tuple(PARAMETERS)
 
 _CONFIG_FIELDS = {"scenario", "curve", "seed", "tolerances", "window",
                   "out", "csv_dir", "corpus"}
@@ -48,6 +92,12 @@ class ScenarioConfig:
                               f"choose from {', '.join(SCENARIOS)}")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
+        for what, accepted in PARAMETERS[self.scenario].items():
+            unknown = sorted(set(getattr(self, what)) - set(accepted))
+            if unknown:
+                raise ConfigError(
+                    f"unknown {what} {', '.join(unknown)} for {self.scenario}; "
+                    f"accepted: {', '.join(accepted)}")
         for name, value in self.tolerances.items():
             try:
                 value = float(value)
@@ -66,6 +116,14 @@ class ScenarioConfig:
             if count < low:
                 raise ConfigError(f"window {name}={count} is below {low}")
             self.window[name] = count
+
+    def tol(self, name: str) -> float:
+        """Tolerance name: the override, or the scenario's default."""
+        return self.tolerances.get(name, PARAMETERS[self.scenario]["tolerances"][name])
+
+    def win(self, name: str) -> int:
+        """Window size name: the override, or the scenario's default."""
+        return self.window.get(name, PARAMETERS[self.scenario]["window"][name])
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":

@@ -75,9 +75,6 @@ class ScaledComplex:
             raise OverflowError(f"logscale {self.logscale} too large for complex")
         return self.mantissa * math.exp(self.logscale) if self.logscale > _LOG_FLOOR else 0j
 
-    def phase(self) -> float:
-        return cmath.phase(self.mantissa)
-
     # -- arithmetic -------------------------------------------------------
 
     def __mul__(self, other):

@@ -102,8 +102,7 @@ def tau_u_fn(tau):
 
 def discrete_series_extend(table: SeriesTable, u_fn, anchor: complex,
                            nu: float, s: int, seeds: dict,
-                           k_range: tuple = (0, 1),
-                           near_zero_fn=None) -> SeriesTable:
+                           k_range: tuple = (0, 1)) -> SeriesTable:
     """Extend xi_{s+1} over the orbit {anchor + 2k, k in k_range} at level nu.
 
     One-sided stepping from the seed values:
@@ -117,7 +116,6 @@ def discrete_series_extend(table: SeriesTable, u_fn, anchor: complex,
     if not seeds:
         raise ValidationError("need at least one seed value")
     dest = dict(seeds)
-    flags = {}
     ks = sorted(dest)
     # forward from the highest contiguous seed, backward from the lowest
     k = ks[-1]
@@ -125,23 +123,17 @@ def discrete_series_extend(table: SeriesTable, u_fn, anchor: complex,
         xk = anchor + 2.0 * k
         xi_s = table.xi_at_x(s, nu - 1.0, xk + 1.0)
         dest[k + 1] = dest[k] - u_fn(xk + 1.0, nu) * xi_s
-        if near_zero_fn is not None:
-            flags[k + 1] = bool(near_zero_fn(xk + 1.0, nu))
         k += 1
     k = ks[0]
     while k > k_lo:
         xk = anchor + 2.0 * k
         xi_s = table.xi_at_x(s, nu - 1.0, xk - 1.0)
         dest[k - 1] = dest[k] + u_fn(xk - 1.0, nu) * xi_s
-        if near_zero_fn is not None:
-            flags[k - 1] = bool(near_zero_fn(xk - 1.0, nu))
         k -= 1
     for k, val in dest.items():
         table.entries[(s + 1, nu, k)] = val
     table.anchors[(s + 1, nu)] = complex(anchor)
     table.seeds[(s + 1, nu)] = dict(seeds)
-    if near_zero_fn is not None:
-        table.meta.setdefault("near_zero", {})[(s + 1, nu)] = flags
     return table
 
 

@@ -182,12 +182,7 @@ class ThetaRequest:
             raise DimensionMismatch(f"z has shape {z.shape}, expected ({B.g},)")
         if char is not None and len(char.eps) != B.g:
             raise DimensionMismatch("characteristic length does not match genus")
-        dirs = tuple(np.atleast_1d(np.asarray(d, dtype=complex)) for d in deriv_dirs)
-        if len(dirs) > 2:
-            raise ValidationError("at most two derivative directions supported")
-        for d in dirs:
-            if d.shape != (B.g,):
-                raise DimensionMismatch("derivative direction has wrong length")
+        dirs = _directions(deriv_dirs, B.g)
         if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
             raise ValidationError(f"tol {tol} outside {TOL_RANGE}")
         z.setflags(write=False)
@@ -478,8 +473,14 @@ def _theta_jets(Z: np.ndarray, B: PeriodMatrix, char: ThetaCharacteristic | None
     return ThetaJets(dict(zip(_JET_KEYS[len(dirs)], sums[..., 0])), scale)
 
 
-def _directions(dirs) -> tuple:
-    return tuple(np.atleast_1d(np.asarray(d, dtype=complex)) for d in dirs)
+def _directions(dirs, g: int) -> tuple:
+    """At most two derivative directions as complex arrays, each of shape (g,)."""
+    dirs = tuple(np.atleast_1d(np.asarray(d, dtype=complex)) for d in dirs)
+    if len(dirs) > 2:
+        raise ValidationError("at most two derivative directions supported")
+    if any(d.shape != (g,) for d in dirs):
+        raise DimensionMismatch(f"derivative direction not of shape ({g},)")
+    return dirs
 
 
 def theta(req: ThetaRequest, radius: int | None = None) -> ScaledComplex:
@@ -498,7 +499,7 @@ def theta_jet(z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) 
     direction pass dirs = (V, V)).
     """
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    return _theta_jets(Z, B, char, _directions(dirs), tol).jet(0)
+    return _theta_jets(Z, B, char, _directions(dirs, B.g), tol).jet(0)
 
 
 def theta_jets(Z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> ThetaJets:
@@ -506,7 +507,7 @@ def theta_jets(Z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL)
 
     Point p is bitwise theta_jet(Z[p], ...) (see ThetaJets).
     """
-    return _theta_jets(np.asarray(Z, dtype=complex), B, char, _directions(dirs), tol)
+    return _theta_jets(np.asarray(Z, dtype=complex), B, char, _directions(dirs, B.g), tol)
 
 
 def theta_fd_check(req: ThetaRequest, h: float) -> float:
@@ -557,9 +558,9 @@ class Level2Vector:
 
 def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, tol: float, keys: tuple) -> dict:
     """The level-two vectors of the given jet keys at the rows of Z (one binned pass)."""
-    dirs = _directions(() if deriv_dir is None else (deriv_dir,))
-    if Z.ndim != 2 or any(v.shape[-1] != B.g for v in (Z,) + dirs):
-        raise DimensionMismatch(f"level-two arguments or direction not of length {B.g}")
+    dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
+    if Z.ndim != 2 or Z.shape[1] != B.g:
+        raise DimensionMismatch(f"level-two arguments not of length {B.g}")
     zero = (0.0,) * B.g
     sums, scale = _lattice_jets(Z, B.halved(), zero, zero, dirs, tol, binned=True)
     out = {}

@@ -11,7 +11,8 @@ import theta_secant.cli as cli
 from theta_secant.cli import jacobian_fay_data, main, resolve_curve, run_scenario
 from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.errors import ConfigError
-from theta_secant.reports import SCENARIOS, CheckRecord, Report, ScenarioConfig
+from theta_secant.reports import (PARAMETERS, SCENARIOS, CheckRecord, Report,
+                                  ScenarioConfig)
 from theta_secant.rng import Xoshiro256
 
 
@@ -26,11 +27,40 @@ class TestConfig:
 
     def test_tolerance_range(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig(scenario="bdhe", tolerances={"x": 0.5})
+            ScenarioConfig(scenario="bdhe", tolerances={"psi_residual": 0.5})
         with pytest.raises(ConfigError):
-            ScenarioConfig(scenario="bdhe", tolerances={"x": 1e-18})
-        cfg = ScenarioConfig(scenario="bdhe", tolerances={"x": "1e-6"})
-        assert cfg.tolerances["x"] == 1e-6
+            ScenarioConfig(scenario="bdhe", tolerances={"psi_residual": 1e-18})
+        cfg = ScenarioConfig(scenario="bdhe", tolerances={"psi_residual": "1e-6"})
+        assert cfg.tolerances["psi_residual"] == 1e-6
+        assert cfg.tol("psi_residual") == 1e-6 and cfg.tol("fit_residual") == 1e-8
+
+    @pytest.mark.parametrize("field, name", [("tolerances", "evennes"),
+                                             ("window", "sampels")])
+    def test_unknown_names_rejected(self, field, name):
+        with pytest.raises(ConfigError, match=f"unknown {field} {name} for "
+                                              "theta-selftest; accepted: "):
+            ScenarioConfig(scenario="theta-selftest", **{field: {name: "5"}})
+
+    def test_every_name_is_read_by_its_runner(self, monkeypatch):
+        """The runners read exactly the names of PARAMETERS (small windows
+        keep the runs short)."""
+        read = {}
+        for kind in ("tol", "win"):
+            base = getattr(ScenarioConfig, kind)
+
+            def spy(self, name, base=base, kind=kind):
+                read.setdefault((self.scenario, kind), set()).add(name)
+                return base(self, name)
+
+            monkeypatch.setattr(ScenarioConfig, kind, spy)
+        small = {"theta-selftest": {"samples": 10}, "divisor-identities":
+                 {"samples": 2, "g1_pairs": 1, "probe_depth": 2},
+                 "fay-trisecant": {"tuples": 1}, "controls": {"trials": 1},
+                 "wave-series": {"zeros": 2}, "rs-dynamics": {"grid": 21}}
+        for scenario, params in PARAMETERS.items():
+            run_scenario(ScenarioConfig(scenario, window=small.get(scenario, {})))
+            assert read[(scenario, "tol")] == set(params["tolerances"])
+            assert read[(scenario, "win")] == set(params["window"])
 
     def test_window_values(self):
         cfg = ScenarioConfig(scenario="divisor-identities",
@@ -174,6 +204,14 @@ class TestMain:
         assert csv_path.exists()
         assert len(csv_path.read_text().splitlines()) == 1002
 
+    @pytest.mark.parametrize("kernel", ["rational", "trig", "elliptic"])
+    def test_rs_simulate_three_particles(self, capsys, kernel):
+        rc = main(["rs", "simulate", "--n", "3", "--t-end", "0.2", "--h", "1e-3",
+                   "--kernel", kernel])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["checks"][0]["name"] == "momentum_conservation"
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(
@@ -220,10 +258,24 @@ def test_every_scenario_and_corpus_entry_keeps_the_exit_contract(
     ["divisor-identities", "--window", "probe_depth=-1"],
     ["controls", "--window", "trials=0"],
     ["rs", "simulate", "--n", "0", "--t-end", "1", "--h", "1e-3"],
+    ["theta-selftest", "--window", "sampels=5"],
+    ["theta-selftest", "--tol", "evennes=1e-3"],
 ])
 def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
-    """A window or particle count that leaves nothing to check is rejected
-    (exit 2), not passed vacuously or left to crash."""
+    """A window or particle count that leaves nothing to check, or a name
+    the scenario does not read, is rejected (exit 2), not passed vacuously,
+    ignored or left to crash."""
     rc = main(argv)
     out = json.loads(capsys.readouterr().out)
     assert rc == 2 and out["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rs", "simulate", "--n", "3", "--t-end", "nan", "--h", "1e-3"],
+    ["rs", "simulate", "--n", "3", "--t-end", "1", "--h", "nan"],
+    ["rs", "simulate", "--n", "3", "--t-end", "inf", "--h", "1e-3"],
+])
+def test_non_finite_rs_steps_are_validation_errors(capsys, argv):
+    rc = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 2 and out["error"] == "ValidationError"

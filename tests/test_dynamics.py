@@ -1,5 +1,7 @@
 """Zero tracking, the second-order zero law, and particle dynamics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ import theta_secant.dynamics as dynamics
 from theta_secant.dynamics import (
     DiscreteTau,
     EllipticKernel,
-    PerturbedDiscreteTau,
     PerturbedTau,
     RationalKernel,
     RSState,
@@ -23,7 +24,7 @@ from theta_secant.dynamics import (
 )
 from theta_secant.errors import Collision, GuardFailed, LostZero, ValidationError
 from theta_secant.rng import Xoshiro256
-from theta_secant.theta import PeriodMatrix, theta_jet
+from theta_secant.theta import PeriodMatrix, theta_jets
 
 B_I = PeriodMatrix([[1j]])
 U1 = np.array([0.85 + 0.00j])
@@ -93,18 +94,20 @@ class TestCm5:
                 U1, V1, Z1, B_I)
 
 
+KERNELS = [RationalKernel(), TrigKernel(2.0), EllipticKernel(1.1j, omega1=2.5)]
+
+
 class TestKernels:
     def test_oddness_everywhere(self):
         rng = Xoshiro256(77)
-        kernels = [RationalKernel(), TrigKernel(2.0),
-                   EllipticKernel(1.1j, omega1=2.5)]
-        for kernel in kernels:
-            for _ in range(34):
-                q = complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
-                if not kernel.guard(q):
-                    continue
-                s = kernel.F(q) + kernel.F(-q)
-                assert abs(s) <= 1e-12 * (1 + abs(kernel.F(q)))
+        for kernel in KERNELS:
+            q = np.array([complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
+                          for _ in range(34)])
+            F, clear = kernel.evaluate(q)
+            Fm, _ = kernel.evaluate(-q)
+            assert clear.sum() >= 30
+            s = (F + Fm)[clear]
+            assert np.all(np.abs(s) <= 1e-12 * (1 + np.abs(F[clear])))
 
     def test_trig_period_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -117,13 +120,13 @@ class TestKernels:
         half = 0.5 * omega1
         assert abs(ker.F(half)) <= 1e-9 * (1 + abs(ker.F(half + 0.3)))
 
-    def test_elliptic_guard_and_F_share_jets(self, lattice_passes):
-        # one lattice pass of three points serves a guard + F pair
+    def test_elliptic_evaluate_is_one_pass(self, lattice_passes):
+        # F and the guard of k separations come from one pass of 3k points
         ker = EllipticKernel(1.1j, omega1=2.5)
-        q = 0.7 - 0.2j
-        assert ker.guard(q)
-        ker.F(q)
-        assert lattice_passes == [(3, False)]
+        F, clear = ker.evaluate(np.array([0.7 - 0.2j, -0.3 + 0.4j, 1.1 + 0.1j,
+                                          0.2 - 0.6j]))
+        assert lattice_passes == [(12, False)]
+        assert F.shape == clear.shape == (4,) and clear.all()
 
     def test_elliptic_stage_is_one_pass(self, lattice_passes):
         # _accel hands all N(N-1) separations of an RK4 stage to the kernel
@@ -131,20 +134,21 @@ class TestKernels:
         x = np.array([0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j])
         v = np.array([0.4, -0.3 + 0.1j, 0.1j])
         a = dynamics._accel(ker, x, v)
-        # F reads the stage's jets: no further pass
-        want = [v[i] * sum(v[j] * ker.F(x[i] - x[j]) for j in range(3) if j != i)
-                for i in range(3)]
         assert lattice_passes == [(18, False)]
-        assert np.array_equal(a, want)
+        # a_i = v_i sum_j v_j F(x_i - x_j), each F bitwise its one-point value
+        i, j = np.array([(i, j) for i in range(3) for j in range(3) if j != i]).T
+        F = np.array([ker.F(q) for q in x[i] - x[j]])
+        assert np.array_equal(a, v * (v[j] * F).reshape(3, 2).sum(axis=1))
 
     def test_elliptic_F_matches_per_point_log_derivative(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
         unit = np.array([1.0 + 0j])
 
         def L(u):
-            j = theta_jet(np.array([u / ker.omega1]), ker.B, dirs=(unit,),
-                          char=ker.char, tol=ker.tol)
-            return (j["d0"] / j["f"]).to_complex() / ker.omega1
+            # value and derivative share a logscale, which cancels
+            sums = theta_jets(np.array([[u / ker.omega1]]), ker.B, dirs=(unit,),
+                              char=ker.char, tol=ker.tol).sums
+            return sums["d0"][0] / sums["f"][0] / ker.omega1
 
         rng = Xoshiro256(5)
         for _ in range(20):
@@ -160,6 +164,24 @@ class TestKernels:
                      xdot=np.array([0.1, -0.1]), kernel=ker)
         with pytest.raises(Collision):
             rs_integrate(st, 0.01, 1e-3)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_zero_separation_is_collision_without_warning(self, kernel):
+        st = RSState(x=np.array([0.3 + 0.1j, 0.3 + 0.1j, -1.6 + 0.2j]),
+                     xdot=np.array([0.1, -0.1, 0.2j]), kernel=kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Collision, match="particles 0 and 1 at separation 0"):
+                rs_integrate(st, 0.01, 1e-3)
+
+    def test_kernel_specs(self):
+        ker = EllipticKernel(1.1j, omega1=2.5)
+        assert dynamics.make_kernel(ker) is ker
+        assert isinstance(dynamics.make_kernel("rational"), RationalKernel)
+        assert dynamics.make_kernel(("trig", 3.0)).L == 3.0
+        for spec in ("elliptic", (), ("bessel",), 3):
+            with pytest.raises(ValidationError):
+                dynamics.make_kernel(spec)
 
 
 class TestRS:
@@ -191,6 +213,10 @@ class TestRS:
         drift = max(abs(tr.xdot[k].sum() - tr.xdot[0].sum())
                     for k in range(len(tr.t)))
         assert drift <= 1e-8
+
+    def test_no_particles_rejected(self):
+        with pytest.raises(ValidationError):
+            RSState(x=np.array([], complex), xdot=np.array([], complex))
 
     def test_collision_guard(self):
         st = RSState(x=np.array([0.0, 1.0 + 1e-8j]),
@@ -240,6 +266,5 @@ class TestF2d:
         Zc = np.array([0.12 + 0.33j])
         tau = DiscreteTau(Uc, Vc, Zc, B_I)
         eta0 = find_tau_zero(tau, 0.0)
-        pert = PerturbedDiscreteTau(tau, 0.05, x_ref=eta0 + 0.5,
-                                    mode="oscillatory")
+        pert = PerturbedTau(tau, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
         assert f2d_residual(Uc, Vc, Zc, B_I, 0.0, tau=pert) >= 1e-2

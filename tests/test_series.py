@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from theta_secant.dynamics import DiscreteTau, PerturbedDiscreteTau, find_tau_zero
+from theta_secant.dynamics import DiscreteTau, PerturbedTau, find_tau_zero
 from theta_secant.errors import NonPeriodic, ValidationError, WindowExhausted
 from theta_secant.series import (
     SemidiscreteSystem,
@@ -55,17 +55,6 @@ class TestDiscreteOrbit:
             discrete_series_extend(table, lambda x, nu: 0j, 0j, 0.0, 0,
                                    {0: 1.0}, (0, 100))
 
-    def test_near_zero_flags_recorded(self):
-        tau = DiscreteTau(U1, V1, Z1, B_I)
-        table = SeriesTable()
-        eta = find_tau_zero(tau, 0.0)
-        discrete_series_extend(table, tau_u_fn(tau), anchor=eta - 1.0, nu=0.0,
-                               s=0, seeds={0: 1.0 + 0j}, k_range=(0, 1),
-                               near_zero_fn=lambda x, nu:
-                                   tau.hat_abs(x, nu) < 1e-6)
-        flags = table.meta["near_zero"][(1, 0.0)]
-        assert flags[1] is True     # the step through x = eta
-
 
 class TestResidueConsistency:
     def test_s0_and_s1(self):
@@ -90,8 +79,7 @@ class TestResidueConsistency:
     def test_perturbed_control(self):
         tau = DiscreteTau(U1, V1, Z1, B_I)
         eta0 = find_tau_zero(tau, 0.0)
-        pert = PerturbedDiscreteTau(tau, 0.05, x_ref=eta0 + 0.5,
-                                    mode="oscillatory")
+        pert = PerturbedTau(tau, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
         for s in (0, 1):
             mis, _, _ = discrete_residue_consistency(U1, V1, Z1, B_I, nu=0.0,
                                                      s=s, tau=pert)

@@ -22,6 +22,7 @@ from theta_secant.theta import (
     theta,
     theta_fd_check,
     theta_hat_abs,
+    theta_jet,
     theta_jets,
     truncation_radius,
     _ellipsoid_radius,
@@ -330,6 +331,21 @@ class TestValidation:
     def test_too_many_dirs(self):
         with pytest.raises(ValidationError):
             ThetaRequest([0j], B_I, deriv_dirs=(np.array([1.0]),) * 3)
+
+    @pytest.mark.parametrize("entry", ["theta_jet", "theta_jets", "ThetaRequest"])
+    @pytest.mark.parametrize("dirs, error", [
+        (([1, 0, 5],), DimensionMismatch),          # longer than g
+        (([1],), DimensionMismatch),                # shorter than g
+        (([1, 0], [0, 1], [1, 1]), ValidationError),
+    ], ids=["long", "short", "three"])
+    def test_bad_directions_rejected(self, entry, dirs, error):
+        B = PeriodMatrix([[1j, 0.2], [0.2, 1.3j]])
+        z = np.array([0.1 + 0.2j, -0.3j])
+        calls = {"theta_jet": lambda: theta_jet(z, B, dirs=dirs),
+                 "theta_jets": lambda: theta_jets(z[None], B, dirs=dirs),
+                 "ThetaRequest": lambda: ThetaRequest(z, B, deriv_dirs=dirs)}
+        with pytest.raises(error):
+            calls[entry]()
 
 
 def test_half_periods_count_and_reduction():
