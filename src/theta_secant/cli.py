@@ -678,7 +678,8 @@ def main(argv=None) -> int:
         report = run_scenario(config)
         _emit(report, config.out)
         return 0 if report.passed else 1
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
+        # OSError: a report, CSV or --out file that cannot be written
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 2

@@ -509,11 +509,16 @@ class Corpus(Mapping):
 
 def load_corpus(path) -> Corpus:
     """Load a JSON corpus: array of records with optional "id" keys."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"corpus file {path} is not valid JSON") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read corpus file {path}: "
+                              f"{exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"corpus file {path} is not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"corpus file {path} is not valid JSON") from exc
     if not isinstance(data, list):
         raise ValidationError("curve corpus must be a JSON array")
     records = {}

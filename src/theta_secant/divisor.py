@@ -22,6 +22,7 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     normalized_log_abs,
+    normalized_log_abs_many,
     theta_jet,
     theta_jets,
     truncation_radius,
@@ -237,4 +238,4 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,
     V = np.atleast_1d(np.asarray(V, complex))
     W = [Z + k * (U - V) for k in range(-K, K + 1)]
     J = theta_jets(W, B, tol=tol)
-    return max(math.exp(normalized_log_abs(J.jet(p)["f"], B, z)) for p, z in enumerate(W))
+    return float(np.exp(normalized_log_abs_many(J, B, W)).max())

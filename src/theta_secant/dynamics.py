@@ -35,6 +35,7 @@ to the arrays F and guard (q, q+1 and q-1 clear of the poles).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -48,13 +49,11 @@ from .errors import (
     LostZero,
     ValidationError,
 )
-from .scaled import ScaledComplex
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     ThetaCharacteristic,
-    gauss_exponent,
-    normalized_log_abs,
+    gauss_exponents,
     normalized_log_abs_many,
     theta_jets,
 )
@@ -62,41 +61,43 @@ from .theta import (
 ZERO_TARGET = 1e-10
 SIMPLE_ZERO_GUARD = 1e-10
 FACTOR_GUARD = 1e-8
+MAX_RS_STEPS = 10**6
 
 
 # ----------------------------------------------------------------------
 # tau sections
 # ----------------------------------------------------------------------
 
+def _times(x, U) -> np.ndarray:
+    """The points x_p U, shape (P, g), from real products: numpy may round a
+    broadcast complex product with fused multiply-adds, depending on the
+    strides, while real products round alike at any P."""
+    x = np.ravel(np.asarray(x, dtype=complex))
+    out = np.empty((len(x), len(U)), dtype=complex)
+    out.real = np.multiply.outer(x.real, U.real) - np.multiply.outer(x.imag, U.imag)
+    out.imag = np.multiply.outer(x.real, U.imag) + np.multiply.outer(x.imag, U.real)
+    return out
+
+
 class _ThetaSection:
     """A tau section theta(arg(x, t) | B) with derivatives along dirs.
 
-    The array forms (jets, hat_abs_many, v_many) take xs and ts of one
-    shape, or a scalar t, and make one lattice pass; jet is the one-point
-    view of jets.
+    jets(xs, ts) is its one evaluation: xs and ts of one shape, or a scalar
+    t, in one lattice pass.  It returns (P,) arrays (f, fx, ft, g): g is
+    the Gaussian exponent of each argument, and f, fx, ft are tau, tau_x
+    and tau_t divided by exp(g), so abs(f) is the normalized modulus (O(1)
+    generically, 0 on a zero).  ft is None for a section without a t
+    direction.  Row p is bitwise the value at the p-th point alone.
     """
 
-    def jets(self, xs, ts) -> list:
-        """(tau, tau_x, tau_t) at each (x, t) as ScaledComplex triples
-        (tau_t is None for a section without a t direction)."""
-        J = theta_jets(self.arg(xs, ts), self.B, dirs=self.dirs, tol=self.tol)
-        return [(j["f"], j["d0"], j.get("d1")) for j in map(J.jet, range(len(J)))]
-
-    def jet(self, x: complex, t: float):
-        return self.jets([x], t)[0]
-
-    def hat_abs_many(self, xs, ts) -> np.ndarray:
-        """Normalized |tau| at each (x, t): O(1) generically, 0 on a zero."""
+    def jets(self, xs, ts) -> tuple:
         W = self.arg(xs, ts)
-        J = theta_jets(W, self.B, tol=self.tol)
-        return np.exp(normalized_log_abs_many(J, self.B, W))
-
-    def hat_abs_of(self, value: ScaledComplex, x: complex, t: float) -> float:
-        return math.exp(normalized_log_abs(value, self.B, self.arg(x, t)))
-
-    def v_many(self, xs, ts) -> np.ndarray:
-        """v = -tau_t / tau at each (x, t), for a section with a t direction."""
-        return np.array([-(ft / f).to_complex() for f, _, ft in self.jets(xs, ts)])
+        J = theta_jets(W, self.B, dirs=self.dirs, tol=self.tol)
+        g = gauss_exponents(self.B, W)
+        unit = np.exp(J.logscale - g)
+        ft = J.sums.get("d1")
+        return (J.sums["f"] * unit, J.sums["d0"] * unit,
+                None if ft is None else ft * unit, g)
 
 
 class ThetaTau(_ThetaSection):
@@ -111,7 +112,7 @@ class ThetaTau(_ThetaSection):
         self.dirs = (self.U, self.V)
 
     def arg(self, x, t):
-        return np.multiply.outer(x, self.U) + np.multiply.outer(t, self.V) + self.Z
+        return _times(x, self.U) + _times(t, self.V) + self.Z
 
 
 class PerturbedTau(_ThetaSection):
@@ -122,14 +123,14 @@ class PerturbedTau(_ThetaSection):
     the divisor), so it is O(epsilon) relative to generic tau values on
     the tracked region while staying analytic in x.
 
-    mode "const" adds a constant; mode "oscillatory" adds
-    epsilon * scale * exp(i pi x), which alternates sign across the unit
-    x-steps of the lattice identities.  Constants are close to the tangent
-    space of theta-family deformations (argument shifts and rescalings,
-    under which the identities are exact), so their first-order effect on
-    the six-factor ratio largely cancels; the oscillatory term does not.
-    The array forms add the term to each point of the base section's one
-    lattice pass.
+    mode "const" adds epsilon * exp(g_ref); mode "oscillatory" adds
+    epsilon * exp(g_ref) * exp(i pi x), which alternates sign across the
+    unit x-steps of the lattice identities.  Constants are close to the
+    tangent space of theta-family deformations (argument shifts and
+    rescalings, under which the identities are exact), so their
+    first-order effect on the six-factor ratio largely cancels; the
+    oscillatory term does not.  jets adds the term, divided by exp(g)
+    like the rest, to the arrays of the base section's one pass.
     """
 
     def __init__(self, base, epsilon: float, x_ref: complex = 0j,
@@ -137,31 +138,17 @@ class PerturbedTau(_ThetaSection):
         if mode not in ("const", "oscillatory"):
             raise ValidationError(f"unknown perturbation mode {mode!r}")
         self.base = base
-        self.offset = ScaledComplex.make(
-            epsilon, gauss_exponent(base.B, base.arg(x_ref, t_ref)))
+        self.epsilon = epsilon
+        self.g_ref = gauss_exponents(base.B, base.arg(x_ref, t_ref))[0]
         self.mode = mode
-        self.B = base.B
 
-    def arg(self, x, t):
-        return self.base.arg(x, t)
-
-    def _term(self, x: complex):
-        if self.mode == "const":
-            return self.offset, ScaledComplex.zero()
-        osc = self.offset * complex(np.exp(1j * np.pi * complex(x)))
-        return osc, osc * (1j * np.pi)
-
-    def jets(self, xs, ts) -> list:
-        out = []
-        for x, (f, fx, ft) in zip(np.ravel(xs), self.base.jets(xs, ts)):
-            term, dterm = self._term(x)
-            out.append((f + term, fx + dterm if not dterm.is_zero() else fx, ft))
-        return out
-
-    def hat_abs_many(self, xs, ts) -> np.ndarray:
-        xs, ts = np.broadcast_arrays(np.ravel(xs), ts)
-        return np.array([self.hat_abs_of(f, x, t)
-                         for (f, _, _), x, t in zip(self.jets(xs, ts), xs, ts)])
+    def jets(self, xs, ts) -> tuple:
+        f, fx, ft, g = self.base.jets(xs, ts)
+        term = self.epsilon * np.exp(self.g_ref - g)
+        if self.mode == "oscillatory":
+            term = term * np.exp(1j * np.pi * np.ravel(xs))
+            fx = fx + 1j * np.pi * term
+        return f + term, fx, ft, g
 
 
 # ----------------------------------------------------------------------
@@ -172,15 +159,13 @@ def newton_zero(tau, x0: complex, t: float, max_iter: int = 60,
                 step_cap: float = 0.5) -> complex:
     x = complex(x0)
     for _ in range(max_iter):
-        f, fx, _ = tau.jet(x, t)
-        if tau.hat_abs_of(f, x, t) <= ZERO_TARGET:
+        f, fx, _, _ = tau.jets([x], t)
+        if abs(f[0]) <= ZERO_TARGET:
             return x
-        if fx.is_zero():
-            raise LostZero("vanishing x-derivative during Newton")
-        try:
-            dx = (f / fx).to_complex()
-        except OverflowError as exc:
-            raise LostZero("Newton step overflow") from exc
+        with np.errstate(all="ignore"):
+            dx = complex(f[0] / fx[0])
+        if not cmath.isfinite(dx):
+            raise LostZero(f"non-finite Newton step at x={x:.4g}")
         if abs(dx) > step_cap:
             dx *= step_cap / abs(dx)
         x = x - dx
@@ -192,7 +177,7 @@ def scan_zero(tau, t: float, center: complex = 0j, span: float = 2.0,
     """Coarse |tau| scan followed by Newton; finds some zero on the line."""
     xs = np.linspace(-span, span, n)
     grid = center + (xs[:, None] + 1j * xs[None, :]).ravel()
-    return newton_zero(tau, grid[np.argmin(tau.hat_abs_many(grid, t))], t)
+    return newton_zero(tau, grid[np.argmin(np.abs(tau.jets(grid, t)[0]))], t)
 
 
 @dataclass
@@ -216,18 +201,19 @@ class ZeroPath:
 
 
 def _laurent_data(tau, x: complex, t: float, fit_radius: float = 0.01):
-    """(eta_dot, v0) at a zero x: one lattice pass for x and the 5-point circle."""
+    """(|tau|, eta_dot, v0) at a zero x, with tau(x +- 1) guarded: one lattice
+    pass for x, x + 1, x - 1 and the 5-point circle."""
     rho = fit_radius * (1.0 + abs(x))
     circle = x + rho * np.exp(2j * np.pi * np.arange(5) / 5.0)
-    (f, fx, ft), *ring = tau.jets(np.concatenate([[x], circle]), t)
-    scale = tau.hat_abs_of(fx, x, t)
-    if scale < SIMPLE_ZERO_GUARD:
-        raise DegenerateZero(f"|tau_x| ~ {scale:.2e} at tracked zero")
-    etadot = -(ft / fx).to_complex()
-    acc = 0j
-    for xk, (fk, _, ftk) in zip(circle, ring):
-        acc += -(ftk / fk).to_complex() - etadot / (xk - x)
-    return etadot, acc / 5.0
+    f, fx, ft, _ = tau.jets(np.concatenate([[x, x + 1.0, x - 1.0], circle]), t)
+    if abs(fx[0]) < SIMPLE_ZERO_GUARD:
+        raise DegenerateZero(f"|tau_x| ~ {abs(fx[0]):.2e} at tracked zero")
+    for off, h in zip((1.0, -1.0), np.abs(f[1:3])):
+        if h < FACTOR_GUARD:
+            raise GuardFailed(f"tau(eta{off:+g}, t) vanishes at t={t:.4g}")
+    etadot = complex(-ft[0] / fx[0])
+    v0 = complex(sum(-ft[3:] / f[3:] - etadot / (circle - x))) / 5.0
+    return float(abs(f[0])), etadot, v0
 
 
 def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
@@ -257,12 +243,7 @@ def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
                 raise LostZero(f"zero jumped by {abs(x - eta[k-1]):.3g} "
                                f"(limit {limit:.3g}) at t={t:.4g}")
         eta[k] = x
-        hats = tau.hat_abs_many([x, x + 1.0, x - 1.0], t)
-        tau_abs[k] = hats[0]
-        etadot[k], v0[k] = _laurent_data(tau, x, t)
-        for off, h in zip((1.0, -1.0), hats[1:]):
-            if h < FACTOR_GUARD:
-                raise GuardFailed(f"tau(eta{off:+g}, t) vanishes at t={t:.4g}")
+        tau_abs[k], etadot[k], v0[k] = _laurent_data(tau, x, t)
     return ZeroPath(grid, eta, etadot, v0, tau_abs)
 
 
@@ -287,16 +268,18 @@ def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix,
     if len(t) < 5:
         raise ValidationError("need at least 5 grid points")
     h = t[1] - t[0]
+    if h == 0:
+        raise ValidationError("cm5 residual needs a nonzero grid step")
     if np.max(np.abs(np.diff(t) - h)) > 1e-12 * max(abs(h), 1.0):
         raise ValidationError("cm5 residual needs a uniform grid")
-    # tau and v at eta(t_k) +- 1 for every inner k, each in one lattice pass
+    # tau and v = -tau_t / tau at eta(t_k) +- 1 for every inner k, in one pass
     shifts = [(k, off) for k in range(2, len(t) - 2) for off in (1.0, -1.0)]
-    xs = np.array([eta[k] + off for k, off in shifts])
-    ts = np.array([t[k] for k, _ in shifts])
-    for (k, off), h_abs in zip(shifts, tau.hat_abs_many(xs, ts)):
+    f, _, ft, _ = tau.jets(np.array([eta[k] + off for k, off in shifts]),
+                           np.array([t[k] for k, _ in shifts]))
+    for (k, off), h_abs in zip(shifts, np.abs(f)):
         if h_abs < FACTOR_GUARD:
             raise GuardFailed(f"tau(eta{off:+g}) vanished at t={t[k]:.4g}")
-    v_shift = tau.v_many(xs, ts).reshape(-1, 2)
+    v_shift = (-ft / f).reshape(-1, 2)
     worst = 0.0
     for k, (vp, vm) in zip(range(2, len(t) - 2), v_shift):
         ddot = (-eta[k - 2] + 16 * eta[k - 1] - 30 * eta[k]
@@ -464,7 +447,10 @@ def rs_integrate(state: RSState, t_end: float, h: float,
         raise ValidationError("h, t_end and t_end - t_start must be finite")
     if h <= 0 or t_end <= t_start:
         raise ValidationError("need h > 0 and t_end > t_start")
-    steps = int(round((t_end - t_start) / h))
+    steps = round((t_end - t_start) / h)
+    if not 1 <= steps <= MAX_RS_STEPS:
+        raise ValidationError(f"(t_end - t_start) / h gives {steps:.3g} steps, "
+                              f"outside 1..{MAX_RS_STEPS}")
     kernel = state.kernel
     x = state.x.copy()
     v = state.xdot.copy()
@@ -539,7 +525,7 @@ class DiscreteTau(_ThetaSection):
         self.dirs = (self.W,)
 
     def arg(self, x, nu):
-        return np.multiply.outer(x, self.W) + np.multiply.outer(nu + 1.0, self.S) + self.Z
+        return _times(x, self.W) + _times(nu + 1.0, self.S) + self.Z
 
 
 def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:
@@ -563,11 +549,10 @@ def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,
     factors = [(eta + 1.0, nu + 1.0), (eta - 2.0, nu), (eta + 1.0, nu - 1.0),
                (eta - 1.0, nu + 1.0), (eta + 2.0, nu), (eta - 1.0, nu - 1.0)]
     xs, ns = (np.array(c) for c in zip(*factors))
-    vals = [f for f, _, _ in tau.jets(xs, ns)]
-    for (x, n), val in zip(factors, vals):
-        if tau.hat_abs_of(val, x, n) < 1e-10:
+    f, _, _, g = tau.jets(xs, ns)
+    for (x, n), h in zip(factors, np.abs(f)):
+        if h < 1e-10:
             raise GuardFailed(f"factor tau({x:.3g}, {n:g}) too close to zero")
-    num = vals[0] * vals[1] * vals[2]
-    den = vals[3] * vals[4] * vals[5]
-    ratio = (num / den).to_complex()
-    return abs(ratio + 1.0)
+    ratio = (f[0] * f[1] * f[2] / (f[3] * f[4] * f[5])
+             * np.exp(g[0] + g[1] + g[2] - g[3] - g[4] - g[5]))
+    return float(abs(ratio + 1.0))

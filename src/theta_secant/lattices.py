@@ -20,14 +20,13 @@ least-squares estimate of (e^p, e^E) (resp. (e^p, E)) used for the
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivisorHit, ValidationError
 from .scaled import exp_scaled, rel_residual
-from .theta import DEFAULT_TOL, PeriodMatrix, normalized_log_abs, theta_jets
+from .theta import DEFAULT_TOL, PeriodMatrix, normalized_log_abs_many, theta_jets
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -127,16 +126,13 @@ def _guarded_jets(A, B: PeriodMatrix, dirs, tol: float, points):
     """
     Z = [z for w, _ in points for z in (w, A + w)]
     J = theta_jets(Z, B, dirs=dirs, tol=tol)
+    hat = np.exp(normalized_log_abs_many(J, B, Z))
     for p, (_, context) in enumerate(points):
-        pair = []
         for q, where in ((2 * p, context), (2 * p + 1, "A+, " + context)):
-            jet = J.jet(q)
-            la = normalized_log_abs(jet["f"], B, Z[q])
-            if math.exp(la) < DIVISOR_GUARD:
+            if hat[q] < DIVISOR_GUARD:
                 raise DivisorHit(f"theta value at {where} is on the divisor "
-                                 f"(normalized modulus {math.exp(la):.2e})")
-            pair.append(jet)
-        yield pair
+                                 f"(normalized modulus {hat[q]:.2e})")
+        yield [J.jet(2 * p), J.jet(2 * p + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +310,7 @@ def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
         Z = np.array(rng.complex_vector(B.g, scale=0.5))
         W = [cm * U + cn * V + Z + (A if with_a else 0.0) for (cm, cn, with_a) in spans]
         J = theta_jets(W, B, tol=tol)
-        low = min(math.exp(normalized_log_abs(J.jet(k)["f"], B, w)) for k, w in enumerate(W))
+        low = float(np.exp(normalized_log_abs_many(J, B, W)).min())
         if low > best_val:
             best, best_val = Z, low
         if best_val >= margin:

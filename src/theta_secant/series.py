@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
-from .scaled import rel_residual
 from .theta import DEFAULT_TOL, PeriodMatrix, theta_jets
 from .dynamics import DiscreteTau, find_tau_zero
 
@@ -87,15 +86,13 @@ class SeriesTable:
 # ----------------------------------------------------------------------
 
 def tau_u_fn(tau):
-    """Potential u(x, nu) of the discrete linear problem from a tau section."""
+    """Potential u(x, nu) of the discrete linear problem from a tau section,
+    one four-point lattice pass per u."""
 
-    # one pass per point: a section forms the arguments of a multi-point
-    # call with numpy products that at g = 1 round differently (fused
-    # multiply-adds), so one four-point pass would move u in its last bits
     def u(x: complex, nu: float) -> complex:
-        num = tau.jet(x, nu + 1.0)[0] * tau.jet(x, nu - 1.0)[0]
-        den = tau.jet(x - 1.0, nu)[0] * tau.jet(x + 1.0, nu)[0]
-        return (num / den).to_complex()
+        f, _, _, g = tau.jets(np.array([x, x, x - 1.0, x + 1.0]),
+                              np.array([nu + 1.0, nu - 1.0, nu, nu]))
+        return complex(f[0] * f[1] / (f[2] * f[3]) * np.exp(g[0] + g[1] - g[2] - g[3]))
 
     return u
 
@@ -170,13 +167,11 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     # the Laurent coefficient of tau at eta (the directional derivative along
     # the x-translation direction) and the six factors, in one lattice pass
     shifts = ((0, 0), (1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0))
-    (_, v0, _), *jets = tau.jets(np.array([eta + dx for dx, _ in shifts]),
-                                 np.array([nu + dn for _, dn in shifts]))
-    vals = {}
-    for (dx, dn), (val, _, _) in zip(shifts[1:], jets):
-        if tau.hat_abs_of(val, eta + dx, nu + dn) < 1e-10:
+    f, fx, _, g = tau.jets(np.array([eta + dx for dx, _ in shifts]),
+                           np.array([nu + dn for _, dn in shifts]))
+    for (dx, dn), h in zip(shifts[1:], np.abs(f[1:])):
+        if h < 1e-10:
             raise GuardFailed(f"tau(eta{dx:+d}, nu{dn:+d}) too close to zero")
-        vals[(dx, dn)] = val
 
     table = SeriesTable()
     u_fn = tau_u_fn(tau)
@@ -190,9 +185,14 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     xi_m = table.xi_at_x(s, nu - 1.0, eta - 1.0)
     fd4d_gap = abs(xi_p - xi_m)
 
-    r_plus = (vals[(1, 1)] * vals[(1, -1)] / (v0 * vals[(2, 0)])) * xi_p
-    r_minus_expr = (vals[(-1, 1)] * vals[(-1, -1)] / (v0 * vals[(-2, 0)])) * xi_m
-    return rel_residual(r_plus + r_minus_expr, r_plus, r_minus_expr), eta, fd4d_gap
+    # each residue is a product of mantissas times exp of its Gaussian
+    # exponents, taken at the larger of the two scales (exp(g) of tau_x(eta)
+    # divides both)
+    e = np.array([g[1] + g[2] - g[3], g[4] + g[5] - g[6]])
+    r_plus, r_minus = np.exp(e - e.max()) * np.array([
+        f[1] * f[2] / (fx[0] * f[3]) * xi_p, f[4] * f[5] / (fx[0] * f[6]) * xi_m])
+    mismatch = abs(r_plus + r_minus) / (abs(r_plus) + abs(r_minus) + 1e-300)
+    return float(mismatch), eta, fd4d_gap
 
 
 # ----------------------------------------------------------------------

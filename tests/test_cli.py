@@ -274,8 +274,25 @@ def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
     ["rs", "simulate", "--n", "3", "--t-end", "nan", "--h", "1e-3"],
     ["rs", "simulate", "--n", "3", "--t-end", "1", "--h", "nan"],
     ["rs", "simulate", "--n", "3", "--t-end", "inf", "--h", "1e-3"],
+    ["rs", "simulate", "--n", "3", "--t-end", "1e-4", "--h", "1e-3"],
+    ["rs", "simulate", "--n", "3", "--t-end", "1", "--h", "1e-300"],
+    ["bdhe", "--corpus", "{tmp}/missing.json"],
+    ["bdhe", "--corpus", "{tmp}"],
+    ["bdhe", "--corpus", "{tmp}/latin1.json"],
+    ["bdhe", "--curve", "{tmp}/missing.json#x"],
+    ["toda", "--csv-dir", "{tmp}/missing"],
+    ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3",
+     "--out", "{tmp}/missing/report.json"],
+    ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3",
+     "--csv", "{tmp}/missing/trajectory.csv"],
 ])
-def test_non_finite_rs_steps_are_validation_errors(capsys, argv):
-    rc = main(argv)
+def test_non_finite_rs_steps_are_validation_errors(capsys, tmp_path, argv):
+    """An RS run with a non-finite, empty or unbounded step count, a corpus
+    that cannot be read, and an output file in a missing directory each
+    exit 2 with a JSON error, not a traceback, a vacuous pass or a hang."""
+    (tmp_path / "latin1.json").write_bytes('[{"id": "\xe9"}]'.encode("latin-1"))
+    rc = main([a.format(tmp=tmp_path) for a in argv])
     out = json.loads(capsys.readouterr().out)
-    assert rc == 2 and out["error"] == "ValidationError"
+    writes = {"--out", "--csv", "--csv-dir"} & set(argv)
+    assert rc == 2
+    assert out["error"] == ("FileNotFoundError" if writes else "ValidationError")

@@ -24,7 +24,7 @@ from theta_secant.dynamics import (
 )
 from theta_secant.errors import Collision, GuardFailed, LostZero, ValidationError
 from theta_secant.rng import Xoshiro256
-from theta_secant.theta import PeriodMatrix, theta_jets
+from theta_secant.theta import PeriodMatrix, gauss_exponent, theta_jet, theta_jets
 
 B_I = PeriodMatrix([[1j]])
 U1 = np.array([0.85 + 0.00j])
@@ -64,6 +64,14 @@ class TestTracking:
             track_tau_zero(np.array([1.0 + 0j]), V1, Z1, B_I,
                            np.linspace(0, 0.1, 5))
 
+    def test_laurent_data_is_one_pass(self, tracked, lattice_passes):
+        # x, the guards x +- 1 and the 5-point circle: one 8-point pass
+        tau_abs, etadot, v0 = dynamics._laurent_data(
+            ThetaTau(U1, V1, Z1, B_I), tracked.eta[3], GRID[3])
+        assert lattice_passes == [(8, False)]
+        assert (tau_abs, etadot, v0) == (tracked.tau_abs[3], tracked.etadot[3],
+                                         tracked.v0[3])
+
     def test_csv(self, tracked, tmp_path):
         path = tmp_path / "zp.csv"
         tracked.to_csv(path)
@@ -85,6 +93,17 @@ class TestCm5:
         pert = PerturbedTau(base, 0.05, x_ref=tracked.eta[0] + 0.5)
         path = track_zero(pert, GRID, x0=tracked.eta[0])
         assert cm5_residual(path, U1, V1, Z1, B_I, tau=pert) >= 1e-2
+
+    def test_zero_step_grid_rejected(self):
+        # a constant grid tracks fine, but its central differences are 0/0
+        path = track_tau_zero(U1, V1, Z1, B_I, [0.1] * 5)
+        with pytest.raises(ValidationError, match="nonzero grid step"):
+            cm5_residual(path, U1, V1, Z1, B_I)
+
+    def test_one_pass(self, tracked, lattice_passes):
+        # the guards at eta +- 1 and v there share one pass over the inner points
+        cm5_residual(tracked, U1, V1, Z1, B_I)
+        assert lattice_passes == [(2 * (len(GRID) - 4), False)]
 
     def test_nonuniform_grid_rejected(self, tracked):
         bad = tracked
@@ -268,3 +287,62 @@ class TestF2d:
         eta0 = find_tau_zero(tau, 0.0)
         pert = PerturbedTau(tau, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
         assert f2d_residual(Uc, Vc, Zc, B_I, 0.0, tau=pert) >= 1e-2
+
+
+B2 = PeriodMatrix([[1.1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.9j]])
+
+
+def _section(name):
+    theta = ThetaTau(U1, V1, Z1, B_I)
+    discrete = DiscreteTau(np.array([0.35 + 0.05j]), np.array([0.21 - 0.13j]),
+                           np.array([0.12 + 0.33j]), B_I)
+    return {
+        "theta": theta,
+        "theta-genus2": ThetaTau([0.3 + 0.1j, -0.2 + 0.05j], [0.1 - 0.2j, 0.25j],
+                                 [0.1 + 0.2j, -0.3 + 0.1j], B2),
+        "discrete": discrete,
+        "perturbed-const": PerturbedTau(theta, 0.05, x_ref=0.3 + 0.1j),
+        "perturbed-oscillatory": PerturbedTau(discrete, 0.05, x_ref=0.3 + 0.1j,
+                                              mode="oscillatory"),
+    }[name]
+
+
+class TestSections:
+    @pytest.mark.parametrize("name", ["theta", "theta-genus2", "discrete",
+                                      "perturbed-const", "perturbed-oscillatory"])
+    def test_rows_are_bitwise_one_point_values(self, name):
+        tau = _section(name)
+        rng = Xoshiro256(11)
+        for P in range(2, 9):
+            xs = np.array([rng.complex_normal() for _ in range(P)])
+            ts = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(P)])
+            many = tau.jets(xs, ts)
+            for p in range(P):
+                for a, b in zip(many, tau.jets(xs[p:p + 1], ts[p])):
+                    assert (a is None and b is None
+                            or a[p:p + 1].tobytes() == b.tobytes())
+
+    @pytest.mark.parametrize("mode", ["const", "oscillatory"])
+    def test_perturbed_jets_add_the_term_to_the_base_pass(self, mode):
+        base = ThetaTau(U1, V1, Z1, B_I)
+        x_ref = 0.3 + 0.1j
+        pert = PerturbedTau(base, 0.05, x_ref=x_ref, mode=mode)
+        rng = Xoshiro256(12)
+        xs = np.array([rng.complex_normal() for _ in range(6)])
+        ts = np.array([rng.uniform_in(-1.0, 1.0) for _ in range(6)])
+        f, fx, ft, g = pert.jets(xs, ts)
+        assert np.array_equal(g, base.jets(xs, ts)[3])
+        for p, (x, t) in enumerate(zip(xs, ts)):
+            # eps exp(g(x_ref)) (times e^{i pi x}) on theta's own scale
+            z = x * U1 + t * V1 + Z1
+            jet = theta_jet(z, B_I, dirs=(U1, V1))
+            term = 0.05 * np.exp(gauss_exponent(B_I, x_ref * U1 + Z1))
+            dterm = 0.0
+            if mode == "oscillatory":
+                term *= np.exp(1j * np.pi * x)
+                dterm = 1j * np.pi * term
+            unit = np.exp(g[p])
+            for got, want in ((f[p], jet["f"].to_complex() + term),
+                              (fx[p], jet["d0"].to_complex() + dterm),
+                              (ft[p], jet["d1"].to_complex())):
+                assert abs(got * unit - want) <= 1e-14 * (abs(want) + abs(term))

@@ -49,6 +49,11 @@ class TestDiscreteOrbit:
         with pytest.raises(WindowExhausted):
             table.xi_at_x(1, 0.0, 1.37)
 
+    def test_u_is_one_four_point_pass(self, lattice_passes):
+        u = tau_u_fn(DiscreteTau(U1, V1, Z1, B_I))(0.25 + 0.1j, 0.5)
+        assert lattice_passes == [(4, False)]
+        assert np.isfinite(u)
+
     def test_orbit_cap(self):
         table = SeriesTable()
         with pytest.raises(WindowExhausted):
