@@ -147,9 +147,7 @@ def run_theta_selftest(config: ScenarioConfig) -> Report:
     for k in range(n_fd):
         B = mats[k % len(mats)]
         z = random_z(rng, B.g, scale=0.5)
-        from .theta import lattice_reduce
-        zr = lattice_reduce(z, B)
-        r = truncation_radius(B, zr, 1e-13)
+        r = truncation_radius(B, z, 1e-13)
         worst_rad = max(worst_rad, rel_diff(theta(ThetaRequest(z, B), radius=r),
                                             theta(ThetaRequest(z, B), radius=r + 4)))
     checks = [
@@ -684,8 +682,8 @@ def main(argv=None) -> int:
                          sort_keys=True))
         return 2
     except (NumericalError, ArithmeticError) as exc:
-        # ArithmeticError: a value no float holds (ScaledComplex.to_complex
-        # raises OverflowError) is a numerical failure too, not a crash
+        # ArithmeticError: a value no float holds (an OverflowError from
+        # math.exp or a float conversion) is a numerical failure too, not a crash
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         return 3

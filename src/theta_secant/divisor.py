@@ -10,6 +10,7 @@ modulus |theta| * exp(-pi * Im z . (Im B)^-1 . Im z).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,13 +18,14 @@ import numpy as np
 
 from .errors import RootSearchFailed, ValidationError
 from .rng import Xoshiro256
-from .scaled import rel_diff
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
-    normalized_log_abs,
+    ThetaRequest,
+    gauss_exponent,
     normalized_log_abs_many,
-    theta_jet,
+    theta,
+    theta_hat_abs,
     theta_jets,
     truncation_radius,
 )
@@ -46,14 +48,11 @@ class DivisorSample:
 # ----------------------------------------------------------------------
 
 class _Line:
-    """Evaluation helpers along Z(s) = Z0 + s D."""
+    """The line Z(s) = Z0 + s D, with the phases of theta on it cached per s."""
 
     def __init__(self, Z0, D, B, tol):
         self.Z0, self.D, self.B, self.tol = Z0, D, B, tol
         self._phase_cache: dict = {}
-
-    def jet(self, s: complex):
-        return theta_jet(self.Z0 + s * self.D, self.B, dirs=(self.D,), tol=self.tol)
 
     def seed_phases(self, ss) -> None:
         """Phases of theta at every s in ss, from one lattice pass, into the cache."""
@@ -64,10 +63,6 @@ class _Line:
         if s not in self._phase_cache:
             self.seed_phases([s])
         return self._phase_cache[s]
-
-    def hat_abs(self, s: complex) -> float:
-        j = theta_jet(self.Z0 + s * self.D, self.B, tol=self.tol)
-        return math.exp(normalized_log_abs(j["f"], self.B, self.Z0 + s * self.D))
 
 
 def _wrap(d: float) -> float:
@@ -89,17 +84,15 @@ def _edge_increment(line: _Line, s0: complex, s1: complex, depth: int = 0) -> fl
 
 def _newton(line: _Line, s: complex, max_iter: int = 60):
     for _ in range(max_iter):
-        j = line.jet(s)
-        f, df = j["f"], j["d0"]
-        if df.is_zero():
-            return None
-        la = normalized_log_abs(f, line.B, line.Z0 + s * line.D)
+        Z = [line.Z0 + s * line.D]
+        J = theta_jets(Z, line.B, dirs=(line.D,), tol=line.tol)
+        la = normalized_log_abs_many(J, line.B, Z)[0]
         if la != -math.inf and math.exp(la) <= NEWTON_TARGET:
             return s
-        step = f / df
-        try:
-            ds = step.to_complex()
-        except OverflowError:
+        # theta and its derivative share the pass's logscale
+        with np.errstate(all="ignore"):
+            ds = complex(J.sums["f"][0] / J.sums["d0"][0])
+        if ds == 0 or not cmath.isfinite(ds):
             return None
         if abs(ds) > 0.7:
             ds *= 0.7 / abs(ds)
@@ -158,7 +151,6 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int,
         Z0 = np.array(rng.complex_vector(B.g, scale=0.45))
         D = np.array(rng.complex_vector(B.g))
         D = D / np.linalg.norm(D)
-        line = _Line(Z0, D, B, tol)
         for s in line_roots(Z0, D, B, tol=tol):
             Z = Z0 + s * D
             # distinct as points of C^g; at g=1 all divisor points coincide
@@ -166,7 +158,7 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int,
             if any(float(np.linalg.norm(Z - s2.Z)) <= DEDUPE_DISTANCE
                    for s2 in samples):
                 continue
-            samples.append(DivisorSample(Z, line.hat_abs(s), trial))
+            samples.append(DivisorSample(Z, theta_hat_abs(Z, B, tol), trial))
             if len(samples) >= count:
                 return samples
     raise RootSearchFailed(
@@ -176,11 +168,9 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int,
 def verify_sample(sample: DivisorSample, B: PeriodMatrix,
                   tol: float = DEFAULT_TOL, radius_boost: int = 2) -> float:
     """Re-evaluate |theta| at the sample with a boosted truncation radius."""
-    from .theta import ThetaRequest, theta, lattice_reduce
-    zr = lattice_reduce(sample.Z, B)
-    r = truncation_radius(B, zr, tol)
+    r = truncation_radius(B, sample.Z, tol)
     val = theta(ThetaRequest(sample.Z, B, None, (), tol), radius=radius_boost * r)
-    return math.exp(normalized_log_abs(val, B, sample.Z))
+    return abs(val.mantissa) * math.exp(val.logscale - gauss_exponent(B, sample.Z))
 
 
 # ----------------------------------------------------------------------
@@ -200,13 +190,15 @@ def residual_cm7(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius
-    J = theta_jets([Z + U, Z - U], B, dirs=(V,), tol=tol)
-    jp, jm = J.jet(0), J.jet(1)
-    jz = theta_jet(Z, B, dirs=(V, V), tol=tol)
-    lhs = (jp["d0"] * jm["f"] + jp["f"] * jm["d0"]) * jz["d0"]
-    rhs = jp["f"] * jm["f"] * jz["d01"]
-    return rel_diff(lhs, rhs)
+    # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius.
+    # Both sides are products of the same three rows, so they share one
+    # logscale and are compared as mantissas.
+    pm = theta_jets([Z + U, Z - U], B, dirs=(V,), tol=tol).sums
+    jz = theta_jets([Z], B, dirs=(V, V), tol=tol).sums
+    f, d = pm["f"], pm["d0"]
+    lhs = (d[0] * f[1] + f[0] * d[1]) * jz["d0"][0]
+    rhs = f[0] * f[1] * jz["d01"][0]
+    return float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
 
 
 def residual_cm7d(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
@@ -219,8 +211,10 @@ def residual_cm7d(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     J = theta_jets([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V], B, tol=tol)
-    f = [J.jet(p)["f"] for p in range(6)]
-    return rel_diff(f[0] * f[1] * f[2], -(f[3] * f[4] * f[5]))
+    # the two triple products, compared at the larger of their logscales
+    scale = J.logscale.reshape(2, 3).sum(axis=1)
+    a, b = J.sums["f"].reshape(2, 3).prod(axis=1) * np.exp(scale - scale.max())
+    return float(abs(a + b) / (abs(a) + abs(b) + 1e-300))
 
 
 def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,

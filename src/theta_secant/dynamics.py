@@ -221,6 +221,8 @@ def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ValidationError("grid needs at least two points")
+    if not np.isfinite(grid).all() or not np.diff(grid).all():
+        raise ValidationError("grid needs finite values and nonzero steps")
     eta = np.zeros(len(grid), complex)
     etadot = np.zeros(len(grid), complex)
     v0 = np.zeros(len(grid), complex)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivisorHit, ValidationError
-from .scaled import exp_scaled, rel_residual
+from .errors import DivisorHit, NumericalError, ValidationError
+from .rng import Xoshiro256
 from .theta import DEFAULT_TOL, PeriodMatrix, normalized_log_abs_many, theta_jets
 
 DIVISOR_GUARD = 1e-12
@@ -79,60 +79,96 @@ class LatticeWindow:
 
 @dataclass
 class FieldTable:
-    """Tabulated fields: u (and v for Toda), psi, and enough analytic
-    side data (theta ratios, log-derivative gaps) to re-fit constants."""
+    """Tabulated fields on a window's grid: u (and v for Toda), psi, and
+    enough analytic side data (theta ratios, log-derivative gaps) to re-fit
+    constants.
+
+    Arrays are indexed [t sample, x - x0] (Toda) or [m - m0, n - n0]
+    (BDHE).  u and v cover the window; psi, ratio and dlog reach one step
+    past it in x (in m and n), where the shifts of the linear problems
+    land.  psi and ratio are mantissas relative to exp(psi_logscale) and
+    exp(ratio_logscale); u, v and dlog are plain values.  A non-finite
+    entry raises NumericalError.
+    """
 
     kind: str
     window: LatticeWindow
-    u: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    psi: dict = field(default_factory=dict)
-    psi_t: dict = field(default_factory=dict)
-    ratio: dict = field(default_factory=dict)        # theta(A+w)/theta(w)
-    dlog: dict = field(default_factory=dict)         # d_V log ratio (Toda)
+    u: np.ndarray
+    psi: np.ndarray
+    psi_logscale: np.ndarray
+    v: np.ndarray | None = None
+    ratio: np.ndarray | None = None              # theta(A+w)/theta(w)
+    ratio_logscale: np.ndarray | None = None
+    dlog: np.ndarray | None = None               # d_V log ratio (Toda)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("u", "v", "psi", "psi_logscale", "ratio", "ratio_logscale", "dlog"):
+            values = getattr(self, name)
+            if values is not None and not np.isfinite(values).all():
+                raise NumericalError(f"non-finite {name} in the {self.kind} table")
 
     def to_csv(self, path):
         """Columns: indices, Re/Im u, Re/Im v, psi mantissa Re/Im, psi logscale."""
+        win = self.window
+        if self.kind == "bdhe":
+            head = ["m", "n"]
+            idx = np.meshgrid(win.m_values(), win.n_values(), indexing="ij")
+            u, v = self.u, np.zeros_like(self.u)
+            psi, scale = self.psi[:-1, :-1], self.psi_logscale[:-1, :-1]
+        else:
+            # rows by x, then t
+            head = ["x", "t"]
+            idx = np.meshgrid(win.x_values(), win.t_samples, indexing="ij")
+            u, v = self.u.T, self.v.T
+            psi, scale = self.psi[:, :-1].T, self.psi_logscale[:, :-1].T
+        cols = (*idx, u.real, u.imag, v.real, v.imag, psi.real, psi.imag, scale)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if self.kind == "bdhe":
-                w.writerow(["m", "n", "re_u", "im_u", "re_v", "im_v",
-                            "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"])
-                for key in sorted(self.u):
-                    uval = self.u[key].to_complex()
-                    psi = self.psi[key]
-                    w.writerow([key[0], key[1], uval.real, uval.imag, 0.0, 0.0,
-                                psi.mantissa.real, psi.mantissa.imag, psi.logscale])
-            else:
-                w.writerow(["x", "t", "re_u", "im_u", "re_v", "im_v",
-                            "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"])
-                ts = self.window.t_samples
-                for key in sorted(self.u):
-                    uval = self.u[key].to_complex()
-                    vval = self.v[key].to_complex()
-                    psi = self.psi[key]
-                    w.writerow([key[0], ts[key[1]], uval.real, uval.imag,
-                                vval.real, vval.imag,
-                                psi.mantissa.real, psi.mantissa.imag, psi.logscale])
+            w.writerow(head + ["re_u", "im_u", "re_v", "im_v",
+                               "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"])
+            w.writerows(zip(*(c.ravel().tolist() for c in cols)))
 
 
-def _guarded_jets(A, B: PeriodMatrix, dirs, tol: float, points):
-    """(jet at w, jet at A + w) for each (w, context) of points, from one pass.
+def _guarded_jets(W, A, B: PeriodMatrix, dirs, tol: float, where) -> list:
+    """Jets at the points W, shape grid + (g,), and at A + W, from one pass.
 
-    The pairs come in order, each value checked against the divisor as it
-    is taken (w, then A + w), so the first point on it raises DivisorHit
-    as a point-by-point loop would.
+    Returns (sums, logscale) for W and then for A + W, as in ThetaJets but
+    with arrays of the grid's shape.  The points are checked against the
+    divisor in the order of W, each w before A + w, so the first point on
+    it raises DivisorHit; where(i) names the i-th point of W.
     """
-    Z = [z for w, _ in points for z in (w, A + w)]
+    Z = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
     J = theta_jets(Z, B, dirs=dirs, tol=tol)
     hat = np.exp(normalized_log_abs_many(J, B, Z))
-    for p, (_, context) in enumerate(points):
-        for q, where in ((2 * p, context), (2 * p + 1, "A+, " + context)):
-            if hat[q] < DIVISOR_GUARD:
-                raise DivisorHit(f"theta value at {where} is on the divisor "
-                                 f"(normalized modulus {hat[q]:.2e})")
-        yield [J.jet(2 * p), J.jet(2 * p + 1)]
+    low = np.flatnonzero(hat < DIVISOR_GUARD)
+    if len(low):
+        q = low[0]
+        raise DivisorHit(f"theta value at {'A+, ' * (q % 2)}{where(q // 2)} is on "
+                         f"the divisor (normalized modulus {hat[q]:.2e})")
+    shape = W.shape[:-1] + (2,)
+    return [({key: s.reshape(shape)[..., side] for key, s in J.sums.items()},
+             J.logscale.reshape(shape)[..., side]) for side in (0, 1)]
+
+
+def _rescale(mantissa, logscale, ref):
+    """Values mantissa * exp(logscale) as mantissas relative to exp(ref)."""
+    return mantissa * np.exp(logscale - ref)
+
+
+def _max_relative(res, a, b) -> float:
+    """max of |res| / (|a| + |b|): the relative residual of an identity
+    between the terms a and b, all three on one scale per point."""
+    return float(np.max(np.abs(res) / (np.abs(a) + np.abs(b) + 1e-300)))
+
+
+def _fit_rows(a, b, rhs):
+    """Least-squares (w0, w1) of the rows a w0 - b w1 = rhs, each row
+    divided by |a| + |b| + |rhs|."""
+    scale = np.abs(a) + np.abs(b) + np.abs(rhs) + 1e-300
+    M = np.stack([a / scale, -b / scale], axis=-1).reshape(-1, 2)
+    w, *_ = np.linalg.lstsq(M, (rhs / scale).ravel(), rcond=None)
+    return complex(w[0]), complex(w[1])
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +177,7 @@ def _guarded_jets(A, B: PeriodMatrix, dirs, tol: float, points):
 
 def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
                 tol: float = DEFAULT_TOL) -> FieldTable:
-    """Build v, u, psi and the analytic d/dt psi on the window.
+    """Build v, u, psi and the log-derivative gap dlog of d/dt psi on the window.
 
     v(x,t) = -d_V log theta(xU+tV+Z); u = v(x+1,t) - v(x,t);
     psi per the two-theta ratio times exp(xp + tE);
@@ -149,47 +185,39 @@ def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
     """
     if win.x_range is None:
         raise ValidationError("toda_fields needs a semi-discrete window")
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
-    A = np.atleast_1d(np.asarray(A, complex))
+    U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
     p, E = complex(p), complex(E)
-    tab = FieldTable("toda", win,
-                     meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
-    x0, x1 = win.x_range
-    ts = win.t_samples
-    grid = [(x, it) for it in range(len(ts)) for x in range(x0, x1 + 2)]
-    jets = _guarded_jets(A, B, (V,), tol, [(x * U + ts[it] * V + win.Z, f"x={x}, t={ts[it]}")
-                                           for x, it in grid])
-    vloc = {}
-    for (x, it), (jw, ja) in zip(grid, jets):
-        lv = jw["d0"] / jw["f"]          # d_V log theta(w)
-        la = ja["d0"] / ja["f"]
-        vloc[(x, it)] = -lv
-        ratio = ja["f"] / jw["f"]
-        psi = ratio * exp_scaled(x * p + ts[it] * E)
-        dl = la - lv
-        tab.ratio[(x, it)] = ratio
-        tab.dlog[(x, it)] = dl
-        tab.psi[(x, it)] = psi
-        tab.psi_t[(x, it)] = psi * (dl.to_complex() + E)
-    tab.v = {key: v for key, v in vloc.items() if key[0] <= x1}
-    tab.u = {(x, it): vloc[(x + 1, it)] - v for (x, it), v in tab.v.items()}
-    return tab
+    xs = np.arange(win.x_range[0], win.x_range[1] + 2)
+    ts = np.asarray(win.t_samples)
+    W = xs[:, None] * U + ts[:, None, None] * V + win.Z
+    (w, w_scale), (a, a_scale) = _guarded_jets(
+        W, A, B, (V,), tol,
+        lambda i: f"x={xs[i % len(xs)]}, t={win.t_samples[i // len(xs)]}")
+    lw = w["d0"] / w["f"]            # d_V log theta(w); the logscales cancel
+    ratio, ratio_scale = a["f"] / w["f"], a_scale - w_scale
+    arg = xs * p + ts[:, None] * E
+    return FieldTable("toda", win, u=lw[:, :-1] - lw[:, 1:], v=-lw[:, :-1],
+                      psi=ratio * np.exp(1j * arg.imag),
+                      psi_logscale=ratio_scale + arg.real,
+                      ratio=ratio, ratio_logscale=ratio_scale,
+                      dlog=a["d0"] / a["f"] - lw,
+                      meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
 
 
 def toda_psi_residual(table: FieldTable) -> float:
-    """max relative residual of (d/dt - T + u) psi over the window."""
+    """max relative residual of (d/dt - T + u) psi over the window.
+
+    d/dt psi = psi * (dlog + E); each point is taken at the larger
+    logscale of psi(x, t) and psi(x + 1, t).
+    """
     if table.kind != "toda":
         raise ValidationError("expected a Toda table")
-    win = table.window
-    worst = 0.0
-    for it in range(len(win.t_samples)):
-        for x in win.x_values():
-            dpsi = table.psi_t[(x, it)]
-            shift = table.psi[(x + 1, it)]
-            res = dpsi - shift + table.u[(x, it)] * table.psi[(x, it)]
-            worst = max(worst, rel_residual(res, shift, dpsi))
-    return worst
+    psi, scale = table.psi, table.psi_logscale
+    ref = np.maximum(scale[:, :-1], scale[:, 1:])
+    here = _rescale(psi[:, :-1], scale[:, :-1], ref)
+    shift = _rescale(psi[:, 1:], scale[:, 1:], ref)
+    dpsi = here * (table.dlog[:, :-1] + table.meta["E"])
+    return _max_relative(dpsi - shift + table.u * here, shift, dpsi)
 
 
 def refit_constants_toda(table: FieldTable):
@@ -200,21 +228,9 @@ def refit_constants_toda(table: FieldTable):
     with R the theta ratio and Rdot = R * (d_V log theta gap), all linear
     in the unknowns.
     """
-    win = table.window
-    rows, rhs = [], []
-    for it in range(len(win.t_samples)):
-        for x in win.x_values():
-            ref = table.psi[(x, it)].logscale
-            R = table.ratio[(x, it)].rescaled(ref)
-            R1 = table.ratio[(x + 1, it)].rescaled(ref)
-            rdot = R * table.dlog[(x, it)].to_complex()
-            u = table.u[(x, it)].to_complex()
-            scale = abs(R1) + abs(R) + abs(rdot + u * R) + 1e-300
-            rows.append([R1 / scale, -R / scale])
-            rhs.append((rdot + u * R) / scale)
-    M, r = np.array(rows), np.array(rhs)
-    w, *_ = np.linalg.lstsq(M, r, rcond=None)
-    return complex(w[0]), complex(w[1])
+    R, scale = table.ratio[:, :-1], table.ratio_logscale
+    R1 = _rescale(table.ratio[:, 1:], scale[:, 1:], scale[:, :-1])
+    return _fit_rows(R1, R, R * table.dlog[:, :-1] + table.u * R)
 
 
 # ----------------------------------------------------------------------
@@ -226,42 +242,38 @@ def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
     """Four-theta u(m,n) and two-theta psi(m,n) on the window."""
     if win.m_range is None:
         raise ValidationError("bdhe_fields needs a discrete window")
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
-    A = np.atleast_1d(np.asarray(A, complex))
+    U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
     p, E = complex(p), complex(E)
-    tab = FieldTable("bdhe", win,
-                     meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
-    m0, m1 = win.m_range
-    n0, n1 = win.n_range
-    grid = [(m, n) for m in range(m0, m1 + 2) for n in range(n0, n1 + 2)]
-    jets = _guarded_jets(A, B, (), tol, [(m * U + n * V + win.Z, f"m={m}, n={n}")
-                                         for m, n in grid])
-    th = {}
-    for (m, n), (jw, ja) in zip(grid, jets):
-        th[(m, n)] = jw["f"]
-        tab.ratio[(m, n)] = ja["f"] / jw["f"]
-        tab.psi[(m, n)] = tab.ratio[(m, n)] * exp_scaled(m * p + n * E)
-    for m in range(m0, m1 + 1):
-        for n in range(n0, n1 + 1):
-            tab.u[(m, n)] = (th[(m + 1, n + 1)] * th[(m, n)]) / \
-                (th[(m, n + 1)] * th[(m + 1, n)])
-    return tab
+    ms = np.arange(win.m_range[0], win.m_range[1] + 2)
+    ns = np.arange(win.n_range[0], win.n_range[1] + 2)
+    W = ms[:, None, None] * U + ns[:, None] * V + win.Z
+    (w, w_scale), (a, a_scale) = _guarded_jets(
+        W, A, B, (), tol, lambda i: f"m={ms[i // len(ns)]}, n={ns[i % len(ns)]}")
+    th = w["f"]
+    ratio, ratio_scale = a["f"] / th, a_scale - w_scale
+    arg = ms[:, None] * p + ns * E
+    # u = theta(m+1,n+1) theta(m,n) / (theta(m,n+1) theta(m+1,n))
+    cross = (th[1:, 1:] * th[:-1, :-1]) / (th[:-1, 1:] * th[1:, :-1])
+    cross_scale = ((w_scale[1:, 1:] + w_scale[:-1, :-1])
+                   - (w_scale[:-1, 1:] + w_scale[1:, :-1]))
+    return FieldTable("bdhe", win, u=cross * np.exp(cross_scale),
+                      psi=ratio * np.exp(1j * arg.imag),
+                      psi_logscale=ratio_scale + arg.real,
+                      ratio=ratio, ratio_logscale=ratio_scale,
+                      meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
 
 
 def bdhe_psi_residual(table: FieldTable) -> float:
-    """max relative residual of psi(m,n+1) = psi(m+1,n) + u psi(m,n)."""
+    """max relative residual of psi(m,n+1) = psi(m+1,n) + u psi(m,n),
+    each point taken at the larger logscale of psi(m,n+1) and psi(m+1,n)."""
     if table.kind != "bdhe":
         raise ValidationError("expected a BDHE table")
-    win = table.window
-    worst = 0.0
-    for m in win.m_values():
-        for n in win.n_values():
-            up = table.psi[(m, n + 1)]
-            right = table.psi[(m + 1, n)]
-            res = up - right - table.u[(m, n)] * table.psi[(m, n)]
-            worst = max(worst, rel_residual(res, up, right))
-    return worst
+    psi, scale = table.psi, table.psi_logscale
+    ref = np.maximum(scale[:-1, 1:], scale[1:, :-1])
+    up = _rescale(psi[:-1, 1:], scale[:-1, 1:], ref)
+    right = _rescale(psi[1:, :-1], scale[1:, :-1], ref)
+    here = _rescale(psi[:-1, :-1], scale[:-1, :-1], ref)
+    return _max_relative(up - right - table.u * here, up, right)
 
 
 def refit_constants_bdhe(table: FieldTable):
@@ -270,21 +282,11 @@ def refit_constants_bdhe(table: FieldTable):
     Rows: R(m+1,n) e^p - R(m,n+1) e^E = -u(m,n) R(m,n), linear in the
     unknowns after dividing out exp(mp + nE).
     """
-    win = table.window
-    rows, rhs = [], []
-    for m in win.m_values():
-        for n in win.n_values():
-            ref = table.psi[(m, n)].logscale
-            R = table.ratio[(m, n)].rescaled(ref)
-            Rm = table.ratio[(m + 1, n)].rescaled(ref)
-            Rn = table.ratio[(m, n + 1)].rescaled(ref)
-            u = table.u[(m, n)].to_complex()
-            scale = abs(Rm) + abs(Rn) + abs(u * R) + 1e-300
-            rows.append([Rm / scale, -Rn / scale])
-            rhs.append(-u * R / scale)
-    M, r = np.array(rows), np.array(rhs)
-    w, *_ = np.linalg.lstsq(M, r, rcond=None)
-    return complex(w[0]), complex(w[1])
+    R, scale = table.ratio, table.ratio_logscale
+    ref = scale[:-1, :-1]
+    return _fit_rows(_rescale(R[1:, :-1], scale[1:, :-1], ref),
+                     _rescale(R[:-1, 1:], scale[:-1, 1:], ref),
+                     -table.u * R[:-1, :-1])
 
 
 # ----------------------------------------------------------------------
@@ -300,11 +302,8 @@ def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
     window will touch; every theta argument must have normalized modulus
     above margin.
     """
-    from .rng import Xoshiro256
     rng = Xoshiro256(seed)
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
-    A = np.atleast_1d(np.asarray(A, complex))
+    U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
     best, best_val = None, -1.0
     for _ in range(tries):
         Z = np.array(rng.complex_vector(B.g, scale=0.5))

@@ -5,6 +5,11 @@ easily exceed float range once arguments drift a few lattice cells out.
 A ScaledComplex keeps the represented value as ``mantissa * exp(logscale)``
 with ``|mantissa|`` renormalized into [1, e) (or exactly 0) after every
 operation, so products of many thetas never overflow.
+
+It is the return type of the public one-point views (theta.theta,
+theta.theta_jet, Level2Vector.component) and the arithmetic of
+theta-selftest.  The pipelines read the batched core's mantissa and
+logscale arrays (theta.ThetaJets) instead.
 """
 
 from __future__ import annotations
@@ -138,16 +143,3 @@ def rel_diff(a: ScaledComplex, b: ScaledComplex, floor: float = 1e-300) -> float
     ma, mb = a.rescaled(ref), b.rescaled(ref)
     return abs(ma - mb) / (abs(ma) + abs(mb) + floor)
 
-
-def rel_residual(res: ScaledComplex, a: ScaledComplex, b: ScaledComplex,
-                 floor: float = 1e-300) -> float:
-    """|res| / (|a| + |b| + floor), computed at the larger scale of a and b.
-
-    The relative residual of an identity between the terms a and b (0 when
-    both vanish); rel_diff is the case res = a - b, taken at that scale.
-    """
-    ref = max(a.logscale if not a.is_zero() else -math.inf,
-              b.logscale if not b.is_zero() else -math.inf)
-    if ref == -math.inf:
-        return 0.0
-    return abs(res.rescaled(ref)) / (abs(a.rescaled(ref)) + abs(b.rescaled(ref)) + floor)

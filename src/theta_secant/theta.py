@@ -20,7 +20,8 @@ Evaluation strategy:
            = exp( 2*pi*i*(a,eps) - pi*i*(B b, b) - 2*pi*i*(b, z'+delta) )
              * theta[eps,delta](z'),
 
-   accumulating the exponential prefactor in a ScaledComplex logscale;
+   with the prefactor's real exponent added to the point's logscale and
+   its phase folded into the exponents of the sum (step 3);
 2. certified truncation: the sum runs over the ellipsoid
 
        { n in Z^g + eps : pi * (n, Im B n) <= R^2 },
@@ -610,22 +611,18 @@ def gauss_exponent(B: PeriodMatrix, z) -> float:
     return float(gauss_exponents(B, np.atleast_1d(np.asarray(z, dtype=complex))[None])[0])
 
 
-def normalized_log_abs(value: ScaledComplex, B: PeriodMatrix, z) -> float:
-    """log of the lattice-invariant modulus |theta| * exp(-pi y Y^-1 y)."""
-    return value.log_abs() - gauss_exponent(B, z)
-
-
 def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:
-    """normalized_log_abs of the values of jets at the rows of Z, as an
-    array (-inf where a value vanishes)."""
+    """log of the lattice-invariant modulus |theta| * exp(-pi y Y^-1 y) of
+    the values of jets at the rows of Z, as an array (-inf where a value
+    vanishes)."""
     with np.errstate(divide="ignore"):
         return np.log(np.abs(jets.sums["f"])) + jets.logscale - gauss_exponents(B, Z)
 
 
 def theta_hat_abs(z, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     """Normalized modulus of theta at z: O(1) on the cell, 0 on the divisor."""
-    val = theta(ThetaRequest(z, B, None, (), tol))
-    return math.exp(normalized_log_abs(val, B, z))
+    Z = np.asarray(z, dtype=complex).reshape(1, -1)
+    return math.exp(normalized_log_abs_many(theta_jets(Z, B, tol=tol), B, Z)[0])
 
 
 # ----------------------------------------------------------------------

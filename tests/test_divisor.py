@@ -12,7 +12,8 @@ from theta_secant.divisor import (
 )
 from theta_secant.errors import ValidationError
 from theta_secant.rng import Xoshiro256, random_z
-from theta_secant.theta import PeriodMatrix, lattice_reduce
+from theta_secant.scaled import rel_diff
+from theta_secant.theta import PeriodMatrix, lattice_reduce, theta_jet
 
 B_I = PeriodMatrix([[1j]])
 
@@ -100,6 +101,36 @@ class TestCm7:
         base = residual_cm7(s, U, V, x5m1.B)
         for lam in (0.5, 2.0):
             assert abs(residual_cm7(s, U, lam * V, x5m1.B) - base) <= 1e-9
+
+
+class TestReference:
+    """Both residuals at random points off the divisor, against the same
+    identities written with one-point theta_jet values."""
+
+    @staticmethod
+    def _points(B, count):
+        rng = Xoshiro256(29)
+        return [tuple(random_z(rng, B.g, 0.4) for _ in range(3)) for _ in range(count)]
+
+    def test_cm7(self, x5m1):
+        B = x5m1.B
+        for Z, U, V in self._points(B, 6):
+            jp = theta_jet(Z + U, B, dirs=(V,))
+            jm = theta_jet(Z - U, B, dirs=(V,))
+            jz = theta_jet(Z, B, dirs=(V, V))
+            want = rel_diff((jp["d0"] * jm["f"] + jp["f"] * jm["d0"]) * jz["d0"],
+                            jp["f"] * jm["f"] * jz["d01"])
+            assert want >= 1e-2
+            assert abs(residual_cm7(Z, U, V, B) - want) <= 1e-12 * want
+
+    def test_cm7d(self, x5m1):
+        B = x5m1.B
+        for Z, U, V in self._points(B, 6):
+            f = [theta_jet(W, B)["f"] for W in
+                 (Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V)]
+            want = rel_diff(f[0] * f[1] * f[2], -(f[3] * f[4] * f[5]))
+            assert want >= 1e-2
+            assert abs(residual_cm7d(Z, U, V, B) - want) <= 1e-12 * want
 
 
 class TestProbe:

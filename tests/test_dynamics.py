@@ -14,6 +14,7 @@ from theta_secant.dynamics import (
     RSState,
     ThetaTau,
     TrigKernel,
+    ZeroPath,
     cm5_residual,
     elliptic_zero_crosscheck,
     f2d_residual,
@@ -64,6 +65,13 @@ class TestTracking:
             track_tau_zero(np.array([1.0 + 0j]), V1, Z1, B_I,
                            np.linspace(0, 0.1, 5))
 
+    @pytest.mark.parametrize("grid", [[0.1] * 5, [0.0, 0.1, 0.1, 0.2],
+                                      [0.0, np.nan, 0.2], [0.0, 0.1, np.inf]])
+    def test_zero_step_or_non_finite_grid_rejected(self, grid):
+        # a zero step would repeat one point; a NaN would surface as LostZero
+        with pytest.raises(ValidationError, match="finite values and nonzero steps"):
+            track_tau_zero(U1, V1, Z1, B_I, grid)
+
     def test_laurent_data_is_one_pass(self, tracked, lattice_passes):
         # x, the guards x +- 1 and the 5-point circle: one 8-point pass
         tau_abs, etadot, v0 = dynamics._laurent_data(
@@ -94,9 +102,11 @@ class TestCm5:
         path = track_zero(pert, GRID, x0=tracked.eta[0])
         assert cm5_residual(path, U1, V1, Z1, B_I, tau=pert) >= 1e-2
 
-    def test_zero_step_grid_rejected(self):
-        # a constant grid tracks fine, but its central differences are 0/0
-        path = track_tau_zero(U1, V1, Z1, B_I, [0.1] * 5)
+    def test_zero_step_grid_rejected(self, tracked):
+        # track_zero rejects a constant grid, but a ZeroPath can be built
+        # directly, and its central differences would be 0/0
+        path = ZeroPath(np.full(5, 0.1), np.full(5, tracked.eta[0]), tracked.etadot[:5],
+                        tracked.v0[:5], tracked.tau_abs[:5])
         with pytest.raises(ValidationError, match="nonzero grid step"):
             cm5_residual(path, U1, V1, Z1, B_I)
 

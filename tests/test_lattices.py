@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from theta_secant.errors import DivisorHit, ValidationError
+from theta_secant.errors import DivisorHit, NumericalError, ValidationError
 from theta_secant.lattices import (
     FieldTable,
     LatticeWindow,
@@ -20,8 +20,8 @@ from theta_secant.lattices import (
     window_spans,
 )
 from theta_secant.rng import Xoshiro256
-from theta_secant.scaled import ScaledComplex
-from theta_secant.theta import half_period
+from theta_secant.scaled import ScaledComplex, exp_scaled, rel_diff
+from theta_secant.theta import half_period, theta_jet
 
 
 @pytest.fixture(scope="module")
@@ -67,27 +67,67 @@ class TestSynthetic:
         k = 2.0
         ts = (0.0, 0.3, 0.7)
         win = LatticeWindow(np.zeros(1, complex), x_range=(0, 4), t_samples=ts)
-        table = FieldTable("toda", win)
-        for it, t in enumerate(ts):
-            for x in range(0, 6):
-                psi = ScaledComplex.from_complex(k ** x * math.exp(k * t))
-                table.psi[(x, it)] = psi
-                table.psi_t[(x, it)] = psi * k
-                if x <= 4:
-                    table.u[(x, it)] = ScaledComplex.zero()
-                    table.v[(x, it)] = ScaledComplex.zero()
+        psi = np.array([[k ** x * math.exp(k * t) for x in range(0, 6)] for t in ts],
+                       dtype=complex)
+        # d/dt psi = psi * (dlog + E) = psi * k
+        table = FieldTable("toda", win, u=np.zeros((3, 5), complex), psi=psi,
+                           psi_logscale=np.zeros(psi.shape), v=np.zeros((3, 5), complex),
+                           dlog=np.zeros(psi.shape, complex), meta={"E": k})
         assert toda_psi_residual(table) <= 1e-14
 
     def test_bdhe_constant_coefficient(self):
         """psi(m,n) = 2^n with u = 1: 2^{n+1} = 2^n + 2^n exactly."""
         win = LatticeWindow(np.zeros(1, complex), m_range=(0, 3), n_range=(0, 3))
-        table = FieldTable("bdhe", win)
-        for m in range(0, 5):
-            for n in range(0, 5):
-                table.psi[(m, n)] = ScaledComplex.from_complex(2.0 ** n)
-                if m <= 3 and n <= 3:
-                    table.u[(m, n)] = ScaledComplex.from_complex(1.0)
+        psi = np.array([[2.0 ** n for n in range(0, 5)] for m in range(0, 5)], dtype=complex)
+        table = FieldTable("bdhe", win, u=np.ones((4, 4), complex), psi=psi,
+                           psi_logscale=np.zeros(psi.shape))
         assert bdhe_psi_residual(table) == 0.0
+
+
+class TestReference:
+    """Table entries against one-point theta_jet values."""
+
+    def test_toda_psi_u_v(self, toda_setup, semidiscrete_fit):
+        s, table = toda_setup, toda_setup["table"]
+        U, V, As, B, win = s["U"], s["V"], s["As"], s["B"], s["win"]
+        p, E = semidiscrete_fit.p, semidiscrete_fit.E
+
+        def v_ref(x, t):
+            j = theta_jet(x * U + t * V + win.Z, B, dirs=(V,))
+            return -(j["d0"] / j["f"]).to_complex()
+
+        for x, it in ((-4, 0), (0, 3), (3, 7)):
+            t = win.t_samples[it]
+            w = x * U + t * V + win.Z
+            want = (theta_jet(As + w, B)["f"] / theta_jet(w, B)["f"]
+                    * exp_scaled(x * p + t * E))
+            got = ScaledComplex.make(table.psi[it, x + 4], table.psi_logscale[it, x + 4])
+            assert rel_diff(got, want) <= 1e-13
+            v = v_ref(x, t)
+            assert abs(table.v[it, x + 4] - v) <= 1e-13 * abs(v)
+            u = v_ref(x + 1, t) - v
+            assert abs(table.u[it, x + 4] - u) <= 1e-13 * abs(u)
+
+    def test_bdhe_psi_u(self, bdhe_setup, discrete_fit):
+        s, table = bdhe_setup, bdhe_setup["table"]
+        U, V, As, B, win = s["U"], s["V"], s["As"], s["B"], s["win"]
+        p, E = discrete_fit.p, discrete_fit.E
+
+        def th(m, n):
+            return theta_jet(m * U + n * V + win.Z, B)["f"]
+
+        for m, n in ((-5, -5), (0, 2), (4, 4)):
+            w = m * U + n * V + win.Z
+            want = theta_jet(As + w, B)["f"] / th(m, n) * exp_scaled(m * p + n * E)
+            got = ScaledComplex.make(table.psi[m + 5, n + 5], table.psi_logscale[m + 5, n + 5])
+            assert rel_diff(got, want) <= 1e-13
+            u = ((th(m + 1, n + 1) * th(m, n)) / (th(m, n + 1) * th(m + 1, n))).to_complex()
+            assert abs(table.u[m + 5, n + 5] - u) <= 1e-13 * abs(u)
+
+    def test_nan_constant_is_numerical_error(self, toda_setup, bdhe_setup):
+        for build, s in ((toda_fields, toda_setup), (bdhe_fields, bdhe_setup)):
+            with pytest.raises(NumericalError):
+                build(s["U"], s["V"], s["As"], math.nan, 0.1, s["win"], s["B"])
 
 
 class TestBdhe:
@@ -104,9 +144,8 @@ class TestBdhe:
         win2 = LatticeWindow(s["win"].Z + s["U"], m_range=(-6, 3), n_range=(-5, 4))
         t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p,
                          discrete_fit.E, win2, s["B"])
-        worst = max(abs((s["table"].u[(m, n)] - t2.u[(m - 1, n)]).to_complex())
-                    for m in range(-5, 5) for n in range(-5, 5))
-        assert worst <= 1e-12
+        # u(m, n) of the table is u(m - 1, n) of the shifted one, at the same index
+        assert np.abs(s["table"].u - t2.u).max() <= 1e-12
 
     def test_z_integer_shift_invariance(self, bdhe_setup, discrete_fit):
         s = bdhe_setup
@@ -114,9 +153,7 @@ class TestBdhe:
                              m_range=(-5, 4), n_range=(-5, 4))
         t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p,
                          discrete_fit.E, win2, s["B"])
-        worst = max(abs((s["table"].u[key] - t2.u[key]).to_complex())
-                    for key in s["table"].u)
-        assert worst <= 1e-12
+        assert np.abs(s["table"].u - t2.u).max() <= 1e-12
 
     def test_divisor_hit_guard(self, x5m1, fay_data, discrete_fit,
                                divisor_samples):
@@ -169,8 +206,8 @@ class TestToda:
         win = LatticeWindow(np.array([0.21 + 0.17j, -0.33 + 0.08j]),
                             x_range=(0, 2), t_samples=(0.0, 0.5))
         table = toda_fields(U, V, A, 0.1, 0.2, win, x5m1.B)
-        assert max(v.abs() for v in table.v.values()) <= 1e-12
-        assert max(u.abs() for u in table.u.values()) <= 1e-12
+        assert np.abs(table.v).max() <= 1e-12
+        assert np.abs(table.u).max() <= 1e-12
 
     def test_csv_export(self, toda_setup, tmp_path):
         path = tmp_path / "toda.csv"
