@@ -42,9 +42,9 @@ from .theta import (
 # curve resolution
 # ----------------------------------------------------------------------
 
-def resolve_curve(config: ScenarioConfig, default_id: str = "x5m1"):
+def resolve_curve(config: ScenarioConfig):
     from .curves import default_corpus, load_corpus
-    ref = config.curve or default_id
+    ref = config.curve or "x5m1"
     if "#" in ref:
         path, ident = ref.split("#", 1)
         if path in ("", "corpus"):
@@ -260,11 +260,11 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     return Report("divisor-identities", config.seed, checks, curve=ident)
 
 
-def _toda_workload(config: ScenarioConfig):
-    from .curves import abel_map, abel_tangent, build_abel_data
+def run_toda(config: ScenarioConfig) -> Report:
+    from .curves import abel_tangent, build_abel_data
     from .kummer import fit_secancy_semidiscrete
-    from .lattices import (LatticeWindow, find_clear_base_point, toda_fields,
-                           toda_psi_residual, refit_constants_toda, window_spans)
+    from .lattices import (LatticeWindow, find_clear_base_point, refit_constants_toda,
+                           toda_fields, toda_psi_residual, window_spans)
     ident, spec = resolve_curve(config)
     data = build_abel_data(spec)
     B = data.B
@@ -283,12 +283,6 @@ def _toda_workload(config: ScenarioConfig):
                               window_spans(probe_win))
     win = LatticeWindow(Z, x_range=x_range, t_samples=t_samples)
     table = toda_fields(U, Vt, As, fit.p, fit.E, win, B)
-    return ident, B, fit, win, table, (U, Vt, As)
-
-
-def run_toda(config: ScenarioConfig) -> Report:
-    from .lattices import toda_fields, toda_psi_residual, refit_constants_toda
-    ident, B, fit, win, table, (U, Vt, As) = _toda_workload(config)
     res = toda_psi_residual(table)
     ep2, E2 = refit_constants_toda(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),
@@ -552,6 +546,7 @@ def run_scenario(config: ScenarioConfig) -> Report:
 
 def run_rs_simulate(args) -> Report:
     from .dynamics import RSState, rs_integrate
+    t0 = time.perf_counter()
     n = args.n
     if n < 1:
         raise ConfigError(f"--n must be at least 1, got {n}")
@@ -583,6 +578,7 @@ def run_rs_simulate(args) -> Report:
     rep = Report("rs-dynamics", args.seed, checks)
     rep.environment = {"version": __version__, "seed": args.seed}
     rep.extra = {"n": n, "kernel": args.kernel, "t_end": args.t_end, "h": args.h}
+    rep.timing = {"wall_s": round(time.perf_counter() - t0, 3)}
     return rep
 
 
@@ -632,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = rssub.add_parser("simulate", help="integrate an n-particle system")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--t-end", type=float, required=True)
-    sim.add_argument("--h", type=float, required=True)
+    sim.add_argument("--h", type=float, required=True,
+                     help="RK4 step, which must divide --t-end")
     sim.add_argument("--kernel", default="rational",
                      choices=["rational", "trig", "trigonometric", "elliptic"])
     sim.add_argument("--seed", type=int, default=7)

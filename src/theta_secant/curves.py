@@ -67,7 +67,7 @@ class CurveSpec:
     tau: complex | None = None
     poly: tuple | None = None
 
-    def __init__(self, kind, tau=None, poly=None, ident=None):
+    def __init__(self, kind, tau=None, poly=None):
         if kind not in ("genus1", "hyperelliptic2"):
             raise ValidationError(f"unknown curve kind {kind!r}")
         if kind == "genus1":
@@ -291,16 +291,16 @@ class _Hyper2:
         base = -1j / self.Y(x, skip=(2 * k, 2 * k + 1))
         return np.array([np.sum(wphi * base), np.sum(wphi * base * x)])
 
-    def _converge(self, fn, n0: int = 24, n_max: int = 1536):
-        n = n0
+    def _converge(self, fn):
+        n = 24
         prev = fn(n)
-        while n < n_max:
+        while n < 1536:
             n *= 2
             cur = fn(n)
             if np.max(np.abs(cur - prev)) < self.quad_tol:
                 return cur
             prev = cur
-        raise QuadratureStall(f"no convergence by {n_max} nodes")
+        raise QuadratureStall("no convergence by 1536 nodes")
 
     def cut_integral(self, k):
         return self._converge(lambda n: self._cut_nodes(k, n))

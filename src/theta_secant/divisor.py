@@ -2,8 +2,9 @@
 
 Divisor access is one-dimensional: seeded complex lines Z(s) = Z0 + s*D
 are scanned for zeros of s -> theta(Z(s)) by argument-principle winding
-counts on an 8 x 8 cell grid over the unit square of s, and every winding
-cell seeds a Newton refinement using the analytic directional derivative.
+counts on an 8 x 8 cell grid over the square |Re s|, |Im s| <= 1, and
+every winding cell seeds a Newton refinement using the analytic
+directional derivative.
 All "how small is theta" questions use the lattice-invariant normalized
 modulus |theta| * exp(-pi * Im z . (Im B)^-1 . Im z).
 """
@@ -31,7 +32,9 @@ from .theta import (
 )
 
 NEWTON_TARGET = 1e-10
+NEWTON_MAX_ITER = 60
 DEDUPE_DISTANCE = 1e-6
+GRID = 8                      # winding-count cells per side of the s square
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,13 @@ class DivisorSample:
 class _Line:
     """The line Z(s) = Z0 + s D, with the phases of theta on it cached per s."""
 
-    def __init__(self, Z0, D, B, tol):
-        self.Z0, self.D, self.B, self.tol = Z0, D, B, tol
+    def __init__(self, Z0, D, B):
+        self.Z0, self.D, self.B = Z0, D, B
         self._phase_cache: dict = {}
 
     def seed_phases(self, ss) -> None:
         """Phases of theta at every s in ss, from one lattice pass, into the cache."""
-        J = theta_jets(self.Z0 + np.multiply.outer(ss, self.D), self.B, tol=self.tol)
+        J = theta_jets(self.Z0 + np.multiply.outer(ss, self.D), self.B)
         self._phase_cache.update(zip(ss, np.angle(J.sums["f"]).tolist()))
 
     def phase(self, s: complex) -> float:
@@ -82,10 +85,10 @@ def _edge_increment(line: _Line, s0: complex, s1: complex, depth: int = 0) -> fl
     return d
 
 
-def _newton(line: _Line, s: complex, max_iter: int = 60):
-    for _ in range(max_iter):
+def _newton(line: _Line, s: complex):
+    for _ in range(NEWTON_MAX_ITER):
         Z = [line.Z0 + s * line.D]
-        J = theta_jets(Z, line.B, dirs=(line.D,), tol=line.tol)
+        J = theta_jets(Z, line.B, dirs=(line.D,))
         la = normalized_log_abs_many(J, line.B, Z)[0]
         if la != -math.inf and math.exp(la) <= NEWTON_TARGET:
             return s
@@ -102,30 +105,29 @@ def _newton(line: _Line, s: complex, max_iter: int = 60):
     return None
 
 
-def line_roots(Z0, D, B: PeriodMatrix, tol: float = DEFAULT_TOL,
-               grid: int = 8, box: float = 1.0) -> list:
-    """Roots of s -> theta(Z0 + sD) inside the [-box, box]^2 square of s.
+def line_roots(Z0, D, B: PeriodMatrix) -> list:
+    """Roots of s -> theta(Z0 + sD) inside the [-1, 1]^2 square of s.
 
-    Argument-principle winding counts over grid x grid cells isolate the
+    Argument-principle winding counts over GRID x GRID cells isolate the
     candidates; Newton with the analytic derivative polishes each one.
     """
-    line = _Line(np.asarray(Z0, complex), np.asarray(D, complex), B, tol)
-    nodes = np.linspace(-box, box, grid + 1)
+    line = _Line(np.asarray(Z0, complex), np.asarray(D, complex), B)
+    nodes = np.linspace(-1.0, 1.0, GRID + 1)
     line.seed_phases([complex(x, y) for y in nodes for x in nodes])
     # phase increments per horizontal/vertical edge, evaluated once
     horiz = {}
     vert = {}
     for iy, y in enumerate(nodes):
-        for ix in range(grid):
+        for ix in range(GRID):
             horiz[(ix, iy)] = _edge_increment(
                 line, complex(nodes[ix], y), complex(nodes[ix + 1], y))
     for ix, x in enumerate(nodes):
-        for iy in range(grid):
+        for iy in range(GRID):
             vert[(ix, iy)] = _edge_increment(
                 line, complex(x, nodes[iy]), complex(x, nodes[iy + 1]))
     roots = []
-    for ix in range(grid):
-        for iy in range(grid):
+    for ix in range(GRID):
+        for iy in range(GRID):
             total = (horiz[(ix, iy)] + vert[(ix + 1, iy)]
                      - horiz[(ix, iy + 1)] - vert[(ix, iy)])
             if round(total / (2.0 * math.pi)) == 0:
@@ -138,8 +140,7 @@ def line_roots(Z0, D, B: PeriodMatrix, tol: float = DEFAULT_TOL,
     return roots
 
 
-def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int,
-                         tol: float = DEFAULT_TOL) -> list:
+def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
     """Seeded, deduplicated theta-divisor samples (normalized |theta| <= 1e-10)."""
     if count > 10 ** 4:
         raise ValidationError("count exceeds 1e4")
@@ -151,25 +152,24 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int,
         Z0 = np.array(rng.complex_vector(B.g, scale=0.45))
         D = np.array(rng.complex_vector(B.g))
         D = D / np.linalg.norm(D)
-        for s in line_roots(Z0, D, B, tol=tol):
+        for s in line_roots(Z0, D, B):
             Z = Z0 + s * D
             # distinct as points of C^g; at g=1 all divisor points coincide
             # mod lattice, so reduced distance would never admit a second one
             if any(float(np.linalg.norm(Z - s2.Z)) <= DEDUPE_DISTANCE
                    for s2 in samples):
                 continue
-            samples.append(DivisorSample(Z, theta_hat_abs(Z, B, tol), trial))
+            samples.append(DivisorSample(Z, theta_hat_abs(Z, B), trial))
             if len(samples) >= count:
                 return samples
     raise RootSearchFailed(
         f"found {len(samples)} of {count} requested divisor samples")
 
 
-def verify_sample(sample: DivisorSample, B: PeriodMatrix,
-                  tol: float = DEFAULT_TOL, radius_boost: int = 2) -> float:
-    """Re-evaluate |theta| at the sample with a boosted truncation radius."""
-    r = truncation_radius(B, sample.Z, tol)
-    val = theta(ThetaRequest(sample.Z, B, None, (), tol), radius=radius_boost * r)
+def verify_sample(sample: DivisorSample, B: PeriodMatrix) -> float:
+    """Re-evaluate |theta| at the sample with twice the truncation radius."""
+    r = truncation_radius(B, sample.Z, DEFAULT_TOL)
+    val = theta(ThetaRequest(sample.Z, B), radius=2 * r)
     return abs(val.mantissa) * math.exp(val.logscale - gauss_exponent(B, sample.Z))
 
 
@@ -181,7 +181,7 @@ def _zpoint(Zs):
     return Zs.Z if isinstance(Zs, DivisorSample) else np.atleast_1d(np.asarray(Zs, complex))
 
 
-def residual_cm7(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
+def residual_cm7(Zs, U, V, B: PeriodMatrix) -> float:
     """Tangency identity residual at a divisor point.
 
     Compares d_V[theta(Z+U) theta(Z-U)] * d_V theta(Z) against
@@ -193,15 +193,15 @@ def residual_cm7(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius.
     # Both sides are products of the same three rows, so they share one
     # logscale and are compared as mantissas.
-    pm = theta_jets([Z + U, Z - U], B, dirs=(V,), tol=tol).sums
-    jz = theta_jets([Z], B, dirs=(V, V), tol=tol).sums
+    pm = theta_jets([Z + U, Z - U], B, dirs=(V,)).sums
+    jz = theta_jets([Z], B, dirs=(V, V)).sums
     f, d = pm["f"], pm["d0"]
     lhs = (d[0] * f[1] + f[0] * d[1]) * jz["d0"][0]
     rhs = f[0] * f[1] * jz["d01"][0]
     return float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
 
 
-def residual_cm7d(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
+def residual_cm7d(Zs, U, V, B: PeriodMatrix) -> float:
     """Three-term discrete identity residual at a divisor point.
 
     Relative size of theta(Z+U)theta(Z-V)theta(Z-U+V)
@@ -210,15 +210,14 @@ def residual_cm7d(Zs, U, V, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    J = theta_jets([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V], B, tol=tol)
+    J = theta_jets([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V], B)
     # the two triple products, compared at the larger of their logscales
     scale = J.logscale.reshape(2, 3).sum(axis=1)
     a, b = J.sums["f"].reshape(2, 3).prod(axis=1) * np.exp(scale - scale.max())
     return float(abs(a + b) / (abs(a) + abs(b) + 1e-300))
 
 
-def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,
-                         tol: float = DEFAULT_TOL) -> float:
+def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int) -> float:
     """max over |k| <= K of the normalized |theta(Z + k(U-V))|.
 
     A value well above zero certifies the sample is not on the maximal
@@ -231,5 +230,5 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int,
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     W = [Z + k * (U - V) for k in range(-K, K + 1)]
-    J = theta_jets(W, B, tol=tol)
+    J = theta_jets(W, B)
     return float(np.exp(normalized_log_abs_many(J, B, W)).max())

@@ -50,7 +50,6 @@ from .errors import (
     ValidationError,
 )
 from .theta import (
-    DEFAULT_TOL,
     PeriodMatrix,
     ThetaCharacteristic,
     gauss_exponents,
@@ -62,6 +61,9 @@ ZERO_TARGET = 1e-10
 SIMPLE_ZERO_GUARD = 1e-10
 FACTOR_GUARD = 1e-8
 MAX_RS_STEPS = 10**6
+NEWTON_MAX_ITER = 60
+NEWTON_STEP_CAP = 0.5
+LAURENT_RADIUS = 0.01         # circle radius of the v0 fit, relative to 1 + |x|
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +94,7 @@ class _ThetaSection:
 
     def jets(self, xs, ts) -> tuple:
         W = self.arg(xs, ts)
-        J = theta_jets(W, self.B, dirs=self.dirs, tol=self.tol)
+        J = theta_jets(W, self.B, dirs=self.dirs)
         g = gauss_exponents(self.B, W)
         unit = np.exp(J.logscale - g)
         ft = J.sums.get("d1")
@@ -103,12 +105,11 @@ class _ThetaSection:
 class ThetaTau(_ThetaSection):
     """tau(x, t) = theta(x U + t V + Z | B) with analytic x/t derivatives."""
 
-    def __init__(self, U, V, Z, B: PeriodMatrix, tol: float = DEFAULT_TOL):
+    def __init__(self, U, V, Z, B: PeriodMatrix):
         self.U = np.atleast_1d(np.asarray(U, complex))
         self.V = np.atleast_1d(np.asarray(V, complex))
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
-        self.tol = tol
         self.dirs = (self.U, self.V)
 
     def arg(self, x, t):
@@ -134,12 +135,12 @@ class PerturbedTau(_ThetaSection):
     """
 
     def __init__(self, base, epsilon: float, x_ref: complex = 0j,
-                 t_ref: float = 0.0, mode: str = "const"):
+                 mode: str = "const"):
         if mode not in ("const", "oscillatory"):
             raise ValidationError(f"unknown perturbation mode {mode!r}")
         self.base = base
         self.epsilon = epsilon
-        self.g_ref = gauss_exponents(base.B, base.arg(x_ref, t_ref))[0]
+        self.g_ref = gauss_exponents(base.B, base.arg(x_ref, 0.0))[0]
         self.mode = mode
 
     def jets(self, xs, ts) -> tuple:
@@ -155,10 +156,9 @@ class PerturbedTau(_ThetaSection):
 # zero location and tracking
 # ----------------------------------------------------------------------
 
-def newton_zero(tau, x0: complex, t: float, max_iter: int = 60,
-                step_cap: float = 0.5) -> complex:
+def newton_zero(tau, x0: complex, t: float) -> complex:
     x = complex(x0)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, fx, _, _ = tau.jets([x], t)
         if abs(f[0]) <= ZERO_TARGET:
             return x
@@ -166,17 +166,17 @@ def newton_zero(tau, x0: complex, t: float, max_iter: int = 60,
             dx = complex(f[0] / fx[0])
         if not cmath.isfinite(dx):
             raise LostZero(f"non-finite Newton step at x={x:.4g}")
-        if abs(dx) > step_cap:
-            dx *= step_cap / abs(dx)
+        if abs(dx) > NEWTON_STEP_CAP:
+            dx *= NEWTON_STEP_CAP / abs(dx)
         x = x - dx
     raise LostZero(f"Newton failed to converge near x={x0:.4g}")
 
 
-def scan_zero(tau, t: float, center: complex = 0j, span: float = 2.0,
-              n: int = 21) -> complex:
-    """Coarse |tau| scan followed by Newton; finds some zero on the line."""
+def scan_zero(tau, t: float, span: float = 2.0, n: int = 21) -> complex:
+    """Coarse |tau| scan of the square |Re x|, |Im x| <= span followed by
+    Newton; finds some zero on the line."""
     xs = np.linspace(-span, span, n)
-    grid = center + (xs[:, None] + 1j * xs[None, :]).ravel()
+    grid = (xs[:, None] + 1j * xs[None, :]).ravel()
     return newton_zero(tau, grid[np.argmin(np.abs(tau.jets(grid, t)[0]))], t)
 
 
@@ -200,10 +200,10 @@ class ZeroPath:
                             self.v0[k].real, self.v0[k].imag])
 
 
-def _laurent_data(tau, x: complex, t: float, fit_radius: float = 0.01):
+def _laurent_data(tau, x: complex, t: float):
     """(|tau|, eta_dot, v0) at a zero x, with tau(x +- 1) guarded: one lattice
     pass for x, x + 1, x - 1 and the 5-point circle."""
-    rho = fit_radius * (1.0 + abs(x))
+    rho = LAURENT_RADIUS * (1.0 + abs(x))
     circle = x + rho * np.exp(2j * np.pi * np.arange(5) / 5.0)
     f, fx, ft, _ = tau.jets(np.concatenate([[x, x + 1.0, x - 1.0], circle]), t)
     if abs(fx[0]) < SIMPLE_ZERO_GUARD:
@@ -249,15 +249,13 @@ def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
     return ZeroPath(grid, eta, etadot, v0, tau_abs)
 
 
-def track_tau_zero(U, V, Z, B: PeriodMatrix, grid, x0: complex | None = None,
-                   tol: float = DEFAULT_TOL) -> ZeroPath:
-    """Track a zero of theta(xU + tV + Z) in x along the t grid (track_zero
-    takes any section, such as a perturbed one)."""
-    return track_zero(ThetaTau(U, V, Z, B, tol=tol), grid, x0=x0)
+def track_tau_zero(U, V, Z, B: PeriodMatrix, grid) -> ZeroPath:
+    """Track a scanned zero of theta(xU + tV + Z) in x along the t grid
+    (track_zero takes any section, such as a perturbed one, and a start)."""
+    return track_zero(ThetaTau(U, V, Z, B), grid)
 
 
-def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix,
-                 tol: float = DEFAULT_TOL, tau=None) -> float:
+def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix, tau=None) -> float:
     """Zero-law residual: eta_ddot vs eta_dot [2 v0 - v(eta+1) - v(eta-1)].
 
     eta_ddot comes from a 5-point central difference of the tracked path
@@ -265,7 +263,7 @@ def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix,
     is fully analytic.  Normalization uses the term scale, see module doc.
     """
     if tau is None:
-        tau = ThetaTau(U, V, Z, B, tol=tol)
+        tau = ThetaTau(U, V, Z, B)
     t, eta = path.t, path.eta
     if len(t) < 5:
         raise ValidationError("need at least 5 grid points")
@@ -340,22 +338,20 @@ class EllipticKernel:
 
     name = "elliptic"
 
-    def __init__(self, tau: complex, omega1: complex = 1.0,
-                 tol: float = DEFAULT_TOL):
+    def __init__(self, tau: complex, omega1: complex = 1.0):
         if complex(tau).imag <= 0:
             raise ValidationError("elliptic kernel needs Im tau > 0")
         self.tau = complex(tau)
         self.omega1 = complex(omega1)
         self.B = PeriodMatrix([[self.tau]])
         self.char = ThetaCharacteristic((0.5,), (0.5,))
-        self.tol = tol
         self._unit = np.array([1.0 + 0j])
 
     def evaluate(self, q: np.ndarray) -> tuple:
         """F and guard from one theta pass at (q + d)/omega1, d = 0, 1, -1 (the
         value and derivative share a logscale, which cancels in L)."""
         W = ((q + _SHIFTS) / self.omega1).reshape(-1, 1)
-        J = theta_jets(W, self.B, dirs=(self._unit,), char=self.char, tol=self.tol)
+        J = theta_jets(W, self.B, dirs=(self._unit,), char=self.char)
         hat = np.exp(normalized_log_abs_many(J, self.B, W)).reshape(3, -1)
         z = (J.sums["d0"] / J.sums["f"] / self.omega1).reshape(3, -1)
         return 2.0 * z[0] - z[1] - z[2], hat.min(axis=0) > 1e-8
@@ -440,23 +436,33 @@ def _accel(kernel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v * (v[j] * F).reshape(N, N - 1).sum(axis=1)
 
 
+def _rs_steps(t_end: float, h: float) -> int:
+    """The number of RK4 steps of size h from t = 0 to t_end; h must divide
+    t_end to 1e-9 relative, so the last step lands on t_end."""
+    if not (math.isfinite(h) and math.isfinite(t_end)):
+        raise ValidationError("h and t_end must be finite")
+    if h <= 0 or t_end <= 0:
+        raise ValidationError("need h > 0 and t_end > 0")
+    steps = round(t_end / h)
+    if not 1 <= steps <= MAX_RS_STEPS:
+        raise ValidationError(f"t_end / h gives {steps:.3g} steps, "
+                              f"outside 1..{MAX_RS_STEPS}")
+    if abs(steps * h - t_end) > 1e-9 * t_end:
+        raise ValidationError(f"h = {h:g} does not divide t_end = {t_end:g} "
+                              f"({steps} steps reach t = {steps * h:g})")
+    return steps
+
+
 # a pole of F raises Collision, not numpy's division warnings
 @np.errstate(divide="ignore", invalid="ignore")
-def rs_integrate(state: RSState, t_end: float, h: float,
-                 t_start: float = 0.0) -> Trajectory:
-    """Classical fixed-step RK4 on (x, xdot); aborts on collision guard."""
-    if not all(map(math.isfinite, (h, t_end, t_end - t_start))):
-        raise ValidationError("h, t_end and t_end - t_start must be finite")
-    if h <= 0 or t_end <= t_start:
-        raise ValidationError("need h > 0 and t_end > t_start")
-    steps = round((t_end - t_start) / h)
-    if not 1 <= steps <= MAX_RS_STEPS:
-        raise ValidationError(f"(t_end - t_start) / h gives {steps:.3g} steps, "
-                              f"outside 1..{MAX_RS_STEPS}")
+def rs_integrate(state: RSState, t_end: float, h: float) -> Trajectory:
+    """Classical fixed-step RK4 on (x, xdot) from t = 0 to t_end; aborts on
+    collision guard."""
+    steps = _rs_steps(t_end, h)
     kernel = state.kernel
     x = state.x.copy()
     v = state.xdot.copy()
-    ts = [t_start]
+    ts = [0.0]
     xs = [x.copy()]
     vs = [v.copy()]
     for _ in range(steps):
@@ -476,7 +482,7 @@ def rs_integrate(state: RSState, t_end: float, h: float,
 
 def elliptic_zero_crosscheck(tau_mod: complex, U: complex, V: complex, Z: complex,
                              t_end: float = 0.5, h: float = 1e-3,
-                             samples: int = 26, tol: float = DEFAULT_TOL):
+                             samples: int = 26):
     """Two tracked theta zeros versus the N=2 elliptic flow.
 
     The zeros of theta(xU + tV + Z | tau_mod) in x form one lattice family
@@ -486,22 +492,28 @@ def elliptic_zero_crosscheck(tau_mod: complex, U: complex, V: complex, Z: comple
     zeta-difference combination is constant around a half period), so the
     integrated flow must reproduce the independently tracked zeros.  A
     wrong kernel normalization makes the particles accelerate and the
-    comparison fail.
+    comparison fail.  The zeros are tracked at samples evenly spaced times
+    of [0, t_end], each of which must be an RK4 step: samples - 1 must
+    divide the t_end / h steps, or ValidationError is raised.
 
     Returns (max deviation, the two ZeroPaths, the trajectory).
     """
+    steps = _rs_steps(t_end, h)
+    if samples < 2 or steps % (samples - 1):
+        raise ValidationError(f"samples - 1 = {samples - 1} must divide the "
+                              f"{steps} steps, so that each sample is a step")
     B1 = PeriodMatrix([[tau_mod]])
     omega1 = 1.0 / U
     grid = np.linspace(0.0, t_end, samples)
-    tau = ThetaTau(np.array([U]), np.array([V]), np.array([Z]), B1, tol=tol)
+    tau = ThetaTau(np.array([U]), np.array([V]), np.array([Z]), B1)
     path1 = track_zero(tau, grid)
     path2 = track_zero(tau, grid, x0=path1.eta[0] + omega1)
-    kernel = EllipticKernel(tau_mod / 2.0, omega1=2.0 * omega1, tol=tol)
+    kernel = EllipticKernel(tau_mod / 2.0, omega1=2.0 * omega1)
     state = RSState(x=np.array([path1.eta[0], path2.eta[0]]),
                     xdot=np.array([path1.etadot[0], path2.etadot[0]]),
                     kernel=kernel)
     traj = rs_integrate(state, t_end, h)
-    stride = (len(traj.t) - 1) // (samples - 1)
+    stride = steps // (samples - 1)
     dev = 0.0
     for k in range(samples):
         xk = traj.x[k * stride]
@@ -516,14 +528,13 @@ def elliptic_zero_crosscheck(tau_mod: complex, U: complex, V: complex, Z: comple
 class DiscreteTau(_ThetaSection):
     """tau(x, nu) = theta((x/2)(U-V) + ((nu+1)/2)(U+V) + Z)."""
 
-    def __init__(self, U, V, Z, B: PeriodMatrix, tol: float = DEFAULT_TOL):
+    def __init__(self, U, V, Z, B: PeriodMatrix):
         U = np.atleast_1d(np.asarray(U, complex))
         V = np.atleast_1d(np.asarray(V, complex))
         self.W = 0.5 * (U - V)
         self.S = 0.5 * (U + V)
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
-        self.tol = tol
         self.dirs = (self.W,)
 
     def arg(self, x, nu):
@@ -538,15 +549,14 @@ def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:
 
 
 def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,
-                 x_guess: complex | None = None, tol: float = DEFAULT_TOL,
-                 tau=None) -> float:
+                 x_guess: complex | None = None, tau=None) -> float:
     """|ratio + 1| for the six-factor ratio at a zero eta of tau(., nu).
 
     ratio = tau(eta+1,nu+1) tau(eta-2,nu) tau(eta+1,nu-1)
           / [tau(eta-1,nu+1) tau(eta+2,nu) tau(eta-1,nu-1)].
     """
     if tau is None:
-        tau = DiscreteTau(U, V, Z, B, tol=tol)
+        tau = DiscreteTau(U, V, Z, B)
     eta = find_tau_zero(tau, nu, x_guess)
     factors = [(eta + 1.0, nu + 1.0), (eta - 2.0, nu), (eta + 1.0, nu - 1.0),
                (eta - 1.0, nu + 1.0), (eta + 2.0, nu), (eta - 1.0, nu - 1.0)]

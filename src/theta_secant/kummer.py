@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import CoincidentPoints, DimensionMismatch, RankDeficient, ZeroVector
 from .theta import (
-    DEFAULT_TOL,
     PeriodMatrix,
     half_period,
     lattice_distance,
@@ -85,9 +84,9 @@ class SecancyData:
     kind: str
 
 
-def kummer_map(Z, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> ProjectivePoint:
+def kummer_map(Z, B: PeriodMatrix) -> ProjectivePoint:
     """Level-two theta vector of Z as a projective point."""
-    vec = level_two_vector(Z, B, tol=tol)
+    vec = level_two_vector(Z, B)
     if np.all(np.abs(vec.coords) < 1e-250):
         raise ZeroVector("all Kummer coordinates vanished at common scale")
     return ProjectivePoint(vec.coords, vec.logscale, B.g)
@@ -126,8 +125,7 @@ def _check_distinct(B, pairs):
             raise CoincidentPoints(f"{name} vanishes modulo the lattice")
 
 
-def fit_secancy_discrete(U, V, A, B: PeriodMatrix,
-                         tol: float = DEFAULT_TOL) -> SecancyData:
+def fit_secancy_discrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, e^E) for the three-term level-two system."""
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
@@ -135,7 +133,7 @@ def fit_secancy_discrete(U, V, A, B: PeriodMatrix,
     _check_distinct(B, [("U-V", U - V), ("U-A", U - A), ("V-A", V - A)])
     shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
     vecs = level_two_vectors([p for As in shifts for p in (
-        (As - U - V) / 2.0, (As + U - V) / 2.0, (As + V - U) / 2.0)], B, tol=tol)["f"]
+        (As - U - V) / 2.0, (As + U - V) / 2.0, (As + V - U) / 2.0)], B)["f"]
     best = None
     for k in range(4 ** B.g):
         c1, c2, c3 = _common_scale(vecs[3 * k:3 * k + 3])
@@ -153,8 +151,7 @@ def fit_secancy_discrete(U, V, A, B: PeriodMatrix,
                        rel, k, "discrete")
 
 
-def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix,
-                             tol: float = DEFAULT_TOL) -> SecancyData:
+def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, E) for the tangency system with analytic d_V."""
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
@@ -164,7 +161,7 @@ def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix,
         raise CoincidentPoints("V must be nonzero")
     shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
     vecs = level_two_vectors([p for As in shifts for p in ((As - U) / 2.0, (As + U) / 2.0)],
-                             B, deriv_dir=V, tol=tol)
+                             B, deriv_dir=V)
     best = None
     for k in range(4 ** B.g):
         vm, vp = vecs["f"][2 * k:2 * k + 2]

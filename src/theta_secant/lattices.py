@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivisorHit, NumericalError, ValidationError
 from .rng import Xoshiro256
-from .theta import DEFAULT_TOL, PeriodMatrix, normalized_log_abs_many, theta_jets
+from .theta import PeriodMatrix, normalized_log_abs_many, theta_jets
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -130,7 +130,7 @@ class FieldTable:
             w.writerows(zip(*(c.ravel().tolist() for c in cols)))
 
 
-def _guarded_jets(W, A, B: PeriodMatrix, dirs, tol: float, where) -> list:
+def _guarded_jets(W, A, B: PeriodMatrix, dirs, where) -> list:
     """Jets at the points W, shape grid + (g,), and at A + W, from one pass.
 
     Returns (sums, logscale) for W and then for A + W, as in ThetaJets but
@@ -139,7 +139,7 @@ def _guarded_jets(W, A, B: PeriodMatrix, dirs, tol: float, where) -> list:
     it raises DivisorHit; where(i) names the i-th point of W.
     """
     Z = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
-    J = theta_jets(Z, B, dirs=dirs, tol=tol)
+    J = theta_jets(Z, B, dirs=dirs)
     hat = np.exp(normalized_log_abs_many(J, B, Z))
     low = np.flatnonzero(hat < DIVISOR_GUARD)
     if len(low):
@@ -175,8 +175,7 @@ def _fit_rows(a, b, rhs):
 # semi-discrete (Toda) tables
 # ----------------------------------------------------------------------
 
-def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
-                tol: float = DEFAULT_TOL) -> FieldTable:
+def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
     """Build v, u, psi and the log-derivative gap dlog of d/dt psi on the window.
 
     v(x,t) = -d_V log theta(xU+tV+Z); u = v(x+1,t) - v(x,t);
@@ -191,7 +190,7 @@ def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
     ts = np.asarray(win.t_samples)
     W = xs[:, None] * U + ts[:, None, None] * V + win.Z
     (w, w_scale), (a, a_scale) = _guarded_jets(
-        W, A, B, (V,), tol,
+        W, A, B, (V,),
         lambda i: f"x={xs[i % len(xs)]}, t={win.t_samples[i // len(xs)]}")
     lw = w["d0"] / w["f"]            # d_V log theta(w); the logscales cancel
     ratio, ratio_scale = a["f"] / w["f"], a_scale - w_scale
@@ -237,8 +236,7 @@ def refit_constants_toda(table: FieldTable):
 # fully discrete (BDHE) tables
 # ----------------------------------------------------------------------
 
-def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
-                tol: float = DEFAULT_TOL) -> FieldTable:
+def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
     """Four-theta u(m,n) and two-theta psi(m,n) on the window."""
     if win.m_range is None:
         raise ValidationError("bdhe_fields needs a discrete window")
@@ -248,7 +246,7 @@ def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix,
     ns = np.arange(win.n_range[0], win.n_range[1] + 2)
     W = ms[:, None, None] * U + ns[:, None] * V + win.Z
     (w, w_scale), (a, a_scale) = _guarded_jets(
-        W, A, B, (), tol, lambda i: f"m={ms[i // len(ns)]}, n={ns[i % len(ns)]}")
+        W, A, B, (), lambda i: f"m={ms[i // len(ns)]}, n={ns[i % len(ns)]}")
     th = w["f"]
     ratio, ratio_scale = a["f"] / th, a_scale - w_scale
     arg = ms[:, None] * p + ns * E
@@ -294,8 +292,7 @@ def refit_constants_bdhe(table: FieldTable):
 # ----------------------------------------------------------------------
 
 def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
-                          spans, margin: float = 3e-2,
-                          tol: float = DEFAULT_TOL, tries: int = 64) -> np.ndarray:
+                          spans, margin: float = 3e-2, tries: int = 64) -> np.ndarray:
     """Seeded search for Z keeping all window thetas off the divisor.
 
     spans is an iterable of (coeff_U, coeff_V, with_A) index tuples the
@@ -308,7 +305,7 @@ def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
     for _ in range(tries):
         Z = np.array(rng.complex_vector(B.g, scale=0.5))
         W = [cm * U + cn * V + Z + (A if with_a else 0.0) for (cm, cn, with_a) in spans]
-        J = theta_jets(W, B, tol=tol)
+        J = theta_jets(W, B)
         low = float(np.exp(normalized_log_abs_many(J, B, W)).min())
         if low > best_val:
             best, best_val = Z, low

@@ -10,6 +10,7 @@ yields byte-identical output up to the isolated "timing" object.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 from dataclasses import dataclass, field
@@ -69,9 +70,6 @@ PARAMETERS = {
 
 SCENARIOS = tuple(PARAMETERS)
 
-_CONFIG_FIELDS = {"scenario", "curve", "seed", "tolerances", "window",
-                  "out", "csv_dir", "corpus"}
-
 TOL_BOUNDS = (1e-16, 1e-1)
 
 
@@ -127,7 +125,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - {f.name for f in dataclasses.fields(ScenarioConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "scenario" not in data:

@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
-from .theta import DEFAULT_TOL, PeriodMatrix, theta_jets
+from .theta import PeriodMatrix, theta_jets
 from .dynamics import DiscreteTau, find_tau_zero
 
 ORBIT_CAP = 64
+S_MAX = 3                     # highest level of a semi-discrete table
+RESIDUE_SEED = 0.3 + 0.1j     # xi_1 at eta - 1 in the s = 1 residue check
 
 # 5-point first-derivative weights on a uniform stencil (rows: node index)
 _D5 = np.array([
@@ -54,7 +56,6 @@ class SeriesTable:
     complex x of k = 0 for discrete orbits (stride 2).
     """
 
-    s_max: int = 3
     entries: dict = field(default_factory=dict)
     anchors: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
@@ -149,9 +150,7 @@ def discrete_recursion_residual(table: SeriesTable, u_fn, nu: float, s: int) -> 
 
 
 def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
-                                 tol: float = DEFAULT_TOL, tau=None,
-                                 seed_val: complex = 0.3 + 0.1j,
-                                 x_guess: complex | None = None):
+                                 tau=None, x_guess: complex | None = None):
     """Mismatch of the two residue formulas for xi_{s+1} at a zero eta(nu).
 
     Pole-freedom of xi_{s+1} at eta+1 and at eta-1 each determine the
@@ -162,7 +161,7 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     if s not in (0, 1):
         raise ValidationError("residue consistency implemented for s = 0, 1")
     if tau is None:
-        tau = DiscreteTau(U, V, Z, B, tol=tol)
+        tau = DiscreteTau(U, V, Z, B)
     eta = find_tau_zero(tau, nu, x_guess)
     # the Laurent coefficient of tau at eta (the directional derivative along
     # the x-translation direction) and the six factors, in one lattice pass
@@ -178,9 +177,9 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     if s == 1:
         # xi_1 at level nu-1 on the orbit through eta-1, eta+1
         table.anchors[(1, nu - 1.0)] = eta - 1.0
-        table.entries[(1, nu - 1.0, 0)] = seed_val
+        table.entries[(1, nu - 1.0, 0)] = RESIDUE_SEED
         discrete_series_extend(table, u_fn, eta - 1.0, nu - 1.0, 0,
-                               {0: seed_val}, (0, 1))
+                               {0: RESIDUE_SEED}, (0, 1))
     xi_p = table.xi_at_x(s, nu - 1.0, eta + 1.0)
     xi_m = table.xi_at_x(s, nu - 1.0, eta - 1.0)
     fd4d_gap = abs(xi_p - xi_m)
@@ -208,13 +207,12 @@ class SemidiscreteSystem:
     make one lattice pass per call.
     """
 
-    def __init__(self, U, V, Z, B: PeriodMatrix, N: int, tol: float = DEFAULT_TOL):
+    def __init__(self, U, V, Z, B: PeriodMatrix, N: int):
         self.U = np.atleast_1d(np.asarray(U, complex))
         self.V = np.atleast_1d(np.asarray(V, complex))
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
         self.N = int(N)
-        self.tol = tol
         NU = self.N * self.U
         if np.max(np.abs(NU - np.round(NU.real))) > 1e-9:
             raise NonPeriodic(f"N U = {NU} is not an integer vector")
@@ -223,8 +221,7 @@ class SemidiscreteSystem:
         """(theta_V / theta, theta_VV / theta) at the points (x, t), shaped like x."""
         x = np.asarray(x, dtype=float)
         W = np.multiply.outer(x, self.U) + np.multiply.outer(t, self.V) + self.Z
-        J = theta_jets(W.reshape(-1, self.B.g), self.B, dirs=(self.V, self.V),
-                       tol=self.tol).sums
+        J = theta_jets(W.reshape(-1, self.B.g), self.B, dirs=(self.V, self.V)).sums
         f = J["f"]
         return (J["d0"] / f).reshape(x.shape), (J["d01"] / f).reshape(x.shape)
 
@@ -257,9 +254,9 @@ def _stencil_times(table: SeriesTable):
     return ts, dt
 
 
-def new_semidiscrete_table(t_center: float, dt: float, s_max: int = 3) -> SeriesTable:
+def new_semidiscrete_table(t_center: float, dt: float) -> SeriesTable:
     ts = tuple(t_center + (j - 2) * dt for j in range(5))
-    return SeriesTable(s_max=s_max, meta={"t_stencil": ts, "defect": {}})
+    return SeriesTable(meta={"t_stencil": ts, "defect": {}})
 
 
 def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
@@ -275,8 +272,8 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
     """
     ts, dt = _stencil_times(table)
     N = system.N
-    if s >= table.s_max:
-        raise ValidationError(f"s={s} beyond table s_max={table.s_max}")
+    if s >= S_MAX:
+        raise ValidationError(f"s={s} beyond S_MAX={S_MAX}")
     system.check_periodic(ts[2])
 
     xi_s = np.empty((5, N), complex)

@@ -211,6 +211,7 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["checks"][0]["name"] == "momentum_conservation"
+        assert set(out["timing"]) == {"wall_s"} and out["timing"]["wall_s"] >= 0
 
 
 def test_console_script_entry_point():
@@ -285,11 +286,15 @@ def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
      "--out", "{tmp}/missing/report.json"],
     ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3",
      "--csv", "{tmp}/missing/trajectory.csv"],
+    # round(1 / h) steps of 0.6 would reach t = 1.2, of 0.3 stop at t = 0.9
+    ["rs", "simulate", "--n", "2", "--t-end", "1", "--h", "0.6"],
+    ["rs", "simulate", "--n", "2", "--t-end", "1", "--h", "0.3"],
 ])
 def test_non_finite_rs_steps_are_validation_errors(capsys, tmp_path, argv):
-    """An RS run with a non-finite, empty or unbounded step count, a corpus
-    that cannot be read, and an output file in a missing directory each
-    exit 2 with a JSON error, not a traceback, a vacuous pass or a hang."""
+    """An RS run with a non-finite, empty or unbounded step count or a step
+    that does not divide --t-end, a corpus that cannot be read, and an
+    output file in a missing directory each exit 2 with a JSON error, not a
+    traceback, a vacuous pass, a hang or a run that ends off --t-end."""
     (tmp_path / "latin1.json").write_bytes('[{"id": "\xe9"}]'.encode("latin-1"))
     rc = main([a.format(tmp=tmp_path) for a in argv])
     out = json.loads(capsys.readouterr().out)

@@ -176,7 +176,7 @@ class TestKernels:
         def L(u):
             # value and derivative share a logscale, which cancels
             sums = theta_jets(np.array([[u / ker.omega1]]), ker.B, dirs=(unit,),
-                              char=ker.char, tol=ker.tol).sums
+                              char=ker.char).sums
             return sums["d0"][0] / sums["f"][0] / ker.omega1
 
         rng = Xoshiro256(5)
@@ -261,6 +261,20 @@ class TestRS:
         # the two tracked zeros genuinely differ by the full x-period
         omega1 = 1.0 / (0.35 + 0.02j)
         assert abs((paths[1].eta[0] - paths[0].eta[0]) - omega1) <= 1e-9
+
+    @pytest.mark.parametrize("t_end,h", [(1.0, 0.6), (1.0, 0.3), (0.1, 3e-3)])
+    def test_step_must_divide_t_end(self, t_end, h):
+        st = RSState(x=np.array([0.0 + 0j]), xdot=np.array([0.5 + 0j]))
+        with pytest.raises(ValidationError, match="does not divide"):
+            rs_integrate(st, t_end, h)
+
+    @pytest.mark.parametrize("samples", [27, 24])
+    def test_crosscheck_samples_must_fall_on_steps(self, samples):
+        # 250 steps: 26 samples fall on every 10th step; 27 or 24 would
+        # compare the flow and the zeros at different times
+        with pytest.raises(ValidationError, match="must divide"):
+            elliptic_zero_crosscheck(1j, 0.35 + 0.02j, 0.21 - 0.05j, 0.12 + 0.28j,
+                                     t_end=0.5, h=2e-3, samples=samples)
 
     def test_trajectory_csv(self, tmp_path):
         st = RSState(x=np.array([0.0 + 0j]), xdot=np.array([0.5 + 0j]))
