@@ -10,10 +10,9 @@ yields byte-identical output up to the isolated "timing" object.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -125,7 +124,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        unknown = set(data) - {f.name for f in dataclasses.fields(ScenarioConfig)}
+        unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "scenario" not in data:
