@@ -30,13 +30,16 @@ is integrated by classical RK4; zeta is 1/q (rational), (pi/L) cot(pi q/L)
 (trigonometric, period L), or the odd-theta log derivative for the
 elliptic case (the Weierstrass linear corrections cancel in F).  A kernel's
 evaluate(q) maps the array of an RK4 stage's N(N-1) separations x_i - x_j
-to the arrays F and guard (q, q+1 and q-1 clear of the poles).
+to the array F and the (3, N(N-1)) array dist of distance measures from
+q, q+1 and q-1 to the poles; the stage is clear of them when every entry
+of dist exceeds the kernel's clearance.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +64,8 @@ ZERO_TARGET = 1e-10
 SIMPLE_ZERO_GUARD = 1e-10
 FACTOR_GUARD = 1e-8
 MAX_RS_STEPS = 10**6
+MAX_RS_PARTICLES = 100        # an elliptic stage is one pass of 3N(N-1) <= 29700 points
+MAX_RS_POINTS = 4 * 10**6     # (steps + 1) * N positions, and as many velocities
 NEWTON_MAX_ITER = 60
 NEWTON_STEP_CAP = 0.5
 LAURENT_RADIUS = 0.01         # circle radius of the v0 fit, relative to 1 + |x|
@@ -70,15 +75,16 @@ LAURENT_RADIUS = 0.01         # circle radius of the v0 fit, relative to 1 + |x|
 # tau sections
 # ----------------------------------------------------------------------
 
-def _times(x, U) -> np.ndarray:
-    """The points x_p U, shape (P, g), from real products: numpy may round a
-    broadcast complex product with fused multiply-adds, depending on the
-    strides, while real products round alike at any P."""
+def _times(x, U, iU) -> np.ndarray:
+    """The points x_p U, shape (P, g), given U and iU = i U.
+
+    The real and imaginary parts of x multiply U and iU, which rounds like
+    real products: numpy may round a broadcast product of two complex
+    arrays with fused multiply-adds, depending on the strides, while these
+    round alike at any P.
+    """
     x = np.ravel(np.asarray(x, dtype=complex))
-    out = np.empty((len(x), len(U)), dtype=complex)
-    out.real = np.multiply.outer(x.real, U.real) - np.multiply.outer(x.imag, U.imag)
-    out.imag = np.multiply.outer(x.real, U.imag) + np.multiply.outer(x.imag, U.real)
-    return out
+    return np.multiply.outer(x.real, U) + np.multiply.outer(x.imag, iU)
 
 
 class _ThetaSection:
@@ -111,9 +117,10 @@ class ThetaTau(_ThetaSection):
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
         self.dirs = (self.U, self.V)
+        self._iU, self._iV = 1j * self.U, 1j * self.V
 
     def arg(self, x, t):
-        return _times(x, self.U) + _times(t, self.V) + self.Z
+        return _times(x, self.U, self._iU) + _times(t, self.V, self._iV) + self.Z
 
 
 class PerturbedTau(_ThetaSection):
@@ -304,17 +311,19 @@ _SHIFTS = np.array([[0j], [1.0], [-1.0]])
 
 class RationalKernel:
     name = "rational"
+    clearance = 1e-6
 
     def evaluate(self, q: np.ndarray) -> tuple:
         s = q + _SHIFTS
         z = 1.0 / s
-        return 2.0 * z[0] - z[1] - z[2], np.abs(s).min(axis=0) > 1e-6
+        return 2.0 * z[0] - z[1] - z[2], np.abs(s)
 
 
 class TrigKernel:
     """Trigonometric kernel with period L (L must not divide 1)."""
 
     name = "trigonometric"
+    clearance = 1e-6
 
     def __init__(self, period: float = 2.0):
         if abs(period) < 1e-9 or abs(period - 1.0) < 1e-9:
@@ -324,7 +333,7 @@ class TrigKernel:
     def evaluate(self, q: np.ndarray) -> tuple:
         u = np.pi * (q + _SHIFTS) / self.L
         z = (np.pi / self.L) / np.tan(u)
-        return 2.0 * z[0] - z[1] - z[2], np.abs(np.sin(u)).min(axis=0) > 1e-6
+        return 2.0 * z[0] - z[1] - z[2], np.abs(np.sin(u))
 
 
 class EllipticKernel:
@@ -337,6 +346,7 @@ class EllipticKernel:
     """
 
     name = "elliptic"
+    clearance = 1e-8
 
     def __init__(self, tau: complex, omega1: complex = 1.0):
         if complex(tau).imag <= 0:
@@ -348,13 +358,14 @@ class EllipticKernel:
         self._unit = np.array([1.0 + 0j])
 
     def evaluate(self, q: np.ndarray) -> tuple:
-        """F and guard from one theta pass at (q + d)/omega1, d = 0, 1, -1 (the
-        value and derivative share a logscale, which cancels in L)."""
+        """F and dist from one theta pass at (q + d)/omega1, d = 0, 1, -1: dist
+        is the normalized modulus of theta1 there (the value and derivative
+        share a logscale, which cancels in L)."""
         W = ((q + _SHIFTS) / self.omega1).reshape(-1, 1)
         J = theta_jets(W, self.B, dirs=(self._unit,), char=self.char)
         hat = np.exp(normalized_log_abs_many(J, self.B, W)).reshape(3, -1)
         z = (J.sums["d0"] / J.sums["f"] / self.omega1).reshape(3, -1)
-        return 2.0 * z[0] - z[1] - z[2], hat.min(axis=0) > 1e-8
+        return 2.0 * z[0] - z[1] - z[2], hat
 
     # One-point views of evaluate: the benchmark's tracer wraps these two by
     # name and its oracle check calls F; they go once it traces _accel.
@@ -362,7 +373,7 @@ class EllipticKernel:
         return complex(self.evaluate(np.array([q], complex))[0][0])
 
     def guard(self, q: complex) -> bool:
-        return bool(self.evaluate(np.array([q], complex))[1][0])
+        return bool(self.evaluate(np.array([q], complex))[1].min() > self.clearance)
 
 
 def make_kernel(spec) -> object:
@@ -392,8 +403,9 @@ class RSState:
         self.xdot = np.atleast_1d(np.asarray(self.xdot, complex))
         if self.x.shape != self.xdot.shape:
             raise ValidationError("positions and velocities differ in length")
-        if not len(self.x):
-            raise ValidationError("need at least one particle")
+        if not 1 <= len(self.x) <= MAX_RS_PARTICLES:
+            raise ValidationError(f"need 1..{MAX_RS_PARTICLES} particles, "
+                                  f"got {len(self.x)}")
         self.kernel = make_kernel(self.kernel)
 
     @property
@@ -424,16 +436,19 @@ def _pairs(N: int) -> tuple:
     return np.nonzero(~np.eye(N, dtype=bool))
 
 
-def _accel(kernel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a_i = v_i sum_{j != i} v_j F(x_i - x_j) (F may be inf where the guard fails)."""
+def _accel(kernel, x: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """a_i = v_i sum_{j != i} v_j F(x_i - x_j), into out if given; Collision
+    unless every separation of the stage is clear of the poles (F may be
+    inf where it is not)."""
     N = len(x)
     i, j = _pairs(N)
     q = x[i] - x[j]
-    F, clear = kernel.evaluate(q)
-    if not clear.all():
-        k = int(np.argmin(clear))
+    F, dist = kernel.evaluate(q)
+    # one reduction over the stage; a stage without separations (N = 1) is clear
+    if dist.size and not dist.min() > kernel.clearance:
+        k = int(np.argmin(dist.min(axis=0) > kernel.clearance))
         raise Collision(f"particles {i[k]} and {j[k]} at separation {q[k]:.4g}")
-    return v * (v[j] * F).reshape(N, N - 1).sum(axis=1)
+    return np.multiply(v, (v[j] * F).reshape(N, N - 1).sum(axis=1), out=out)
 
 
 def _rs_steps(t_end: float, h: float) -> int:
@@ -457,27 +472,38 @@ def _rs_steps(t_end: float, h: float) -> int:
 @np.errstate(divide="ignore", invalid="ignore")
 def rs_integrate(state: RSState, t_end: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 on (x, xdot) from t = 0 to t_end; aborts on
-    collision guard."""
+    collision guard.  ValidationError past MAX_RS_POINTS positions, that is
+    (steps + 1) N."""
     steps = _rs_steps(t_end, h)
+    N = state.N
+    if (steps + 1) * N > MAX_RS_POINTS:
+        raise ValidationError(f"{steps} steps of {N} particles exceed "
+                              f"{MAX_RS_POINTS} trajectory points")
     kernel = state.kernel
-    x = state.x.copy()
-    v = state.xdot.copy()
-    ts = [0.0]
-    xs = [x.copy()]
-    vs = [v.copy()]
-    for _ in range(steps):
-        k1x, k1v = v, _accel(kernel, x, v)
-        k2x, k2v = v + 0.5 * h * k1v, _accel(kernel, x + 0.5 * h * k1x,
-                                             v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, _accel(kernel, x + 0.5 * h * k2x,
-                                             v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, _accel(kernel, x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ts.append(ts[-1] + h)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return Trajectory(np.array(ts), np.array(xs), np.array(vs))
+    # traj[:, k] is (x, xdot) after k steps
+    traj = np.empty((2, steps + 1, N), complex)
+    traj[:, 0] = state.x, state.xdot
+    # stage s of a step fills rows[s] = (x_s, v_s, a_s): its state is
+    # rows[s, :2] and its slope d(x, v)/dt = (v_s, a_s) is rows[s, 1:]
+    rows = np.empty((4, 3, N), complex)
+    slopes = rows[:, 1:]
+    # stages 2 to 4: (state, x_s, v_s, a_s, slope of the stage before, step to it)
+    later = [(rows[s, :2], *rows[s], slopes[s - 1], c)
+             for s, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h))]
+    x1, v1, a1 = rows[0]
+    sixth = h / 6.0
+    for k in range(steps):
+        y = traj[:, k]
+        rows[0, :2] = y
+        _accel(kernel, x1, v1, out=a1)
+        for y_s, x, v, a, slope, c in later:
+            np.add(y, np.multiply(slope, c, out=y_s), out=y_s)    # y + c slope
+            _accel(kernel, x, v, out=a)
+        np.add(y, sixth * (slopes[0] + 2 * slopes[1] + 2 * slopes[2] + slopes[3]),
+               out=traj[:, k + 1])
+    # t is the running sum of the steps, the float a step loop reaches
+    ts = np.array(list(itertools.accumulate([h] * steps, initial=0.0)))
+    return Trajectory(ts, traj[0], traj[1])
 
 
 def elliptic_zero_crosscheck(tau_mod: complex, U: complex, V: complex, Z: complex,
@@ -536,9 +562,10 @@ class DiscreteTau(_ThetaSection):
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
         self.dirs = (self.W,)
+        self._iW, self._iS = 1j * self.W, 1j * self.S
 
     def arg(self, x, nu):
-        return _times(x, self.W) + _times(nu + 1.0, self.S) + self.Z
+        return _times(x, self.W, self._iW) + _times(nu + 1.0, self.S, self._iS) + self.Z
 
 
 def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:

@@ -65,6 +65,7 @@ DEFAULT_RADIUS_CAP = 64
 DEFAULT_TOL = 1e-13
 TOL_RANGE = (1e-16, 1e-4)
 _TWO_PI_I = 2j * np.pi
+_NORMAL_MIN = np.finfo(float).tiny    # the smallest normal float
 _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of dirs
 
 
@@ -567,10 +568,13 @@ def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, tol: float, keys: tupl
     out = {}
     for key, coords in zip(_JET_KEYS[len(dirs)], sums):
         if key in keys:
-            # each vector scaled by its largest modulus (1 for a zero vector)
-            out[key] = [Level2Vector(c / (pk or 1.0), ls + math.log(pk or 1.0), B.g)
-                        for c, pk, ls in zip(coords, np.abs(coords).max(axis=1).tolist(),
-                                             scale.tolist())]
+            # each vector scaled by its largest modulus, or by 1 if that is
+            # zero or subnormal (numpy divides by multiplying with 1 / pk,
+            # which overflows there)
+            pks = [pk if pk >= _NORMAL_MIN else 1.0
+                   for pk in np.abs(coords).max(axis=1).tolist()]
+            out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
+                        for c, pk, ls in zip(coords, pks, scale.tolist())]
     return out
 
 

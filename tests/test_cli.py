@@ -289,6 +289,10 @@ def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
     # round(1 / h) steps of 0.6 would reach t = 1.2, of 0.3 stop at t = 0.9
     ["rs", "simulate", "--n", "2", "--t-end", "1", "--h", "0.6"],
     ["rs", "simulate", "--n", "2", "--t-end", "1", "--h", "0.3"],
+    # too many particles for the pair arrays and the elliptic stage's pass
+    ["rs", "simulate", "--n", "100000", "--t-end", "0.002", "--h", "1e-3"],
+    ["rs", "simulate", "--n", "1000", "--kernel", "elliptic", "--t-end", "0.002",
+     "--h", "1e-3"],
 ])
 def test_non_finite_rs_steps_are_validation_errors(capsys, tmp_path, argv):
     """An RS run with a non-finite, empty or unbounded step count or a step

@@ -132,8 +132,9 @@ class TestKernels:
         for kernel in KERNELS:
             q = np.array([complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
                           for _ in range(34)])
-            F, clear = kernel.evaluate(q)
+            F, dist = kernel.evaluate(q)
             Fm, _ = kernel.evaluate(-q)
+            clear = dist.min(axis=0) > kernel.clearance
             assert clear.sum() >= 30
             s = (F + Fm)[clear]
             assert np.all(np.abs(s) <= 1e-12 * (1 + np.abs(F[clear])))
@@ -150,12 +151,14 @@ class TestKernels:
         assert abs(ker.F(half)) <= 1e-9 * (1 + abs(ker.F(half + 0.3)))
 
     def test_elliptic_evaluate_is_one_pass(self, lattice_passes):
-        # F and the guard of k separations come from one pass of 3k points
+        # F and dist of k separations come from one pass of 3k points
         ker = EllipticKernel(1.1j, omega1=2.5)
-        F, clear = ker.evaluate(np.array([0.7 - 0.2j, -0.3 + 0.4j, 1.1 + 0.1j,
-                                          0.2 - 0.6j]))
+        F, dist = ker.evaluate(np.array([0.7 - 0.2j, -0.3 + 0.4j, 1.1 + 0.1j,
+                                         0.2 - 0.6j]))
         assert lattice_passes == [(12, False)]
-        assert F.shape == clear.shape == (4,) and clear.all()
+        # dist holds the rows q, q + 1 and q - 1
+        assert F.shape == (4,) and dist.shape == (3, 4)
+        assert dist.min() > ker.clearance
 
     def test_elliptic_stage_is_one_pass(self, lattice_passes):
         # _accel hands all N(N-1) separations of an RK4 stage to the kernel
@@ -203,6 +206,17 @@ class TestKernels:
             with pytest.raises(Collision, match="particles 0 and 1 at separation 0"):
                 rs_integrate(st, 0.01, 1e-3)
 
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_collision_names_the_first_pair(self, kernel):
+        # particles 1 and 2 of three collide; the separations of 0 and 1 and
+        # of 0 and 2 are clear
+        st = RSState(x=np.array([-1.6 + 0.2j, 0.3 + 0.1j, 0.3 + 0.1j]),
+                     xdot=np.array([0.2j, 0.1, -0.1]), kernel=kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Collision, match="particles 1 and 2 at separation 0"):
+                rs_integrate(st, 0.01, 1e-3)
+
     def test_kernel_specs(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
         assert dynamics.make_kernel(ker) is ker
@@ -226,6 +240,27 @@ class TestRS:
         tr = rs_integrate(st, 0.1, 1e-3)
         assert abs(tr.x[-1, 0] - (st.x[0] + 0.1 * st.xdot[0])) <= 1e-12
 
+    def test_free_particle_trig(self):
+        st = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]),
+                     kernel=TrigKernel(2.0))
+        tr = rs_integrate(st, 0.1, 1e-3)
+        assert abs(tr.x[-1, 0] - (st.x[0] + 0.1 * st.xdot[0])) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_step_is_textbook_rk4(self, kernel):
+        x = np.array([0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j])
+        v = np.array([0.4, -0.3 + 0.1j, 0.1j])
+        h = 1e-3
+        tr = rs_integrate(RSState(x=x, xdot=v, kernel=kernel), h, h)
+        a = lambda x, v: dynamics._accel(kernel, x, v)
+        k1x, k1v = v, a(x, v)
+        k2x, k2v = v + 0.5 * h * k1v, a(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = v + 0.5 * h * k2v, a(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = v + h * k3v, a(x + h * k3x, v + h * k3v)
+        assert np.array_equal(tr.t, [0.0, h])
+        assert np.array_equal(tr.x, [x, x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)])
+        assert np.array_equal(tr.xdot, [v, v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)])
+
     def test_three_body_momentum(self):
         st = RSState(x=np.array([0.0, 1.7 + 0.4j, -1.5 + 0.9j]),
                      xdot=np.array([0.3, 0.2 - 0.1j, -0.25 + 0.05j]))
@@ -246,6 +281,16 @@ class TestRS:
     def test_no_particles_rejected(self):
         with pytest.raises(ValidationError):
             RSState(x=np.array([], complex), xdot=np.array([], complex))
+
+    def test_particle_and_trajectory_bounds(self):
+        n = dynamics.MAX_RS_PARTICLES
+        RSState(x=np.arange(n, dtype=complex), xdot=np.zeros(n, complex))
+        with pytest.raises(ValidationError, match="particles"):
+            RSState(x=np.arange(n + 1, dtype=complex), xdot=np.zeros(n + 1, complex))
+        st = RSState(x=np.arange(4, dtype=complex), xdot=np.zeros(4, complex))
+        steps = dynamics.MAX_RS_POINTS // 4      # steps + 1 rows of 4 are one too many
+        with pytest.raises(ValidationError, match="trajectory points"):
+            rs_integrate(st, steps * 1e-3, 1e-3)
 
     def test_collision_guard(self):
         st = RSState(x=np.array([0.0, 1.0 + 1e-8j]),

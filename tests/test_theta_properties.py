@@ -10,7 +10,7 @@ the fundamental cell, Im z = Y t with t in [-1/2, 1/2]^g.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from theta_secant.scaled import ScaledComplex
 from theta_secant.theta import (
@@ -129,6 +129,9 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(siegel_points(count=5), st.integers(0, 2), st.booleans(),
        st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4))
+# a subnormal direction makes the level-two derivative vectors subnormal
+@example(case=(PeriodMatrix([[1j]]), [np.zeros(1, complex)] * 5), order=1,
+         with_char=False, dir_entries=[2.225073858507e-311 + 0j, 0j, 0j, 0j])
 def test_batch_rows_equal_single_point_calls(case, order, with_char, dir_entries):
     """Row p of a P-point pass is bitwise the one-point pass at that row:
     value, 1-jet and 2-jet, with and without a characteristic, and the
