@@ -77,12 +77,12 @@ def _reject_curve(config: ScenarioConfig) -> None:
 def seeded_curve_points(data, rng: Xoshiro256, count: int):
     """Generic points on a genus-2 curve, away from branch points and cuts.
 
-    A point within CUT_CLEARANCE of a cut ends no clear segment, so no
+    A point that is not clear of the cuts ends no clear segment, so no
     integration path could be routed from it.
     """
-    from .curves import CUT_CLEARANCE, CurvePoint, _seg_seg_dist
-    roots = data._engine.e
-    cuts = data._engine.obstacles()
+    from .curves import CurvePoint
+    engine = data._engine
+    roots = engine.e
     pts = []
     guard = 0
     while len(pts) < count and guard < 4000:
@@ -90,7 +90,7 @@ def seeded_curve_points(data, rng: Xoshiro256, count: int):
         x = complex(rng.uniform_in(-1.8, 1.8), rng.uniform_in(-1.8, 1.8))
         if min(abs(x - r) for r in roots) < 0.3:
             continue
-        if min(_seg_seg_dist(x, x, u, v) for (u, v) in cuts) < CUT_CLEARANCE:
+        if not engine.seg_clear(x, x):
             continue
         if any(abs(x - q.x) < 0.35 for q in pts):
             continue
@@ -351,6 +351,13 @@ CM5_SEED = (0.85 + 0.00j, -0.25 + 0.10j, 0.05 + 0.21j)
 F2D_SEED = (0.35 + 0.05j, 0.21 - 0.13j, 0.12 + 0.33j)
 
 
+def momentum_drift(traj) -> float:
+    """Largest change of the total velocity along a trajectory, summed row
+    by row (a vectorised sum rounds differently)."""
+    return float(max(abs(traj.xdot[k].sum() - traj.xdot[0].sum())
+                     for k in range(len(traj.t))))
+
+
 def run_rs_dynamics(config: ScenarioConfig) -> Report:
     from .dynamics import (PerturbedTau, RSState, ThetaTau, cm5_residual,
                            elliptic_zero_crosscheck, rs_integrate,
@@ -367,8 +374,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     st3 = RSState(x=np.array([0.0, 1.7 + 0.4j, -1.5 + 0.9j]),
                   xdot=np.array([0.3, 0.2 - 0.1j, -0.25 + 0.05j]))
     tr3 = rs_integrate(st3, 1.0, 1e-3)
-    drift3 = float(max(abs(tr3.xdot[k].sum() - tr3.xdot[0].sum())
-                       for k in range(len(tr3.t))))
+    drift3 = momentum_drift(tr3)
     checks.append(CheckRecord.le("momentum_rational", drift3,
                                  config.tol("momentum_rational")))
     # two elliptic particles vs tracked theta zeros
@@ -382,9 +388,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     ker = EllipticKernel(1.1j, omega1=2.5)
     ste = RSState(x=np.array([0.2 + 0.1j, 0.9 - 0.2j]),
                   xdot=np.array([0.4 + 0j, -0.3 + 0.1j]), kernel=ker)
-    tre = rs_integrate(ste, 1.0, 1e-3)
-    drifte = float(max(abs(tre.xdot[k].sum() - tre.xdot[0].sum())
-                       for k in range(len(tre.t))))
+    drifte = momentum_drift(rs_integrate(ste, 1.0, 1e-3))
     checks.append(CheckRecord.le("momentum_elliptic", drifte,
                                  config.tol("momentum_elliptic")))
     # zero law on genus-1 data + perturbed control
@@ -544,6 +548,15 @@ def run_scenario(config: ScenarioConfig) -> Report:
 # rs simulate
 # ----------------------------------------------------------------------
 
+# the kernel spec of each --kernel name of rs simulate
+RS_KERNELS = {
+    "rational": "rational",
+    "trig": ("trig", 2.0),
+    "trigonometric": ("trig", 2.0),
+    "elliptic": ("elliptic", 1.1j, 2.5),
+}
+
+
 def run_rs_simulate(args) -> Report:
     from .dynamics import RSState, rs_integrate
     t0 = time.perf_counter()
@@ -551,14 +564,7 @@ def run_rs_simulate(args) -> Report:
     if n < 1:
         raise ConfigError(f"--n must be at least 1, got {n}")
     rng = Xoshiro256(args.seed)
-    if args.kernel == "rational":
-        kernel = "rational"
-    elif args.kernel in ("trig", "trigonometric"):
-        kernel = ("trig", 2.0)
-    elif args.kernel == "elliptic":
-        kernel = ("elliptic", 1.1j, 2.5)
-    else:
-        raise ConfigError(f"unknown kernel {args.kernel!r}")
+    kernel = RS_KERNELS[args.kernel]
     x = np.array([complex(2.2 * k, 0.0) + 0.3 * rng.complex_normal()
                   for k in range(n)])
     v = np.array([0.5 * rng.complex_normal() for k in range(n)])
@@ -570,8 +576,7 @@ def run_rs_simulate(args) -> Report:
                         for k in range(len(traj.t))))
         checks.append(CheckRecord.le("free_particle_linear", dev, 1e-12))
     else:
-        drift = float(max(abs(traj.xdot[k].sum() - traj.xdot[0].sum())
-                          for k in range(len(traj.t))))
+        drift = momentum_drift(traj)
         checks.append(CheckRecord.le("momentum_conservation", drift, 1e-8))
     if args.csv:
         traj.to_csv(args.csv)
@@ -631,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--h", type=float, required=True,
                      help="RK4 step, which must divide --t-end")
     sim.add_argument("--kernel", default="rational",
-                     choices=["rational", "trig", "trigonometric", "elliptic"])
+                     choices=list(RS_KERNELS))
     sim.add_argument("--seed", type=int, default=7)
     sim.add_argument("--csv", default=None)
     sim.add_argument("--out", default=None)

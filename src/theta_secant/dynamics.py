@@ -441,11 +441,14 @@ def _accel(kernel, x: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     unless every separation of the stage is clear of the poles (F may be
     inf where it is not)."""
     N = len(x)
+    if N == 1:
+        # no separations: the stage is clear and its sum is empty
+        return np.multiply(v, 0j, out=out)
     i, j = _pairs(N)
     q = x[i] - x[j]
     F, dist = kernel.evaluate(q)
-    # one reduction over the stage; a stage without separations (N = 1) is clear
-    if dist.size and not dist.min() > kernel.clearance:
+    # one reduction over the stage
+    if not dist.min() > kernel.clearance:
         k = int(np.argmin(dist.min(axis=0) > kernel.clearance))
         raise Collision(f"particles {i[k]} and {j[k]} at separation {q[k]:.4g}")
     return np.multiply(v, (v[j] * F).reshape(N, N - 1).sum(axis=1), out=out)

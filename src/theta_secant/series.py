@@ -5,12 +5,13 @@ Fully discrete: the recursion
     xi_{s+1}(x-1, nu) - xi_{s+1}(x+1, nu) = u(x, nu) xi_s(x, nu-1),
     u(x, nu) = tau(x, nu+1) tau(x, nu-1) / [tau(x-1, nu) tau(x+1, nu)]
 
-extends xi_{s+1} along orbits {anchor + 2k} one step at a time.  At a
-zero eta of tau(., nu), the requirement that xi_{s+1} stay pole-free on
-the two neighbours pins its residue twice (once from eta+1, once from
-eta-1); the two expressions must agree up to sign, which is exactly the
-six-factor ratio identity.  That consistency is what
-``discrete_residue_consistency`` measures.
+has a pole-free xi_{s+1} only if its residues agree.  At a zero eta of
+tau(., nu), the requirement that xi_{s+1} stay pole-free at the two
+neighbours pins its residue twice (once from eta+1, once from eta-1); the
+two expressions must agree up to sign, which is exactly the six-factor
+ratio identity.  That consistency is what ``discrete_residue_consistency``
+measures, for s = 0 (xi_0 = 1) and s = 1 (xi_1 at level nu-1 seeded at
+eta-1 and stepped once by the recursion to eta+1).
 
 Semi-discrete: with an exactly N-periodic potential (N U in Z^g), the
 recursion (T - 1) xi_{s+1} = xi_s' + u xi_s is solved on the cyclic grid
@@ -32,7 +33,6 @@ from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
 from .theta import PeriodMatrix, theta_jets
 from .dynamics import DiscreteTau, find_tau_zero
 
-ORBIT_CAP = 64
 S_MAX = 3                     # highest level of a semi-discrete table
 RESIDUE_SEED = 0.3 + 0.1j     # xi_1 at eta - 1 in the s = 1 residue check
 
@@ -46,108 +46,9 @@ _D5 = np.array([
 ])
 
 
-@dataclass
-class SeriesTable:
-    """Wave-series coefficients on lattice orbits.
-
-    entries maps (s, level, k) -> complex where ``level`` is nu for the
-    discrete recursion or the time-stencil index for the semi-discrete
-    one, and k indexes the orbit point.  anchors[(s, level)] records the
-    complex x of k = 0 for discrete orbits (stride 2).
-    """
-
-    entries: dict = field(default_factory=dict)
-    anchors: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def xi(self, s: int, level, k: int) -> complex:
-        if s == 0:
-            return 1.0 + 0j
-        try:
-            return self.entries[(s, level, k)]
-        except KeyError:
-            raise WindowExhausted(f"xi_{s} unknown at level {level}, offset {k}")
-
-    def xi_at_x(self, s: int, level, x: complex) -> complex:
-        if s == 0:
-            return 1.0 + 0j
-        anchor = self.anchors.get((s, level))
-        if anchor is None:
-            raise WindowExhausted(f"no orbit stored for (s={s}, level={level})")
-        kf = (complex(x) - anchor) / 2.0
-        k = int(round(kf.real))
-        if abs(kf - k) > 1e-9:
-            raise WindowExhausted(f"x={x:.6g} is off the stored orbit")
-        return self.xi(s, level, k)
-
-
 # ----------------------------------------------------------------------
 # fully discrete recursion
 # ----------------------------------------------------------------------
-
-def tau_u_fn(tau):
-    """Potential u(x, nu) of the discrete linear problem from a tau section,
-    one four-point lattice pass per u."""
-
-    def u(x: complex, nu: float) -> complex:
-        f, _, _, g = tau.jets(np.array([x, x, x - 1.0, x + 1.0]),
-                              np.array([nu + 1.0, nu - 1.0, nu, nu]))
-        return complex(f[0] * f[1] / (f[2] * f[3]) * np.exp(g[0] + g[1] - g[2] - g[3]))
-
-    return u
-
-
-def discrete_series_extend(table: SeriesTable, u_fn, anchor: complex,
-                           nu: float, s: int, seeds: dict,
-                           k_range: tuple = (0, 1)) -> SeriesTable:
-    """Extend xi_{s+1} over the orbit {anchor + 2k, k in k_range} at level nu.
-
-    One-sided stepping from the seed values:
-        xi_{s+1}(x+2) = xi_{s+1}(x) - u(x+1, nu) xi_s(x+1, nu-1).
-    Seed keys are orbit offsets k; xi_s values at the intermediate points
-    come from the table (level nu-1; s=0 means the constant 1).
-    """
-    k_lo, k_hi = k_range
-    if k_hi - k_lo > ORBIT_CAP:
-        raise WindowExhausted(f"orbit wider than {ORBIT_CAP}")
-    if not seeds:
-        raise ValidationError("need at least one seed value")
-    dest = dict(seeds)
-    ks = sorted(dest)
-    # forward from the highest contiguous seed, backward from the lowest
-    k = ks[-1]
-    while k < k_hi:
-        xk = anchor + 2.0 * k
-        xi_s = table.xi_at_x(s, nu - 1.0, xk + 1.0)
-        dest[k + 1] = dest[k] - u_fn(xk + 1.0, nu) * xi_s
-        k += 1
-    k = ks[0]
-    while k > k_lo:
-        xk = anchor + 2.0 * k
-        xi_s = table.xi_at_x(s, nu - 1.0, xk - 1.0)
-        dest[k - 1] = dest[k] + u_fn(xk - 1.0, nu) * xi_s
-        k -= 1
-    for k, val in dest.items():
-        table.entries[(s + 1, nu, k)] = val
-    table.anchors[(s + 1, nu)] = complex(anchor)
-    table.seeds[(s + 1, nu)] = dict(seeds)
-    return table
-
-
-def discrete_recursion_residual(table: SeriesTable, u_fn, nu: float, s: int) -> float:
-    """Re-check the stored level s+1 against its defining recursion."""
-    anchor = table.anchors[(s + 1, nu)]
-    ks = sorted(k for (ss, lvl, k) in table.entries if ss == s + 1 and lvl == nu)
-    worst = 0.0
-    for k in ks[:-1]:
-        xk = anchor + 2.0 * k
-        lhs = table.xi(s + 1, nu, k) - table.xi(s + 1, nu, k + 1)
-        rhs = u_fn(xk + 1.0, nu) * table.xi_at_x(s, nu - 1.0, xk + 1.0)
-        scale = abs(lhs) + abs(rhs) + 1.0
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
-
 
 def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
                                  tau=None, x_guess: complex | None = None):
@@ -166,22 +67,24 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     # the Laurent coefficient of tau at eta (the directional derivative along
     # the x-translation direction) and the six factors, in one lattice pass
     shifts = ((0, 0), (1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0))
-    f, fx, _, g = tau.jets(np.array([eta + dx for dx, _ in shifts]),
-                           np.array([nu + dn for _, dn in shifts]))
-    for (dx, dn), h in zip(shifts[1:], np.abs(f[1:])):
+    xs = [eta + dx for dx, _ in shifts]
+    ns = [nu + dn for _, dn in shifts]
+    if s == 1:
+        # and the four factors of u(x, nu-1) at x = (eta-1) + 1, the point
+        # where the recursion steps xi_1 from eta-1 to eta+1 (not bitwise eta)
+        x, n = (eta - 1.0) + 1.0, nu - 1.0
+        xs += [x, x, x - 1.0, x + 1.0]
+        ns += [n + 1.0, n - 1.0, n, n]
+    f, fx, _, g = tau.jets(np.array(xs), np.array(ns))
+    for (dx, dn), h in zip(shifts[1:], np.abs(f[1:7])):
         if h < 1e-10:
             raise GuardFailed(f"tau(eta{dx:+d}, nu{dn:+d}) too close to zero")
 
-    table = SeriesTable()
-    u_fn = tau_u_fn(tau)
+    xi_m = xi_p = 1.0 + 0j
     if s == 1:
-        # xi_1 at level nu-1 on the orbit through eta-1, eta+1
-        table.anchors[(1, nu - 1.0)] = eta - 1.0
-        table.entries[(1, nu - 1.0, 0)] = RESIDUE_SEED
-        discrete_series_extend(table, u_fn, eta - 1.0, nu - 1.0, 0,
-                               {0: RESIDUE_SEED}, (0, 1))
-    xi_p = table.xi_at_x(s, nu - 1.0, eta + 1.0)
-    xi_m = table.xi_at_x(s, nu - 1.0, eta - 1.0)
+        u = complex(f[7] * f[8] / (f[9] * f[10]) * np.exp(g[7] + g[8] - g[9] - g[10]))
+        xi_m = RESIDUE_SEED
+        xi_p = RESIDUE_SEED - u       # xi_1(eta+1) = xi_1(eta-1) - u xi_0
     fd4d_gap = abs(xi_p - xi_m)
 
     # each residue is a product of mantissas times exp of its Gaussian
@@ -246,17 +149,37 @@ class SemidiscreteSystem:
         return worst
 
 
-def _stencil_times(table: SeriesTable):
-    ts = table.meta["t_stencil"]
-    dt = ts[1] - ts[0]
-    if max(abs((ts[i + 1] - ts[i]) - dt) for i in range(4)) > 1e-12:
-        raise ValidationError("time stencil must be uniform")
-    return ts, dt
+@dataclass
+class SeriesTable:
+    """Semi-discrete wave-series levels on the 5-point time stencil ts.
+
+    levels[s] is a (5, N) array whose row j holds xi_s on the cyclic grid
+    Z/N at time ts[j] (xi_0 = 1 is implied); defect[s] is the cyclic defect
+    N |mean| of a level built without the periodic normalization.
+    """
+
+    ts: tuple
+    dt: float
+    levels: dict = field(default_factory=dict)
+    defect: dict = field(default_factory=dict)
+
+    def level(self, s: int, N: int) -> np.ndarray:
+        if s == 0:
+            return np.ones((5, N), complex)
+        try:
+            return self.levels[s]
+        except KeyError:
+            raise WindowExhausted(f"xi_{s} unknown") from None
 
 
 def new_semidiscrete_table(t_center: float, dt: float) -> SeriesTable:
+    """An empty table on the stencil t_center + (j - 2) dt, j = 0..4, which
+    must be uniform to 1e-12 in floating point."""
     ts = tuple(t_center + (j - 2) * dt for j in range(5))
-    return SeriesTable(meta={"t_stencil": ts, "defect": {}})
+    step = ts[1] - ts[0]
+    if max(abs((ts[i + 1] - ts[i]) - step) for i in range(4)) > 1e-12:
+        raise ValidationError("time stencil must be uniform")
+    return SeriesTable(ts, step)
 
 
 def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
@@ -267,19 +190,15 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
     (zero at the center time) before integrating, then solves the cyclic
     first-difference system by prefix sums.  With skip_normalization the
     mean is left in place and the resulting cyclic defect N*|mean| is
-    recorded in meta["defect"][s+1] instead (the level is then built from
-    the defective right side, for the negative control).
+    recorded in defect[s+1] instead (the level is then built from the
+    defective right side, for the negative control).
     """
-    ts, dt = _stencil_times(table)
-    N = system.N
+    ts, dt, N = table.ts, table.dt, system.N
     if s >= S_MAX:
         raise ValidationError(f"s={s} beyond S_MAX={S_MAX}")
     system.check_periodic(ts[2])
 
-    xi_s = np.empty((5, N), complex)
-    for j in range(5):
-        for x in range(N):
-            xi_s[j, x] = table.xi(s, j, x)
+    xi_s = table.level(s, N)
     u = system.u(np.tile(np.arange(N, dtype=float), (5, 1)),
                  np.repeat(np.array(ts)[:, None], N, axis=1))
 
@@ -288,9 +207,8 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
     m = rhs.mean(axis=1)
 
     if skip_normalization:
-        c = np.zeros(5, complex)
         rhs_used = rhs
-        table.meta["defect"][s + 1] = float(abs(N * m[2]))
+        table.defect[s + 1] = float(abs(N * m[2]))
     else:
         # c_s(t_j) = -integral of the degree-4 interpolant of m from t_center
         dts = np.array([(j - 2) * dt for j in range(5)])
@@ -298,19 +216,12 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
         anti = np.polyint(coeffs)
         c = -np.polyval(anti, dts) + np.polyval(anti, 0.0)
         if s > 0:
-            for j in range(5):
-                for x in range(N):
-                    table.entries[(s, j, x)] = xi_s[j, x] + c[j]
+            table.levels[s] = xi_s + c[:, None]
         rhs_used = (xidot - m[:, None]) + u * (xi_s + c[:, None])
         rhs_used = rhs_used - rhs_used.mean(axis=1)[:, None]
 
-    for j in range(5):
-        acc = 0j
-        table.entries[(s + 1, j, 0)] = acc
-        for x in range(N - 1):
-            acc += rhs_used[j, x]
-            table.entries[(s + 1, j, x + 1)] = acc
-    table.meta.setdefault("c", {})[s] = c
+    table.levels[s + 1] = np.cumsum(
+        np.concatenate([np.zeros((5, 1), complex), rhs_used[:, :-1]], axis=1), axis=1)
     return table
 
 
@@ -324,10 +235,10 @@ def semidiscrete_resubstitution(table: SeriesTable, system: SemidiscreteSystem,
     """
     if s not in (0, 1):
         raise ValidationError("analytic resubstitution available for s = 0, 1")
-    ts, dt = _stencil_times(table)
     N = system.N
-    t_c = ts[2]
-    xi_s = np.array([table.xi(s, 2, x) for x in range(N)])
+    t_c = table.ts[2]
+    xi_s = table.level(s, N)[2]
+    xi_next = table.level(s + 1, N)[2]
     xs = np.arange(N, dtype=float)
     u = system.u(xs, t_c)
     if s == 0:
@@ -337,16 +248,13 @@ def semidiscrete_resubstitution(table: SeriesTable, system: SemidiscreteSystem,
         xidot = vdot - vdot[0]
     rhs = xidot + u * xi_s
     rhs = rhs - rhs.mean()
-    worst = 0.0
     scale = float(np.max(np.abs(rhs))) + 1e-300
-    for x in range(N):
-        # (x + 1) % N wraps: the prefix sums close up to the removed mean
-        delta = table.xi(s + 1, 2, (x + 1) % N) - table.xi(s + 1, 2, x)
-        worst = max(worst, abs(delta - rhs[x]) / scale)
-    return worst
+    # the roll wraps x = N-1 to 0: the prefix sums close up to the removed mean
+    delta = np.roll(xi_next, -1) - xi_next
+    return float(np.max(np.abs(delta - rhs) / scale))
 
 
 def semidiscrete_cyclic_defect(table: SeriesTable, system: SemidiscreteSystem,
                                s_level: int) -> float:
     """|xi(x0+N) - xi(x0)| implied by the stored right side of level s_level."""
-    return table.meta["defect"].get(s_level, 0.0)
+    return table.defect.get(s_level, 0.0)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import theta_secant.cli as cli
-from theta_secant.cli import jacobian_fay_data, main, resolve_curve, run_scenario
+from theta_secant.cli import (RS_KERNELS, jacobian_fay_data, main, resolve_curve,
+                              run_scenario)
 from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.errors import ConfigError
 from theta_secant.reports import (PARAMETERS, SCENARIOS, CheckRecord, Report,
@@ -204,7 +205,7 @@ class TestMain:
         assert csv_path.exists()
         assert len(csv_path.read_text().splitlines()) == 1002
 
-    @pytest.mark.parametrize("kernel", ["rational", "trig", "elliptic"])
+    @pytest.mark.parametrize("kernel", list(RS_KERNELS))
     def test_rs_simulate_three_particles(self, capsys, kernel):
         rc = main(["rs", "simulate", "--n", "3", "--t-end", "0.2", "--h", "1e-3",
                    "--kernel", kernel])

@@ -233,12 +233,14 @@ class TestRS:
         tr = rs_integrate(st, 1.0, 1e-3)
         assert abs(tr.x[-1, 0] - (st.x[0] + st.xdot[0])) <= 1e-12
 
-    def test_free_particle_elliptic(self):
-        # one particle has no separations: the elliptic stage is empty
+    def test_free_particle_elliptic(self, lattice_passes):
+        # one particle has no separations: the elliptic stage is empty and
+        # makes no lattice pass
         st = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]),
                      kernel=EllipticKernel(1.1j, omega1=2.5))
         tr = rs_integrate(st, 0.1, 1e-3)
         assert abs(tr.x[-1, 0] - (st.x[0] + 0.1 * st.xdot[0])) <= 1e-12
+        assert lattice_passes == []
 
     def test_free_particle_trig(self):
         st = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]),

@@ -1,4 +1,4 @@
-"""Wave-series recursion tests: orbits, residues, periodic normalization."""
+"""Wave-series recursion tests: residues, periodic normalization."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,13 @@ import pytest
 from theta_secant.dynamics import DiscreteTau, PerturbedTau, find_tau_zero
 from theta_secant.errors import NonPeriodic, ValidationError, WindowExhausted
 from theta_secant.series import (
+    RESIDUE_SEED,
     SemidiscreteSystem,
-    SeriesTable,
-    discrete_recursion_residual,
     discrete_residue_consistency,
-    discrete_series_extend,
     new_semidiscrete_table,
     semidiscrete_cyclic_defect,
     semidiscrete_resubstitution,
     semidiscrete_series_extend,
-    tau_u_fn,
 )
 from theta_secant.theta import PeriodMatrix
 
@@ -23,42 +20,6 @@ B_I = PeriodMatrix([[1j]])
 U1 = np.array([0.35 + 0.05j])
 V1 = np.array([0.21 - 0.13j])
 Z1 = np.array([0.12 + 0.33j])
-
-
-class TestDiscreteOrbit:
-    def test_zero_potential_telescopes(self):
-        table = SeriesTable()
-        u0 = lambda x, nu: 0j
-        discrete_series_extend(table, u0, anchor=0.3 + 0.1j, nu=1.0, s=0,
-                               seeds={0: 1.0 + 0j}, k_range=(-3, 3))
-        vals = [table.xi(1, 1.0, k) for k in range(-3, 4)]
-        assert all(v == 1.0 + 0j for v in vals)
-
-    def test_theta_recursion_self_consistent(self):
-        tau = DiscreteTau(U1, V1, Z1, B_I)
-        table = SeriesTable()
-        u = tau_u_fn(tau)
-        discrete_series_extend(table, u, anchor=0.25 + 0.1j, nu=0.0, s=0,
-                               seeds={0: 0.7 - 0.2j}, k_range=(-4, 4))
-        assert discrete_recursion_residual(table, u, 0.0, 0) <= 1e-12
-
-    def test_missing_level_raises(self):
-        table = SeriesTable()
-        with pytest.raises(WindowExhausted):
-            table.xi(1, 0.0, 2)
-        with pytest.raises(WindowExhausted):
-            table.xi_at_x(1, 0.0, 1.37)
-
-    def test_u_is_one_four_point_pass(self, lattice_passes):
-        u = tau_u_fn(DiscreteTau(U1, V1, Z1, B_I))(0.25 + 0.1j, 0.5)
-        assert lattice_passes == [(4, False)]
-        assert np.isfinite(u)
-
-    def test_orbit_cap(self):
-        table = SeriesTable()
-        with pytest.raises(WindowExhausted):
-            discrete_series_extend(table, lambda x, nu: 0j, 0j, 0.0, 0,
-                                   {0: 1.0}, (0, 100))
 
 
 class TestResidueConsistency:
@@ -90,6 +51,42 @@ class TestResidueConsistency:
                                                      s=s, tau=pert)
             assert mis >= 1e-2
 
+    def test_s1_is_one_pass(self, lattice_passes):
+        # past the zero search, s = 0 makes one 7-point pass and s = 1 one
+        # 11-point pass: the seven residue points and the four factors of
+        # u(eta, nu-1)
+        discrete_residue_consistency(U1, V1, Z1, B_I, nu=0.5, s=0)
+        search = lattice_passes[:-1]
+        assert lattice_passes[-1] == (7, False)
+        lattice_passes.clear()
+        discrete_residue_consistency(U1, V1, Z1, B_I, nu=0.5, s=1)
+        assert lattice_passes == search + [(11, False)]
+
+    def test_s1_steps_xi1_by_the_recursion(self, monkeypatch):
+        # u(eta, nu-1) is read at x = (eta - 1) + 1, where the recursion steps
+        # xi_1 from eta-1 to eta+1; at nu = 1.5 that x rounds away from eta
+        tau = DiscreteTau(U1, V1, Z1, B_I)
+        jets, calls = tau.jets, []
+
+        def recording(xs, ts):
+            calls.append((xs, ts))
+            return jets(xs, ts)
+
+        monkeypatch.setattr(tau, "jets", recording)
+        nu = 1.5
+        _, eta, gap = discrete_residue_consistency(U1, V1, Z1, B_I, nu=nu, s=1,
+                                                   tau=tau)
+        x, n = (eta - 1.0) + 1.0, nu - 1.0
+        assert x != eta
+        xs, ts = calls[-1]
+        assert xs[7:].tolist() == [x, x, x - 1.0, x + 1.0]
+        assert ts[7:].tolist() == [n + 1.0, n - 1.0, n, n]
+        # xi_1(eta+1) = xi_1(eta-1) - u, u bitwise its own 4-point pass
+        f, _, _, g = jets(xs[7:], ts[7:])
+        u = complex(f[0] * f[1] / (f[2] * f[3]) * np.exp(g[0] + g[1] - g[2] - g[3]))
+        assert gap == abs((RESIDUE_SEED - u) - RESIDUE_SEED)
+        assert gap <= 1e-9
+
     def test_bad_s_rejected(self):
         with pytest.raises(ValidationError):
             discrete_residue_consistency(U1, V1, Z1, B_I, nu=0.0, s=2)
@@ -108,7 +105,7 @@ class TestSemidiscrete:
     def test_xi1_matches_log_derivative(self, sd_system):
         table = new_semidiscrete_table(t_center=0.1, dt=0.01)
         semidiscrete_series_extend(table, sd_system, 0)
-        worst = max(abs(table.xi(1, 2, x)
+        worst = max(abs(table.levels[1][2, x]
                         - (sd_system.v(x, 0.1) - sd_system.v(0, 0.1)))
                     for x in range(5))
         assert worst <= 1e-12
@@ -119,6 +116,23 @@ class TestSemidiscrete:
         assert semidiscrete_resubstitution(table, sd_system, 0) <= 1e-12
         semidiscrete_series_extend(table, sd_system, 1)
         assert semidiscrete_resubstitution(table, sd_system, 1) <= 1e-6
+
+    def test_non_uniform_stencil_rejected(self):
+        # at t = 1e10 (one ulp is 1.9e-6) steps of 0.001 round to different
+        # widths; steps of 0.01 happen to round alike there
+        with pytest.raises(ValidationError):
+            new_semidiscrete_table(t_center=1e10, dt=0.001)
+        new_semidiscrete_table(t_center=1e10, dt=0.01)
+
+    def test_missing_level_raises(self, sd_system):
+        table = new_semidiscrete_table(t_center=0.1, dt=0.01)
+        assert np.array_equal(table.level(0, 5), np.ones((5, 5)))
+        with pytest.raises(WindowExhausted):
+            table.level(1, 5)
+        with pytest.raises(WindowExhausted):
+            semidiscrete_resubstitution(table, sd_system, 0)
+        with pytest.raises(WindowExhausted):
+            semidiscrete_series_extend(table, sd_system, 1)
 
     def test_zero_rhs_constant(self):
         class NullSystem:
@@ -138,7 +152,8 @@ class TestSemidiscrete:
 
         table = new_semidiscrete_table(t_center=0.0, dt=0.01)
         semidiscrete_series_extend(table, NullSystem(), 0)
-        assert all(table.xi(1, 2, x) == 0j for x in range(4))
+        assert table.levels[1].shape == (5, 4)
+        assert np.array_equal(table.levels[1], np.zeros((5, 4)))
 
     def test_skipping_normalization_leaves_defect(self, sd_system):
         table = new_semidiscrete_table(t_center=0.1, dt=0.01)
