@@ -81,18 +81,13 @@ def seeded_curve_points(data, rng: Xoshiro256, count: int):
     integration path could be routed from it.
     """
     from .curves import CurvePoint
-    engine = data._engine
-    roots = engine.e
     pts = []
     guard = 0
     while len(pts) < count and guard < 4000:
         guard += 1
         x = complex(rng.uniform_in(-1.8, 1.8), rng.uniform_in(-1.8, 1.8))
-        if min(abs(x - r) for r in roots) < 0.3:
-            continue
-        if not engine.seg_clear(x, x):
-            continue
-        if any(abs(x - q.x) < 0.35 for q in pts):
+        if (min(abs(x - r) for r in data.e) < 0.3 or not data.seg_clear(x, x)
+                or any(abs(x - q.x) < 0.35 for q in pts)):
             continue
         sheet = 1 if rng.uniform() < 0.5 else -1
         pts.append(CurvePoint(x=x, sheet=sheet))
@@ -232,15 +227,15 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
                 for s in samples)
 
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
+    # the negative controls take the strongest witness: the identities must
+    # hold at every divisor point, so one clear violation refutes them
     dec_samples = sample_theta_divisor(Bd, config.seed + 1, min(count, 5))
-    ctrl_dec = min(residual_cm7d(s, U, V, Bd) for s in dec_samples)
+    dec = [residual_cm7d(s, U, V, Bd) for s in dec_samples]
     ctrl_rng = rng.spawn(23)
-    # strongest of three seeded random pairs: individual draws can land in
-    # shallow directions, but any one clear witness refutes the identity
-    ctrl_cm7 = max(
-        min(residual_cm7(s, random_z(ctrl_rng, 2, 0.4),
-                         random_z(ctrl_rng, 2, 0.4), B) for s in samples)
-        for _ in range(3))
+    # three rounds over the samples, each sample with its own random pair
+    rand = [[residual_cm7(s, random_z(ctrl_rng, 2, 0.4),
+                          random_z(ctrl_rng, 2, 0.4), B) for s in samples]
+            for _ in range(3)]
 
     checks = [
         CheckRecord.le("genus1_identity", worst_g1, config.tol("genus1_identity")),
@@ -250,21 +245,25 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
                        config.tol("divisor_reverify")),
         CheckRecord.le("cm7d", worst_cm7d, config.tol("cm7d")),
         CheckRecord.le("cm7", worst_cm7, config.tol("cm7")),
-        CheckRecord.ge("cm7d_decomposable_control", ctrl_dec,
+        CheckRecord.ge("cm7d_decomposable_control", max(dec),
                        config.tol("cm7d_decomposable_control")),
-        CheckRecord.ge("cm7_random_control", ctrl_cm7,
+        CheckRecord.ge("cm7_random_control", max(map(max, rand)),
                        config.tol("cm7_random_control")),
         CheckRecord.ge("singular_locus_probe", probe,
                        config.tol("singular_locus_probe")),
     ]
-    return Report("divisor-identities", config.seed, checks, curve=ident)
+    rep = Report("divisor-identities", config.seed, checks, curve=ident)
+    # the weakest witnesses, reported beside the strongest
+    rep.extra["cm7d_decomposable_control_min"] = min(dec)
+    rep.extra["cm7_random_control_max_of_mins"] = max(map(min, rand))
+    return rep
 
 
 def run_toda(config: ScenarioConfig) -> Report:
     from .curves import abel_tangent, build_abel_data
     from .kummer import fit_secancy_semidiscrete
     from .lattices import (LatticeWindow, find_clear_base_point, refit_constants_toda,
-                           toda_fields, toda_psi_residual, window_spans)
+                           toda_fields, toda_psi_residual)
     ident, spec = resolve_curve(config)
     data = build_abel_data(spec)
     B = data.B
@@ -275,19 +274,15 @@ def run_toda(config: ScenarioConfig) -> Report:
     As = A + half_period(B, fit.calibration_shift)
     nx = config.win("x_size")
     nt = config.win("t_size")
-    t_samples = tuple(np.linspace(-0.3, 0.3, nt))
-    x_range = (-nx // 2, nx - nx // 2 - 1)
-    probe_win = LatticeWindow(np.zeros(B.g, complex), x_range=x_range,
-                              t_samples=t_samples)
-    Z = find_clear_base_point(U, Vt, As, B, config.seed + 11,
-                              window_spans(probe_win))
-    win = LatticeWindow(Z, x_range=x_range, t_samples=t_samples)
-    table = toda_fields(U, Vt, As, fit.p, fit.E, win, B)
+    win = LatticeWindow(x_range=(-nx // 2, nx - nx // 2 - 1),
+                        t_samples=np.linspace(-0.3, 0.3, nt))
+    Z = find_clear_base_point(U, Vt, As, B, config.seed + 11, win)
+    table = toda_fields(U, Vt, As, fit.p, fit.E, Z, win, B)
     res = toda_psi_residual(table)
     ep2, E2 = refit_constants_toda(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),
                  abs(E2 - fit.E) / max(abs(fit.E), 1e-300))
-    pert_table = toda_fields(U, Vt, As, fit.p, fit.E + 1e-3, win, B)
+    pert_table = toda_fields(U, Vt, As, fit.p, fit.E + 1e-3, Z, win, B)
     pert = toda_psi_residual(pert_table)
     checks = [
         CheckRecord.le("fit_residual", fit.residual, config.tol("fit_residual")),
@@ -306,8 +301,7 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     from .curves import build_abel_data
     from .kummer import fit_secancy_discrete
     from .lattices import (LatticeWindow, bdhe_fields, bdhe_psi_residual,
-                           find_clear_base_point, refit_constants_bdhe,
-                           window_spans)
+                           find_clear_base_point, refit_constants_bdhe)
     ident, spec = resolve_curve(config)
     data = build_abel_data(spec)
     B = data.B
@@ -317,14 +311,10 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     As = A + half_period(B, fit.calibration_shift)
     nm = config.win("m_size")
     nn = config.win("n_size")
-    m_range = (-nm // 2, nm - nm // 2 - 1)
-    n_range = (-nn // 2, nn - nn // 2 - 1)
-    probe_win = LatticeWindow(np.zeros(B.g, complex), m_range=m_range,
-                              n_range=n_range)
-    Z = find_clear_base_point(U, V, As, B, config.seed + 11,
-                              window_spans(probe_win))
-    win = LatticeWindow(Z, m_range=m_range, n_range=n_range)
-    table = bdhe_fields(U, V, As, fit.p, fit.E, win, B)
+    win = LatticeWindow(m_range=(-nm // 2, nm - nm // 2 - 1),
+                        n_range=(-nn // 2, nn - nn // 2 - 1))
+    Z = find_clear_base_point(U, V, As, B, config.seed + 11, win)
+    table = bdhe_fields(U, V, As, fit.p, fit.E, Z, win, B)
     res = bdhe_psi_residual(table)
     ep2, eE2 = refit_constants_bdhe(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),
@@ -507,7 +497,9 @@ def run_controls(config: ScenarioConfig) -> Report:
     pos_id = max(residual_cm7d(s, U, V, B) for s in samples)
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     dsamples = sample_theta_divisor(Bd, config.seed + 1, 4)
-    neg_id = min(residual_cm7d(s, U, V, Bd) for s in dsamples)
+    # the strongest witness: the identity must hold at every divisor point
+    dec = [residual_cm7d(s, U, V, Bd) for s in dsamples]
+    neg_id = max(dec)
     # fit_gap and identity_gap divide by Jacobian residuals at rounding level
     # (about 4e-15 for the fit), so any change in the order of evaluation
     # moves them by 1e-5 to 3e-3 relative
@@ -520,7 +512,9 @@ def run_controls(config: ScenarioConfig) -> Report:
         CheckRecord.ge("decomposable_identity", neg_id,
                        config.tol("decomposable_identity")),
     ]
-    return Report("controls", config.seed, checks, curve=ident)
+    rep = Report("controls", config.seed, checks, curve=ident)
+    rep.extra["decomposable_identity_min"] = min(dec)
+    return rep
 
 
 RUNNERS = {

@@ -1,7 +1,7 @@
 """Jacobian data from curves: periods, Abel maps, tangents, secancy vectors.
 
-Genus 1 is the flat torus C/(Z + tau Z): the period matrix is [[tau]] and
-the Abel map is the identity chart.
+Abel data are built for genus 2 only; a genus-1 spec (the torus
+C/(Z + tau Z)) is parsed and validated, and building its Abel data is an error.
 
 Genus 2 uses the hyperelliptic model y^2 = p(x) with p monic of degree 5
 (one branch point at infinity).  Branch points are sorted by (Re, Im); the
@@ -108,15 +108,12 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Point on a curve: z on the genus-1 torus, (x, sheet) on genus 2."""
+    """Point (x, sheet) on a genus-2 curve."""
 
-    x: complex | None = None
+    x: complex
     sheet: int = 1
-    z: complex | None = None
 
     def __post_init__(self):
-        if self.z is None and self.x is None:
-            raise ValidationError("CurvePoint needs x (genus 2) or z (genus 1)")
         if self.sheet not in (1, -1):
             raise ValidationError("sheet must be +1 or -1")
 
@@ -155,18 +152,28 @@ def _leggauss(n: int):
 
 
 # ----------------------------------------------------------------------
-# hyperelliptic machinery
+# AbelData
 # ----------------------------------------------------------------------
 
-class _Hyper2:
-    """Branch bookkeeping and quadrature for one genus-2 curve."""
+class AbelData:
+    """One genus-2 curve: its branch, cut routing and quadrature, and the
+    Jacobian data computed with them (curve, B, a_periods, normalization
+    and basepoint, the first branch point).
 
-    def __init__(self, poly, detour_scale=0.4, quad_tol=QUAD_TOL):
-        self.coeffs = np.asarray(poly, dtype=complex)       # increasing degree
+    Raises NonPosDef if the computed period matrix is asymmetric beyond
+    1e-8 or its imaginary part fails Cholesky; both signal a
+    homology-orientation inconsistency and are surfaced rather than
+    repaired.
+    """
+
+    def __init__(self, curve: CurveSpec, detour_scale: float, quad_tol: float):
+        if curve.genus != 2:
+            raise ValidationError("Abel data are built for genus-2 curves only")
+        self.curve = curve
+        self.coeffs = np.asarray(curve.poly, dtype=complex)       # increasing degree
         roots = np.roots(self.coeffs[::-1])
         order = np.lexsort((roots.imag, roots.real))
-        self.e = roots[order]
-        e = self.e
+        self.e = e = roots[order]
         d = e[4] - np.mean(e[:4])
         self.ray_dir = d / abs(d)
         th1, th2 = np.angle(e[1] - e[0]), np.angle(e[3] - e[2])
@@ -176,6 +183,23 @@ class _Hyper2:
         self.quad_tol = quad_tol
         scale = max(1.0, float(np.max(np.abs(e))))
         self.ray_len = 60.0 * scale
+
+        gamma1 = 2.0 * self.cut_integral(0)
+        gamma3 = 2.0 * self.cut_integral(1)
+        gamma2 = 2.0 * self.routed_integral(e[1], e[2])
+        gamma4 = 2.0 * self.routed_integral(e[3], e[4])
+        self.a_periods = np.stack([gamma1, gamma3], axis=1)
+        b_periods = np.stack([gamma2 + gamma4, gamma4], axis=1)
+        if abs(np.linalg.det(self.a_periods)) < 1e-14:
+            raise NonPosDef("a-period matrix is singular")
+        self.normalization = np.linalg.inv(self.a_periods)
+        Bm = self.normalization @ b_periods
+        asym = float(np.max(np.abs(Bm - Bm.T)))
+        if asym > 1e-8:
+            raise NonPosDef(f"period matrix asymmetric by {asym:.2e}; "
+                            "homology orientation inconsistent for this curve")
+        self.B = PeriodMatrix(0.5 * (Bm + Bm.T))     # raises NonPosDef if Im B fails Cholesky
+        self.basepoint = complex(e[0])
 
     # -- branch ---------------------------------------------------------
 
@@ -347,67 +371,15 @@ class _Hyper2:
     def routed_integral(self, P, Q):
         return self.path_integral(self.route(P, Q))
 
-
-# ----------------------------------------------------------------------
-# AbelData
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AbelData:
-    """Computed Jacobian data: periods, normalization, Abel evaluator."""
-
-    curve: CurveSpec
-    B: PeriodMatrix
-    a_periods: np.ndarray
-    normalization: np.ndarray
-    basepoint: complex
-
-    _engine: object = None
-
-    @property
-    def g(self) -> int:
-        return self.curve.genus
-
     def point_y(self, P: CurvePoint) -> complex:
         """The y coordinate implied by (x, sheet) under the global branch."""
-        if self.curve.kind != "hyperelliptic2":
-            raise ValidationError("point_y is a hyperelliptic operation")
-        return P.sheet * complex(self._engine.Y(P.x))
+        return P.sheet * complex(self.Y(P.x))
 
 
 def build_abel_data(curve: CurveSpec, detour_scale: float = 0.4,
                     quad_tol: float = QUAD_TOL) -> AbelData:
-    """Periods and normalized differentials for a curve.
-
-    Raises NonPosDef if the computed matrix is asymmetric beyond 1e-8 or
-    its imaginary part fails Cholesky; both signal a homology-orientation
-    inconsistency and are surfaced rather than repaired.
-    """
-    if curve.kind == "genus1":
-        B = PeriodMatrix([[curve.tau]])
-        one = np.array([[1.0 + 0j]])
-        return AbelData(curve, B, one, one.copy(), 0j, None)
-
-    eng = _Hyper2(curve.poly, detour_scale=detour_scale, quad_tol=quad_tol)
-    e = eng.e
-    gamma1 = 2.0 * eng.cut_integral(0)
-    gamma3 = 2.0 * eng.cut_integral(1)
-    gamma2 = 2.0 * eng.routed_integral(e[1], e[2])
-    gamma4 = 2.0 * eng.routed_integral(e[3], e[4])
-
-    a_periods = np.stack([gamma1, gamma3], axis=1)
-    b_periods = np.stack([gamma2 + gamma4, gamma4], axis=1)
-    if abs(np.linalg.det(a_periods)) < 1e-14:
-        raise NonPosDef("a-period matrix is singular")
-    normalization = np.linalg.inv(a_periods)
-    Bm = normalization @ b_periods
-    asym = float(np.max(np.abs(Bm - Bm.T)))
-    if asym > 1e-8:
-        raise NonPosDef(f"period matrix asymmetric by {asym:.2e}; "
-                        "homology orientation inconsistent for this curve")
-    Bm = 0.5 * (Bm + Bm.T)
-    B = PeriodMatrix(Bm)     # raises NonPosDef if Im B fails Cholesky
-    return AbelData(curve, B, a_periods, normalization, complex(e[0]), eng)
+    """Periods and normalized differentials for a genus-2 curve (see AbelData)."""
+    return AbelData(curve, detour_scale, quad_tol)
 
 
 # ----------------------------------------------------------------------
@@ -422,28 +394,21 @@ def abel_map(data: AbelData, P: CurvePoint, via=None) -> np.ndarray:
     sign.  ``via`` forces intermediate waypoints (used by the
     path-independence oracle); the default route avoids all cuts.
     """
-    if data.curve.kind == "genus1":
-        if P.z is None:
-            raise ValidationError("genus-1 point needs z")
-        return np.array([complex(P.z)])
-    eng = data._engine
     if via is None:
-        waypoints = eng.route(data.basepoint, complex(P.x))
+        waypoints = data.route(data.basepoint, complex(P.x))
     else:
         waypoints = [data.basepoint, *map(complex, via), complex(P.x)]
         for a, b in zip(waypoints[:-1], waypoints[1:]):
-            if not eng.seg_clear(a, b):
+            if not data.seg_clear(a, b):
                 raise PathFailure("forced waypoints cross a cut")
-    raw = eng.path_integral(waypoints)
+    raw = data.path_integral(waypoints)
     return P.sheet * (data.normalization @ raw)
 
 
 def abel_tangent(data: AbelData, P: CurvePoint) -> np.ndarray:
     """Derivative of the Abel map in the affine x chart at P."""
-    if data.curve.kind == "genus1":
-        return np.array([1.0 + 0j])
     x = complex(P.x)
-    if abs(data._engine.p_at(x)) < 1e-10:
+    if abs(data.p_at(x)) < 1e-10:
         raise BranchPoint(f"abel_tangent undefined at branch point x={x:.6g}")
     y = data.point_y(P)
     return data.normalization @ (np.array([1.0, x]) / y)

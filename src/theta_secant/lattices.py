@@ -20,7 +20,7 @@ least-squares estimate of (e^p, e^E) (resp. (e^p, E)) used for the
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,20 @@ MAX_WINDOW = 64
 @dataclass(frozen=True)
 class LatticeWindow:
     """Index window: (m,n) rectangle for the discrete problem, or an
-    x-interval with a list of t samples for the semi-discrete one."""
+    x-interval with a list of t samples for the semi-discrete one.
 
-    Z: np.ndarray
+    Its grid is what a field table evaluates and what the base-point
+    search keeps clear: the axes reach one step past the window in m and n
+    (in x), where the shifts of the linear problems land, and are oriented
+    [m, n] (BDHE) or [t, x] (Toda).
+    """
+
     m_range: tuple | None = None
     n_range: tuple | None = None
     x_range: tuple | None = None
     t_samples: tuple | None = None
 
-    def __init__(self, Z, m_range=None, n_range=None, x_range=None, t_samples=None):
-        Z = np.atleast_1d(np.asarray(Z, complex))
+    def __init__(self, m_range=None, n_range=None, x_range=None, t_samples=None):
         if m_range is not None or n_range is not None:
             if m_range is None or n_range is None or x_range is not None:
                 raise ValidationError("discrete window needs m_range and n_range only")
@@ -61,20 +65,35 @@ class LatticeWindow:
                 raise ValidationError("x_range invalid or too large")
             if not (1 <= len(t_samples) <= MAX_WINDOW):
                 raise ValidationError("need between 1 and 64 t samples")
-        object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "m_range", m_range)
         object.__setattr__(self, "n_range", n_range)
         object.__setattr__(self, "x_range", x_range)
         object.__setattr__(self, "t_samples", t_samples)
 
-    def m_values(self):
-        return range(self.m_range[0], self.m_range[1] + 1)
+    @property
+    def axes(self) -> tuple:
+        """The grid's index arrays: (ms, ns) or (ts, xs)."""
+        if self.m_range is not None:
+            return (np.arange(self.m_range[0], self.m_range[1] + 2),
+                    np.arange(self.n_range[0], self.n_range[1] + 2))
+        return (np.asarray(self.t_samples),
+                np.arange(self.x_range[0], self.x_range[1] + 2))
 
-    def n_values(self):
-        return range(self.n_range[0], self.n_range[1] + 1)
+    def points(self, U, V, Z) -> np.ndarray:
+        """m U + n V + Z (x U + t V + Z) at the grid points, shape grid + (g,):
+        the two products are summed first and Z is added last."""
+        a0, a1 = self.axes
+        if self.m_range is not None:
+            return a0[:, None, None] * U + a1[:, None] * V + Z
+        return a1[:, None] * U + a0[:, None, None] * V + Z
 
-    def x_values(self):
-        return range(self.x_range[0], self.x_range[1] + 1)
+    def name(self, i: int) -> str:
+        """The grid point of flat index i, as DivisorHit names it."""
+        a0, a1 = self.axes
+        i0, i1 = divmod(i, len(a1))
+        if self.m_range is not None:
+            return f"m={a0[i0]}, n={a1[i1]}"
+        return f"x={a1[i1]}, t={self.t_samples[i0]}"
 
 
 @dataclass
@@ -83,12 +102,10 @@ class FieldTable:
     enough analytic side data (theta ratios, log-derivative gaps) to re-fit
     constants.
 
-    Arrays are indexed [t sample, x - x0] (Toda) or [m - m0, n - n0]
-    (BDHE).  u and v cover the window; psi, ratio and dlog reach one step
-    past it in x (in m and n), where the shifts of the linear problems
-    land.  psi and ratio are mantissas relative to exp(psi_logscale) and
-    exp(ratio_logscale); u, v and dlog are plain values.  A non-finite
-    entry raises NumericalError.
+    Arrays are indexed as the window's grid: u and v cover the window,
+    psi, ratio and dlog the whole grid.  psi and ratio are mantissas
+    relative to exp(psi_logscale) and exp(ratio_logscale); u, v and dlog
+    are plain values.  A non-finite entry raises NumericalError.
     """
 
     kind: str
@@ -100,7 +117,7 @@ class FieldTable:
     ratio: np.ndarray | None = None              # theta(A+w)/theta(w)
     ratio_logscale: np.ndarray | None = None
     dlog: np.ndarray | None = None               # d_V log ratio (Toda)
-    meta: dict = field(default_factory=dict)
+    E: complex = 0j                              # psi's exponent in n (t)
 
     def __post_init__(self):
         for name in ("u", "v", "psi", "psi_logscale", "ratio", "ratio_logscale", "dlog"):
@@ -110,16 +127,16 @@ class FieldTable:
 
     def to_csv(self, path):
         """Columns: indices, Re/Im u, Re/Im v, psi mantissa Re/Im, psi logscale."""
-        win = self.window
+        a0, a1 = self.window.axes
         if self.kind == "bdhe":
             head = ["m", "n"]
-            idx = np.meshgrid(win.m_values(), win.n_values(), indexing="ij")
+            idx = np.meshgrid(a0[:-1], a1[:-1], indexing="ij")
             u, v = self.u, np.zeros_like(self.u)
             psi, scale = self.psi[:-1, :-1], self.psi_logscale[:-1, :-1]
         else:
             # rows by x, then t
             head = ["x", "t"]
-            idx = np.meshgrid(win.x_values(), win.t_samples, indexing="ij")
+            idx = np.meshgrid(a1[:-1], a0, indexing="ij")
             u, v = self.u.T, self.v.T
             psi, scale = self.psi[:, :-1].T, self.psi_logscale[:, :-1].T
         cols = (*idx, u.real, u.imag, v.real, v.imag, psi.real, psi.imag, scale)
@@ -130,23 +147,31 @@ class FieldTable:
             w.writerows(zip(*(c.ravel().tolist() for c in cols)))
 
 
-def _guarded_jets(W, A, B: PeriodMatrix, dirs, where) -> list:
-    """Jets at the points W, shape grid + (g,), and at A + W, from one pass.
+def _window_jets(win: LatticeWindow, U, V, A, Z, B: PeriodMatrix, dirs=()):
+    """Jets at the grid points w of win (based at Z) and at A + w, from one pass.
 
-    Returns (sums, logscale) for W and then for A + W, as in ThetaJets but
-    with arrays of the grid's shape.  The points are checked against the
-    divisor in the order of W, each w before A + w, so the first point on
-    it raises DivisorHit; where(i) names the i-th point of W.
+    Returns the ThetaJets of the points, each w followed by its A + w, and
+    their normalized moduli.
     """
-    Z = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
-    J = theta_jets(Z, B, dirs=dirs)
-    hat = np.exp(normalized_log_abs_many(J, B, Z))
+    W = win.points(U, V, Z)
+    P = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
+    J = theta_jets(P, B, dirs=dirs)
+    return J, np.exp(normalized_log_abs_many(J, B, P))
+
+
+def _guarded_jets(win: LatticeWindow, U, V, A, Z, B: PeriodMatrix, dirs) -> list:
+    """(sums, logscale) arrays of the grid's shape for w and then for A + w.
+
+    The first point on the divisor, in the order of _window_jets, raises
+    DivisorHit.
+    """
+    J, hat = _window_jets(win, U, V, A, Z, B, dirs)
     low = np.flatnonzero(hat < DIVISOR_GUARD)
     if len(low):
         q = low[0]
-        raise DivisorHit(f"theta value at {'A+, ' * (q % 2)}{where(q // 2)} is on "
+        raise DivisorHit(f"theta value at {'A+, ' * (q % 2)}{win.name(q // 2)} is on "
                          f"the divisor (normalized modulus {hat[q]:.2e})")
-    shape = W.shape[:-1] + (2,)
+    shape = (*map(len, win.axes), 2)
     return [({key: s.reshape(shape)[..., side] for key, s in J.sums.items()},
              J.logscale.reshape(shape)[..., side]) for side in (0, 1)]
 
@@ -175,7 +200,7 @@ def _fit_rows(a, b, rhs):
 # semi-discrete (Toda) tables
 # ----------------------------------------------------------------------
 
-def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
+def toda_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
     """Build v, u, psi and the log-derivative gap dlog of d/dt psi on the window.
 
     v(x,t) = -d_V log theta(xU+tV+Z); u = v(x+1,t) - v(x,t);
@@ -184,14 +209,10 @@ def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTabl
     """
     if win.x_range is None:
         raise ValidationError("toda_fields needs a semi-discrete window")
-    U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
+    U, V, A, Z = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A, Z))
     p, E = complex(p), complex(E)
-    xs = np.arange(win.x_range[0], win.x_range[1] + 2)
-    ts = np.asarray(win.t_samples)
-    W = xs[:, None] * U + ts[:, None, None] * V + win.Z
-    (w, w_scale), (a, a_scale) = _guarded_jets(
-        W, A, B, (V,),
-        lambda i: f"x={xs[i % len(xs)]}, t={win.t_samples[i // len(xs)]}")
+    ts, xs = win.axes
+    (w, w_scale), (a, a_scale) = _guarded_jets(win, U, V, A, Z, B, (V,))
     lw = w["d0"] / w["f"]            # d_V log theta(w); the logscales cancel
     ratio, ratio_scale = a["f"] / w["f"], a_scale - w_scale
     arg = xs * p + ts[:, None] * E
@@ -199,8 +220,7 @@ def toda_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTabl
                       psi=ratio * np.exp(1j * arg.imag),
                       psi_logscale=ratio_scale + arg.real,
                       ratio=ratio, ratio_logscale=ratio_scale,
-                      dlog=a["d0"] / a["f"] - lw,
-                      meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
+                      dlog=a["d0"] / a["f"] - lw, E=E)
 
 
 def toda_psi_residual(table: FieldTable) -> float:
@@ -215,7 +235,7 @@ def toda_psi_residual(table: FieldTable) -> float:
     ref = np.maximum(scale[:, :-1], scale[:, 1:])
     here = _rescale(psi[:, :-1], scale[:, :-1], ref)
     shift = _rescale(psi[:, 1:], scale[:, 1:], ref)
-    dpsi = here * (table.dlog[:, :-1] + table.meta["E"])
+    dpsi = here * (table.dlog[:, :-1] + table.E)
     return _max_relative(dpsi - shift + table.u * here, shift, dpsi)
 
 
@@ -236,17 +256,14 @@ def refit_constants_toda(table: FieldTable):
 # fully discrete (BDHE) tables
 # ----------------------------------------------------------------------
 
-def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
+def bdhe_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
     """Four-theta u(m,n) and two-theta psi(m,n) on the window."""
     if win.m_range is None:
         raise ValidationError("bdhe_fields needs a discrete window")
-    U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
+    U, V, A, Z = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A, Z))
     p, E = complex(p), complex(E)
-    ms = np.arange(win.m_range[0], win.m_range[1] + 2)
-    ns = np.arange(win.n_range[0], win.n_range[1] + 2)
-    W = ms[:, None, None] * U + ns[:, None] * V + win.Z
-    (w, w_scale), (a, a_scale) = _guarded_jets(
-        W, A, B, (), lambda i: f"m={ms[i // len(ns)]}, n={ns[i % len(ns)]}")
+    ms, ns = win.axes
+    (w, w_scale), (a, a_scale) = _guarded_jets(win, U, V, A, Z, B, ())
     th = w["f"]
     ratio, ratio_scale = a["f"] / th, a_scale - w_scale
     arg = ms[:, None] * p + ns * E
@@ -257,8 +274,7 @@ def bdhe_fields(U, V, A, p, E, win: LatticeWindow, B: PeriodMatrix) -> FieldTabl
     return FieldTable("bdhe", win, u=cross * np.exp(cross_scale),
                       psi=ratio * np.exp(1j * arg.imag),
                       psi_logscale=ratio_scale + arg.real,
-                      ratio=ratio, ratio_logscale=ratio_scale,
-                      meta={"U": U, "V": V, "A": A, "p": p, "E": E, "B": B})
+                      ratio=ratio, ratio_logscale=ratio_scale, E=E)
 
 
 def bdhe_psi_residual(table: FieldTable) -> float:
@@ -291,44 +307,20 @@ def refit_constants_bdhe(table: FieldTable):
 # base-point search
 # ----------------------------------------------------------------------
 
-def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
-                          spans, margin: float = 3e-2, tries: int = 64) -> np.ndarray:
-    """Seeded search for Z keeping all window thetas off the divisor.
+def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int, win: LatticeWindow,
+                          margin: float = 3e-2, tries: int = 64) -> np.ndarray:
+    """Seeded search for a base point Z of win's grid off the divisor.
 
-    spans is an iterable of (coeff_U, coeff_V, with_A) index tuples the
-    window will touch; every theta argument must have normalized modulus
-    above margin.
+    Every theta argument a field table on win will evaluate, w and A + w,
+    must have normalized modulus above margin; each try is one pass.
     """
     rng = Xoshiro256(seed)
     U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
-    best, best_val = None, -1.0
+    best_val = -1.0
     for _ in range(tries):
         Z = np.array(rng.complex_vector(B.g, scale=0.5))
-        W = [cm * U + cn * V + Z + (A if with_a else 0.0) for (cm, cn, with_a) in spans]
-        J = theta_jets(W, B)
-        low = float(np.exp(normalized_log_abs_many(J, B, W)).min())
-        if low > best_val:
-            best, best_val = Z, low
-        if best_val >= margin:
-            return best
-    if best_val < margin:
-        raise DivisorHit(f"no clear base point found (best margin {best_val:.2e})")
-    return best
-
-
-def window_spans(win: LatticeWindow):
-    """All (m, n, with_A) argument offsets a field table will evaluate."""
-    out = []
-    if win.m_range is not None:
-        for m in range(win.m_range[0], win.m_range[1] + 2):
-            for n in range(win.n_range[0], win.n_range[1] + 2):
-                out.append((m, n, False))
-                out.append((m, n, True))
-    else:
-        for x in win.x_values():
-            for t in win.t_samples:
-                out.append((x, t, False))
-                out.append((x, t, True))
-        out.extend([(win.x_range[1] + 1, t, a) for t in win.t_samples
-                    for a in (False, True)])
-    return out
+        low = float(_window_jets(win, U, V, A, Z, B)[1].min())
+        if low >= margin:
+            return Z
+        best_val = max(best_val, low)
+    raise DivisorHit(f"no clear base point found (best margin {best_val:.2e})")

@@ -69,10 +69,8 @@ _NORMAL_MIN = np.finfo(float).tiny    # the smallest normal float
 _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of dirs
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Radius cap: explicit argument, THETA_SECANT_CAP env var, or default."""
-    if cap is not None:
-        return int(cap)
+def resolve_cap() -> int:
+    """Radius cap: the THETA_SECANT_CAP env var, or the default."""
     env = os.environ.get("THETA_SECANT_CAP")
     return int(env) if env else DEFAULT_RADIUS_CAP
 
@@ -200,7 +198,6 @@ class ThetaRequest:
 # ----------------------------------------------------------------------
 
 def truncation_radius(B: PeriodMatrix, z, tol: float,
-                      cap: int | None = None,
                       deriv_norms: Sequence[float] = ()) -> int:
     """Largest coordinate r of the certified summation ellipsoid.
 
@@ -239,7 +236,7 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidationError(f"tol {tol} outside {TOL_RANGE}")
-    cap = resolve_cap(cap)
+    cap = resolve_cap()
     key = (tol, _norm_octaves(deriv_norms))
     r = B._radii.get(key)
     if r is None:

@@ -40,7 +40,6 @@ from theta_secant.lattices import (
     refit_constants_toda,
     toda_fields,
     toda_psi_residual,
-    window_spans,
 )
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.scaled import ScaledComplex, rel_diff
@@ -161,10 +160,9 @@ def test_ac04_bdhe_window(x5m1, fay_data, discrete_fit):
     B = x5m1.B
     U, V = fay_data["U"], fay_data["V"]
     As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
-    probe = LatticeWindow(np.zeros(2, complex), m_range=(-5, 4), n_range=(-5, 4))
-    Z = find_clear_base_point(U, V, As, B, seed=41, spans=window_spans(probe))
-    win = LatticeWindow(Z, m_range=(-5, 4), n_range=(-5, 4))
-    table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, win, B)
+    win = LatticeWindow(m_range=(-5, 4), n_range=(-5, 4))
+    Z = find_clear_base_point(U, V, As, B, seed=41, win=win)
+    table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, Z, win, B)
     res = bdhe_psi_residual(table)
     ep, eE = refit_constants_bdhe(table)
     ab = max(abs(ep - discrete_fit.exp_p) / abs(discrete_fit.exp_p),
@@ -201,10 +199,9 @@ def test_ac06_semidiscrete_chain(x5m1, tangent_data, semidiscrete_fit,
     fit = semidiscrete_fit
     As = tangent_data["A"] + half_period(B, fit.calibration_shift)
     ts = tuple(np.linspace(-0.3, 0.3, 8))
-    probe = LatticeWindow(np.zeros(2, complex), x_range=(-4, 3), t_samples=ts)
-    Z = find_clear_base_point(U, V, As, B, seed=43, spans=window_spans(probe))
-    win = LatticeWindow(Z, x_range=(-4, 3), t_samples=ts)
-    table = toda_fields(U, V, As, fit.p, fit.E, win, B)
+    win = LatticeWindow(x_range=(-4, 3), t_samples=ts)
+    Z = find_clear_base_point(U, V, As, B, seed=43, win=win)
+    table = toda_fields(U, V, As, fit.p, fit.E, Z, win, B)
     res = toda_psi_residual(table)
     ep, E = refit_constants_toda(table)
     ab = max(abs(ep - fit.exp_p) / abs(fit.exp_p),

@@ -214,6 +214,41 @@ class TestMain:
         assert out["checks"][0]["name"] == "momentum_conservation"
         assert set(out["timing"]) == {"wall_s"} and out["timing"]["wall_s"] >= 0
 
+    @pytest.mark.parametrize("scenario, headers", [
+        ("toda", {"toda_fields.csv": "x,t,re_u,im_u,re_v,im_v,re_psi_mantissa,"
+                                     "im_psi_mantissa,psi_logscale"}),
+        ("bdhe", {"bdhe_fields.csv": "m,n,re_u,im_u,re_v,im_v,re_psi_mantissa,"
+                                     "im_psi_mantissa,psi_logscale"}),
+        ("rs-dynamics", {"rs_trajectory.csv": "t,i,re_x,im_x,re_xdot,im_xdot",
+                         "zero_path.csv": "t,re_eta,im_eta,re_v0,im_v0"}),
+    ])
+    def test_csv_dir_export(self, tmp_path, capsys, scenario, headers):
+        rc = main([scenario, "--seed", "7", "--csv-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(headers)
+        for name, head in headers.items():
+            assert (tmp_path / name).read_text().splitlines()[0] == head
+
+
+@pytest.mark.parametrize("scenario, curve, seed, name, key, weakest", [
+    # the weakest witness read 4.85e-3 here, below the 1e-2 threshold
+    ("divisor-identities", "x5m1", 85, "cm7_random_control",
+     "cm7_random_control_max_of_mins", 4.85e-3),
+    ("divisor-identities", "x5pert", 4, "cm7d_decomposable_control",
+     "cm7d_decomposable_control_min", 1.77e-3),
+    ("controls", "x5m1", 13, "decomposable_identity", "decomposable_identity_min", None),
+])
+def test_negative_controls_take_the_strongest_witness(capsys, scenario, curve, seed,
+                                                       name, key, weakest):
+    rc = main([scenario, "--curve", curve, "--seed", str(seed)])
+    out = json.loads(capsys.readouterr().out)
+    check = next(c for c in out["checks"] if c["name"] == name)
+    assert rc == 0 and check["pass"] and check["residual"] >= 1e-2
+    assert out["extra"][key] < 1e-2 <= check["residual"]
+    if weakest is not None:
+        assert out["extra"][key] == pytest.approx(weakest, rel=1e-2)
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(

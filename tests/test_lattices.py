@@ -17,7 +17,6 @@ from theta_secant.lattices import (
     refit_constants_toda,
     toda_fields,
     toda_psi_residual,
-    window_spans,
 )
 from theta_secant.rng import Xoshiro256
 from theta_secant.scaled import ScaledComplex, exp_scaled, rel_diff
@@ -29,11 +28,10 @@ def bdhe_setup(x5m1, fay_data, discrete_fit):
     B = x5m1.B
     U, V = fay_data["U"], fay_data["V"]
     As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
-    probe = LatticeWindow(np.zeros(2, complex), m_range=(-5, 4), n_range=(-5, 4))
-    Z = find_clear_base_point(U, V, As, B, seed=41, spans=window_spans(probe))
-    win = LatticeWindow(Z, m_range=(-5, 4), n_range=(-5, 4))
-    table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, win, B)
-    return {"B": B, "U": U, "V": V, "As": As, "win": win, "table": table}
+    win = LatticeWindow(m_range=(-5, 4), n_range=(-5, 4))
+    Z = find_clear_base_point(U, V, As, B, seed=41, win=win)
+    table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, Z, win, B)
+    return {"B": B, "U": U, "V": V, "As": As, "Z": Z, "win": win, "table": table}
 
 
 @pytest.fixture(scope="module")
@@ -42,23 +40,40 @@ def toda_setup(x5m1, tangent_data, semidiscrete_fit):
     U, V = tangent_data["U"], tangent_data["V"]
     As = tangent_data["A"] + half_period(B, semidiscrete_fit.calibration_shift)
     ts = tuple(np.linspace(-0.3, 0.3, 8))
-    probe = LatticeWindow(np.zeros(2, complex), x_range=(-4, 3), t_samples=ts)
-    Z = find_clear_base_point(U, V, As, B, seed=43, spans=window_spans(probe))
-    win = LatticeWindow(Z, x_range=(-4, 3), t_samples=ts)
-    table = toda_fields(U, V, As, semidiscrete_fit.p, semidiscrete_fit.E, win, B)
-    return {"B": B, "U": U, "V": V, "As": As, "win": win, "table": table}
+    win = LatticeWindow(x_range=(-4, 3), t_samples=ts)
+    Z = find_clear_base_point(U, V, As, B, seed=43, win=win)
+    table = toda_fields(U, V, As, semidiscrete_fit.p, semidiscrete_fit.E, Z, win, B)
+    return {"B": B, "U": U, "V": V, "As": As, "Z": Z, "win": win, "table": table}
 
 
 class TestWindows:
     def test_validation(self):
-        Z = np.zeros(2, complex)
         with pytest.raises(ValidationError):
-            LatticeWindow(Z, m_range=(0, 70), n_range=(0, 3))
+            LatticeWindow(m_range=(0, 70), n_range=(0, 3))
         with pytest.raises(ValidationError):
-            LatticeWindow(Z, m_range=(0, 3))
+            LatticeWindow(m_range=(0, 3))
         with pytest.raises(ValidationError):
-            LatticeWindow(Z, x_range=(0, 3))
-        LatticeWindow(Z, x_range=(0, 3), t_samples=(0.0, 0.1))
+            LatticeWindow(x_range=(0, 3))
+        LatticeWindow(x_range=(0, 3), t_samples=(0.0, 0.1))
+
+    def test_grid(self):
+        """Axes reach one step past the window; the points are the products
+        summed first and Z added last; names are those of DivisorHit."""
+        U, V, Z = np.array([0.3 + 0.1j, -0.2j]), np.array([0.1, 0.4 + 0.2j]), np.array([0.05j, 0.7])
+        win = LatticeWindow(m_range=(-1, 1), n_range=(0, 2))
+        ms, ns = win.axes
+        assert ms.tolist() == [-1, 0, 1, 2] and ns.tolist() == [0, 1, 2, 3]
+        W = win.points(U, V, Z)
+        assert W.shape == (4, 4, 2)
+        assert np.array_equal(W[3, 1], (2 * U + 1 * V) + Z)
+        assert win.name(3 * 4 + 1) == "m=2, n=1"
+        win = LatticeWindow(x_range=(0, 2), t_samples=(0.0, -0.3))
+        ts, xs = win.axes
+        assert ts.tolist() == [0.0, -0.3] and xs.tolist() == [0, 1, 2, 3]
+        W = win.points(U, V, Z)
+        assert W.shape == (2, 4, 2)
+        assert np.array_equal(W[1, 3], (3 * U + -0.3 * V) + Z)
+        assert win.name(4 + 3) == "x=3, t=-0.3"
 
 
 class TestSynthetic:
@@ -66,18 +81,18 @@ class TestSynthetic:
         """psi = k^x e^{kt} with u = 0 solves (d/dt - T + u) psi = 0 exactly."""
         k = 2.0
         ts = (0.0, 0.3, 0.7)
-        win = LatticeWindow(np.zeros(1, complex), x_range=(0, 4), t_samples=ts)
+        win = LatticeWindow(x_range=(0, 4), t_samples=ts)
         psi = np.array([[k ** x * math.exp(k * t) for x in range(0, 6)] for t in ts],
                        dtype=complex)
         # d/dt psi = psi * (dlog + E) = psi * k
         table = FieldTable("toda", win, u=np.zeros((3, 5), complex), psi=psi,
                            psi_logscale=np.zeros(psi.shape), v=np.zeros((3, 5), complex),
-                           dlog=np.zeros(psi.shape, complex), meta={"E": k})
+                           dlog=np.zeros(psi.shape, complex), E=k)
         assert toda_psi_residual(table) <= 1e-14
 
     def test_bdhe_constant_coefficient(self):
         """psi(m,n) = 2^n with u = 1: 2^{n+1} = 2^n + 2^n exactly."""
-        win = LatticeWindow(np.zeros(1, complex), m_range=(0, 3), n_range=(0, 3))
+        win = LatticeWindow(m_range=(0, 3), n_range=(0, 3))
         psi = np.array([[2.0 ** n for n in range(0, 5)] for m in range(0, 5)], dtype=complex)
         table = FieldTable("bdhe", win, u=np.ones((4, 4), complex), psi=psi,
                            psi_logscale=np.zeros(psi.shape))
@@ -89,16 +104,16 @@ class TestReference:
 
     def test_toda_psi_u_v(self, toda_setup, semidiscrete_fit):
         s, table = toda_setup, toda_setup["table"]
-        U, V, As, B, win = s["U"], s["V"], s["As"], s["B"], s["win"]
+        U, V, As, B, win, Z = s["U"], s["V"], s["As"], s["B"], s["win"], s["Z"]
         p, E = semidiscrete_fit.p, semidiscrete_fit.E
 
         def v_ref(x, t):
-            j = theta_jet(x * U + t * V + win.Z, B, dirs=(V,))
+            j = theta_jet(x * U + t * V + Z, B, dirs=(V,))
             return -(j["d0"] / j["f"]).to_complex()
 
         for x, it in ((-4, 0), (0, 3), (3, 7)):
             t = win.t_samples[it]
-            w = x * U + t * V + win.Z
+            w = x * U + t * V + Z
             want = (theta_jet(As + w, B)["f"] / theta_jet(w, B)["f"]
                     * exp_scaled(x * p + t * E))
             got = ScaledComplex.make(table.psi[it, x + 4], table.psi_logscale[it, x + 4])
@@ -110,14 +125,14 @@ class TestReference:
 
     def test_bdhe_psi_u(self, bdhe_setup, discrete_fit):
         s, table = bdhe_setup, bdhe_setup["table"]
-        U, V, As, B, win = s["U"], s["V"], s["As"], s["B"], s["win"]
+        U, V, As, B, Z = s["U"], s["V"], s["As"], s["B"], s["Z"]
         p, E = discrete_fit.p, discrete_fit.E
 
         def th(m, n):
-            return theta_jet(m * U + n * V + win.Z, B)["f"]
+            return theta_jet(m * U + n * V + Z, B)["f"]
 
         for m, n in ((-5, -5), (0, 2), (4, 4)):
-            w = m * U + n * V + win.Z
+            w = m * U + n * V + Z
             want = theta_jet(As + w, B)["f"] / th(m, n) * exp_scaled(m * p + n * E)
             got = ScaledComplex.make(table.psi[m + 5, n + 5], table.psi_logscale[m + 5, n + 5])
             assert rel_diff(got, want) <= 1e-13
@@ -127,7 +142,7 @@ class TestReference:
     def test_nan_constant_is_numerical_error(self, toda_setup, bdhe_setup):
         for build, s in ((toda_fields, toda_setup), (bdhe_fields, bdhe_setup)):
             with pytest.raises(NumericalError):
-                build(s["U"], s["V"], s["As"], math.nan, 0.1, s["win"], s["B"])
+                build(s["U"], s["V"], s["As"], math.nan, 0.1, s["Z"], s["win"], s["B"])
 
 
 class TestBdhe:
@@ -141,32 +156,31 @@ class TestBdhe:
 
     def test_window_shift_covariance(self, bdhe_setup, discrete_fit):
         s = bdhe_setup
-        win2 = LatticeWindow(s["win"].Z + s["U"], m_range=(-6, 3), n_range=(-5, 4))
+        win2 = LatticeWindow(m_range=(-6, 3), n_range=(-5, 4))
         t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p,
-                         discrete_fit.E, win2, s["B"])
+                         discrete_fit.E, s["Z"] + s["U"], win2, s["B"])
         # u(m, n) of the table is u(m - 1, n) of the shifted one, at the same index
         assert np.abs(s["table"].u - t2.u).max() <= 1e-12
 
     def test_z_integer_shift_invariance(self, bdhe_setup, discrete_fit):
         s = bdhe_setup
-        win2 = LatticeWindow(s["win"].Z + np.array([1.0, 0.0]),
-                             m_range=(-5, 4), n_range=(-5, 4))
-        t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p,
-                         discrete_fit.E, win2, s["B"])
+        t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p, discrete_fit.E,
+                         s["Z"] + np.array([1.0, 0.0]), s["win"], s["B"])
         assert np.abs(s["table"].u - t2.u).max() <= 1e-12
 
     def test_divisor_hit_guard(self, x5m1, fay_data, discrete_fit,
                                divisor_samples):
         # base the window exactly on a divisor point: the (0,0) theta is zero
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
-        win = LatticeWindow(divisor_samples[0].Z, m_range=(0, 2), n_range=(0, 2))
+        win = LatticeWindow(m_range=(0, 2), n_range=(0, 2))
         with pytest.raises(DivisorHit, match="theta value at m=0, n=0 is on the divisor"):
-            bdhe_fields(U, V, A, discrete_fit.p, discrete_fit.E, win, x5m1.B)
+            bdhe_fields(U, V, A, discrete_fit.p, discrete_fit.E, divisor_samples[0].Z,
+                        win, x5m1.B)
 
     def test_table_is_one_lattice_pass(self, bdhe_setup, discrete_fit, lattice_passes):
         s = bdhe_setup
         bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p, discrete_fit.E,
-                    s["win"], s["B"])
+                    s["Z"], s["win"], s["B"])
         assert lattice_passes == [(2 * 11 * 11, False)]     # w and A + w
 
     def test_csv_export(self, bdhe_setup, tmp_path):
@@ -189,23 +203,23 @@ class TestToda:
     def test_perturbed_E_control(self, toda_setup, semidiscrete_fit):
         s = toda_setup
         table = toda_fields(s["U"], s["V"], s["As"], semidiscrete_fit.p,
-                            semidiscrete_fit.E + 1e-3, s["win"], s["B"])
+                            semidiscrete_fit.E + 1e-3, s["Z"], s["win"], s["B"])
         assert toda_psi_residual(table) >= 1e-4
 
     def test_table_is_one_lattice_pass(self, toda_setup, semidiscrete_fit,
                                        lattice_passes):
         s = toda_setup
         toda_fields(s["U"], s["V"], s["As"], semidiscrete_fit.p, semidiscrete_fit.E,
-                    s["win"], s["B"])
+                    s["Z"], s["win"], s["B"])
         assert lattice_passes == [(2 * 9 * 8, False)]       # x in [-4, 4], 8 t
 
     def test_zero_direction_fields_vanish(self, x5m1, fay_data):
         # V = 0 kills every time derivative: v and u vanish identically
         U, A = fay_data["U"], fay_data["A"]
         V = np.zeros(2, complex)
-        win = LatticeWindow(np.array([0.21 + 0.17j, -0.33 + 0.08j]),
-                            x_range=(0, 2), t_samples=(0.0, 0.5))
-        table = toda_fields(U, V, A, 0.1, 0.2, win, x5m1.B)
+        win = LatticeWindow(x_range=(0, 2), t_samples=(0.0, 0.5))
+        table = toda_fields(U, V, A, 0.1, 0.2, np.array([0.21 + 0.17j, -0.33 + 0.08j]),
+                            win, x5m1.B)
         assert np.abs(table.v).max() <= 1e-12
         assert np.abs(table.u).max() <= 1e-12
 
@@ -220,27 +234,25 @@ class TestToda:
 class TestBasePoint:
     def test_one_lattice_pass_per_try(self, x5m1, fay_data, lattice_passes):
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
-        spans = window_spans(LatticeWindow(np.zeros(2, complex), m_range=(0, 2),
-                                           n_range=(0, 1)))
-        find_clear_base_point(U, V, A, x5m1.B, seed=3, spans=spans, margin=0.0)
-        assert lattice_passes == [(len(spans), False)]
+        win = LatticeWindow(m_range=(0, 2), n_range=(0, 1))
+        find_clear_base_point(U, V, A, x5m1.B, seed=3, win=win, margin=0.0)
+        assert lattice_passes == [(2 * 4 * 3, False)]       # w and A + w
         lattice_passes.clear()
         # no point is this clear, so every try is made
         with pytest.raises(DivisorHit, match="no clear base point"):
-            find_clear_base_point(U, V, A, x5m1.B, seed=3, spans=spans,
+            find_clear_base_point(U, V, A, x5m1.B, seed=3, win=win,
                                   margin=1e9, tries=3)
-        assert lattice_passes == [(len(spans), False)] * 3
+        assert lattice_passes == [(2 * 4 * 3, False)] * 3
 
     def test_first_draw_clear_by_margin(self, x5m1, fay_data):
         # seed 5 on this 5 x 5 window: the clearest of the first 11 draws
         # keeps 0.223 from the divisor, the 12th 0.246
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
-        spans = window_spans(LatticeWindow(np.zeros(2, complex), m_range=(-2, 2),
-                                           n_range=(-2, 2)))
+        win = LatticeWindow(m_range=(-2, 2), n_range=(-2, 2))
         rng = Xoshiro256(5)
         draws = [np.array(rng.complex_vector(2, scale=0.5)) for _ in range(12)]
-        Z = find_clear_base_point(U, V, A, x5m1.B, seed=5, spans=spans, margin=0.24)
+        Z = find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win, margin=0.24)
         assert np.array_equal(Z, draws[11])
         with pytest.raises(DivisorHit, match=r"best margin 2\.23e-01"):
-            find_clear_base_point(U, V, A, x5m1.B, seed=5, spans=spans,
+            find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win,
                                   margin=0.24, tries=11)
