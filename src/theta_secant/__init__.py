@@ -22,7 +22,6 @@ from .theta import (
     normalized_log_abs_many,
     theta,
     theta_fd_check,
-    theta_hat_abs,
     theta_jet,
     theta_jets,
     truncation_radius,
@@ -49,7 +48,6 @@ __all__ = [
     "rel_diff",
     "theta",
     "theta_fd_check",
-    "theta_hat_abs",
     "theta_jet",
     "theta_jets",
     "truncation_radius",

@@ -31,7 +31,6 @@ from .scaled import exp_scaled, rel_diff
 from .theta import (
     PeriodMatrix,
     ThetaRequest,
-    half_period,
     theta,
     theta_fd_check,
     truncation_radius,
@@ -157,7 +156,7 @@ def run_theta_selftest(config: ScenarioConfig) -> Report:
 
 def run_fay_trisecant(config: ScenarioConfig) -> Report:
     from .curves import build_abel_data
-    from .kummer import (collinearity_defect, fit_secancy_discrete, kummer_map)
+    from .kummer import collinearity_defect, fit_secancy_discrete
     ident, spec = resolve_curve(config)
     data = build_abel_data(spec)
     B = data.B
@@ -169,10 +168,7 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
         U, V, A, _pts = jacobian_fay_data(data, rng)
         fit = fit_secancy_discrete(U, V, A, B)
         worst_fit = max(worst_fit, fit.residual)
-        As = A + half_period(B, fit.calibration_shift)
-        worst_coll = max(worst_coll, collinearity_defect(
-            kummer_map((As - U - V) / 2, B), kummer_map((As + U - V) / 2, B),
-            kummer_map((As + V - U) / 2, B)))
+        worst_coll = max(worst_coll, collinearity_defect(*fit.vectors))
         last = fit
     ctrl_rng = rng.spawn(17)
     best_ctrl = np.inf
@@ -271,18 +267,17 @@ def run_toda(config: ScenarioConfig) -> Report:
     U, V, A, pts = jacobian_fay_data(data, rng)
     Vt = abel_tangent(data, pts[1])
     fit = fit_secancy_semidiscrete(U, Vt, A, B)
-    As = A + half_period(B, fit.calibration_shift)
     nx = config.win("x_size")
     nt = config.win("t_size")
     win = LatticeWindow(x_range=(-nx // 2, nx - nx // 2 - 1),
                         t_samples=np.linspace(-0.3, 0.3, nt))
-    Z = find_clear_base_point(U, Vt, As, B, config.seed + 11, win)
-    table = toda_fields(U, Vt, As, fit.p, fit.E, Z, win, B)
+    Z = find_clear_base_point(U, Vt, fit.As, B, config.seed + 11, win)
+    table = toda_fields(U, Vt, fit.As, fit.p, fit.E, Z, win, B)
     res = toda_psi_residual(table)
     ep2, E2 = refit_constants_toda(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),
                  abs(E2 - fit.E) / max(abs(fit.E), 1e-300))
-    pert_table = toda_fields(U, Vt, As, fit.p, fit.E + 1e-3, Z, win, B)
+    pert_table = toda_fields(U, Vt, fit.As, fit.p, fit.E + 1e-3, Z, win, B)
     pert = toda_psi_residual(pert_table)
     checks = [
         CheckRecord.le("fit_residual", fit.residual, config.tol("fit_residual")),
@@ -308,13 +303,12 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     rng = Xoshiro256(config.seed)
     U, V, A, _pts = jacobian_fay_data(data, rng)
     fit = fit_secancy_discrete(U, V, A, B)
-    As = A + half_period(B, fit.calibration_shift)
     nm = config.win("m_size")
     nn = config.win("n_size")
     win = LatticeWindow(m_range=(-nm // 2, nm - nm // 2 - 1),
                         n_range=(-nn // 2, nn - nn // 2 - 1))
-    Z = find_clear_base_point(U, V, As, B, config.seed + 11, win)
-    table = bdhe_fields(U, V, As, fit.p, fit.E, Z, win, B)
+    Z = find_clear_base_point(U, V, fit.As, B, config.seed + 11, win)
+    table = bdhe_fields(U, V, fit.As, fit.p, fit.E, Z, win, B)
     res = bdhe_psi_residual(table)
     ep2, eE2 = refit_constants_bdhe(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),

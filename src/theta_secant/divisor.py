@@ -26,7 +26,6 @@ from .theta import (
     gauss_exponent,
     normalized_log_abs_many,
     theta,
-    theta_hat_abs,
     theta_jets,
     truncation_radius,
 )
@@ -35,6 +34,7 @@ NEWTON_TARGET = 1e-10
 NEWTON_MAX_ITER = 60
 DEDUPE_DISTANCE = 1e-6
 GRID = 8                      # winding-count cells per side of the s square
+MAX_PROBE_DEPTH = 1000        # a probe is one pass of 2K + 1 points
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,14 @@ def _edge_increment(line: _Line, s0: complex, s1: complex, depth: int = 0) -> fl
 
 
 def _newton(line: _Line, s: complex):
+    """(s, normalized |theta| at Z0 + s D) of the converged pass, or None."""
     for _ in range(NEWTON_MAX_ITER):
         Z = [line.Z0 + s * line.D]
         J = theta_jets(Z, line.B, dirs=(line.D,))
         la = normalized_log_abs_many(J, line.B, Z)[0]
-        if la != -math.inf and math.exp(la) <= NEWTON_TARGET:
-            return s
+        modulus = math.exp(la)
+        if la != -math.inf and modulus <= NEWTON_TARGET:
+            return s, modulus
         # theta and its derivative share the pass's logscale
         with np.errstate(all="ignore"):
             ds = complex(J.sums["f"][0] / J.sums["d0"][0])
@@ -110,6 +112,8 @@ def line_roots(Z0, D, B: PeriodMatrix) -> list:
 
     Argument-principle winding counts over GRID x GRID cells isolate the
     candidates; Newton with the analytic derivative polishes each one.
+    Returns (s, normalized |theta| at Z0 + s D) pairs from the last
+    Newton pass.
     """
     line = _Line(np.asarray(Z0, complex), np.asarray(D, complex), B)
     nodes = np.linspace(-1.0, 1.0, GRID + 1)
@@ -134,9 +138,9 @@ def line_roots(Z0, D, B: PeriodMatrix) -> list:
                 continue
             center = complex(0.5 * (nodes[ix] + nodes[ix + 1]),
                              0.5 * (nodes[iy] + nodes[iy + 1]))
-            s = _newton(line, center)
-            if s is not None:
-                roots.append(s)
+            root = _newton(line, center)
+            if root is not None:
+                roots.append(root)
     return roots
 
 
@@ -152,14 +156,14 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
         Z0 = np.array(rng.complex_vector(B.g, scale=0.45))
         D = np.array(rng.complex_vector(B.g))
         D = D / np.linalg.norm(D)
-        for s in line_roots(Z0, D, B):
+        for s, modulus in line_roots(Z0, D, B):
             Z = Z0 + s * D
             # distinct as points of C^g; at g=1 all divisor points coincide
             # mod lattice, so reduced distance would never admit a second one
             if any(float(np.linalg.norm(Z - s2.Z)) <= DEDUPE_DISTANCE
                    for s2 in samples):
                 continue
-            samples.append(DivisorSample(Z, theta_hat_abs(Z, B), trial))
+            samples.append(DivisorSample(Z, modulus, trial))
             if len(samples) >= count:
                 return samples
     raise RootSearchFailed(
@@ -222,10 +226,11 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int) -> float:
 
     A value well above zero certifies the sample is not on the maximal
     (U-V)-shift-invariant subset of the divisor, to depth K.  K = 0
-    degenerates to the divisor membership itself.
+    degenerates to the divisor membership itself.  K is at most
+    MAX_PROBE_DEPTH.
     """
-    if K < 0:
-        raise ValidationError("K must be >= 0")
+    if not 0 <= K <= MAX_PROBE_DEPTH:
+        raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))

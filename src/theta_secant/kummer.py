@@ -13,7 +13,8 @@ Both secancy fits are linear least-squares problems in two unknowns:
 A is only determined up to theta-characteristic conventions, so the fit
 is repeated over all 4^g half-period shifts of A and the best residual
 wins (deterministic tie-break: lowest shift index).  The level-two vectors
-of all shifts come from one binned lattice pass.  Note the literal
+of all shifts come from one binned lattice pass, and the fit returns the
+winning shift's A and vectors with its constants.  Note the literal
 covariance of the semidiscrete fit: replacing V by lam*V rescales the
 fitted (e^p, E) to (lam e^p, lam E) and leaves the residual unchanged.
 """
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, DimensionMismatch, RankDeficient, ZeroVector
 from .theta import (
+    Level2Vector,
     PeriodMatrix,
     half_period,
     lattice_distance,
@@ -37,22 +39,14 @@ from .theta import (
 RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of CP^(2^g - 1): homogeneous coordinates on a shared logscale."""
-
-    coords: np.ndarray
-    logscale: float
-    g: int
-
-    def unit(self) -> np.ndarray:
-        n = np.linalg.norm(self.coords)
-        if n == 0:
-            raise ZeroVector("projective point has no nonzero coordinate")
-        return self.coords / n
+def _unit(p: Level2Vector) -> np.ndarray:
+    n = np.linalg.norm(p.coords)
+    if n == 0:
+        raise ZeroVector("projective point has no nonzero coordinate")
+    return p.coords / n
 
 
-def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
+def projective_distance(p: Level2Vector, q: Level2Vector) -> float:
     """Gap between projective points: 0 iff equal up to one complex scale.
 
     Computed as the norm of the phase-aligned difference of unit vectors,
@@ -61,7 +55,7 @@ def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """
     if p.g != q.g:
         raise DimensionMismatch("projective points of different genus")
-    a, b = p.unit(), q.unit()
+    a, b = _unit(p), _unit(q)
     c = np.vdot(b, a)
     if abs(c) == 0.0:
         return float(np.sqrt(2.0))
@@ -70,34 +64,34 @@ def projective_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
 
 @dataclass(frozen=True)
 class SecancyData:
-    """Fitted secancy constants with their least-squares residual."""
+    """Fitted secancy constants with their least-squares residual, the
+    winning shift of A (As) and the level-two vectors solved at it: the
+    three Kummer points, or the two values and the V-derivative."""
 
-    U: np.ndarray
-    V: np.ndarray
-    A: np.ndarray
     p: complex
     E: complex
     exp_p: complex
     exp_E: complex | None
     residual: float
     calibration_shift: int
-    kind: str
+    As: np.ndarray
+    vectors: tuple
 
 
-def kummer_map(Z, B: PeriodMatrix) -> ProjectivePoint:
-    """Level-two theta vector of Z as a projective point."""
+def kummer_map(Z, B: PeriodMatrix) -> Level2Vector:
+    """Level-two theta vector of Z, a point of CP^(2^g - 1)."""
     vec = level_two_vector(Z, B)
     if np.all(np.abs(vec.coords) < 1e-250):
         raise ZeroVector("all Kummer coordinates vanished at common scale")
-    return ProjectivePoint(vec.coords, vec.logscale, B.g)
+    return vec
 
 
-def collinearity_defect(p1: ProjectivePoint, p2: ProjectivePoint,
-                        p3: ProjectivePoint) -> float:
+def collinearity_defect(p1: Level2Vector, p2: Level2Vector,
+                        p3: Level2Vector) -> float:
     """sigma_3 / sigma_1 of the stacked unit coordinate rows; 0 iff collinear."""
     if not (p1.g == p2.g == p3.g):
         raise DimensionMismatch("points live in different projective spaces")
-    M = np.stack([p1.unit(), p2.unit(), p3.unit()])
+    M = np.stack([_unit(p1), _unit(p2), _unit(p3)])
     sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[2] / sv[0])
 
@@ -127,53 +121,42 @@ def _check_distinct(B, pairs):
 
 def fit_secancy_discrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, e^E) for the three-term level-two system."""
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
-    A = np.atleast_1d(np.asarray(A, complex))
+    U, V, A = (np.atleast_1d(np.asarray(x, complex)) for x in (U, V, A))
     _check_distinct(B, [("U-V", U - V), ("U-A", U - A), ("V-A", V - A)])
     shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
     vecs = level_two_vectors([p for As in shifts for p in (
         (As - U - V) / 2.0, (As + U - V) / 2.0, (As + V - U) / 2.0)], B)["f"]
+    systems = [tuple(vecs[3 * k:3 * k + 3]) for k in range(len(shifts))]
     best = None
-    for k in range(4 ** B.g):
-        c1, c2, c3 = _common_scale(vecs[3 * k:3 * k + 3])
-        M = np.stack([c2, -c3], axis=1)
-        sol = _solve(M, -c1)
-        if sol is None:
-            continue
-        (ep, eE), rel = sol
-        if best is None or rel < best[0]:
-            best = (rel, k, ep, eE)
+    for k, system in enumerate(systems):
+        c1, c2, c3 = _common_scale(system)
+        sol = _solve(np.stack([c2, -c3], axis=1), -c1)
+        if sol is not None and (best is None or sol[1] < best[0]):
+            best = (sol[1], k, *sol[0])
     if best is None:
         raise RankDeficient("design matrix rank deficient for every shift")
     rel, k, ep, eE = best
-    return SecancyData(U, V, A, cmath.log(ep), cmath.log(eE), ep, eE,
-                       rel, k, "discrete")
+    return SecancyData(cmath.log(ep), cmath.log(eE), ep, eE, rel, k, shifts[k], systems[k])
 
 
 def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, E) for the tangency system with analytic d_V."""
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
-    A = np.atleast_1d(np.asarray(A, complex))
+    U, V, A = (np.atleast_1d(np.asarray(x, complex)) for x in (U, V, A))
     _check_distinct(B, [("U-A", U - A)])
     if np.linalg.norm(V) == 0:
         raise CoincidentPoints("V must be nonzero")
     shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
     vecs = level_two_vectors([p for As in shifts for p in ((As - U) / 2.0, (As + U) / 2.0)],
                              B, deriv_dir=V)
+    systems = [(vecs["f"][2 * k], vecs["f"][2 * k + 1], vecs["d0"][2 * k])
+               for k in range(len(shifts))]
     best = None
-    for k in range(4 ** B.g):
-        vm, vp = vecs["f"][2 * k:2 * k + 2]
-        cm_, cp, cd = _common_scale([vm, vp, vecs["d0"][2 * k]])
-        M = np.stack([cp, -cm_], axis=1)
-        sol = _solve(M, cd)
-        if sol is None:
-            continue
-        (ep, E), rel = sol
-        if best is None or rel < best[0]:
-            best = (rel, k, ep, E)
+    for k, system in enumerate(systems):
+        cm_, cp, cd = _common_scale(system)
+        sol = _solve(np.stack([cp, -cm_], axis=1), cd)
+        if sol is not None and (best is None or sol[1] < best[0]):
+            best = (sol[1], k, *sol[0])
     if best is None:
         raise RankDeficient("design matrix rank deficient for every shift")
     rel, k, ep, E = best
-    return SecancyData(U, V, A, cmath.log(ep), E, ep, None, rel, k, "semidiscrete")
+    return SecancyData(cmath.log(ep), E, ep, None, rel, k, shifts[k], systems[k])

@@ -97,10 +97,9 @@ class PeriodMatrix:
         object.__setattr__(self, "entries", M)
         Y = np.ascontiguousarray(M.imag)
         try:
-            chol = np.linalg.cholesky(Y)
+            np.linalg.cholesky(Y)
         except np.linalg.LinAlgError as exc:
             raise NonPosDef("Im B is not positive definite") from exc
-        object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_y_inv", np.linalg.inv(Y))
         object.__setattr__(self, "_lam_min", float(np.linalg.eigvalsh(Y)[0]))
         object.__setattr__(self, "_radii", {})
@@ -290,22 +289,16 @@ def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
         return t >= t_min and pref * sum(
             c * _upper_gamma(g + j, t * t) for j, c in enumerate(coeffs)) <= target
 
-    # gallop from the radius where the Gaussian factor alone meets the
-    # target, then bisect: certified(lo) fails (lo = 0 stands for "none")
-    # and certified(hi) holds
+    # walk from the radius where the Gaussian factor alone meets the target:
+    # up until the bound holds, then down while it still holds (the bound
+    # falls as r grows, and the guess is within a few steps of the answer)
     t_guess = math.sqrt(max(math.log(pref * coeffs.sum() / tol) + delta * delta, t_min ** 2))
-    hi = max(1, math.ceil(w * (t_guess + delta + 0.5 * rho)))
-    lo, step = 0, 1
-    while not certified(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    if lo == 0:
-        lo, step = hi - 1, 1
-        while lo > 0 and certified(lo):
-            hi, lo, step = lo, max(lo - step, 0), 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
-    return hi
+    r = max(1, math.ceil(w * (t_guess + delta + 0.5 * rho)))
+    while not certified(r):
+        r += 1
+    while r > 1 and certified(r - 1):
+        r -= 1
+    return r
 
 
 # ----------------------------------------------------------------------
@@ -618,12 +611,6 @@ def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:
     vanishes)."""
     with np.errstate(divide="ignore"):
         return np.log(np.abs(jets.sums["f"])) + jets.logscale - gauss_exponents(B, Z)
-
-
-def theta_hat_abs(z, B: PeriodMatrix, tol: float = DEFAULT_TOL) -> float:
-    """Normalized modulus of theta at z: O(1) on the cell, 0 on the divisor."""
-    Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    return math.exp(normalized_log_abs_many(theta_jets(Z, B, tol=tol), B, Z)[0])
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from theta_secant.series import discrete_residue_consistency
 from theta_secant.theta import (
     PeriodMatrix,
     ThetaRequest,
-    half_period,
     lattice_reduce,
     theta,
     theta_fd_check,
@@ -159,7 +158,7 @@ def test_ac03_discrete_secancy(x5m1):
 def test_ac04_bdhe_window(x5m1, fay_data, discrete_fit):
     B = x5m1.B
     U, V = fay_data["U"], fay_data["V"]
-    As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
+    As = discrete_fit.As
     win = LatticeWindow(m_range=(-5, 4), n_range=(-5, 4))
     Z = find_clear_base_point(U, V, As, B, seed=41, win=win)
     table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, Z, win, B)
@@ -197,7 +196,7 @@ def test_ac06_semidiscrete_chain(x5m1, tangent_data, semidiscrete_fit,
     B = x5m1.B
     U, V = tangent_data["U"], tangent_data["V"]
     fit = semidiscrete_fit
-    As = tangent_data["A"] + half_period(B, fit.calibration_shift)
+    As = fit.As
     ts = tuple(np.linspace(-0.3, 0.3, 8))
     win = LatticeWindow(x_range=(-4, 3), t_samples=ts)
     Z = find_clear_base_point(U, V, As, B, seed=43, win=win)

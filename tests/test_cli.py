@@ -118,6 +118,19 @@ class TestMain:
         fit = [c for c in out["checks"] if c["name"] == "fit_residual"][0]
         assert fit["residual"] <= 1e-8
 
+    def test_fay_trisecant_reads_the_fits_vectors(self, lattice_passes):
+        """The collinearity comes from the vectors each fit returns: at
+        seed 7 the scenario is its four fits, one binned pass each."""
+        run_scenario(ScenarioConfig(scenario="fay-trisecant", seed=7))
+        assert lattice_passes == [(3 * 16, True)] * 4
+
+    def test_probe_depth_capped(self, capsys):
+        """A probe depth past divisor.MAX_PROBE_DEPTH exits 2 with a JSON
+        error, not a pass of millions of points."""
+        rc = main(["divisor-identities", "--window", "probe_depth=1001"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2 and out["error"] == "ValidationError"
+
     def test_invalid_curve_validation_exit(self, capsys, tmp_path):
         corpus = tmp_path / "bad.json"
         corpus.write_text('[{"id": "flat", "kind": "genus1", "tau": [1.0, 0.0]}]')

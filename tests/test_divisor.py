@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from theta_secant.divisor import (
+    MAX_PROBE_DEPTH,
     residual_cm7,
     residual_cm7d,
     sample_theta_divisor,
@@ -13,7 +14,8 @@ from theta_secant.divisor import (
 from theta_secant.errors import ValidationError
 from theta_secant.rng import Xoshiro256, random_z
 from theta_secant.scaled import rel_diff
-from theta_secant.theta import PeriodMatrix, lattice_reduce, theta_jet
+from theta_secant.theta import (PeriodMatrix, lattice_reduce, normalized_log_abs_many,
+                                theta_jet, theta_jets)
 
 B_I = PeriodMatrix([[1j]])
 
@@ -38,6 +40,14 @@ class TestSampling:
         for s in divisor_samples:
             assert s.theta_abs <= 1e-10
             assert verify_sample(s, x5m1.B) <= 1e-10
+
+    def test_modulus_is_a_fresh_pass(self, x5m1, divisor_samples):
+        """theta_abs, kept from the last Newton pass, is bitwise the
+        normalized modulus of a fresh value pass at Z."""
+        B = x5m1.B
+        for s in divisor_samples:
+            Z = s.Z[None]
+            assert s.theta_abs == np.exp(normalized_log_abs_many(theta_jets(Z, B), B, Z)[0])
 
     def test_samples_distinct(self, divisor_samples):
         for i in range(len(divisor_samples)):
@@ -155,6 +165,16 @@ class TestProbe:
         with pytest.raises(ValidationError):
             singular_locus_probe(divisor_samples[0], fay_data["U"],
                                  fay_data["V"], x5m1.B, -1)
+
+    def test_depth_cap(self, x5m1, fay_data, divisor_samples, lattice_passes):
+        """Past MAX_PROBE_DEPTH the probe is rejected before any pass; at it,
+        the probe is one pass of 2K + 1 points."""
+        s, U, V, B = divisor_samples[0], fay_data["U"], fay_data["V"], x5m1.B
+        with pytest.raises(ValidationError):
+            singular_locus_probe(s, U, V, B, MAX_PROBE_DEPTH + 1)
+        assert lattice_passes == []
+        assert singular_locus_probe(s, U, V, B, MAX_PROBE_DEPTH) >= 1e-3
+        assert lattice_passes == [(2 * MAX_PROBE_DEPTH + 1, False)]
 
 
 class TestPasses:

@@ -12,7 +12,7 @@ from theta_secant.kummer import (
     projective_distance,
 )
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.theta import PeriodMatrix, half_period
+from theta_secant.theta import PeriodMatrix, half_period, level_two_vector
 
 
 class TestKummerMap:
@@ -53,14 +53,8 @@ class TestCollinearity:
         pts = [kummer_map(random_z(rng, 2), B) for _ in range(3)]
         assert collinearity_defect(*pts) >= 1e-2
 
-    def test_fay_triple_collinear(self, x5m1, fay_data, discrete_fit):
-        B = x5m1.B
-        U, V = fay_data["U"], fay_data["V"]
-        As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
-        defect = collinearity_defect(kummer_map((As - U - V) / 2, B),
-                                     kummer_map((As + U - V) / 2, B),
-                                     kummer_map((As + V - U) / 2, B))
-        assert defect <= 1e-7
+    def test_fay_triple_collinear(self, discrete_fit):
+        assert collinearity_defect(*discrete_fit.vectors) <= 1e-7
 
     def test_dimension_mismatch(self):
         rng = Xoshiro256(55)
@@ -72,7 +66,7 @@ class TestCollinearity:
     def test_lattice_translation_invariance(self, x5m1, fay_data, discrete_fit):
         B = x5m1.B
         U, V = fay_data["U"], fay_data["V"]
-        As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
+        As = discrete_fit.As
         args = [(As - U - V) / 2, (As + U - V) / 2, (As + V - U) / 2]
         base = collinearity_defect(*[kummer_map(a, B) for a in args])
         shift = B.entries[:, 0] + np.array([0.0, 1.0])
@@ -162,6 +156,36 @@ class TestSemidiscreteFit:
             assert abs(fit.exp_p / semidiscrete_fit.exp_p - lam) <= 1e-8 * lam
             assert abs(fit.E / semidiscrete_fit.E - lam) <= 1e-8 * lam
             assert abs(fit.residual - semidiscrete_fit.residual) <= 1e-10
+
+
+def assert_same_vector(got, want):
+    assert np.array_equal(got.coords, want.coords) and got.logscale == want.logscale
+
+
+class TestFitReturnsItsAnswer:
+    """A fit returns the shifted A it solved at and that shift's vectors,
+    bitwise as the one-point functions give them."""
+
+    def test_discrete(self, x5m1, fay_data, discrete_fit):
+        B = x5m1.B
+        U, V = fay_data["U"], fay_data["V"]
+        As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
+        assert np.array_equal(discrete_fit.As, As)
+        args = [(As - U - V) / 2, (As + U - V) / 2, (As + V - U) / 2]
+        assert len(discrete_fit.vectors) == 3
+        for got, arg in zip(discrete_fit.vectors, args):
+            assert_same_vector(got, kummer_map(arg, B))
+
+    def test_semidiscrete(self, x5m1, tangent_data, semidiscrete_fit):
+        B = x5m1.B
+        U, V = tangent_data["U"], tangent_data["V"]
+        As = tangent_data["A"] + half_period(B, semidiscrete_fit.calibration_shift)
+        assert np.array_equal(semidiscrete_fit.As, As)
+        want = [kummer_map((As - U) / 2, B), kummer_map((As + U) / 2, B),
+                level_two_vector((As - U) / 2, B, deriv_dir=V)]
+        assert len(semidiscrete_fit.vectors) == 3
+        for got, w in zip(semidiscrete_fit.vectors, want):
+            assert_same_vector(got, w)
 
 
 @pytest.mark.parametrize("kind", ["discrete", "semidiscrete"])

@@ -20,14 +20,14 @@ from theta_secant.lattices import (
 )
 from theta_secant.rng import Xoshiro256
 from theta_secant.scaled import ScaledComplex, exp_scaled, rel_diff
-from theta_secant.theta import half_period, theta_jet
+from theta_secant.theta import theta_jet
 
 
 @pytest.fixture(scope="module")
 def bdhe_setup(x5m1, fay_data, discrete_fit):
     B = x5m1.B
     U, V = fay_data["U"], fay_data["V"]
-    As = fay_data["A"] + half_period(B, discrete_fit.calibration_shift)
+    As = discrete_fit.As
     win = LatticeWindow(m_range=(-5, 4), n_range=(-5, 4))
     Z = find_clear_base_point(U, V, As, B, seed=41, win=win)
     table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, Z, win, B)
@@ -38,7 +38,7 @@ def bdhe_setup(x5m1, fay_data, discrete_fit):
 def toda_setup(x5m1, tangent_data, semidiscrete_fit):
     B = x5m1.B
     U, V = tangent_data["U"], tangent_data["V"]
-    As = tangent_data["A"] + half_period(B, semidiscrete_fit.calibration_shift)
+    As = semidiscrete_fit.As
     ts = tuple(np.linspace(-0.3, 0.3, 8))
     win = LatticeWindow(x_range=(-4, 3), t_samples=ts)
     Z = find_clear_base_point(U, V, As, B, seed=43, win=win)

@@ -21,13 +21,18 @@ from theta_secant.theta import (
     normalized_log_abs_many,
     theta,
     theta_fd_check,
-    theta_hat_abs,
     theta_jet,
     theta_jets,
     truncation_radius,
     _ellipsoid_radius,
     _norm_octaves,
 )
+
+
+def hat_abs(z, B):
+    """Normalized modulus of theta at the one point z."""
+    Z = np.asarray(z, dtype=complex).reshape(1, -1)
+    return float(np.exp(normalized_log_abs_many(theta_jets(Z, B), B, Z)[0]))
 
 
 def brute_theta(z, B, eps=None, delta=None, R=12, derivs=()):
@@ -95,7 +100,7 @@ class TestValues:
             assert abs(got - want) <= 1e-11 * (abs(want) + 1)
 
     def test_zero_at_odd_half_period(self):
-        assert theta_hat_abs(np.array([(1 + 1j) / 2]), B_I) <= 1e-10
+        assert hat_abs(np.array([(1 + 1j) / 2]), B_I) <= 1e-10
 
     def test_deriv_vanishes_at_origin(self):
         d = theta(ThetaRequest([0j], B_I, deriv_dirs=(np.array([1.0 + 0j]),)))
@@ -107,8 +112,7 @@ class TestValues:
         # logscale; the normalized modulus is lattice invariant
         z = np.array([0.3 + 0.2j])
         big = z + 40 * B_I.entries[:, 0]
-        assert theta_hat_abs(big, B_I) == pytest.approx(theta_hat_abs(z, B_I),
-                                                        rel=1e-9)
+        assert hat_abs(big, B_I) == pytest.approx(hat_abs(z, B_I), rel=1e-9)
 
 
 class TestSymmetries:
@@ -178,6 +182,25 @@ class TestTruncation:
                 assert truncation_radius(B, np.array([0j] * B.g), tol,
                                          deriv_norms=norms) == fresh
             assert B._radii == {(tol, _norm_octaves(norms)): fresh}
+
+    def test_radius_is_pinned(self):
+        """Smallest certified radii of 60 seeded matrices, lam_min from 0.01
+        to 2, with random tolerances and derivative octaves (frozen from a
+        gallop-and-bisect search)."""
+        want = [34, 32, 27, 31, 32, 31, 18, 23, 25, 23, 19, 22, 15, 20, 20,
+                14, 17, 18, 11, 16, 14, 15, 14, 12, 11, 13, 11, 10, 9, 10,
+                8, 9, 10, 7, 8, 8, 7, 7, 7, 5, 5, 7, 6, 6, 6,
+                6, 5, 5, 4, 5, 4, 5, 3, 5, 4, 5, 4, 4, 4, 4]
+        rng = Xoshiro256(73)
+        got = []
+        for k in range(60):
+            B = random_siegel(rng, 1 + (k % 2))
+            lam = 10.0 ** (-2.0 + 2.3 * k / 59)
+            B = PeriodMatrix(B.entries.real + 1j * B.im * (lam / B.lam_min))
+            tol = 10.0 ** rng.uniform_in(-16, -4)
+            norms = [2.0 ** rng.uniform_in(-7, 3) for _ in range(k % 3)]
+            got.append(_ellipsoid_radius(B, tol, _norm_octaves(norms)))
+        assert got == want
 
     def test_radius_cap_raised_on_every_call(self):
         B = PeriodMatrix([[0.001j]])
@@ -294,7 +317,7 @@ class TestBatch:
         vecs = level_two_vectors(Z, B, deriv_dir=V)
         assert set(vecs) == {"f", "d0"} and all(len(v) == 5 for v in vecs.values())
         hats = np.exp(normalized_log_abs_many(theta_jets(Z, B), B, Z))
-        assert np.allclose(hats, [theta_hat_abs(z, B) for z in Z], rtol=1e-12)
+        assert np.allclose(hats, [hat_abs(z, B) for z in Z], rtol=1e-12)
 
     def test_wrong_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
