@@ -14,7 +14,6 @@ from .theta import (
     gauss_exponent,
     gauss_exponents,
     half_period,
-    half_periods,
     lattice_distance,
     lattice_reduce,
     level_two_vector,
@@ -39,7 +38,6 @@ __all__ = [
     "gauss_exponent",
     "gauss_exponents",
     "half_period",
-    "half_periods",
     "lattice_distance",
     "lattice_reduce",
     "level_two_vector",

@@ -192,8 +192,10 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
 
 def run_divisor_identities(config: ScenarioConfig) -> Report:
     from .curves import abel_map, abel_tangent, build_abel_data
-    from .divisor import (residual_cm7, residual_cm7d, sample_theta_divisor,
-                          singular_locus_probe, verify_sample)
+    from .divisor import (check_probe_depth, residual_cm7, residual_cm7d,
+                          sample_theta_divisor, singular_locus_probe, verify_sample)
+    depth = config.win("probe_depth")
+    check_probe_depth(depth)
     ident, spec = resolve_curve(config)
     data = build_abel_data(spec)
     B = data.B
@@ -219,8 +221,7 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     Vt = abel_tangent(data, pts[1])
     Ut = abel_map(data, pts[2]) - abel_map(data, pts[1])
     worst_cm7 = max(residual_cm7(s, Ut, Vt, B) for s in samples)
-    probe = min(singular_locus_probe(s, U, V, B, config.win("probe_depth"))
-                for s in samples)
+    probe = min(singular_locus_probe(s, U, V, B, depth) for s in samples)
 
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     # the negative controls take the strongest witness: the identities must

@@ -4,7 +4,9 @@ Divisor access is one-dimensional: seeded complex lines Z(s) = Z0 + s*D
 are scanned for zeros of s -> theta(Z(s)) by argument-principle winding
 counts on an 8 x 8 cell grid over the square |Re s|, |Im s| <= 1, and
 every winding cell seeds a Newton refinement using the analytic
-directional derivative.
+directional derivative.  The phases at the grid nodes come from one
+lattice pass; every edge piece whose phase turns by more than 1.2 is
+bisected, up to depth 7, and each bisection round is one more pass.
 All "how small is theta" questions use the lattice-invariant normalized
 modulus |theta| * exp(-pi * Im z . (Im B)^-1 . Im z).
 """
@@ -50,47 +52,17 @@ class DivisorSample:
 # line root finding
 # ----------------------------------------------------------------------
 
-class _Line:
-    """The line Z(s) = Z0 + s D, with the phases of theta on it cached per s."""
-
-    def __init__(self, Z0, D, B):
-        self.Z0, self.D, self.B = Z0, D, B
-        self._phase_cache: dict = {}
-
-    def seed_phases(self, ss) -> None:
-        """Phases of theta at every s in ss, from one lattice pass, into the cache."""
-        J = theta_jets(self.Z0 + np.multiply.outer(ss, self.D), self.B)
-        self._phase_cache.update(zip(ss, np.angle(J.sums["f"]).tolist()))
-
-    def phase(self, s: complex) -> float:
-        if s not in self._phase_cache:
-            self.seed_phases([s])
-        return self._phase_cache[s]
+def _phases(Z0, D, B: PeriodMatrix, ss) -> np.ndarray:
+    """Phases of theta at Z0 + s D for every s in ss, from one lattice pass."""
+    return np.angle(theta_jets(Z0 + np.multiply.outer(ss, D), B).sums["f"])
 
 
-def _wrap(d: float) -> float:
-    while d > math.pi:
-        d -= 2.0 * math.pi
-    while d <= -math.pi:
-        d += 2.0 * math.pi
-    return d
-
-
-def _edge_increment(line: _Line, s0: complex, s1: complex, depth: int = 0) -> float:
-    d = _wrap(line.phase(s1) - line.phase(s0))
-    if abs(d) > 1.2 and depth < 7:
-        mid = 0.5 * (s0 + s1)
-        return (_edge_increment(line, s0, mid, depth + 1)
-                + _edge_increment(line, mid, s1, depth + 1))
-    return d
-
-
-def _newton(line: _Line, s: complex):
+def _newton(Z0, D, B: PeriodMatrix, s: complex):
     """(s, normalized |theta| at Z0 + s D) of the converged pass, or None."""
     for _ in range(NEWTON_MAX_ITER):
-        Z = [line.Z0 + s * line.D]
-        J = theta_jets(Z, line.B, dirs=(line.D,))
-        la = normalized_log_abs_many(J, line.B, Z)[0]
+        Z = [Z0 + s * D]
+        J = theta_jets(Z, B, dirs=(D,))
+        la = normalized_log_abs_many(J, B, Z)[0]
         modulus = math.exp(la)
         if la != -math.inf and modulus <= NEWTON_TARGET:
             return s, modulus
@@ -115,32 +87,42 @@ def line_roots(Z0, D, B: PeriodMatrix) -> list:
     Returns (s, normalized |theta| at Z0 + s D) pairs from the last
     Newton pass.
     """
-    line = _Line(np.asarray(Z0, complex), np.asarray(D, complex), B)
+    Z0, D = np.asarray(Z0, complex), np.asarray(D, complex)
     nodes = np.linspace(-1.0, 1.0, GRID + 1)
-    line.seed_phases([complex(x, y) for y in nodes for x in nodes])
-    # phase increments per horizontal/vertical edge, evaluated once
-    horiz = {}
-    vert = {}
-    for iy, y in enumerate(nodes):
-        for ix in range(GRID):
-            horiz[(ix, iy)] = _edge_increment(
-                line, complex(nodes[ix], y), complex(nodes[ix + 1], y))
-    for ix, x in enumerate(nodes):
-        for iy in range(GRID):
-            vert[(ix, iy)] = _edge_increment(
-                line, complex(x, nodes[iy]), complex(x, nodes[iy + 1]))
+    ss = (nodes + 1j * nodes[:, None]).ravel()         # x + i y, row iy, column ix
+    phases = _phases(Z0, D, B, ss)
+    # node indices of the edges: horizontal [iy, ix] -> [iy, ix + 1], then
+    # vertical [iy, ix] -> [iy + 1, ix]
+    k = np.arange(ss.size).reshape(GRID + 1, GRID + 1)
+    a = np.concatenate([k[:, :-1].ravel(), k[:-1].ravel()])
+    b = np.concatenate([k[:, 1:].ravel(), k[1:].ravel()])
+    edge, s0, s1, p0, p1 = np.arange(a.size), ss[a], ss[b], phases[a], phases[b]
+    turn = np.zeros(a.size)
+    for depth in range(8):
+        d = p1 - p0            # wrapped into (-pi, pi], as a modulo would not
+        d[d > math.pi] -= 2.0 * math.pi
+        d[d <= -math.pi] += 2.0 * math.pi
+        split = (np.abs(d) > 1.2) & (depth < 7)
+        np.add.at(turn, edge[~split], d[~split])
+        if not split.any():
+            break
+        # bisect every piece that still turns too far: one pass per round
+        edge, s0, s1, p0, p1 = (x[split] for x in (edge, s0, s1, p0, p1))
+        mid = 0.5 * (s0 + s1)
+        pm = _phases(Z0, D, B, mid)
+        edge, s0, s1, p0, p1 = (np.concatenate(x) for x in (
+            (edge, edge), (s0, mid), (mid, s1), (p0, pm), (pm, p1)))
+    horiz = turn[:a.size // 2].reshape(GRID + 1, GRID)
+    vert = turn[a.size // 2:].reshape(GRID, GRID + 1)
+    winding = np.rint((horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1])
+                      / (2.0 * math.pi))
     roots = []
-    for ix in range(GRID):
-        for iy in range(GRID):
-            total = (horiz[(ix, iy)] + vert[(ix + 1, iy)]
-                     - horiz[(ix, iy + 1)] - vert[(ix, iy)])
-            if round(total / (2.0 * math.pi)) == 0:
-                continue
-            center = complex(0.5 * (nodes[ix] + nodes[ix + 1]),
-                             0.5 * (nodes[iy] + nodes[iy + 1]))
-            root = _newton(line, center)
-            if root is not None:
-                roots.append(root)
+    for ix, iy in np.argwhere(winding.T != 0):          # ix outer, iy inner
+        center = complex(0.5 * (nodes[ix] + nodes[ix + 1]),
+                         0.5 * (nodes[iy] + nodes[iy + 1]))
+        root = _newton(Z0, D, B, center)
+        if root is not None:
+            roots.append(root)
     return roots
 
 
@@ -221,6 +203,12 @@ def residual_cm7d(Zs, U, V, B: PeriodMatrix) -> float:
     return float(abs(a + b) / (abs(a) + abs(b) + 1e-300))
 
 
+def check_probe_depth(K: int) -> None:
+    """Raise ValidationError unless 0 <= K <= MAX_PROBE_DEPTH."""
+    if not 0 <= K <= MAX_PROBE_DEPTH:
+        raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
+
+
 def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int) -> float:
     """max over |k| <= K of the normalized |theta(Z + k(U-V))|.
 
@@ -229,8 +217,7 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int) -> float:
     degenerates to the divisor membership itself.  K is at most
     MAX_PROBE_DEPTH.
     """
-    if not 0 <= K <= MAX_PROBE_DEPTH:
-        raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
+    check_probe_depth(K)
     Z = _zpoint(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))

@@ -642,7 +642,3 @@ def half_period(B: PeriodMatrix, index: int) -> np.ndarray:
     eps = np.array([(index >> j) & 1 for j in range(g)], dtype=float)
     delta = np.array([(index >> (g + j)) & 1 for j in range(g)], dtype=float)
     return 0.5 * eps + B.entries @ (0.5 * delta)
-
-
-def half_periods(B: PeriodMatrix) -> list:
-    return [half_period(B, k) for k in range(4 ** B.g)]

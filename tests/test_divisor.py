@@ -1,10 +1,15 @@
 """Divisor sampling and on-divisor identity tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from theta_secant.cli import run_scenario
+from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.divisor import (
     MAX_PROBE_DEPTH,
+    line_roots,
     residual_cm7,
     residual_cm7d,
     sample_theta_divisor,
@@ -12,12 +17,19 @@ from theta_secant.divisor import (
     verify_sample,
 )
 from theta_secant.errors import ValidationError
-from theta_secant.rng import Xoshiro256, random_z
+from theta_secant.reports import ScenarioConfig
+from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.scaled import rel_diff
 from theta_secant.theta import (PeriodMatrix, lattice_reduce, normalized_log_abs_many,
                                 theta_jet, theta_jets)
 
 B_I = PeriodMatrix([[1j]])
+
+
+def reference_line(B):
+    """The x5m1 line of bench/reference.py; its edges bisect to depth 5."""
+    V = np.array([0.6 + 0.2j, -0.3 + 0.5j])
+    return np.array([0.21 + 0.1j, -0.13 + 0.05j]), V / np.linalg.norm(V), B
 
 
 class TestSampling:
@@ -192,3 +204,43 @@ class TestPasses:
         # Z +- U share the 1-jet pass; Z's 2-jet keeps a radius of its own
         residual_cm7(divisor_samples[0], tangent_data["U"], tangent_data["V"], x5m1.B)
         assert lattice_passes == [(2, False), (1, False)]
+
+
+class TestLineRoots:
+    def test_roots_are_pinned(self, x5m1):
+        """(s, modulus) pairs of 21 genus-2 lines, bitwise: the reference
+        line, then four seeded lines each on x5m1, x5pert, diag(i, 1.3i) and
+        two random Siegel matrices (frozen from the edge-by-edge recursion
+        that the bisection rounds replaced)."""
+        rng = Xoshiro256(41)
+        mats = [x5m1.B, build_abel_data(default_corpus()["x5pert"]).B,
+                PeriodMatrix(np.diag([1j, 1.3j]))]
+        mats += [random_siegel(rng, 2) for _ in range(2)]
+        lines = [reference_line(x5m1.B)]
+        for B in mats:
+            for _ in range(4):
+                Z0 = np.array(rng.complex_vector(2, scale=0.45))
+                D = np.array(rng.complex_vector(2))
+                lines.append((Z0, D / np.linalg.norm(D), B))
+        roots = [line_roots(*line) for line in lines]
+        assert [len(r) for r in roots] == [9, 6, 4, 4, 3, 6, 13, 10, 7, 3, 2,
+                                           2, 4, 0, 2, 2, 1, 2, 0, 3, 3]
+        pairs = np.array([pair for r in roots for pair in r])
+        assert hashlib.sha256(pairs.tobytes()).hexdigest() == (
+            "f81904bd4ea5dc8711cc5e93ec5ecf5ce35e21040b3f88870806d5daeee69f11")
+
+    def test_one_pass_per_bisection_round(self, x5m1, lattice_passes):
+        """The 81 nodes in one pass, each bisection round in one pass (at
+        most 7), then one-point Newton passes: 237 points in all."""
+        line_roots(*reference_line(x5m1.B))
+        points = [n for n, binned in lattice_passes]
+        assert not any(binned for n, binned in lattice_passes)
+        assert points[:6] == [81, 61, 29, 5, 2, 2]
+        assert points[6:] == [1] * 57 and sum(points) == 237
+
+    @pytest.mark.parametrize("scenario, passes, points", [
+        ("divisor-identities", 284, 1079), ("controls", 126, 793)])
+    def test_scenario_passes(self, scenario, passes, points, lattice_passes):
+        run_scenario(ScenarioConfig(scenario=scenario, seed=7))
+        assert len(lattice_passes) == passes
+        assert sum(n for n, _ in lattice_passes) == points

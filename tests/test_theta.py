@@ -14,7 +14,7 @@ from theta_secant.theta import (
     ThetaCharacteristic,
     ThetaRequest,
     characteristic_by_index,
-    half_periods,
+    half_period,
     lattice_reduce,
     level_two_vector,
     level_two_vectors,
@@ -372,7 +372,7 @@ class TestValidation:
 
 
 def test_half_periods_count_and_reduction():
-    hps = half_periods(B_I)
+    hps = [half_period(B_I, k) for k in range(4 ** B_I.g)]
     assert len(hps) == 4
     for h in hps:
         assert np.linalg.norm(lattice_reduce(2.0 * h, B_I)) <= 1e-12
