@@ -15,7 +15,6 @@ theta truncation-radius cap.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -590,7 +589,8 @@ def _kv_pairs(values, what: str) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse     # only the command line needs it, not run_scenario
     ap = argparse.ArgumentParser(
         prog="theta-secant",
         description="Verify trisecant-type theta identities with quantified residuals.")

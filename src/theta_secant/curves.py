@@ -22,6 +22,13 @@ consecutive sorted pairs (e1,e2), (e2,e3), (e3,e4), (e4,e5),
 
 Each gamma_k integral equals twice the segment integral between its two
 branch points taken with the global branch Y.
+
+The Gauss-Legendre rules (RULE_SIZES nodes) are read from the frozen table
+data/gauss_legendre.npy, whose two rows hold the nodes and the weights on
+[-1, 1] of every size in turn.  It was written by numpy's leggauss, and
+this one-liner, run from the repository root, writes it again:
+
+    python -c "import numpy as np; from numpy.polynomial.legendre import leggauss; np.save('src/theta_secant/data/gauss_legendre.npy', np.hstack([leggauss(24 * 2 ** k) for k in range(7)]))"
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadPeriods,
     BranchPoint,
     CoincidentPoints,
     DegenerateCurve,
-    NonPosDef,
     PathFailure,
     QuadratureStall,
     ValidationError,
@@ -48,6 +55,9 @@ from .theta import PeriodMatrix, lattice_distance
 QUAD_TOL = 1e-11
 QUAD_MAX_NODES = 2 ** 13
 CUT_CLEARANCE = 1e-3
+# node doubling from 24, up to 192 per panel (_seg_adaptive) and 1536 per
+# on-cut integral (_converge)
+RULE_SIZES = tuple(24 * 2 ** k for k in range(7))
 
 
 # ----------------------------------------------------------------------
@@ -145,10 +155,18 @@ def _seg_seg_dist(p1, p2, q1, q2) -> float:
                pt_seg(q1, p1, p2), pt_seg(q2, p1, p2))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
+def _rules() -> dict:
+    """{n: (nodes, weights)} of the Gauss-Legendre rules on [0, 1], n in
+    RULE_SIZES, from the frozen table (read at the first quadrature)."""
+    table = np.load(Path(__file__).parent / "data" / "gauss_legendre.npy")
+    parts = np.split(table, np.cumsum(RULE_SIZES)[:-1], axis=1)
+    return {n: (0.5 * (x + 1.0), 0.5 * w) for n, (x, w) in zip(RULE_SIZES, parts)}
+
+
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """The n-node rule of _rules; KeyError for an n outside RULE_SIZES."""
+    return _rules()[n]
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +178,10 @@ class AbelData:
     Jacobian data computed with them (curve, B, a_periods, normalization
     and basepoint, the first branch point).
 
-    Raises NonPosDef if the computed period matrix is asymmetric beyond
-    1e-8 or its imaginary part fails Cholesky; both signal a
-    homology-orientation inconsistency and are surfaced rather than
+    Raises BadPeriods, a NumericalError, if the a-periods are singular,
+    or if the computed period matrix is asymmetric beyond 1e-8 or its
+    imaginary part fails Cholesky: on a valid curve these are failures of
+    the quadrature or of the homology orientation, surfaced rather than
     repaired.
     """
 
@@ -191,14 +210,17 @@ class AbelData:
         self.a_periods = np.stack([gamma1, gamma3], axis=1)
         b_periods = np.stack([gamma2 + gamma4, gamma4], axis=1)
         if abs(np.linalg.det(self.a_periods)) < 1e-14:
-            raise NonPosDef("a-period matrix is singular")
+            raise BadPeriods("a-period matrix is singular")
         self.normalization = np.linalg.inv(self.a_periods)
         Bm = self.normalization @ b_periods
         asym = float(np.max(np.abs(Bm - Bm.T)))
         if asym > 1e-8:
-            raise NonPosDef(f"period matrix asymmetric by {asym:.2e}; "
-                            "homology orientation inconsistent for this curve")
-        self.B = PeriodMatrix(0.5 * (Bm + Bm.T))     # raises NonPosDef if Im B fails Cholesky
+            raise BadPeriods(f"period matrix asymmetric by {asym:.2e}; "
+                             "homology orientation inconsistent for this curve")
+        try:
+            self.B = PeriodMatrix(0.5 * (Bm + Bm.T))
+        except ValidationError as exc:        # NonPosDef: Im B fails Cholesky
+            raise BadPeriods(f"computed period matrix: {exc}") from exc
         self.basepoint = complex(e[0])
 
     # -- branch ---------------------------------------------------------
@@ -332,9 +354,9 @@ class AbelData:
     def _seg_adaptive(self, P, jP, Q, jQ, budget: list):
         """Node doubling per panel, bisecting panels that refuse to settle.
 
-        Keeps individual Gauss-Legendre rules small (their construction
-        cost grows cubically) while resolving integrands that pass close
-        to a cut; the total node budget per original segment enforces the
+        A panel grows its rule up to 192 nodes and is then bisected, which
+        resolves integrands that pass close to a cut where one larger rule
+        would not; the total node budget per original segment enforces the
         2^13 stall limit.
         """
         n = 24

@@ -6,7 +6,9 @@ counts on an 8 x 8 cell grid over the square |Re s|, |Im s| <= 1, and
 every winding cell seeds a Newton refinement using the analytic
 directional derivative.  The phases at the grid nodes come from one
 lattice pass; every edge piece whose phase turns by more than 1.2 is
-bisected, up to depth 7, and each bisection round is one more pass.
+bisected, up to depth 7, and each bisection round is one more pass.  The
+Newton refinements of one line run in lockstep: one pass per iteration
+over the cells still refining.
 All "how small is theta" questions use the lattice-invariant normalized
 modulus |theta| * exp(-pi * Im z . (Im B)^-1 . Im z).
 """
@@ -57,35 +59,53 @@ def _phases(Z0, D, B: PeriodMatrix, ss) -> np.ndarray:
     return np.angle(theta_jets(Z0 + np.multiply.outer(ss, D), B).sums["f"])
 
 
-def _newton(Z0, D, B: PeriodMatrix, s: complex):
-    """(s, normalized |theta| at Z0 + s D) of the converged pass, or None."""
+def _newton(Z0, D, B: PeriodMatrix, starts: list) -> list:
+    """Newton from every start s in lockstep, one lattice pass per iteration
+    over the runs still going: per start, (s, normalized |theta| at
+    Z0 + s D) of its converged pass, or None.
+
+    Each run is bitwise what it would be alone: the rows of a pass are
+    (see theta_jets), so are those of normalized_log_abs_many, and each
+    row is formed and stepped by itself with Python's math.exp and abs,
+    which an array's exp and abs would not match.
+    """
+    s = list(starts)
+    found = [None] * len(s)
+    going = list(range(len(s)))
     for _ in range(NEWTON_MAX_ITER):
-        Z = [Z0 + s * D]
+        if not going:
+            break
+        Z = np.array([Z0 + s[i] * D for i in going])
         J = theta_jets(Z, B, dirs=(D,))
-        la = normalized_log_abs_many(J, B, Z)[0]
-        modulus = math.exp(la)
-        if la != -math.inf and modulus <= NEWTON_TARGET:
-            return s, modulus
-        # theta and its derivative share the pass's logscale
-        with np.errstate(all="ignore"):
-            ds = complex(J.sums["f"][0] / J.sums["d0"][0])
-        if ds == 0 or not cmath.isfinite(ds):
-            return None
-        if abs(ds) > 0.7:
-            ds *= 0.7 / abs(ds)
-        s = s - ds
-        if abs(s) > 4.0:
-            return None
-    return None
+        f, d0 = J.sums["f"], J.sums["d0"]
+        la = normalized_log_abs_many(J, B, Z)
+        still = []
+        for row, i in enumerate(going):
+            modulus = math.exp(la[row])
+            if la[row] != -math.inf and modulus <= NEWTON_TARGET:
+                found[i] = (s[i], modulus)
+                continue
+            # theta and its derivative share the pass's logscale
+            with np.errstate(all="ignore"):
+                ds = complex(f[row] / d0[row])
+            if ds == 0 or not cmath.isfinite(ds):
+                continue
+            if abs(ds) > 0.7:
+                ds *= 0.7 / abs(ds)
+            s[i] -= ds
+            if abs(s[i]) <= 4.0:
+                still.append(i)
+        going = still
+    return found
 
 
 def line_roots(Z0, D, B: PeriodMatrix) -> list:
     """Roots of s -> theta(Z0 + sD) inside the [-1, 1]^2 square of s.
 
     Argument-principle winding counts over GRID x GRID cells isolate the
-    candidates; Newton with the analytic derivative polishes each one.
-    Returns (s, normalized |theta| at Z0 + s D) pairs from the last
-    Newton pass.
+    candidates; Newton with the analytic derivative polishes them all in
+    lockstep.  Returns (s, normalized |theta| at Z0 + s D) pairs from each
+    root's last Newton pass, in cell order (ix outer, iy inner).
     """
     Z0, D = np.asarray(Z0, complex), np.asarray(D, complex)
     nodes = np.linspace(-1.0, 1.0, GRID + 1)
@@ -116,14 +136,10 @@ def line_roots(Z0, D, B: PeriodMatrix) -> list:
     vert = turn[a.size // 2:].reshape(GRID, GRID + 1)
     winding = np.rint((horiz[:-1] + vert[:, 1:] - horiz[1:] - vert[:, :-1])
                       / (2.0 * math.pi))
-    roots = []
-    for ix, iy in np.argwhere(winding.T != 0):          # ix outer, iy inner
-        center = complex(0.5 * (nodes[ix] + nodes[ix + 1]),
-                         0.5 * (nodes[iy] + nodes[iy + 1]))
-        root = _newton(Z0, D, B, center)
-        if root is not None:
-            roots.append(root)
-    return roots
+    cells = np.argwhere(winding.T != 0)                # ix outer, iy inner
+    centers = [complex(0.5 * (nodes[ix] + nodes[ix + 1]),
+                       0.5 * (nodes[iy] + nodes[iy + 1])) for ix, iy in cells]
+    return [root for root in _newton(Z0, D, B, centers) if root is not None]
 
 
 def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:

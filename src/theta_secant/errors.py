@@ -54,6 +54,10 @@ class QuadratureStall(NumericalError):
     """Gauss-Legendre node doubling did not converge."""
 
 
+class BadPeriods(NumericalError):
+    """A curve's computed period matrix is not a Riemann matrix."""
+
+
 class PathFailure(NumericalError):
     """No admissible integration path found."""
 

@@ -1,6 +1,7 @@
 """Config validation, report round-trips, determinism, CLI surface."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -276,6 +277,36 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_curve_runs_import_neither_argparse_nor_numpy_polynomial():
+    """run_scenario on a curve reads the frozen quadrature rules, and only
+    the command line needs argparse."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from theta_secant.cli import run_scenario\n"
+         "from theta_secant.reports import ScenarioConfig\n"
+         "assert run_scenario(ScenarioConfig('fay-trisecant', curve='x5m1')).passed\n"
+         "print(sorted({'argparse', 'gettext', 'numpy.polynomial'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_valid_curve_with_bad_periods_exits_three(capsys, tmp_path):
+    """A valid quintic whose computed period matrix fails its symmetry
+    check is a numerical failure (exit 3), not invalid input (exit 2):
+    roots 0.02 * (random point of the unit square), seed 2."""
+    rng = random.Random(2)
+    poly = np.poly([0.02 * complex(rng.random(), rng.random()) for _ in range(5)])
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps([{"id": "p2", "kind": "hyperelliptic2",
+                                 "poly": [[c.real, c.imag] for c in poly[::-1]]}]))
+    rc = main(["fay-trisecant", "--corpus", str(path), "--curve", "p2"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 3 and out["error"] == "BadPeriods"
+    assert out["message"].startswith("period matrix asymmetric")
 
 
 @pytest.mark.parametrize("ident,seed", [("x5m1", 897), ("x5pert", 456),

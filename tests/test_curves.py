@@ -6,11 +6,14 @@ family and validated end to end by the trisecant fits.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from theta_secant import curves
 from theta_secant.curves import (
+    RULE_SIZES,
     CurvePoint,
     CurveSpec,
     abel_map,
@@ -103,6 +106,45 @@ class TestPeriods:
             poly = np.polynomial.polynomial.polyfromroots(roots)
             data = build_abel_data(CurveSpec("hyperelliptic2", poly=list(poly)))
             assert data.B.lam_min > 0
+
+
+class TestRuleTable:
+    """The frozen Gauss-Legendre rules that every quadrature reads."""
+
+    @staticmethod
+    def table(n):
+        """Nodes and weights on [-1, 1] of the n-node rule, as stored."""
+        xw = np.load(Path(curves.__file__).parent / "data" / "gauss_legendre.npy")
+        start = sum(RULE_SIZES[:RULE_SIZES.index(n)])
+        return xw[:, start:start + n]
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_matches_leggauss(self, n):
+        # bitwise equal where the table was written; 2 ulp allows for
+        # another machine's eigensolver
+        for stored, fresh in zip(self.table(n), np.polynomial.legendre.leggauss(n)):
+            assert np.all(np.abs(stored - fresh) <= 2 * np.spacing(np.abs(fresh)))
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_exactly_symmetric(self, n):
+        x, w = self.table(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_integrates_monomials_on_unit_interval(self, n):
+        t, w = curves._leggauss(n)
+        x, wx = self.table(n)
+        assert np.array_equal(t, 0.5 * (x + 1.0)) and np.array_equal(w, 0.5 * wx)
+        assert abs(w.sum() - 1.0) < 1e-14
+        # leggauss's own rules err by up to 1.1e-14 (n = 768) and 6.4e-14
+        # (n = 1536) on these monomials, in 200-bit arithmetic on the floats
+        k = np.arange(2 * n)
+        err = np.max(np.abs(w @ t[:, None] ** k - 1.0 / (k + 1)))
+        assert err < max(1e-14, 5e-17 * n)
+
+    def test_size_outside_table_raises(self):
+        with pytest.raises(KeyError):
+            curves._leggauss(100)
 
 
 class TestAbelMap:

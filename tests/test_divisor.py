@@ -231,15 +231,16 @@ class TestLineRoots:
 
     def test_one_pass_per_bisection_round(self, x5m1, lattice_passes):
         """The 81 nodes in one pass, each bisection round in one pass (at
-        most 7), then one-point Newton passes: 237 points in all."""
+        most 7), then one Newton pass per iteration over the 9 winding
+        cells still refining: 237 points in all."""
         line_roots(*reference_line(x5m1.B))
         points = [n for n, binned in lattice_passes]
         assert not any(binned for n, binned in lattice_passes)
         assert points[:6] == [81, 61, 29, 5, 2, 2]
-        assert points[6:] == [1] * 57 and sum(points) == 237
+        assert points[6:] == [9, 9, 9, 9, 9, 8, 3, 1] and sum(points) == 237
 
     @pytest.mark.parametrize("scenario, passes, points", [
-        ("divisor-identities", 284, 1079), ("controls", 126, 793)])
+        ("divisor-identities", 141, 1079), ("controls", 57, 793)])
     def test_scenario_passes(self, scenario, passes, points, lattice_passes):
         run_scenario(ScenarioConfig(scenario=scenario, seed=7))
         assert len(lattice_passes) == passes
