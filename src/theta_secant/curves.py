@@ -219,7 +219,7 @@ class AbelData:
                              "homology orientation inconsistent for this curve")
         try:
             self.B = PeriodMatrix(0.5 * (Bm + Bm.T))
-        except ValidationError as exc:        # NonPosDef: Im B fails Cholesky
+        except ValidationError as exc:        # NonPosDef, or a non-finite entry
             raise BadPeriods(f"computed period matrix: {exc}") from exc
         self.basepoint = complex(e[0])
 

@@ -3,7 +3,9 @@ Ruijsenaars-Schneider system, and the discrete six-factor zero identity.
 
 The tau functions here are one-complex-variable sections tau(x, t) (or
 tau(x, nu)) of a theta function; zeros eta are continued in the parameter
-by warm-started Newton.  Laurent data at a simple zero:
+by a predictor-corrector: Newton starts from eta + eta_dot dt and always
+takes one step; every later evaluation is the one-pass stencil of the
+Laurent data, so the pass that shows the zero also gives them:
 
     eta_dot = -tau_t / tau_x          (implicit differentiation)
     v0      = lim_{x->eta} [ v(x,t) - eta_dot/(x - eta) ],  v = -tau_t/tau
@@ -163,20 +165,33 @@ class PerturbedTau(_ThetaSection):
 # zero location and tracking
 # ----------------------------------------------------------------------
 
-def newton_zero(tau, x0: complex, t: float) -> complex:
-    x = complex(x0)
+def _newton_step(f: complex, fx: complex, x: complex) -> complex:
+    """The Newton step f / fx at x, capped at NEWTON_STEP_CAP; LostZero if it
+    is not finite."""
+    with np.errstate(all="ignore"):
+        dx = complex(f / fx)
+    if not cmath.isfinite(dx):
+        raise LostZero(f"non-finite Newton step at x={x:.4g}")
+    if abs(dx) > NEWTON_STEP_CAP:
+        dx *= NEWTON_STEP_CAP / abs(dx)
+    return dx
+
+
+def _newton(jets, x: complex) -> tuple:
+    """Newton from x until |f| <= ZERO_TARGET, where jets(x) is a pass whose
+    first two arrays lead with f and f_x at x: (the zero, its pass)."""
+    x0 = x
     for _ in range(NEWTON_MAX_ITER):
-        f, fx, _, _ = tau.jets([x], t)
-        if abs(f[0]) <= ZERO_TARGET:
-            return x
-        with np.errstate(all="ignore"):
-            dx = complex(f[0] / fx[0])
-        if not cmath.isfinite(dx):
-            raise LostZero(f"non-finite Newton step at x={x:.4g}")
-        if abs(dx) > NEWTON_STEP_CAP:
-            dx *= NEWTON_STEP_CAP / abs(dx)
-        x = x - dx
+        out = jets(x)
+        f, fx = out[0][0], out[1][0]
+        if abs(f) <= ZERO_TARGET:
+            return x, out
+        x = x - _newton_step(f, fx, x)
     raise LostZero(f"Newton failed to converge near x={x0:.4g}")
+
+
+def newton_zero(tau, x0: complex, t: float) -> complex:
+    return _newton(lambda x: tau.jets([x], t), complex(x0))[0]
 
 
 def scan_zero(tau, t: float, span: float = 2.0, n: int = 21) -> complex:
@@ -207,12 +222,19 @@ class ZeroPath:
                             self.v0[k].real, self.v0[k].imag])
 
 
-def _laurent_data(tau, x: complex, t: float):
-    """(|tau|, eta_dot, v0) at a zero x, with tau(x +- 1) guarded: one lattice
-    pass for x, x + 1, x - 1 and the 5-point circle."""
+def _stencil(tau, x: complex, t: float) -> tuple:
+    """(f, fx, ft, circle): tau.jets at x, x + 1, x - 1 and the 5-point
+    circle about x, in one lattice pass."""
     rho = LAURENT_RADIUS * (1.0 + abs(x))
     circle = x + rho * np.exp(2j * np.pi * np.arange(5) / 5.0)
     f, fx, ft, _ = tau.jets(np.concatenate([[x, x + 1.0, x - 1.0], circle]), t)
+    return f, fx, ft, circle
+
+
+def _laurent_data(x: complex, t: float, stencil: tuple):
+    """(|tau|, eta_dot, v0) at a zero x from its stencil pass, with tau(x +- 1)
+    guarded."""
+    f, fx, ft, circle = stencil
     if abs(fx[0]) < SIMPLE_ZERO_GUARD:
         raise DegenerateZero(f"|tau_x| ~ {abs(fx[0]):.2e} at tracked zero")
     for off, h in zip((1.0, -1.0), np.abs(f[1:3])):
@@ -224,7 +246,8 @@ def _laurent_data(tau, x: complex, t: float):
 
 
 def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
-    """Continue a zero of tau(., t) across the parameter grid."""
+    """Continue a zero of tau(., t) across the parameter grid (module doc);
+    the forced first step keeps the path free of the predictor's error."""
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ValidationError("grid needs at least two points")
@@ -237,12 +260,15 @@ def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
     x = scan_zero(tau, grid[0]) if x0 is None else newton_zero(tau, x0, grid[0])
     for k, t in enumerate(grid):
         if k > 0:
-            dt = grid[k] - grid[k - 1]
+            dt = t - grid[k - 1]
             pred = eta[k - 1] + etadot[k - 1] * dt
-            x = newton_zero(tau, eta[k - 1], t)
-            # Newton warm-starts from the previous point; a converged zero
-            # far from the velocity prediction means we hopped to another
-            # sheet of the zero set (grid too coarse for the motion)
+            f, fx, _, _ = tau.jets([pred], t)
+            x = pred - _newton_step(f[0], fx[0], pred)
+        x, stencil = _newton(lambda y: _stencil(tau, y, t), x)
+        if k > 0:
+            # a converged zero far from the velocity prediction means we
+            # hopped to another sheet of the zero set (grid too coarse for
+            # the motion)
             if abs(x - pred) > 0.05 * (1.0 + abs(pred - eta[k - 1])):
                 raise LostZero(
                     f"zero at t={t:.4g} is {abs(x - pred):.3g} from the "
@@ -252,7 +278,7 @@ def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
                 raise LostZero(f"zero jumped by {abs(x - eta[k-1]):.3g} "
                                f"(limit {limit:.3g}) at t={t:.4g}")
         eta[k] = x
-        tau_abs[k], etadot[k], v0[k] = _laurent_data(tau, x, t)
+        tau_abs[k], etadot[k], v0[k] = _laurent_data(x, t, stencil)
     return ZeroPath(grid, eta, etadot, v0, tau_abs)
 
 
@@ -326,6 +352,8 @@ class TrigKernel:
     clearance = 1e-6
 
     def __init__(self, period: float = 2.0):
+        if not cmath.isfinite(period):
+            raise ValidationError(f"trig period must be finite, got {period}")
         if abs(period) < 1e-9 or abs(period - 1.0) < 1e-9:
             raise ValidationError("trig period must differ from 0 and 1")
         self.L = period
@@ -351,6 +379,8 @@ class EllipticKernel:
     def __init__(self, tau: complex, omega1: complex = 1.0):
         if complex(tau).imag <= 0:
             raise ValidationError("elliptic kernel needs Im tau > 0")
+        if not (cmath.isfinite(omega1) and omega1 != 0):
+            raise ValidationError("elliptic kernel needs a finite nonzero omega1")
         self.tau = complex(tau)
         self.omega1 = complex(omega1)
         self.B = PeriodMatrix([[self.tau]])

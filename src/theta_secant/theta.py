@@ -90,7 +90,10 @@ class PeriodMatrix:
         if M.shape[0] != M.shape[1]:
             raise ValidationError(f"period matrix must be square, got {M.shape}")
         scale = np.max(np.abs(M))
-        if scale == 0 or np.max(np.abs(M - M.T)) > 1e-12 * scale:
+        if not 0 < scale < math.inf:
+            # NaN fails both comparisons
+            raise ValidationError("period matrix needs finite entries, not all zero")
+        if np.max(np.abs(M - M.T)) > 1e-12 * scale:
             raise ValidationError("period matrix is not symmetric to 1e-12")
         M = 0.5 * (M + M.T)
         M.setflags(write=False)

@@ -56,8 +56,37 @@ class TestTracking:
         assert np.max(np.abs(path.etadot)) <= 1e-10
 
     def test_lost_zero_on_coarse_grid(self):
-        with pytest.raises(LostZero):
-            track_tau_zero(U1, 50.0 * V1, Z1, B_I, np.linspace(0, 0.5, 6))
+        # the oscillatory term bends the path at the grid scale, so the
+        # velocity prediction misses it and Newton lands on another zero
+        coarse = np.linspace(0, 0.5, 6)
+        eta0 = track_tau_zero(U1, 50.0 * V1, Z1, B_I, coarse).eta[0]
+        for eps in (0.2, 0.5, 1.0):
+            pert = PerturbedTau(ThetaTau(U1, 50.0 * V1, Z1, B_I), eps,
+                                x_ref=eta0 + 0.5, mode="oscillatory")
+            with pytest.raises(LostZero):
+                track_zero(pert, coarse, x0=eta0)
+
+    def test_affine_zero_tracked_on_coarse_grid(self):
+        # a genus-1 zero moves affinely, with velocity -V/U, so the predictor
+        # follows it on a grid far too coarse for warm-started Newton
+        coarse = np.linspace(0, 0.5, 6)
+        path = track_tau_zero(U1, 50.0 * V1, Z1, B_I, coarse)
+        assert path.tau_abs.max() <= 1e-11
+        line = path.eta[0] - 50.0 * V1[0] / U1[0] * coarse
+        assert np.max(np.abs(path.eta - line)) <= 1e-11
+        fit = np.polyfit(coarse, path.eta, 1)
+        assert np.max(np.abs(np.polyval(fit, coarse) - path.eta)) <= 1e-11
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_one_step_and_one_stencil_pass_per_point(self, tracked, perturbed,
+                                                     lattice_passes):
+        # after the first point: the corrector step from the prediction, then
+        # the 8-point Laurent pass that shows the zero converged
+        tau = ThetaTau(U1, V1, Z1, B_I)
+        if perturbed:
+            tau = PerturbedTau(tau, 0.05, x_ref=tracked.eta[0] + 0.5)
+        track_zero(tau, GRID[:6], x0=tracked.eta[0])
+        assert lattice_passes[-11:] == [(8, False)] + [(1, False), (8, False)] * 5
 
     def test_guard_failed_when_unit_shift_is_period(self):
         # U = 1: every x-translate of a zero by 1 is again a zero
@@ -74,8 +103,9 @@ class TestTracking:
 
     def test_laurent_data_is_one_pass(self, tracked, lattice_passes):
         # x, the guards x +- 1 and the 5-point circle: one 8-point pass
+        x, t = tracked.eta[3], GRID[3]
         tau_abs, etadot, v0 = dynamics._laurent_data(
-            ThetaTau(U1, V1, Z1, B_I), tracked.eta[3], GRID[3])
+            x, t, dynamics._stencil(ThetaTau(U1, V1, Z1, B_I), x, t))
         assert lattice_passes == [(8, False)]
         assert (tau_abs, etadot, v0) == (tracked.tau_abs[3], tracked.etadot[3],
                                          tracked.v0[3])
@@ -142,6 +172,20 @@ class TestKernels:
     def test_trig_period_one_rejected(self):
         with pytest.raises(ValidationError):
             TrigKernel(1.0)
+
+    @pytest.mark.parametrize("period", [np.nan, np.inf])
+    def test_trig_period_non_finite_rejected(self, period):
+        with pytest.raises(ValidationError, match="finite"):
+            TrigKernel(period)
+
+    @pytest.mark.parametrize("omega1", [0.0, np.nan])
+    def test_elliptic_omega1_zero_or_non_finite_rejected(self, omega1):
+        with pytest.raises(ValidationError, match="finite nonzero omega1"):
+            EllipticKernel(1j, omega1=omega1)
+
+    def test_elliptic_tau_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="finite entries"):
+            EllipticKernel(complex(np.nan, 1.0))
 
     def test_elliptic_vanishes_at_half_period(self):
         """The zeta-difference kernel is flat around half periods."""

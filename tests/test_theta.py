@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,18 @@ class TestValidation:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValidationError):
             PeriodMatrix([[1j, 0.5], [0.2, 1j]])
+
+    @pytest.mark.parametrize("entries", [
+        [[np.nan + 1j]],                            # NaN on the diagonal
+        [[1j, np.inf], [np.inf, 1j]],               # infinite off the diagonal
+        [[1j, np.nan], [np.nan, 1j]],               # NaN off the diagonal
+        [[0j, 0j], [0j, 0j]],                       # all zero
+    ])
+    def test_non_finite_or_zero_matrix_rejected(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite entries"):
+                PeriodMatrix(entries)
 
     def test_non_posdef_rejected(self):
         with pytest.raises(NonPosDef):
