@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .scaled import ScaledComplex, rel_diff
+from .scaled import ScaledComplex
 from .theta import (
     DEFAULT_RADIUS_CAP,
     Level2Vector,
@@ -10,8 +10,6 @@ from .theta import (
     ThetaCharacteristic,
     ThetaJets,
     ThetaRequest,
-    characteristic_by_index,
-    gauss_exponent,
     gauss_exponents,
     half_period,
     lattice_distance,
@@ -20,7 +18,6 @@ from .theta import (
     level_two_vectors,
     normalized_log_abs_many,
     theta,
-    theta_fd_check,
     theta_jet,
     theta_jets,
     truncation_radius,
@@ -34,8 +31,6 @@ __all__ = [
     "ThetaCharacteristic",
     "ThetaJets",
     "ThetaRequest",
-    "characteristic_by_index",
-    "gauss_exponent",
     "gauss_exponents",
     "half_period",
     "lattice_distance",
@@ -43,9 +38,7 @@ __all__ = [
     "level_two_vector",
     "level_two_vectors",
     "normalized_log_abs_many",
-    "rel_diff",
     "theta",
-    "theta_fd_check",
     "theta_jet",
     "theta_jets",
     "truncation_radius",

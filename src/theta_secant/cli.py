@@ -7,15 +7,17 @@
     theta-secant rs simulate --n N --t-end T --h H [--kernel K] [--csv PATH]
 
 Scenario reports are JSON on stdout (or --out).  Exit codes: 0 all checks
-pass, 1 at least one residual check failed, 2 invalid input or config,
-3 numerical infrastructure error; error reports carry the error class
-name verbatim.  The THETA_SECANT_CAP environment variable overrides the
-theta truncation-radius cap.
+pass, 1 at least one residual check failed, 2 invalid input or config
+(or a report whose reader has gone, with nothing written), 3 numerical
+infrastructure error; error reports carry the error class name verbatim.
+The THETA_SECANT_CAP environment variable overrides the theta
+truncation-radius cap.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -26,14 +28,7 @@ from . import __version__
 from .errors import ConfigError, NumericalError, ValidationError
 from .reports import SCENARIOS, CheckRecord, Report, ScenarioConfig
 from .rng import Xoshiro256, random_siegel, random_z
-from .scaled import exp_scaled, rel_diff
-from .theta import (
-    PeriodMatrix,
-    ThetaRequest,
-    theta,
-    theta_fd_check,
-    truncation_radius,
-)
+from .theta import PeriodMatrix, theta_jets, truncation_radius
 
 
 # ----------------------------------------------------------------------
@@ -105,44 +100,66 @@ def jacobian_fay_data(data, rng: Xoshiro256):
 # scenario runners
 # ----------------------------------------------------------------------
 
+def _values(Z, B: PeriodMatrix, radius: int | None = None) -> tuple:
+    """theta at the rows of Z from one pass, as (mantissas, logscales)."""
+    jets = theta_jets(Z, B, radius=radius)
+    return jets.sums["f"], jets.logscale
+
+
+def _rel_diff(a: tuple, b: tuple) -> float:
+    """Largest |a - b| / (|a| + |b|) over the rows of two (mantissas, logscales)
+    pairs, each row compared at its larger scale."""
+    (ma, la), (mb, lb) = a, b
+    ref = np.maximum(la, lb)
+    ma, mb = ma * np.exp(la - ref), mb * np.exp(lb - ref)
+    return float(np.max(np.abs(ma - mb) / (np.abs(ma) + np.abs(mb) + 1e-300)))
+
+
 def run_theta_selftest(config: ScenarioConfig) -> Report:
     _reject_curve(config)
     rng = Xoshiro256(config.seed)
     n_even = config.win("samples")
     n_qp = max(20, n_even // 5)
     n_fd = max(10, n_even // 10)
-    worst_even = 0.0
     mats = [random_siegel(rng, 1 + (k % 2)) for k in range(6)]
-    for k in range(n_even):
-        B = mats[k % len(mats)]
-        z = random_z(rng, B.g)
-        worst_even = max(worst_even, rel_diff(theta(ThetaRequest(z, B)),
-                                              theta(ThetaRequest(-z, B))))
+
+    def points(count: int, scale: float = 0.7) -> list:
+        """count seeded points, the k-th for mats[k % 6], as (B, Z) per matrix."""
+        zs = [random_z(rng, mats[k % 6].g, scale) for k in range(count)]
+        return [(B, np.array(zs[i::6])) for i, B in enumerate(mats) if zs[i::6]]
+
+    worst_even = max(_rel_diff(_values(Z, B), _values(-Z, B)) for B, Z in points(n_even))
     worst_qp = 0.0
-    for k in range(n_qp):
-        B = mats[k % len(mats)]
-        z = random_z(rng, B.g)
+    for B, Z in points(n_qp):
+        f, ls = _values(Z, B)
         for j in range(B.g):
-            lhs = theta(ThetaRequest(z + B.entries[:, j], B))
-            pref = -1j * np.pi * B.entries[j, j] - 2j * np.pi * z[j]
-            rhs = theta(ThetaRequest(z, B)) * exp_scaled(pref)
-            worst_qp = max(worst_qp, rel_diff(lhs, rhs))
+            pref = -1j * np.pi * B.entries[j, j] - 2j * np.pi * Z[:, j]
+            worst_qp = max(worst_qp, _rel_diff(_values(Z + B.entries[:, j], B),
+                                               (f * np.exp(1j * pref.imag), ls + pref.real)))
+    # central differences with h = 1e-4 against the 2-jet along (V, V): the
+    # first order from z +- hV, the second from the four-point cross
+    # difference, both O(h^2) accurate
     worst_fd1 = worst_fd2 = 0.0
+    h = 1e-4
     for k in range(n_fd):
-        B = mats[k % len(mats)]
+        B = mats[k % 6]
         z = random_z(rng, B.g, scale=0.4)
         V = np.array(rng.complex_vector(B.g, scale=0.8))
-        worst_fd1 = max(worst_fd1, theta_fd_check(
-            ThetaRequest(z, B, deriv_dirs=(V,)), 1e-4))
-        worst_fd2 = max(worst_fd2, theta_fd_check(
-            ThetaRequest(z, B, deriv_dirs=(V, V)), 1e-4))
+        jet = theta_jets(z[None], B, dirs=(V, V))
+        hV = h * V
+        f, ls = _values(np.array([z + hV, z - hV, z + hV + hV, z + hV - hV,
+                                  z - hV + hV, z - hV - hV]), B)
+        ref = ls.max()
+        f = f * np.exp(ls - ref)
+        fd1 = (f[0] - f[1]) * (0.5 / h)
+        fd2 = (f[2] - f[3] - f[4] + f[5]) * (0.25 / h ** 2)
+        worst_fd1 = max(worst_fd1, _rel_diff((jet.sums["d0"], jet.logscale), (fd1, ref)))
+        worst_fd2 = max(worst_fd2, _rel_diff((jet.sums["d01"], jet.logscale), (fd2, ref)))
     worst_rad = 0.0
-    for k in range(n_fd):
-        B = mats[k % len(mats)]
-        z = random_z(rng, B.g, scale=0.5)
-        r = truncation_radius(B, z, 1e-13)
-        worst_rad = max(worst_rad, rel_diff(theta(ThetaRequest(z, B), radius=r),
-                                            theta(ThetaRequest(z, B), radius=r + 4)))
+    for B, Z in points(n_fd, scale=0.5):
+        r = truncation_radius(B, Z, 1e-13)
+        worst_rad = max(worst_rad, _rel_diff(_values(Z, B, radius=r),
+                                             _values(Z, B, radius=r + 4)))
     checks = [
         CheckRecord.le("evenness", worst_even, config.tol("evenness")),
         CheckRecord.le("quasi_periodicity", worst_qp, config.tol("quasi_periodicity")),
@@ -637,7 +654,8 @@ def _emit(report: Report, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        # flushed here, so that a closed pipe raises in main, not at exit
+        print(text, flush=True)
 
 
 def main(argv=None) -> int:
@@ -667,6 +685,11 @@ def main(argv=None) -> int:
         report = run_scenario(config)
         _emit(report, config.out)
         return 0 if report.passed else 1
+    except BrokenPipeError:
+        # the reader of stdout is gone (`| head`): no report can reach it,
+        # and the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ConfigError, ValidationError, OSError) as exc:
         # OSError: a report, CSV or --out file that cannot be written
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},

@@ -26,10 +26,7 @@ from .rng import Xoshiro256
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
-    ThetaRequest,
-    gauss_exponent,
     normalized_log_abs_many,
-    theta,
     theta_jets,
     truncation_radius,
 )
@@ -169,10 +166,10 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
 
 
 def verify_sample(sample: DivisorSample, B: PeriodMatrix) -> float:
-    """Re-evaluate |theta| at the sample with twice the truncation radius."""
-    r = truncation_radius(B, sample.Z, DEFAULT_TOL)
-    val = theta(ThetaRequest(sample.Z, B), radius=2 * r)
-    return abs(val.mantissa) * math.exp(val.logscale - gauss_exponent(B, sample.Z))
+    """Re-evaluate the normalized |theta| at the sample with twice the truncation radius."""
+    Z = sample.Z[None]
+    jets = theta_jets(Z, B, radius=2 * truncation_radius(B, Z, DEFAULT_TOL))
+    return float(np.exp(normalized_log_abs_many(jets, B, Z)[0]))
 
 
 # ----------------------------------------------------------------------

@@ -194,12 +194,12 @@ def newton_zero(tau, x0: complex, t: float) -> complex:
     return _newton(lambda x: tau.jets([x], t), complex(x0))[0]
 
 
-def scan_zero(tau, t: float, span: float = 2.0, n: int = 21) -> complex:
-    """Coarse |tau| scan of the square |Re x|, |Im x| <= span followed by
-    Newton; finds some zero on the line."""
+def _scan_start(tau, t: float, span: float = 2.0, n: int = 21) -> complex:
+    """A Newton start for some zero on the line: the point of least |tau| on
+    the n x n grid over the square |Re x|, |Im x| <= span, from one pass."""
     xs = np.linspace(-span, span, n)
     grid = (xs[:, None] + 1j * xs[None, :]).ravel()
-    return newton_zero(tau, grid[np.argmin(np.abs(tau.jets(grid, t)[0]))], t)
+    return complex(grid[np.argmin(np.abs(tau.jets(grid, t)[0]))])
 
 
 @dataclass
@@ -257,7 +257,8 @@ def track_zero(tau, grid, x0: complex | None = None) -> ZeroPath:
     etadot = np.zeros(len(grid), complex)
     v0 = np.zeros(len(grid), complex)
     tau_abs = np.zeros(len(grid))
-    x = scan_zero(tau, grid[0]) if x0 is None else newton_zero(tau, x0, grid[0])
+    # at the first point every Newton pass is a stencil pass already
+    x = _scan_start(tau, grid[0]) if x0 is None else complex(x0)
     for k, t in enumerate(grid):
         if k > 0:
             dt = t - grid[k - 1]
@@ -603,9 +604,8 @@ class DiscreteTau(_ThetaSection):
 
 def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:
     """A zero of x -> tau(x, nu), scanned if no warm start is given."""
-    if x_guess is None:
-        return scan_zero(tau, nu, span=2.5, n=25)
-    return newton_zero(tau, x_guess, nu)
+    start = _scan_start(tau, nu, span=2.5, n=25) if x_guess is None else x_guess
+    return newton_zero(tau, start, nu)
 
 
 def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,

@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonPosDef, RadiusCap, ValidationError
-from .scaled import ScaledComplex, rel_diff
+from .scaled import ScaledComplex
 
 DEFAULT_RADIUS_CAP = 64
 DEFAULT_TOL = 1e-13
@@ -170,29 +170,18 @@ class ThetaCharacteristic:
 
 @dataclass(frozen=True)
 class ThetaRequest:
-    """One theta evaluation: argument, matrix, characteristic, derivatives."""
+    """One theta value: argument and matrix."""
 
     z: np.ndarray
     B: PeriodMatrix
-    char: ThetaCharacteristic | None = None
-    deriv_dirs: tuple = ()
-    tol: float = DEFAULT_TOL
 
-    def __init__(self, z, B, char=None, deriv_dirs=(), tol=DEFAULT_TOL):
+    def __init__(self, z, B):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if z.shape != (B.g,):
             raise DimensionMismatch(f"z has shape {z.shape}, expected ({B.g},)")
-        if char is not None and len(char.eps) != B.g:
-            raise DimensionMismatch("characteristic length does not match genus")
-        dirs = _directions(deriv_dirs, B.g)
-        if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-            raise ValidationError(f"tol {tol} outside {TOL_RANGE}")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "deriv_dirs", dirs)
-        object.__setattr__(self, "tol", float(tol))
 
 
 # ----------------------------------------------------------------------
@@ -451,11 +440,6 @@ class ThetaJets:
     def __len__(self) -> int:
         return len(self.logscale)
 
-    def jet(self, p: int) -> dict:
-        """The jet at point p as ScaledComplex values, as theta_jet returns it."""
-        scale = float(self.logscale[p])
-        return {key: ScaledComplex.make(v[p], scale) for key, v in self.sums.items()}
-
 
 def _theta_jets(Z: np.ndarray, B: PeriodMatrix, char: ThetaCharacteristic | None,
                 dirs: tuple, tol: float, radius: int | None = None) -> ThetaJets:
@@ -478,11 +462,10 @@ def _directions(dirs, g: int) -> tuple:
     return dirs
 
 
-def theta(req: ThetaRequest, radius: int | None = None) -> ScaledComplex:
-    """theta[char](z | B) with 0, 1 or 2 directional derivatives applied."""
-    jets = _theta_jets(req.z[None], req.B, req.char, req.deriv_dirs, req.tol, radius)
-    return ScaledComplex.make(jets.sums[_JET_KEYS[len(req.deriv_dirs)][-1]][0],
-                              float(jets.logscale[0]))
+def theta(req: ThetaRequest) -> ScaledComplex:
+    """theta(z | B): the value of theta_jets at the one point z."""
+    jets = _theta_jets(req.z[None], req.B, None, (), DEFAULT_TOL)
+    return ScaledComplex.make(jets.sums["f"][0], float(jets.logscale[0]))
 
 
 def theta_jet(z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> dict:
@@ -494,50 +477,26 @@ def theta_jet(z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) 
     direction pass dirs = (V, V)).
     """
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    return _theta_jets(Z, B, char, _directions(dirs, B.g), tol).jet(0)
+    jets = _theta_jets(Z, B, char, _directions(dirs, B.g), tol)
+    scale = float(jets.logscale[0])
+    return {key: ScaledComplex.make(v[0], scale) for key, v in jets.sums.items()}
 
 
-def theta_jets(Z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> ThetaJets:
+def theta_jets(Z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL,
+               radius: int | None = None) -> ThetaJets:
     """Jets of theta at the rows of Z, shape (P, g), from one lattice pass.
 
-    Point p is bitwise theta_jet(Z[p], ...) (see ThetaJets).
+    Point p is bitwise theta_jet(Z[p], ...) (see ThetaJets).  radius, when
+    given, replaces the certified truncation radius (see truncation_radius),
+    and tol is then not read.
     """
-    return _theta_jets(np.asarray(Z, dtype=complex), B, char, _directions(dirs, B.g), tol)
-
-
-def theta_fd_check(req: ThetaRequest, h: float) -> float:
-    """Relative gap between analytic derivatives and central differences.
-
-    First order uses (f(z+hV) - f(z-hV)) / 2h, second order the four-point
-    cross difference; both are O(h^2) accurate, so the returned discrepancy
-    should shrink accordingly.
-    """
-    if not req.deriv_dirs:
-        raise ValidationError("theta_fd_check needs 1 or 2 derivative directions")
-    if not (1e-6 <= h <= 1e-3):
-        raise ValidationError(f"h {h} outside [1e-6, 1e-3]")
-    analytic = theta(req)
-    plain = lambda zz: theta(ThetaRequest(zz, req.B, req.char, (), req.tol))
-    if len(req.deriv_dirs) == 1:
-        V = req.deriv_dirs[0]
-        fd = (plain(req.z + h * V) - plain(req.z - h * V)) * (0.5 / h)
-    else:
-        V, W = req.deriv_dirs
-        fd = (plain(req.z + h * V + h * W) - plain(req.z + h * V - h * W)
-              - plain(req.z - h * V + h * W) + plain(req.z - h * V - h * W)) \
-            * (0.25 / h ** 2)
-    return rel_diff(analytic, fd)
+    return _theta_jets(np.asarray(Z, dtype=complex), B, char, _directions(dirs, B.g),
+                       tol, radius)
 
 
 # ----------------------------------------------------------------------
 # level-two vectors and the normalized modulus
 # ----------------------------------------------------------------------
-
-def characteristic_by_index(k: int, g: int) -> ThetaCharacteristic:
-    """eps in {0, 1/2}^g in lexicographic order; first component most significant."""
-    eps = [0.5 * ((k >> (g - 1 - j)) & 1) for j in range(g)]
-    return ThetaCharacteristic(eps, (0.0,) * g)
-
 
 @dataclass(frozen=True)
 class Level2Vector:
@@ -546,9 +505,6 @@ class Level2Vector:
     coords: np.ndarray
     logscale: float
     g: int
-
-    def component(self, k: int) -> ScaledComplex:
-        return ScaledComplex.make(self.coords[k], self.logscale)
 
 
 def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, tol: float, keys: tuple) -> dict:
@@ -601,11 +557,6 @@ def gauss_exponents(B: PeriodMatrix, Z) -> np.ndarray:
     per row z of Z."""
     Y = np.asarray(Z, dtype=complex).imag
     return np.pi * _sum_last(Y * _sum_last(Y[:, None, :] * B.im_inv))
-
-
-def gauss_exponent(B: PeriodMatrix, z) -> float:
-    """gauss_exponents at one point z."""
-    return float(gauss_exponents(B, np.atleast_1d(np.asarray(z, dtype=complex))[None])[0])
 
 
 def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:

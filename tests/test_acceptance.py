@@ -6,7 +6,6 @@ run time.  The wall-clock criterion is enforced by the final test, which
 uses the session start time from conftest.
 """
 
-import cmath
 import time
 
 import numpy as np
@@ -42,16 +41,9 @@ from theta_secant.lattices import (
     toda_psi_residual,
 )
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.scaled import ScaledComplex, rel_diff
 from theta_secant.series import discrete_residue_consistency
-from theta_secant.theta import (
-    PeriodMatrix,
-    ThetaRequest,
-    lattice_reduce,
-    theta,
-    theta_fd_check,
-    truncation_radius,
-)
+from theta_secant.theta import PeriodMatrix, theta_jets, truncation_radius
+from theta_values import rel_diff, value_at, values
 
 B_I = PeriodMatrix([[1j]])
 
@@ -70,37 +62,41 @@ def test_ac01_theta_engine():
     rng = Xoshiro256(2024)
     mats = [random_siegel(rng, 1 + (k % 2)) for k in range(8)]
 
-    worst_even = 0.0
-    for k in range(1000):
-        B = mats[k % len(mats)]
-        z = random_z(rng, B.g)
-        worst_even = max(worst_even, rel_diff(theta(ThetaRequest(z, B)),
-                                              theta(ThetaRequest(-z, B))))
+    def points(count, scale=0.7):
+        """count seeded points, the k-th for mats[k % 8], as (B, Z) per matrix."""
+        zs = [random_z(rng, mats[k % len(mats)].g, scale) for k in range(count)]
+        return [(B, np.array(zs[i::len(mats)])) for i, B in enumerate(mats)]
+
+    worst_even = max(np.max(rel_diff(value_at(Z, B), value_at(-Z, B)))
+                     for B, Z in points(1000))
     worst_qp = 0.0
-    for k in range(200):
-        B = mats[k % len(mats)]
-        z = random_z(rng, B.g)
+    for B, Z in points(200):
+        f, ls = value_at(Z, B)
         for j in range(B.g):
-            lhs = theta(ThetaRequest(z + B.entries[:, j], B))
-            pref = -1j * np.pi * B.entries[j, j] - 2j * np.pi * z[j]
-            fac = ScaledComplex.make(cmath.exp(1j * pref.imag), pref.real)
-            worst_qp = max(worst_qp, rel_diff(lhs, theta(ThetaRequest(z, B)) * fac))
+            pref = -1j * np.pi * B.entries[j, j] - 2j * np.pi * Z[:, j]
+            rhs = f * np.exp(1j * pref.imag), ls + pref.real
+            worst_qp = max(worst_qp, np.max(rel_diff(value_at(Z + B.entries[:, j], B), rhs)))
+    # central differences with h = 1e-4: z +- hV against the first
+    # derivative, the four-point cross difference against the second
     worst_fd1 = worst_fd2 = 0.0
+    h = 1e-4
     for k in range(100):
         B = mats[k % len(mats)]
         z = random_z(rng, B.g, scale=0.4)
         V = np.array(rng.complex_vector(B.g, scale=0.8))
-        worst_fd1 = max(worst_fd1, theta_fd_check(
-            ThetaRequest(z, B, deriv_dirs=(V,)), 1e-4))
-        worst_fd2 = max(worst_fd2, theta_fd_check(
-            ThetaRequest(z, B, deriv_dirs=(V, V)), 1e-4))
+        hV = h * V
+        f, ls = value_at([z + hV, z - hV, z + hV + hV, z + hV - hV, z - hV + hV, z - hV - hV], B)
+        ref = ls.max()
+        f = f * np.exp(ls - ref)
+        fd1 = (f[0] - f[1]) * (0.5 / h), ref
+        fd2 = (f[2] - f[3] - f[4] + f[5]) * (0.25 / h ** 2), ref
+        worst_fd1 = max(worst_fd1, rel_diff(value_at([z], B, dirs=(V,), key="d0"), fd1)[0])
+        worst_fd2 = max(worst_fd2, rel_diff(value_at([z], B, dirs=(V, V), key="d01"), fd2)[0])
     worst_rad = 0.0
-    for k in range(100):
-        B = mats[k % len(mats)]
-        z = random_z(rng, B.g)
-        r = truncation_radius(B, lattice_reduce(z, B), 1e-13)
-        worst_rad = max(worst_rad, rel_diff(theta(ThetaRequest(z, B), radius=r),
-                                            theta(ThetaRequest(z, B), radius=r + 4)))
+    for B, Z in points(100):
+        r = truncation_radius(B, Z, 1e-13)
+        worst_rad = max(worst_rad, np.max(rel_diff(values(theta_jets(Z, B, radius=r)),
+                                                   values(theta_jets(Z, B, radius=r + 4)))))
     elapsed = time.perf_counter() - t0
     ok = (worst_even <= 1e-12 and worst_qp <= 1e-10 and worst_fd1 <= 1e-6
           and worst_fd2 <= 1e-4 and worst_rad <= 1e-13 and elapsed < 30.0)

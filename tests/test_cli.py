@@ -202,8 +202,8 @@ class TestMain:
         assert rc == 3 and out["error"] == "RadiusCap"
 
     def test_arithmetic_error_exit_three(self, capsys, monkeypatch):
-        # ScaledComplex.to_complex raises OverflowError for a value beyond
-        # float range; the CLI reports it like any numerical failure
+        # a value beyond float range raises OverflowError (from math.exp or
+        # a float conversion); the CLI reports it like any numerical failure
         def overflowing(config):
             raise OverflowError("logscale 812.5 too large for complex")
 
@@ -277,6 +277,25 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("read", [0, 10])
+def test_closed_stdout_exits_two_silently(read):
+    """A reader that has closed stdout before the report is written makes
+    the run exit 2 with nothing on stderr.  One that closes after 10 bytes
+    races the write: the report fits the pipe buffer, so the run exits 0 if
+    its write lands first and 2 if the close does, never 1 or with a
+    traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "theta_secant.cli", "theta-selftest",
+         "--seed", "4", "--window", "samples=20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() in ((0, 2) if read else (2,))
+    assert err == b""
 
 
 def test_curve_runs_import_neither_argparse_nor_numpy_polynomial():

@@ -1,5 +1,6 @@
 """Field tables and residuals for the two lattice linear problems."""
 
+import cmath
 import csv
 import math
 
@@ -19,8 +20,7 @@ from theta_secant.lattices import (
     toda_psi_residual,
 )
 from theta_secant.rng import Xoshiro256
-from theta_secant.scaled import ScaledComplex, exp_scaled, rel_diff
-from theta_secant.theta import theta_jet
+from theta_values import jet_at, rel_diff, value_at
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ class TestSynthetic:
 
 
 class TestReference:
-    """Table entries against one-point theta_jet values."""
+    """Table entries against theta values from their own passes."""
 
     def test_toda_psi_u_v(self, toda_setup, semidiscrete_fit):
         s, table = toda_setup, toda_setup["table"]
@@ -108,15 +108,16 @@ class TestReference:
         p, E = semidiscrete_fit.p, semidiscrete_fit.E
 
         def v_ref(x, t):
-            j = theta_jet(x * U + t * V + Z, B, dirs=(V,))
-            return -(j["d0"] / j["f"]).to_complex()
+            j = jet_at(x * U + t * V + Z, B, dirs=(V,))
+            return -j["d0"] / j["f"]
 
         for x, it in ((-4, 0), (0, 3), (3, 7)):
             t = win.t_samples[it]
             w = x * U + t * V + Z
-            want = (theta_jet(As + w, B)["f"] / theta_jet(w, B)["f"]
-                    * exp_scaled(x * p + t * E))
-            got = ScaledComplex.make(table.psi[it, x + 4], table.psi_logscale[it, x + 4])
+            f, ls = value_at([As + w, w], B)
+            e = x * p + t * E
+            want = f[0] / f[1] * cmath.exp(1j * e.imag), ls[0] - ls[1] + e.real
+            got = table.psi[it, x + 4], table.psi_logscale[it, x + 4]
             assert rel_diff(got, want) <= 1e-13
             v = v_ref(x, t)
             assert abs(table.v[it, x + 4] - v) <= 1e-13 * abs(v)
@@ -128,15 +129,17 @@ class TestReference:
         U, V, As, B, Z = s["U"], s["V"], s["As"], s["B"], s["Z"]
         p, E = discrete_fit.p, discrete_fit.E
 
-        def th(m, n):
-            return theta_jet(m * U + n * V + Z, B)["f"]
+        def w(m, n):
+            return m * U + n * V + Z
 
         for m, n in ((-5, -5), (0, 2), (4, 4)):
-            w = m * U + n * V + Z
-            want = theta_jet(As + w, B)["f"] / th(m, n) * exp_scaled(m * p + n * E)
-            got = ScaledComplex.make(table.psi[m + 5, n + 5], table.psi_logscale[m + 5, n + 5])
+            f, ls = value_at([As + w(m, n), w(m, n), w(m + 1, n + 1), w(m, n + 1),
+                              w(m + 1, n)], B)
+            e = m * p + n * E
+            want = f[0] / f[1] * cmath.exp(1j * e.imag), ls[0] - ls[1] + e.real
+            got = table.psi[m + 5, n + 5], table.psi_logscale[m + 5, n + 5]
             assert rel_diff(got, want) <= 1e-13
-            u = ((th(m + 1, n + 1) * th(m, n)) / (th(m, n + 1) * th(m + 1, n))).to_complex()
+            u = f[2] * f[1] / (f[3] * f[4]) * math.exp(ls[2] + ls[1] - ls[3] - ls[4])
             assert abs(table.u[m + 5, n + 5] - u) <= 1e-13 * abs(u)
 
     def test_nan_constant_is_numerical_error(self, toda_setup, bdhe_setup):

@@ -9,31 +9,52 @@ import pytest
 
 from theta_secant.errors import DimensionMismatch, NonPosDef, RadiusCap, ValidationError
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.scaled import ScaledComplex, rel_diff
 from theta_secant.theta import (
     PeriodMatrix,
     ThetaCharacteristic,
-    ThetaRequest,
-    characteristic_by_index,
     half_period,
     lattice_reduce,
     level_two_vector,
     level_two_vectors,
     normalized_log_abs_many,
-    theta,
-    theta_fd_check,
     theta_jet,
     theta_jets,
     truncation_radius,
     _ellipsoid_radius,
     _norm_octaves,
 )
+from theta_values import char_eps, rel_diff, to_complex, values
 
 
 def hat_abs(z, B):
     """Normalized modulus of theta at the one point z."""
     Z = np.asarray(z, dtype=complex).reshape(1, -1)
     return float(np.exp(normalized_log_abs_many(theta_jets(Z, B), B, Z)[0]))
+
+
+def theta_at(z, B, **kwargs):
+    """theta_jets at the one point z: (mantissa, logscale) arrays of length 1
+    of the highest jet key ("f", "d0" or "d01" for 0, 1 or 2 dirs)."""
+    jets = theta_jets(np.asarray(z, dtype=complex).reshape(1, -1), B, **kwargs)
+    return values(jets, list(jets.sums)[-1])
+
+
+def fd_gap(z, B, dirs, h):
+    """rel_diff of the analytic derivative along dirs (one direction, or two)
+    and its central difference: (f(z+hV) - f(z-hV)) / 2h, or the four-point
+    cross difference; both are O(h^2) accurate."""
+    analytic = theta_at(z, B, dirs=dirs)
+    if len(dirs) == 1:
+        (V,) = dirs
+        steps, weights = [h * V, -h * V], [0.5 / h, -0.5 / h]
+    else:
+        V, W = dirs
+        steps = [h * V + h * W, h * V - h * W, -h * V + h * W, -h * V - h * W]
+        weights = [0.25 / h ** 2 * w for w in (1, -1, -1, 1)]
+    f, ls = values(theta_jets(np.array([z + d for d in steps]), B))
+    ref = ls.max()
+    fd = sum(w * v for w, v in zip(weights, f * np.exp(ls - ref)))
+    return float(rel_diff(analytic, (fd, ref))[0])
 
 
 def brute_theta(z, B, eps=None, delta=None, R=12, derivs=()):
@@ -64,7 +85,7 @@ class TestValues:
         # frozen from the brute-force sum at radius 12
         expected = brute_theta([0j], [[1j]], R=12)
         assert abs(expected - 1.0864348112133080) < 1e-13
-        got = theta(ThetaRequest([0j], B_I)).to_complex()
+        got = to_complex(theta_at([0j], B_I))[0]
         assert abs(got - expected) < 1e-13
 
     def test_against_brute_force_seeded(self):
@@ -73,7 +94,7 @@ class TestValues:
             g = 1 + (k % 2)
             B = random_siegel(rng, g)
             z = random_z(rng, g, scale=0.5)
-            got = theta(ThetaRequest(z, B)).to_complex()
+            got = to_complex(theta_at(z, B))[0]
             want = brute_theta(z, B.entries, R=12)
             assert abs(got - want) <= 1e-11 * (abs(want) + 1)
 
@@ -83,10 +104,10 @@ class TestValues:
         z = random_z(rng, 2, scale=0.4)
         V = np.array(rng.complex_vector(2))
         W = np.array(rng.complex_vector(2))
-        got1 = theta(ThetaRequest(z, B, deriv_dirs=(V,))).to_complex()
+        got1 = to_complex(theta_at(z, B, dirs=(V,)))[0]
         want1 = brute_theta(z, B.entries, R=12, derivs=(V,))
         assert abs(got1 - want1) <= 1e-10 * (abs(want1) + 1)
-        got2 = theta(ThetaRequest(z, B, deriv_dirs=(V, W))).to_complex()
+        got2 = to_complex(theta_at(z, B, dirs=(V, W)))[0]
         want2 = brute_theta(z, B.entries, R=12, derivs=(V, W))
         assert abs(got2 - want2) <= 1e-9 * (abs(want2) + 1)
 
@@ -95,8 +116,8 @@ class TestValues:
         B = random_siegel(rng, 2)
         z = random_z(rng, 2, scale=0.4)
         for k in range(4):
-            ch = characteristic_by_index(k, 2)
-            got = theta(ThetaRequest(z, B, ch)).to_complex()
+            ch = ThetaCharacteristic(char_eps(k, 2), (0.0, 0.0))
+            got = to_complex(theta_at(z, B, char=ch))[0]
             want = brute_theta(z, B.entries, eps=ch.eps, delta=ch.delta, R=12)
             assert abs(got - want) <= 1e-11 * (abs(want) + 1)
 
@@ -104,9 +125,9 @@ class TestValues:
         assert hat_abs(np.array([(1 + 1j) / 2]), B_I) <= 1e-10
 
     def test_deriv_vanishes_at_origin(self):
-        d = theta(ThetaRequest([0j], B_I, deriv_dirs=(np.array([1.0 + 0j]),)))
-        f = theta(ThetaRequest([0j], B_I))
-        assert d.abs() / f.abs() <= 1e-10
+        d = to_complex(theta_at([0j], B_I, dirs=(np.array([1.0 + 0j]),)))
+        f = to_complex(theta_at([0j], B_I))
+        assert abs(d[0]) / abs(f[0]) <= 1e-10
 
     def test_argument_reduction_large_shift(self):
         # value at z + 40*B*e1 carries the quasi-periodicity factor in the
@@ -123,8 +144,7 @@ class TestSymmetries:
         for k in range(120):
             B = random_siegel(rng, 1 + (k % 2))
             z = random_z(rng, B.g)
-            worst = max(worst, rel_diff(theta(ThetaRequest(z, B)),
-                                        theta(ThetaRequest(-z, B))))
+            worst = max(worst, rel_diff(theta_at(z, B), theta_at(-z, B))[0])
         assert worst <= 1e-12
 
     def test_quasi_periodicity_seeded(self):
@@ -134,17 +154,16 @@ class TestSymmetries:
             B = random_siegel(rng, 1 + (k % 2))
             z = random_z(rng, B.g)
             for j in range(B.g):
-                lhs = theta(ThetaRequest(z + B.entries[:, j], B))
+                lhs = theta_at(z + B.entries[:, j], B)
                 pref = -1j * np.pi * B.entries[j, j] - 2j * np.pi * z[j]
-                fac = ScaledComplex.make(cmath.exp(1j * pref.imag), pref.real)
-                worst = max(worst, rel_diff(lhs, theta(ThetaRequest(z, B)) * fac))
+                f, ls = theta_at(z, B)
+                rhs = f * cmath.exp(1j * pref.imag), ls + pref.real
+                worst = max(worst, rel_diff(lhs, rhs)[0])
         assert worst <= 1e-10
 
     def test_integer_periodicity(self):
         z = np.array([0.37 + 0.21j])
-        a = theta(ThetaRequest(z, B_I))
-        b = theta(ThetaRequest(z + 1.0, B_I))
-        assert rel_diff(a, b) <= 1e-13
+        assert rel_diff(theta_at(z, B_I), theta_at(z + 1.0, B_I))[0] <= 1e-13
 
 
 class TestTruncation:
@@ -227,40 +246,28 @@ class TestTruncation:
             z = random_z(rng, B.g)
             zr = lattice_reduce(z, B)
             r = truncation_radius(B, zr, 1e-13)
-            assert rel_diff(theta(ThetaRequest(z, B), radius=r),
-                            theta(ThetaRequest(z, B), radius=r + 4)) <= 1e-13
+            assert rel_diff(theta_at(z, B, radius=r),
+                            theta_at(z, B, radius=r + 4))[0] <= 1e-13
 
 
 class TestDerivativeChecks:
     def test_fd_first_order(self):
-        req = ThetaRequest(np.array([0.3 + 0.2j]), B_I,
-                           deriv_dirs=(np.array([1.0 + 0j]),))
-        assert theta_fd_check(req, 1e-4) <= 1e-7
+        assert fd_gap(np.array([0.3 + 0.2j]), B_I, (np.array([1.0 + 0j]),), 1e-4) <= 1e-7
 
     def test_fd_second_order(self):
-        req = ThetaRequest(np.array([0.3 + 0.2j]), B_I,
-                           deriv_dirs=(np.array([1.0 + 0j]),) * 2)
-        assert theta_fd_check(req, 1e-3) <= 1e-5
+        assert fd_gap(np.array([0.3 + 0.2j]), B_I, (np.array([1.0 + 0j]),) * 2, 1e-3) <= 1e-5
 
     def test_fd_at_even_zero_of_derivative(self):
-        req = ThetaRequest(np.array([0j]), B_I,
-                           deriv_dirs=(np.array([1.0 + 0j]),))
-        assert theta_fd_check(req, 1e-4) <= 1.0  # well-defined via the floor
-
-    def test_fd_rejects_bad_h(self):
-        req = ThetaRequest(np.array([0j]), B_I,
-                           deriv_dirs=(np.array([1.0 + 0j]),))
-        with pytest.raises(ValidationError):
-            theta_fd_check(req, 1e-8)
+        # well-defined via the floor
+        assert fd_gap(np.array([0j]), B_I, (np.array([1.0 + 0j]),), 1e-4) <= 1.0
 
 
 class TestLevelTwo:
     def test_components_at_origin_positive(self):
         vec = level_two_vector(np.array([0j]), B_I)
         for k in range(2):
-            v = vec.component(k).to_complex()
-            want = brute_theta([0j], [[2j]],
-                               eps=characteristic_by_index(k, 1).eps, R=10)
+            v = vec.coords[k] * np.exp(vec.logscale)
+            want = brute_theta([0j], [[2j]], eps=char_eps(k, 1), R=10)
             assert v.real > 0 and abs(v.imag) < 1e-14
             assert abs(v - want) < 1e-12
 
@@ -271,9 +278,8 @@ class TestLevelTwo:
         a = level_two_vector(Z, B)
         b = level_two_vector(-Z, B)
         c = level_two_vector(Z + np.array([1.0, 0.0]), B)
-        for k in range(4):
-            assert rel_diff(a.component(k), b.component(k)) <= 1e-12
-            assert rel_diff(a.component(k), c.component(k)) <= 1e-12
+        for v in (b, c):
+            assert np.max(rel_diff((a.coords, a.logscale), (v.coords, v.logscale))) <= 1e-12
 
     def test_derivative_chain_factor(self):
         # level-two derivative must be d/ds theta[e,0](2(Z+sV) | 2B) at s=0
@@ -281,10 +287,13 @@ class TestLevelTwo:
         B = random_siegel(rng, 1)
         Z = random_z(rng, 1, 0.3)
         V = np.array([0.7 - 0.2j])
-        dv = level_two_vector(Z, B, deriv_dir=V).component(1).to_complex()
+        def component(vec):
+            return vec.coords[1] * np.exp(vec.logscale)
+
+        dv = component(level_two_vector(Z, B, deriv_dir=V))
         h = 1e-5
-        fp = level_two_vector(Z + h * V, B).component(1).to_complex()
-        fm = level_two_vector(Z - h * V, B).component(1).to_complex()
+        fp = component(level_two_vector(Z + h * V, B))
+        fm = component(level_two_vector(Z - h * V, B))
         fd = (fp - fm) / (2 * h)
         assert abs(dv - fd) <= 1e-7 * (abs(dv) + 1)
 
@@ -296,12 +305,12 @@ class TestLevelTwo:
         B = PeriodMatrix(2j * Y)
         z = np.array([0.2 + 1.3j, -0.1 + 0.4j])
         vec = level_two_vector(z, B)
-        want = [theta(ThetaRequest(2 * z, PeriodMatrix(4j * Y),
-                                   characteristic_by_index(k, 2)))
+        B4 = PeriodMatrix(4j * Y)
+        want = [theta_at(2 * z, B4, char=ThetaCharacteristic(char_eps(k, 2), (0.0, 0.0)))
                 for k in range(4)]
-        ref = max(w.logscale for w in want)
+        ref = max(ls[0] for _, ls in want)
         got = vec.coords * np.exp(vec.logscale - ref)
-        exact = np.array([w.rescaled(ref) for w in want])
+        exact = np.array([f[0] * np.exp(ls[0] - ref) for f, ls in want])
         assert np.all(np.isfinite(vec.coords))
         assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
@@ -360,15 +369,15 @@ class TestValidation:
 
     def test_tol_range(self):
         with pytest.raises(ValidationError):
-            ThetaRequest([0j], B_I, tol=1e-20)
+            theta_at([0j], B_I, tol=1e-20)
         with pytest.raises(ValidationError):
-            ThetaRequest([0j], B_I, tol=1e-2)
+            theta_at([0j], B_I, tol=1e-2)
 
     def test_too_many_dirs(self):
         with pytest.raises(ValidationError):
-            ThetaRequest([0j], B_I, deriv_dirs=(np.array([1.0]),) * 3)
+            theta_at([0j], B_I, dirs=(np.array([1.0]),) * 3)
 
-    @pytest.mark.parametrize("entry", ["theta_jet", "theta_jets", "ThetaRequest"])
+    @pytest.mark.parametrize("entry", ["theta_jet", "theta_jets"])
     @pytest.mark.parametrize("dirs, error", [
         (([1, 0, 5],), DimensionMismatch),          # longer than g
         (([1],), DimensionMismatch),                # shorter than g
@@ -378,8 +387,7 @@ class TestValidation:
         B = PeriodMatrix([[1j, 0.2], [0.2, 1.3j]])
         z = np.array([0.1 + 0.2j, -0.3j])
         calls = {"theta_jet": lambda: theta_jet(z, B, dirs=dirs),
-                 "theta_jets": lambda: theta_jets(z[None], B, dirs=dirs),
-                 "ThetaRequest": lambda: ThetaRequest(z, B, deriv_dirs=dirs)}
+                 "theta_jets": lambda: theta_jets(z[None], B, dirs=dirs)}
         with pytest.raises(error):
             calls[entry]()
 

@@ -18,17 +18,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.scaled import ScaledComplex
-from theta_secant.theta import (
-    PeriodMatrix,
-    ThetaRequest,
-    characteristic_by_index,
-    level_two_vector,
-    level_two_vectors,
-    theta,
-    theta_jet,
-    theta_jets,
-)
+from theta_secant.theta import PeriodMatrix, level_two_vectors, theta_jets
+from theta_values import char_eps
 
 DIGITS = 30
 R2 = 100.0
@@ -96,10 +87,11 @@ def jtheta_jet(z, tau, dirs):
     return out
 
 
-def gap(value, ref, peak):
-    """|engine - oracle| in units of the largest series term."""
+def gap(mantissa, logscale, ref, peak):
+    """|engine - oracle| in units of the largest series term, for the engine
+    value mantissa * exp(logscale)."""
     with mp.workdps(DIGITS + 10):
-        mine = mpc(value.mantissa) * mpmath.exp(mpf(value.logscale))
+        mine = mpc(mantissa) * mpmath.exp(mpf(logscale))
         return float(abs(mine - ref)) / peak
 
 
@@ -145,14 +137,10 @@ def test_theta_jets_against_oracle(name, Bm, z):
             with mp.workdps(DIGITS + 10):
                 assert float(abs(jt[k] - ref[k])) <= 1e-25 * peaks[k]
         ref = jt
-    got = {"value": theta(ThetaRequest(z, B)),
-           "jet1": theta_jet(z, B, dirs=(V,)),
-           "jet2": theta_jet(z, B, dirs=(V, W))}
-    assert gap(got["value"], ref["f"], peaks["f"]) <= GAP
-    for k in ("f", "d0"):
-        assert gap(got["jet1"][k], ref[k], peaks[k]) <= GAP, k
-    for k in KEYS:
-        assert gap(got["jet2"][k], ref[k], peaks[k]) <= GAP, k
+    for dirs in ((), (V,), (V, W)):
+        jets = theta_jets(z[None], B, dirs=dirs)
+        for k, v in jets.sums.items():
+            assert gap(v[0], jets.logscale[0], ref[k], peaks[k]) <= GAP, (len(dirs), k)
 
 
 @pytest.mark.parametrize("name,Bm,z", CASES, ids=[c[0] for c in CASES])
@@ -162,18 +150,14 @@ def test_level_two_against_oracle(name, Bm, z):
     B = PeriodMatrix(Bm)
     g = B.g
     V = np.array([0.3 + 0.8j, -0.5 + 0.2j][:g])
-    val = level_two_vector(z, B)
-    der = level_two_vector(z, B, deriv_dir=V)
-    refs = [brute_jet(2 * z, 2 * Bm, (2 * V,), eps=characteristic_by_index(k, g).eps)
-            for k in range(2 ** g)]
+    (val,) = level_two_vectors(z[None], B)["f"]
+    (der,) = level_two_vectors(z[None], B, deriv_dir=V)["d0"]
+    refs = [brute_jet(2 * z, 2 * Bm, (2 * V,), eps=char_eps(k, g)) for k in range(2 ** g)]
     peak_f = max(p["f"] for _, p in refs)
     peak_d = max(p["d0"] for _, p in refs)
     for k, (ref, _) in enumerate(refs):
-        with mp.workdps(DIGITS + 10):
-            mine_f = mpc(val.coords[k]) * mpmath.exp(mpf(val.logscale))
-            mine_d = mpc(der.coords[k]) * mpmath.exp(mpf(der.logscale))
-            assert float(abs(mine_f - ref["f"])) <= GAP * peak_f
-            assert float(abs(mine_d - ref["d0"])) <= GAP * peak_d
+        assert gap(val.coords[k], val.logscale, ref["f"], peak_f) <= GAP
+        assert gap(der.coords[k], der.logscale, ref["d0"], peak_d) <= GAP
 
 
 def _batch(z):
@@ -192,9 +176,8 @@ def test_batched_jets_against_oracle(name, Bm, z):
     jets = theta_jets(Z, B, dirs=(V, W))
     for p, zp in enumerate(Z):
         ref, peaks = brute_jet(zp, Bm, (V, W))
-        got = jets.jet(p)
         for k in KEYS:
-            assert gap(got[k], ref[k], peaks[k]) <= GAP, (p, k)
+            assert gap(jets.sums[k][p], jets.logscale[p], ref[k], peaks[k]) <= GAP, (p, k)
 
 
 @pytest.mark.parametrize("name,Bm,z", CASES, ids=[c[0] for c in CASES])
@@ -207,10 +190,8 @@ def test_batched_level_two_against_oracle(name, Bm, z):
     Z = _batch(z)
     vecs = level_two_vectors(Z, B, deriv_dir=V)
     for p, zp in enumerate(Z):
-        refs = [brute_jet(2 * zp, 2 * Bm, (2 * V,), eps=characteristic_by_index(k, g).eps)
-                for k in range(2 ** g)]
+        refs = [brute_jet(2 * zp, 2 * Bm, (2 * V,), eps=char_eps(k, g)) for k in range(2 ** g)]
         for key, vec in (("f", vecs["f"][p]), ("d0", vecs["d0"][p])):
             peak = max(pk[key] for _, pk in refs)
             for k, (ref, _) in enumerate(refs):
-                mine = ScaledComplex.make(vec.coords[k], vec.logscale)
-                assert gap(mine, ref[key], peak) <= GAP, (p, key, k)
+                assert gap(vec.coords[k], vec.logscale, ref[key], peak) <= GAP, (p, key, k)

@@ -17,13 +17,13 @@ from theta_secant.theta import (
     PeriodMatrix,
     ThetaCharacteristic,
     ThetaRequest,
-    gauss_exponent,
     level_two_vector,
     level_two_vectors,
     theta,
     theta_jet,
     theta_jets,
 )
+from theta_values import gauss_exponent
 
 GAP = 1e-12
 unit = st.floats(-0.5, 0.5)
@@ -50,19 +50,32 @@ def siegel_points(draw, count=1):
     return PeriodMatrix(X + 1j * Y), zs
 
 
-def envelope_gap(a: ScaledComplex, b: ScaledComplex, log_envelope: float) -> float:
+def values(Z, B: PeriodMatrix, dirs=(), key="f") -> list:
+    """theta (or one jet key) at the rows of Z from one pass, as a
+    (mantissa, logscale) pair per row."""
+    jets = theta_jets(Z, B, dirs=dirs)
+    return list(zip(jets.sums[key], jets.logscale))
+
+
+def combine(*terms) -> tuple:
+    """sum of c * value over the (c, (mantissa, logscale)) terms, at their
+    largest scale, as a (mantissa, logscale) pair."""
+    ref = max(ls for _, (_, ls) in terms)
+    return sum(c * m * math.exp(ls - ref) for c, (m, ls) in terms), ref
+
+
+def envelope_gap(a: tuple, b: tuple, log_envelope: float) -> float:
     """|a - b| in units of exp(log_envelope)."""
-    d = a - b
-    return 0.0 if d.is_zero() else math.exp(d.log_abs() - log_envelope)
+    d, ref = combine((1.0, a), (-1.0, b))
+    return abs(d) * math.exp(ref - log_envelope)
 
 
 @settings(max_examples=60, deadline=None)
 @given(siegel_points())
 def test_evenness(case):
     B, (z,) = case
-    gap = envelope_gap(theta(ThetaRequest(z, B)), theta(ThetaRequest(-z, B)),
-                       gauss_exponent(B, z))
-    assert gap <= GAP
+    plus, minus = values(np.array([z, -z]), B)
+    assert envelope_gap(plus, minus, gauss_exponent(B, z)) <= GAP
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,13 +83,11 @@ def test_evenness(case):
 def test_quasi_periodicity(case):
     """theta(z + B e_j) = exp(-pi i B_jj - 2 pi i z_j) theta(z)."""
     B, (z,) = case
-    base = theta(ThetaRequest(z, B))
+    (f, ls), *shifted = values(np.array([z] + [z + B.entries[:, j] for j in range(B.g)]), B)
     for j in range(B.g):
-        shifted = z + B.entries[:, j]
         expo = -1j * math.pi * B.entries[j, j] - 2j * math.pi * z[j]
-        factor = ScaledComplex.make(np.exp(1j * expo.imag), expo.real)
-        gap = envelope_gap(theta(ThetaRequest(shifted, B)), base * factor,
-                           gauss_exponent(B, shifted))
+        gap = envelope_gap(shifted[j], (f * np.exp(1j * expo.imag), ls + expo.real),
+                           gauss_exponent(B, z + B.entries[:, j]))
         assert gap <= GAP
 
 
@@ -86,20 +97,20 @@ def test_addition_formula(case):
     """theta(z+w) theta(z-w) = sum_eps theta[eps,0](2z|2B) theta[eps,0](2w|2B):
     plain theta on the left, the binned level-two sum on the right."""
     B, (z, w) = case
-    lhs = theta(ThetaRequest(z + w, B)) * theta(ThetaRequest(z - w, B))
-    vz, vw = level_two_vector(z, B), level_two_vector(w, B)
-    rhs = ScaledComplex.make(complex(vz.coords @ vw.coords), vz.logscale + vw.logscale)
+    (fp, lp), (fm, lm) = values(np.array([z + w, z - w]), B)
+    vz, vw = level_two_vectors(np.array([z, w]), B)["f"]
+    rhs = complex(vz.coords @ vw.coords), vz.logscale + vw.logscale
     log_envelope = gauss_exponent(B, z + w) + gauss_exponent(B, z - w)
-    assert envelope_gap(lhs, rhs, log_envelope) <= GAP
+    assert envelope_gap((fp * fm, lp + lm), rhs, log_envelope) <= GAP
 
 
-def _d_dB(z, B: PeriodMatrix, j: int, k: int, h: float) -> ScaledComplex:
+def _d_dB(z, B: PeriodMatrix, j: int, k: int, h: float) -> tuple:
     """Central difference of theta(z | B) in B_jk, moving B_kj with it."""
     E = np.zeros((B.g, B.g))
     E[j, k] = E[k, j] = 1.0
-    plus = theta(ThetaRequest(z, PeriodMatrix(B.entries + h * E)))
-    minus = theta(ThetaRequest(z, PeriodMatrix(B.entries - h * E)))
-    return (plus - minus) * (0.5 / h)
+    (plus,) = values(z[None], PeriodMatrix(B.entries + h * E))
+    (minus,) = values(z[None], PeriodMatrix(B.entries - h * E))
+    return combine((0.5 / h, plus), (-0.5 / h, minus))
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,15 +126,20 @@ def test_heat_equation(case):
     for j in range(B.g):
         for k in range(j, B.g):
             e = np.eye(B.g)
-            rhs = theta_jet(z, B, dirs=(e[j], e[k]))["d01"] * (
-                1.0 / (2j * math.pi * (1 + (j == k))))
-            lhs = (_d_dB(z, B, j, k, 5e-5) * 4.0 - _d_dB(z, B, j, k, 1e-4)) * (1.0 / 3.0)
+            (jet,) = values(z[None], B, dirs=(e[j], e[k]), key="d01")
+            rhs = combine((1.0 / (2j * math.pi * (1 + (j == k))), jet))
+            lhs = combine((4.0 / 3.0, _d_dB(z, B, j, k, 5e-5)),
+                          (-1.0 / 3.0, _d_dB(z, B, j, k, 1e-4)))
             assert envelope_gap(lhs, rhs, gauss_exponent(B, z)) <= bound
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal bit for bit (as float64 patterns)."""
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_scaled(a: ScaledComplex, b: ScaledComplex) -> bool:
+    return _same(np.array([a.mantissa, a.logscale]), np.array([b.mantissa, b.logscale]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,7 +151,9 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 def test_batch_rows_equal_single_point_calls(case, order, with_char, dir_entries):
     """Row p of a P-point pass is bitwise the one-point pass at that row:
     value, 1-jet and 2-jet, with and without a characteristic, and the
-    level-two vectors with and without a derivative direction."""
+    level-two vectors with and without a derivative direction.  The
+    one-point views return the rows: theta and theta_jet as
+    ScaledComplex.make(row, logscale), level_two_vector as the row's vector."""
     B, zs = case
     g = B.g
     Z = np.array(zs) + np.arange(len(zs))[:, None] * (0.7 + 0.4j)   # far cells too
@@ -152,3 +170,14 @@ def test_batch_rows_equal_single_point_calls(case, order, with_char, dir_entries
         for key, vs in vecs.items():
             assert _same(single[key][0].coords, vs[p].coords), key
             assert single[key][0].logscale == vs[p].logscale
+        scale = float(jets.logscale[p])
+        if order == 0 and not with_char:
+            assert _same_scaled(theta(ThetaRequest(Z[p], B)),
+                                ScaledComplex.make(jets.sums["f"][p], scale))
+        view = theta_jet(Z[p], B, dirs, char)
+        assert view.keys() == jets.sums.keys()
+        for key, v in jets.sums.items():
+            assert _same_scaled(view[key], ScaledComplex.make(v[p], scale)), key
+        vec = level_two_vector(Z[p], B, dirs[0] if dirs else None)
+        row = vecs["d0" if dirs else "f"][p]
+        assert _same(vec.coords, row.coords) and vec.logscale == row.logscale
