@@ -7,7 +7,6 @@ from .theta import (
     DEFAULT_RADIUS_CAP,
     Level2Vector,
     PeriodMatrix,
-    ThetaCharacteristic,
     ThetaJets,
     ThetaRequest,
     gauss_exponents,
@@ -28,7 +27,6 @@ __all__ = [
     "Level2Vector",
     "PeriodMatrix",
     "ScaledComplex",
-    "ThetaCharacteristic",
     "ThetaJets",
     "ThetaRequest",
     "gauss_exponents",

@@ -209,7 +209,7 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
 def run_divisor_identities(config: ScenarioConfig) -> Report:
     from .curves import abel_map, abel_tangent, build_abel_data
     from .divisor import (check_probe_depth, residual_cm7, residual_cm7d,
-                          sample_theta_divisor, singular_locus_probe, verify_sample)
+                          sample_theta_divisor, singular_locus_probe, verify_samples)
     depth = config.win("probe_depth")
     check_probe_depth(depth)
     ident, spec = resolve_curve(config)
@@ -230,7 +230,7 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     count = config.win("samples")
     samples = sample_theta_divisor(B, config.seed, count)
     worst_member = max(s.theta_abs for s in samples)
-    worst_reverify = max(verify_sample(s, B) for s in samples)
+    worst_reverify = verify_samples(samples, B)
 
     U, V, A, pts = jacobian_fay_data(data, rng)
     worst_cm7d = max(residual_cm7d(s, U, V, B) for s in samples)

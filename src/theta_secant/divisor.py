@@ -141,8 +141,8 @@ def line_roots(Z0, D, B: PeriodMatrix) -> list:
 
 def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
     """Seeded, deduplicated theta-divisor samples (normalized |theta| <= 1e-10)."""
-    if count > 10 ** 4:
-        raise ValidationError("count exceeds 1e4")
+    if not 0 <= count <= 10 ** 4:
+        raise ValidationError(f"count {count} outside 0..10^4")
     if count == 0:
         return []
     rng = Xoshiro256(seed)
@@ -165,11 +165,12 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
         f"found {len(samples)} of {count} requested divisor samples")
 
 
-def verify_sample(sample: DivisorSample, B: PeriodMatrix) -> float:
-    """Re-evaluate the normalized |theta| at the sample with twice the truncation radius."""
-    Z = sample.Z[None]
+def verify_samples(samples: list, B: PeriodMatrix) -> float:
+    """The largest normalized |theta| over the samples, re-evaluated in one
+    pass at twice the truncation radius (which does not depend on the point)."""
+    Z = np.array([s.Z for s in samples])
     jets = theta_jets(Z, B, radius=2 * truncation_radius(B, Z, DEFAULT_TOL))
-    return float(np.exp(normalized_log_abs_many(jets, B, Z)[0]))
+    return float(np.exp(normalized_log_abs_many(jets, B, Z).max()))
 
 
 # ----------------------------------------------------------------------

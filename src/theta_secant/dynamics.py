@@ -56,7 +56,6 @@ from .errors import (
 )
 from .theta import (
     PeriodMatrix,
-    ThetaCharacteristic,
     gauss_exponents,
     normalized_log_abs_many,
     theta_jets,
@@ -369,9 +368,18 @@ class EllipticKernel:
     """Elliptic kernel on the lattice omega1 (Z + tau Z), via odd theta.
 
     zeta-like log derivative: L(q) = theta1'(q/omega1) / theta1(q/omega1)
-    / omega1 with theta1 the odd characteristic (1/2,1/2) theta of modulus
-    tau.  The Weierstrass eta-linear corrections cancel in
+    / omega1 with theta1 = theta[1/2,1/2] the odd theta of modulus tau.  The
+    Weierstrass eta-linear corrections cancel in
     F(q) = 2 L(q) - L(q+1) - L(q-1), which is genuinely doubly periodic.
+
+    theta1 is read through the plain theta at the half period (1 + tau)/2:
+
+        theta[1/2,1/2](z | tau) = exp(pi i tau/4 + pi i (z + 1/2))
+                                  * theta(z + (1 + tau)/2 | tau),
+
+    so theta1'/theta1 (z) = pi i + theta'/theta (z + (1 + tau)/2).  The
+    constant pi i / omega1 cancels in F and is left out, and the normalized
+    modulus of theta1 at z is exactly that of theta at the shifted point.
     """
 
     name = "elliptic"
@@ -385,15 +393,15 @@ class EllipticKernel:
         self.tau = complex(tau)
         self.omega1 = complex(omega1)
         self.B = PeriodMatrix([[self.tau]])
-        self.char = ThetaCharacteristic((0.5,), (0.5,))
+        self._half = 0.5 * (1.0 + self.tau)
         self._unit = np.array([1.0 + 0j])
 
     def evaluate(self, q: np.ndarray) -> tuple:
-        """F and dist from one theta pass at (q + d)/omega1, d = 0, 1, -1: dist
-        is the normalized modulus of theta1 there (the value and derivative
-        share a logscale, which cancels in L)."""
-        W = ((q + _SHIFTS) / self.omega1).reshape(-1, 1)
-        J = theta_jets(W, self.B, dirs=(self._unit,), char=self.char)
+        """F and dist from one theta pass at (q + d)/omega1 + (1 + tau)/2,
+        d = 0, 1, -1: dist is the normalized modulus of theta1 at (q + d)/omega1
+        (the value and derivative share a logscale, which cancels in L)."""
+        W = ((q + _SHIFTS) / self.omega1 + self._half).reshape(-1, 1)
+        J = theta_jets(W, self.B, dirs=(self._unit,))
         hat = np.exp(normalized_log_abs_many(J, self.B, W)).reshape(3, -1)
         z = (J.sums["d0"] / J.sums["f"] / self.omega1).reshape(3, -1)
         return 2.0 * z[0] - z[1] - z[2], hat

@@ -113,6 +113,20 @@ def _solve(M: np.ndarray, r: np.ndarray):
     return w, float(rel)
 
 
+def _best_shift(systems, design) -> tuple:
+    """(residual, shift index, w0, w1) of the best least-squares fit over the
+    shifts, lowest index on ties; design maps a shift's vectors, on their
+    common scale, to its (matrix, right-hand side)."""
+    best = None
+    for k, system in enumerate(systems):
+        sol = _solve(*design(*_common_scale(system)))
+        if sol is not None and (best is None or sol[1] < best[0]):
+            best = (sol[1], k, *sol[0])
+    if best is None:
+        raise RankDeficient("design matrix rank deficient for every shift")
+    return best
+
+
 def _check_distinct(B, pairs):
     for name, vec in pairs:
         if lattice_distance(vec, B) < 1e-8:
@@ -127,15 +141,8 @@ def fit_secancy_discrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     vecs = level_two_vectors([p for As in shifts for p in (
         (As - U - V) / 2.0, (As + U - V) / 2.0, (As + V - U) / 2.0)], B)["f"]
     systems = [tuple(vecs[3 * k:3 * k + 3]) for k in range(len(shifts))]
-    best = None
-    for k, system in enumerate(systems):
-        c1, c2, c3 = _common_scale(system)
-        sol = _solve(np.stack([c2, -c3], axis=1), -c1)
-        if sol is not None and (best is None or sol[1] < best[0]):
-            best = (sol[1], k, *sol[0])
-    if best is None:
-        raise RankDeficient("design matrix rank deficient for every shift")
-    rel, k, ep, eE = best
+    rel, k, ep, eE = _best_shift(
+        systems, lambda c1, c2, c3: (np.stack([c2, -c3], axis=1), -c1))
     return SecancyData(cmath.log(ep), cmath.log(eE), ep, eE, rel, k, shifts[k], systems[k])
 
 
@@ -150,13 +157,6 @@ def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix) -> SecancyData:
                              B, deriv_dir=V)
     systems = [(vecs["f"][2 * k], vecs["f"][2 * k + 1], vecs["d0"][2 * k])
                for k in range(len(shifts))]
-    best = None
-    for k, system in enumerate(systems):
-        cm_, cp, cd = _common_scale(system)
-        sol = _solve(np.stack([cp, -cm_], axis=1), cd)
-        if sol is not None and (best is None or sol[1] < best[0]):
-            best = (sol[1], k, *sol[0])
-    if best is None:
-        raise RankDeficient("design matrix rank deficient for every shift")
-    rel, k, ep, E = best
+    rel, k, ep, E = _best_shift(
+        systems, lambda cm_, cp, cd: (np.stack([cp, -cm_], axis=1), cd))
     return SecancyData(cmath.log(ep), E, ep, None, rel, k, shifts[k], systems[k])

@@ -4,27 +4,23 @@ Conventions
 -----------
 For a symmetric g x g matrix B with positive definite imaginary part,
 
-    theta[eps, delta](z | B) = sum over m in Z^g of
-        exp( pi*i*(B(m+eps), m+eps) + 2*pi*i*(z+delta, m+eps) )
+    theta(z | B) = sum over n in Z^g of exp( pi*i*(B n, n) + 2*pi*i*(z, n) )
 
-with (x, y) = x_1 y_1 + ... + x_g y_g and half-integer characteristics
-eps, delta in {0, 1/2}^g.  The plain theta is eps = delta = 0.  Directional
-derivatives multiply the m-th term by 2*pi*i*(d, m+eps) once per direction.
+with (x, y) = x_1 y_1 + ... + x_g y_g.  Directional derivatives multiply
+the n-th term by 2*pi*i*(d, n) once per direction.
 
 Evaluation strategy:
 
 1. argument reduction: pick integer vectors a, b so that z' = z - a - B@b
    has its Gaussian peak centered near the origin, using
 
-       theta[eps,delta](z' + a + B b)
-           = exp( 2*pi*i*(a,eps) - pi*i*(B b, b) - 2*pi*i*(b, z'+delta) )
-             * theta[eps,delta](z'),
+       theta(z' + a + B b) = exp( -pi*i*(B b, b) - 2*pi*i*(b, z') ) * theta(z'),
 
    with the prefactor's real exponent added to the point's logscale and
    its phase folded into the exponents of the sum (step 3);
 2. certified truncation: the sum runs over the ellipsoid
 
-       { n in Z^g + eps : pi * (n, Im B n) <= R^2 },
+       { n in Z^g : pi * (n, Im B n) <= R^2 },
 
    whose radius R comes from the tail bound of Deconinck, Heil, Bobenko,
    van Hoeij and Schmies (Computing Riemann theta functions, Math. Comp. 73,
@@ -138,36 +134,6 @@ class PeriodMatrix:
         return id(self)
 
 
-def _reduce_half(values) -> tuple:
-    out = []
-    for v in np.atleast_1d(np.asarray(values, dtype=float)):
-        r = v % 1.0
-        if abs(2.0 * r - round(2.0 * r)) > 1e-9:
-            raise ValidationError(f"characteristic component {v} is not half-integer")
-        out.append((round(2.0 * r) / 2.0) % 1.0)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ThetaCharacteristic:
-    """Half-integer characteristic, components reduced into {0, 1/2}."""
-
-    eps: tuple
-    delta: tuple
-
-    def __init__(self, eps, delta=None):
-        eps = _reduce_half(eps)
-        delta = _reduce_half(delta) if delta is not None else (0.0,) * len(eps)
-        if len(eps) != len(delta):
-            raise ValidationError("eps and delta lengths differ")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "delta", delta)
-
-    @staticmethod
-    def zero(g: int) -> "ThetaCharacteristic":
-        return ThetaCharacteristic((0.0,) * g, (0.0,) * g)
-
-
 @dataclass(frozen=True)
 class ThetaRequest:
     """One theta value: argument and matrix."""
@@ -192,7 +158,7 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
                       deriv_norms: Sequence[float] = ()) -> int:
     """Largest coordinate r of the certified summation ellipsoid.
 
-    With Y = Im B, the sum runs over the n in Z^g + eps with
+    With Y = Im B, the sum runs over the n in Z^g with
     pi * (n, Y n) <= R^2, where R = r / w and w = max_j sqrt((Y^-1)_jj / pi),
     so that r bounds |n_j| on the ellipsoid.  r is the smallest integer
     whose R satisfies the bound of Deconinck et al. (2004)
@@ -318,24 +284,24 @@ def _sum_last(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ellipsoid(B: PeriodMatrix, r: int, eps: tuple, binned: bool) -> tuple:
+def _ellipsoid(B: PeriodMatrix, r: int, binned: bool) -> tuple:
     """(2*pi*i*N, pi*i*(B n, n), starts) over the ellipsoid of largest coordinate r.
 
-    N, of shape (g, M), holds as columns the points n in Z^g + eps with
+    N, of shape (g, M), holds as columns the points n in Z^g with
     pi * (n, Im B n) <= R^2 (see truncation_radius); starts are the first
     columns of the bins: one bin, or with binned the 2^g classes of n mod 2
     in lex order, the points sorted by class.  A class the ellipsoid misses
     (possible when Im B is large and skew) gets one point of zero weight
     (phase -inf), so that no bin is empty.  Cached on the matrix.
     """
-    key = (r, eps, binned)
+    key = (r, binned)
     hit = B._points.get(key)
     if hit is None:
         yinv = np.diag(B.im_inv)
         half = r * np.sqrt(yinv / yinv.max())
-        lo = [math.ceil(-h - e) for h, e in zip(half, eps)]
-        size = [math.floor(h - e) + 1 - a for h, e, a in zip(half, eps, lo)]
-        N = np.indices(size).reshape(B.g, -1).T + np.add(lo, eps)
+        lo = [math.ceil(-h) for h in half]
+        size = [math.floor(h) + 1 - a for h, a in zip(half, lo)]
+        N = np.indices(size).reshape(B.g, -1).T + np.array(lo, dtype=float)
         N = N[np.pi * np.einsum("ij,jk,ik->i", N, B.im, N) <= math.pi * r * r / yinv.max()]
         quad = 1j * np.pi * np.einsum("ij,jk,ik->i", N, B.entries, N)
         starts = np.zeros(1, dtype=np.intp)
@@ -356,9 +322,8 @@ def _ellipsoid(B: PeriodMatrix, r: int, eps: tuple, binned: bool) -> tuple:
     return hit
 
 
-def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, eps: tuple, delta: tuple,
-                  dirs: tuple, tol: float, radius: int | None = None,
-                  binned: bool = False) -> tuple:
+def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
+                  radius: int | None = None, binned: bool = False) -> tuple:
     """One ellipsoid pass at P points: sums of the value and directional derivatives.
 
     Z has shape (P, g).  Returns (sums, logscale): sums has shape
@@ -375,22 +340,17 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, eps: tuple, delta: tuple,
     Products with a real or imaginary factor are exact either way.
     """
     # argument reduction (step 1): z = z' + a + B b, and the prefactor
-    # exp(2 pi i s), s = (a, eps) - (b, z' + delta + B b / 2)
+    # exp(2 pi i s), s = -(b, z' + B b / 2)
     g = Z.shape[1]
     bvec = np.rint(_sum_last(Z.imag[:, None, :] * B.im_inv))
     Bb = _sum_last(bvec[:, None, :] * B.entries)
     u = Z - Bb
-    avec = np.rint(u.real)
-    u.real -= avec
-    if any(delta):
-        u = u + np.asarray(delta)
+    u.real -= np.rint(u.real)
     s = _sum_last(bvec * (-0.5 * Bb - u))
-    if any(eps):
-        s = s + _sum_last(avec * np.asarray(eps))
     if radius is None:
-        radius = truncation_radius(B, Z, tol, deriv_norms=[
+        radius = truncation_radius(B, Z, DEFAULT_TOL, deriv_norms=[
             math.hypot(*map(abs, d.tolist())) for d in dirs])
-    N2pi, quad, starts = _ellipsoid(B, radius, eps, binned)
+    N2pi, quad, starts = _ellipsoid(B, radius, binned)
     expo = quad + u[:, :1] * N2pi[0]
     for j in range(1, g):
         expo += u[:, j:j + 1] * N2pi[j]
@@ -437,20 +397,6 @@ class ThetaJets:
         self.sums = sums
         self.logscale = logscale
 
-    def __len__(self) -> int:
-        return len(self.logscale)
-
-
-def _theta_jets(Z: np.ndarray, B: PeriodMatrix, char: ThetaCharacteristic | None,
-                dirs: tuple, tol: float, radius: int | None = None) -> ThetaJets:
-    """Jets of theta[char] at the rows of Z (see theta_jet for the keys)."""
-    if Z.ndim != 2 or Z.shape[1] != B.g:
-        raise DimensionMismatch(f"points have shape {Z.shape}, expected (P, {B.g})")
-    zero = (0.0,) * B.g
-    eps, delta = (char.eps, char.delta) if char else (zero, zero)
-    sums, scale = _lattice_jets(Z, B, eps, delta, dirs, tol, radius)
-    return ThetaJets(dict(zip(_JET_KEYS[len(dirs)], sums[..., 0])), scale)
-
 
 def _directions(dirs, g: int) -> tuple:
     """At most two derivative directions as complex arrays, each of shape (g,)."""
@@ -462,36 +408,37 @@ def _directions(dirs, g: int) -> tuple:
     return dirs
 
 
+def theta_jets(Z, B: PeriodMatrix, dirs=(), radius: int | None = None) -> ThetaJets:
+    """Jets of theta at the rows of Z, shape (P, g), from one lattice pass.
+
+    Point p is bitwise theta_jet(Z[p], ...) (see ThetaJets).  The sum is
+    truncated at the certified radius for DEFAULT_TOL (see
+    truncation_radius), or at radius when given.
+    """
+    Z, dirs = np.asarray(Z, dtype=complex), _directions(dirs, B.g)
+    if Z.ndim != 2 or Z.shape[1] != B.g:
+        raise DimensionMismatch(f"points have shape {Z.shape}, expected (P, {B.g})")
+    sums, scale = _lattice_jets(Z, B, dirs, radius)
+    return ThetaJets(dict(zip(_JET_KEYS[len(dirs)], sums[..., 0])), scale)
+
+
 def theta(req: ThetaRequest) -> ScaledComplex:
     """theta(z | B): the value of theta_jets at the one point z."""
-    jets = _theta_jets(req.z[None], req.B, None, (), DEFAULT_TOL)
+    jets = theta_jets(req.z[None], req.B)
     return ScaledComplex.make(jets.sums["f"][0], float(jets.logscale[0]))
 
 
-def theta_jet(z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL) -> dict:
-    """Jet of theta[char] at z from one lattice pass: value and directional derivatives.
+def theta_jet(z, B: PeriodMatrix, dirs=()) -> dict:
+    """Jet of theta at z from one lattice pass: value and directional derivatives.
 
     Returns a dict with keys drawn from {"f", "d0", "d1", "d01"} holding
     ScaledComplex values: "d0"/"d1" are first derivatives along dirs[0]
     and dirs[1], "d01" the mixed second derivative (for a single repeated
     direction pass dirs = (V, V)).
     """
-    Z = np.asarray(z, dtype=complex).reshape(1, -1)
-    jets = _theta_jets(Z, B, char, _directions(dirs, B.g), tol)
+    jets = theta_jets(np.asarray(z, dtype=complex).reshape(1, -1), B, dirs)
     scale = float(jets.logscale[0])
     return {key: ScaledComplex.make(v[0], scale) for key, v in jets.sums.items()}
-
-
-def theta_jets(Z, B: PeriodMatrix, dirs=(), char=None, tol: float = DEFAULT_TOL,
-               radius: int | None = None) -> ThetaJets:
-    """Jets of theta at the rows of Z, shape (P, g), from one lattice pass.
-
-    Point p is bitwise theta_jet(Z[p], ...) (see ThetaJets).  radius, when
-    given, replaces the certified truncation radius (see truncation_radius),
-    and tol is then not read.
-    """
-    return _theta_jets(np.asarray(Z, dtype=complex), B, char, _directions(dirs, B.g),
-                       tol, radius)
 
 
 # ----------------------------------------------------------------------
@@ -507,13 +454,12 @@ class Level2Vector:
     g: int
 
 
-def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, tol: float, keys: tuple) -> dict:
+def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
     """The level-two vectors of the given jet keys at the rows of Z (one binned pass)."""
     dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
     if Z.ndim != 2 or Z.shape[1] != B.g:
         raise DimensionMismatch(f"level-two arguments not of length {B.g}")
-    zero = (0.0,) * B.g
-    sums, scale = _lattice_jets(Z, B.halved(), zero, zero, dirs, tol, binned=True)
+    sums, scale = _lattice_jets(Z, B.halved(), dirs, binned=True)
     out = {}
     for key, coords in zip(_JET_KEYS[len(dirs)], sums):
         if key in keys:
@@ -527,29 +473,29 @@ def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, tol: float, keys: tupl
     return out
 
 
-def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None,
-                      tol: float = DEFAULT_TOL) -> dict:
+def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
     """Level-two vectors at the rows of Z, shape (P, g), from one binned pass.
 
     Maps "f" to the vectors of theta[eps,0](2Z | 2B), one Level2Vector per
     row, and with deriv_dir = V also "d0" to their directional derivatives
     with respect to Z.  Row p is bitwise level_two_vector(Z[p], ...).
     """
-    return _level_two(np.asarray(Z, dtype=complex), B, deriv_dir, tol, ("f", "d0"))
+    return _level_two(np.asarray(Z, dtype=complex), B, deriv_dir, ("f", "d0"))
 
 
-def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None,
-                     tol: float = DEFAULT_TOL) -> Level2Vector:
+def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None) -> Level2Vector:
     """Vector of theta[eps,0](2Z | 2B) over eps in {0,1/2}^g (lex order).
 
-    All 2^g components are one sum over m in Z^g of
-    exp(pi*i*(B m, m)/2 + 2*pi*i*(Z, m)), i.e. the plain theta of Z for
-    B/2, binned by m mod 2 (m = 2n + 2 eps).  With deriv_dir = V the
-    components are the directional derivatives with respect to Z.
+    theta[eps,0](2Z | 2B) is the sum over n in Z^g of
+    exp(2*pi*i*(B (n+eps), n+eps) + 4*pi*i*(Z, n+eps)), so all 2^g
+    components are one sum over m in Z^g of exp(pi*i*(B m, m)/2 +
+    2*pi*i*(Z, m)), i.e. the plain theta of Z for B/2, binned by m mod 2
+    (m = 2n + 2 eps).  With deriv_dir = V the components are the
+    directional derivatives with respect to Z.
     """
     key = "f" if deriv_dir is None else "d0"
     Z = np.asarray(Z, dtype=complex).reshape(1, -1)
-    return _level_two(Z, B, deriv_dir, tol, (key,))[key][0]
+    return _level_two(Z, B, deriv_dir, (key,))[key][0]
 
 
 def gauss_exponents(B: PeriodMatrix, Z) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -223,11 +224,13 @@ class TestKernels:
     def test_elliptic_F_matches_per_point_log_derivative(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
         unit = np.array([1.0 + 0j])
+        half = 0.5 * (1.0 + ker.tau)
 
         def L(u):
-            # value and derivative share a logscale, which cancels
-            sums = theta_jets(np.array([[u / ker.omega1]]), ker.B, dirs=(unit,),
-                              char=ker.char).sums
+            # theta1'/theta1 less its constant pi i, from the plain theta at
+            # the shifted point; value and derivative share a logscale
+            sums = theta_jets(np.array([[u / ker.omega1 + half]]), ker.B,
+                              dirs=(unit,)).sums
             return sums["d0"][0] / sums["f"][0] / ker.omega1
 
         rng = Xoshiro256(5)
@@ -235,6 +238,33 @@ class TestKernels:
             q = np.complex128(complex(rng.uniform_in(-1.2, 1.2),
                                       rng.uniform_in(-1.0, 1.0)))
             assert ker.F(q) == 2.0 * L(q) - L(q + 1.0) - L(q - 1.0)
+
+    @pytest.mark.parametrize("tau, omega1", [(1.1j, 2.5), (0.35 + 0.8j, 1.3 - 0.4j)])
+    def test_elliptic_evaluate_against_mpmath(self, tau, omega1):
+        """F against 2 L(q) - L(q+1) - L(q-1) with L(u) = pi theta1'/theta1
+        (pi u / omega1) / omega1 from mpmath.jtheta at 30 digits, and dist
+        against the normalized modulus of theta1 at q / omega1."""
+        ker = EllipticKernel(tau, omega1=omega1)
+        rng = Xoshiro256(17)
+        q = np.array([complex(rng.uniform_in(-1.2, 1.2), rng.uniform_in(-0.8, 0.8))
+                      for _ in range(20)])
+        F, dist = ker.evaluate(q)
+        with mpmath.workdps(30):
+            nome = mpmath.exp(1j * mpmath.pi * tau)
+
+            def L(u):
+                w = mpmath.pi * mpmath.mpc(u) / omega1
+                return mpmath.pi * (mpmath.jtheta(1, w, nome, 1)
+                                    / mpmath.jtheta(1, w, nome)) / omega1
+
+            for k, qk in enumerate(q):
+                parts = [2 * L(qk), L(qk + 1.0), L(qk - 1.0)]
+                want = complex(parts[0] - parts[1] - parts[2])
+                assert abs(F[k] - want) <= 1e-12 * sum(abs(complex(v)) for v in parts)
+                z = qk / omega1
+                hat = float(abs(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), nome))
+                            * mpmath.exp(-mpmath.pi * z.imag ** 2 / tau.imag))
+                assert dist[0, k] == pytest.approx(hat, rel=1e-12)
 
     def test_elliptic_guard_fresh_after_other_separation(self):
         ker = EllipticKernel(1.1j, omega1=2.5)

@@ -11,7 +11,6 @@ from theta_secant.errors import DimensionMismatch, NonPosDef, RadiusCap, Validat
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.theta import (
     PeriodMatrix,
-    ThetaCharacteristic,
     half_period,
     lattice_reduce,
     level_two_vector,
@@ -110,16 +109,6 @@ class TestValues:
         got2 = to_complex(theta_at(z, B, dirs=(V, W)))[0]
         want2 = brute_theta(z, B.entries, R=12, derivs=(V, W))
         assert abs(got2 - want2) <= 1e-9 * (abs(want2) + 1)
-
-    def test_characteristics_against_brute_force(self):
-        rng = Xoshiro256(103)
-        B = random_siegel(rng, 2)
-        z = random_z(rng, 2, scale=0.4)
-        for k in range(4):
-            ch = ThetaCharacteristic(char_eps(k, 2), (0.0, 0.0))
-            got = to_complex(theta_at(z, B, char=ch))[0]
-            want = brute_theta(z, B.entries, eps=ch.eps, delta=ch.delta, R=12)
-            assert abs(got - want) <= 1e-11 * (abs(want) + 1)
 
     def test_zero_at_odd_half_period(self):
         assert hat_abs(np.array([(1 + 1j) / 2]), B_I) <= 1e-10
@@ -306,8 +295,14 @@ class TestLevelTwo:
         z = np.array([0.2 + 1.3j, -0.1 + 0.4j])
         vec = level_two_vector(z, B)
         B4 = PeriodMatrix(4j * Y)
-        want = [theta_at(2 * z, B4, char=ThetaCharacteristic(char_eps(k, 2), (0.0, 0.0)))
-                for k in range(4)]
+        # theta[eps,0](w | B4) = exp(pi i (B4 eps, eps) + 2 pi i (w, eps))
+        #                        * theta(w + B4 eps | B4)
+        want = []
+        for k in range(4):
+            eps = np.array(char_eps(k, 2))
+            f, ls = theta_at(2 * z + B4.entries @ eps, B4)
+            pref = 1j * np.pi * (eps @ B4.entries @ eps) + 2j * np.pi * (2 * z @ eps)
+            want.append((f * np.exp(1j * pref.imag), ls + pref.real))
         ref = max(ls[0] for _, ls in want)
         got = vec.coords * np.exp(vec.logscale - ref)
         exact = np.array([f[0] * np.exp(ls[0] - ref) for f, ls in want])
@@ -322,7 +317,7 @@ class TestBatch:
         Z = np.array([random_z(rng, 2) for _ in range(5)])
         V = np.array(rng.complex_vector(2))
         jets = theta_jets(Z, B, dirs=(V, V))
-        assert len(jets) == 5 and set(jets.sums) == {"f", "d0", "d1", "d01"}
+        assert len(jets.logscale) == 5 and set(jets.sums) == {"f", "d0", "d1", "d01"}
         assert all(v.shape == (5,) for v in jets.sums.values())
         vecs = level_two_vectors(Z, B, deriv_dir=V)
         assert set(vecs) == {"f", "d0"} and all(len(v) == 5 for v in vecs.values())
@@ -359,19 +354,6 @@ class TestValidation:
     def test_non_posdef_rejected(self):
         with pytest.raises(NonPosDef):
             PeriodMatrix([[1.0 + 0j]])
-
-    def test_characteristic_reduction(self):
-        ch = ThetaCharacteristic([1.5, -0.5], [2.0, 0.5])
-        assert ch.eps == (0.5, 0.5)
-        assert ch.delta == (0.0, 0.5)
-        with pytest.raises(ValidationError):
-            ThetaCharacteristic([0.3])
-
-    def test_tol_range(self):
-        with pytest.raises(ValidationError):
-            theta_at([0j], B_I, tol=1e-20)
-        with pytest.raises(ValidationError):
-            theta_at([0j], B_I, tol=1e-2)
 
     def test_too_many_dirs(self):
         with pytest.raises(ValidationError):

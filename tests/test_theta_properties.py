@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from theta_secant.scaled import ScaledComplex
 from theta_secant.theta import (
     PeriodMatrix,
-    ThetaCharacteristic,
     ThetaRequest,
     level_two_vector,
     level_two_vectors,
@@ -143,26 +142,24 @@ def _same_scaled(a: ScaledComplex, b: ScaledComplex) -> bool:
 
 
 @settings(max_examples=60, deadline=None)
-@given(siegel_points(count=5), st.integers(0, 2), st.booleans(),
+@given(siegel_points(count=5), st.integers(0, 2),
        st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4))
 # a subnormal direction makes the level-two derivative vectors subnormal
 @example(case=(PeriodMatrix([[1j]]), [np.zeros(1, complex)] * 5), order=1,
-         with_char=False, dir_entries=[2.225073858507e-311 + 0j, 0j, 0j, 0j])
-def test_batch_rows_equal_single_point_calls(case, order, with_char, dir_entries):
+         dir_entries=[2.225073858507e-311 + 0j, 0j, 0j, 0j])
+def test_batch_rows_equal_single_point_calls(case, order, dir_entries):
     """Row p of a P-point pass is bitwise the one-point pass at that row:
-    value, 1-jet and 2-jet, with and without a characteristic, and the
-    level-two vectors with and without a derivative direction.  The
-    one-point views return the rows: theta and theta_jet as
+    value, 1-jet and 2-jet, and the level-two vectors with and without a
+    derivative direction.  The one-point views return the rows: theta and theta_jet as
     ScaledComplex.make(row, logscale), level_two_vector as the row's vector."""
     B, zs = case
     g = B.g
     Z = np.array(zs) + np.arange(len(zs))[:, None] * (0.7 + 0.4j)   # far cells too
     dirs = tuple(np.array(dir_entries[2 * k:2 * k + g]) for k in range(order))
-    char = ThetaCharacteristic((0.5,) * g, (0.0,) * (g - 1) + (0.5,)) if with_char else None
-    jets = theta_jets(Z, B, dirs=dirs, char=char)
+    jets = theta_jets(Z, B, dirs=dirs)
     vecs = level_two_vectors(Z, B, deriv_dir=dirs[0] if dirs else None)
     for p in range(len(Z)):
-        one = theta_jets(Z[p:p + 1], B, dirs=dirs, char=char)
+        one = theta_jets(Z[p:p + 1], B, dirs=dirs)
         assert _same(one.logscale, jets.logscale[p:p + 1])
         for key, v in jets.sums.items():
             assert _same(one.sums[key], v[p:p + 1]), key
@@ -171,10 +168,10 @@ def test_batch_rows_equal_single_point_calls(case, order, with_char, dir_entries
             assert _same(single[key][0].coords, vs[p].coords), key
             assert single[key][0].logscale == vs[p].logscale
         scale = float(jets.logscale[p])
-        if order == 0 and not with_char:
+        if order == 0:
             assert _same_scaled(theta(ThetaRequest(Z[p], B)),
                                 ScaledComplex.make(jets.sums["f"][p], scale))
-        view = theta_jet(Z[p], B, dirs, char)
+        view = theta_jet(Z[p], B, dirs)
         assert view.keys() == jets.sums.keys()
         for key, v in jets.sums.items():
             assert _same_scaled(view[key], ScaledComplex.make(v[p], scale)), key
