@@ -233,17 +233,19 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     worst_reverify = verify_samples(samples, B)
 
     U, V, A, pts = jacobian_fay_data(data, rng)
-    worst_cm7d = max(residual_cm7d(s, U, V, B) for s in samples)
+    # the Jacobian-side residuals share (U, V): one call each over all the
+    # samples, with the lattice passes of one sample
+    worst_cm7d = max(residual_cm7d(samples, U, V, B))
     Vt = abel_tangent(data, pts[1])
     Ut = abel_map(data, pts[2]) - abel_map(data, pts[1])
-    worst_cm7 = max(residual_cm7(s, Ut, Vt, B) for s in samples)
-    probe = min(singular_locus_probe(s, U, V, B, depth) for s in samples)
+    worst_cm7 = max(residual_cm7(samples, Ut, Vt, B))
+    probe = min(singular_locus_probe(samples, U, V, B, depth))
 
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     # the negative controls take the strongest witness: the identities must
     # hold at every divisor point, so one clear violation refutes them
     dec_samples = sample_theta_divisor(Bd, config.seed + 1, min(count, 5))
-    dec = [residual_cm7d(s, U, V, Bd) for s in dec_samples]
+    dec = residual_cm7d(dec_samples, U, V, Bd)
     ctrl_rng = rng.spawn(23)
     # three rounds over the samples, each sample with its own random pair
     rand = [[residual_cm7(s, random_z(ctrl_rng, 2, 0.4),
@@ -505,11 +507,11 @@ def run_controls(config: ScenarioConfig) -> Report:
         neg_fit = min(neg_fit, fit_secancy_discrete(Ur, Vr, Ar, B).residual)
     samples = sample_theta_divisor(B, config.seed, 4)
     U, V, A, _ = jacobian_fay_data(data, rng.spawn(2))
-    pos_id = max(residual_cm7d(s, U, V, B) for s in samples)
+    pos_id = max(residual_cm7d(samples, U, V, B))
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     dsamples = sample_theta_divisor(Bd, config.seed + 1, 4)
     # the strongest witness: the identity must hold at every divisor point
-    dec = [residual_cm7d(s, U, V, Bd) for s in dsamples]
+    dec = residual_cm7d(dsamples, U, V, Bd)
     neg_id = max(dec)
     # fit_gap and identity_gap divide by Jacobian residuals at rounding level
     # (about 4e-15 for the fit), so any change in the order of evaluation

@@ -177,44 +177,60 @@ def verify_samples(samples: list, B: PeriodMatrix) -> float:
 # identity residuals on the divisor
 # ----------------------------------------------------------------------
 
-def _zpoint(Zs):
-    return Zs.Z if isinstance(Zs, DivisorSample) else np.atleast_1d(np.asarray(Zs, complex))
+def _zpoints(Zs) -> tuple:
+    """(points, one): the rows, shape (P, g), of one divisor point (a
+    DivisorSample or g numbers) or of a list of DivisorSample, and whether
+    it was one point."""
+    if isinstance(Zs, list) and all(isinstance(s, DivisorSample) for s in Zs):
+        return np.array([s.Z for s in Zs]), False
+    Z = Zs.Z if isinstance(Zs, DivisorSample) else np.atleast_1d(np.asarray(Zs, complex))
+    return Z[None], True
 
 
-def residual_cm7(Zs, U, V, B: PeriodMatrix) -> float:
-    """Tangency identity residual at a divisor point.
+def residual_cm7(Zs, U, V, B: PeriodMatrix):
+    """Tangency identity residual at a divisor point, or the list of them
+    at a list of DivisorSample (two lattice passes in either case).
 
     Compares d_V[theta(Z+U) theta(Z-U)] * d_V theta(Z) against
     theta(Z+U) theta(Z-U) * d^2_VV theta(Z), as a relative gap.
     """
-    Z = _zpoint(Zs)
+    Z, one = _zpoints(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius.
     # Both sides are products of the same three rows, so they share one
     # logscale and are compared as mantissas.
-    pm = theta_jets([Z + U, Z - U], B, dirs=(V,)).sums
-    jz = theta_jets([Z], B, dirs=(V, V)).sums
-    f, d = pm["f"], pm["d0"]
-    lhs = (d[0] * f[1] + f[0] * d[1]) * jz["d0"][0]
-    rhs = f[0] * f[1] * jz["d01"][0]
-    return float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
+    pm = theta_jets(np.concatenate([Z + U, Z - U]), B, dirs=(V,)).sums
+    jz = theta_jets(Z, B, dirs=(V, V)).sums
+    out = []
+    for p in range(len(Z)):
+        f, d = pm["f"][p::len(Z)], pm["d0"][p::len(Z)]
+        lhs = (d[0] * f[1] + f[0] * d[1]) * jz["d0"][p]
+        rhs = f[0] * f[1] * jz["d01"][p]
+        out.append(float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)))
+    return out[0] if one else out
 
 
-def residual_cm7d(Zs, U, V, B: PeriodMatrix) -> float:
-    """Three-term discrete identity residual at a divisor point.
+def residual_cm7d(Zs, U, V, B: PeriodMatrix):
+    """Three-term discrete identity residual at a divisor point, or the list
+    of them at a list of DivisorSample (one lattice pass in either case).
 
     Relative size of theta(Z+U)theta(Z-V)theta(Z-U+V)
                    + theta(Z-U)theta(Z+V)theta(Z+U-V).
     """
-    Z = _zpoint(Zs)
+    Z, one = _zpoints(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    J = theta_jets([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V], B)
-    # the two triple products, compared at the larger of their logscales
-    scale = J.logscale.reshape(2, 3).sum(axis=1)
-    a, b = J.sums["f"].reshape(2, 3).prod(axis=1) * np.exp(scale - scale.max())
-    return float(abs(a + b) / (abs(a) + abs(b) + 1e-300))
+    J = theta_jets(np.stack([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V],
+                            axis=1).reshape(-1, Z.shape[1]), B)
+    out = []
+    # per point, the two triple products compared at the larger of their
+    # logscales
+    for f, ls in zip(J.sums["f"].reshape(-1, 2, 3), J.logscale.reshape(-1, 2, 3)):
+        scale = ls.sum(axis=1)
+        a, b = f.prod(axis=1) * np.exp(scale - scale.max())
+        out.append(float(abs(a + b) / (abs(a) + abs(b) + 1e-300)))
+    return out[0] if one else out
 
 
 def check_probe_depth(K: int) -> None:
@@ -223,8 +239,10 @@ def check_probe_depth(K: int) -> None:
         raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
 
 
-def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int) -> float:
-    """max over |k| <= K of the normalized |theta(Z + k(U-V))|.
+def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int):
+    """max over |k| <= K of the normalized |theta(Z + k(U-V))| at a divisor
+    point, or the list of them at a list of DivisorSample (one lattice
+    pass in either case).
 
     A value well above zero certifies the sample is not on the maximal
     (U-V)-shift-invariant subset of the divisor, to depth K.  K = 0
@@ -232,9 +250,10 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int) -> float:
     MAX_PROBE_DEPTH.
     """
     check_probe_depth(K)
-    Z = _zpoint(Zs)
+    Z, one = _zpoints(Zs)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    W = [Z + k * (U - V) for k in range(-K, K + 1)]
-    J = theta_jets(W, B)
-    return float(np.exp(normalized_log_abs_many(J, B, W)).max())
+    W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)])
+    la = normalized_log_abs_many(theta_jets(W, B), B, W).reshape(len(Z), -1)
+    out = [float(np.exp(row).max()) for row in la]
+    return out[0] if one else out

@@ -81,7 +81,7 @@ class SecancyData:
 def kummer_map(Z, B: PeriodMatrix) -> Level2Vector:
     """Level-two theta vector of Z, a point of CP^(2^g - 1)."""
     vec = level_two_vector(Z, B)
-    if np.all(np.abs(vec.coords) < 1e-250):
+    if np.logical_and.reduce(np.abs(vec.coords) < 1e-250):
         raise ZeroVector("all Kummer coordinates vanished at common scale")
     return vec
 

@@ -13,13 +13,14 @@ mantissa and logscale arrays (theta.ThetaJets) instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NumericalError
 
 
-@dataclass(frozen=True)
-class ScaledComplex:
+class ScaledComplex(NamedTuple):
+    """An immutable (mantissa, logscale) record."""
+
     mantissa: complex
     logscale: float = 0.0
 

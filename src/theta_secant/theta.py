@@ -17,7 +17,10 @@ Evaluation strategy:
        theta(z' + a + B b) = exp( -pi*i*(B b, b) - 2*pi*i*(b, z') ) * theta(z'),
 
    with the prefactor's real exponent added to the point's logscale and
-   its phase folded into the exponents of the sum (step 3);
+   its phase folded into the exponents of the sum (step 3).  A pass whose
+   points all have b = 0 skips the prefactor and the parity re-indexing
+   of level-two bins, which would change no bit; the derivative factors
+   2*pi*i*(d, n - b) are cached on the matrix per ellipsoid, b and d;
 2. certified truncation: the sum runs over the ellipsoid
 
        { n in Z^g : pi * (n, Im B n) <= R^2 },
@@ -27,17 +30,19 @@ Evaluation strategy:
    2004), extended by the derivative factors: the discarded terms sum to
    less than tol times the largest term (see truncation_radius).  R is
    fixed by an integer r, the largest coordinate of the ellipsoid; r, the
-   points and their phases pi*i*(B n, n) are cached on the matrix;
-3. one pass for P points at once (_lattice_jets): step 1 row by row, the
-   radius looked up once, the exponents of every point and lattice term as
-   one (P, M) array with each row's largest real part factored out and the
-   prefactor's phase folded in, one exp, the derivative factors multiplied
-   in, and row-wise sums (np.add.reduceat over the bins of the points).  A
-   level-two vector is one such sum for B/2, its points stored sorted by
-   the parity of n, one bin per class.  Each row is computed alone and in
-   an order that does not depend on P, so a point's result is bitwise the
-   same in any batch: theta, theta_jet and level_two_vector are one-point
-   views of theta_jets and level_two_vectors.
+   points and their phases pi*i*(B n, n) are cached on the matrix, and the
+   matrix B/2 of the level-two vectors is B scaled exactly (halved);
+3. one pass for P points at once (_lattice_jets): step 1 row by row (in
+   Python floats for a single point), the radius looked up once, the
+   exponents of every point and lattice term as one (P, M) array with each
+   row's largest real part factored out and the prefactor's phase folded
+   in, one exp, the derivative factors multiplied in, and row-wise sums
+   (np.add.reduceat over the bins of the points).  A level-two vector is
+   one such sum for B/2, its points stored sorted by the parity of n, one
+   bin per class.  Each row is computed alone and in an order that does
+   not depend on P, so a point's result is bitwise the same in any batch:
+   theta, theta_jet and level_two_vector are one-point views of theta_jets
+   and level_two_vectors.
 
 The normalized modulus |theta(z)| * exp(-pi * Im z . (Im B)^-1 . Im z) is
 invariant under lattice translations of z and O(1) on the fundamental cell;
@@ -50,7 +55,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +68,7 @@ TOL_RANGE = (1e-16, 1e-4)
 _TWO_PI_I = 2j * np.pi
 _NORMAL_MIN = np.finfo(float).tiny    # the smallest normal float
 _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of dirs
+_FACTOR_CACHE = 16       # derivative factor rows kept per matrix
 
 
 def resolve_cap() -> int:
@@ -85,24 +91,29 @@ class PeriodMatrix:
         M = np.atleast_2d(np.asarray(entries, dtype=complex))
         if M.shape[0] != M.shape[1]:
             raise ValidationError(f"period matrix must be square, got {M.shape}")
-        scale = np.max(np.abs(M))
+        scale = np.maximum.reduce(np.abs(M), axis=None)
         if not 0 < scale < math.inf:
             # NaN fails both comparisons
             raise ValidationError("period matrix needs finite entries, not all zero")
-        if np.max(np.abs(M - M.T)) > 1e-12 * scale:
+        if np.maximum.reduce(np.abs(M - M.T), axis=None) > 1e-12 * scale:
             raise ValidationError("period matrix is not symmetric to 1e-12")
         M = 0.5 * (M + M.T)
-        M.setflags(write=False)
-        object.__setattr__(self, "entries", M)
         Y = np.ascontiguousarray(M.imag)
-        try:
-            np.linalg.cholesky(Y)
-        except np.linalg.LinAlgError as exc:
-            raise NonPosDef("Im B is not positive definite") from exc
-        object.__setattr__(self, "_y_inv", np.linalg.inv(Y))
-        object.__setattr__(self, "_lam_min", float(np.linalg.eigvalsh(Y)[0]))
+        # for g = 1, 1/y and y are what inv and eigvalsh return, bit for bit
+        lam_min = float(Y[0, 0] if len(Y) == 1 else np.linalg.eigvalsh(Y)[0])
+        if not lam_min > 0:
+            raise NonPosDef("Im B is not positive definite")
+        self._init(M, 1.0 / Y if len(Y) == 1 else np.linalg.inv(Y), lam_min)
+
+    def _init(self, entries, y_inv, lam_min):
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_y_inv", y_inv)
+        object.__setattr__(self, "_lam_min", lam_min)
+        object.__setattr__(self, "_rows", (y_inv.tolist(), entries.tolist()))
         object.__setattr__(self, "_radii", {})
         object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_halved", None)
 
     @property
@@ -122,9 +133,18 @@ class PeriodMatrix:
         return self._lam_min
 
     def halved(self) -> "PeriodMatrix":
-        """Period matrix B/2 (level-two vectors are one theta sum for it), cached."""
+        """Period matrix B/2 (level-two vectors are one theta sum for it), cached.
+
+        Built from B by exact power-of-two scaling: entries/2, 2 (Im B)^-1 and
+        lam_min/2 are bit for bit what PeriodMatrix(B.entries / 2) computes
+        (its LU and eigensolver commute with scaling by 2 in binary floating
+        point, barring underflow), without its factorizations; B/2 is
+        positive definite when B is.
+        """
         if self._halved is None:
-            object.__setattr__(self, "_halved", PeriodMatrix(0.5 * self.entries))
+            half = object.__new__(PeriodMatrix)
+            half._init(0.5 * self.entries, 2.0 * self._y_inv, 0.5 * self._lam_min)
+            object.__setattr__(self, "_halved", half)
         return self._halved
 
     def __eq__(self, other):
@@ -188,6 +208,8 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
     Gamma(s, x) for half-integer s is closed-form in erfc and exp.  The
     derivative norms are rounded up to powers of two (at least 1/64), and r
     is cached on the matrix per tolerance and rounded norms; z is unused.
+    The search walks r in Python floats from a Gaussian-only guess (see
+    _ellipsoid_radius).
     The cap is resolved on every call, so THETA_SECANT_CAP is read each
     time, and RadiusCap is raised whenever r exceeds it.
     """
@@ -206,6 +228,8 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
 
 def _norm_octaves(deriv_norms) -> tuple:
     """Sorted exponents of the derivative norms rounded up to powers of two."""
+    if not deriv_norms:
+        return ()
     return tuple(sorted([math.ceil(math.log2(max(n, 2.0 ** -6))) for n in deriv_norms]))
 
 
@@ -226,17 +250,23 @@ def _upper_gamma(k: int, x: float) -> float:
 
 
 def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
-    """Smallest r that passes the tail bound of truncation_radius."""
-    g, lam = B.g, B.lam_min
-    if lam <= 0:
-        raise NonPosDef("Im B is not positive definite")
-    rho = math.sqrt(math.pi * lam)
-    delta = math.sqrt(0.25 * math.pi * float(np.abs(B.im).sum()))
-    w = math.sqrt(float(np.max(np.diag(B.im_inv))) / math.pi)
-    coeffs = np.ones(1)
+    """Smallest r that passes the tail bound of truncation_radius.
+
+    In Python floats: with at most two octaves each coefficient c_j is a
+    sum of at most two products, and the sums over j run in index order, so
+    every figure is the one numpy's convolve and sum would give.
+    """
+    g = B.g
+    rho = math.sqrt(math.pi * B.lam_min)
+    delta = math.sqrt(0.25 * math.pi * float(np.add.reduce(np.abs(B.im), axis=None)))
+    w = math.sqrt(max(B.im_inv.diagonal().tolist()) / math.pi)
+    coeffs = [1.0]
     for e in octaves:
         s = 2.0 * math.pi * 2.0 ** e
-        coeffs = np.convolve(coeffs, [1.0 + s * 0.5 * math.sqrt(g), s / rho])
+        a, c = 1.0 + s * 0.5 * math.sqrt(g), s / rho
+        n = len(coeffs)
+        coeffs = [coeffs[0] * a] + [coeffs[j] * a + coeffs[j - 1] * c
+                                    for j in range(1, n)] + [coeffs[-1] * c]
     order = len(octaves)
     t_min = 0.5 * math.sqrt(g + 2 * order + math.sqrt(g * g + 8 * order))
     pref = 0.5 * g * (2.0 / rho) ** g
@@ -244,13 +274,20 @@ def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
 
     def certified(r: int) -> bool:
         t = r / w - delta - 0.5 * rho
-        return t >= t_min and pref * sum(
-            c * _upper_gamma(g + j, t * t) for j, c in enumerate(coeffs)) <= target
+        if t < t_min:
+            return False
+        total = 0.0
+        for j, c in enumerate(coeffs):
+            total += c * _upper_gamma(g + j, t * t)
+        return pref * total <= target
 
     # walk from the radius where the Gaussian factor alone meets the target:
     # up until the bound holds, then down while it still holds (the bound
     # falls as r grows, and the guess is within a few steps of the answer)
-    t_guess = math.sqrt(max(math.log(pref * coeffs.sum() / tol) + delta * delta, t_min ** 2))
+    csum = 0.0
+    for c in coeffs:
+        csum += c
+    t_guess = math.sqrt(max(math.log(pref * csum / tol) + delta * delta, t_min ** 2))
     r = max(1, math.ceil(w * (t_guess + delta + 0.5 * rho)))
     while not certified(r):
         r += 1
@@ -262,14 +299,6 @@ def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
 # ----------------------------------------------------------------------
 # lattice sums
 # ----------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _lex_weights(g: int) -> np.ndarray:
-    """Weights turning a 0/1 vector into its lex index (first component high)."""
-    w = 2.0 ** np.arange(g - 1, -1, -1)
-    w.setflags(write=False)
-    return w
-
 
 def _sum_last(T: np.ndarray) -> np.ndarray:
     """Sum over the last axis in index order.
@@ -284,11 +313,20 @@ def _sum_last(T: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid(axes: list) -> np.ndarray:
+    """The points of the box axes[0] x axes[1] x ... as columns, first coordinate slowest."""
+    out = np.empty((len(axes),) + tuple(len(a) for a in axes))
+    for j, a in enumerate(axes):
+        out[j] = a.reshape((-1,) + (1,) * (len(axes) - 1 - j))
+    return out.reshape(len(axes), -1)
+
+
 def _ellipsoid(B: PeriodMatrix, r: int, binned: bool) -> tuple:
     """(2*pi*i*N, pi*i*(B n, n), starts) over the ellipsoid of largest coordinate r.
 
     N, of shape (g, M), holds as columns the points n in Z^g with
-    pi * (n, Im B n) <= R^2 (see truncation_radius); starts are the first
+    pi * (n, Im B n) <= R^2 (see truncation_radius), in the order of their
+    bounding box with the first coordinate slowest; starts are the first
     columns of the bins: one bin, or with binned the 2^g classes of n mod 2
     in lex order, the points sorted by class.  A class the ellipsoid misses
     (possible when Im B is large and skew) gets one point of zero weight
@@ -297,29 +335,135 @@ def _ellipsoid(B: PeriodMatrix, r: int, binned: bool) -> tuple:
     key = (r, binned)
     hit = B._points.get(key)
     if hit is None:
-        yinv = np.diag(B.im_inv)
-        half = r * np.sqrt(yinv / yinv.max())
-        lo = [math.ceil(-h) for h in half]
-        size = [math.floor(h) + 1 - a for h, a in zip(half, lo)]
-        N = np.indices(size).reshape(B.g, -1).T + np.array(lo, dtype=float)
-        N = N[np.pi * np.einsum("ij,jk,ik->i", N, B.im, N) <= math.pi * r * r / yinv.max()]
-        quad = 1j * np.pi * np.einsum("ij,jk,ik->i", N, B.entries, N)
+        g = B.g
+        yinv = B.im_inv.diagonal().tolist()
+        top = max(yinv)
+        axes = []
+        for y in yinv:
+            h = r * math.sqrt(y / top)
+            axes.append(np.arange(math.ceil(-h), math.floor(h) + 1, dtype=float))
+        N = _grid(axes)
+        N = N.compress(np.pi * np.einsum("ji,jk,ki->i", N, B.im, N) <= math.pi * r * r / top,
+                       axis=1)
+        quad = 1j * np.pi * np.einsum("ji,jk,ki->i", N, B.entries, N)
         starts = np.zeros(1, dtype=np.intp)
         if binned:
-            idx = (np.mod(N, 2.0) @ _lex_weights(B.g)).astype(np.intp)
-            missing = np.flatnonzero(np.bincount(idx, minlength=2 ** B.g) == 0)
+            par = np.mod(N, 2.0).astype(np.intp)
+            idx = par[0]
+            for j in range(1, g):
+                idx = 2 * idx + par[j]
+            counts = np.bincount(idx, minlength=2 ** g)
+            missing = np.flatnonzero(counts == 0)
             if len(missing):
-                N = np.vstack([N, (missing[:, None] >> np.arange(B.g - 1, -1, -1)) & 1])
+                N = np.hstack([N, (missing >> np.arange(g - 1, -1, -1)[:, None]) & 1])
                 quad = np.append(quad, np.full(len(missing), -np.inf + 0j))
                 idx = np.append(idx, missing)
-            order = np.argsort(idx, kind="stable")
-            N, quad = N[order], quad[order]
-            starts = np.searchsorted(idx[order], np.arange(2 ** B.g))
-        N = _TWO_PI_I * np.ascontiguousarray(N.T)
+                counts[missing] = 1
+            order = idx.argsort(kind="stable")
+            N, quad = N.take(order, axis=1), quad[order]
+            starts = np.cumsum(counts) - counts
+        N, quad = _TWO_PI_I * N, quad[None]
         for a in (N, quad, starts):
             a.setflags(write=False)
-        hit = B._points[key] = (N, quad, starts)
+        hit = B._points[key] = (tuple(N), quad, starts)
     return hit
+
+
+def _factor_rows(B: PeriodMatrix, ellipsoid: tuple, N2pi: tuple, brow: np.ndarray,
+                 dirs: tuple) -> list:
+    """Derivative factors 2*pi*i*(d, n - b) over an ellipsoid for one b.
+
+    Computed as _lattice_jets would for a row of its own, and cached on the
+    matrix per (ellipsoid, b, d): the points of a pass that share their b
+    share one row, and so do the passes at one point.  A full cache is
+    emptied.
+    """
+    cache = B._factors
+    tag = brow.tobytes()
+    out = []
+    for d in dirs:
+        key = (ellipsoid, tag + d.tobytes())
+        factor = cache.get(key)
+        if factor is None:
+            if len(cache) >= _FACTOR_CACHE:
+                cache.clear()
+            b2pi = _TWO_PI_I * brow
+            factor = (N2pi[0] - b2pi[0]) * d[0]
+            for j in range(1, len(d)):
+                factor += (N2pi[j] - b2pi[j]) * d[j]
+            factor.setflags(write=False)
+            cache[key] = factor
+        out.append(factor)
+    return out
+
+
+def _rint(x: float) -> float:
+    """np.rint of a Python float: round half to even, keeping the sign of zero."""
+    r = float(round(x))
+    return r if r else math.copysign(0.0, x)
+
+
+def _reduce(Z: np.ndarray, B: PeriodMatrix) -> tuple:
+    """Step 1 of _lattice_jets at the rows of Z: (b, u, prefactor) with
+    b = rint((Im B)^-1 Im z), u = z - B b less its nearest integers, as g
+    factors of the lattice rows, and the prefactor exp(2 pi i s),
+    s = -(b, u + B b / 2), as (Re s mod 1 in turns, Im s), or None when
+    every b is 0.  A single point's u and prefactor are scalars, several
+    points' the columns of u and arrays.
+
+    One point goes through Python floats, cheaper than a dozen array calls
+    on arrays of g entries and bit for bit the same: the same products and
+    sums in the same order as _sum_last, a real factor x taken as x + 0i,
+    as numpy multiplies once x is cast to complex, and rint keeping the
+    sign of zero.  A point that is not finite takes the array path.
+    """
+    if len(Z) == 1:
+        y_inv, entries = B._rows
+        z = Z[0].tolist()
+        g = len(z)
+        try:
+            b = []
+            for row in y_inv:
+                acc = z[0].imag * row[0]
+                for j in range(1, g):
+                    acc = acc + z[j].imag * row[j]
+                b.append(_rint(acc))
+            bc = [complex(bj, 0.0) for bj in b]
+            Bb, u = [], []
+            for zi, row in zip(z, entries):
+                w = bc[0] * row[0]
+                for j in range(1, g):
+                    w = w + bc[j] * row[j]
+                v = zi - w
+                Bb.append(w)
+                u.append(complex(v.real - _rint(v.real), v.imag))
+            pref = None
+            if any(b):
+                c = [complex(-0.5, 0.0) * w - v for w, v in zip(Bb, u)]
+                s = bc[0] * c[0]
+                for j in range(1, g):
+                    s = s + bc[j] * c[j]
+                pref = (s.real - _rint(s.real), s.imag)
+            return np.array([b]), u, pref
+        except (ValueError, OverflowError):
+            pass
+    bvec = np.rint(_sum_last(Z.imag[:, None, :] * B.im_inv))
+    Bb = _sum_last(bvec[:, None, :] * B.entries)
+    u = Z - Bb
+    u.real -= np.rint(u.real)
+    pref = None
+    if np.count_nonzero(bvec):
+        s = _sum_last(bvec * (-0.5 * Bb - u))
+        pref = (s.real - np.rint(s.real), s.imag)
+    return bvec, [u[:, j:j + 1] for j in range(Z.shape[1])], pref
+
+
+@functools.lru_cache(maxsize=None)
+def _xor_table(bins: int) -> np.ndarray:
+    """Row f holds the bin indices xor f."""
+    t = np.arange(bins) ^ np.arange(bins)[:, None]
+    t.setflags(write=False)
+    return t
 
 
 def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
@@ -333,53 +477,78 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
 
     Every step acts on each point alone, in the same order whatever P, so
     row p is bitwise the result for Z[p] alone.  That rules out matmul
-    (see _sum_last) and a broadcast product of two general complex arrays,
-    which numpy may evaluate with or without fused multiply-adds depending
-    on the strides: the prefactor's phase joins the exponent instead, and
-    the derivative factors multiply the terms elementwise, shape for shape.
-    Products with a real or imaginary factor are exact either way.
+    (see _sum_last) and a product of two general complex arrays whose
+    strides differ from row to row, which numpy may evaluate with or
+    without fused multiply-adds: the prefactor's phase joins the exponent
+    instead, and the derivative factors multiply the terms row for row
+    (each point's own row, or one row that points sharing their b share,
+    broadcast so that every row is one contiguous inner loop, as for a
+    single point).  Products with a real or imaginary factor are exact
+    either way.
+
+    When no point has a lattice shift b (step 1, _reduce), the prefactor
+    is exactly 1: its phase and real exponent are signed zeros that change
+    no bit of the result (the n = 0 exponent has real part +0, so the row
+    maxima are never -0), and the parity classes need no re-indexing, so
+    that work is skipped.  Derivative factor rows are cached
+    (_factor_rows).
     """
     # argument reduction (step 1): z = z' + a + B b, and the prefactor
     # exp(2 pi i s), s = -(b, z' + B b / 2)
     g = Z.shape[1]
-    bvec = np.rint(_sum_last(Z.imag[:, None, :] * B.im_inv))
-    Bb = _sum_last(bvec[:, None, :] * B.entries)
-    u = Z - Bb
-    u.real -= np.rint(u.real)
-    s = _sum_last(bvec * (-0.5 * Bb - u))
+    bvec, cols, pref = _reduce(Z, B)
     if radius is None:
         radius = truncation_radius(B, Z, DEFAULT_TOL, deriv_norms=[
             math.hypot(*map(abs, d.tolist())) for d in dirs])
     N2pi, quad, starts = _ellipsoid(B, radius, binned)
-    expo = quad + u[:, :1] * N2pi[0]
+    expo = quad + cols[0] * N2pi[0]
     for j in range(1, g):
-        expo += u[:, j:j + 1] * N2pi[j]
-    emax = expo.real.max(axis=1)
-    # the prefactor's phase 2 pi Re(s), taken mod 2 pi so that adding it to
-    # each exponent costs no more than the exponent's own rounding
-    turns = s.real - np.rint(s.real)
+        expo += cols[j] * N2pi[j]
+    emax = np.maximum.reduce(expo.real, axis=1)
+    # the prefactor's phase 2 pi Re(s) is taken mod 2 pi, so that adding it
+    # to each exponent costs no more than the exponent's own rounding; a
+    # single point's in Python floats, as numpy computes it
+    if pref is None:
+        expo -= emax[0] if len(emax) == 1 else emax[:, None]
+        logscale = emax
+    elif isinstance(pref[0], float):
+        turns, s_imag = pref
+        e = float(emax[0])
+        expo -= complex(e, 0.0) - _TWO_PI_I * complex(turns, 0.0)
+        logscale = np.array([e - 2.0 * math.pi * s_imag])
+    else:
+        turns, s_imag = pref
+        expo -= (emax - _TWO_PI_I * turns)[:, None]
+        logscale = emax - 2.0 * np.pi * s_imag
     rows = np.empty((len(_JET_KEYS[len(dirs)]),) + expo.shape, dtype=complex)
-    np.exp(expo - (emax - _TWO_PI_I * turns)[:, None], out=rows[0])
+    np.exp(expo, out=rows[0])
     if dirs:
         # derivative factors 2*pi*i*(d, n - b) of the terms before reduction
-        b2pi = _TWO_PI_I * bvec
-        shifted = [N2pi[j] - b2pi[:, j:j + 1] for j in range(g)]
-        lin = []
-        for k, d in enumerate(dirs):
-            factor = shifted[0] * d[0]
-            for j in range(1, g):
-                factor += shifted[j] * d[j]
-            lin.append(factor)
+        if len(Z) == 1 or bvec.tobytes() == bvec[:1].tobytes() * len(Z):
+            lin = _factor_rows(B, (radius, binned), N2pi, bvec[0], dirs)
+        else:
+            b2pi = _TWO_PI_I * bvec
+            lin = []
+            for d in dirs:
+                factor = (N2pi[0] - b2pi[:, :1]) * d[0]
+                for j in range(1, g):
+                    factor += (N2pi[j] - b2pi[:, j:j + 1]) * d[j]
+                lin.append(factor)
+        for k, factor in enumerate(lin):
             np.multiply(factor, rows[0], out=rows[k + 1])
         if len(dirs) == 2:
             np.multiply(lin[0], rows[2], out=rows[3])
     sums = np.add.reduceat(rows, starts, axis=2)
-    if binned:
+    if binned and pref is not None:
         # the sum ran over n + b: the parity class of n is that bin xor b's
-        # (a matmul of small integers is exact in any order)
-        flip = (np.mod(bvec, 2.0) @ _lex_weights(g)).astype(np.intp)
-        sums = sums[:, np.arange(len(flip))[:, None], np.arange(len(starts)) ^ flip[:, None]]
-    return sums, emax - 2.0 * np.pi * s.imag
+        flips = []
+        for row in bvec.tolist():
+            f = 0
+            for x in row:
+                f = 2 * f + (int(x) & 1)
+            flips.append(f)
+        sums = sums[:, np.arange(len(flips))[:, None], _xor_table(len(starts))[flips]]
+    return sums, logscale
 
 
 class ThetaJets:
@@ -400,12 +569,23 @@ class ThetaJets:
 
 def _directions(dirs, g: int) -> tuple:
     """At most two derivative directions as complex arrays, each of shape (g,)."""
-    dirs = tuple(np.atleast_1d(np.asarray(d, dtype=complex)) for d in dirs)
+    dirs = tuple(np.asarray(d, dtype=complex) for d in dirs)
     if len(dirs) > 2:
         raise ValidationError("at most two derivative directions supported")
     if any(d.shape != (g,) for d in dirs):
-        raise DimensionMismatch(f"derivative direction not of shape ({g},)")
+        # a number is a direction for g = 1
+        dirs = tuple(d.reshape(1) if d.ndim == 0 else d for d in dirs)
+        if any(d.shape != (g,) for d in dirs):
+            raise DimensionMismatch(f"derivative direction not of shape ({g},)")
     return dirs
+
+
+def _as_points(Z, g: int) -> np.ndarray:
+    """Z as a complex array of P points, shape (P, g)."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[1] != g:
+        raise DimensionMismatch(f"points have shape {Z.shape}, expected (P, {g})")
+    return Z
 
 
 def theta_jets(Z, B: PeriodMatrix, dirs=(), radius: int | None = None) -> ThetaJets:
@@ -415,17 +595,15 @@ def theta_jets(Z, B: PeriodMatrix, dirs=(), radius: int | None = None) -> ThetaJ
     truncated at the certified radius for DEFAULT_TOL (see
     truncation_radius), or at radius when given.
     """
-    Z, dirs = np.asarray(Z, dtype=complex), _directions(dirs, B.g)
-    if Z.ndim != 2 or Z.shape[1] != B.g:
-        raise DimensionMismatch(f"points have shape {Z.shape}, expected (P, {B.g})")
-    sums, scale = _lattice_jets(Z, B, dirs, radius)
+    dirs = _directions(dirs, B.g)
+    sums, scale = _lattice_jets(_as_points(Z, B.g), B, dirs, radius)
     return ThetaJets(dict(zip(_JET_KEYS[len(dirs)], sums[..., 0])), scale)
 
 
 def theta(req: ThetaRequest) -> ScaledComplex:
     """theta(z | B): the value of theta_jets at the one point z."""
-    jets = theta_jets(req.z[None], req.B)
-    return ScaledComplex.make(jets.sums["f"][0], float(jets.logscale[0]))
+    sums, scale = _lattice_jets(req.z[None], req.B, ())
+    return ScaledComplex.make(sums[0, 0, 0], float(scale[0]))
 
 
 def theta_jet(z, B: PeriodMatrix, dirs=()) -> dict:
@@ -434,19 +612,22 @@ def theta_jet(z, B: PeriodMatrix, dirs=()) -> dict:
     Returns a dict with keys drawn from {"f", "d0", "d1", "d01"} holding
     ScaledComplex values: "d0"/"d1" are first derivatives along dirs[0]
     and dirs[1], "d01" the mixed second derivative (for a single repeated
-    direction pass dirs = (V, V)).
+    direction pass dirs = (V, V)).  The values of theta_jets at the one
+    point z.
     """
-    jets = theta_jets(np.asarray(z, dtype=complex).reshape(1, -1), B, dirs)
-    scale = float(jets.logscale[0])
-    return {key: ScaledComplex.make(v[0], scale) for key, v in jets.sums.items()}
+    dirs = _directions(dirs, B.g)
+    Z = _as_points(np.asarray(z, dtype=complex).reshape(1, -1), B.g)
+    sums, scale = _lattice_jets(Z, B, dirs)
+    scale = float(scale[0])
+    return {key: ScaledComplex.make(v, scale)
+            for key, v in zip(_JET_KEYS[len(dirs)], sums[:, 0, 0].tolist())}
 
 
 # ----------------------------------------------------------------------
 # level-two vectors and the normalized modulus
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level2Vector:
+class Level2Vector(NamedTuple):
     """All 2^g level-two theta values at one point, on a shared logscale."""
 
     coords: np.ndarray
@@ -457,9 +638,7 @@ class Level2Vector:
 def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
     """The level-two vectors of the given jet keys at the rows of Z (one binned pass)."""
     dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
-    if Z.ndim != 2 or Z.shape[1] != B.g:
-        raise DimensionMismatch(f"level-two arguments not of length {B.g}")
-    sums, scale = _lattice_jets(Z, B.halved(), dirs, binned=True)
+    sums, scale = _lattice_jets(_as_points(Z, B.g), B.halved(), dirs, binned=True)
     out = {}
     for key, coords in zip(_JET_KEYS[len(dirs)], sums):
         if key in keys:
@@ -467,7 +646,7 @@ def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
             # zero or subnormal (numpy divides by multiplying with 1 / pk,
             # which overflows there)
             pks = [pk if pk >= _NORMAL_MIN else 1.0
-                   for pk in np.abs(coords).max(axis=1).tolist()]
+                   for pk in np.maximum.reduce(np.abs(coords), axis=1).tolist()]
             out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
                         for c, pk, ls in zip(coords, pks, scale.tolist())]
     return out
@@ -480,7 +659,7 @@ def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
     row, and with deriv_dir = V also "d0" to their directional derivatives
     with respect to Z.  Row p is bitwise level_two_vector(Z[p], ...).
     """
-    return _level_two(np.asarray(Z, dtype=complex), B, deriv_dir, ("f", "d0"))
+    return _level_two(Z, B, deriv_dir, ("f", "d0"))
 
 
 def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None) -> Level2Vector:

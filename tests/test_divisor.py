@@ -213,11 +213,36 @@ class TestPasses:
         singular_locus_probe(s, U, V, B, 4)
         assert lattice_passes == [(9, False)]
 
+    def test_sample_lists_share_passes(self, x5m1, fay_data, tangent_data,
+                                       divisor_samples, lattice_passes):
+        """Over a list of samples each residual is one call with the passes
+        of one sample (cm7 two, cm7d and the probe one), and its values are
+        bit for bit those of the samples one at a time."""
+        B, U, V = x5m1.B, fay_data["U"], fay_data["V"]
+        Ut, Vt = tangent_data["U"], tangent_data["V"]
+        calls = [lambda Zs: residual_cm7d(Zs, U, V, B),
+                 lambda Zs: residual_cm7(Zs, Ut, Vt, B),
+                 lambda Zs: singular_locus_probe(Zs, U, V, B, 3)]
+        n = len(divisor_samples)
+        for call, shape in zip(calls, ([6 * n], [2 * n, n], [7 * n])):
+            lattice_passes.clear()
+            many = call(divisor_samples)
+            assert [p for p, _ in lattice_passes] == shape
+            assert many == [call(s) for s in divisor_samples]
+
     def test_cm7_makes_two_passes(self, x5m1, tangent_data, divisor_samples,
                                   lattice_passes):
         # Z +- U share the 1-jet pass; Z's 2-jet keeps a radius of its own
         residual_cm7(divisor_samples[0], tangent_data["U"], tangent_data["V"], x5m1.B)
         assert lattice_passes == [(2, False), (1, False)]
+
+
+# (lattice passes, points summed over) of every scenario at seed 7
+SCENARIO_PASSES = {
+    "theta-selftest": (79, 680), "fay-trisecant": (4, 192),
+    "divisor-identities": (117, 1079), "toda": (4, 464), "bdhe": (4, 580),
+    "rs-dynamics": (5520, 33648), "wave-series": (107, 4831), "controls": (51, 793),
+}
 
 
 class TestLineRoots:
@@ -253,9 +278,11 @@ class TestLineRoots:
         assert points[:6] == [81, 61, 29, 5, 2, 2]
         assert points[6:] == [9, 9, 9, 9, 9, 8, 3, 1] and sum(points) == 237
 
-    @pytest.mark.parametrize("scenario, passes, points", [
-        ("divisor-identities", 137, 1079), ("controls", 57, 793)])
-    def test_scenario_passes(self, scenario, passes, points, lattice_passes):
+    @pytest.mark.parametrize("scenario", SCENARIO_PASSES)
+    def test_scenario_passes(self, scenario, lattice_passes):
+        """The work ledger at seed 7: lattice passes and the points they
+        sum over (SCENARIO_PASSES)."""
+        passes, points = SCENARIO_PASSES[scenario]
         run_scenario(ScenarioConfig(scenario=scenario, seed=7))
         assert len(lattice_passes) == passes
         assert sum(n for n, _ in lattice_passes) == points

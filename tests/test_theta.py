@@ -7,15 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from theta_secant.errors import DimensionMismatch, NonPosDef, RadiusCap, ValidationError
+from theta_secant.errors import (DimensionMismatch, NonPosDef, NumericalError, RadiusCap,
+                                 ValidationError)
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
 from theta_secant.theta import (
     PeriodMatrix,
+    ThetaRequest,
     half_period,
     lattice_reduce,
     level_two_vector,
     level_two_vectors,
     normalized_log_abs_many,
+    theta,
     theta_jet,
     theta_jets,
     truncation_radius,
@@ -350,6 +353,17 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="finite entries"):
                 PeriodMatrix(entries)
+
+    @pytest.mark.parametrize("z", [[np.nan + 0j, 0.1j], [0.1 + np.nan * 1j, 0.2j],
+                                   [np.inf + 0j, 0.1j], [0.1 + 0j, np.inf * 1j]])
+    def test_non_finite_point_is_numerical_error(self, z):
+        # a point that is not finite takes the array path of step 1, and its
+        # value is not finite
+        B = PeriodMatrix([[0.2 + 1.1j, 0.3 + 0.2j], [0.3 + 0.2j, -0.1 + 0.9j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError):
+                theta(ThetaRequest(np.array(z), B))
 
     def test_non_posdef_rejected(self):
         with pytest.raises(NonPosDef):
