@@ -177,12 +177,12 @@ def verify_samples(samples: list, B: PeriodMatrix) -> float:
 # identity residuals on the divisor
 # ----------------------------------------------------------------------
 
-def _zpoints(Zs) -> tuple:
+def _zpoints(Zs, g: int) -> tuple:
     """(points, one): the rows, shape (P, g), of one divisor point (a
-    DivisorSample or g numbers) or of a list of DivisorSample, and whether
-    it was one point."""
+    DivisorSample or g numbers) or of a list of DivisorSample, which may be
+    empty, and whether it was one point."""
     if isinstance(Zs, list) and all(isinstance(s, DivisorSample) for s in Zs):
-        return np.array([s.Z for s in Zs]), False
+        return np.array([s.Z for s in Zs], dtype=complex).reshape(len(Zs), g), False
     Z = Zs.Z if isinstance(Zs, DivisorSample) else np.atleast_1d(np.asarray(Zs, complex))
     return Z[None], True
 
@@ -194,7 +194,7 @@ def residual_cm7(Zs, U, V, B: PeriodMatrix):
     Compares d_V[theta(Z+U) theta(Z-U)] * d_V theta(Z) against
     theta(Z+U) theta(Z-U) * d^2_VV theta(Z), as a relative gap.
     """
-    Z, one = _zpoints(Zs)
+    Z, one = _zpoints(Zs, B.g)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius.
@@ -218,7 +218,7 @@ def residual_cm7d(Zs, U, V, B: PeriodMatrix):
     Relative size of theta(Z+U)theta(Z-V)theta(Z-U+V)
                    + theta(Z-U)theta(Z+V)theta(Z+U-V).
     """
-    Z, one = _zpoints(Zs)
+    Z, one = _zpoints(Zs, B.g)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     J = theta_jets(np.stack([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V],
@@ -250,10 +250,11 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int):
     MAX_PROBE_DEPTH.
     """
     check_probe_depth(K)
-    Z, one = _zpoints(Zs)
+    Z, one = _zpoints(Zs, B.g)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
-    W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)])
-    la = normalized_log_abs_many(theta_jets(W, B), B, W).reshape(len(Z), -1)
+    W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)],
+                 dtype=complex).reshape(-1, B.g)
+    la = normalized_log_abs_many(theta_jets(W, B), B, W).reshape(len(Z), 2 * K + 1)
     out = [float(np.exp(row).max()) for row in la]
     return out[0] if one else out

@@ -13,14 +13,13 @@ mantissa and logscale arrays (theta.ThetaJets) instead.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .errors import NumericalError
 
 
-class ScaledComplex(NamedTuple):
-    """An immutable (mantissa, logscale) record."""
-
+@dataclass(frozen=True)
+class ScaledComplex:
     mantissa: complex
     logscale: float = 0.0
 

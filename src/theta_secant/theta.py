@@ -19,8 +19,7 @@ Evaluation strategy:
    with the prefactor's real exponent added to the point's logscale and
    its phase folded into the exponents of the sum (step 3).  A pass whose
    points all have b = 0 skips the prefactor and the parity re-indexing
-   of level-two bins, which would change no bit; the derivative factors
-   2*pi*i*(d, n - b) are cached on the matrix per ellipsoid, b and d;
+   of level-two bins, which would change no bit;
 2. certified truncation: the sum runs over the ellipsoid
 
        { n in Z^g : pi * (n, Im B n) <= R^2 },
@@ -55,7 +54,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +67,6 @@ TOL_RANGE = (1e-16, 1e-4)
 _TWO_PI_I = 2j * np.pi
 _NORMAL_MIN = np.finfo(float).tiny    # the smallest normal float
 _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of dirs
-_FACTOR_CACHE = 16       # derivative factor rows kept per matrix
 
 
 def resolve_cap() -> int:
@@ -113,7 +111,6 @@ class PeriodMatrix:
         object.__setattr__(self, "_rows", (y_inv.tolist(), entries.tolist()))
         object.__setattr__(self, "_radii", {})
         object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_halved", None)
 
     @property
@@ -369,34 +366,6 @@ def _ellipsoid(B: PeriodMatrix, r: int, binned: bool) -> tuple:
     return hit
 
 
-def _factor_rows(B: PeriodMatrix, ellipsoid: tuple, N2pi: tuple, brow: np.ndarray,
-                 dirs: tuple) -> list:
-    """Derivative factors 2*pi*i*(d, n - b) over an ellipsoid for one b.
-
-    Computed as _lattice_jets would for a row of its own, and cached on the
-    matrix per (ellipsoid, b, d): the points of a pass that share their b
-    share one row, and so do the passes at one point.  A full cache is
-    emptied.
-    """
-    cache = B._factors
-    tag = brow.tobytes()
-    out = []
-    for d in dirs:
-        key = (ellipsoid, tag + d.tobytes())
-        factor = cache.get(key)
-        if factor is None:
-            if len(cache) >= _FACTOR_CACHE:
-                cache.clear()
-            b2pi = _TWO_PI_I * brow
-            factor = (N2pi[0] - b2pi[0]) * d[0]
-            for j in range(1, len(d)):
-                factor += (N2pi[j] - b2pi[j]) * d[j]
-            factor.setflags(write=False)
-            cache[key] = factor
-        out.append(factor)
-    return out
-
-
 def _rint(x: float) -> float:
     """np.rint of a Python float: round half to even, keeping the sign of zero."""
     r = float(round(x))
@@ -490,8 +459,7 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     is exactly 1: its phase and real exponent are signed zeros that change
     no bit of the result (the n = 0 exponent has real part +0, so the row
     maxima are never -0), and the parity classes need no re-indexing, so
-    that work is skipped.  Derivative factor rows are cached
-    (_factor_rows).
+    that work is skipped.
     """
     # argument reduction (step 1): z = z' + a + B b, and the prefactor
     # exp(2 pi i s), s = -(b, z' + B b / 2)
@@ -524,16 +492,15 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     np.exp(expo, out=rows[0])
     if dirs:
         # derivative factors 2*pi*i*(d, n - b) of the terms before reduction
-        if len(Z) == 1 or bvec.tobytes() == bvec[:1].tobytes() * len(Z):
-            lin = _factor_rows(B, (radius, binned), N2pi, bvec[0], dirs)
-        else:
-            b2pi = _TWO_PI_I * bvec
-            lin = []
-            for d in dirs:
-                factor = (N2pi[0] - b2pi[:, :1]) * d[0]
-                for j in range(1, g):
-                    factor += (N2pi[j] - b2pi[:, j:j + 1]) * d[j]
-                lin.append(factor)
+        # (one row, broadcast, when every point has the same b)
+        shared = bvec.tobytes() == bvec[:1].tobytes() * len(Z)
+        b2pi = _TWO_PI_I * (bvec[:1] if shared else bvec)
+        lin = []
+        for d in dirs:
+            factor = (N2pi[0] - b2pi[:, :1]) * d[0]
+            for j in range(1, g):
+                factor += (N2pi[j] - b2pi[:, j:j + 1]) * d[j]
+            lin.append(factor)
         for k, factor in enumerate(lin):
             np.multiply(factor, rows[0], out=rows[k + 1])
         if len(dirs) == 2:
@@ -602,8 +569,8 @@ def theta_jets(Z, B: PeriodMatrix, dirs=(), radius: int | None = None) -> ThetaJ
 
 def theta(req: ThetaRequest) -> ScaledComplex:
     """theta(z | B): the value of theta_jets at the one point z."""
-    sums, scale = _lattice_jets(req.z[None], req.B, ())
-    return ScaledComplex.make(sums[0, 0, 0], float(scale[0]))
+    jets = theta_jets(req.z[None], req.B)
+    return ScaledComplex.make(jets.sums["f"][0], float(jets.logscale[0]))
 
 
 def theta_jet(z, B: PeriodMatrix, dirs=()) -> dict:
@@ -615,19 +582,17 @@ def theta_jet(z, B: PeriodMatrix, dirs=()) -> dict:
     direction pass dirs = (V, V)).  The values of theta_jets at the one
     point z.
     """
-    dirs = _directions(dirs, B.g)
-    Z = _as_points(np.asarray(z, dtype=complex).reshape(1, -1), B.g)
-    sums, scale = _lattice_jets(Z, B, dirs)
-    scale = float(scale[0])
-    return {key: ScaledComplex.make(v, scale)
-            for key, v in zip(_JET_KEYS[len(dirs)], sums[:, 0, 0].tolist())}
+    jets = theta_jets(np.asarray(z, dtype=complex).reshape(1, -1), B, dirs)
+    scale = float(jets.logscale[0])
+    return {key: ScaledComplex.make(v[0], scale) for key, v in jets.sums.items()}
 
 
 # ----------------------------------------------------------------------
 # level-two vectors and the normalized modulus
 # ----------------------------------------------------------------------
 
-class Level2Vector(NamedTuple):
+@dataclass(frozen=True)
+class Level2Vector:
     """All 2^g level-two theta values at one point, on a shared logscale."""
 
     coords: np.ndarray

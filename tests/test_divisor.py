@@ -217,7 +217,8 @@ class TestPasses:
                                        divisor_samples, lattice_passes):
         """Over a list of samples each residual is one call with the passes
         of one sample (cm7 two, cm7d and the probe one), and its values are
-        bit for bit those of the samples one at a time."""
+        bit for bit those of the samples one at a time; an empty list gives
+        an empty list."""
         B, U, V = x5m1.B, fay_data["U"], fay_data["V"]
         Ut, Vt = tangent_data["U"], tangent_data["V"]
         calls = [lambda Zs: residual_cm7d(Zs, U, V, B),
@@ -229,6 +230,7 @@ class TestPasses:
             many = call(divisor_samples)
             assert [p for p, _ in lattice_passes] == shape
             assert many == [call(s) for s in divisor_samples]
+            assert call([]) == []
 
     def test_cm7_makes_two_passes(self, x5m1, tangent_data, divisor_samples,
                                   lattice_passes):
