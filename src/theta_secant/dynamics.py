@@ -28,19 +28,18 @@ The n-particle system
     x_i'' = sum_{j != i} x_i' x_j' F(x_i - x_j),
     F(q) = 2 zeta(q) - zeta(q+1) - zeta(q-1)
 
-is integrated by classical RK4; zeta is 1/q (rational), (pi/L) cot(pi q/L)
-(trigonometric, period L), or the odd-theta log derivative for the
-elliptic case (the Weierstrass linear corrections cancel in F).  A kernel's
-evaluate(q) maps the array of an RK4 stage's N(N-1) separations x_i - x_j
-to the array F and the (3, N(N-1)) array dist of distance measures from
-q, q+1 and q-1 to the poles; the stage is clear of them when every entry
-of dist exceeds the kernel's clearance.
+is integrated by classical RK4 in Python complex scalars; zeta is 1/q
+(rational), (pi/L) cot(pi q/L) (trigonometric, period L), or the odd-theta
+log derivative for the elliptic case (the Weierstrass linear corrections
+cancel in F).  F is odd, so a stage evaluates it once per pair, at
+x_i - x_j with i < j: a kernel's forces(q) maps the list of these
+separations to their F values, or to the index of the first one not clear
+of the poles.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,7 +64,7 @@ ZERO_TARGET = 1e-10
 SIMPLE_ZERO_GUARD = 1e-10
 FACTOR_GUARD = 1e-8
 MAX_RS_STEPS = 10**6
-MAX_RS_PARTICLES = 100        # an elliptic stage is one pass of 3N(N-1) <= 29700 points
+MAX_RS_PARTICLES = 100        # an elliptic stage is one pass of 3N(N-1)/2 <= 14850 points
 MAX_RS_POINTS = 4 * 10**6     # (steps + 1) * N positions, and as many velocities
 NEWTON_MAX_ITER = 60
 NEWTON_STEP_CAP = 0.5
@@ -189,10 +188,6 @@ def _newton(jets, x: complex) -> tuple:
     raise LostZero(f"Newton failed to converge near x={x0:.4g}")
 
 
-def newton_zero(tau, x0: complex, t: float) -> complex:
-    return _newton(lambda x: tau.jets([x], t), complex(x0))[0]
-
-
 def _scan_start(tau, t: float, span: float = 2.0, n: int = 21) -> complex:
     """A Newton start for some zero on the line: the point of least |tau| on
     the n x n grid over the square |Re x|, |Im x| <= span, from one pass."""
@@ -216,9 +211,8 @@ class ZeroPath:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "re_eta", "im_eta", "re_v0", "im_v0"])
-            for k in range(len(self.t)):
-                w.writerow([self.t[k], self.eta[k].real, self.eta[k].imag,
-                            self.v0[k].real, self.v0[k].imag])
+            w.writerows([t, e.real, e.imag, v.real, v.imag]
+                        for t, e, v in zip(self.t, self.eta, self.v0))
 
 
 def _stencil(tau, x: complex, t: float) -> tuple:
@@ -331,18 +325,20 @@ def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix, tau=None) -> float:
 # Ruijsenaars-Schneider integration
 # ----------------------------------------------------------------------
 
-# the points q, q + 1, q - 1 at which F reads zeta, one row each
-_SHIFTS = np.array([[0j], [1.0], [-1.0]])
-
-
 class RationalKernel:
     name = "rational"
     clearance = 1e-6
 
-    def evaluate(self, q: np.ndarray) -> tuple:
-        s = q + _SHIFTS
-        z = 1.0 / s
-        return 2.0 * z[0] - z[1] - z[2], np.abs(s)
+    def forces(self, qs: list) -> list | int:
+        """F at each q of qs, or the index of the first q that is not finite
+        (abs inf or nan) or has q, q + 1 or q - 1 within the clearance of 0."""
+        c, F = self.clearance, []
+        for q in qs:
+            p, m = q + 1.0, q - 1.0
+            if not (c < abs(q) < math.inf and abs(p) > c and abs(m) > c):
+                return len(F)
+            F.append(2.0 / q - 1.0 / p - 1.0 / m)
+        return F
 
 
 class TrigKernel:
@@ -358,10 +354,19 @@ class TrigKernel:
             raise ValidationError("trig period must differ from 0 and 1")
         self.L = period
 
-    def evaluate(self, q: np.ndarray) -> tuple:
-        u = np.pi * (q + _SHIFTS) / self.L
-        z = (np.pi / self.L) / np.tan(u)
-        return 2.0 * z[0] - z[1] - z[2], np.abs(np.sin(u))
+    def forces(self, qs: list) -> list | int:
+        """F at each q of qs, or the index of the first q that is not finite or
+        has |sin u| <= clearance at a u = pi (q + d)/L, d = 0, 1, -1; these
+        share Im u, and past |Im u| = 1 (sin may overflow) |sin u| > sinh 1."""
+        w, c, F = math.pi / self.L, self.clearance, []
+        sin, tan = cmath.sin, cmath.tan
+        for q in qs:
+            u, up, um = w * q, w * (q + 1.0), w * (q - 1.0)
+            if not abs(q) < math.inf or abs(u.imag) <= 1.0 and not (
+                    abs(sin(u)) > c and abs(sin(up)) > c and abs(sin(um)) > c):
+                return len(F)
+            F.append(w * (2.0 / tan(u) - 1.0 / tan(up) - 1.0 / tan(um)))
+        return F
 
 
 class EllipticKernel:
@@ -397,17 +402,29 @@ class EllipticKernel:
         self._unit = np.array([1.0 + 0j])
 
     def evaluate(self, q: np.ndarray) -> tuple:
-        """F and dist from one theta pass at (q + d)/omega1 + (1 + tau)/2,
-        d = 0, 1, -1: dist is the normalized modulus of theta1 at (q + d)/omega1
-        (the value and derivative share a logscale, which cancels in L)."""
-        W = ((q + _SHIFTS) / self.omega1 + self._half).reshape(-1, 1)
+        """F and dist, shape (3, len(q)), from one theta pass at (q + d)/omega1
+        + (1 + tau)/2, d = 0, 1, -1: dist is the normalized modulus of theta1
+        at (q + d)/omega1 (value and derivative share a logscale)."""
+        W = (np.concatenate((q, q + 1.0, q - 1.0)) / self.omega1 + self._half)[:, None]
         J = theta_jets(W, self.B, dirs=(self._unit,))
         hat = np.exp(normalized_log_abs_many(J, self.B, W)).reshape(3, -1)
         z = (J.sums["d0"] / J.sums["f"] / self.omega1).reshape(3, -1)
         return 2.0 * z[0] - z[1] - z[2], hat
 
+    @np.errstate(divide="ignore", invalid="ignore")
+    def forces(self, qs: list) -> list | int:
+        """F at each q of qs from one pass, or the index of the first q whose
+        dist is not above the clearance (nan where q is not finite): a pole
+        is named, without numpy's division warnings."""
+        if not qs:
+            return []
+        F, dist = self.evaluate(np.array(qs))
+        if dist.min() > self.clearance:
+            return F.tolist()
+        return int(np.argmin(dist.min(axis=0) > self.clearance))
+
     # One-point views of evaluate: the benchmark's tracer wraps these two by
-    # name and its oracle check calls F; they go once it traces _accel.
+    # name and its oracle check calls F.
     def F(self, q: complex) -> complex:
         return complex(self.evaluate(np.array([q], complex))[0][0])
 
@@ -445,11 +462,9 @@ class RSState:
         if not 1 <= len(self.x) <= MAX_RS_PARTICLES:
             raise ValidationError(f"need 1..{MAX_RS_PARTICLES} particles, "
                                   f"got {len(self.x)}")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.xdot).all()):
+            raise ValidationError("positions and velocities must be finite")
         self.kernel = make_kernel(self.kernel)
-
-    @property
-    def N(self) -> int:
-        return len(self.x)
 
 
 @dataclass
@@ -463,34 +478,28 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "i", "re_x", "im_x", "re_xdot", "im_xdot"])
-            for k, tk in enumerate(self.t):
-                for i in range(self.x.shape[1]):
-                    w.writerow([tk, i, self.x[k, i].real, self.x[k, i].imag,
-                                self.xdot[k, i].real, self.xdot[k, i].imag])
+            w.writerows([t, i, x.real, x.imag, v.real, v.imag]
+                        for t, xs, vs in zip(self.t, self.x, self.xdot)
+                        for i, (x, v) in enumerate(zip(xs, vs)))
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(N: int) -> tuple:
-    """Indices (i, j), j != i, of the N(N-1) ordered pairs in row-major order."""
-    return np.nonzero(~np.eye(N, dtype=bool))
-
-
-def _accel(kernel, x: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-    """a_i = v_i sum_{j != i} v_j F(x_i - x_j), into out if given; Collision
-    unless every separation of the stage is clear of the poles (F may be
-    inf where it is not)."""
-    N = len(x)
-    if N == 1:
-        # no separations: the stage is clear and its sum is empty
-        return np.multiply(v, 0j, out=out)
-    i, j = _pairs(N)
-    q = x[i] - x[j]
-    F, dist = kernel.evaluate(q)
-    # one reduction over the stage
-    if not dist.min() > kernel.clearance:
-        k = int(np.argmin(dist.min(axis=0) > kernel.clearance))
-        raise Collision(f"particles {i[k]} and {j[k]} at separation {q[k]:.4g}")
-    return np.multiply(v, (v[j] * F).reshape(N, N - 1).sum(axis=1), out=out)
+def _slope(kernel, y: list) -> list:
+    """The slope (v, a) of the state y = (x, v), lists joined, with a_i = v_i
+    sum_{j != i} v_j F(x_i - x_j) in increasing j, from one kernel call on the
+    x_i - x_j, i < j, in row-major order; Collision unless all are clear."""
+    N = len(y) // 2
+    x, v = y[:N], y[N:]
+    pairs = list(itertools.combinations(range(N), 2))
+    q = [x[i] - x[j] for i, j in pairs]
+    F = kernel.forces(q)
+    if isinstance(F, int):
+        i, j = pairs[F]
+        raise Collision(f"particles {i} and {j} at separation {q[F]:.4g}")
+    s = [0j] * N
+    for (i, j), f in zip(pairs, F):
+        s[i] += v[j] * f
+        s[j] -= v[i] * f
+    return v + [vi * si for vi, si in zip(v, s)]
 
 
 def _rs_steps(t_end: float, h: float) -> int:
@@ -510,42 +519,32 @@ def _rs_steps(t_end: float, h: float) -> int:
     return steps
 
 
-# a pole of F raises Collision, not numpy's division warnings
-@np.errstate(divide="ignore", invalid="ignore")
 def rs_integrate(state: RSState, t_end: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 on (x, xdot) from t = 0 to t_end; aborts on
     collision guard.  ValidationError past MAX_RS_POINTS positions, that is
     (steps + 1) N."""
     steps = _rs_steps(t_end, h)
-    N = state.N
+    N = len(state.x)
     if (steps + 1) * N > MAX_RS_POINTS:
         raise ValidationError(f"{steps} steps of {N} particles exceed "
                               f"{MAX_RS_POINTS} trajectory points")
     kernel = state.kernel
-    # traj[:, k] is (x, xdot) after k steps
-    traj = np.empty((2, steps + 1, N), complex)
-    traj[:, 0] = state.x, state.xdot
-    # stage s of a step fills rows[s] = (x_s, v_s, a_s): its state is
-    # rows[s, :2] and its slope d(x, v)/dt = (v_s, a_s) is rows[s, 1:]
-    rows = np.empty((4, 3, N), complex)
-    slopes = rows[:, 1:]
-    # stages 2 to 4: (state, x_s, v_s, a_s, slope of the stage before, step to it)
-    later = [(rows[s, :2], *rows[s], slopes[s - 1], c)
-             for s, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h))]
-    x1, v1, a1 = rows[0]
-    sixth = h / 6.0
-    for k in range(steps):
-        y = traj[:, k]
-        rows[0, :2] = y
-        _accel(kernel, x1, v1, out=a1)
-        for y_s, x, v, a, slope, c in later:
-            np.add(y, np.multiply(slope, c, out=y_s), out=y_s)    # y + c slope
-            _accel(kernel, x, v, out=a)
-        np.add(y, sixth * (slopes[0] + 2 * slopes[1] + 2 * slopes[2] + slopes[3]),
-               out=traj[:, k + 1])
+    # row k is (x, xdot) after k steps
+    X, V = np.empty((2, steps + 1, N), complex)
+    X[0], V[0] = state.x, state.xdot
+    y = state.x.tolist() + state.xdot.tolist()
+    half, sixth = 0.5 * h, h / 6.0
+    for k in range(1, steps + 1):
+        s1 = _slope(kernel, y)
+        s2 = _slope(kernel, [p + half * r for p, r in zip(y, s1)])
+        s3 = _slope(kernel, [p + half * r for p, r in zip(y, s2)])
+        s4 = _slope(kernel, [p + h * r for p, r in zip(y, s3)])
+        y = [p + sixth * (r1 + 2 * r2 + 2 * r3 + r4)
+             for p, r1, r2, r3, r4 in zip(y, s1, s2, s3, s4)]
+        X[k], V[k] = y[:N], y[N:]
     # t is the running sum of the steps, the float a step loop reaches
     ts = np.array(list(itertools.accumulate([h] * steps, initial=0.0)))
-    return Trajectory(ts, traj[0], traj[1])
+    return Trajectory(ts, X, V)
 
 
 def elliptic_zero_crosscheck(tau_mod: complex, U: complex, V: complex, Z: complex,
@@ -613,7 +612,7 @@ class DiscreteTau(_ThetaSection):
 def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:
     """A zero of x -> tau(x, nu), scanned if no warm start is given."""
     start = _scan_start(tau, nu, span=2.5, n=25) if x_guess is None else x_guess
-    return newton_zero(tau, start, nu)
+    return _newton(lambda x: tau.jets([x], nu), complex(start))[0]
 
 
 def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,

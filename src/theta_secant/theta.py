@@ -58,7 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPosDef, RadiusCap, ValidationError
+from .errors import (DimensionMismatch, NonPosDef, NumericalError, RadiusCap,
+                     ValidationError)
 from .scaled import ScaledComplex
 
 DEFAULT_RADIUS_CAP = 64
@@ -601,9 +602,20 @@ class Level2Vector:
 
 
 def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
-    """The level-two vectors of the given jet keys at the rows of Z (one binned pass)."""
+    """The level-two vectors of the given jet keys at the rows of Z (one binned
+    pass); NumericalError if a row is not finite, checked only when the pass
+    fails or returns a logscale that is not finite, as such a row makes it."""
     dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
-    sums, scale = _lattice_jets(_as_points(Z, B.g), B.halved(), dirs, binned=True)
+    Z = _as_points(Z, B.g)
+    try:
+        sums, scale = _lattice_jets(Z, B.halved(), dirs, binned=True)
+    except (ValueError, OverflowError):
+        # the parity re-index takes int() of each lattice shift
+        _check_finite(Z)
+        raise
+    scales = scale.tolist()
+    if not math.isfinite(sum(scales)):
+        _check_finite(Z)
     out = {}
     for key, coords in zip(_JET_KEYS[len(dirs)], sums):
         if key in keys:
@@ -613,8 +625,13 @@ def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
             pks = [pk if pk >= _NORMAL_MIN else 1.0
                    for pk in np.maximum.reduce(np.abs(coords), axis=1).tolist()]
             out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
-                        for c, pk, ls in zip(coords, pks, scale.tolist())]
+                        for c, pk, ls in zip(coords, pks, scales)]
     return out
+
+
+def _check_finite(Z: np.ndarray) -> None:
+    if not np.isfinite(Z).all():
+        raise NumericalError("level-two vector at a point that is not finite")
 
 
 def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:

@@ -243,7 +243,7 @@ class TestPasses:
 SCENARIO_PASSES = {
     "theta-selftest": (79, 680), "fay-trisecant": (4, 192),
     "divisor-identities": (117, 1079), "toda": (4, 464), "bdhe": (4, 580),
-    "rs-dynamics": (5520, 33648), "wave-series": (107, 4831), "controls": (51, 793),
+    "rs-dynamics": (5520, 18648), "wave-series": (107, 4831), "controls": (51, 793),
 }
 
 

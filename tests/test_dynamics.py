@@ -161,18 +161,47 @@ class TestCm5:
 KERNELS = [RationalKernel(), TrigKernel(2.0), EllipticKernel(1.1j, omega1=2.5)]
 
 
+def _accel(F, x, v):
+    """a_i = v_i sum_{j != i} v_j F(x_i - x_j), summed in increasing j, with
+    F(x_i - x_j) = -F(x_j - x_i) for i > j: the order of the integrator."""
+    a = []
+    for i in range(len(x)):
+        s = 0j
+        for j in range(len(x)):
+            if j != i:
+                s += v[j] * (F(x[i] - x[j]) if i < j else -F(x[j] - x[i]))
+        a.append(v[i] * s)
+    return a
+
+
 class TestKernels:
     def test_oddness_everywhere(self):
+        # F(-q) = -F(q), so a stage takes -F for pair (j, i); q and -q are
+        # clear of the poles together
         rng = Xoshiro256(77)
         for kernel in KERNELS:
-            q = np.array([complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
-                          for _ in range(34)])
-            F, dist = kernel.evaluate(q)
-            Fm, _ = kernel.evaluate(-q)
-            clear = dist.min(axis=0) > kernel.clearance
-            assert clear.sum() >= 30
-            s = (F + Fm)[clear]
-            assert np.all(np.abs(s) <= 1e-12 * (1 + np.abs(F[clear])))
+            qs = [complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
+                  for _ in range(34)]
+            clear = 0
+            for q in qs:
+                F, Fm = kernel.forces([q]), kernel.forces([-q])
+                assert isinstance(F, list) == isinstance(Fm, list)
+                if isinstance(F, list):
+                    clear += 1
+                    assert abs(F[0] + Fm[0]) <= 1e-12 * (1 + abs(F[0]))
+            assert clear >= 30
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_forces_are_the_one_point_values_or_the_first_pole(self, kernel):
+        rng = Xoshiro256(78)
+        qs = [complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
+              for _ in range(6)]
+        F = kernel.forces(qs)
+        assert F == [kernel.forces([q])[0] for q in qs]
+        # a pole, a separation that is not finite: the first one is named
+        for bad in (1.0 + 0j, complex(np.nan, 0.0), complex(0.0, np.inf)):
+            assert kernel.forces(qs[:2] + [bad] + qs[2:] + [0j]) == 2
+        assert kernel.forces([]) == []
 
     def test_trig_period_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -210,16 +239,15 @@ class TestKernels:
         assert dist.min() > ker.clearance
 
     def test_elliptic_stage_is_one_pass(self, lattice_passes):
-        # _accel hands all N(N-1) separations of an RK4 stage to the kernel
+        # a stage hands the N(N-1)/2 separations x_i - x_j, i < j, to the
+        # kernel: 3 separations, one pass of 9 points
         ker = EllipticKernel(1.1j, omega1=2.5)
-        x = np.array([0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j])
-        v = np.array([0.4, -0.3 + 0.1j, 0.1j])
-        a = dynamics._accel(ker, x, v)
-        assert lattice_passes == [(18, False)]
-        # a_i = v_i sum_j v_j F(x_i - x_j), each F bitwise its one-point value
-        i, j = np.array([(i, j) for i in range(3) for j in range(3) if j != i]).T
-        F = np.array([ker.F(q) for q in x[i] - x[j]])
-        assert np.array_equal(a, v * (v[j] * F).reshape(3, 2).sum(axis=1))
+        x = [0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j]
+        v = [0.4 + 0j, -0.3 + 0.1j, 0.1j]
+        slope = dynamics._slope(ker, x + v)
+        assert lattice_passes == [(9, False)]
+        # each F bitwise its one-point value
+        assert slope == v + _accel(lambda q: ker.F(q), x, v)
 
     def test_elliptic_F_matches_per_point_log_derivative(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
@@ -328,18 +356,37 @@ class TestRS:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
     def test_step_is_textbook_rk4(self, kernel):
-        x = np.array([0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j])
-        v = np.array([0.4, -0.3 + 0.1j, 0.1j])
+        x = [0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j]
+        v = [0.4 + 0j, -0.3 + 0.1j, 0.1j]
         h = 1e-3
         tr = rs_integrate(RSState(x=x, xdot=v, kernel=kernel), h, h)
-        a = lambda x, v: dynamics._accel(kernel, x, v)
+        a = lambda x, v: _accel(lambda q: kernel.forces([q])[0], x, v)
+
+        def axpy(y, c, k):
+            return [p + c * r for p, r in zip(y, k)]
+
+        def rk4(y, k1, k2, k3, k4):
+            return [p + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
+                    for p, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
+
         k1x, k1v = v, a(x, v)
-        k2x, k2v = v + 0.5 * h * k1v, a(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, a(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, a(x + h * k3x, v + h * k3v)
+        k2x, k2v = axpy(v, 0.5 * h, k1v), a(axpy(x, 0.5 * h, k1x), axpy(v, 0.5 * h, k1v))
+        k3x, k3v = axpy(v, 0.5 * h, k2v), a(axpy(x, 0.5 * h, k2x), axpy(v, 0.5 * h, k2v))
+        k4x, k4v = axpy(v, h, k3v), a(axpy(x, h, k3x), axpy(v, h, k3v))
         assert np.array_equal(tr.t, [0.0, h])
-        assert np.array_equal(tr.x, [x, x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)])
-        assert np.array_equal(tr.xdot, [v, v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)])
+        assert np.array_equal(tr.x, [x, rk4(x, k1x, k2x, k3x, k4x)])
+        assert np.array_equal(tr.xdot, [v, rk4(v, k1v, k2v, k3v, k4v)])
+
+    @pytest.mark.parametrize("n", [5, 10])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    def test_many_body_momentum(self, kernel, n):
+        # the positions of rs simulate: 2.2 apart along the real axis
+        rng = Xoshiro256(7)
+        x = [complex(2.2 * k, 0.0) + 0.3 * rng.complex_normal() for k in range(n)]
+        v = [0.5 * rng.complex_normal() for _ in range(n)]
+        tr = rs_integrate(RSState(x=x, xdot=v, kernel=kernel), 0.2, 1e-3)
+        total = [sum(row) for row in tr.xdot.tolist()]
+        assert max(abs(s - total[0]) for s in total) <= 1e-12
 
     def test_three_body_momentum(self):
         st = RSState(x=np.array([0.0, 1.7 + 0.4j, -1.5 + 0.9j]),
@@ -357,6 +404,22 @@ class TestRS:
         drift = max(abs(tr.xdot[k].sum() - tr.xdot[0].sum())
                     for k in range(len(tr.t)))
         assert drift <= 1e-8
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("x, xdot", [([0.1, complex(np.nan, 0.0)], [0.1, 0.2]),
+                                         ([0.1, 0.9], [complex(0.0, np.inf), 0.2])])
+    def test_non_finite_state_rejected(self, kernel, x, xdot):
+        with pytest.raises(ValidationError, match="finite"):
+            RSState(x=np.array(x, complex), xdot=np.array(xdot, complex), kernel=kernel)
+
+    def test_trig_far_pair_without_overflow(self):
+        # 500i apart, sin(pi q / 2) overflows; the pair is clear and F = 0
+        st = RSState(x=np.array([0.0, 500j]), xdot=np.array([0.1, -0.2 + 0.1j]),
+                     kernel=TrigKernel(2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = rs_integrate(st, 0.1, 1e-3)
+        assert np.max(np.abs(tr.xdot - st.xdot)) <= 1e-15
 
     def test_no_particles_rejected(self):
         with pytest.raises(ValidationError):

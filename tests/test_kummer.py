@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from theta_secant.errors import CoincidentPoints, DimensionMismatch, RankDeficient
+from theta_secant.errors import (CoincidentPoints, DimensionMismatch, NumericalError,
+                                 RankDeficient)
 from theta_secant.kummer import (
     collinearity_defect,
     fit_secancy_discrete,
@@ -12,7 +13,8 @@ from theta_secant.kummer import (
     projective_distance,
 )
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.theta import PeriodMatrix, half_period, level_two_vector
+from theta_secant.theta import (PeriodMatrix, half_period, level_two_vector,
+                                level_two_vectors)
 
 
 class TestKummerMap:
@@ -22,6 +24,15 @@ class TestKummerMap:
         for _ in range(5):
             Z = random_z(rng, 2)
             assert projective_distance(kummer_map(Z, B), kummer_map(-Z, B)) <= 1e-12
+
+    # a NaN real part gives NaN sums; a NaN imaginary part a NaN lattice shift
+    @pytest.mark.parametrize("z", [[np.nan, 0.1j], [complex(0.1, np.nan), 0.2j]])
+    def test_non_finite_point_raises(self, z):
+        B = PeriodMatrix([[1.1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.9j]])
+        for call in (lambda: level_two_vector(z, B), lambda: kummer_map(z, B),
+                     lambda: level_two_vectors(np.array([[0.3, 0.1j], z]), B)):
+            with pytest.raises(NumericalError, match="not finite"):
+                call()
 
     def test_integer_shift_exact(self):
         rng = Xoshiro256(52)
