@@ -12,7 +12,6 @@ from .theta import (
     gauss_exponents,
     half_period,
     lattice_distance,
-    lattice_reduce,
     level_two_vector,
     level_two_vectors,
     normalized_log_abs_many,
@@ -32,7 +31,6 @@ __all__ = [
     "gauss_exponents",
     "half_period",
     "lattice_distance",
-    "lattice_reduce",
     "level_two_vector",
     "level_two_vectors",
     "normalized_log_abs_many",

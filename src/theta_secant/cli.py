@@ -219,37 +219,38 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
 
     # genus-1 degenerate case at the unique odd zero
     B1 = PeriodMatrix([[1j]])
-    Z1 = np.array([(1.0 + 1j) / 2.0])
+    Z1 = np.array([[(1.0 + 1j) / 2.0]])
     g1rng = rng.spawn(5)
     worst_g1 = 0.0
     for _ in range(config.win("g1_pairs")):
         U1 = random_z(g1rng, 1, 0.4)
         V1 = random_z(g1rng, 1, 0.4)
-        worst_g1 = max(worst_g1, residual_cm7d(Z1, U1, V1, B1))
+        worst_g1 = max(worst_g1, residual_cm7d(Z1, U1, V1, B1)[0])
 
     count = config.win("samples")
     samples = sample_theta_divisor(B, config.seed, count)
     worst_member = max(s.theta_abs for s in samples)
     worst_reverify = verify_samples(samples, B)
+    Z = np.array([s.Z for s in samples])
 
     U, V, A, pts = jacobian_fay_data(data, rng)
     # the Jacobian-side residuals share (U, V): one call each over all the
     # samples, with the lattice passes of one sample
-    worst_cm7d = max(residual_cm7d(samples, U, V, B))
+    worst_cm7d = max(residual_cm7d(Z, U, V, B))
     Vt = abel_tangent(data, pts[1])
     Ut = abel_map(data, pts[2]) - abel_map(data, pts[1])
-    worst_cm7 = max(residual_cm7(samples, Ut, Vt, B))
-    probe = min(singular_locus_probe(samples, U, V, B, depth))
+    worst_cm7 = max(residual_cm7(Z, Ut, Vt, B))
+    probe = min(singular_locus_probe(Z, U, V, B, depth))
 
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     # the negative controls take the strongest witness: the identities must
     # hold at every divisor point, so one clear violation refutes them
-    dec_samples = sample_theta_divisor(Bd, config.seed + 1, min(count, 5))
-    dec = residual_cm7d(dec_samples, U, V, Bd)
+    Zd = np.array([s.Z for s in sample_theta_divisor(Bd, config.seed + 1, min(count, 5))])
+    dec = residual_cm7d(Zd, U, V, Bd)
     ctrl_rng = rng.spawn(23)
     # three rounds over the samples, each sample with its own random pair
-    rand = [[residual_cm7(s, random_z(ctrl_rng, 2, 0.4),
-                          random_z(ctrl_rng, 2, 0.4), B) for s in samples]
+    rand = [[residual_cm7(z[None], random_z(ctrl_rng, 2, 0.4),
+                          random_z(ctrl_rng, 2, 0.4), B)[0] for z in Z]
             for _ in range(3)]
 
     checks = [
@@ -461,7 +462,7 @@ def run_wave_series(config: ScenarioConfig) -> Report:
                                  config.tol("f2d_perturbed_control")))
     # residue consistency at s = 0, 1
     m0, _, _ = discrete_residue_consistency(U1, V1, Z1, B1, 0.0, 0)
-    m1, _, gap = discrete_residue_consistency(U1, V1, Z1, B1, 0.0, 1)
+    m1, _, _ = discrete_residue_consistency(U1, V1, Z1, B1, 0.0, 1)
     checks.append(CheckRecord.le("residue_consistency_s0", m0,
                                  config.tol("residue_consistency")))
     checks.append(CheckRecord.le("residue_consistency_s1", m1,
@@ -505,13 +506,13 @@ def run_controls(config: ScenarioConfig) -> Report:
     for _ in range(trials):
         Ur, Vr, Ar = (random_z(ctrl, 2, 0.35) for _ in range(3))
         neg_fit = min(neg_fit, fit_secancy_discrete(Ur, Vr, Ar, B).residual)
-    samples = sample_theta_divisor(B, config.seed, 4)
+    Z = np.array([s.Z for s in sample_theta_divisor(B, config.seed, 4)])
     U, V, A, _ = jacobian_fay_data(data, rng.spawn(2))
-    pos_id = max(residual_cm7d(samples, U, V, B))
+    pos_id = max(residual_cm7d(Z, U, V, B))
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
-    dsamples = sample_theta_divisor(Bd, config.seed + 1, 4)
+    Zd = np.array([s.Z for s in sample_theta_divisor(Bd, config.seed + 1, 4)])
     # the strongest witness: the identity must hold at every divisor point
-    dec = residual_cm7d(dsamples, U, V, Bd)
+    dec = residual_cm7d(Zd, U, V, Bd)
     neg_id = max(dec)
     # fit_gap and identity_gap divide by Jacobian residuals at rounding level
     # (about 4e-15 for the fit), so any change in the order of evaluation

@@ -55,8 +55,9 @@ from .theta import PeriodMatrix, lattice_distance
 QUAD_TOL = 1e-11
 QUAD_MAX_NODES = 2 ** 13
 CUT_CLEARANCE = 1e-3
+DETOUR_SCALE = 0.4            # route's first detour, per unit length of the blocking cut
 # node doubling from 24, up to 192 per panel (_seg_adaptive) and 1536 per
-# on-cut integral (_converge)
+# on-cut integral (cut_integral)
 RULE_SIZES = tuple(24 * 2 ** k for k in range(7))
 
 
@@ -164,9 +165,21 @@ def _rules() -> dict:
     return {n: (0.5 * (x + 1.0), 0.5 * w) for n, (x, w) in zip(RULE_SIZES, parts)}
 
 
-def _leggauss(n: int):
-    """The n-node rule of _rules; KeyError for an n outside RULE_SIZES."""
-    return _rules()[n]
+def _doubled(fn, top: int) -> tuple:
+    """(value, nodes): fn(n) for n doubling from 24 to at most top, until
+    two successive values agree to QUAD_TOL, and the nodes of the doubled
+    rules spent; value is None if they never agree."""
+    n = 24
+    prev = fn(n)
+    spent = 0
+    while n < top:
+        n *= 2
+        spent += n
+        cur = fn(n)
+        if np.max(np.abs(cur - prev)) < QUAD_TOL:
+            return cur, spent
+        prev = cur
+    return None, spent
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +198,7 @@ class AbelData:
     repaired.
     """
 
-    def __init__(self, curve: CurveSpec, detour_scale: float, quad_tol: float):
+    def __init__(self, curve: CurveSpec):
         if curve.genus != 2:
             raise ValidationError("Abel data are built for genus-2 curves only")
         self.curve = curve
@@ -198,8 +211,6 @@ class AbelData:
         th1, th2 = np.angle(e[1] - e[0]), np.angle(e[3] - e[2])
         th3 = np.angle(self.ray_dir)
         self.fac_angle = (th1, th1, th2, th2, th3)
-        self.detour_scale = detour_scale
-        self.quad_tol = quad_tol
         scale = max(1.0, float(np.max(np.abs(e))))
         self.ray_len = 60.0 * scale
 
@@ -288,7 +299,7 @@ class AbelData:
             outward = (base - other) / abs(base - other)
             Lref = L
         for k in range(8):
-            kappa = self.detour_scale * (1.6 ** k)
+            kappa = DETOUR_SCALE * (1.6 ** k)
             for W in (base + kappa * Lref * outward,
                       base + kappa * Lref * (outward + 1j * outward) / np.sqrt(2.0),
                       base + kappa * Lref * (outward - 1j * outward) / np.sqrt(2.0)):
@@ -307,7 +318,7 @@ class AbelData:
         return j if d[j] < 1e-12 else None
 
     def _seg_nodes(self, P, jP, Q, jQ, n):
-        t, w = _leggauss(n)
+        t, w = _rules()[n]
         if jP is not None:
             x = P + (Q - P) * t ** 2
             cE = self.sqrt_br(Q - P, self.fac_angle[jP])
@@ -330,26 +341,18 @@ class AbelData:
         """
         u, v = self.e[2 * k], self.e[2 * k + 1]
         m, h = 0.5 * (u + v), 0.5 * (v - u)
-        t, w = _leggauss(n)
+        t, w = _rules()[n]
         phi = np.pi * t
         wphi = np.pi * w
         x = m + h * np.cos(phi)
         base = -1j / self.Y(x, skip=(2 * k, 2 * k + 1))
         return np.array([np.sum(wphi * base), np.sum(wphi * base * x)])
 
-    def _converge(self, fn):
-        n = 24
-        prev = fn(n)
-        while n < 1536:
-            n *= 2
-            cur = fn(n)
-            if np.max(np.abs(cur - prev)) < self.quad_tol:
-                return cur
-            prev = cur
-        raise QuadratureStall("no convergence by 1536 nodes")
-
     def cut_integral(self, k):
-        return self._converge(lambda n: self._cut_nodes(k, n))
+        value, _ = _doubled(lambda n: self._cut_nodes(k, n), 1536)
+        if value is None:
+            raise QuadratureStall("no convergence by 1536 nodes")
+        return value
 
     def _seg_adaptive(self, P, jP, Q, jQ, budget: list):
         """Node doubling per panel, bisecting panels that refuse to settle.
@@ -359,15 +362,10 @@ class AbelData:
         would not; the total node budget per original segment enforces the
         2^13 stall limit.
         """
-        n = 24
-        prev = self._seg_nodes(P, jP, Q, jQ, n)
-        while n < 192:
-            n *= 2
-            budget[0] += n
-            cur = self._seg_nodes(P, jP, Q, jQ, n)
-            if np.max(np.abs(cur - prev)) < self.quad_tol:
-                return cur
-            prev = cur
+        value, spent = _doubled(lambda n: self._seg_nodes(P, jP, Q, jQ, n), 192)
+        budget[0] += spent
+        if value is not None:
+            return value
         if budget[0] > QUAD_MAX_NODES:
             raise QuadratureStall(
                 f"no convergence within {QUAD_MAX_NODES} total nodes")
@@ -398,10 +396,9 @@ class AbelData:
         return P.sheet * complex(self.Y(P.x))
 
 
-def build_abel_data(curve: CurveSpec, detour_scale: float = 0.4,
-                    quad_tol: float = QUAD_TOL) -> AbelData:
+def build_abel_data(curve: CurveSpec) -> AbelData:
     """Periods and normalized differentials for a genus-2 curve (see AbelData)."""
-    return AbelData(curve, detour_scale, quad_tol)
+    return AbelData(curve)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .rng import Xoshiro256
 from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
+    _as_points,
     normalized_log_abs_many,
     theta_jets,
     truncation_radius,
@@ -177,24 +178,14 @@ def verify_samples(samples: list, B: PeriodMatrix) -> float:
 # identity residuals on the divisor
 # ----------------------------------------------------------------------
 
-def _zpoints(Zs, g: int) -> tuple:
-    """(points, one): the rows, shape (P, g), of one divisor point (a
-    DivisorSample or g numbers) or of a list of DivisorSample, which may be
-    empty, and whether it was one point."""
-    if isinstance(Zs, list) and all(isinstance(s, DivisorSample) for s in Zs):
-        return np.array([s.Z for s in Zs], dtype=complex).reshape(len(Zs), g), False
-    Z = Zs.Z if isinstance(Zs, DivisorSample) else np.atleast_1d(np.asarray(Zs, complex))
-    return Z[None], True
-
-
-def residual_cm7(Zs, U, V, B: PeriodMatrix):
-    """Tangency identity residual at a divisor point, or the list of them
-    at a list of DivisorSample (two lattice passes in either case).
+def residual_cm7(Z, U, V, B: PeriodMatrix) -> list:
+    """Tangency identity residuals at the divisor points, the rows of Z,
+    shape (P, g), from two lattice passes.
 
     Compares d_V[theta(Z+U) theta(Z-U)] * d_V theta(Z) against
     theta(Z+U) theta(Z-U) * d^2_VV theta(Z), as a relative gap.
     """
-    Z, one = _zpoints(Zs, B.g)
+    Z = _as_points(Z, B.g)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius.
@@ -208,17 +199,17 @@ def residual_cm7(Zs, U, V, B: PeriodMatrix):
         lhs = (d[0] * f[1] + f[0] * d[1]) * jz["d0"][p]
         rhs = f[0] * f[1] * jz["d01"][p]
         out.append(float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)))
-    return out[0] if one else out
+    return out
 
 
-def residual_cm7d(Zs, U, V, B: PeriodMatrix):
-    """Three-term discrete identity residual at a divisor point, or the list
-    of them at a list of DivisorSample (one lattice pass in either case).
+def residual_cm7d(Z, U, V, B: PeriodMatrix) -> list:
+    """Three-term discrete identity residuals at the divisor points, the
+    rows of Z, shape (P, g), from one lattice pass.
 
     Relative size of theta(Z+U)theta(Z-V)theta(Z-U+V)
                    + theta(Z-U)theta(Z+V)theta(Z+U-V).
     """
-    Z, one = _zpoints(Zs, B.g)
+    Z = _as_points(Z, B.g)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     J = theta_jets(np.stack([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V],
@@ -230,7 +221,7 @@ def residual_cm7d(Zs, U, V, B: PeriodMatrix):
         scale = ls.sum(axis=1)
         a, b = f.prod(axis=1) * np.exp(scale - scale.max())
         out.append(float(abs(a + b) / (abs(a) + abs(b) + 1e-300)))
-    return out[0] if one else out
+    return out
 
 
 def check_probe_depth(K: int) -> None:
@@ -239,10 +230,9 @@ def check_probe_depth(K: int) -> None:
         raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
 
 
-def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int):
-    """max over |k| <= K of the normalized |theta(Z + k(U-V))| at a divisor
-    point, or the list of them at a list of DivisorSample (one lattice
-    pass in either case).
+def singular_locus_probe(Z, U, V, B: PeriodMatrix, K: int) -> list:
+    """max over |k| <= K of the normalized |theta(z + k(U-V))| at each
+    divisor point z, a row of Z, shape (P, g), from one lattice pass.
 
     A value well above zero certifies the sample is not on the maximal
     (U-V)-shift-invariant subset of the divisor, to depth K.  K = 0
@@ -250,11 +240,10 @@ def singular_locus_probe(Zs, U, V, B: PeriodMatrix, K: int):
     MAX_PROBE_DEPTH.
     """
     check_probe_depth(K)
-    Z, one = _zpoints(Zs, B.g)
+    Z = _as_points(Z, B.g)
     U = np.atleast_1d(np.asarray(U, complex))
     V = np.atleast_1d(np.asarray(V, complex))
     W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)],
                  dtype=complex).reshape(-1, B.g)
     la = normalized_log_abs_many(theta_jets(W, B), B, W).reshape(len(Z), 2 * K + 1)
-    out = [float(np.exp(row).max()) for row in la]
-    return out[0] if one else out
+    return [float(np.exp(row).max()) for row in la]

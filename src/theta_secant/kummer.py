@@ -104,10 +104,9 @@ def _common_scale(vectors):
 def _solve(M: np.ndarray, r: np.ndarray):
     scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(r))), 1e-300)
     Ms, rs = M / scale, r / scale
-    sv = np.linalg.svd(Ms, compute_uv=False)
+    w, _, _, sv = np.linalg.lstsq(Ms, rs, rcond=None)
     if sv[-1] / sv[0] < RANK_TOL:
         return None
-    w, *_ = np.linalg.lstsq(Ms, rs, rcond=None)
     rel = np.linalg.norm(Ms @ w - rs) / (np.linalg.norm(rs)
                                          + np.linalg.norm(Ms @ w) + 1e-300)
     return w, float(rel)

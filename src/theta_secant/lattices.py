@@ -30,6 +30,8 @@ from .theta import PeriodMatrix, normalized_log_abs_many, theta_jets
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
+BASE_MARGIN = 3e-2            # least normalized |theta| on a base point's grid
+BASE_TRIES = 64               # seeded draws of find_clear_base_point
 
 
 @dataclass(frozen=True)
@@ -307,20 +309,21 @@ def refit_constants_bdhe(table: FieldTable):
 # base-point search
 # ----------------------------------------------------------------------
 
-def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int, win: LatticeWindow,
-                          margin: float = 3e-2, tries: int = 64) -> np.ndarray:
+def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
+                          win: LatticeWindow) -> np.ndarray:
     """Seeded search for a base point Z of win's grid off the divisor.
 
     Every theta argument a field table on win will evaluate, w and A + w,
-    must have normalized modulus above margin; each try is one pass.
+    must have normalized modulus at least BASE_MARGIN; each of the
+    BASE_TRIES tries is one pass.
     """
     rng = Xoshiro256(seed)
     U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
     best_val = -1.0
-    for _ in range(tries):
+    for _ in range(BASE_TRIES):
         Z = np.array(rng.complex_vector(B.g, scale=0.5))
         low = float(_window_jets(win, U, V, A, Z, B)[1].min())
-        if low >= margin:
+        if low >= BASE_MARGIN:
             return Z
         best_val = max(best_val, low)
     raise DivisorHit(f"no clear base point found (best margin {best_val:.2e})")

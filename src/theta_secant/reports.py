@@ -1,7 +1,7 @@
 """Scenario configuration and machine-readable reports.
 
-Configs reject unknown fields and any tolerance or window name that the
-scenario does not read (PARAMETERS lists them with their defaults);
+Configs reject an unknown scenario and any tolerance or window name that
+the scenario does not read (PARAMETERS lists them with their defaults);
 tolerance overrides are range checked, and window overrides must be
 integers of at least 1 (probe_depth at least 0).
 Reports serialize to JSON with sorted keys so identical config + seed
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -121,15 +121,6 @@ class ScenarioConfig:
     def win(self, name: str) -> int:
         """Window size name: the override, or the scenario's default."""
         return self.window.get(name, PARAMETERS[self.scenario]["window"][name])
-
-    @staticmethod
-    def from_dict(data: dict) -> "ScenarioConfig":
-        unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "scenario" not in data:
-            raise ConfigError("config needs a scenario")
-        return ScenarioConfig(**data)
 
 
 @dataclass

@@ -51,7 +51,7 @@ _D5 = np.array([
 # ----------------------------------------------------------------------
 
 def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
-                                 tau=None, x_guess: complex | None = None):
+                                 tau=None):
     """Mismatch of the two residue formulas for xi_{s+1} at a zero eta(nu).
 
     Pole-freedom of xi_{s+1} at eta+1 and at eta-1 each determine the
@@ -63,7 +63,7 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
         raise ValidationError("residue consistency implemented for s = 0, 1")
     if tau is None:
         tau = DiscreteTau(U, V, Z, B)
-    eta = find_tau_zero(tau, nu, x_guess)
+    eta = find_tau_zero(tau, nu)
     # the Laurent coefficient of tau at eta (the directional derivative along
     # the x-translation direction) and the six factors, in one lattice pass
     shifts = ((0, 0), (1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0))

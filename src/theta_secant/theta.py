@@ -603,19 +603,13 @@ class Level2Vector:
 
 def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
     """The level-two vectors of the given jet keys at the rows of Z (one binned
-    pass); NumericalError if a row is not finite, checked only when the pass
-    fails or returns a logscale that is not finite, as such a row makes it."""
+    pass); NumericalError, before the pass, if a row is not finite."""
     dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
     Z = _as_points(Z, B.g)
-    try:
-        sums, scale = _lattice_jets(Z, B.halved(), dirs, binned=True)
-    except (ValueError, OverflowError):
-        # the parity re-index takes int() of each lattice shift
-        _check_finite(Z)
-        raise
+    if not np.isfinite(Z).all():
+        raise NumericalError("level-two vector at a point that is not finite")
+    sums, scale = _lattice_jets(Z, B.halved(), dirs, binned=True)
     scales = scale.tolist()
-    if not math.isfinite(sum(scales)):
-        _check_finite(Z)
     out = {}
     for key, coords in zip(_JET_KEYS[len(dirs)], sums):
         if key in keys:
@@ -627,11 +621,6 @@ def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
             out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
                         for c, pk, ls in zip(coords, pks, scales)]
     return out
-
-
-def _check_finite(Z: np.ndarray) -> None:
-    if not np.isfinite(Z).all():
-        raise NumericalError("level-two vector at a point that is not finite")
 
 
 def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
@@ -678,17 +667,11 @@ def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:
 # lattice helpers
 # ----------------------------------------------------------------------
 
-def lattice_reduce(v, B: PeriodMatrix) -> np.ndarray:
-    """Representative of v modulo Z^g + B Z^g with small imaginary part."""
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    b = np.round(B.im_inv @ v.imag)
-    w = v - B.entries @ b
-    return w - np.round(w.real)
-
-
 def lattice_distance(v, B: PeriodMatrix) -> float:
-    """Euclidean distance from v to the period lattice (after reduction)."""
-    return float(np.linalg.norm(lattice_reduce(v, B)))
+    """Euclidean distance from v to the period lattice: the norm of the
+    representative v - a - B b that argument reduction (_reduce) leaves."""
+    _, u, _ = _reduce(np.atleast_1d(np.asarray(v, dtype=complex))[None], B)
+    return float(np.linalg.norm(u))
 
 
 def half_period(B: PeriodMatrix, index: int) -> np.ndarray:

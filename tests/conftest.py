@@ -3,6 +3,7 @@
 import importlib
 import time
 
+import numpy as np
 import pytest
 
 from theta_secant.curves import CurvePoint, CurveSpec, build_abel_data, fay_vectors
@@ -53,6 +54,12 @@ def semidiscrete_fit(x5m1, tangent_data):
 @pytest.fixture(scope="session")
 def divisor_samples(x5m1):
     return sample_theta_divisor(x5m1.B, seed=7, count=10)
+
+
+@pytest.fixture(scope="session")
+def divisor_points(divisor_samples):
+    """The points of divisor_samples as rows, shape (10, 2)."""
+    return np.array([s.Z for s in divisor_samples])
 
 
 @pytest.fixture

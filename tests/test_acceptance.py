@@ -112,12 +112,12 @@ def test_ac01_theta_engine():
 
 def test_ac02_genus1_identity():
     rng = Xoshiro256(13)
-    Z = np.array([(1 + 1j) / 2])
+    Z = np.array([[(1 + 1j) / 2]])
     worst = 0.0
     for _ in range(20):
         U = random_z(rng, 1, 0.4)
         V = random_z(rng, 1, 0.4)
-        worst = max(worst, residual_cm7d(Z, U, V, B_I))
+        worst = max(worst, residual_cm7d(Z, U, V, B_I)[0])
     report("AC02 genus-1 identity", worst <= 1e-10, f"max={worst:.1e}<=1e-10")
 
 
@@ -171,12 +171,11 @@ def test_ac04_bdhe_window(x5m1, fay_data, discrete_fit):
 # 5. fully discrete divisor identity
 # ----------------------------------------------------------------------
 
-def test_ac05_cm7d_divisor(x5m1, fay_data, divisor_samples):
-    worst = max(residual_cm7d(s, fay_data["U"], fay_data["V"], x5m1.B)
-                for s in divisor_samples)
+def test_ac05_cm7d_divisor(x5m1, fay_data, divisor_points):
+    worst = max(residual_cm7d(divisor_points, fay_data["U"], fay_data["V"], x5m1.B))
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
-    dec = sample_theta_divisor(Bd, seed=5, count=5)
-    ctrl = min(residual_cm7d(s, fay_data["U"], fay_data["V"], Bd) for s in dec)
+    dec = np.array([s.Z for s in sample_theta_divisor(Bd, seed=5, count=5)])
+    ctrl = min(residual_cm7d(dec, fay_data["U"], fay_data["V"], Bd))
     ok = worst <= 1e-8 and ctrl >= 1e-2
     report("AC05 discrete divisor identity", ok,
            f"max={worst:.1e}<=1e-8 on 10 samples, "
@@ -188,7 +187,7 @@ def test_ac05_cm7d_divisor(x5m1, fay_data, divisor_samples):
 # ----------------------------------------------------------------------
 
 def test_ac06_semidiscrete_chain(x5m1, tangent_data, semidiscrete_fit,
-                                 divisor_samples):
+                                 divisor_points):
     B = x5m1.B
     U, V = tangent_data["U"], tangent_data["V"]
     fit = semidiscrete_fit
@@ -201,7 +200,7 @@ def test_ac06_semidiscrete_chain(x5m1, tangent_data, semidiscrete_fit,
     ep, E = refit_constants_toda(table)
     ab = max(abs(ep - fit.exp_p) / abs(fit.exp_p),
              abs(E - fit.E) / abs(fit.E))
-    worst_cm7 = max(residual_cm7(s, U, V, B) for s in divisor_samples)
+    worst_cm7 = max(residual_cm7(divisor_points, U, V, B))
     ok = (fit.residual <= 1e-7 and res <= 1e-6 and worst_cm7 <= 1e-7
           and ab <= 1e-6)
     report("AC06 semi-discrete chain", ok,
@@ -281,7 +280,7 @@ def test_ac09_six_factor(x5m1, fay_data):
 # 10. residue induction step and locus probe
 # ----------------------------------------------------------------------
 
-def test_ac10_residue_and_probe(x5m1, fay_data, divisor_samples):
+def test_ac10_residue_and_probe(x5m1, fay_data, divisor_points):
     U1 = np.array([0.35 + 0.05j])
     V1 = np.array([0.21 - 0.13j])
     Z1 = np.array([0.12 + 0.33j])
@@ -289,8 +288,8 @@ def test_ac10_residue_and_probe(x5m1, fay_data, divisor_samples):
     for s in (0, 1):
         mis, _, _ = discrete_residue_consistency(U1, V1, Z1, B_I, nu=0.0, s=s)
         worst = max(worst, mis)
-    probe = min(singular_locus_probe(smp, fay_data["U"], fay_data["V"],
-                                     x5m1.B, 10) for smp in divisor_samples)
+    probe = min(singular_locus_probe(divisor_points, fay_data["U"], fay_data["V"],
+                                     x5m1.B, 10))
     ok = worst <= 1e-8 and probe >= 1e-3
     report("AC10 residue induction + locus probe", ok,
            f"residue mismatch={worst:.1e}<=1e-8 (s=0,1), "

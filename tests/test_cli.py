@@ -20,12 +20,12 @@ from theta_secant.rng import Xoshiro256
 
 class TestConfig:
     def test_unknown_field_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"scenario": "bdhe", "bogus": 1})
+        with pytest.raises(TypeError, match="bogus"):
+            ScenarioConfig(scenario="bdhe", bogus=1)
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"scenario": "nope"})
+        with pytest.raises(ConfigError, match="unknown scenario"):
+            ScenarioConfig(scenario="nope")
 
     def test_tolerance_range(self):
         with pytest.raises(ConfigError):

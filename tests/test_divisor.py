@@ -16,10 +16,10 @@ from theta_secant.divisor import (
     singular_locus_probe,
     verify_samples,
 )
-from theta_secant.errors import ValidationError
+from theta_secant.errors import DimensionMismatch, ValidationError
 from theta_secant.reports import ScenarioConfig
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.theta import PeriodMatrix, lattice_reduce, normalized_log_abs_many, theta_jets
+from theta_secant.theta import PeriodMatrix, lattice_distance, normalized_log_abs_many, theta_jets
 from theta_values import jet_at, rel_diff, value_at
 
 B_I = PeriodMatrix([[1j]])
@@ -36,7 +36,7 @@ class TestSampling:
         samples = sample_theta_divisor(B_I, seed=11, count=5)
         target = np.array([(1 + 1j) / 2])
         for s in samples:
-            assert np.linalg.norm(lattice_reduce(s.Z - target, B_I)) < 1e-8
+            assert lattice_distance(s.Z - target, B_I) < 1e-8
             assert s.theta_abs <= 1e-10
 
     def test_count_zero_empty(self):
@@ -84,58 +84,51 @@ class TestSampling:
 class TestCm7d:
     def test_genus1_classical_identity(self):
         rng = Xoshiro256(13)
-        Z = np.array([(1 + 1j) / 2])
+        Z = np.array([[(1 + 1j) / 2]])
         worst = 0.0
         for _ in range(20):
             worst = max(worst, residual_cm7d(Z, random_z(rng, 1, 0.4),
-                                             random_z(rng, 1, 0.4), B_I))
+                                             random_z(rng, 1, 0.4), B_I)[0])
         assert worst <= 1e-10
 
-    def test_genus2_jacobian(self, x5m1, fay_data, divisor_samples):
-        worst = max(residual_cm7d(s, fay_data["U"], fay_data["V"], x5m1.B)
-                    for s in divisor_samples)
-        assert worst <= 1e-8
+    def test_genus2_jacobian(self, x5m1, fay_data, divisor_points):
+        assert max(residual_cm7d(divisor_points, fay_data["U"], fay_data["V"], x5m1.B)) <= 1e-8
 
     def test_decomposable_control(self, fay_data):
         Bd = PeriodMatrix(np.diag([1j, 1.3j]))
-        samples = sample_theta_divisor(Bd, seed=5, count=5)
-        best = min(residual_cm7d(s, fay_data["U"], fay_data["V"], Bd)
-                   for s in samples)
-        assert best >= 1e-2
+        Z = np.array([s.Z for s in sample_theta_divisor(Bd, seed=5, count=5)])
+        assert min(residual_cm7d(Z, fay_data["U"], fay_data["V"], Bd)) >= 1e-2
 
-    def test_sign_flip_symmetry(self, x5m1, fay_data, divisor_samples):
-        U, V = fay_data["U"], fay_data["V"]
-        for s in divisor_samples[:3]:
-            a = residual_cm7d(s, U, V, x5m1.B)
-            b = residual_cm7d(s, -U, -V, x5m1.B)
+    def test_sign_flip_symmetry(self, x5m1, fay_data, divisor_points):
+        U, V, Z = fay_data["U"], fay_data["V"], divisor_points[:3]
+        for a, b in zip(residual_cm7d(Z, U, V, x5m1.B), residual_cm7d(Z, -U, -V, x5m1.B)):
             assert abs(a - b) <= 1e-10
 
 
 class TestCm7:
-    def test_genus2_degenerated_data(self, x5m1, tangent_data, divisor_samples):
-        worst = max(residual_cm7(s, tangent_data["U"], tangent_data["V"], x5m1.B)
-                    for s in divisor_samples)
+    def test_genus2_degenerated_data(self, x5m1, tangent_data, divisor_points):
+        worst = max(residual_cm7(divisor_points, tangent_data["U"], tangent_data["V"], x5m1.B))
         assert worst <= 1e-7
 
-    def test_random_control(self, x5m1, divisor_samples):
+    def test_random_control(self, x5m1, divisor_points):
         rng = Xoshiro256(23)
         best = max(
-            min(residual_cm7(s, random_z(rng, 2, 0.4), random_z(rng, 2, 0.4),
-                             x5m1.B) for s in divisor_samples)
+            min(residual_cm7(z[None], random_z(rng, 2, 0.4), random_z(rng, 2, 0.4),
+                             x5m1.B)[0] for z in divisor_points)
             for _ in range(3))
         assert best >= 1e-2
 
-    def test_zero_direction_residual_zero(self, x5m1, divisor_samples):
+    def test_zero_direction_residual_zero(self, x5m1, divisor_points):
         U = np.array([0.3 + 0.1j, -0.2 + 0.2j])
         V = np.zeros(2, complex)
-        assert residual_cm7(divisor_samples[0], U, V, x5m1.B) == 0.0
+        assert residual_cm7(divisor_points[:1], U, V, x5m1.B) == [0.0]
 
-    def test_v_scaling_invariance(self, x5m1, tangent_data, divisor_samples):
+    def test_v_scaling_invariance(self, x5m1, tangent_data, divisor_points):
         U, V = tangent_data["U"], tangent_data["V"]
-        s = divisor_samples[0]
-        base = residual_cm7(s, U, V, x5m1.B)
+        Z = divisor_points[:1]
+        (base,) = residual_cm7(Z, U, V, x5m1.B)
         for lam in (0.5, 2.0):
-            assert abs(residual_cm7(s, U, lam * V, x5m1.B) - base) <= 1e-9
+            assert abs(residual_cm7(Z, U, lam * V, x5m1.B)[0] - base) <= 1e-9
 
 
 class TestReference:
@@ -157,7 +150,7 @@ class TestReference:
             b = jp["f"] * jm["f"] * jz["d01"]
             want = abs(a - b) / (abs(a) + abs(b))
             assert want >= 1e-2
-            assert abs(residual_cm7(Z, U, V, B) - want) <= 1e-12 * want
+            assert abs(residual_cm7(Z[None], U, V, B)[0] - want) <= 1e-12 * want
 
     def test_cm7d(self, x5m1):
         B = x5m1.B
@@ -166,76 +159,85 @@ class TestReference:
             want = rel_diff((f[0] * f[1] * f[2], ls[0] + ls[1] + ls[2]),
                             (-(f[3] * f[4] * f[5]), ls[3] + ls[4] + ls[5]))
             assert want >= 1e-2
-            assert abs(residual_cm7d(Z, U, V, B) - want) <= 1e-12 * want
+            assert abs(residual_cm7d(Z[None], U, V, B)[0] - want) <= 1e-12 * want
 
 
 class TestProbe:
-    def test_depth_zero_is_membership(self, x5m1, fay_data, divisor_samples):
-        s = divisor_samples[0]
-        p0 = singular_locus_probe(s, fay_data["U"], fay_data["V"], x5m1.B, 0)
+    def test_depth_zero_is_membership(self, x5m1, fay_data, divisor_points):
+        (p0,) = singular_locus_probe(divisor_points[:1], fay_data["U"], fay_data["V"],
+                                     x5m1.B, 0)
         assert p0 <= 1e-10
 
     def test_equal_vectors_constant(self, x5m1, fay_data, divisor_samples):
         s = divisor_samples[0]
         U = fay_data["U"]
-        p = singular_locus_probe(s, U, U, x5m1.B, 7)
+        (p,) = singular_locus_probe(s.Z[None], U, U, x5m1.B, 7)
         assert abs(p - s.theta_abs) <= 1e-12 + 1e-6 * s.theta_abs
 
-    def test_jacobian_probe_clears_threshold(self, x5m1, fay_data,
-                                             divisor_samples):
-        vals = [singular_locus_probe(s, fay_data["U"], fay_data["V"],
-                                     x5m1.B, 10) for s in divisor_samples]
+    def test_jacobian_probe_clears_threshold(self, x5m1, fay_data, divisor_points):
+        vals = singular_locus_probe(divisor_points, fay_data["U"], fay_data["V"],
+                                    x5m1.B, 10)
         assert min(vals) >= 1e-3
 
-    def test_negative_depth_rejected(self, x5m1, fay_data, divisor_samples):
+    def test_negative_depth_rejected(self, x5m1, fay_data, divisor_points):
         with pytest.raises(ValidationError):
-            singular_locus_probe(divisor_samples[0], fay_data["U"],
+            singular_locus_probe(divisor_points[:1], fay_data["U"],
                                  fay_data["V"], x5m1.B, -1)
 
-    def test_depth_cap(self, x5m1, fay_data, divisor_samples, lattice_passes):
+    def test_depth_cap(self, x5m1, fay_data, divisor_points, lattice_passes):
         """Past MAX_PROBE_DEPTH the probe is rejected before any pass; at it,
         the probe is one pass of 2K + 1 points."""
-        s, U, V, B = divisor_samples[0], fay_data["U"], fay_data["V"], x5m1.B
+        Z, U, V, B = divisor_points[:1], fay_data["U"], fay_data["V"], x5m1.B
         with pytest.raises(ValidationError):
-            singular_locus_probe(s, U, V, B, MAX_PROBE_DEPTH + 1)
+            singular_locus_probe(Z, U, V, B, MAX_PROBE_DEPTH + 1)
         assert lattice_passes == []
-        assert singular_locus_probe(s, U, V, B, MAX_PROBE_DEPTH) >= 1e-3
+        assert singular_locus_probe(Z, U, V, B, MAX_PROBE_DEPTH)[0] >= 1e-3
         assert lattice_passes == [(2 * MAX_PROBE_DEPTH + 1, False)]
 
 
 class TestPasses:
-    def test_one_pass_per_residual(self, x5m1, fay_data, divisor_samples,
+    def test_one_pass_per_residual(self, x5m1, fay_data, divisor_points,
                                    lattice_passes):
-        s, U, V, B = divisor_samples[0], fay_data["U"], fay_data["V"], x5m1.B
-        residual_cm7d(s, U, V, B)
+        Z, U, V, B = divisor_points[:1], fay_data["U"], fay_data["V"], x5m1.B
+        residual_cm7d(Z, U, V, B)
         assert lattice_passes == [(6, False)]
         lattice_passes.clear()
-        singular_locus_probe(s, U, V, B, 4)
+        singular_locus_probe(Z, U, V, B, 4)
         assert lattice_passes == [(9, False)]
 
     def test_sample_lists_share_passes(self, x5m1, fay_data, tangent_data,
-                                       divisor_samples, lattice_passes):
-        """Over a list of samples each residual is one call with the passes
-        of one sample (cm7 two, cm7d and the probe one), and its values are
-        bit for bit those of the samples one at a time; an empty list gives
-        an empty list."""
+                                       divisor_points, lattice_passes):
+        """Over P points, the rows of a (P, g) array, each residual is one
+        call with the passes of one point (cm7 two, cm7d and the probe
+        one), and its values are bit for bit those of the P one-row calls;
+        no rows give an empty list."""
         B, U, V = x5m1.B, fay_data["U"], fay_data["V"]
         Ut, Vt = tangent_data["U"], tangent_data["V"]
-        calls = [lambda Zs: residual_cm7d(Zs, U, V, B),
-                 lambda Zs: residual_cm7(Zs, Ut, Vt, B),
-                 lambda Zs: singular_locus_probe(Zs, U, V, B, 3)]
-        n = len(divisor_samples)
+        calls = [lambda Z: residual_cm7d(Z, U, V, B),
+                 lambda Z: residual_cm7(Z, Ut, Vt, B),
+                 lambda Z: singular_locus_probe(Z, U, V, B, 3)]
+        n = len(divisor_points)
         for call, shape in zip(calls, ([6 * n], [2 * n, n], [7 * n])):
             lattice_passes.clear()
-            many = call(divisor_samples)
+            many = call(divisor_points)
             assert [p for p, _ in lattice_passes] == shape
-            assert many == [call(s) for s in divisor_samples]
-            assert call([]) == []
+            assert many == [call(z[None])[0] for z in divisor_points]
+            assert call(np.empty((0, 2), complex)) == []
 
-    def test_cm7_makes_two_passes(self, x5m1, tangent_data, divisor_samples,
+    def test_points_are_rows(self, x5m1, fay_data, divisor_points):
+        """A point not given as a row of a (P, g) array is a DimensionMismatch."""
+        U, V, B = fay_data["U"], fay_data["V"], x5m1.B
+        for call in (lambda Z: residual_cm7d(Z, U, V, B),
+                     lambda Z: residual_cm7(Z, U, V, B),
+                     lambda Z: singular_locus_probe(Z, U, V, B, 3)):
+            for Z in (divisor_points[0], divisor_points[:, :1], divisor_points[None]):
+                with pytest.raises(DimensionMismatch):
+                    call(Z)
+
+    def test_cm7_makes_two_passes(self, x5m1, tangent_data, divisor_points,
                                   lattice_passes):
         # Z +- U share the 1-jet pass; Z's 2-jet keeps a radius of its own
-        residual_cm7(divisor_samples[0], tangent_data["U"], tangent_data["V"], x5m1.B)
+        residual_cm7(divisor_points[:1], tangent_data["U"], tangent_data["V"], x5m1.B)
         assert lattice_passes == [(2, False), (1, False)]
 
 

@@ -25,8 +25,11 @@ class TestKummerMap:
             Z = random_z(rng, 2)
             assert projective_distance(kummer_map(Z, B), kummer_map(-Z, B)) <= 1e-12
 
-    # a NaN real part gives NaN sums; a NaN imaginary part a NaN lattice shift
-    @pytest.mark.parametrize("z", [[np.nan, 0.1j], [complex(0.1, np.nan), 0.2j]])
+    # NaN, inf or inf i in either part; the point is rejected before the
+    # pass, so no RuntimeWarning (an error under pytest) escapes from it
+    @pytest.mark.parametrize("z", [[np.nan, 0.1j], [complex(0.1, np.nan), 0.2j],
+                                   [np.inf, 0.1j], [complex(0.0, np.inf), 0.1j],
+                                   [0.3, complex(-np.inf, 0.2)]])
     def test_non_finite_point_raises(self, z):
         B = PeriodMatrix([[1.1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.9j]])
         for call in (lambda: level_two_vector(z, B), lambda: kummer_map(z, B),

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from theta_secant import lattices
 from theta_secant.errors import DivisorHit, NumericalError, ValidationError
 from theta_secant.lattices import (
     FieldTable,
@@ -235,27 +236,31 @@ class TestToda:
 
 
 class TestBasePoint:
-    def test_one_lattice_pass_per_try(self, x5m1, fay_data, lattice_passes):
+    def test_one_lattice_pass_per_try(self, x5m1, fay_data, lattice_passes,
+                                      monkeypatch):
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
         win = LatticeWindow(m_range=(0, 2), n_range=(0, 1))
-        find_clear_base_point(U, V, A, x5m1.B, seed=3, win=win, margin=0.0)
+        monkeypatch.setattr(lattices, "BASE_MARGIN", 0.0)
+        find_clear_base_point(U, V, A, x5m1.B, seed=3, win=win)
         assert lattice_passes == [(2 * 4 * 3, False)]       # w and A + w
         lattice_passes.clear()
         # no point is this clear, so every try is made
+        monkeypatch.setattr(lattices, "BASE_MARGIN", 1e9)
+        monkeypatch.setattr(lattices, "BASE_TRIES", 3)
         with pytest.raises(DivisorHit, match="no clear base point"):
-            find_clear_base_point(U, V, A, x5m1.B, seed=3, win=win,
-                                  margin=1e9, tries=3)
+            find_clear_base_point(U, V, A, x5m1.B, seed=3, win=win)
         assert lattice_passes == [(2 * 4 * 3, False)] * 3
 
-    def test_first_draw_clear_by_margin(self, x5m1, fay_data):
+    def test_first_draw_clear_by_margin(self, x5m1, fay_data, monkeypatch):
         # seed 5 on this 5 x 5 window: the clearest of the first 11 draws
         # keeps 0.223 from the divisor, the 12th 0.246
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
         win = LatticeWindow(m_range=(-2, 2), n_range=(-2, 2))
         rng = Xoshiro256(5)
         draws = [np.array(rng.complex_vector(2, scale=0.5)) for _ in range(12)]
-        Z = find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win, margin=0.24)
+        monkeypatch.setattr(lattices, "BASE_MARGIN", 0.24)
+        Z = find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win)
         assert np.array_equal(Z, draws[11])
+        monkeypatch.setattr(lattices, "BASE_TRIES", 11)
         with pytest.raises(DivisorHit, match=r"best margin 2\.23e-01"):
-            find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win,
-                                  margin=0.24, tries=11)
+            find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win)
