@@ -1,14 +1,16 @@
 """Batch scenario runner.
 
-    theta-secant <scenario> [--curve REF] [--seed N] [--out PATH]
-                 [--tol name=value ...] [--window key=value ...]
-                 [--corpus PATH] [--csv-dir DIR]
-    theta-secant check <scenario> ...     (alias)
-    theta-secant rs simulate --n N --t-end T --h H [--kernel K] [--csv PATH]
+    theta-secant <scenario> [--curve ID] [--corpus PATH] [--seed N]
+                 [--out PATH] [--tol name=value ...] [--window key=value ...]
+                 [--csv-dir DIR]
+    theta-secant rs simulate --n N --t-end T --h H [--kernel K] [--seed N]
+                 [--csv PATH] [--out PATH]
 
-Scenario reports are JSON on stdout (or --out).  Exit codes: 0 all checks
+--curve names a record of the --corpus file, or of the package corpus
+when --corpus is not given (default x5m1).  Reports and errors are JSON
+on stdout (a report goes to --out when given).  Exit codes: 0 all checks
 pass, 1 at least one residual check failed, 2 invalid input or config
-(or a report whose reader has gone, with nothing written), 3 numerical
+(or output whose reader has gone, with nothing written), 3 numerical
 infrastructure error; error reports carry the error class name verbatim.
 The THETA_SECANT_CAP environment variable overrides the theta
 truncation-radius cap.
@@ -36,25 +38,22 @@ from .theta import PeriodMatrix, theta_jets, truncation_radius
 # ----------------------------------------------------------------------
 
 def resolve_curve(config: ScenarioConfig):
+    """(id, CurveSpec) of config.curve (default x5m1) in the config's
+    corpus file, or in the package corpus when it names none."""
     from .curves import default_corpus, load_corpus
-    ref = config.curve or "x5m1"
-    if "#" in ref:
-        path, ident = ref.split("#", 1)
-        if path in ("", "corpus"):
-            corpus = (load_corpus(config.corpus) if config.corpus
-                      else default_corpus())
-        else:
-            corpus = load_corpus(path)
-    else:
-        ident = ref
-        corpus = load_corpus(config.corpus) if config.corpus else default_corpus()
+    ident = config.curve or "x5m1"
+    corpus = load_corpus(config.corpus) if config.corpus else default_corpus()
     if ident not in corpus:
         raise ConfigError(f"curve {ident!r} not found in corpus "
                           f"(available: {', '.join(sorted(corpus))})")
-    spec = corpus[ident]
-    if spec.genus != 2:
-        raise ConfigError(f"{config.scenario} needs a genus-2 curve")
-    return ident, spec
+    return ident, corpus[ident]
+
+
+def _curve_setup(config: ScenarioConfig) -> tuple:
+    """(id, Abel data, seeded stream) of a scenario on a curve."""
+    from .curves import build_abel_data
+    ident, spec = resolve_curve(config)
+    return ident, build_abel_data(spec), Xoshiro256(config.seed)
 
 
 def _reject_curve(config: ScenarioConfig) -> None:
@@ -171,12 +170,9 @@ def run_theta_selftest(config: ScenarioConfig) -> Report:
 
 
 def run_fay_trisecant(config: ScenarioConfig) -> Report:
-    from .curves import build_abel_data
     from .kummer import collinearity_defect, fit_secancy_discrete
-    ident, spec = resolve_curve(config)
-    data = build_abel_data(spec)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    rng = Xoshiro256(config.seed)
     tuples = config.win("tuples")
     worst_fit, worst_coll = 0.0, 0.0
     last = None
@@ -207,15 +203,13 @@ def run_fay_trisecant(config: ScenarioConfig) -> Report:
 
 
 def run_divisor_identities(config: ScenarioConfig) -> Report:
-    from .curves import abel_map, abel_tangent, build_abel_data
+    from .curves import abel_tangent
     from .divisor import (check_probe_depth, residual_cm7, residual_cm7d,
                           sample_theta_divisor, singular_locus_probe, verify_samples)
     depth = config.win("probe_depth")
     check_probe_depth(depth)
-    ident, spec = resolve_curve(config)
-    data = build_abel_data(spec)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    rng = Xoshiro256(config.seed)
 
     # genus-1 degenerate case at the unique odd zero
     B1 = PeriodMatrix([[1j]])
@@ -230,16 +224,15 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     count = config.win("samples")
     samples = sample_theta_divisor(B, config.seed, count)
     worst_member = max(s.theta_abs for s in samples)
-    worst_reverify = verify_samples(samples, B)
     Z = np.array([s.Z for s in samples])
+    worst_reverify = verify_samples(Z, B)
 
     U, V, A, pts = jacobian_fay_data(data, rng)
     # the Jacobian-side residuals share (U, V): one call each over all the
-    # samples, with the lattice passes of one sample
+    # samples, with the lattice passes of one sample; cm7 pairs U = A(c) - A(b)
+    # with the tangent at b
     worst_cm7d = max(residual_cm7d(Z, U, V, B))
-    Vt = abel_tangent(data, pts[1])
-    Ut = abel_map(data, pts[2]) - abel_map(data, pts[1])
-    worst_cm7 = max(residual_cm7(Z, Ut, Vt, B))
+    worst_cm7 = max(residual_cm7(Z, U, abel_tangent(data, pts[1]), B))
     probe = min(singular_locus_probe(Z, U, V, B, depth))
 
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
@@ -276,14 +269,12 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
 
 
 def run_toda(config: ScenarioConfig) -> Report:
-    from .curves import abel_tangent, build_abel_data
+    from .curves import abel_tangent
     from .kummer import fit_secancy_semidiscrete
     from .lattices import (LatticeWindow, find_clear_base_point, refit_constants_toda,
                            toda_fields, toda_psi_residual)
-    ident, spec = resolve_curve(config)
-    data = build_abel_data(spec)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    rng = Xoshiro256(config.seed)
     U, V, A, pts = jacobian_fay_data(data, rng)
     Vt = abel_tangent(data, pts[1])
     fit = fit_secancy_semidiscrete(U, Vt, A, B)
@@ -313,14 +304,11 @@ def run_toda(config: ScenarioConfig) -> Report:
 
 
 def run_bdhe(config: ScenarioConfig) -> Report:
-    from .curves import build_abel_data
     from .kummer import fit_secancy_discrete
     from .lattices import (LatticeWindow, bdhe_fields, bdhe_psi_residual,
                            find_clear_base_point, refit_constants_bdhe)
-    ident, spec = resolve_curve(config)
-    data = build_abel_data(spec)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    rng = Xoshiro256(config.seed)
     U, V, A, _pts = jacobian_fay_data(data, rng)
     fit = fit_secancy_discrete(U, V, A, B)
     nm = config.win("m_size")
@@ -418,12 +406,11 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
 
 
 def run_wave_series(config: ScenarioConfig) -> Report:
-    from .curves import build_abel_data
     from .dynamics import DiscreteTau, PerturbedTau, f2d_residual, find_tau_zero
     from .series import (SemidiscreteSystem, discrete_residue_consistency,
                          new_semidiscrete_table, semidiscrete_cyclic_defect,
                          semidiscrete_resubstitution, semidiscrete_series_extend)
-    ident, spec = resolve_curve(config)
+    ident, data, rng = _curve_setup(config)
     checks = []
     B1 = PeriodMatrix([[1j]])
     U1 = np.array([F2D_SEED[0]])
@@ -433,16 +420,16 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     # genus-1 six-factor identity across a sweep of levels
     worst_g1 = 0.0
     tau1 = DiscreteTau(U1, V1, Z1, B1)
-    guess = None
+    # the zero at nu = 0 starts the sweep and centres the perturbed control
+    eta0 = guess = find_tau_zero(tau1, 0.0)
     for k in range(n_zero):
         nu = 0.25 * k
-        guess = find_tau_zero(tau1, nu, guess)
+        if k:
+            guess = find_tau_zero(tau1, nu, guess)
         worst_g1 = max(worst_g1, f2d_residual(U1, V1, Z1, B1, nu, x_guess=guess))
     checks.append(CheckRecord.le("f2d_genus1", worst_g1, config.tol("f2d_genus1")))
     # genus-2
-    data = build_abel_data(spec)
     B2 = data.B
-    rng = Xoshiro256(config.seed)
     U2, V2, _A2, _pts = jacobian_fay_data(data, rng)
     Z2 = random_z(rng.spawn(3), 2, 0.3)
     tau2 = DiscreteTau(U2, V2, Z2, B2)
@@ -455,7 +442,6 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     checks.append(CheckRecord.le("f2d_genus2", worst_g2, config.tol("f2d_genus2")))
     # perturbed-tau control (oscillatory: constants are nearly tangent to
     # theta-family deformations and barely move the six-factor ratio)
-    eta0 = find_tau_zero(tau1, 0.0)
     pert = PerturbedTau(tau1, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
     rp = f2d_residual(U1, V1, Z1, B1, 0.0, tau=pert)
     checks.append(CheckRecord.ge("f2d_perturbed_control", rp,
@@ -490,13 +476,10 @@ def run_wave_series(config: ScenarioConfig) -> Report:
 
 
 def run_controls(config: ScenarioConfig) -> Report:
-    from .curves import build_abel_data
     from .divisor import residual_cm7d, sample_theta_divisor
     from .kummer import fit_secancy_discrete
-    ident, spec = resolve_curve(config)
-    data = build_abel_data(spec)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    rng = Xoshiro256(config.seed)
     trials = config.win("trials")
     pos_fit, neg_fit = 0.0, np.inf
     for _ in range(trials):
@@ -560,7 +543,6 @@ def run_scenario(config: ScenarioConfig) -> Report:
 RS_KERNELS = {
     "rational": "rational",
     "trig": ("trig", 2.0),
-    "trigonometric": ("trig", 2.0),
     "elliptic": ("elliptic", 1.1j, 2.5),
 }
 
@@ -618,8 +600,9 @@ def build_parser():
 
     def add_scenario_args(p):
         p.add_argument("--curve", default=None,
-                       help="corpus id or path#id (default x5m1 where relevant)")
-        p.add_argument("--corpus", default=None, help="curve corpus JSON path")
+                       help="curve id in the corpus (default x5m1 where relevant)")
+        p.add_argument("--corpus", default=None,
+                       help="curve corpus JSON path (default: the package corpus)")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
@@ -632,10 +615,6 @@ def build_parser():
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         add_scenario_args(p)
-
-    chk = sub.add_parser("check", help="alias: check <scenario> [...]")
-    chk.add_argument("scenario", choices=SCENARIOS)
-    add_scenario_args(chk)
 
     rs = sub.add_parser("rs", help="Ruijsenaars-Schneider utilities")
     rssub = rs.add_subparsers(dest="rs_command")
@@ -652,13 +631,38 @@ def build_parser():
     return ap
 
 
-def _emit(report: Report, out: str | None) -> None:
-    text = report.to_json()
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        # flushed here, so that a closed pipe raises in main, not at exit
-        print(text, flush=True)
+def _command(args) -> tuple:
+    """(text, exit code) of the command: the JSON report, None when it went
+    to --out, or the JSON error."""
+    try:
+        if args.command == "rs":
+            if args.rs_command != "simulate":
+                raise ConfigError("usage: theta-secant rs simulate ...")
+            report = run_rs_simulate(args)
+        else:
+            report = run_scenario(ScenarioConfig(
+                scenario=args.command,
+                curve=args.curve,
+                seed=args.seed,
+                tolerances=_kv_pairs(args.tol, "--tol"),
+                window=_kv_pairs(args.window, "--window"),
+                csv_dir=args.csv_dir,
+                corpus=args.corpus,
+            ))
+        text = report.to_json()
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+            text = None
+        return text, 0 if report.passed else 1
+    except (ValidationError, OSError) as exc:
+        # OSError: a report, CSV or --out file that cannot be written
+        error, code = exc, 2
+    except (NumericalError, ArithmeticError) as exc:
+        # ArithmeticError: a value no float holds (an OverflowError from
+        # math.exp or a float conversion) is a numerical failure too, not a crash
+        error, code = exc, 3
+    return json.dumps({"error": type(error).__name__, "message": str(error)},
+                      sort_keys=True), code
 
 
 def main(argv=None) -> int:
@@ -667,43 +671,17 @@ def main(argv=None) -> int:
     if args.command is None:
         ap.print_help()
         return 2
+    text, code = _command(args)
     try:
-        if args.command == "rs":
-            if args.rs_command != "simulate":
-                raise ConfigError("usage: theta-secant rs simulate ...")
-            report = run_rs_simulate(args)
-            _emit(report, args.out)
-            return 0 if report.passed else 1
-        scenario = args.scenario if args.command == "check" else args.command
-        config = ScenarioConfig(
-            scenario=scenario,
-            curve=args.curve,
-            seed=args.seed,
-            tolerances=_kv_pairs(args.tol, "--tol"),
-            window=_kv_pairs(args.window, "--window"),
-            out=args.out,
-            csv_dir=args.csv_dir,
-            corpus=args.corpus,
-        )
-        report = run_scenario(config)
-        _emit(report, config.out)
-        return 0 if report.passed else 1
+        if text is not None:
+            # flushed here, so that a closed pipe raises here, not at exit
+            print(text, flush=True)
     except BrokenPipeError:
-        # the reader of stdout is gone (`| head`): no report can reach it,
+        # the reader of stdout is gone (`| head`): nothing can reach it,
         # and the flush at exit must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ConfigError, ValidationError, OSError) as exc:
-        # OSError: a report, CSV or --out file that cannot be written
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        return 2
-    except (NumericalError, ArithmeticError) as exc:
-        # ArithmeticError: a value no float holds (an OverflowError from
-        # math.exp or a float conversion) is a numerical failure too, not a crash
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        return 3
+    return code
 
 
 if __name__ == "__main__":

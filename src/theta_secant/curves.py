@@ -1,9 +1,7 @@
-"""Jacobian data from curves: periods, Abel maps, tangents, secancy vectors.
+"""Jacobian data from genus-2 curves: periods, Abel maps, tangents,
+secancy vectors.
 
-Abel data are built for genus 2 only; a genus-1 spec (the torus
-C/(Z + tau Z)) is parsed and validated, and building its Abel data is an error.
-
-Genus 2 uses the hyperelliptic model y^2 = p(x) with p monic of degree 5
+A curve is the hyperelliptic model y^2 = p(x) with p monic of degree 5
 (one branch point at infinity).  Branch points are sorted by (Re, Im); the
 finite cuts are [e1,e2] and [e3,e4], the odd cut runs from e5 to infinity
 along the outward ray.  A global single-valued branch Y(x) of sqrt(p) on
@@ -67,7 +65,7 @@ RULE_SIZES = tuple(24 * 2 ** k for k in range(7))
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A genus-1 torus (tau) or a genus-2 curve y^2 = p(x).
+    """A genus-2 curve y^2 = p(x), of the one kind "hyperelliptic2".
 
     poly holds the coefficients of p in increasing degree order,
     [c0, c1, c2, c3, c4, 1]; the leading coefficient must be exactly
@@ -75,46 +73,34 @@ class CurveSpec:
     """
 
     kind: str
-    tau: complex | None = None
-    poly: tuple | None = None
+    poly: tuple
 
-    def __init__(self, kind, tau=None, poly=None):
-        if kind not in ("genus1", "hyperelliptic2"):
+    def __init__(self, kind, poly=None):
+        if kind != "hyperelliptic2":
             raise ValidationError(f"unknown curve kind {kind!r}")
-        if kind == "genus1":
-            if tau is None or complex(tau).imag <= 0:
-                raise ValidationError("genus1 curve needs tau with Im tau > 0")
-            object.__setattr__(self, "tau", complex(tau))
-            object.__setattr__(self, "poly", None)
-        else:
-            if poly is None:
-                raise ValidationError("hyperelliptic2 curve needs poly")
-            c = tuple(complex(v) for v in poly)
-            if len(c) != 6:
-                raise ValidationError("poly must have 6 coefficients (degree 5)")
-            if abs(c[5] - 1.0) > 1e-9:
-                raise ValidationError("poly must be monic (leading coefficient 1)")
-            p = np.array(c[::-1])
-            roots = np.roots(p)
-            # Root separation relative to the root scale S = max |root|, read
-            # at the critical points: two roots d*S apart give
-            # |p| ~ (d/2)^2 S^5 there (so d of a few 1e-6 is rejected),
-            # and a repeated root of any multiplicity gives |p| at rounding
-            # level, below 5e-15 S^5, whereas the computed roots of a double
-            # root stay about 1e-8 S apart.
-            scale = float(np.max(np.abs(roots)))
-            if not np.min(np.abs(np.polyval(p, np.roots(np.polyder(p))))) > 1e-12 * scale ** 5:
-                gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag([np.inf] * 5)
-                i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-                raise DegenerateCurve(
-                    f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
-            object.__setattr__(self, "tau", None)
-            object.__setattr__(self, "poly", c)
+        if poly is None:
+            raise ValidationError("hyperelliptic2 curve needs poly")
+        c = tuple(complex(v) for v in poly)
+        if len(c) != 6:
+            raise ValidationError("poly must have 6 coefficients (degree 5)")
+        if abs(c[5] - 1.0) > 1e-9:
+            raise ValidationError("poly must be monic (leading coefficient 1)")
+        p = np.array(c[::-1])
+        roots = np.roots(p)
+        # Root separation relative to the root scale S = max |root|, read
+        # at the critical points: two roots d*S apart give
+        # |p| ~ (d/2)^2 S^5 there (so d of a few 1e-6 is rejected),
+        # and a repeated root of any multiplicity gives |p| at rounding
+        # level, below 5e-15 S^5, whereas the computed roots of a double
+        # root stay about 1e-8 S apart.
+        scale = float(np.max(np.abs(roots)))
+        if not np.min(np.abs(np.polyval(p, np.roots(np.polyder(p))))) > 1e-12 * scale ** 5:
+            gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag([np.inf] * 5)
+            i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+            raise DegenerateCurve(
+                f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
         object.__setattr__(self, "kind", kind)
-
-    @property
-    def genus(self) -> int:
-        return 1 if self.kind == "genus1" else 2
+        object.__setattr__(self, "poly", c)
 
 
 @dataclass(frozen=True)
@@ -193,14 +179,12 @@ class AbelData:
 
     Raises BadPeriods, a NumericalError, if the a-periods are singular,
     or if the computed period matrix is asymmetric beyond 1e-8 or its
-    imaginary part fails Cholesky: on a valid curve these are failures of
-    the quadrature or of the homology orientation, surfaced rather than
-    repaired.
+    imaginary part is not positive definite (a non-positive eigenvalue):
+    on a valid curve these are failures of the quadrature or of the
+    homology orientation, surfaced rather than repaired.
     """
 
     def __init__(self, curve: CurveSpec):
-        if curve.genus != 2:
-            raise ValidationError("Abel data are built for genus-2 curves only")
         self.curve = curve
         self.coeffs = np.asarray(curve.poly, dtype=complex)       # increasing degree
         roots = np.roots(self.coeffs[::-1])
@@ -324,9 +308,7 @@ class AbelData:
             cE = self.sqrt_br(Q - P, self.fac_angle[jP])
             base = 2.0 * (Q - P) * t / (cE * t * self.Y(x, skip=(jP,)))
         elif jQ is not None:
-            x = Q + (P - Q) * t ** 2
-            cE = self.sqrt_br(P - Q, self.fac_angle[jQ])
-            base = -2.0 * (P - Q) * t / (cE * t * self.Y(x, skip=(jQ,)))
+            return -self._seg_nodes(Q, jQ, P, None, n)
         else:
             x = P + (Q - P) * t
             base = (Q - P) / self.Y(x)
@@ -461,14 +443,12 @@ def parse_curve_record(rec) -> CurveSpec:
     if not isinstance(rec, dict):
         raise ValidationError("curve record must be a JSON object")
     kind = rec.get("kind")
+    if kind != "hyperelliptic2":
+        raise ValidationError(f"unknown curve kind {kind!r}")
     try:
-        if kind == "genus1":
-            return CurveSpec("genus1", tau=_c(rec["tau"]))
-        if kind == "hyperelliptic2":
-            return CurveSpec("hyperelliptic2", poly=[_c(p) for p in rec["poly"]])
+        return CurveSpec(kind, poly=[_c(p) for p in rec["poly"]])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {kind} record: {exc!r}") from exc
-    raise ValidationError(f"unknown curve kind {kind!r}")
 
 
 class Corpus(Mapping):

@@ -41,11 +41,10 @@ MAX_PROBE_DEPTH = 1000        # a probe is one pass of 2K + 1 points
 
 @dataclass(frozen=True)
 class DivisorSample:
-    """A located theta zero: point, residual modulus, generating line."""
+    """A located theta zero: point and residual modulus."""
 
     Z: np.ndarray
     theta_abs: float
-    line_seed: int
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +147,7 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
         return []
     rng = Xoshiro256(seed)
     samples = []
-    for trial in range(100 * count):
+    for _ in range(100 * count):
         Z0 = np.array(rng.complex_vector(B.g, scale=0.45))
         D = np.array(rng.complex_vector(B.g))
         D = D / np.linalg.norm(D)
@@ -159,17 +158,18 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
             if any(float(np.linalg.norm(Z - s2.Z)) <= DEDUPE_DISTANCE
                    for s2 in samples):
                 continue
-            samples.append(DivisorSample(Z, modulus, trial))
+            samples.append(DivisorSample(Z, modulus))
             if len(samples) >= count:
                 return samples
     raise RootSearchFailed(
         f"found {len(samples)} of {count} requested divisor samples")
 
 
-def verify_samples(samples: list, B: PeriodMatrix) -> float:
-    """The largest normalized |theta| over the samples, re-evaluated in one
-    pass at twice the truncation radius (which does not depend on the point)."""
-    Z = np.array([s.Z for s in samples])
+def verify_samples(Z, B: PeriodMatrix) -> float:
+    """The largest normalized |theta| over the divisor points, the rows of
+    Z, shape (P, g), re-evaluated in one pass at twice the truncation
+    radius (which does not depend on the point)."""
+    Z = _as_points(Z, B.g)
     jets = theta_jets(Z, B, radius=2 * truncation_radius(B, Z, DEFAULT_TOL))
     return float(np.exp(normalized_log_abs_many(jets, B, Z).max()))
 

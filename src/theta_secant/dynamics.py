@@ -439,7 +439,7 @@ def make_kernel(spec) -> object:
     if spec == "rational":
         return RationalKernel()
     if isinstance(spec, tuple) and spec:
-        if spec[0] in ("trig", "trigonometric"):
+        if spec[0] == "trig":
             return TrigKernel(*spec[1:])
         if spec[0] == "elliptic":
             return EllipticKernel(*spec[1:])

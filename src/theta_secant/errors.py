@@ -21,7 +21,7 @@ class NumericalError(ThetaSecantError):
 # -- validation family --------------------------------------------------
 
 class NonPosDef(ValidationError):
-    """Im B is not positive definite (Cholesky failed)."""
+    """Im B is not positive definite (its smallest eigenvalue is not positive)."""
 
 
 class DegenerateCurve(ValidationError):

@@ -79,7 +79,6 @@ class ScenarioConfig:
     seed: int = 7
     tolerances: dict = field(default_factory=dict)
     window: dict = field(default_factory=dict)
-    out: str | None = None
     csv_dir: str | None = None
     corpus: str | None = None
 

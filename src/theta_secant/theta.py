@@ -541,10 +541,7 @@ def _directions(dirs, g: int) -> tuple:
     if len(dirs) > 2:
         raise ValidationError("at most two derivative directions supported")
     if any(d.shape != (g,) for d in dirs):
-        # a number is a direction for g = 1
-        dirs = tuple(d.reshape(1) if d.ndim == 0 else d for d in dirs)
-        if any(d.shape != (g,) for d in dirs):
-            raise DimensionMismatch(f"derivative direction not of shape ({g},)")
+        raise DimensionMismatch(f"derivative direction not of shape ({g},)")
     return dirs
 
 

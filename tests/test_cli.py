@@ -1,6 +1,7 @@
 """Config validation, report round-trips, determinism, CLI surface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import theta_secant.cli as cli
 from theta_secant.cli import (RS_KERNELS, jacobian_fay_data, main, resolve_curve,
                               run_scenario)
-from theta_secant.curves import build_abel_data, default_corpus
+from theta_secant.curves import build_abel_data, default_corpus, default_corpus_path
 from theta_secant.errors import ConfigError
 from theta_secant.reports import (PARAMETERS, SCENARIOS, CheckRecord, Report,
                                   ScenarioConfig)
@@ -106,18 +107,27 @@ class TestMain:
         assert rc == 0 and out["pass"] is True
 
     def test_check_alias(self, capsys):
-        rc = main(["check", "theta-selftest", "--seed", "3",
-                   "--window", "samples=30"])
-        assert rc == 0
-        capsys.readouterr()
+        """A scenario has one spelling, its name: `check <scenario>` is a
+        usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "theta-selftest", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
     def test_corpus_hash_reference(self, capsys):
-        rc = main(["check", "bdhe", "--curve", "corpus#x5m1", "--seed", "7",
-                   "--window", "m_size=4", "--window", "n_size=4"])
+        """--corpus alone chooses a corpus file; --curve is an id in it, so
+        the path#id and corpus#id spellings name no record."""
+        rc = main(["bdhe", "--corpus", str(default_corpus_path()), "--curve", "x5m1",
+                   "--seed", "7", "--window", "m_size=4", "--window", "n_size=4"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["curve"] == "x5m1"
         fit = [c for c in out["checks"] if c["name"] == "fit_residual"][0]
         assert fit["residual"] <= 1e-8
+        for ref in ("corpus#x5m1", "#x5m1", f"{default_corpus_path()}#x5m1"):
+            rc = main(["bdhe", "--curve", ref])
+            out = json.loads(capsys.readouterr().out)
+            assert rc == 2 and out["error"] == "ConfigError"
+            assert out["message"].startswith(f"curve {ref!r} not found in corpus")
 
     def test_fay_trisecant_reads_the_fits_vectors(self, lattice_passes):
         """The collinearity comes from the vectors each fit returns: at
@@ -140,12 +150,12 @@ class TestMain:
 
     def test_invalid_curve_validation_exit(self, capsys, tmp_path):
         corpus = tmp_path / "bad.json"
-        corpus.write_text('[{"id": "flat", "kind": "genus1", "tau": [1.0, 0.0]}]')
-        rc = main(["bdhe", "--curve", f"{corpus}#flat"])
+        corpus.write_text('[{"id": "flat", "kind": "hyperelliptic2", "poly": [-1, 0, 0, 0, 0, 2]}]')
+        rc = main(["bdhe", "--corpus", str(corpus), "--curve", "flat"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 2
         assert out["error"] == "ValidationError"
-        assert "Im tau > 0" in out["message"]
+        assert out["message"] == "poly must be monic (leading coefficient 1)"
 
     def test_unknown_curve_exit(self, capsys):
         rc = main(["bdhe", "--curve", "nosuch"])
@@ -171,15 +181,19 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert rc == 2 and out["error"] == "DegenerateCurve"
         ident, spec = resolve_curve(ScenarioConfig("toda", curve="x5m1", corpus=str(path)))
-        assert ident == "x5m1" and spec.genus == 2
+        assert ident == "x5m1" and spec.poly[0] == -1
 
     @pytest.mark.parametrize("scenario", ["fay-trisecant", "divisor-identities",
                                           "toda", "bdhe", "wave-series", "controls"])
-    def test_genus1_curve_config_exit(self, capsys, scenario):
-        rc = main([scenario, "--curve", "g1i"])
+    def test_genus1_curve_config_exit(self, capsys, tmp_path, scenario):
+        """Curve records are genus 2: a genus-1 record in a --corpus file is
+        an unknown kind."""
+        path = tmp_path / "g1.json"
+        path.write_text(json.dumps([OUTSIDE_CORPUS["g1i"]]))
+        rc = main([scenario, "--corpus", str(path), "--curve", "g1i"])
         out = json.loads(capsys.readouterr().out)
-        assert rc == 2 and out["error"] == "ConfigError"
-        assert out["message"] == f"{scenario} needs a genus-2 curve"
+        assert rc == 2 and out["error"] == "ValidationError"
+        assert out["message"] == "unknown curve kind 'genus1'"
 
     def test_bad_tol_exit(self, capsys):
         rc = main(["bdhe", "--tol", "fit_residual=0.9"])
@@ -298,6 +312,29 @@ def test_closed_stdout_exits_two_silently(read):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv,env,code", [
+    (["bdhe", "--curve", "nope"], {}, 2),
+    (["theta-selftest", "--seed", "3", "--window", "samples=10"],
+     {"THETA_SECANT_CAP": "2"}, 3),
+], ids=["unknown-curve", "radius-cap"])
+def test_error_to_closed_stdout_exits_two_silently(argv, env, code):
+    """An error takes the report's one output path: to an open stdout it is
+    one JSON object with exit 2 (bad input) or 3 (numerical failure), and
+    to a stdout closed before it is written it exits 2 with nothing on
+    stderr, never 1 or with a traceback."""
+    cmd = [sys.executable, "-m", "theta_secant.cli", *argv]
+    env = {**os.environ, **env}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == code and proc.stderr == ""
+    assert "error" in json.loads(proc.stdout)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == b""
+
+
 def test_curve_runs_import_neither_argparse_nor_numpy_polynomial():
     """run_scenario on a curve reads the frozen quadrature rules, and only
     the command line needs argparse."""
@@ -338,21 +375,30 @@ def test_seeded_points_clear_of_cuts(ident, seed):
     assert len(pts) == 4 and np.all(np.isfinite(A))
 
 
-MALFORMED = [{"id": "bad", "kind": "hyperelliptic2", "poly": [[1.0, "x"], 0, 0, 0, 0, 1]}]
+# records outside the package corpus, each run from a --corpus file of its
+# own: the two genus-1 records the package corpus once held, and a
+# malformed one
+OUTSIDE_CORPUS = {
+    "g1i": {"id": "g1i", "kind": "genus1", "tau": [0.0, 1.0]},
+    "g1rho": {"id": "g1rho", "kind": "genus1", "tau": [0.31, 1.17]},
+    "malformed#bad": {"id": "bad", "kind": "hyperelliptic2",
+                      "poly": [[1.0, "x"], 0, 0, 0, 0, 1]},
+}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("curve", sorted(default_corpus()) + ["malformed#bad"])
+@pytest.mark.parametrize("curve", sorted(default_corpus()) + sorted(OUTSIDE_CORPUS))
 def test_every_scenario_and_corpus_entry_keeps_the_exit_contract(
         capsys, tmp_path, scenario, curve):
     """Each run exits 0 (pass), 1 (a check failed), 2 (bad input) or 3
     (numerical failure), and prints one JSON object: a report (indented
     over many lines) or an error."""
-    if curve.startswith("malformed"):
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(MALFORMED))
-        curve = f"{path}#bad"
-    rc = main([scenario, "--curve", curve])
+    argv = [scenario, "--curve", curve]
+    if curve in OUTSIDE_CORPUS:
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps([OUTSIDE_CORPUS[curve]]))
+        argv = [scenario, "--corpus", str(path), "--curve", OUTSIDE_CORPUS[curve]["id"]]
+    rc = main(argv)
     out = json.loads(capsys.readouterr().out)
     assert rc in (0, 1, 2, 3)
     assert ("error" in out) == (rc in (2, 3))
@@ -385,7 +431,7 @@ def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
     ["bdhe", "--corpus", "{tmp}/missing.json"],
     ["bdhe", "--corpus", "{tmp}"],
     ["bdhe", "--corpus", "{tmp}/latin1.json"],
-    ["bdhe", "--curve", "{tmp}/missing.json#x"],
+    ["bdhe", "--corpus", "{tmp}/object.json"],
     ["toda", "--csv-dir", "{tmp}/missing"],
     ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3",
      "--out", "{tmp}/missing/report.json"],
@@ -401,10 +447,12 @@ def test_empty_windows_and_particle_sets_are_config_errors(capsys, argv):
 ])
 def test_non_finite_rs_steps_are_validation_errors(capsys, tmp_path, argv):
     """An RS run with a non-finite, empty or unbounded step count or a step
-    that does not divide --t-end, a corpus that cannot be read, and an
-    output file in a missing directory each exit 2 with a JSON error, not a
-    traceback, a vacuous pass, a hang or a run that ends off --t-end."""
+    that does not divide --t-end, a corpus that cannot be read or is no
+    JSON array, and an output file in a missing directory each exit 2 with a
+    JSON error, not a traceback, a vacuous pass, a hang or a run that ends
+    off --t-end."""
     (tmp_path / "latin1.json").write_bytes('[{"id": "\xe9"}]'.encode("latin-1"))
+    (tmp_path / "object.json").write_text('{"x5m1": {"kind": "hyperelliptic2"}}')
     rc = main([a.format(tmp=tmp_path) for a in argv])
     out = json.loads(capsys.readouterr().out)
     writes = {"--out", "--csv", "--csv-dir"} & set(argv)

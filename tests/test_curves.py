@@ -5,6 +5,7 @@ originally cross-checked against a doubled-node, perturbed-path quadrature
 family and validated end to end by the trisecant fits.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from theta_secant import curves
+from theta_secant.cli import seeded_curve_points
 from theta_secant.curves import (
     RULE_SIZES,
     CurvePoint,
@@ -22,6 +24,7 @@ from theta_secant.curves import (
     default_corpus,
     fay_vectors,
     load_corpus,
+    parse_curve_record,
 )
 from theta_secant.errors import (
     BranchPoint,
@@ -39,10 +42,11 @@ B_X5M1 = np.array([[0.5 + 1.2139220723547202j, 0.0 + 0.5257311121191336j],
 
 class TestSpecs:
     def test_genus1_validation(self):
-        spec = CurveSpec("genus1", tau=0.3 + 1.1j)
-        assert spec.genus == 1
-        with pytest.raises(ValidationError):
-            CurveSpec("genus1", tau=1.0)
+        """Curves are genus 2: a genus-1 spec or record is an unknown kind."""
+        with pytest.raises(ValidationError, match="unknown curve kind 'genus1'"):
+            CurveSpec("genus1")
+        with pytest.raises(ValidationError, match="unknown curve kind 'genus1'"):
+            parse_curve_record({"kind": "genus1", "tau": [0.3, 1.1]})
 
     def test_degenerate_by_discriminant(self):
         # (x-1)^2 (x^3+2): exact double root
@@ -61,7 +65,7 @@ class TestSpecs:
         # roots 15.8 apart, and roots 1.2e-4 apart: both well separated
         # relative to their scale
         for c0 in (-1e6, -1e-20):
-            assert CurveSpec("hyperelliptic2", poly=[c0, 0, 0, 0, 0, 1]).genus == 2
+            assert CurveSpec("hyperelliptic2", poly=[c0, 0, 0, 0, 0, 1]).poly[0] == c0
 
     @pytest.mark.parametrize("mult", [2, 3, 4, 5])
     def test_repeated_root_any_multiplicity(self, mult):
@@ -91,12 +95,8 @@ class TestPeriods:
         assert np.max(np.abs(alt.B.entries - x5m1.B.entries)) < 1e-8
 
     def test_corpus_curves_all_build(self):
-        # Abel data are built for genus 2 only; the genus-1 records parse
+        assert sorted(default_corpus()) == ["x5m1", "x5pert"]
         for ident, spec in default_corpus().items():
-            if spec.genus == 1:
-                with pytest.raises(ValidationError, match="genus-2 curves only"):
-                    build_abel_data(spec)
-                continue
             data = build_abel_data(spec)
             Bm = data.B.entries
             assert np.max(np.abs(Bm - Bm.T)) < 1e-8, ident
@@ -108,6 +108,28 @@ class TestPeriods:
             poly = np.polynomial.polynomial.polyfromroots(roots)
             data = build_abel_data(CurveSpec("hyperelliptic2", poly=list(poly)))
             assert data.B.lam_min > 0
+
+
+def test_engine_outputs_are_pinned():
+    """sha256 of B, the a-periods and the Abel maps of two seeded points, on
+    both corpus curves and 60 seeded quintics with standard normal roots:
+    the curve engine's branch, routing and quadrature, bit for bit (frozen
+    from the engine whose P- and Q-endpoint substitutions were two copies)."""
+    rng = Xoshiro256(2406)
+    specs = [default_corpus()[ident] for ident in ("x5m1", "x5pert")]
+    for _ in range(60):
+        roots = [rng.complex_normal() for _ in range(5)]
+        specs.append(CurveSpec("hyperelliptic2",
+                               poly=list(np.polynomial.polynomial.polyfromroots(roots))))
+    h = hashlib.sha256()
+    for k, spec in enumerate(specs):
+        data = build_abel_data(spec)
+        h.update(data.B.entries.tobytes())
+        h.update(data.a_periods.tobytes())
+        for P in seeded_curve_points(data, Xoshiro256(k), 2):
+            h.update(abel_map(data, P).tobytes())
+    assert h.hexdigest() == (
+        "2ca13ca7c084768e37fde76ecb9642419b7f62cc153b3d7e06ed70925e00b422")
 
 
 class TestRuleTable:
@@ -229,9 +251,10 @@ class TestFayVectors:
 
 def test_corpus_round_trip(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text('[{"id": "t", "kind": "genus1", "tau": [0.0, 2.0]}]')
+    path.write_text('[{"id": "t", "kind": "hyperelliptic2", '
+                    '"poly": [[-1.1, 0.05], -0.2, 0, 0, [0.0, 0.0], 1]}]')
     corpus = load_corpus(path)
-    assert corpus["t"].tau == 2j
+    assert corpus["t"].poly == (-1.1 + 0.05j, -0.2, 0, 0, 0, 1)
     with pytest.raises(ValidationError):
         load_corpus(__file__)  # not JSON
 

@@ -52,19 +52,19 @@ class TestSampling:
             sample_theta_divisor(B_I, seed=1, count=-1)
         assert lattice_passes == []
 
-    def test_genus2_membership_and_reverify(self, x5m1, divisor_samples):
+    def test_genus2_membership_and_reverify(self, x5m1, divisor_samples, divisor_points):
         assert len(divisor_samples) == 10
         for s in divisor_samples:
             assert s.theta_abs <= 1e-10
-        assert verify_samples(divisor_samples, x5m1.B) <= 1e-10
+        assert verify_samples(divisor_points, x5m1.B) <= 1e-10
 
-    def test_reverify_is_one_pass(self, x5m1, divisor_samples, lattice_passes):
-        """One pass over all samples gives bitwise the largest of the
-        one-sample re-evaluations."""
+    def test_reverify_is_one_pass(self, x5m1, divisor_points, lattice_passes):
+        """One pass over all the points, the rows of a (P, g) array, gives
+        bitwise the largest of the one-point re-evaluations."""
         B = x5m1.B
-        worst = verify_samples(divisor_samples, B)
-        assert lattice_passes == [(len(divisor_samples), False)]
-        assert worst == max(verify_samples([s], B) for s in divisor_samples)
+        worst = verify_samples(divisor_points, B)
+        assert lattice_passes == [(len(divisor_points), False)]
+        assert worst == max(verify_samples(z[None], B) for z in divisor_points)
 
     def test_modulus_is_a_fresh_pass(self, x5m1, divisor_samples):
         """theta_abs, kept from the last Newton pass, is bitwise the
@@ -245,7 +245,7 @@ class TestPasses:
 SCENARIO_PASSES = {
     "theta-selftest": (79, 680), "fay-trisecant": (4, 192),
     "divisor-identities": (117, 1079), "toda": (4, 464), "bdhe": (4, 580),
-    "rs-dynamics": (5520, 18648), "wave-series": (107, 4831), "controls": (51, 793),
+    "rs-dynamics": (5520, 18648), "wave-series": (102, 4202), "controls": (51, 793),
 }
 
 

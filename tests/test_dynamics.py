@@ -328,7 +328,8 @@ class TestKernels:
         assert dynamics.make_kernel(ker) is ker
         assert isinstance(dynamics.make_kernel("rational"), RationalKernel)
         assert dynamics.make_kernel(("trig", 3.0)).L == 3.0
-        for spec in ("elliptic", (), ("bessel",), 3):
+        # one spelling per kernel: "trigonometric" is not a spec name
+        for spec in ("elliptic", (), ("bessel",), 3, ("trigonometric", 3.0)):
             with pytest.raises(ValidationError):
                 dynamics.make_kernel(spec)
 

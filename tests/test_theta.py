@@ -372,6 +372,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             theta_at([0j], B_I, dirs=(np.array([1.0]),) * 3)
 
+    def test_number_direction_rejected(self):
+        """A direction has shape (g,) for g = 1 too: a bare number is not one."""
+        with pytest.raises(DimensionMismatch):
+            theta_at([0j], B_I, dirs=(1.0,))
+
     @pytest.mark.parametrize("entry", ["theta_jet", "theta_jets"])
     @pytest.mark.parametrize("dirs, error", [
         (([1, 0, 5],), DimensionMismatch),          # longer than g
