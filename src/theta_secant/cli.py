@@ -593,7 +593,15 @@ def _kv_pairs(values, what: str) -> dict:
 
 def build_parser():
     import argparse     # only the command line needs it, not run_scenario
-    ap = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        """A usage error is a ConfigError, reported like any other (subcommand
+        parsers are of the same class)."""
+
+        def error(self, message):
+            raise ConfigError(message)
+
+    ap = Parser(
         prog="theta-secant",
         description="Verify trisecant-type theta identities with quantified residuals.")
     sub = ap.add_subparsers(dest="command")
@@ -631,10 +639,14 @@ def build_parser():
     return ap
 
 
-def _command(args) -> tuple:
-    """(text, exit code) of the command: the JSON report, None when it went
-    to --out, or the JSON error."""
+def _command(argv) -> tuple:
+    """(text, exit code) of the command line argv: the JSON report, None
+    when it went to --out, or the JSON error (a usage error too)."""
     try:
+        args = build_parser().parse_args(argv)
+        if args.command is None:
+            raise ConfigError("a command is required: one of "
+                              + ", ".join([*SCENARIOS, "rs"]))
         if args.command == "rs":
             if args.rs_command != "simulate":
                 raise ConfigError("usage: theta-secant rs simulate ...")
@@ -666,12 +678,7 @@ def _command(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.command is None:
-        ap.print_help()
-        return 2
-    text, code = _command(args)
+    text, code = _command(argv)
     try:
         if text is not None:
             # flushed here, so that a closed pipe raises here, not at exit

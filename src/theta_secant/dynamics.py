@@ -40,6 +40,7 @@ of the poles.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,10 +55,12 @@ from .errors import (
     ValidationError,
 )
 from .theta import (
+    DEFAULT_TOL,
     PeriodMatrix,
+    ThetaJets,
     gauss_exponents,
-    normalized_log_abs_many,
     theta_jets,
+    truncation_radius,
 )
 
 ZERO_TARGET = 1e-10
@@ -75,19 +78,44 @@ LAURENT_RADIUS = 0.01         # circle radius of the v0 fit, relative to 1 + |x|
 # tau sections
 # ----------------------------------------------------------------------
 
+class FixedJets:
+    """A holder of one period matrix B and one tuple of derivative directions
+    dirs for its whole life (set by the subclass), whose lattice passes are
+    _jets(W).
+
+    Each pass is theta_jets(W, B, dirs) truncated at the certified radius
+    for DEFAULT_TOL, which depends on B and the norms of dirs alone: it is
+    looked up once, at the first pass that succeeds in doing so (so
+    THETA_SECANT_CAP is read, and RadiusCap raised, there), and every pass
+    is bitwise what theta_jets without a radius gives.
+    """
+
+    _radius = None
+
+    def _jets(self, W) -> ThetaJets:
+        if self._radius is None:
+            self._radius = truncation_radius(self.B, None, DEFAULT_TOL, deriv_norms=[
+                math.hypot(*map(abs, d.tolist())) for d in self.dirs])
+        return theta_jets(W, self.B, dirs=self.dirs, radius=self._radius)
+
+
 def _times(x, U, iU) -> np.ndarray:
-    """The points x_p U, shape (P, g), given U and iU = i U.
+    """The points x_p U, shape (P, g), given U and iU = i U; the point x U,
+    shape (g,), for a scalar x (a Python or numpy float or complex).
 
     The real and imaginary parts of x multiply U and iU, which rounds like
     real products: numpy may round a broadcast product of two complex
     arrays with fused multiply-adds, depending on the strides, while these
-    round alike at any P.
+    round alike at any P.  A scalar takes the same two products (the
+    imaginary one keeps the signs of zeros), without the array calls.
     """
+    if isinstance(x, (float, complex)):
+        return x.real * U + x.imag * iU
     x = np.ravel(np.asarray(x, dtype=complex))
     return np.multiply.outer(x.real, U) + np.multiply.outer(x.imag, iU)
 
 
-class _ThetaSection:
+class _ThetaSection(FixedJets):
     """A tau section theta(arg(x, t) | B) with derivatives along dirs.
 
     jets(xs, ts) is its one evaluation: xs and ts of one shape, or a scalar
@@ -100,7 +128,7 @@ class _ThetaSection:
 
     def jets(self, xs, ts) -> tuple:
         W = self.arg(xs, ts)
-        J = theta_jets(W, self.B, dirs=self.dirs)
+        J = self._jets(W)
         g = gauss_exponents(self.B, W)
         unit = np.exp(J.logscale - g)
         ft = J.sums.get("d1")
@@ -147,7 +175,7 @@ class PerturbedTau(_ThetaSection):
             raise ValidationError(f"unknown perturbation mode {mode!r}")
         self.base = base
         self.epsilon = epsilon
-        self.g_ref = gauss_exponents(base.B, base.arg(x_ref, 0.0))[0]
+        self.g_ref = gauss_exponents(base.B, base.arg([x_ref], 0.0))[0]
         self.mode = mode
 
     def jets(self, xs, ts) -> tuple:
@@ -369,7 +397,7 @@ class TrigKernel:
         return F
 
 
-class EllipticKernel:
+class EllipticKernel(FixedJets):
     """Elliptic kernel on the lattice omega1 (Z + tau Z), via odd theta.
 
     zeta-like log derivative: L(q) = theta1'(q/omega1) / theta1(q/omega1)
@@ -398,24 +426,28 @@ class EllipticKernel:
         self.tau = complex(tau)
         self.omega1 = complex(omega1)
         self.B = PeriodMatrix([[self.tau]])
+        self.dirs = (np.array([1.0 + 0j]),)
         self._half = 0.5 * (1.0 + self.tau)
-        self._unit = np.array([1.0 + 0j])
+        # the Gaussian exponent of theta at w is (pi / Im tau) (Im w)^2
+        self._gauss = math.pi / self.tau.imag
 
     def evaluate(self, q: np.ndarray) -> tuple:
         """F and dist, shape (3, len(q)), from one theta pass at (q + d)/omega1
         + (1 + tau)/2, d = 0, 1, -1: dist is the normalized modulus of theta1
-        at (q + d)/omega1 (value and derivative share a logscale)."""
-        W = (np.concatenate((q, q + 1.0, q - 1.0)) / self.omega1 + self._half)[:, None]
-        J = theta_jets(W, self.B, dirs=(self._unit,))
-        hat = np.exp(normalized_log_abs_many(J, self.B, W)).reshape(3, -1)
-        z = (J.sums["d0"] / J.sums["f"] / self.omega1).reshape(3, -1)
-        return 2.0 * z[0] - z[1] - z[2], hat
+        at (q + d)/omega1 (value and derivative share a logscale), nan where
+        q is not finite, all without numpy's division warnings."""
+        k = len(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.concatenate((q, q + 1.0, q - 1.0)) / self.omega1 + self._half
+            J = self._jets(w[:, None])
+            f = J.sums["f"]
+            z = J.sums["d0"] / f / self.omega1
+            dist = np.abs(f) * np.exp(J.logscale - self._gauss * w.imag ** 2)
+        return 2.0 * z[:k] - z[k:2 * k] - z[2 * k:], dist.reshape(3, k)
 
-    @np.errstate(divide="ignore", invalid="ignore")
     def forces(self, qs: list) -> list | int:
         """F at each q of qs from one pass, or the index of the first q whose
-        dist is not above the clearance (nan where q is not finite): a pole
-        is named, without numpy's division warnings."""
+        dist is not above the clearance."""
         if not qs:
             return []
         F, dist = self.evaluate(np.array(qs))
@@ -483,13 +515,19 @@ class Trajectory:
                         for i, (x, v) in enumerate(zip(xs, vs)))
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(N: int) -> tuple:
+    """The pairs (i, j), i < j, of N particles in row-major order."""
+    return tuple(itertools.combinations(range(N), 2))
+
+
 def _slope(kernel, y: list) -> list:
     """The slope (v, a) of the state y = (x, v), lists joined, with a_i = v_i
     sum_{j != i} v_j F(x_i - x_j) in increasing j, from one kernel call on the
     x_i - x_j, i < j, in row-major order; Collision unless all are clear."""
     N = len(y) // 2
     x, v = y[:N], y[N:]
-    pairs = list(itertools.combinations(range(N), 2))
+    pairs = _pairs(N)
     q = [x[i] - x[j] for i, j in pairs]
     F = kernel.forces(q)
     if isinstance(F, int):

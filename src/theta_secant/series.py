@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
-from .theta import PeriodMatrix, theta_jets
-from .dynamics import DiscreteTau, find_tau_zero
+from .theta import PeriodMatrix
+from .dynamics import DiscreteTau, FixedJets, find_tau_zero
 
 S_MAX = 3                     # highest level of a semi-discrete table
 RESIDUE_SEED = 0.3 + 0.1j     # xi_1 at eta - 1 in the s = 1 residue check
@@ -101,7 +101,7 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
 # semi-discrete recursion
 # ----------------------------------------------------------------------
 
-class SemidiscreteSystem:
+class SemidiscreteSystem(FixedJets):
     """Closures for the periodic semi-discrete problem on Z/N.
 
     tau = theta(x U + t V + Z); v = -d_V log theta, u = (T-1)v, and the
@@ -116,6 +116,7 @@ class SemidiscreteSystem:
         self.Z = np.atleast_1d(np.asarray(Z, complex))
         self.B = B
         self.N = int(N)
+        self.dirs = (self.V, self.V)
         NU = self.N * self.U
         if np.max(np.abs(NU - np.round(NU.real))) > 1e-9:
             raise NonPeriodic(f"N U = {NU} is not an integer vector")
@@ -124,7 +125,7 @@ class SemidiscreteSystem:
         """(theta_V / theta, theta_VV / theta) at the points (x, t), shaped like x."""
         x = np.asarray(x, dtype=float)
         W = np.multiply.outer(x, self.U) + np.multiply.outer(t, self.V) + self.Z
-        J = theta_jets(W.reshape(-1, self.B.g), self.B, dirs=(self.V, self.V)).sums
+        J = self._jets(W.reshape(-1, self.B.g)).sums
         f = J["f"]
         return (J["d0"] / f).reshape(x.shape), (J["d01"] / f).reshape(x.shape)
 

@@ -209,7 +209,10 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
     The search walks r in Python floats from a Gaussian-only guess (see
     _ellipsoid_radius).
     The cap is resolved on every call, so THETA_SECANT_CAP is read each
-    time, and RadiusCap is raised whenever r exceeds it.
+    time, and RadiusCap is raised whenever r exceeds it.  A holder of one
+    (B, dirs) for its whole life (dynamics.FixedJets: the tau sections,
+    the elliptic kernel and series.SemidiscreteSystem) calls this once, at
+    its first pass, and passes the radius on: it reads the cap there.
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidationError(f"tol {tol} outside {TOL_RANGE}")

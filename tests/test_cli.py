@@ -109,10 +109,31 @@ class TestMain:
     def test_check_alias(self, capsys):
         """A scenario has one spelling, its name: `check <scenario>` is a
         usage error."""
+        rc = main(["check", "theta-selftest", "--seed", "3"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and err == "" and json.loads(out)["error"] == "ConfigError"
+        assert "invalid choice: 'check'" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bdhe", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["bdhe", "--bogus"], "unrecognized arguments: --bogus"),
+        (["rs", "simulate", "--n", "2"], "the following arguments are required"),
+        ([], "a command is required"),
+    ], ids=["bad-int", "unknown-option", "missing-option", "no-command"])
+    def test_usage_error_is_a_json_error(self, capsys, argv, message):
+        """A usage error takes the one output path of every error: a JSON
+        ConfigError on stdout, exit 2, nothing on stderr."""
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and err == ""
+        error = json.loads(out)
+        assert error["error"] == "ConfigError" and error["message"].startswith(message)
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["check", "theta-selftest", "--seed", "3"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'check'" in capsys.readouterr().err
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: theta-secant")
 
     def test_corpus_hash_reference(self, capsys):
         """--corpus alone chooses a corpus file; --curve is an id in it, so
@@ -214,6 +235,20 @@ class TestMain:
         rc = main(["theta-selftest", "--seed", "3", "--window", "samples=10"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 3 and out["error"] == "RadiusCap"
+
+    @pytest.mark.parametrize("argv", [
+        ["rs-dynamics"], ["wave-series"],
+        ["rs", "simulate", "--n", "3", "--t-end", "0.2", "--h", "1e-3",
+         "--kernel", "elliptic"],
+    ], ids=["rs-dynamics", "wave-series", "rs-simulate-elliptic"])
+    def test_pole_dynamics_radius_cap_exit_three(self, capsys, monkeypatch, argv):
+        # the tau sections, the elliptic kernel and the semi-discrete system
+        # look their radius up at their first pass, where the cap applies
+        monkeypatch.setenv("THETA_SECANT_CAP", "2")
+        rc = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 3 and out["error"] == "RadiusCap"
+        assert out["message"].startswith("radius 5 exceeds cap 2")
 
     def test_arithmetic_error_exit_three(self, capsys, monkeypatch):
         # a value beyond float range raises OverflowError (from math.exp or
