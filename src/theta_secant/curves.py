@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .errors import (
     QuadratureStall,
     ValidationError,
 )
-from .theta import PeriodMatrix, lattice_distance
+from .theta import Frozen, PeriodMatrix, lattice_distance
 
 QUAD_TOL = 1e-11
 QUAD_MAX_NODES = 2 ** 13
@@ -63,17 +62,13 @@ RULE_SIZES = tuple(24 * 2 ** k for k in range(7))
 # specs and points
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Frozen):
     """A genus-2 curve y^2 = p(x), of the one kind "hyperelliptic2".
 
     poly holds the coefficients of p in increasing degree order,
     [c0, c1, c2, c3, c4, 1]; the leading coefficient must be exactly
     monic to 1e-9.
     """
-
-    kind: str
-    poly: tuple
 
     def __init__(self, kind, poly=None):
         if kind != "hyperelliptic2":
@@ -103,16 +98,14 @@ class CurveSpec:
         object.__setattr__(self, "poly", c)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Frozen):
     """Point (x, sheet) on a genus-2 curve."""
 
-    x: complex
-    sheet: int = 1
-
-    def __post_init__(self):
-        if self.sheet not in (1, -1):
+    def __init__(self, x, sheet=1):
+        if sheet not in (1, -1):
             raise ValidationError("sheet must be +1 or -1")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "sheet", sheet)
 
 
 # ----------------------------------------------------------------------

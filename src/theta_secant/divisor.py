@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ GRID = 8                      # winding-count cells per side of the s square
 MAX_PROBE_DEPTH = 1000        # a probe is one pass of 2K + 1 points
 
 
-@dataclass(frozen=True)
-class DivisorSample:
+class DivisorSample(NamedTuple):
     """A located theta zero: point and residual modulus."""
 
     Z: np.ndarray

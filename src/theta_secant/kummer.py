@@ -22,7 +22,7 @@ fitted (e^p, E) to (lam e^p, lam E) and leaves the residual unchanged.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ def projective_distance(p: Level2Vector, q: Level2Vector) -> float:
     return float(np.linalg.norm(a - (c / abs(c)) * b))
 
 
-@dataclass(frozen=True)
-class SecancyData:
+class SecancyData(NamedTuple):
     """Fitted secancy constants with their least-squares residual, the
     winning shift of A (As) and the level-two vectors solved at it: the
     three Kummer points, or the two values and the V-derivative."""

@@ -19,14 +19,11 @@ least-squares estimate of (e^p, e^E) (resp. (e^p, E)) used for the
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DivisorHit, NumericalError, ValidationError
 from .rng import Xoshiro256
-from .theta import PeriodMatrix, normalized_log_abs_many, theta_jets
+from .theta import Frozen, PeriodMatrix, normalized_log_abs_many, theta_jets
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -34,8 +31,7 @@ BASE_MARGIN = 3e-2            # least normalized |theta| on a base point's grid
 BASE_TRIES = 64               # seeded draws of find_clear_base_point
 
 
-@dataclass(frozen=True)
-class LatticeWindow:
+class LatticeWindow(Frozen):
     """Index window: (m,n) rectangle for the discrete problem, or an
     x-interval with a list of t samples for the semi-discrete one.
 
@@ -44,11 +40,6 @@ class LatticeWindow:
     (in x), where the shifts of the linear problems land, and are oriented
     [m, n] (BDHE) or [t, x] (Toda).
     """
-
-    m_range: tuple | None = None
-    n_range: tuple | None = None
-    x_range: tuple | None = None
-    t_samples: tuple | None = None
 
     def __init__(self, m_range=None, n_range=None, x_range=None, t_samples=None):
         if m_range is not None or n_range is not None:
@@ -98,7 +89,6 @@ class LatticeWindow:
         return f"x={a1[i1]}, t={self.t_samples[i0]}"
 
 
-@dataclass
 class FieldTable:
     """Tabulated fields on a window's grid: u (and v for Toda), psi, and
     enough analytic side data (theta ratios, log-derivative gaps) to re-fit
@@ -110,25 +100,22 @@ class FieldTable:
     are plain values.  A non-finite entry raises NumericalError.
     """
 
-    kind: str
-    window: LatticeWindow
-    u: np.ndarray
-    psi: np.ndarray
-    psi_logscale: np.ndarray
-    v: np.ndarray | None = None
-    ratio: np.ndarray | None = None              # theta(A+w)/theta(w)
-    ratio_logscale: np.ndarray | None = None
-    dlog: np.ndarray | None = None               # d_V log ratio (Toda)
-    E: complex = 0j                              # psi's exponent in n (t)
-
-    def __post_init__(self):
+    def __init__(self, kind: str, window: LatticeWindow, u, psi, psi_logscale,
+                 v=None, ratio=None, ratio_logscale=None, dlog=None, E: complex = 0j):
+        self.kind, self.window = kind, window
+        self.u, self.psi, self.psi_logscale, self.v = u, psi, psi_logscale, v
+        self.ratio = ratio                          # theta(A+w)/theta(w)
+        self.ratio_logscale = ratio_logscale
+        self.dlog = dlog                            # d_V log ratio (Toda)
+        self.E = E                                  # psi's exponent in n (t)
         for name in ("u", "v", "psi", "psi_logscale", "ratio", "ratio_logscale", "dlog"):
             values = getattr(self, name)
             if values is not None and not np.isfinite(values).all():
-                raise NumericalError(f"non-finite {name} in the {self.kind} table")
+                raise NumericalError(f"non-finite {name} in the {kind} table")
 
     def to_csv(self, path):
         """Columns: indices, Re/Im u, Re/Im v, psi mantissa Re/Im, psi logscale."""
+        import csv
         a0, a1 = self.window.axes
         if self.kind == "bdhe":
             head = ["m", "n"]

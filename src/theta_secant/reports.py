@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -72,21 +72,21 @@ SCENARIOS = tuple(PARAMETERS)
 TOL_BOUNDS = (1e-16, 1e-1)
 
 
-@dataclass
 class ScenarioConfig:
-    scenario: str
-    curve: str | None = None
-    seed: int = 7
-    tolerances: dict = field(default_factory=dict)
-    window: dict = field(default_factory=dict)
-    csv_dir: str | None = None
-    corpus: str | None = None
+    """One scenario run: its name, curve, seed, overrides and outputs,
+    checked on construction."""
 
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; "
+    def __init__(self, scenario: str, curve: str | None = None, seed: int = 7,
+                 tolerances: dict | None = None, window: dict | None = None,
+                 csv_dir: str | None = None, corpus: str | None = None):
+        self.scenario, self.curve, self.seed = scenario, curve, seed
+        self.tolerances = {} if tolerances is None else tolerances
+        self.window = {} if window is None else window
+        self.csv_dir, self.corpus = csv_dir, corpus
+        if scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {scenario!r}; "
                               f"choose from {', '.join(SCENARIOS)}")
-        if not isinstance(self.seed, int):
+        if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
         for what, accepted in PARAMETERS[self.scenario].items():
             unknown = sorted(set(getattr(self, what)) - set(accepted))
@@ -122,8 +122,7 @@ class ScenarioConfig:
         return self.window.get(name, PARAMETERS[self.scenario]["window"][name])
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     residual: float
     threshold: float
@@ -146,15 +145,16 @@ class CheckRecord:
                 "direction": self.direction}
 
 
-@dataclass
 class Report:
-    scenario: str
-    seed: int
-    checks: list
-    curve: str | None = None
-    environment: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    """A scenario's checks, with its environment, timing and extra data."""
+
+    def __init__(self, scenario: str, seed: int, checks: list, curve: str | None = None,
+                 environment: dict | None = None, timing: dict | None = None,
+                 extra: dict | None = None):
+        self.scenario, self.seed, self.checks, self.curve = scenario, seed, checks, curve
+        self.environment = {} if environment is None else environment
+        self.timing = {} if timing is None else timing
+        self.extra = {} if extra is None else extra
 
     @property
     def passed(self) -> bool:

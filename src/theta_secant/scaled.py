@@ -13,13 +13,12 @@ mantissa and logscale arrays (theta.ThetaJets) instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NumericalError
 
 
-@dataclass(frozen=True)
-class ScaledComplex:
+class ScaledComplex(NamedTuple):
     mantissa: complex
     logscale: float = 0.0
 

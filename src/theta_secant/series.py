@@ -25,8 +25,6 @@ defect of N * |mean|, which the negative control exhibits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
@@ -150,7 +148,6 @@ class SemidiscreteSystem(FixedJets):
         return worst
 
 
-@dataclass
 class SeriesTable:
     """Semi-discrete wave-series levels on the 5-point time stencil ts.
 
@@ -159,10 +156,11 @@ class SeriesTable:
     N |mean| of a level built without the periodic normalization.
     """
 
-    ts: tuple
-    dt: float
-    levels: dict = field(default_factory=dict)
-    defect: dict = field(default_factory=dict)
+    def __init__(self, ts: tuple, dt: float, levels: dict | None = None,
+                 defect: dict | None = None):
+        self.ts, self.dt = ts, dt
+        self.levels = {} if levels is None else levels
+        self.defect = {} if defect is None else defect
 
     def level(self, s: int, N: int) -> np.ndarray:
         if s == 0:

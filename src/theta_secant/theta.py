@@ -53,8 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,11 +79,24 @@ def resolve_cap() -> int:
 # domain types
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodMatrix:
-    """Point of the Siegel upper half space: symmetric, Im positive definite."""
+class Frozen:
+    """Base of the immutable records: __init__ sets each attribute once,
+    through object.__setattr__, and assignment or deletion raises."""
 
-    entries: np.ndarray
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class PeriodMatrix(Frozen):
+    """Point of the Siegel upper half space: symmetric, Im positive definite.
+
+    Compared and hashed by identity: its caches live on the instance.
+    """
 
     def __init__(self, entries):
         M = np.atleast_2d(np.asarray(entries, dtype=complex))
@@ -145,19 +157,9 @@ class PeriodMatrix:
             object.__setattr__(self, "_halved", half)
         return self._halved
 
-    def __eq__(self, other):
-        return self is other
 
-    def __hash__(self):
-        return id(self)
-
-
-@dataclass(frozen=True)
-class ThetaRequest:
+class ThetaRequest(Frozen):
     """One theta value: argument and matrix."""
-
-    z: np.ndarray
-    B: PeriodMatrix
 
     def __init__(self, z, B):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -388,7 +390,8 @@ def _reduce(Z: np.ndarray, B: PeriodMatrix) -> tuple:
     on arrays of g entries and bit for bit the same: the same products and
     sums in the same order as _sum_last, a real factor x taken as x + 0i,
     as numpy multiplies once x is cast to complex, and rint keeping the
-    sign of zero.  A point that is not finite takes the array path.
+    sign of zero.  A point that is not finite takes the array path, which
+    raises NumericalError for it.
     """
     if len(Z) == 1:
         y_inv, entries = B._rows
@@ -420,6 +423,8 @@ def _reduce(Z: np.ndarray, B: PeriodMatrix) -> tuple:
             return np.array([b]), u, pref
         except (ValueError, OverflowError):
             pass
+    if np.count_nonzero(np.isfinite(Z)) < Z.size:
+        raise NumericalError("argument reduction of a point that is not finite")
     bvec = np.rint(_sum_last(Z.imag[:, None, :] * B.im_inv))
     Bb = _sum_last(bvec[:, None, :] * B.entries)
     u = Z - Bb
@@ -592,8 +597,7 @@ def theta_jet(z, B: PeriodMatrix, dirs=()) -> dict:
 # level-two vectors and the normalized modulus
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level2Vector:
+class Level2Vector(NamedTuple):
     """All 2^g level-two theta values at one point, on a shared logscale."""
 
     coords: np.ndarray
@@ -603,12 +607,9 @@ class Level2Vector:
 
 def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
     """The level-two vectors of the given jet keys at the rows of Z (one binned
-    pass); NumericalError, before the pass, if a row is not finite."""
+    pass)."""
     dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
-    Z = _as_points(Z, B.g)
-    if not np.isfinite(Z).all():
-        raise NumericalError("level-two vector at a point that is not finite")
-    sums, scale = _lattice_jets(Z, B.halved(), dirs, binned=True)
+    sums, scale = _lattice_jets(_as_points(Z, B.g), B.halved(), dirs, binned=True)
     scales = scale.tolist()
     out = {}
     for key, coords in zip(_JET_KEYS[len(dirs)], sums):
@@ -669,7 +670,8 @@ def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:
 
 def lattice_distance(v, B: PeriodMatrix) -> float:
     """Euclidean distance from v to the period lattice: the norm of the
-    representative v - a - B b that argument reduction (_reduce) leaves."""
+    representative v - a - B b that argument reduction (_reduce) leaves;
+    NumericalError if v is not finite."""
     _, u, _ = _reduce(np.atleast_1d(np.asarray(v, dtype=complex))[None], B)
     return float(np.linalg.norm(u))
 

@@ -6,6 +6,7 @@ import pytest
 from theta_secant.errors import (CoincidentPoints, DimensionMismatch, NumericalError,
                                  RankDeficient)
 from theta_secant.kummer import (
+    _check_distinct,
     collinearity_defect,
     fit_secancy_discrete,
     fit_secancy_semidiscrete,
@@ -112,6 +113,13 @@ class TestDiscreteFit:
         U = random_z(rng, 2, 0.3)
         with pytest.raises(CoincidentPoints):
             fit_secancy_discrete(U, U, random_z(rng, 2, 0.3), x5m1.B)
+
+    def test_non_finite_secancy_vector_rejected(self):
+        # lattice_distance raises, so NaN is never compared with 1e-8
+        B = PeriodMatrix([[1.1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.9j]])
+        for vec in ([np.nan, 0.1j], [0.3, complex(np.inf, 0.2)]):
+            with pytest.raises(NumericalError, match="not finite"):
+                _check_distinct(B, [("U-V", np.array(vec))])
 
     def test_rank_deficient_detected(self, monkeypatch):
         import theta_secant.kummer as km

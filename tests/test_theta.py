@@ -356,13 +356,26 @@ class TestValidation:
     @pytest.mark.parametrize("z", [[np.nan + 0j, 0.1j], [0.1 + np.nan * 1j, 0.2j],
                                    [np.inf + 0j, 0.1j], [0.1 + 0j, np.inf * 1j]])
     def test_non_finite_point_is_numerical_error(self, z):
-        # a point that is not finite takes the array path of step 1, and its
-        # value is not finite
+        # a point that is not finite takes the array path of step 1, which
+        # rejects it
         B = PeriodMatrix([[0.2 + 1.1j, 0.3 + 0.2j], [0.3 + 0.2j, -0.1 + 0.9j]])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalError):
                 theta(ThetaRequest(np.array(z), B))
+
+    @pytest.mark.parametrize("z", [[np.nan, 0.1j], [np.inf, 0.1j], [complex(0.0, np.inf), 0.1j]])
+    def test_non_finite_row_rejected_before_the_pass(self, z):
+        # alone and inside a batch, with no RuntimeWarning on the way
+        B = PeriodMatrix([[0.2 + 1.1j, 0.3 + 0.2j], [0.3 + 0.2j, -0.1 + 0.9j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Z in ([z], [[0.3, 0.1j], z], [z, [0.3, 0.1j], [0.1, 0.2]]):
+                for dirs in ((), ([1.0, 0.5j],)):
+                    with pytest.raises(NumericalError, match="not finite"):
+                        theta_jets(np.array(Z), B, dirs=dirs)
+            with pytest.raises(NumericalError, match="not finite"):
+                lattice_distance(z, B)
 
     def test_non_posdef_rejected(self):
         with pytest.raises(NonPosDef):
