@@ -12,8 +12,8 @@ on stdout (a report goes to --out when given).  Exit codes: 0 all checks
 pass, 1 at least one residual check failed, 2 invalid input or config
 (or output whose reader has gone, with nothing written), 3 numerical
 infrastructure error; error reports carry the error class name verbatim.
-The THETA_SECANT_CAP environment variable overrides the theta
-truncation-radius cap.
+The THETA_SECANT_CAP environment variable, an integer of at least 1,
+overrides the theta truncation-radius cap; any other value exits 2.
 """
 
 from __future__ import annotations

@@ -67,7 +67,8 @@ class CurveSpec(Frozen):
 
     poly holds the coefficients of p in increasing degree order,
     [c0, c1, c2, c3, c4, 1]; the leading coefficient must be exactly
-    monic to 1e-9.
+    monic to 1e-9.  roots holds the five roots of p (np.roots order,
+    read-only), which the validation computes.
     """
 
     def __init__(self, kind, poly=None):
@@ -94,8 +95,10 @@ class CurveSpec(Frozen):
             i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
             raise DegenerateCurve(
                 f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
+        roots.setflags(write=False)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "poly", c)
+        object.__setattr__(self, "roots", roots)
 
 
 class CurvePoint(Frozen):
@@ -112,27 +115,28 @@ class CurvePoint(Frozen):
 # geometry helpers
 # ----------------------------------------------------------------------
 
+def _pt_seg(x, u, v) -> float:
+    w = v - u
+    L2 = abs(w) ** 2
+    if L2 == 0.0:
+        return abs(x - u)
+    s = min(max(((x - u).conjugate() * w).real / L2, 0.0), 1.0)
+    return abs(x - (u + s * w))
+
+
+def _orient(a, b, c) -> int:
+    v = ((b - a).conjugate() * (c - a)).imag
+    return int(v > 0) - int(v < 0)
+
+
 def _seg_seg_dist(p1, p2, q1, q2) -> float:
     p1, p2, q1, q2 = complex(p1), complex(p2), complex(q1), complex(q2)
-
-    def pt_seg(x, u, v):
-        w = v - u
-        L2 = abs(w) ** 2
-        if L2 == 0.0:
-            return abs(x - u)
-        s = min(max(((x - u).conjugate() * w).real / L2, 0.0), 1.0)
-        return abs(x - (u + s * w))
-
-    def orient(a, b, c):
-        v = ((b - a).conjugate() * (c - a)).imag
-        return int(v > 0) - int(v < 0)
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+    d1, d2 = _orient(q1, q2, p1), _orient(q1, q2, p2)
+    d3, d4 = _orient(p1, p2, q1), _orient(p1, p2, q2)
     if d1 * d2 < 0 and d3 * d4 < 0:
         return 0.0
-    return min(pt_seg(p1, q1, q2), pt_seg(p2, q1, q2),
-               pt_seg(q1, p1, p2), pt_seg(q2, p1, p2))
+    return min(_pt_seg(p1, q1, q2), _pt_seg(p2, q1, q2),
+               _pt_seg(q1, p1, p2), _pt_seg(q2, p1, p2))
 
 
 @lru_cache(maxsize=1)
@@ -168,7 +172,8 @@ def _doubled(fn, top: int) -> tuple:
 class AbelData:
     """One genus-2 curve: its branch, cut routing and quadrature, and the
     Jacobian data computed with them (curve, B, a_periods, normalization
-    and basepoint, the first branch point).
+    and basepoint, the first branch point).  cuts holds the three cuts as
+    (start, end) segments, the odd one ending ray_len out along ray_dir.
 
     Raises BadPeriods, a NumericalError, if the a-periods are singular,
     or if the computed period matrix is asymmetric beyond 1e-8 or its
@@ -180,9 +185,8 @@ class AbelData:
     def __init__(self, curve: CurveSpec):
         self.curve = curve
         self.coeffs = np.asarray(curve.poly, dtype=complex)       # increasing degree
-        roots = np.roots(self.coeffs[::-1])
-        order = np.lexsort((roots.imag, roots.real))
-        self.e = e = roots[order]
+        roots = curve.roots
+        self.e = e = roots[np.lexsort((roots.imag, roots.real))]
         d = e[4] - np.mean(e[:4])
         self.ray_dir = d / abs(d)
         th1, th2 = np.angle(e[1] - e[0]), np.angle(e[3] - e[2])
@@ -190,11 +194,13 @@ class AbelData:
         self.fac_angle = (th1, th1, th2, th2, th3)
         scale = max(1.0, float(np.max(np.abs(e))))
         self.ray_len = 60.0 * scale
+        self.cuts = ((e[0], e[1]), (e[2], e[3]),
+                     (e[4], e[4] + self.ray_len * self.ray_dir))
 
         gamma1 = 2.0 * self.cut_integral(0)
         gamma3 = 2.0 * self.cut_integral(1)
-        gamma2 = 2.0 * self.routed_integral(e[1], e[2])
-        gamma4 = 2.0 * self.routed_integral(e[3], e[4])
+        gamma2 = 2.0 * self.path_integral(self.route(e[1], e[2]))
+        gamma4 = 2.0 * self.path_integral(self.route(e[3], e[4]))
         self.a_periods = np.stack([gamma1, gamma3], axis=1)
         b_periods = np.stack([gamma2 + gamma4, gamma4], axis=1)
         if abs(np.linalg.det(self.a_periods)) < 1e-14:
@@ -233,13 +239,8 @@ class AbelData:
 
     # -- routing --------------------------------------------------------
 
-    def obstacles(self):
-        e = self.e
-        return [(e[0], e[1]), (e[2], e[3]),
-                (e[4], e[4] + self.ray_len * self.ray_dir)]
-
     def seg_clear(self, P, Q) -> bool:
-        for (u, v) in self.obstacles():
+        for (u, v) in self.cuts:
             if _seg_seg_dist(P, Q, u, v) < CUT_CLEARANCE:
                 # contact at an endpoint that is a branch point is fine;
                 # retest a slightly shrunk open segment
@@ -259,7 +260,7 @@ class AbelData:
         if self.seg_clear(P, Q):
             return [P, Q]
         blocking = None
-        for (u, v) in self.obstacles():
+        for (u, v) in self.cuts:
             d = _seg_seg_dist(P, Q, u, v)
             if d < CUT_CLEARANCE:
                 mid = 0.5 * (u + v)
@@ -362,9 +363,6 @@ class AbelData:
         for P, Q in zip(waypoints[:-1], waypoints[1:]):
             total += self.segment_integral(P, Q)
         return total
-
-    def routed_integral(self, P, Q):
-        return self.path_integral(self.route(P, Q))
 
     def point_y(self, P: CurvePoint) -> complex:
         """The y coordinate implied by (x, sheet) under the global branch."""

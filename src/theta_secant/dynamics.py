@@ -418,7 +418,7 @@ class EllipticKernel(FixedJets):
     name = "elliptic"
     clearance = 1e-8
 
-    def __init__(self, tau: complex, omega1: complex = 1.0):
+    def __init__(self, tau: complex, omega1: complex):
         if complex(tau).imag <= 0:
             raise ValidationError("elliptic kernel needs Im tau > 0")
         if not (cmath.isfinite(omega1) and omega1 != 0):

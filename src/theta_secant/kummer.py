@@ -46,22 +46,6 @@ def _unit(p: Level2Vector) -> np.ndarray:
     return p.coords / n
 
 
-def projective_distance(p: Level2Vector, q: Level2Vector) -> float:
-    """Gap between projective points: 0 iff equal up to one complex scale.
-
-    Computed as the norm of the phase-aligned difference of unit vectors,
-    which stays accurate down to machine precision (the 1 - |<a,b>|^2 form
-    loses half the digits to cancellation near equality).
-    """
-    if p.g != q.g:
-        raise DimensionMismatch("projective points of different genus")
-    a, b = _unit(p), _unit(q)
-    c = np.vdot(b, a)
-    if abs(c) == 0.0:
-        return float(np.sqrt(2.0))
-    return float(np.linalg.norm(a - (c / abs(c)) * b))
-
-
 class SecancyData(NamedTuple):
     """Fitted secancy constants with their least-squares residual, the
     winning shift of A (As) and the level-two vectors solved at it: the

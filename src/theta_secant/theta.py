@@ -57,8 +57,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonPosDef, NumericalError, RadiusCap,
-                     ValidationError)
+from .errors import (ConfigError, DimensionMismatch, NonPosDef, NumericalError,
+                     RadiusCap, ValidationError)
 from .scaled import ScaledComplex
 
 DEFAULT_RADIUS_CAP = 64
@@ -70,9 +70,19 @@ _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of di
 
 
 def resolve_cap() -> int:
-    """Radius cap: the THETA_SECANT_CAP env var, or the default."""
+    """Radius cap: the THETA_SECANT_CAP env var, or the default when it is
+    unset or empty; ConfigError unless it is an integer of at least 1."""
     env = os.environ.get("THETA_SECANT_CAP")
-    return int(env) if env else DEFAULT_RADIUS_CAP
+    if not env:
+        return DEFAULT_RADIUS_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"THETA_SECANT_CAP must be an integer of at least 1, "
+                          f"got {env!r}")
+    return cap
 
 
 # ----------------------------------------------------------------------
@@ -605,25 +615,6 @@ class Level2Vector(NamedTuple):
     g: int
 
 
-def _level_two(Z: np.ndarray, B: PeriodMatrix, deriv_dir, keys: tuple) -> dict:
-    """The level-two vectors of the given jet keys at the rows of Z (one binned
-    pass)."""
-    dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
-    sums, scale = _lattice_jets(_as_points(Z, B.g), B.halved(), dirs, binned=True)
-    scales = scale.tolist()
-    out = {}
-    for key, coords in zip(_JET_KEYS[len(dirs)], sums):
-        if key in keys:
-            # each vector scaled by its largest modulus, or by 1 if that is
-            # zero or subnormal (numpy divides by multiplying with 1 / pk,
-            # which overflows there)
-            pks = [pk if pk >= _NORMAL_MIN else 1.0
-                   for pk in np.maximum.reduce(np.abs(coords), axis=1).tolist()]
-            out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
-                        for c, pk, ls in zip(coords, pks, scales)]
-    return out
-
-
 def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
     """Level-two vectors at the rows of Z, shape (P, g), from one binned pass.
 
@@ -631,7 +622,19 @@ def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
     row, and with deriv_dir = V also "d0" to their directional derivatives
     with respect to Z.  Row p is bitwise level_two_vector(Z[p], ...).
     """
-    return _level_two(Z, B, deriv_dir, ("f", "d0"))
+    dirs = _directions(() if deriv_dir is None else (deriv_dir,), B.g)
+    sums, scale = _lattice_jets(_as_points(Z, B.g), B.halved(), dirs, binned=True)
+    scales = scale.tolist()
+    out = {}
+    for key, coords in zip(_JET_KEYS[len(dirs)], sums):
+        # each vector scaled by its largest modulus, or by 1 if that is
+        # zero or subnormal (numpy divides by multiplying with 1 / pk,
+        # which overflows there)
+        pks = [pk if pk >= _NORMAL_MIN else 1.0
+               for pk in np.maximum.reduce(np.abs(coords), axis=1).tolist()]
+        out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
+                    for c, pk, ls in zip(coords, pks, scales)]
+    return out
 
 
 def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None) -> Level2Vector:
@@ -644,9 +647,8 @@ def level_two_vector(Z, B: PeriodMatrix, deriv_dir=None) -> Level2Vector:
     (m = 2n + 2 eps).  With deriv_dir = V the components are the
     directional derivatives with respect to Z.
     """
-    key = "f" if deriv_dir is None else "d0"
-    Z = np.asarray(Z, dtype=complex).reshape(1, -1)
-    return _level_two(Z, B, deriv_dir, (key,))[key][0]
+    vectors = level_two_vectors(np.asarray(Z, dtype=complex).reshape(1, -1), B, deriv_dir)
+    return vectors["f" if deriv_dir is None else "d0"][0]
 
 
 def gauss_exponents(B: PeriodMatrix, Z) -> np.ndarray:

@@ -236,6 +236,17 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert rc == 3 and out["error"] == "RadiusCap"
 
+    @pytest.mark.parametrize("cap", ["abc", "1.5", "0", "-1"])
+    def test_malformed_cap_config_exit(self, capsys, monkeypatch, cap):
+        # a cap that is not an integer of at least 1 is a usage error, not a
+        # traceback (exit 1) or a RadiusCap on every evaluation (exit 3)
+        monkeypatch.setenv("THETA_SECANT_CAP", cap)
+        rc = main(["fay-trisecant", "--seed", "7"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert rc == 2 and out["error"] == "ConfigError"
+        assert "THETA_SECANT_CAP" in out["message"] and captured.err == ""
+
     @pytest.mark.parametrize("argv", [
         ["rs-dynamics"], ["wave-series"],
         ["rs", "simulate", "--n", "3", "--t-end", "0.2", "--h", "1e-3",
@@ -347,12 +358,13 @@ def test_closed_stdout_exits_two_silently(read):
     assert err == b""
 
 
-@pytest.mark.parametrize("argv,env,code", [
-    (["bdhe", "--curve", "nope"], {}, 2),
+@pytest.mark.parametrize("argv,env,code,error", [
+    (["bdhe", "--curve", "nope"], {}, 2, "ConfigError"),
     (["theta-selftest", "--seed", "3", "--window", "samples=10"],
-     {"THETA_SECANT_CAP": "2"}, 3),
-], ids=["unknown-curve", "radius-cap"])
-def test_error_to_closed_stdout_exits_two_silently(argv, env, code):
+     {"THETA_SECANT_CAP": "2"}, 3, "RadiusCap"),
+    (["fay-trisecant", "--seed", "7"], {"THETA_SECANT_CAP": "abc"}, 2, "ConfigError"),
+], ids=["unknown-curve", "radius-cap", "malformed-cap"])
+def test_error_to_closed_stdout_exits_two_silently(argv, env, code, error):
     """An error takes the report's one output path: to an open stdout it is
     one JSON object with exit 2 (bad input) or 3 (numerical failure), and
     to a stdout closed before it is written it exits 2 with nothing on
@@ -361,7 +373,7 @@ def test_error_to_closed_stdout_exits_two_silently(argv, env, code):
     env = {**os.environ, **env}
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == code and proc.stderr == ""
-    assert "error" in json.loads(proc.stdout)
+    assert json.loads(proc.stdout)["error"] == error
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     err = proc.stderr.read()

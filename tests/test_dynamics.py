@@ -219,7 +219,13 @@ class TestKernels:
 
     def test_elliptic_tau_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="finite entries"):
-            EllipticKernel(complex(np.nan, 1.0))
+            EllipticKernel(complex(np.nan, 1.0), omega1=1.0)
+
+    def test_elliptic_omega1_required(self):
+        # with omega1 = 1 the lattice Z + tau Z has period 1, and
+        # F(q) = 2 L(q) - L(q+1) - L(q-1) vanishes identically
+        with pytest.raises(TypeError, match="omega1"):
+            EllipticKernel(1j)
 
     def test_elliptic_vanishes_at_half_period(self):
         """The zeta-difference kernel is flat around half periods."""
