@@ -173,7 +173,8 @@ class AbelData:
     """One genus-2 curve: its branch, cut routing and quadrature, and the
     Jacobian data computed with them (curve, B, a_periods, normalization
     and basepoint, the first branch point).  cuts holds the three cuts as
-    (start, end) segments, the odd one ending ray_len out along ray_dir.
+    (start, end) segments, the odd one ending ray_len = 60 scale out along
+    ray_dir, where scale = max(1, max |e|) is the curve's length scale.
 
     Raises BadPeriods, a NumericalError, if the a-periods are singular,
     or if the computed period matrix is asymmetric beyond 1e-8 or its
@@ -191,9 +192,9 @@ class AbelData:
         self.ray_dir = d / abs(d)
         th1, th2 = np.angle(e[1] - e[0]), np.angle(e[3] - e[2])
         th3 = np.angle(self.ray_dir)
-        self.fac_angle = (th1, th1, th2, th2, th3)
-        scale = max(1.0, float(np.max(np.abs(e))))
-        self.ray_len = 60.0 * scale
+        self.fac_angle = np.array([th1, th1, th2, th2, th3])
+        self.scale = max(1.0, float(np.max(np.abs(e))))
+        self.ray_len = 60.0 * self.scale
         self.cuts = ((e[0], e[1]), (e[2], e[3]),
                      (e[4], e[4] + self.ray_len * self.ray_dir))
 
@@ -226,12 +227,16 @@ class AbelData:
         return np.sqrt(np.abs(w)) * np.exp(0.5j * a)
 
     def Y(self, x, skip=()):
+        """The product of the branch factors sqrt_br(x - e[j], fac_angle[j])
+        over j not in skip: the factors as the rows of one array, multiplied
+        in index order."""
         x = np.asarray(x, dtype=complex)
+        keep = [j for j in range(5) if j not in skip]
+        shape = (-1,) + (1,) * x.ndim
         out = np.ones_like(x)
-        for j in range(5):
-            if j in skip:
-                continue
-            out = out * self.sqrt_br(x - self.e[j], self.fac_angle[j])
+        for factor in self.sqrt_br(x - self.e[keep].reshape(shape),
+                                   self.fac_angle[keep].reshape(shape)):
+            out = out * factor
         return out
 
     def p_at(self, x):
@@ -268,7 +273,7 @@ class AbelData:
                     blocking = (abs(mid - P), u, v)
         _, u, v = blocking
         L = abs(v - u)
-        if L > 10.0 * max(1.0, float(np.max(np.abs(self.e)))):
+        if L > 10.0 * self.scale:
             base, outward, Lref = u, -(v - u) / abs(v - u), 1.0
         else:
             mid = 0.5 * (P + Q)

@@ -60,6 +60,7 @@ from .theta import (
     PeriodMatrix,
     ThetaJets,
     gauss_exponents,
+    lattice_distance,
     theta_jets,
     truncation_radius,
 )
@@ -413,6 +414,10 @@ class EllipticKernel(FixedJets):
     so theta1'/theta1 (z) = pi i + theta'/theta (z + (1 + tau)/2).  The
     constant pi i / omega1 cancels in F and is left out, and the normalized
     modulus of theta1 at z is exactly that of theta at the shifted point.
+
+    An omega1 whose reciprocal lies within 1e-8 of the lattice Z + tau Z
+    (omega1 = 1 among them) is a ValidationError: there F vanishes
+    identically.
     """
 
     name = "elliptic"
@@ -426,6 +431,11 @@ class EllipticKernel(FixedJets):
         self.tau = complex(tau)
         self.omega1 = complex(omega1)
         self.B = PeriodMatrix([[self.tau]])
+        # when 1/omega1 is a lattice vector, L(q + 1) and L(q - 1) differ
+        # from L(q) by opposite constants
+        if lattice_distance([1.0 / self.omega1], self.B) < 1e-8:
+            raise ValidationError(f"elliptic kernel needs 1/omega1 off the lattice "
+                                  f"Z + tau Z (else F vanishes): omega1 = {omega1}")
         self.dirs = (np.array([1.0 + 0j]),)
         self._half = 0.5 * (1.0 + self.tau)
         # the Gaussian exponent of theta at w is (pi / Im tau) (Im w)^2

@@ -397,6 +397,21 @@ def test_curve_runs_import_neither_argparse_nor_numpy_polynomial():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_verdict_loads_only_its_scenario_module():
+    """run_scenario imports the runner module of the scenario it runs and
+    none of the other seven, so a verdict compiles only its own runner."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from theta_secant.cli import run_scenario\n"
+         "from theta_secant.reports import ScenarioConfig\n"
+         "assert run_scenario(ScenarioConfig('fay-trisecant', curve='x5m1')).passed\n"
+         "print(sorted(m for m in sys.modules if m.startswith('theta_secant.scenarios.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['theta_secant.scenarios.fay_trisecant']"
+
+
 def test_valid_curve_with_bad_periods_exits_three(capsys, tmp_path):
     """A valid quintic whose computed period matrix fails its symmetry
     check is a numerical failure (exit 3), not invalid input (exit 2):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import theta_secant.dynamics as dynamics
+from theta_secant.cli import RS_KERNELS
 from theta_secant.dynamics import (
     DiscreteTau,
     EllipticKernel,
@@ -226,6 +227,21 @@ class TestKernels:
         # F(q) = 2 L(q) - L(q+1) - L(q-1) vanishes identically
         with pytest.raises(TypeError, match="omega1"):
             EllipticKernel(1j)
+
+    @pytest.mark.parametrize("omega1", [0.5, 1 / (1 + 1j), 1.0])
+    def test_elliptic_omega1_with_lattice_reciprocal_rejected(self, omega1):
+        # at tau = i, 1/omega1 = 2, 1 + i and 1 lie in Z + tau Z, where F
+        # reads at most 4e-15 at q = 0.3 + 0.1i and 0.7 - 0.4i
+        with pytest.raises(ValidationError, match="off the lattice"):
+            EllipticKernel(1j, omega1=omega1)
+
+    def test_scenario_elliptic_kernels_build(self):
+        # rs-dynamics and rs simulate: tau = 1.1i, omega1 = 2.5; the
+        # crosscheck of rs-dynamics: tau = i / 2, omega1 = 2 / U
+        _, tau, omega1 = RS_KERNELS["elliptic"]
+        for ker in (EllipticKernel(tau, omega1=omega1),
+                    EllipticKernel(0.5j, omega1=2.0 / (0.35 + 0.02j))):
+            assert min(abs(ker.F(q)) for q in (0.3 + 0.1j, 0.7 - 0.4j)) > 1.0
 
     def test_elliptic_vanishes_at_half_period(self):
         """The zeta-difference kernel is flat around half periods."""

@@ -3,6 +3,8 @@ defect of the code it checks, patched in by the test, and names the checks
 that must fail.  A check that no defect can make fail is structural:
 STRUCTURAL gives its reason, and every row leaves it bitwise unchanged."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from theta_secant.cli import run_scenario
 from theta_secant.dynamics import EllipticKernel
 from theta_secant.reports import ScenarioConfig
 from theta_secant.theta import PeriodMatrix
+
+# the package exports the function theta, which hides the module's name
+theta = importlib.import_module("theta_secant.theta")
 
 STRUCTURAL = {
     # the crosscheck's two particles sit a half period apart, where any
@@ -70,6 +75,41 @@ def _moved_samples(monkeypatch):
     monkeypatch.setattr(divisor, "sample_theta_divisor", mutated)
 
 
+def _zero_prefactor_phase(monkeypatch):
+    """Argument reduction returns the prefactor exp(2 pi i s) of a point
+    with a lattice shift with the phase of s set to 0, its modulus kept."""
+    reduce = theta._reduce
+
+    def mutated(Z, B):
+        b, u, pref = reduce(Z, B)
+        if pref is not None:
+            pref = (0.0 * pref[0], pref[1])
+        return b, u, pref
+    monkeypatch.setattr(theta, "_reduce", mutated)
+
+
+def _short_radius(monkeypatch):
+    """Every lattice pass sums over the ellipsoid of its radius minus 2,
+    and at least 1."""
+    ellipsoid = theta._ellipsoid
+
+    def mutated(B, r, binned):
+        return ellipsoid(B, max(1, r - 2), binned)
+    monkeypatch.setattr(theta, "_ellipsoid", mutated)
+
+
+def _asymmetric_ellipsoid(monkeypatch):
+    """Every lattice pass gives the points of largest first coordinate zero
+    weight: the truncated sum is no longer symmetric under n -> -n."""
+    ellipsoid = theta._ellipsoid
+
+    def mutated(B, r, binned):
+        N, quad, starts = ellipsoid(B, r, binned)
+        top = N[0].imag == N[0].imag.max()
+        return N, np.where(top, -np.inf + 0j, quad), starts
+    monkeypatch.setattr(theta, "_ellipsoid", mutated)
+
+
 # (scenario, seed, defect, the checks that must fail)
 ROWS = [
     pytest.param("rs-dynamics", 7, _elliptic_force(lambda F: 1.05 * F), set(),
@@ -94,6 +134,15 @@ ROWS = [
                  {"cm7", "cm7d", "divisor_reverify"}, id="samples-moved-divisor-identities"),
     pytest.param("controls", 7, _moved_samples,
                  {"jacobian_identity"}, id="samples-moved-controls"),
+    pytest.param("theta-selftest", 7, _zero_prefactor_phase,
+                 {"fd_first", "fd_second", "quasi_periodicity"},
+                 id="zero-prefactor-phase-theta-selftest"),
+    pytest.param("theta-selftest", 7, _short_radius,
+                 {"fd_first", "fd_second", "radius_stability"},
+                 id="radius-minus-2-theta-selftest"),
+    pytest.param("theta-selftest", 7, _asymmetric_ellipsoid,
+                 {"evenness", "radius_stability"},
+                 id="asymmetric-ellipsoid-theta-selftest"),
 ]
 
 
