@@ -15,13 +15,12 @@ infrastructure error; error reports carry the error class name verbatim.
 The THETA_SECANT_CAP environment variable, an integer of at least 1,
 overrides the theta truncation-radius cap; any other value exits 2.
 
-Each scenario's runner is a module of .scenarios (rs simulate runs in
-.scenarios.rs_dynamics).  This module keeps what the runners share or what
-is read from outside the package: the curve set-up (resolve_curve,
-_curve_setup, _reject_curve), the seeded curve data (seeded_curve_points,
-jacobian_fay_data), RUNNERS, the one dispatch table, whose entries import
-their runner's module at the first call, so that a verdict compiles only
-the runner it runs; run_scenario, RS_KERNELS and the command line.
+This module holds the command line and run_scenario, the one dispatch:
+it imports a scenario's module of .scenarios at the run, so that a verdict
+compiles only the runner it runs (rs simulate runs in
+.scenarios.rs_dynamics), and stamps every report, rs simulate's too, with
+the same environment and timing.  The runners' shared set-up lives in
+.scenarios; loading this module loads neither numpy nor the theta core.
 """
 
 from __future__ import annotations
@@ -36,108 +35,35 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, NumericalError, ValidationError
 from .reports import SCENARIOS, Report, ScenarioConfig
-from .rng import Xoshiro256
-
-
-# ----------------------------------------------------------------------
-# curve resolution
-# ----------------------------------------------------------------------
-
-def resolve_curve(config: ScenarioConfig):
-    """(id, CurveSpec) of config.curve (default x5m1) in the config's
-    corpus file, or in the package corpus when it names none."""
-    from .curves import default_corpus, load_corpus
-    ident = config.curve or "x5m1"
-    corpus = load_corpus(config.corpus) if config.corpus else default_corpus()
-    if ident not in corpus:
-        raise ConfigError(f"curve {ident!r} not found in corpus "
-                          f"(available: {', '.join(sorted(corpus))})")
-    return ident, corpus[ident]
-
-
-def _curve_setup(config: ScenarioConfig) -> tuple:
-    """(id, Abel data, seeded stream) of a scenario on a curve."""
-    from .curves import build_abel_data
-    ident, spec = resolve_curve(config)
-    return ident, build_abel_data(spec), Xoshiro256(config.seed)
-
-
-def _reject_curve(config: ScenarioConfig) -> None:
-    """For scenarios that use no curve: --curve and --corpus are errors."""
-    if config.curve or config.corpus:
-        raise ConfigError(f"{config.scenario} takes no --curve or --corpus")
-
-
-# ----------------------------------------------------------------------
-# shared seeded data
-# ----------------------------------------------------------------------
-
-def seeded_curve_points(data, rng: Xoshiro256, count: int):
-    """Generic points on a genus-2 curve, away from branch points and cuts.
-
-    A point that is not clear of the cuts ends no clear segment, so no
-    integration path could be routed from it.
-    """
-    from .curves import CurvePoint
-    pts = []
-    guard = 0
-    while len(pts) < count and guard < 4000:
-        guard += 1
-        x = complex(rng.uniform_in(-1.8, 1.8), rng.uniform_in(-1.8, 1.8))
-        if (min(abs(x - r) for r in data.e) < 0.3 or not data.seg_clear(x, x)
-                or any(abs(x - q.x) < 0.35 for q in pts)):
-            continue
-        sheet = 1 if rng.uniform() < 0.5 else -1
-        pts.append(CurvePoint(x=x, sheet=sheet))
-    if len(pts) < count:
-        raise NumericalError("could not seed enough curve points")
-    return pts
-
-
-def jacobian_fay_data(data, rng: Xoshiro256):
-    from .curves import fay_vectors
-    a, b, c, d = seeded_curve_points(data, rng, 4)
-    U, V, A = fay_vectors(data, a, b, c, d)
-    return U, V, A, (a, b, c, d)
+from .scenarios import RS_KERNELS
+# not read here: the benchmark's curve-verdicts check (bench/tasks.py) imports
+# them from cli, until it imports them from .scenarios
+from .scenarios import jacobian_fay_data, resolve_curve  # noqa: F401
 
 
 # ----------------------------------------------------------------------
 # scenario dispatch
 # ----------------------------------------------------------------------
 
-def _runner(scenario: str):
-    """The runner of a scenario, imported from its module of .scenarios at
-    its first call: a verdict compiles only the runner it runs."""
-    name = scenario.replace("-", "_")
-
-    def run(config: ScenarioConfig) -> Report:
-        module = import_module(f"{__package__}.scenarios.{name}")
-        return getattr(module, f"run_{name}")(config)
-    return run
-
-
-RUNNERS = {scenario: _runner(scenario) for scenario in SCENARIOS}
-
-
-def run_scenario(config: ScenarioConfig) -> Report:
-    """Execute one scenario and attach environment and timing metadata."""
+def _stamped(run, arg) -> Report:
+    """The report of run(arg), stamped with the package version, the seed
+    of arg (a ScenarioConfig or the parsed rs simulate arguments) and the
+    wall time of the run."""
     t0 = time.perf_counter()
-    report = RUNNERS[config.scenario](config)
-    report.environment = {"version": __version__, "seed": config.seed}
+    report = run(arg)
+    report.environment = {"version": __version__, "seed": arg.seed}
     report.timing = {"wall_s": round(time.perf_counter() - t0, 3)}
     return report
 
 
-# ----------------------------------------------------------------------
-# rs simulate
-# ----------------------------------------------------------------------
+def run_scenario(config: ScenarioConfig) -> Report:
+    """Execute one scenario and attach environment and timing metadata.
 
-# the kernel spec of each --kernel name of rs simulate
-RS_KERNELS = {
-    "rational": "rational",
-    "trig": ("trig", 2.0),
-    "elliptic": ("elliptic", 1.1j, 2.5),
-}
+    The runner is run_<name> of its module of .scenarios, imported at the
+    call: a verdict compiles only the runner it runs."""
+    name = config.scenario.replace("-", "_")
+    module = import_module(f"{__package__}.scenarios.{name}")
+    return _stamped(getattr(module, f"run_{name}"), config)
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +140,7 @@ def _command(argv) -> tuple:
             if args.rs_command != "simulate":
                 raise ConfigError("usage: theta-secant rs simulate ...")
             from .scenarios.rs_dynamics import run_rs_simulate
-            report = run_rs_simulate(args)
+            report = _stamped(run_rs_simulate, args)
         else:
             report = run_scenario(ScenarioConfig(
                 scenario=args.command,

@@ -5,18 +5,18 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import random_z
+from . import _curve_setup, jacobian_fay_data
 
 
 def run_bdhe(config: ScenarioConfig) -> Report:
     from ..kummer import fit_secancy_discrete
     from ..lattices import (LatticeWindow, bdhe_fields, bdhe_psi_residual,
                             find_clear_base_point, refit_constants_bdhe)
-    ident, data, rng = cli._curve_setup(config)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    U, V, A, _pts = cli.jacobian_fay_data(data, rng)
+    U, V, A, _pts = jacobian_fay_data(data, rng)
     fit = fit_secancy_discrete(U, V, A, B)
     nm = config.win("m_size")
     nn = config.win("n_size")

@@ -5,28 +5,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import random_z
 from ..theta import PeriodMatrix
+from . import _curve_setup, jacobian_fay_data
 
 
 def run_controls(config: ScenarioConfig) -> Report:
     from ..divisor import residual_cm7d, sample_theta_divisor
     from ..kummer import fit_secancy_discrete
-    ident, data, rng = cli._curve_setup(config)
+    ident, data, rng = _curve_setup(config)
     B = data.B
     trials = config.win("trials")
     pos_fit, neg_fit = 0.0, np.inf
     for _ in range(trials):
-        U, V, A, _ = cli.jacobian_fay_data(data, rng)
+        U, V, A, _ = jacobian_fay_data(data, rng)
         pos_fit = max(pos_fit, fit_secancy_discrete(U, V, A, B).residual)
     ctrl = rng.spawn(13)
     for _ in range(trials):
         Ur, Vr, Ar = (random_z(ctrl, 2, 0.35) for _ in range(3))
         neg_fit = min(neg_fit, fit_secancy_discrete(Ur, Vr, Ar, B).residual)
     Z = np.array([s.Z for s in sample_theta_divisor(B, config.seed, 4)])
-    U, V, A, _ = cli.jacobian_fay_data(data, rng.spawn(2))
+    U, V, A, _ = jacobian_fay_data(data, rng.spawn(2))
     pos_id = max(residual_cm7d(Z, U, V, B))
     Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     Zd = np.array([s.Z for s in sample_theta_divisor(Bd, config.seed + 1, 4)])

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import random_z
 from ..theta import PeriodMatrix
+from . import _curve_setup, jacobian_fay_data
 
 
 def run_divisor_identities(config: ScenarioConfig) -> Report:
@@ -18,7 +18,7 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
                            sample_theta_divisor, singular_locus_probe, verify_samples)
     depth = config.win("probe_depth")
     check_probe_depth(depth)
-    ident, data, rng = cli._curve_setup(config)
+    ident, data, rng = _curve_setup(config)
     B = data.B
 
     # genus-1 degenerate case at the unique odd zero
@@ -37,7 +37,7 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     Z = np.array([s.Z for s in samples])
     worst_reverify = verify_samples(Z, B)
 
-    U, V, A, pts = cli.jacobian_fay_data(data, rng)
+    U, V, A, pts = jacobian_fay_data(data, rng)
     # the Jacobian-side residuals share (U, V): one call each over all the
     # samples, with the lattice passes of one sample; cm7 pairs U = A(c) - A(b)
     # with the tangent at b

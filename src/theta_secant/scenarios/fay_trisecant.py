@@ -5,20 +5,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import random_z
+from . import _curve_setup, jacobian_fay_data
 
 
 def run_fay_trisecant(config: ScenarioConfig) -> Report:
     from ..kummer import collinearity_defect, fit_secancy_discrete
-    ident, data, rng = cli._curve_setup(config)
+    ident, data, rng = _curve_setup(config)
     B = data.B
     tuples = config.win("tuples")
     worst_fit, worst_coll = 0.0, 0.0
     last = None
     for _ in range(tuples):
-        U, V, A, _pts = cli.jacobian_fay_data(data, rng)
+        U, V, A, _pts = jacobian_fay_data(data, rng)
         fit = fit_secancy_discrete(U, V, A, B)
         worst_fit = max(worst_fit, fit.residual)
         worst_coll = max(worst_coll, collinearity_defect(*fit.vectors))

@@ -4,16 +4,15 @@ kernels, and the genus-1 zero law with its perturbed control."""
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .. import __version__, cli
 from ..errors import ConfigError
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import Xoshiro256
 from ..theta import PeriodMatrix
+from . import RS_KERNELS, _reject_curve
 
 
 # frozen genus-1 seed data of the zero law; chosen so that its perturbed-tau
@@ -32,7 +31,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     from ..dynamics import (PerturbedTau, RSState, ThetaTau, cm5_residual,
                             elliptic_zero_crosscheck, rs_integrate,
                             track_tau_zero, track_zero)
-    cli._reject_curve(config)
+    _reject_curve(config)
     checks = []
     # free particle
     st1 = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]))
@@ -85,12 +84,11 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
 
 def run_rs_simulate(args) -> Report:
     from ..dynamics import RSState, rs_integrate
-    t0 = time.perf_counter()
     n = args.n
     if n < 1:
         raise ConfigError(f"--n must be at least 1, got {n}")
     rng = Xoshiro256(args.seed)
-    kernel = cli.RS_KERNELS[args.kernel]
+    kernel = RS_KERNELS[args.kernel]
     x = np.array([complex(2.2 * k, 0.0) + 0.3 * rng.complex_normal()
                   for k in range(n)])
     v = np.array([0.5 * rng.complex_normal() for k in range(n)])
@@ -107,7 +105,5 @@ def run_rs_simulate(args) -> Report:
     if args.csv:
         traj.to_csv(args.csv)
     rep = Report("rs-dynamics", args.seed, checks)
-    rep.environment = {"version": __version__, "seed": args.seed}
     rep.extra = {"n": n, "kernel": args.kernel, "t_end": args.t_end, "h": args.h}
-    rep.timing = {"wall_s": round(time.perf_counter() - t0, 3)}
     return rep

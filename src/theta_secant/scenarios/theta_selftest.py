@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import Xoshiro256, random_siegel, random_z
 from ..theta import PeriodMatrix, theta_jets, truncation_radius
+from . import _reject_curve
 
 
 def _values(Z, B: PeriodMatrix, radius: int | None = None) -> tuple:
@@ -28,7 +28,7 @@ def _rel_diff(a: tuple, b: tuple) -> float:
 
 
 def run_theta_selftest(config: ScenarioConfig) -> Report:
-    cli._reject_curve(config)
+    _reject_curve(config)
     rng = Xoshiro256(config.seed)
     n_even = config.win("samples")
     n_qp = max(20, n_even // 5)

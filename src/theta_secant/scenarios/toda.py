@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
+from . import _curve_setup, jacobian_fay_data
 
 
 def run_toda(config: ScenarioConfig) -> Report:
@@ -17,9 +17,9 @@ def run_toda(config: ScenarioConfig) -> Report:
     from ..kummer import fit_secancy_semidiscrete
     from ..lattices import (LatticeWindow, find_clear_base_point, refit_constants_toda,
                             toda_fields, toda_psi_residual)
-    ident, data, rng = cli._curve_setup(config)
+    ident, data, rng = _curve_setup(config)
     B = data.B
-    U, V, A, pts = cli.jacobian_fay_data(data, rng)
+    U, V, A, pts = jacobian_fay_data(data, rng)
     Vt = abel_tangent(data, pts[1])
     fit = fit_secancy_semidiscrete(U, Vt, A, B)
     nx = config.win("x_size")

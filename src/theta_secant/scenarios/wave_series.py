@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import cli
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import random_z
 from ..theta import PeriodMatrix
+from . import _curve_setup, jacobian_fay_data
 
 
 # frozen genus-1 seed data of the six-factor identity; chosen so that the
@@ -22,7 +22,7 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     from ..series import (SemidiscreteSystem, discrete_residue_consistency,
                           new_semidiscrete_table, semidiscrete_cyclic_defect,
                           semidiscrete_resubstitution, semidiscrete_series_extend)
-    ident, data, rng = cli._curve_setup(config)
+    ident, data, rng = _curve_setup(config)
     checks = []
     B1 = PeriodMatrix([[1j]])
     U1 = np.array([F2D_SEED[0]])
@@ -42,7 +42,7 @@ def run_wave_series(config: ScenarioConfig) -> Report:
     checks.append(CheckRecord.le("f2d_genus1", worst_g1, config.tol("f2d_genus1")))
     # genus-2
     B2 = data.B
-    U2, V2, _A2, _pts = cli.jacobian_fay_data(data, rng)
+    U2, V2, _A2, _pts = jacobian_fay_data(data, rng)
     Z2 = random_z(rng.spawn(3), 2, 0.3)
     tau2 = DiscreteTau(U2, V2, Z2, B2)
     worst_g2 = 0.0

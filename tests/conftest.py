@@ -1,11 +1,11 @@
 """Shared fixtures: the expensive genus-2 objects are built once per session."""
 
-import importlib
 import time
 
 import numpy as np
 import pytest
 
+import theta_secant.theta as theta_module
 from theta_secant.curves import CurvePoint, CurveSpec, build_abel_data, fay_vectors
 from theta_secant.divisor import sample_theta_divisor
 from theta_secant.kummer import fit_secancy_discrete, fit_secancy_semidiscrete
@@ -65,7 +65,6 @@ def divisor_points(divisor_samples):
 @pytest.fixture
 def lattice_passes(monkeypatch):
     """(points, binned) of every lattice pass made while the test runs."""
-    theta_module = importlib.import_module("theta_secant.theta")
     core = theta_module._lattice_jets
     passes = []
 

@@ -126,7 +126,7 @@ def test_ac02_genus1_identity():
 # ----------------------------------------------------------------------
 
 def test_ac03_discrete_secancy(x5m1):
-    from theta_secant.cli import jacobian_fay_data
+    from theta_secant.scenarios import jacobian_fay_data
     t0 = time.perf_counter()
     B = x5m1.B
     rng = Xoshiro256(301)

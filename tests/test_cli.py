@@ -5,18 +5,18 @@ import os
 import random
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-import theta_secant.cli as cli
-from theta_secant.cli import (RS_KERNELS, jacobian_fay_data, main, resolve_curve,
-                              run_scenario)
+from theta_secant.cli import main, run_scenario
 from theta_secant.curves import build_abel_data, default_corpus, default_corpus_path
 from theta_secant.errors import ConfigError
 from theta_secant.reports import (PARAMETERS, SCENARIOS, CheckRecord, Report,
                                   ScenarioConfig)
 from theta_secant.rng import Xoshiro256
+from theta_secant.scenarios import RS_KERNELS, jacobian_fay_data, resolve_curve
 
 
 class TestConfig:
@@ -267,7 +267,7 @@ class TestMain:
         def overflowing(config):
             raise OverflowError("logscale 812.5 too large for complex")
 
-        monkeypatch.setitem(cli.RUNNERS, "toda", overflowing)
+        monkeypatch.setattr("theta_secant.scenarios.toda.run_toda", overflowing)
         rc = main(["toda"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 3
@@ -410,6 +410,53 @@ def test_a_verdict_loads_only_its_scenario_module():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['theta_secant.scenarios.fay_trisecant']"
+
+
+def test_python_m_cli_loads_cli_once():
+    """`python -m theta_secant.cli` runs the module as __main__ and no
+    runner imports it back, so cli is not loaded a second time as
+    theta_secant.cli."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, runpy, sys\n"
+         "sys.argv = ['theta_secant.cli', 'fay-trisecant', '--seed', '7']\n"
+         "try:\n"
+         "    runpy.run_module('theta_secant.cli', run_name='__main__', alter_sys=True)\n"
+         "except SystemExit as exc:\n"
+         "    code = exc.code\n"
+         "print(json.dumps([code, 'theta_secant.cli' in sys.modules,\n"
+         "                  'theta_secant.scenarios.fay_trisecant' in sys.modules]))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
+
+
+def test_the_theta_module_imports_plainly():
+    """The package root re-exports nothing, so no function hides the name
+    of the theta module."""
+    import theta_secant.theta as m
+    assert isinstance(m, types.ModuleType) and m.__name__ == "theta_secant.theta"
+
+
+@pytest.mark.parametrize("argv", [["bdhe", "--seed", "x"], ["--help"]],
+                         ids=["usage-error", "help"])
+def test_the_command_line_loads_without_numpy(argv):
+    """Importing cli loads neither numpy nor the theta core, so a usage
+    error or --help exits without them."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from theta_secant.cli import main\n"
+         "heavy = {'numpy', 'theta_secant.theta'}\n"
+         "loaded = sorted(heavy & set(sys.modules))\n"
+         "try:\n"
+         f"    main({argv!r})\n"
+         "except SystemExit:\n"
+         "    pass\n"
+         "print(loaded, sorted(heavy & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
 
 
 def test_valid_curve_with_bad_periods_exits_three(capsys, tmp_path):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from theta_secant import curves
-from theta_secant.cli import seeded_curve_points
 from theta_secant.curves import (
     RULE_SIZES,
     CurvePoint,
@@ -34,6 +33,7 @@ from theta_secant.errors import (
     ValidationError,
 )
 from theta_secant.rng import Xoshiro256
+from theta_secant.scenarios import seeded_curve_points
 from theta_secant.theta import lattice_distance
 
 B_X5M1 = np.array([[0.5 + 1.2139220723547202j, 0.0 + 0.5257311121191336j],

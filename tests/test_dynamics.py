@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import theta_secant.dynamics as dynamics
-from theta_secant.cli import RS_KERNELS
 from theta_secant.dynamics import (
     DiscreteTau,
     EllipticKernel,
@@ -27,6 +26,7 @@ from theta_secant.dynamics import (
 )
 from theta_secant.errors import Collision, GuardFailed, LostZero, ValidationError
 from theta_secant.rng import Xoshiro256
+from theta_secant.scenarios import RS_KERNELS
 from theta_secant.theta import PeriodMatrix, theta_jets
 from theta_values import gauss_exponent, jet_at
 

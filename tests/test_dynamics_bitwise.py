@@ -3,11 +3,12 @@ sections, the RS integrator and the wave series, and the certified radius
 that each section, kernel and semi-discrete system looks up once."""
 
 import hashlib
-import importlib
 
 import numpy as np
 import pytest
 
+import theta_secant.dynamics as dynamics_module
+import theta_secant.theta as theta_module
 from theta_secant import series
 from theta_secant.dynamics import (
     DiscreteTau,
@@ -101,8 +102,6 @@ def test_dynamics_outputs_are_pinned():
 def radius_calls(monkeypatch):
     """The B of every truncation_radius call made while the test runs, by
     the core or by a holder of a fixed (B, dirs)."""
-    theta_module = importlib.import_module("theta_secant.theta")
-    dynamics_module = importlib.import_module("theta_secant.dynamics")
     radius = theta_module.truncation_radius
     calls = []
 

@@ -165,7 +165,7 @@ class TestSemidiscreteFit:
 
     def test_discrimination_gap_twenty_trials(self, x5m1):
         """Ten Jacobian fits versus ten random-vector fits: gap >= 1e4."""
-        from theta_secant.cli import jacobian_fay_data
+        from theta_secant.scenarios import jacobian_fay_data
         rng = Xoshiro256(62)
         worst_pos = 0.0
         for _ in range(10):

@@ -3,21 +3,19 @@ defect of the code it checks, patched in by the test, and names the checks
 that must fail.  A check that no defect can make fail is structural:
 STRUCTURAL gives its reason, and every row leaves it bitwise unchanged."""
 
-import importlib
-
 import numpy as np
 import pytest
 
-import theta_secant.cli as cli
 import theta_secant.curves as curves
 import theta_secant.divisor as divisor
+import theta_secant.dynamics as dynamics
+import theta_secant.kummer as kummer
+import theta_secant.series as series
+import theta_secant.theta as theta
 from theta_secant.cli import run_scenario
 from theta_secant.dynamics import EllipticKernel
 from theta_secant.reports import ScenarioConfig
 from theta_secant.theta import PeriodMatrix
-
-# the package exports the function theta, which hides the module's name
-theta = importlib.import_module("theta_secant.theta")
 
 STRUCTURAL = {
     # the crosscheck's two particles sit a half period apart, where any
@@ -46,14 +44,14 @@ def _elliptic_force(wrong):
 def _perturbed_periods(monkeypatch):
     """Every curve scenario runs on B + 1e-6 M, M a fixed symmetric matrix,
     with the curve's own Abel map."""
-    setup = cli._curve_setup
+    build = curves.build_abel_data
     M = np.array([[0.3, -0.7], [-0.7, 0.5]])
 
-    def mutated(config):
-        ident, data, rng = setup(config)
+    def mutated(spec):
+        data = build(spec)
         data.B = PeriodMatrix(data.B.entries + 1e-6 * M)
-        return ident, data, rng
-    monkeypatch.setattr(cli, "_curve_setup", mutated)
+        return data
+    monkeypatch.setattr(curves, "build_abel_data", mutated)
 
 
 def _tangent_off_point(monkeypatch):
@@ -75,17 +73,20 @@ def _moved_samples(monkeypatch):
     monkeypatch.setattr(divisor, "sample_theta_divisor", mutated)
 
 
-def _zero_prefactor_phase(monkeypatch):
-    """Argument reduction returns the prefactor exp(2 pi i s) of a point
-    with a lattice shift with the phase of s set to 0, its modulus kept."""
-    reduce = theta._reduce
+def _zero_prefactor_phase(genera):
+    """In passes of the given genera, argument reduction returns the
+    prefactor exp(2 pi i s) of a point with a lattice shift with the phase
+    of s set to 0, its modulus kept."""
+    def patch(monkeypatch):
+        reduce = theta._reduce
 
-    def mutated(Z, B):
-        b, u, pref = reduce(Z, B)
-        if pref is not None:
-            pref = (0.0 * pref[0], pref[1])
-        return b, u, pref
-    monkeypatch.setattr(theta, "_reduce", mutated)
+        def mutated(Z, B):
+            b, u, pref = reduce(Z, B)
+            if pref is not None and B.g in genera:
+                pref = (0.0 * pref[0], pref[1])
+            return b, u, pref
+        monkeypatch.setattr(theta, "_reduce", mutated)
+    return patch
 
 
 def _short_radius(monkeypatch):
@@ -108,6 +109,56 @@ def _asymmetric_ellipsoid(monkeypatch):
         top = N[0].imag == N[0].imag.max()
         return N, np.where(top, -np.inf + 0j, quad), starts
     monkeypatch.setattr(theta, "_ellipsoid", mutated)
+
+
+def _fit_reports_other_e_E(monkeypatch):
+    """The discrete secancy fit reports e^E 1.001 times the exponential of
+    the E it fits."""
+    fit = kummer.fit_secancy_discrete
+
+    def mutated(U, V, A, B):
+        out = fit(U, V, A, B)
+        return out._replace(exp_E=1.001 * out.exp_E)
+    monkeypatch.setattr(kummer, "fit_secancy_discrete", mutated)
+
+
+def _laurent_v0(monkeypatch):
+    """The Laurent coefficient v0 of every tracked zero is read 1.001 times
+    too large."""
+    laurent = dynamics._laurent_data
+
+    def mutated(x, t, stencil):
+        tau_abs, etadot, v0 = laurent(x, t, stencil)
+        return tau_abs, etadot, 1.001 * v0
+    monkeypatch.setattr(dynamics, "_laurent_data", mutated)
+
+
+def _stencil_weights(monkeypatch):
+    """The 5-point time-derivative weights of the semi-discrete series are
+    1.001 times too large."""
+    monkeypatch.setattr(series, "_D5", 1.001 * series._D5)
+
+
+def _discrete_shift(monkeypatch):
+    """The discrete tau function steps nu along 1.01 (U + V)/2."""
+    init = dynamics.DiscreteTau.__init__
+
+    def mutated(self, U, V, Z, B):
+        init(self, U, V, Z, B)
+        self.S = 1.01 * self.S
+        self._iS = 1j * self.S
+    monkeypatch.setattr(dynamics.DiscreteTau, "__init__", mutated)
+
+
+def _zero_off(monkeypatch):
+    """Every zero of a discrete tau function is returned 1e-6 off."""
+    find = dynamics.find_tau_zero
+
+    def mutated(tau, nu, x_guess=None):
+        return find(tau, nu, x_guess) + 1e-6
+    # series holds its own reference to find_tau_zero
+    for module in (dynamics, series):
+        monkeypatch.setattr(module, "find_tau_zero", mutated)
 
 
 # (scenario, seed, defect, the checks that must fail)
@@ -134,7 +185,7 @@ ROWS = [
                  {"cm7", "cm7d", "divisor_reverify"}, id="samples-moved-divisor-identities"),
     pytest.param("controls", 7, _moved_samples,
                  {"jacobian_identity"}, id="samples-moved-controls"),
-    pytest.param("theta-selftest", 7, _zero_prefactor_phase,
+    pytest.param("theta-selftest", 7, _zero_prefactor_phase({1, 2}),
                  {"fd_first", "fd_second", "quasi_periodicity"},
                  id="zero-prefactor-phase-theta-selftest"),
     pytest.param("theta-selftest", 7, _short_radius,
@@ -143,6 +194,20 @@ ROWS = [
     pytest.param("theta-selftest", 7, _asymmetric_ellipsoid,
                  {"evenness", "radius_stability"},
                  id="asymmetric-ellipsoid-theta-selftest"),
+    pytest.param("divisor-identities", 7, _zero_prefactor_phase({1}),
+                 {"genus1_identity"},
+                 id="genus1-zero-prefactor-phase-divisor-identities"),
+    pytest.param("bdhe", 7, _fit_reports_other_e_E, {"ab_consistency"},
+                 id="fit-e-E-times-1.001-bdhe"),
+    pytest.param("rs-dynamics", 7, _laurent_v0, {"cm5"},
+                 id="laurent-v0-times-1.001-rs-dynamics"),
+    pytest.param("wave-series", 7, _stencil_weights, {"semidiscrete_resubstitution"},
+                 id="stencil-weights-times-1.001-wave-series"),
+    pytest.param("wave-series", 7, _discrete_shift, {"f2d_genus2"},
+                 id="discrete-shift-times-1.01-wave-series"),
+    pytest.param("wave-series", 7, _zero_off,
+                 {"f2d_genus1", "f2d_genus2", "residue_consistency_s0",
+                  "residue_consistency_s1"}, id="zero-off-by-1e-6-wave-series"),
 ]
 
 
