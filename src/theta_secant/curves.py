@@ -96,9 +96,7 @@ class CurveSpec(Frozen):
             raise DegenerateCurve(
                 f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
         roots.setflags(write=False)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "poly", c)
-        object.__setattr__(self, "roots", roots)
+        self._set(kind=kind, poly=c, roots=roots)
 
 
 class CurvePoint(Frozen):
@@ -107,8 +105,7 @@ class CurvePoint(Frozen):
     def __init__(self, x, sheet=1):
         if sheet not in (1, -1):
             raise ValidationError("sheet must be +1 or -1")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "sheet", sheet)
+        self._set(x=x, sheet=sheet)
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     _as_points,
+    as_vector,
     normalized_log_abs_many,
     theta_jets,
     truncation_radius,
@@ -185,8 +186,7 @@ def residual_cm7(Z, U, V, B: PeriodMatrix) -> list:
     theta(Z+U) theta(Z-U) * d^2_VV theta(Z), as a relative gap.
     """
     Z = _as_points(Z, B.g)
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
+    U, V = as_vector(U), as_vector(V)
     # Z +- U in one pass; Z alone, since its 2-jet needs a larger radius.
     # Both sides are products of the same three rows, so they share one
     # logscale and are compared as mantissas.
@@ -209,8 +209,7 @@ def residual_cm7d(Z, U, V, B: PeriodMatrix) -> list:
                    + theta(Z-U)theta(Z+V)theta(Z+U-V).
     """
     Z = _as_points(Z, B.g)
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
+    U, V = as_vector(U), as_vector(V)
     J = theta_jets(np.stack([Z + U, Z - V, Z - U + V, Z - U, Z + V, Z + U - V],
                             axis=1).reshape(-1, Z.shape[1]), B)
     out = []
@@ -240,8 +239,7 @@ def singular_locus_probe(Z, U, V, B: PeriodMatrix, K: int) -> list:
     """
     check_probe_depth(K)
     Z = _as_points(Z, B.g)
-    U = np.atleast_1d(np.asarray(U, complex))
-    V = np.atleast_1d(np.asarray(V, complex))
+    U, V = as_vector(U), as_vector(V)
     W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)],
                  dtype=complex).reshape(-1, B.g)
     la = normalized_log_abs_many(theta_jets(W, B), B, W).reshape(len(Z), 2 * K + 1)

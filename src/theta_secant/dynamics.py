@@ -55,15 +55,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .theta import (
-    DEFAULT_TOL,
-    PeriodMatrix,
-    ThetaJets,
-    gauss_exponents,
-    lattice_distance,
-    theta_jets,
-    truncation_radius,
-)
+from .theta import FixedJets, PeriodMatrix, as_vector, gauss_exponents, lattice_distance
 
 ZERO_TARGET = 1e-10
 SIMPLE_ZERO_GUARD = 1e-10
@@ -79,27 +71,6 @@ LAURENT_RADIUS = 0.01         # circle radius of the v0 fit, relative to 1 + |x|
 # ----------------------------------------------------------------------
 # tau sections
 # ----------------------------------------------------------------------
-
-class FixedJets:
-    """A holder of one period matrix B and one tuple of derivative directions
-    dirs for its whole life (set by the subclass), whose lattice passes are
-    _jets(W).
-
-    Each pass is theta_jets(W, B, dirs) truncated at the certified radius
-    for DEFAULT_TOL, which depends on B and the norms of dirs alone: it is
-    looked up once, at the first pass that succeeds in doing so (so
-    THETA_SECANT_CAP is read, and RadiusCap raised, there), and every pass
-    is bitwise what theta_jets without a radius gives.
-    """
-
-    _radius = None
-
-    def _jets(self, W) -> ThetaJets:
-        if self._radius is None:
-            self._radius = truncation_radius(self.B, None, DEFAULT_TOL, deriv_norms=[
-                math.hypot(*map(abs, d.tolist())) for d in self.dirs])
-        return theta_jets(W, self.B, dirs=self.dirs, radius=self._radius)
-
 
 def _times(x, U, iU) -> np.ndarray:
     """The points x_p U, shape (P, g), given U and iU = i U; the point x U,
@@ -118,7 +89,7 @@ def _times(x, U, iU) -> np.ndarray:
 
 
 class _ThetaSection(FixedJets):
-    """A tau section theta(arg(x, t) | B) with derivatives along dirs.
+    """A tau section theta(x X + t T + Z | B) with derivatives along dirs.
 
     jets(xs, ts) is its one evaluation: xs and ts of one shape, or a scalar
     t, in one lattice pass.  It returns (P,) arrays (f, fx, ft, g): g is
@@ -127,6 +98,13 @@ class _ThetaSection(FixedJets):
     generically, 0 on a zero).  ft is None for a section without a t
     direction.  Row p is bitwise the value at the p-th point alone.
     """
+
+    def __init__(self, X, T, Z, B: PeriodMatrix, dirs: tuple):
+        self.X, self.T, self.Z, self.B, self.dirs = X, T, as_vector(Z), B, dirs
+        self._iX, self._iT = 1j * X, 1j * T
+
+    def arg(self, x, t):
+        return _times(x, self.X, self._iX) + _times(t, self.T, self._iT) + self.Z
 
     def jets(self, xs, ts) -> tuple:
         W = self.arg(xs, ts)
@@ -142,18 +120,11 @@ class ThetaTau(_ThetaSection):
     """tau(x, t) = theta(x U + t V + Z | B) with analytic x/t derivatives."""
 
     def __init__(self, U, V, Z, B: PeriodMatrix):
-        self.U = np.atleast_1d(np.asarray(U, complex))
-        self.V = np.atleast_1d(np.asarray(V, complex))
-        self.Z = np.atleast_1d(np.asarray(Z, complex))
-        self.B = B
-        self.dirs = (self.U, self.V)
-        self._iU, self._iV = 1j * self.U, 1j * self.V
-
-    def arg(self, x, t):
-        return _times(x, self.U, self._iU) + _times(t, self.V, self._iV) + self.Z
+        U, V = as_vector(U), as_vector(V)
+        super().__init__(U, V, Z, B, (U, V))
 
 
-class PerturbedTau(_ThetaSection):
+class PerturbedTau:
     """tau plus an additive non-theta term, for negative controls.
 
     The term is pinned to the lattice-invariant Gaussian scale of theta at
@@ -175,10 +146,8 @@ class PerturbedTau(_ThetaSection):
                  mode: str = "const"):
         if mode not in ("const", "oscillatory"):
             raise ValidationError(f"unknown perturbation mode {mode!r}")
-        self.base = base
-        self.epsilon = epsilon
+        self.base, self.epsilon, self.mode = base, epsilon, mode
         self.g_ref = gauss_exponents(base.B, base.arg([x_ref], 0.0))[0]
-        self.mode = mode
 
     def jets(self, xs, ts) -> tuple:
         f, fx, ft, g = self.base.jets(xs, ts)
@@ -354,9 +323,20 @@ def cm5_residual(path: ZeroPath, U, V, Z, B: PeriodMatrix, tau=None) -> float:
 # Ruijsenaars-Schneider integration
 # ----------------------------------------------------------------------
 
+def _pole_spacing(periods: tuple) -> float:
+    """The least distance between two poles of F = 2 L(q) - L(q + 1) - L(q - 1)
+    when L has its poles on the lattice of periods: the least nonzero |p + e|,
+    e = 0, 1, 2, over lattice points p within three periods along each."""
+    points = [0j]
+    for w in periods:
+        points = [p + m * w for p in points for m in range(-3, 4)]
+    return min(d for p in points for e in (0, 1, 2) if (d := abs(p + e)) > 0)
+
+
 class RationalKernel:
     name = "rational"
     clearance = 1e-6
+    spacing = 1.0         # the least distance between the poles 0, 1, -1 of F
 
     def forces(self, qs: list) -> list | int:
         """F at each q of qs, or the index of the first q that is not finite
@@ -382,6 +362,7 @@ class TrigKernel:
         if abs(period) < 1e-9 or abs(period - 1.0) < 1e-9:
             raise ValidationError("trig period must differ from 0 and 1")
         self.L = period
+        self.spacing = _pole_spacing((period,))     # the poles of F lie on L Z + {0, 1, -1}
 
     def forces(self, qs: list) -> list | int:
         """F at each q of qs, or the index of the first q that is not finite or
@@ -437,6 +418,8 @@ class EllipticKernel(FixedJets):
             raise ValidationError(f"elliptic kernel needs 1/omega1 off the lattice "
                                   f"Z + tau Z (else F vanishes): omega1 = {omega1}")
         self.dirs = (np.array([1.0 + 0j]),)
+        # the poles of F lie on omega1 (Z + tau Z) + {0, 1, -1}
+        self.spacing = _pole_spacing((self.omega1, self.omega1 * self.tau))
         self._half = 0.5 * (1.0 + self.tau)
         # the Gaussian exponent of theta at w is (pi / Im tau) (Im w)^2
         self._gauss = math.pi / self.tau.imag
@@ -501,8 +484,7 @@ class RSState:
     """Positions and velocities of the interacting zeros."""
 
     def __init__(self, x, xdot, kernel="rational"):
-        self.x = np.atleast_1d(np.asarray(x, complex))
-        self.xdot = np.atleast_1d(np.asarray(xdot, complex))
+        self.x, self.xdot = as_vector(x), as_vector(xdot)
         if self.x.shape != self.xdot.shape:
             raise ValidationError("positions and velocities differ in length")
         if not 1 <= len(self.x) <= MAX_RS_PARTICLES:
@@ -573,7 +555,12 @@ def _rs_steps(t_end: float, h: float) -> int:
 def rs_integrate(state: RSState, t_end: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 on (x, xdot) from t = 0 to t_end; aborts on
     collision guard.  ValidationError past MAX_RS_POINTS positions, that is
-    (steps + 1) N."""
+    (steps + 1) N.
+
+    Collision, naming the first such step, if a step puts a particle farther
+    from x + h xdot than the kernel's spacing between two poles of F: the
+    step did not resolve F and may have crossed a pole unseen by the
+    clearance (checked after the loop, one particle's column at a time)."""
     steps = _rs_steps(t_end, h)
     N = len(state.x)
     if (steps + 1) * N > MAX_RS_POINTS:
@@ -593,6 +580,14 @@ def rs_integrate(state: RSState, t_end: float, h: float) -> Trajectory:
         y = [p + sixth * (r1 + 2 * r2 + 2 * r3 + r4)
              for p, r1, r2, r3, r4 in zip(y, s1, s2, s3, s4)]
         X[k], V[k] = y[:N], y[N:]
+    spacing = state.kernel.spacing
+    firsts = [(k[0] + 1, i) for i in range(N) if len(k := np.flatnonzero(
+        np.abs(np.diff(X[:, i]) - h * V[:-1, i]) > spacing))]
+    if firsts:
+        k, i = min(firsts)
+        off = abs(X[k, i] - X[k - 1, i] - h * V[k - 1, i])
+        raise Collision(f"step {k} put particle {i} at distance {off:.3g} from x + h xdot, "
+                        f"beyond the pole spacing {spacing:.3g} of F: the step did not resolve F")
     # t is the running sum of the steps, the float a step loop reaches
     ts = np.array(list(itertools.accumulate([h] * steps, initial=0.0)))
     return Trajectory(ts, X, V)
@@ -647,17 +642,12 @@ class DiscreteTau(_ThetaSection):
     """tau(x, nu) = theta((x/2)(U-V) + ((nu+1)/2)(U+V) + Z)."""
 
     def __init__(self, U, V, Z, B: PeriodMatrix):
-        U = np.atleast_1d(np.asarray(U, complex))
-        V = np.atleast_1d(np.asarray(V, complex))
-        self.W = 0.5 * (U - V)
-        self.S = 0.5 * (U + V)
-        self.Z = np.atleast_1d(np.asarray(Z, complex))
-        self.B = B
-        self.dirs = (self.W,)
-        self._iW, self._iS = 1j * self.W, 1j * self.S
+        U, V = as_vector(U), as_vector(V)
+        W = 0.5 * (U - V)
+        super().__init__(W, 0.5 * (U + V), Z, B, (W,))
 
     def arg(self, x, nu):
-        return _times(x, self.W, self._iW) + _times(nu + 1.0, self.S, self._iS) + self.Z
+        return super().arg(x, nu + 1.0)
 
 
 def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:

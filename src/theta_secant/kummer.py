@@ -30,6 +30,7 @@ from .errors import CoincidentPoints, DimensionMismatch, RankDeficient, ZeroVect
 from .theta import (
     Level2Vector,
     PeriodMatrix,
+    as_vector,
     half_period,
     lattice_distance,
     level_two_vector,
@@ -117,7 +118,7 @@ def _check_distinct(B, pairs):
 
 def fit_secancy_discrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, e^E) for the three-term level-two system."""
-    U, V, A = (np.atleast_1d(np.asarray(x, complex)) for x in (U, V, A))
+    U, V, A = map(as_vector, (U, V, A))
     _check_distinct(B, [("U-V", U - V), ("U-A", U - A), ("V-A", V - A)])
     shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
     vecs = level_two_vectors([p for As in shifts for p in (
@@ -130,7 +131,7 @@ def fit_secancy_discrete(U, V, A, B: PeriodMatrix) -> SecancyData:
 
 def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, E) for the tangency system with analytic d_V."""
-    U, V, A = (np.atleast_1d(np.asarray(x, complex)) for x in (U, V, A))
+    U, V, A = map(as_vector, (U, V, A))
     _check_distinct(B, [("U-A", U - A)])
     if np.linalg.norm(V) == 0:
         raise CoincidentPoints("V must be nonzero")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivisorHit, NumericalError, ValidationError
 from .rng import Xoshiro256
-from .theta import Frozen, PeriodMatrix, normalized_log_abs_many, theta_jets
+from .theta import Frozen, PeriodMatrix, as_vector, normalized_log_abs_many, theta_jets
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -58,10 +58,7 @@ class LatticeWindow(Frozen):
                 raise ValidationError("x_range invalid or too large")
             if not (1 <= len(t_samples) <= MAX_WINDOW):
                 raise ValidationError("need between 1 and 64 t samples")
-        object.__setattr__(self, "m_range", m_range)
-        object.__setattr__(self, "n_range", n_range)
-        object.__setattr__(self, "x_range", x_range)
-        object.__setattr__(self, "t_samples", t_samples)
+        self._set(m_range=m_range, n_range=n_range, x_range=x_range, t_samples=t_samples)
 
     @property
     def axes(self) -> tuple:
@@ -198,7 +195,7 @@ def toda_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldT
     """
     if win.x_range is None:
         raise ValidationError("toda_fields needs a semi-discrete window")
-    U, V, A, Z = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A, Z))
+    U, V, A, Z = map(as_vector, (U, V, A, Z))
     p, E = complex(p), complex(E)
     ts, xs = win.axes
     (w, w_scale), (a, a_scale) = _guarded_jets(win, U, V, A, Z, B, (V,))
@@ -249,7 +246,7 @@ def bdhe_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldT
     """Four-theta u(m,n) and two-theta psi(m,n) on the window."""
     if win.m_range is None:
         raise ValidationError("bdhe_fields needs a discrete window")
-    U, V, A, Z = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A, Z))
+    U, V, A, Z = map(as_vector, (U, V, A, Z))
     p, E = complex(p), complex(E)
     ms, ns = win.axes
     (w, w_scale), (a, a_scale) = _guarded_jets(win, U, V, A, Z, B, ())
@@ -305,7 +302,7 @@ def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
     BASE_TRIES tries is one pass.
     """
     rng = Xoshiro256(seed)
-    U, V, A = (np.atleast_1d(np.asarray(c, complex)) for c in (U, V, A))
+    U, V, A = map(as_vector, (U, V, A))
     best_val = -1.0
     for _ in range(BASE_TRIES):
         Z = np.array(rng.complex_vector(B.g, scale=0.5))

@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
-from .theta import PeriodMatrix
-from .dynamics import DiscreteTau, FixedJets, find_tau_zero
+from .theta import FixedJets, PeriodMatrix, as_vector
+from .dynamics import DiscreteTau, find_tau_zero
 
 S_MAX = 3                     # highest level of a semi-discrete table
 RESIDUE_SEED = 0.3 + 0.1j     # xi_1 at eta - 1 in the s = 1 residue check
@@ -109,12 +109,8 @@ class SemidiscreteSystem(FixedJets):
     """
 
     def __init__(self, U, V, Z, B: PeriodMatrix, N: int):
-        self.U = np.atleast_1d(np.asarray(U, complex))
-        self.V = np.atleast_1d(np.asarray(V, complex))
-        self.Z = np.atleast_1d(np.asarray(Z, complex))
-        self.B = B
-        self.N = int(N)
-        self.dirs = (self.V, self.V)
+        self.U, self.V, self.Z = as_vector(U), as_vector(V), as_vector(Z)
+        self.B, self.N, self.dirs = B, int(N), (self.V, self.V)
         NU = self.N * self.U
         if np.max(np.abs(NU - np.round(NU.real))) > 1e-9:
             raise NonPeriodic(f"N U = {NU} is not an integer vector")
@@ -123,7 +119,7 @@ class SemidiscreteSystem(FixedJets):
         """(theta_V / theta, theta_VV / theta) at the points (x, t), shaped like x."""
         x = np.asarray(x, dtype=float)
         W = np.multiply.outer(x, self.U) + np.multiply.outer(t, self.V) + self.Z
-        J = self._jets(W.reshape(-1, self.B.g)).sums
+        J = self._jets(W.reshape(-1, W.shape[-1])).sums
         f = J["f"]
         return (J["d0"] / f).reshape(x.shape), (J["d01"] / f).reshape(x.shape)
 

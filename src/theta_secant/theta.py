@@ -91,9 +91,13 @@ def resolve_cap() -> int:
 
 class Frozen:
     """Base of the immutable records: __init__ sets each attribute once,
-    through object.__setattr__, and assignment or deletion raises."""
+    through _set, and assignment or deletion raises."""
 
     __slots__ = ()
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -105,7 +109,9 @@ class Frozen:
 class PeriodMatrix(Frozen):
     """Point of the Siegel upper half space: symmetric, Im positive definite.
 
-    Compared and hashed by identity: its caches live on the instance.
+    Holds its facts as attributes: entries, g, im = Im B, im_inv = (Im B)^-1
+    and lam_min, the least eigenvalue of Im B.  Compared and hashed by
+    identity: its caches live on the instance.
     """
 
     def __init__(self, entries):
@@ -126,31 +132,11 @@ class PeriodMatrix(Frozen):
             raise NonPosDef("Im B is not positive definite")
         self._init(M, 1.0 / Y if len(Y) == 1 else np.linalg.inv(Y), lam_min)
 
-    def _init(self, entries, y_inv, lam_min):
+    def _init(self, entries, im_inv, lam_min):
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_y_inv", y_inv)
-        object.__setattr__(self, "_lam_min", lam_min)
-        object.__setattr__(self, "_rows", (y_inv.tolist(), entries.tolist()))
-        object.__setattr__(self, "_radii", {})
-        object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_halved", None)
-
-    @property
-    def g(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.entries.imag
-
-    @property
-    def im_inv(self) -> np.ndarray:
-        return self._y_inv
-
-    @property
-    def lam_min(self) -> float:
-        return self._lam_min
+        self._set(entries=entries, g=entries.shape[0], im=entries.imag, im_inv=im_inv,
+                  lam_min=lam_min, _rows=(im_inv.tolist(), entries.tolist()),
+                  _radii={}, _points={}, _halved=None)
 
     def halved(self) -> "PeriodMatrix":
         """Period matrix B/2 (level-two vectors are one theta sum for it), cached.
@@ -163,21 +149,25 @@ class PeriodMatrix(Frozen):
         """
         if self._halved is None:
             half = object.__new__(PeriodMatrix)
-            half._init(0.5 * self.entries, 2.0 * self._y_inv, 0.5 * self._lam_min)
-            object.__setattr__(self, "_halved", half)
+            half._init(0.5 * self.entries, 2.0 * self.im_inv, 0.5 * self.lam_min)
+            self._set(_halved=half)
         return self._halved
+
+
+def as_vector(v) -> np.ndarray:
+    """v as a complex array of at least one dimension (a scalar becomes one entry)."""
+    return np.atleast_1d(np.asarray(v, dtype=complex))
 
 
 class ThetaRequest(Frozen):
     """One theta value: argument and matrix."""
 
     def __init__(self, z, B):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        z = as_vector(z)
         if z.shape != (B.g,):
             raise DimensionMismatch(f"z has shape {z.shape}, expected ({B.g},)")
         z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "B", B)
+        self._set(z=z, B=B)
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +211,9 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
     The search walks r in Python floats from a Gaussian-only guess (see
     _ellipsoid_radius).
     The cap is resolved on every call, so THETA_SECANT_CAP is read each
-    time, and RadiusCap is raised whenever r exceeds it.  A holder of one
-    (B, dirs) for its whole life (dynamics.FixedJets: the tau sections,
-    the elliptic kernel and series.SemidiscreteSystem) calls this once, at
-    its first pass, and passes the radius on: it reads the cap there.
+    time, and RadiusCap is raised whenever r exceeds it.  A FixedJets (below:
+    the tau sections, the elliptic kernel and series.SemidiscreteSystem)
+    calls this once, at its first pass, and keeps the radius.
     """
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValidationError(f"tol {tol} outside {TOL_RANGE}")
@@ -237,6 +226,12 @@ def truncation_radius(B: PeriodMatrix, z, tol: float,
         raise RadiusCap(f"radius {r} exceeds cap {cap} "
                         f"(lam_min={B.lam_min:.3g}, tol={tol:g})")
     return r
+
+
+def _dirs_radius(B: PeriodMatrix, dirs: tuple) -> int:
+    """The certified radius for DEFAULT_TOL along the complex arrays dirs."""
+    return truncation_radius(B, None, DEFAULT_TOL, deriv_norms=[
+        math.hypot(*map(abs, d.tolist())) for d in dirs])
 
 
 def _norm_octaves(deriv_norms) -> tuple:
@@ -485,8 +480,7 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     g = Z.shape[1]
     bvec, cols, pref = _reduce(Z, B)
     if radius is None:
-        radius = truncation_radius(B, Z, DEFAULT_TOL, deriv_norms=[
-            math.hypot(*map(abs, d.tolist())) for d in dirs])
+        radius = _dirs_radius(B, dirs)
     N2pi, quad, starts = _ellipsoid(B, radius, binned)
     expo = quad + cols[0] * N2pi[0]
     for j in range(1, g):
@@ -578,9 +572,33 @@ def theta_jets(Z, B: PeriodMatrix, dirs=(), radius: int | None = None) -> ThetaJ
     truncated at the certified radius for DEFAULT_TOL (see
     truncation_radius), or at radius when given.
     """
-    dirs = _directions(dirs, B.g)
+    return _pass(Z, B, _directions(dirs, B.g), radius)
+
+
+def _pass(Z, B: PeriodMatrix, dirs: tuple, radius: int | None) -> ThetaJets:
+    """theta_jets past its direction check: dirs are _directions' arrays."""
     sums, scale = _lattice_jets(_as_points(Z, B.g), B, dirs, radius)
     return ThetaJets(dict(zip(_JET_KEYS[len(dirs)], sums[..., 0])), scale)
+
+
+class FixedJets:
+    """A holder of one period matrix B and one tuple dirs of at most two
+    complex derivative directions for its whole life (set by the subclass),
+    whose lattice passes _jets(W) are bitwise theta_jets(W, B, dirs).
+
+    Its first pass that succeeds checks dirs (keeping _directions' tuple)
+    and looks up the certified radius for DEFAULT_TOL, so DimensionMismatch,
+    a THETA_SECANT_CAP ConfigError and RadiusCap are raised there; every
+    pass then goes to _pass, past theta_jets' direction check.
+    """
+
+    _radius = None
+
+    def _jets(self, W) -> ThetaJets:
+        if self._radius is None:
+            self.dirs = _directions(self.dirs, self.B.g)
+            self._radius = _dirs_radius(self.B, self.dirs)
+        return _pass(W, self.B, self.dirs, self._radius)
 
 
 def theta(req: ThetaRequest) -> ScaledComplex:
@@ -674,7 +692,7 @@ def lattice_distance(v, B: PeriodMatrix) -> float:
     """Euclidean distance from v to the period lattice: the norm of the
     representative v - a - B b that argument reduction (_reduce) leaves;
     NumericalError if v is not finite."""
-    _, u, _ = _reduce(np.atleast_1d(np.asarray(v, dtype=complex))[None], B)
+    _, u, _ = _reduce(as_vector(v)[None], B)
     return float(np.linalg.norm(u))
 
 

@@ -294,6 +294,23 @@ class TestMain:
         assert out["checks"][0]["name"] == "momentum_conservation"
         assert set(out["timing"]) == {"wall_s"} and out["timing"]["wall_s"] >= 0
 
+    def test_rs_simulate_step_over_a_pole_exit_three(self, capsys):
+        # with seed 6 two of the 20 particles start near a pole of the
+        # period-2 kernel, and a step carries particle 1 across it
+        rc = main(["rs", "simulate", "--n", "20", "--seed", "6", "--t-end", "0.2",
+                   "--h", "1e-3", "--kernel", "trig"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 3 and out["error"] == "Collision"
+        assert out["message"].startswith("step 186 put particle 1 at distance 2 ")
+
+    def test_rs_simulate_coarse_step_exit_zero(self, capsys):
+        # one step of h = 1 moves a particle 0.58, along its velocity: no
+        # separation nears a pole, and momentum is conserved
+        rc = main(["rs", "simulate", "--n", "2", "--t-end", "1", "--h", "1",
+                   "--kernel", "rational"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["checks"][0]["residual"] <= 1e-12
+
     @pytest.mark.parametrize("scenario, headers", [
         ("toda", {"toda_fields.csv": "x,t,re_u,im_u,re_v,im_v,re_psi_mantissa,"
                                      "im_psi_mantissa,psi_logscale"}),

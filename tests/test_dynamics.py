@@ -345,6 +345,18 @@ class TestKernels:
             with pytest.raises(Collision, match="particles 1 and 2 at separation 0"):
                 rs_integrate(st, 0.01, 1e-3)
 
+    @pytest.mark.parametrize("spec, pole, spacing", [
+        ("rational", 0.0, 1.0),
+        (("trig", 2.0), 0.0, 1.0),
+        (("trig", 0.3), 0.9, 0.1),
+        (("elliptic", 1.1j, 2.5), 1.0, 0.5),
+    ])
+    def test_spacing_is_the_least_distance_between_poles(self, spec, pole, spacing):
+        kernel = dynamics.make_kernel(spec)
+        assert kernel.spacing == pytest.approx(spacing, rel=1e-12)
+        assert kernel.forces([pole]) == 0
+        assert kernel.forces([pole + kernel.spacing]) == 0
+
     def test_kernel_specs(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
         assert dynamics.make_kernel(ker) is ker

@@ -7,7 +7,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import theta_secant.dynamics as dynamics_module
 import theta_secant.theta as theta_module
 from theta_secant import series
 from theta_secant.dynamics import (
@@ -24,7 +23,7 @@ from theta_secant.dynamics import (
     track_tau_zero,
     track_zero,
 )
-from theta_secant.errors import RadiusCap
+from theta_secant.errors import DimensionMismatch, RadiusCap
 from theta_secant.rng import Xoshiro256
 from theta_secant.theta import PeriodMatrix, theta_jets
 
@@ -109,8 +108,7 @@ def radius_calls(monkeypatch):
         calls.append(B)
         return radius(B, *args, **kwargs)
 
-    for module in (theta_module, dynamics_module):
-        monkeypatch.setattr(module, "truncation_radius", counting)
+    monkeypatch.setattr(theta_module, "truncation_radius", counting)
     return calls
 
 
@@ -178,6 +176,38 @@ def test_cap_raised_at_the_first_pass_until_a_pass_succeeds(name, monkeypatch):
     _passes(holder, 0)
     monkeypatch.setenv("THETA_SECANT_CAP", "2")
     _passes(holder, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda U, V, Z: ThetaTau(U, V, Z, B_I),
+    lambda U, V, Z: DiscreteTau(U, V, Z, B_I),
+    lambda U, V, Z: series.SemidiscreteSystem(U, V, Z, B_I, N=5),
+], ids=["theta", "discrete", "semidiscrete"])
+@pytest.mark.parametrize("U, V, Z", [
+    ([0.2, 0.4], [0.2, 0.1], [0.1, 0.2]),
+    ([0.2], [0.2], [0.1, 0.2]),
+], ids=["directions", "Z"])
+def test_wrong_lengths_raise_at_the_first_pass(make, U, V, Z):
+    """Directions or a Z whose length is not the genus of B are a
+    DimensionMismatch at a holder's first pass, not an IndexError."""
+    with pytest.raises(DimensionMismatch):
+        _passes(make(U, V, Z), 0)
+
+
+@pytest.mark.parametrize("name", list(_holders()))
+def test_later_passes_skip_theta_jets_and_the_direction_check(name, monkeypatch):
+    """A holder checks its directions at its first pass alone; no pass of it
+    goes through theta_jets."""
+    holder = _holders()[name]
+    calls = []
+    for fn in ("theta_jets", "_directions"):
+        def counting(*args, _fn=fn, _core=getattr(theta_module, fn), **kwargs):
+            calls.append(_fn)
+            return _core(*args, **kwargs)
+        monkeypatch.setattr(theta_module, fn, counting)
+    for k in range(4):
+        _passes(holder, k)
+    assert calls == ["_directions"]
 
 
 def test_elliptic_forces_F_and_evaluate_agree_bitwise():

@@ -145,8 +145,8 @@ def _discrete_shift(monkeypatch):
 
     def mutated(self, U, V, Z, B):
         init(self, U, V, Z, B)
-        self.S = 1.01 * self.S
-        self._iS = 1j * self.S
+        self.T = 1.01 * self.T
+        self._iT = 1j * self.T
     monkeypatch.setattr(dynamics.DiscreteTau, "__init__", mutated)
 
 
