@@ -31,9 +31,11 @@ this one-liner, run from the repository root, writes it again:
 
 from __future__ import annotations
 
+import cmath
 import json
 from collections.abc import Mapping
 from functools import lru_cache
+from numbers import Number, Real
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +68,10 @@ class CurveSpec(Frozen):
     """A genus-2 curve y^2 = p(x), of the one kind "hyperelliptic2".
 
     poly holds the coefficients of p in increasing degree order,
-    [c0, c1, c2, c3, c4, 1]; the leading coefficient must be exactly
-    monic to 1e-9.  roots holds the five roots of p (np.roots order,
-    read-only), which the validation computes.
+    [c0, c1, c2, c3, c4, 1], each a finite number or [re, im] pair (the
+    corpus form), as a tuple of complex; the leading coefficient must be
+    exactly monic to 1e-9.  roots holds the five roots of p (np.roots
+    order, read-only), which the validation computes.
     """
 
     def __init__(self, kind, poly=None):
@@ -76,9 +79,13 @@ class CurveSpec(Frozen):
             raise ValidationError(f"unknown curve kind {kind!r}")
         if poly is None:
             raise ValidationError("hyperelliptic2 curve needs poly")
-        c = tuple(complex(v) for v in poly)
+        if not isinstance(poly, (list, tuple, np.ndarray)):
+            raise ValidationError("poly must be a list of coefficients")
+        c = tuple(map(_coefficient, poly))
         if len(c) != 6:
             raise ValidationError("poly must have 6 coefficients (degree 5)")
+        if not all(cmath.isfinite(v) for v in c):
+            raise ValidationError("poly coefficients must be finite")
         if abs(c[5] - 1.0) > 1e-9:
             raise ValidationError("poly must be monic (leading coefficient 1)")
         p = np.array(c[::-1])
@@ -97,6 +104,15 @@ class CurveSpec(Frozen):
                 f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
         roots.setflags(write=False)
         self._set(kind=kind, poly=c, roots=roots)
+
+
+def _coefficient(v) -> complex:
+    """One poly coefficient: a number, or a pair [re, im] of real numbers."""
+    if isinstance(v, Number):
+        return complex(v)
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(x, Real) for x in v):
+        return complex(v[0], v[1])
+    raise ValidationError(f"poly coefficient {v!r} is not a number or an [re, im] pair")
 
 
 class CurvePoint(Frozen):
@@ -380,22 +396,15 @@ def build_abel_data(curve: CurveSpec) -> AbelData:
 # operations
 # ----------------------------------------------------------------------
 
-def abel_map(data: AbelData, P: CurvePoint, via=None) -> np.ndarray:
-    """Abel map with basepoint at the first branch point, modulo lattice.
+def abel_map(data: AbelData, P: CurvePoint) -> np.ndarray:
+    """Abel map with basepoint at the first branch point, modulo lattice,
+    integrated along the cut-avoiding route from the basepoint to P.x.
 
     The hyperelliptic involution sends (x, sheet) to (x, -sheet) and the
     basepoint is a Weierstrass point, so the two sheets differ by a global
-    sign.  ``via`` forces intermediate waypoints (used by the
-    path-independence oracle); the default route avoids all cuts.
+    sign.
     """
-    if via is None:
-        waypoints = data.route(data.basepoint, complex(P.x))
-    else:
-        waypoints = [data.basepoint, *map(complex, via), complex(P.x)]
-        for a, b in zip(waypoints[:-1], waypoints[1:]):
-            if not data.seg_clear(a, b):
-                raise PathFailure("forced waypoints cross a cut")
-    raw = data.path_integral(waypoints)
+    raw = data.path_integral(data.route(data.basepoint, complex(P.x)))
     return P.sheet * (data.normalization @ raw)
 
 
@@ -426,22 +435,11 @@ def fay_vectors(data: AbelData, a: CurvePoint, b: CurvePoint,
 # corpus files
 # ----------------------------------------------------------------------
 
-def _c(pair):
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    return complex(pair[0], pair[1])
-
-
 def parse_curve_record(rec) -> CurveSpec:
+    """The CurveSpec of one corpus record, a JSON object."""
     if not isinstance(rec, dict):
         raise ValidationError("curve record must be a JSON object")
-    kind = rec.get("kind")
-    if kind != "hyperelliptic2":
-        raise ValidationError(f"unknown curve kind {kind!r}")
-    try:
-        return CurveSpec(kind, poly=[_c(p) for p in rec["poly"]])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {kind} record: {exc!r}") from exc
+    return CurveSpec(rec.get("kind"), poly=rec.get("poly"))
 
 
 class Corpus(Mapping):

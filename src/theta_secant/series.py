@@ -152,11 +152,9 @@ class SeriesTable:
     N |mean| of a level built without the periodic normalization.
     """
 
-    def __init__(self, ts: tuple, dt: float, levels: dict | None = None,
-                 defect: dict | None = None):
+    def __init__(self, ts: tuple, dt: float):
         self.ts, self.dt = ts, dt
-        self.levels = {} if levels is None else levels
-        self.defect = {} if defect is None else defect
+        self.levels, self.defect = {}, {}
 
     def level(self, s: int, N: int) -> np.ndarray:
         if s == 0:

@@ -490,7 +490,7 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     # to each exponent costs no more than the exponent's own rounding; a
     # single point's in Python floats, as numpy computes it
     if pref is None:
-        expo -= emax[0] if len(emax) == 1 else emax[:, None]
+        expo -= emax[:, None]
         logscale = emax
     elif isinstance(pref[0], float):
         turns, s_imag = pref

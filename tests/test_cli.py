@@ -502,13 +502,16 @@ def test_seeded_points_clear_of_cuts(ident, seed):
 
 
 # records outside the package corpus, each run from a --corpus file of its
-# own: the two genus-1 records the package corpus once held, and a
-# malformed one
+# own: the two genus-1 records the package corpus once held, a malformed
+# one, and one with an infinite coefficient (json.dumps writes Infinity,
+# which json.load reads back)
 OUTSIDE_CORPUS = {
     "g1i": {"id": "g1i", "kind": "genus1", "tau": [0.0, 1.0]},
     "g1rho": {"id": "g1rho", "kind": "genus1", "tau": [0.31, 1.17]},
     "malformed#bad": {"id": "bad", "kind": "hyperelliptic2",
                       "poly": [[1.0, "x"], 0, 0, 0, 0, 1]},
+    "infinite#inf": {"id": "inf", "kind": "hyperelliptic2",
+                     "poly": [float("inf"), 0, 0, 0, 0, 1]},
 }
 
 
