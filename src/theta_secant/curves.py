@@ -89,15 +89,20 @@ class CurveSpec(Frozen):
         if abs(c[5] - 1.0) > 1e-9:
             raise ValidationError("poly must be monic (leading coefficient 1)")
         p = np.array(c[::-1])
-        roots = np.roots(p)
         # Root separation relative to the root scale S = max |root|, read
         # at the critical points: two roots d*S apart give
         # |p| ~ (d/2)^2 S^5 there (so d of a few 1e-6 is rejected),
         # and a repeated root of any multiplicity gives |p| at rounding
         # level, below 5e-15 S^5, whereas the computed roots of a double
-        # root stay about 1e-8 S apart.
-        scale = float(np.max(np.abs(roots)))
-        if not np.min(np.abs(np.polyval(p, np.roots(np.polyder(p))))) > 1e-12 * scale ** 5:
+        # root stay about 1e-8 S apart.  S^5 or p there must not overflow.
+        try:
+            with np.errstate(over="raise"):
+                roots = np.roots(p)
+                scale = float(np.max(np.abs(roots)))
+                clear = np.min(np.abs(np.polyval(p, np.roots(np.polyder(p))))) > 1e-12 * scale ** 5
+        except (FloatingPointError, OverflowError):
+            raise ValidationError("poly coefficients too large for the degeneracy check") from None
+        if not clear:
             gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag([np.inf] * 5)
             i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
             raise DegenerateCurve(

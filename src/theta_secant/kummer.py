@@ -73,7 +73,7 @@ def kummer_map(Z, B: PeriodMatrix) -> Level2Vector:
 def collinearity_defect(p1: Level2Vector, p2: Level2Vector,
                         p3: Level2Vector) -> float:
     """sigma_3 / sigma_1 of the stacked unit coordinate rows; 0 iff collinear."""
-    if not (p1.g == p2.g == p3.g):
+    if not (len(p1.coords) == len(p2.coords) == len(p3.coords)):
         raise DimensionMismatch("points live in different projective spaces")
     M = np.stack([_unit(p1), _unit(p2), _unit(p3)])
     sv = np.linalg.svd(M, compute_uv=False)

@@ -32,13 +32,15 @@ BASE_TRIES = 64               # seeded draws of find_clear_base_point
 
 
 class LatticeWindow(Frozen):
-    """Index window: (m,n) rectangle for the discrete problem, or an
-    x-interval with a list of t samples for the semi-discrete one.
+    """Index window of one of the two problems (kind): an (m,n) rectangle
+    for the discrete one, "bdhe", or an x-interval with a list of t
+    samples for the semi-discrete one, "toda".
 
     Its grid is what a field table evaluates and what the base-point
-    search keeps clear: the axes reach one step past the window in m and n
-    (in x), where the shifts of the linear problems land, and are oriented
-    [m, n] (BDHE) or [t, x] (Toda).
+    search keeps clear.  axes holds the grid's read-only index arrays,
+    integer axis first, [m, n] or [x, t] as names says; the integer axes
+    reach one step past the window, where the shifts of the linear
+    problems land.
     """
 
     def __init__(self, m_range=None, n_range=None, x_range=None, t_samples=None):
@@ -49,6 +51,8 @@ class LatticeWindow(Frozen):
             for lo, hi in (m_range, n_range):
                 if hi < lo or hi - lo + 1 > MAX_WINDOW:
                     raise ValidationError(f"window range ({lo},{hi}) invalid or > {MAX_WINDOW}")
+            kind, names = "bdhe", ("m", "n")
+            axes = (np.arange(m_range[0], m_range[1] + 2), np.arange(n_range[0], n_range[1] + 2))
         else:
             if x_range is None or t_samples is None:
                 raise ValidationError("semi-discrete window needs x_range and t_samples")
@@ -58,38 +62,29 @@ class LatticeWindow(Frozen):
                 raise ValidationError("x_range invalid or too large")
             if not (1 <= len(t_samples) <= MAX_WINDOW):
                 raise ValidationError("need between 1 and 64 t samples")
-        self._set(m_range=m_range, n_range=n_range, x_range=x_range, t_samples=t_samples)
-
-    @property
-    def axes(self) -> tuple:
-        """The grid's index arrays: (ms, ns) or (ts, xs)."""
-        if self.m_range is not None:
-            return (np.arange(self.m_range[0], self.m_range[1] + 2),
-                    np.arange(self.n_range[0], self.n_range[1] + 2))
-        return (np.asarray(self.t_samples),
-                np.arange(self.x_range[0], self.x_range[1] + 2))
+            kind, names = "toda", ("x", "t")
+            axes = (np.arange(x_range[0], x_range[1] + 2), np.array(t_samples))
+        for a in axes:
+            a.setflags(write=False)
+        self._set(kind=kind, axes=axes, names=names)
 
     def points(self, U, V, Z) -> np.ndarray:
         """m U + n V + Z (x U + t V + Z) at the grid points, shape grid + (g,):
         the two products are summed first and Z is added last."""
         a0, a1 = self.axes
-        if self.m_range is not None:
-            return a0[:, None, None] * U + a1[:, None] * V + Z
-        return a1[:, None] * U + a0[:, None, None] * V + Z
+        return a0[:, None, None] * U + a1[:, None] * V + Z
 
     def name(self, i: int) -> str:
         """The grid point of flat index i, as DivisorHit names it."""
         a0, a1 = self.axes
         i0, i1 = divmod(i, len(a1))
-        if self.m_range is not None:
-            return f"m={a0[i0]}, n={a1[i1]}"
-        return f"x={a1[i1]}, t={self.t_samples[i0]}"
+        return f"{self.names[0]}={a0[i0]}, {self.names[1]}={a1[i1]}"
 
 
 class FieldTable:
     """Tabulated fields on a window's grid: u (and v for Toda), psi, and
     enough analytic side data (theta ratios, log-derivative gaps) to re-fit
-    constants.
+    constants; the problem is the window's kind.
 
     Arrays are indexed as the window's grid: u and v cover the window,
     psi, ratio and dlog the whole grid.  psi and ratio are mantissas
@@ -97,9 +92,9 @@ class FieldTable:
     are plain values.  A non-finite entry raises NumericalError.
     """
 
-    def __init__(self, kind: str, window: LatticeWindow, u, psi, psi_logscale,
+    def __init__(self, window: LatticeWindow, u, psi, psi_logscale,
                  v=None, ratio=None, ratio_logscale=None, dlog=None, E: complex = 0j):
-        self.kind, self.window = kind, window
+        self.window = window
         self.u, self.psi, self.psi_logscale, self.v = u, psi, psi_logscale, v
         self.ratio = ratio                          # theta(A+w)/theta(w)
         self.ratio_logscale = ratio_logscale
@@ -108,28 +103,22 @@ class FieldTable:
         for name in ("u", "v", "psi", "psi_logscale", "ratio", "ratio_logscale", "dlog"):
             values = getattr(self, name)
             if values is not None and not np.isfinite(values).all():
-                raise NumericalError(f"non-finite {name} in the {kind} table")
+                raise NumericalError(f"non-finite {name} in the {window.kind} table")
 
     def to_csv(self, path):
-        """Columns: indices, Re/Im u, Re/Im v, psi mantissa Re/Im, psi logscale."""
+        """One row per window point, first index slowest.  Columns: indices,
+        Re/Im u, Re/Im v (0 without v), psi mantissa Re/Im, psi logscale."""
         import csv
         a0, a1 = self.window.axes
-        if self.kind == "bdhe":
-            head = ["m", "n"]
-            idx = np.meshgrid(a0[:-1], a1[:-1], indexing="ij")
-            u, v = self.u, np.zeros_like(self.u)
-            psi, scale = self.psi[:-1, :-1], self.psi_logscale[:-1, :-1]
-        else:
-            # rows by x, then t
-            head = ["x", "t"]
-            idx = np.meshgrid(a1[:-1], a0, indexing="ij")
-            u, v = self.u.T, self.v.T
-            psi, scale = self.psi[:, :-1].T, self.psi_logscale[:, :-1].T
-        cols = (*idx, u.real, u.imag, v.real, v.imag, psi.real, psi.imag, scale)
+        n0, n1 = self.u.shape
+        v = np.zeros_like(self.u) if self.v is None else self.v
+        cols = (*np.meshgrid(a0[:n0], a1[:n1], indexing="ij"),
+                self.u.real, self.u.imag, v.real, v.imag,
+                self.psi[:n0, :n1].real, self.psi[:n0, :n1].imag, self.psi_logscale[:n0, :n1])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(head + ["re_u", "im_u", "re_v", "im_v",
-                               "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"])
+            w.writerow([*self.window.names, "re_u", "im_u", "re_v", "im_v",
+                        "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"])
             w.writerows(zip(*(c.ravel().tolist() for c in cols)))
 
 
@@ -143,23 +132,6 @@ def _window_jets(win: LatticeWindow, U, V, A, Z, B: PeriodMatrix, dirs=()):
     P = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
     J = theta_jets(P, B, dirs=dirs)
     return J, np.exp(normalized_log_abs_many(J, B, P))
-
-
-def _guarded_jets(win: LatticeWindow, U, V, A, Z, B: PeriodMatrix, dirs) -> list:
-    """(sums, logscale) arrays of the grid's shape for w and then for A + w.
-
-    The first point on the divisor, in the order of _window_jets, raises
-    DivisorHit.
-    """
-    J, hat = _window_jets(win, U, V, A, Z, B, dirs)
-    low = np.flatnonzero(hat < DIVISOR_GUARD)
-    if len(low):
-        q = low[0]
-        raise DivisorHit(f"theta value at {'A+, ' * (q % 2)}{win.name(q // 2)} is on "
-                         f"the divisor (normalized modulus {hat[q]:.2e})")
-    shape = (*map(len, win.axes), 2)
-    return [({key: s.reshape(shape)[..., side] for key, s in J.sums.items()},
-             J.logscale.reshape(shape)[..., side]) for side in (0, 1)]
 
 
 def _rescale(mantissa, logscale, ref):
@@ -182,6 +154,35 @@ def _fit_rows(a, b, rhs):
     return complex(w[0]), complex(w[1])
 
 
+def _field_pass(win: LatticeWindow, U, V, A, p, E, Z, B: PeriodMatrix, dirs):
+    """The one guarded pass of a field table, and the psi and theta ratio
+    R = theta(A + w)/theta(w) it gives: psi = R exp(a0 p + a1 E) at the grid
+    point (a0, a1).
+
+    Returns the sums at w and at A + w and the logscale at w, as arrays of
+    the grid's shape, and the psi, psi_logscale, ratio, ratio_logscale and E
+    of a FieldTable.  The first point on the divisor, in the order of
+    _window_jets, raises DivisorHit.
+    """
+    p, E = complex(p), complex(E)
+    J, hat = _window_jets(win, U, V, A, Z, B, dirs)
+    low = np.flatnonzero(hat < DIVISOR_GUARD)
+    if len(low):
+        q = low[0]
+        raise DivisorHit(f"theta value at {'A+, ' * (q % 2)}{win.name(q // 2)} is on "
+                         f"the divisor (normalized modulus {hat[q]:.2e})")
+    shape = (*map(len, win.axes), 2)
+    (w, w_scale), (a, a_scale) = [
+        ({key: s.reshape(shape)[..., side] for key, s in J.sums.items()},
+         J.logscale.reshape(shape)[..., side]) for side in (0, 1)]
+    ratio, ratio_scale = a["f"] / w["f"], a_scale - w_scale
+    a0, a1 = win.axes
+    arg = a0[:, None] * p + a1 * E
+    return w, a, w_scale, {
+        "psi": ratio * np.exp(1j * arg.imag), "psi_logscale": ratio_scale + arg.real,
+        "ratio": ratio, "ratio_logscale": ratio_scale, "E": E}
+
+
 # ----------------------------------------------------------------------
 # semi-discrete (Toda) tables
 # ----------------------------------------------------------------------
@@ -193,20 +194,12 @@ def toda_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldT
     psi per the two-theta ratio times exp(xp + tE);
     d/dt psi = psi * (d_V log theta(A+w) - d_V log theta(w) + E).
     """
-    if win.x_range is None:
+    if win.kind != "toda":
         raise ValidationError("toda_fields needs a semi-discrete window")
     U, V, A, Z = map(as_vector, (U, V, A, Z))
-    p, E = complex(p), complex(E)
-    ts, xs = win.axes
-    (w, w_scale), (a, a_scale) = _guarded_jets(win, U, V, A, Z, B, (V,))
+    w, a, _, fields = _field_pass(win, U, V, A, p, E, Z, B, (V,))
     lw = w["d0"] / w["f"]            # d_V log theta(w); the logscales cancel
-    ratio, ratio_scale = a["f"] / w["f"], a_scale - w_scale
-    arg = xs * p + ts[:, None] * E
-    return FieldTable("toda", win, u=lw[:, :-1] - lw[:, 1:], v=-lw[:, :-1],
-                      psi=ratio * np.exp(1j * arg.imag),
-                      psi_logscale=ratio_scale + arg.real,
-                      ratio=ratio, ratio_logscale=ratio_scale,
-                      dlog=a["d0"] / a["f"] - lw, E=E)
+    return FieldTable(win, u=lw[:-1] - lw[1:], v=-lw[:-1], dlog=a["d0"] / a["f"] - lw, **fields)
 
 
 def toda_psi_residual(table: FieldTable) -> float:
@@ -215,13 +208,13 @@ def toda_psi_residual(table: FieldTable) -> float:
     d/dt psi = psi * (dlog + E); each point is taken at the larger
     logscale of psi(x, t) and psi(x + 1, t).
     """
-    if table.kind != "toda":
+    if table.window.kind != "toda":
         raise ValidationError("expected a Toda table")
     psi, scale = table.psi, table.psi_logscale
-    ref = np.maximum(scale[:, :-1], scale[:, 1:])
-    here = _rescale(psi[:, :-1], scale[:, :-1], ref)
-    shift = _rescale(psi[:, 1:], scale[:, 1:], ref)
-    dpsi = here * (table.dlog[:, :-1] + table.E)
+    ref = np.maximum(scale[:-1], scale[1:])
+    here = _rescale(psi[:-1], scale[:-1], ref)
+    shift = _rescale(psi[1:], scale[1:], ref)
+    dpsi = here * (table.dlog[:-1] + table.E)
     return _max_relative(dpsi - shift + table.u * here, shift, dpsi)
 
 
@@ -231,11 +224,11 @@ def refit_constants_toda(table: FieldTable):
     Rows (per window point, after dividing out exp(xp+tE)):
         R(x+1,t) e^p - R(x,t) E = Rdot(x,t) + u(x,t) R(x,t),
     with R the theta ratio and Rdot = R * (d_V log theta gap), all linear
-    in the unknowns.
+    in the unknowns; the rows are taken t-major.
     """
-    R, scale = table.ratio[:, :-1], table.ratio_logscale
-    R1 = _rescale(table.ratio[:, 1:], scale[:, 1:], scale[:, :-1])
-    return _fit_rows(R1, R, R * table.dlog[:, :-1] + table.u * R)
+    R, scale = table.ratio[:-1], table.ratio_logscale
+    R1 = _rescale(table.ratio[1:], scale[1:], scale[:-1])
+    return _fit_rows(R1.T, R.T, (R * table.dlog[:-1] + table.u * R).T)
 
 
 # ----------------------------------------------------------------------
@@ -244,29 +237,22 @@ def refit_constants_toda(table: FieldTable):
 
 def bdhe_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
     """Four-theta u(m,n) and two-theta psi(m,n) on the window."""
-    if win.m_range is None:
+    if win.kind != "bdhe":
         raise ValidationError("bdhe_fields needs a discrete window")
     U, V, A, Z = map(as_vector, (U, V, A, Z))
-    p, E = complex(p), complex(E)
-    ms, ns = win.axes
-    (w, w_scale), (a, a_scale) = _guarded_jets(win, U, V, A, Z, B, ())
+    w, _, w_scale, fields = _field_pass(win, U, V, A, p, E, Z, B, ())
     th = w["f"]
-    ratio, ratio_scale = a["f"] / th, a_scale - w_scale
-    arg = ms[:, None] * p + ns * E
     # u = theta(m+1,n+1) theta(m,n) / (theta(m,n+1) theta(m+1,n))
     cross = (th[1:, 1:] * th[:-1, :-1]) / (th[:-1, 1:] * th[1:, :-1])
     cross_scale = ((w_scale[1:, 1:] + w_scale[:-1, :-1])
                    - (w_scale[:-1, 1:] + w_scale[1:, :-1]))
-    return FieldTable("bdhe", win, u=cross * np.exp(cross_scale),
-                      psi=ratio * np.exp(1j * arg.imag),
-                      psi_logscale=ratio_scale + arg.real,
-                      ratio=ratio, ratio_logscale=ratio_scale, E=E)
+    return FieldTable(win, u=cross * np.exp(cross_scale), **fields)
 
 
 def bdhe_psi_residual(table: FieldTable) -> float:
     """max relative residual of psi(m,n+1) = psi(m+1,n) + u psi(m,n),
     each point taken at the larger logscale of psi(m,n+1) and psi(m+1,n)."""
-    if table.kind != "bdhe":
+    if table.window.kind != "bdhe":
         raise ValidationError("expected a BDHE table")
     psi, scale = table.psi, table.psi_logscale
     ref = np.maximum(scale[:-1, 1:], scale[1:, :-1])

@@ -630,7 +630,6 @@ class Level2Vector(NamedTuple):
 
     coords: np.ndarray
     logscale: float
-    g: int
 
 
 def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
@@ -650,7 +649,7 @@ def level_two_vectors(Z, B: PeriodMatrix, deriv_dir=None) -> dict:
         # which overflows there)
         pks = [pk if pk >= _NORMAL_MIN else 1.0
                for pk in np.maximum.reduce(np.abs(coords), axis=1).tolist()]
-        out[key] = [Level2Vector(c / pk, ls + math.log(pk), B.g)
+        out[key] = [Level2Vector(c / pk, ls + math.log(pk))
                     for c, pk, ls in zip(coords, pks, scales)]
     return out
 

@@ -512,6 +512,8 @@ OUTSIDE_CORPUS = {
                       "poly": [[1.0, "x"], 0, 0, 0, 0, 1]},
     "infinite#inf": {"id": "inf", "kind": "hyperelliptic2",
                      "poly": [float("inf"), 0, 0, 0, 0, 1]},
+    "huge#big": {"id": "big", "kind": "hyperelliptic2",
+                 "poly": [0, 0, 0, 0, 1e300, 1]},
 }
 
 

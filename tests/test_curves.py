@@ -86,6 +86,13 @@ class TestSpecs:
         with pytest.raises(ValidationError, match="must be finite"):
             CurveSpec("hyperelliptic2", poly=[c0, 0, 0, 0, 0, 1])
 
+    @pytest.mark.parametrize("c4", [1e62, 1e300])
+    def test_huge_coefficient_is_a_validation_error(self, c4):
+        """A finite coefficient so large that p at its critical points
+        overflows is rejected, not left to overflow the degeneracy check."""
+        with pytest.raises(ValidationError, match="too large"):
+            CurveSpec("hyperelliptic2", poly=[0, 0, 0, 0, c4, 1])
+
     @pytest.mark.parametrize("poly", [5, "abcdef", [None, 0, 0, 0, 0, 1],
                                       ["1", 0, 0, 0, 0, 1], [[1.0], 0, 0, 0, 0, 1]])
     def test_malformed_poly_is_a_validation_error(self, poly):

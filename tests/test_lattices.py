@@ -68,13 +68,27 @@ class TestWindows:
         assert W.shape == (4, 4, 2)
         assert np.array_equal(W[3, 1], (2 * U + 1 * V) + Z)
         assert win.name(3 * 4 + 1) == "m=2, n=1"
+        assert (win.kind, win.names) == ("bdhe", ("m", "n"))
         win = LatticeWindow(x_range=(0, 2), t_samples=(0.0, -0.3))
-        ts, xs = win.axes
-        assert ts.tolist() == [0.0, -0.3] and xs.tolist() == [0, 1, 2, 3]
+        xs, ts = win.axes
+        assert xs.tolist() == [0, 1, 2, 3] and ts.tolist() == [0.0, -0.3]
         W = win.points(U, V, Z)
-        assert W.shape == (2, 4, 2)
-        assert np.array_equal(W[1, 3], (3 * U + -0.3 * V) + Z)
-        assert win.name(4 + 3) == "x=3, t=-0.3"
+        assert W.shape == (4, 2, 2)
+        assert np.array_equal(W[3, 1], (3 * U + -0.3 * V) + Z)
+        assert win.name(3 * 2 + 1) == "x=3, t=-0.3"
+        assert (win.kind, win.names) == ("toda", ("x", "t"))
+
+    @pytest.mark.parametrize("win", [
+        LatticeWindow(m_range=(-1, 1), n_range=(0, 2)),
+        LatticeWindow(x_range=(0, 2), t_samples=(0.0, -0.3)),
+    ], ids=["bdhe", "toda"])
+    def test_window_axes_are_read_only(self, win):
+        """The axes are computed once, at construction, and cannot be
+        written through."""
+        assert win.axes is win.axes
+        for a in win.axes:
+            with pytest.raises(ValueError):
+                a[0] = 7
 
 
 class TestSynthetic:
@@ -83,11 +97,11 @@ class TestSynthetic:
         k = 2.0
         ts = (0.0, 0.3, 0.7)
         win = LatticeWindow(x_range=(0, 4), t_samples=ts)
-        psi = np.array([[k ** x * math.exp(k * t) for x in range(0, 6)] for t in ts],
+        psi = np.array([[k ** x * math.exp(k * t) for t in ts] for x in range(0, 6)],
                        dtype=complex)
         # d/dt psi = psi * (dlog + E) = psi * k
-        table = FieldTable("toda", win, u=np.zeros((3, 5), complex), psi=psi,
-                           psi_logscale=np.zeros(psi.shape), v=np.zeros((3, 5), complex),
+        table = FieldTable(win, u=np.zeros((5, 3), complex), psi=psi,
+                           psi_logscale=np.zeros(psi.shape), v=np.zeros((5, 3), complex),
                            dlog=np.zeros(psi.shape, complex), E=k)
         assert toda_psi_residual(table) <= 1e-14
 
@@ -95,7 +109,7 @@ class TestSynthetic:
         """psi(m,n) = 2^n with u = 1: 2^{n+1} = 2^n + 2^n exactly."""
         win = LatticeWindow(m_range=(0, 3), n_range=(0, 3))
         psi = np.array([[2.0 ** n for n in range(0, 5)] for m in range(0, 5)], dtype=complex)
-        table = FieldTable("bdhe", win, u=np.ones((4, 4), complex), psi=psi,
+        table = FieldTable(win, u=np.ones((4, 4), complex), psi=psi,
                            psi_logscale=np.zeros(psi.shape))
         assert bdhe_psi_residual(table) == 0.0
 
@@ -113,17 +127,17 @@ class TestReference:
             return -j["d0"] / j["f"]
 
         for x, it in ((-4, 0), (0, 3), (3, 7)):
-            t = win.t_samples[it]
+            t = win.axes[1][it]
             w = x * U + t * V + Z
             f, ls = value_at([As + w, w], B)
             e = x * p + t * E
             want = f[0] / f[1] * cmath.exp(1j * e.imag), ls[0] - ls[1] + e.real
-            got = table.psi[it, x + 4], table.psi_logscale[it, x + 4]
+            got = table.psi[x + 4, it], table.psi_logscale[x + 4, it]
             assert rel_diff(got, want) <= 1e-13
             v = v_ref(x, t)
-            assert abs(table.v[it, x + 4] - v) <= 1e-13 * abs(v)
+            assert abs(table.v[x + 4, it] - v) <= 1e-13 * abs(v)
             u = v_ref(x + 1, t) - v
-            assert abs(table.u[it, x + 4] - u) <= 1e-13 * abs(u)
+            assert abs(table.u[x + 4, it] - u) <= 1e-13 * abs(u)
 
     def test_bdhe_psi_u(self, bdhe_setup, discrete_fit):
         s, table = bdhe_setup, bdhe_setup["table"]
@@ -233,6 +247,28 @@ class TestToda:
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 8 * 8
         assert {"x", "t", "re_v", "psi_logscale"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("setup", ["bdhe_setup", "toda_setup"])
+def test_csv_rows_match_the_table(request, setup, tmp_path):
+    """Each CSV row is the table at one window point, first index slowest:
+    the indices, u, v (0 without v), psi's mantissa and its logscale."""
+    table = request.getfixturevalue(setup)["table"]
+    path = tmp_path / "fields.csv"
+    table.to_csv(path)
+    head, *rows = csv.reader(open(path))
+    assert head == [*table.window.names, "re_u", "im_u", "re_v", "im_v",
+                    "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"]
+    a0, a1 = table.window.axes
+    n0, n1 = table.u.shape              # the window's points
+    v = np.zeros((n0, n1)) if table.v is None else table.v
+    assert len(rows) == n0 * n1
+    for k, row in enumerate(rows):
+        i, j = divmod(k, n1)
+        u, psi = table.u[i, j], table.psi[i, j]
+        assert [float(c) for c in row] == [
+            a0[i], a1[j], u.real, u.imag, v[i, j].real, v[i, j].imag,
+            psi.real, psi.imag, table.psi_logscale[i, j]]
 
 
 class TestBasePoint:

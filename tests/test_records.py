@@ -38,7 +38,7 @@ B = PeriodMatrix([[1.1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.9j]])
     (ThetaRequest(np.array([0.1, 0.2j]), B), "z"),
     (CurveSpec("hyperelliptic2", poly=[-1, 0, 0, 0, 0, 1]), "poly"),
     (CurvePoint(x=0.9 + 0.9j, sheet=-1), "sheet"),
-    (LatticeWindow(m_range=(0, 3), n_range=(0, 2)), "m_range"),
+    (LatticeWindow(m_range=(0, 3), n_range=(0, 2)), "axes"),
 ], ids=["PeriodMatrix", "ThetaRequest", "CurveSpec", "CurvePoint", "LatticeWindow"])
 def test_frozen_records_refuse_assignment(record, name):
     value = getattr(record, name)
