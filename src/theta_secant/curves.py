@@ -449,13 +449,18 @@ def parse_curve_record(rec) -> CurveSpec:
 
 class Corpus(Mapping):
     """Curve records by id, each parsed and validated when it is looked up,
-    so that a bad record fails only its own lookups."""
+    so that a bad record fails only its own lookups; each id maps to the
+    (index, record) pairs that claim it, and two claims fail its lookups."""
 
     def __init__(self, records: dict):
         self._records = records
 
     def __getitem__(self, ident) -> CurveSpec:
-        return parse_curve_record(self._records[ident])
+        claims = self._records[ident]
+        if len(claims) > 1:
+            raise ValidationError(f"curve id {ident!r} is claimed by records "
+                                  f"{', '.join(str(i) for i, _ in claims)}")
+        return parse_curve_record(claims[0][1])
 
     def __contains__(self, ident) -> bool:
         return ident in self._records
@@ -484,7 +489,7 @@ def load_corpus(path) -> Corpus:
     records = {}
     for i, rec in enumerate(data):
         ident = rec.get("id", f"curve{i}") if isinstance(rec, dict) else f"curve{i}"
-        records[str(ident)] = rec
+        records.setdefault(str(ident), []).append((i, rec))
     return Corpus(records)
 
 

@@ -36,11 +36,11 @@ class LatticeWindow(Frozen):
     for the discrete one, "bdhe", or an x-interval with a list of t
     samples for the semi-discrete one, "toda".
 
-    Its grid is what a field table evaluates and what the base-point
-    search keeps clear.  axes holds the grid's read-only index arrays,
-    integer axis first, [m, n] or [x, t] as names says; the integer axes
-    reach one step past the window, where the shifts of the linear
-    problems land.
+    Its grid is what the base-point search keeps clear, and the search's
+    pass (a WindowPass) is the one the field tables read.  axes holds the
+    grid's read-only index arrays, integer axis first, [m, n] or [x, t] as
+    names says; the integer axes reach one step past the window, where the
+    shifts of the linear problems land.
     """
 
     def __init__(self, m_range=None, n_range=None, x_range=None, t_samples=None):
@@ -122,16 +122,26 @@ class FieldTable:
             w.writerows(zip(*(c.ravel().tolist() for c in cols)))
 
 
-def _window_jets(win: LatticeWindow, U, V, A, Z, B: PeriodMatrix, dirs=()):
-    """Jets at the grid points w of win (based at Z) and at A + w, from one pass.
+class WindowPass(Frozen):
+    """One theta pass at the grid points w of win (based at Z) and at
+    A + w, with the direction V on a "toda" window and none on a "bdhe" one.
 
-    Returns the ThetaJets of the points, each w followed by its A + w, and
-    their normalized moduli.
+    Holds window, Z, the sums w and a (dicts of grid-shaped arrays), their
+    logscales w_scale and a_scale, and hat, the normalized moduli in the
+    pass's order, each w followed by its A + w.
     """
-    W = win.points(U, V, Z)
-    P = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
-    J = theta_jets(P, B, dirs=dirs)
-    return J, np.exp(normalized_log_abs_many(J, B, P))
+
+    def __init__(self, win: LatticeWindow, U, V, A, Z, B: PeriodMatrix):
+        U, V, A, Z = map(as_vector, (U, V, A, Z))
+        W = win.points(U, V, Z)
+        P = np.stack([W, A + W], axis=-2).reshape(-1, len(A))
+        J = theta_jets(P, B, dirs=(V,) if win.kind == "toda" else ())
+        shape = (*map(len, win.axes), 2)
+        (w, w_scale), (a, a_scale) = [
+            ({key: s.reshape(shape)[..., side] for key, s in J.sums.items()},
+             J.logscale.reshape(shape)[..., side]) for side in (0, 1)]
+        self._set(window=win, Z=Z, w=w, a=a, w_scale=w_scale, a_scale=a_scale,
+                  hat=np.exp(normalized_log_abs_many(J, B, P)))
 
 
 def _rescale(mantissa, logscale, ref):
@@ -154,52 +164,42 @@ def _fit_rows(a, b, rhs):
     return complex(w[0]), complex(w[1])
 
 
-def _field_pass(win: LatticeWindow, U, V, A, p, E, Z, B: PeriodMatrix, dirs):
-    """The one guarded pass of a field table, and the psi and theta ratio
-    R = theta(A + w)/theta(w) it gives: psi = R exp(a0 p + a1 E) at the grid
-    point (a0, a1).
-
-    Returns the sums at w and at A + w and the logscale at w, as arrays of
-    the grid's shape, and the psi, psi_logscale, ratio, ratio_logscale and E
-    of a FieldTable.  The first point on the divisor, in the order of
-    _window_jets, raises DivisorHit.
-    """
+def _field_pass(base: WindowPass, p, E):
+    """The psi, psi_logscale, ratio R = theta(A + w)/theta(w), ratio_logscale
+    and E of a FieldTable from base's pass, psi = R exp(a0 p + a1 E) at the
+    grid point (a0, a1); DivisorHit at the pass's first point on the divisor."""
     p, E = complex(p), complex(E)
-    J, hat = _window_jets(win, U, V, A, Z, B, dirs)
+    win, hat = base.window, base.hat
     low = np.flatnonzero(hat < DIVISOR_GUARD)
     if len(low):
         q = low[0]
         raise DivisorHit(f"theta value at {'A+, ' * (q % 2)}{win.name(q // 2)} is on "
                          f"the divisor (normalized modulus {hat[q]:.2e})")
-    shape = (*map(len, win.axes), 2)
-    (w, w_scale), (a, a_scale) = [
-        ({key: s.reshape(shape)[..., side] for key, s in J.sums.items()},
-         J.logscale.reshape(shape)[..., side]) for side in (0, 1)]
-    ratio, ratio_scale = a["f"] / w["f"], a_scale - w_scale
+    ratio, ratio_scale = base.a["f"] / base.w["f"], base.a_scale - base.w_scale
     a0, a1 = win.axes
     arg = a0[:, None] * p + a1 * E
-    return w, a, w_scale, {
-        "psi": ratio * np.exp(1j * arg.imag), "psi_logscale": ratio_scale + arg.real,
-        "ratio": ratio, "ratio_logscale": ratio_scale, "E": E}
+    return {"psi": ratio * np.exp(1j * arg.imag), "psi_logscale": ratio_scale + arg.real,
+            "ratio": ratio, "ratio_logscale": ratio_scale, "E": E}
 
 
 # ----------------------------------------------------------------------
 # semi-discrete (Toda) tables
 # ----------------------------------------------------------------------
 
-def toda_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
-    """Build v, u, psi and the log-derivative gap dlog of d/dt psi on the window.
+def toda_fields(base: WindowPass, p, E) -> FieldTable:
+    """Build v, u, psi and the log-derivative gap dlog of d/dt psi on base's window.
 
     v(x,t) = -d_V log theta(xU+tV+Z); u = v(x+1,t) - v(x,t);
     psi per the two-theta ratio times exp(xp + tE);
     d/dt psi = psi * (d_V log theta(A+w) - d_V log theta(w) + E).
     """
-    if win.kind != "toda":
+    if base.window.kind != "toda":
         raise ValidationError("toda_fields needs a semi-discrete window")
-    U, V, A, Z = map(as_vector, (U, V, A, Z))
-    w, a, _, fields = _field_pass(win, U, V, A, p, E, Z, B, (V,))
+    fields = _field_pass(base, p, E)
+    w, a = base.w, base.a
     lw = w["d0"] / w["f"]            # d_V log theta(w); the logscales cancel
-    return FieldTable(win, u=lw[:-1] - lw[1:], v=-lw[:-1], dlog=a["d0"] / a["f"] - lw, **fields)
+    return FieldTable(base.window, u=lw[:-1] - lw[1:], v=-lw[:-1],
+                      dlog=a["d0"] / a["f"] - lw, **fields)
 
 
 def toda_psi_residual(table: FieldTable) -> float:
@@ -235,18 +235,17 @@ def refit_constants_toda(table: FieldTable):
 # fully discrete (BDHE) tables
 # ----------------------------------------------------------------------
 
-def bdhe_fields(U, V, A, p, E, Z, win: LatticeWindow, B: PeriodMatrix) -> FieldTable:
-    """Four-theta u(m,n) and two-theta psi(m,n) on the window."""
-    if win.kind != "bdhe":
+def bdhe_fields(base: WindowPass, p, E) -> FieldTable:
+    """Four-theta u(m,n) and two-theta psi(m,n) on base's window."""
+    if base.window.kind != "bdhe":
         raise ValidationError("bdhe_fields needs a discrete window")
-    U, V, A, Z = map(as_vector, (U, V, A, Z))
-    w, _, w_scale, fields = _field_pass(win, U, V, A, p, E, Z, B, ())
-    th = w["f"]
+    fields = _field_pass(base, p, E)
+    th, w_scale = base.w["f"], base.w_scale
     # u = theta(m+1,n+1) theta(m,n) / (theta(m,n+1) theta(m+1,n))
     cross = (th[1:, 1:] * th[:-1, :-1]) / (th[:-1, 1:] * th[1:, :-1])
     cross_scale = ((w_scale[1:, 1:] + w_scale[:-1, :-1])
                    - (w_scale[:-1, 1:] + w_scale[1:, :-1]))
-    return FieldTable(win, u=cross * np.exp(cross_scale), **fields)
+    return FieldTable(base.window, u=cross * np.exp(cross_scale), **fields)
 
 
 def bdhe_psi_residual(table: FieldTable) -> float:
@@ -280,20 +279,19 @@ def refit_constants_bdhe(table: FieldTable):
 # ----------------------------------------------------------------------
 
 def find_clear_base_point(U, V, A, B: PeriodMatrix, seed: int,
-                          win: LatticeWindow) -> np.ndarray:
-    """Seeded search for a base point Z of win's grid off the divisor.
+                          win: LatticeWindow) -> WindowPass:
+    """Seeded search for a base point Z of win's grid off the divisor: the
+    WindowPass of the first clear draw, the pass its field tables read.
 
-    Every theta argument a field table on win will evaluate, w and A + w,
-    must have normalized modulus at least BASE_MARGIN; each of the
-    BASE_TRIES tries is one pass.
+    Every theta argument of the pass, w and A + w, must have normalized
+    modulus at least BASE_MARGIN; each of the BASE_TRIES tries is one pass.
     """
     rng = Xoshiro256(seed)
-    U, V, A = map(as_vector, (U, V, A))
     best_val = -1.0
     for _ in range(BASE_TRIES):
-        Z = np.array(rng.complex_vector(B.g, scale=0.5))
-        low = float(_window_jets(win, U, V, A, Z, B)[1].min())
+        base = WindowPass(win, U, V, A, np.array(rng.complex_vector(B.g, scale=0.5)), B)
+        low = float(base.hat.min())
         if low >= BASE_MARGIN:
-            return Z
+            return base
         best_val = max(best_val, low)
     raise DivisorHit(f"no clear base point found (best margin {best_val:.2e})")

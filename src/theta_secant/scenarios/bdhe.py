@@ -22,8 +22,8 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     nn = config.win("n_size")
     win = LatticeWindow(m_range=(-nm // 2, nm - nm // 2 - 1),
                         n_range=(-nn // 2, nn - nn // 2 - 1))
-    Z = find_clear_base_point(U, V, fit.As, B, config.seed + 11, win)
-    table = bdhe_fields(U, V, fit.As, fit.p, fit.E, Z, win, B)
+    base = find_clear_base_point(U, V, fit.As, B, config.seed + 11, win)
+    table = bdhe_fields(base, fit.p, fit.E)
     res = bdhe_psi_residual(table)
     ep2, eE2 = refit_constants_bdhe(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),

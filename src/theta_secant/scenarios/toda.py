@@ -26,13 +26,13 @@ def run_toda(config: ScenarioConfig) -> Report:
     nt = config.win("t_size")
     win = LatticeWindow(x_range=(-nx // 2, nx - nx // 2 - 1),
                         t_samples=np.linspace(-0.3, 0.3, nt))
-    Z = find_clear_base_point(U, Vt, fit.As, B, config.seed + 11, win)
-    table = toda_fields(U, Vt, fit.As, fit.p, fit.E, Z, win, B)
+    base = find_clear_base_point(U, Vt, fit.As, B, config.seed + 11, win)
+    table = toda_fields(base, fit.p, fit.E)
     res = toda_psi_residual(table)
     ep2, E2 = refit_constants_toda(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),
                  abs(E2 - fit.E) / max(abs(fit.E), 1e-300))
-    pert_table = toda_fields(U, Vt, fit.As, fit.p, fit.E + 1e-3, Z, win, B)
+    pert_table = toda_fields(base, fit.p, fit.E + 1e-3)
     pert = toda_psi_residual(pert_table)
     checks = [
         CheckRecord.le("fit_residual", fit.residual, config.tol("fit_residual")),

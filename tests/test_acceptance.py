@@ -156,8 +156,8 @@ def test_ac04_bdhe_window(x5m1, fay_data, discrete_fit):
     U, V = fay_data["U"], fay_data["V"]
     As = discrete_fit.As
     win = LatticeWindow(m_range=(-5, 4), n_range=(-5, 4))
-    Z = find_clear_base_point(U, V, As, B, seed=41, win=win)
-    table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, Z, win, B)
+    base = find_clear_base_point(U, V, As, B, seed=41, win=win)
+    table = bdhe_fields(base, discrete_fit.p, discrete_fit.E)
     res = bdhe_psi_residual(table)
     ep, eE = refit_constants_bdhe(table)
     ab = max(abs(ep - discrete_fit.exp_p) / abs(discrete_fit.exp_p),
@@ -194,8 +194,8 @@ def test_ac06_semidiscrete_chain(x5m1, tangent_data, semidiscrete_fit,
     As = fit.As
     ts = tuple(np.linspace(-0.3, 0.3, 8))
     win = LatticeWindow(x_range=(-4, 3), t_samples=ts)
-    Z = find_clear_base_point(U, V, As, B, seed=43, win=win)
-    table = toda_fields(U, V, As, fit.p, fit.E, Z, win, B)
+    base = find_clear_base_point(U, V, As, B, seed=43, win=win)
+    table = toda_fields(base, fit.p, fit.E)
     res = toda_psi_residual(table)
     ep, E = refit_constants_toda(table)
     ab = max(abs(ep - fit.exp_p) / abs(fit.exp_p),

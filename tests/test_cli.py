@@ -206,6 +206,32 @@ class TestMain:
 
     @pytest.mark.parametrize("scenario", ["fay-trisecant", "divisor-identities",
                                           "toda", "bdhe", "wave-series", "controls"])
+    def test_duplicate_curve_id_is_a_validation_error(self, capsys, tmp_path, scenario):
+        """An id that two records claim, explicitly or as the default
+        curve{i} of a record without one, names no record: its lookup
+        exits 2 naming the id and the records, with nothing on stderr, and
+        every other id still resolves to its own record."""
+        x5m1 = {"kind": "hyperelliptic2", "poly": [-1, 0, 0, 0, 0, 1]}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps([
+            {"id": "c", **x5m1},
+            {"id": "c", "kind": "hyperelliptic2", "poly": [[-1.1, 0.05], -0.2, 0, 0, 0, 1]},
+            x5m1,
+            {"id": "curve2", "kind": "hyperelliptic2", "poly": [-1, 0.5, 0, 0, 0, 1]},
+            {"id": "x5m1", **x5m1},
+        ]))
+        for ident, records in (("c", "0, 1"), ("curve2", "2, 3")):
+            rc = main([scenario, "--corpus", str(path), "--curve", ident])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.err == ""
+            assert json.loads(captured.out) == {
+                "error": "ValidationError",
+                "message": f"curve id {ident!r} is claimed by records {records}"}
+        ident, spec = resolve_curve(ScenarioConfig(scenario, curve="x5m1", corpus=str(path)))
+        assert ident == "x5m1" and spec.poly[1] == 0
+
+    @pytest.mark.parametrize("scenario", ["fay-trisecant", "divisor-identities",
+                                          "toda", "bdhe", "wave-series", "controls"])
     def test_genus1_curve_config_exit(self, capsys, tmp_path, scenario):
         """Curve records are genus 2: a genus-1 record in a --corpus file is
         an unknown kind."""

@@ -110,11 +110,26 @@ class TestTracking:
     def test_laurent_data_is_one_pass(self, tracked, lattice_passes):
         # x, the guards x +- 1 and the 5-point circle: one 8-point pass
         x, t = tracked.eta[3], GRID[3]
-        tau_abs, etadot, v0 = dynamics._laurent_data(
+        tau_abs, etadot, v0, v_side = dynamics._laurent_data(
             x, t, dynamics._stencil(ThetaTau(U1, V1, Z1, B_I), x, t))
         assert lattice_passes == [(8, False)]
         assert (tau_abs, etadot, v0) == (tracked.tau_abs[3], tracked.etadot[3],
                                          tracked.v0[3])
+        assert np.array_equal(v_side, tracked.v_side[3])
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_v_side_is_v_at_the_shifted_zeros(self, tracked, perturbed):
+        """v_side is bitwise -tau_t / tau at eta + 1 and eta - 1 from one
+        pass over the whole path with array t."""
+        tau = ThetaTau(U1, V1, Z1, B_I)
+        path = tracked
+        if perturbed:
+            tau = PerturbedTau(tau, 0.05, x_ref=tracked.eta[0] + 0.5)
+            path = track_zero(tau, GRID, x0=tracked.eta[0])
+        xs = np.stack([path.eta + 1.0, path.eta - 1.0], axis=-1).ravel()
+        f, _, ft, _ = tau.jets(xs, np.repeat(GRID, 2))
+        assert path.v_side.shape == (len(GRID), 2)
+        assert np.array_equal(path.v_side, (-ft / f).reshape(-1, 2))
 
     def test_csv(self, tracked, tmp_path):
         path = tmp_path / "zp.csv"
@@ -142,14 +157,15 @@ class TestCm5:
         # track_zero rejects a constant grid, but a ZeroPath can be built
         # directly, and its central differences would be 0/0
         path = ZeroPath(np.full(5, 0.1), np.full(5, tracked.eta[0]), tracked.etadot[:5],
-                        tracked.v0[:5], tracked.tau_abs[:5])
+                        tracked.v0[:5], tracked.tau_abs[:5], tracked.v_side[:5])
         with pytest.raises(ValidationError, match="nonzero grid step"):
             cm5_residual(path, U1, V1, Z1, B_I)
 
     def test_one_pass(self, tracked, lattice_passes):
-        # the guards at eta +- 1 and v there share one pass over the inner points
+        # v at eta +- 1 comes from the tracking passes, which guarded it:
+        # the residual makes no pass of its own
         cm5_residual(tracked, U1, V1, Z1, B_I)
-        assert lattice_passes == [(2 * (len(GRID) - 4), False)]
+        assert lattice_passes == []
 
     def test_nonuniform_grid_rejected(self, tracked):
         bad = tracked

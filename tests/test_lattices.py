@@ -12,6 +12,7 @@ from theta_secant.errors import DivisorHit, NumericalError, ValidationError
 from theta_secant.lattices import (
     FieldTable,
     LatticeWindow,
+    WindowPass,
     bdhe_fields,
     bdhe_psi_residual,
     find_clear_base_point,
@@ -30,9 +31,10 @@ def bdhe_setup(x5m1, fay_data, discrete_fit):
     U, V = fay_data["U"], fay_data["V"]
     As = discrete_fit.As
     win = LatticeWindow(m_range=(-5, 4), n_range=(-5, 4))
-    Z = find_clear_base_point(U, V, As, B, seed=41, win=win)
-    table = bdhe_fields(U, V, As, discrete_fit.p, discrete_fit.E, Z, win, B)
-    return {"B": B, "U": U, "V": V, "As": As, "Z": Z, "win": win, "table": table}
+    base = find_clear_base_point(U, V, As, B, seed=41, win=win)
+    table = bdhe_fields(base, discrete_fit.p, discrete_fit.E)
+    return {"B": B, "U": U, "V": V, "As": As, "base": base, "Z": base.Z, "win": win,
+            "table": table}
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +44,10 @@ def toda_setup(x5m1, tangent_data, semidiscrete_fit):
     As = semidiscrete_fit.As
     ts = tuple(np.linspace(-0.3, 0.3, 8))
     win = LatticeWindow(x_range=(-4, 3), t_samples=ts)
-    Z = find_clear_base_point(U, V, As, B, seed=43, win=win)
-    table = toda_fields(U, V, As, semidiscrete_fit.p, semidiscrete_fit.E, Z, win, B)
-    return {"B": B, "U": U, "V": V, "As": As, "Z": Z, "win": win, "table": table}
+    base = find_clear_base_point(U, V, As, B, seed=43, win=win)
+    table = toda_fields(base, semidiscrete_fit.p, semidiscrete_fit.E)
+    return {"B": B, "U": U, "V": V, "As": As, "base": base, "Z": base.Z, "win": win,
+            "table": table}
 
 
 class TestWindows:
@@ -160,7 +163,7 @@ class TestReference:
     def test_nan_constant_is_numerical_error(self, toda_setup, bdhe_setup):
         for build, s in ((toda_fields, toda_setup), (bdhe_fields, bdhe_setup)):
             with pytest.raises(NumericalError):
-                build(s["U"], s["V"], s["As"], math.nan, 0.1, s["Z"], s["win"], s["B"])
+                build(s["base"], math.nan, 0.1)
 
 
 class TestBdhe:
@@ -175,15 +178,16 @@ class TestBdhe:
     def test_window_shift_covariance(self, bdhe_setup, discrete_fit):
         s = bdhe_setup
         win2 = LatticeWindow(m_range=(-6, 3), n_range=(-5, 4))
-        t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p,
-                         discrete_fit.E, s["Z"] + s["U"], win2, s["B"])
+        base2 = WindowPass(win2, s["U"], s["V"], s["As"], s["Z"] + s["U"], s["B"])
+        t2 = bdhe_fields(base2, discrete_fit.p, discrete_fit.E)
         # u(m, n) of the table is u(m - 1, n) of the shifted one, at the same index
         assert np.abs(s["table"].u - t2.u).max() <= 1e-12
 
     def test_z_integer_shift_invariance(self, bdhe_setup, discrete_fit):
         s = bdhe_setup
-        t2 = bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p, discrete_fit.E,
-                         s["Z"] + np.array([1.0, 0.0]), s["win"], s["B"])
+        base2 = WindowPass(s["win"], s["U"], s["V"], s["As"], s["Z"] + np.array([1.0, 0.0]),
+                           s["B"])
+        t2 = bdhe_fields(base2, discrete_fit.p, discrete_fit.E)
         assert np.abs(s["table"].u - t2.u).max() <= 1e-12
 
     def test_divisor_hit_guard(self, x5m1, fay_data, discrete_fit,
@@ -191,15 +195,19 @@ class TestBdhe:
         # base the window exactly on a divisor point: the (0,0) theta is zero
         U, V, A = fay_data["U"], fay_data["V"], fay_data["A"]
         win = LatticeWindow(m_range=(0, 2), n_range=(0, 2))
+        base = WindowPass(win, U, V, A, divisor_samples[0].Z, x5m1.B)
         with pytest.raises(DivisorHit, match="theta value at m=0, n=0 is on the divisor"):
-            bdhe_fields(U, V, A, discrete_fit.p, discrete_fit.E, divisor_samples[0].Z,
-                        win, x5m1.B)
+            bdhe_fields(base, discrete_fit.p, discrete_fit.E)
 
     def test_table_is_one_lattice_pass(self, bdhe_setup, discrete_fit, lattice_passes):
+        """The window pass is one pass of w and A + w, and the table reads
+        it without a pass of its own."""
         s = bdhe_setup
-        bdhe_fields(s["U"], s["V"], s["As"], discrete_fit.p, discrete_fit.E,
-                    s["Z"], s["win"], s["B"])
+        base = WindowPass(s["win"], s["U"], s["V"], s["As"], s["Z"], s["B"])
         assert lattice_passes == [(2 * 11 * 11, False)]     # w and A + w
+        lattice_passes.clear()
+        bdhe_fields(base, discrete_fit.p, discrete_fit.E)
+        assert lattice_passes == []
 
     def test_csv_export(self, bdhe_setup, tmp_path):
         path = tmp_path / "bdhe.csv"
@@ -220,24 +228,27 @@ class TestToda:
 
     def test_perturbed_E_control(self, toda_setup, semidiscrete_fit):
         s = toda_setup
-        table = toda_fields(s["U"], s["V"], s["As"], semidiscrete_fit.p,
-                            semidiscrete_fit.E + 1e-3, s["Z"], s["win"], s["B"])
+        table = toda_fields(s["base"], semidiscrete_fit.p, semidiscrete_fit.E + 1e-3)
         assert toda_psi_residual(table) >= 1e-4
 
     def test_table_is_one_lattice_pass(self, toda_setup, semidiscrete_fit,
                                        lattice_passes):
+        """The window pass is one pass of w and A + w, and the table reads
+        it without a pass of its own."""
         s = toda_setup
-        toda_fields(s["U"], s["V"], s["As"], semidiscrete_fit.p, semidiscrete_fit.E,
-                    s["Z"], s["win"], s["B"])
+        base = WindowPass(s["win"], s["U"], s["V"], s["As"], s["Z"], s["B"])
         assert lattice_passes == [(2 * 9 * 8, False)]       # x in [-4, 4], 8 t
+        lattice_passes.clear()
+        toda_fields(base, semidiscrete_fit.p, semidiscrete_fit.E)
+        assert lattice_passes == []
 
     def test_zero_direction_fields_vanish(self, x5m1, fay_data):
         # V = 0 kills every time derivative: v and u vanish identically
         U, A = fay_data["U"], fay_data["A"]
         V = np.zeros(2, complex)
         win = LatticeWindow(x_range=(0, 2), t_samples=(0.0, 0.5))
-        table = toda_fields(U, V, A, 0.1, 0.2, np.array([0.21 + 0.17j, -0.33 + 0.08j]),
-                            win, x5m1.B)
+        base = WindowPass(win, U, V, A, np.array([0.21 + 0.17j, -0.33 + 0.08j]), x5m1.B)
+        table = toda_fields(base, 0.1, 0.2)
         assert np.abs(table.v).max() <= 1e-12
         assert np.abs(table.u).max() <= 1e-12
 
@@ -295,8 +306,30 @@ class TestBasePoint:
         rng = Xoshiro256(5)
         draws = [np.array(rng.complex_vector(2, scale=0.5)) for _ in range(12)]
         monkeypatch.setattr(lattices, "BASE_MARGIN", 0.24)
-        Z = find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win)
-        assert np.array_equal(Z, draws[11])
+        base = find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win)
+        assert np.array_equal(base.Z, draws[11])
         monkeypatch.setattr(lattices, "BASE_TRIES", 11)
         with pytest.raises(DivisorHit, match=r"best margin 2\.23e-01"):
             find_clear_base_point(U, V, A, x5m1.B, seed=5, win=win)
+
+
+@pytest.mark.parametrize("setup, build, fit", [
+    ("bdhe_setup", bdhe_fields, "discrete_fit"),
+    ("toda_setup", toda_fields, "semidiscrete_fit"),
+], ids=["bdhe", "toda"])
+def test_tables_read_the_search_pass(request, setup, build, fit, lattice_passes):
+    """After find_clear_base_point the table and the E + 1e-3 control make
+    no lattice pass, and each is bitwise the table of a fresh WindowPass at
+    the found Z; a toda pass carries d_V ("d0") and a bdhe pass does not."""
+    s, fit = request.getfixturevalue(setup), request.getfixturevalue(fit)
+    base = s["base"]                    # the fixture's find_clear_base_point
+    lattice_passes.clear()
+    tables = [build(base, fit.p, E) for E in (fit.E, fit.E + 1e-3)]
+    assert lattice_passes == []
+    fresh = WindowPass(s["win"], s["U"], s["V"], s["As"], base.Z, s["B"])
+    for E, table in zip((fit.E, fit.E + 1e-3), tables):
+        want = build(fresh, fit.p, E)
+        for name in ("u", "v", "psi", "psi_logscale", "ratio", "ratio_logscale", "dlog"):
+            got, ref = getattr(table, name), getattr(want, name)
+            assert (got is None and ref is None) or np.array_equal(got, ref), name
+    assert ("d0" in base.w) == (build is toda_fields)

@@ -128,8 +128,19 @@ def _laurent_v0(monkeypatch):
     laurent = dynamics._laurent_data
 
     def mutated(x, t, stencil):
-        tau_abs, etadot, v0 = laurent(x, t, stencil)
-        return tau_abs, etadot, 1.001 * v0
+        tau_abs, etadot, v0, v_side = laurent(x, t, stencil)
+        return tau_abs, etadot, 1.001 * v0, v_side
+    monkeypatch.setattr(dynamics, "_laurent_data", mutated)
+
+
+def _laurent_v_side(monkeypatch):
+    """The field v at eta + 1 and eta - 1 of every tracked zero is read
+    1.001 times too large."""
+    laurent = dynamics._laurent_data
+
+    def mutated(x, t, stencil):
+        tau_abs, etadot, v0, v_side = laurent(x, t, stencil)
+        return tau_abs, etadot, v0, 1.001 * v_side
     monkeypatch.setattr(dynamics, "_laurent_data", mutated)
 
 
@@ -201,6 +212,8 @@ ROWS = [
                  id="fit-e-E-times-1.001-bdhe"),
     pytest.param("rs-dynamics", 7, _laurent_v0, {"cm5"},
                  id="laurent-v0-times-1.001-rs-dynamics"),
+    pytest.param("rs-dynamics", 7, _laurent_v_side, {"cm5"},
+                 id="laurent-v-side-times-1.001-rs-dynamics"),
     pytest.param("wave-series", 7, _stencil_weights, {"semidiscrete_resubstitution"},
                  id="stencil-weights-times-1.001-wave-series"),
     pytest.param("wave-series", 7, _discrete_shift, {"f2d_genus2"},
