@@ -29,6 +29,7 @@ from .theta import (
     _as_points,
     as_vector,
     normalized_log_abs_many,
+    rescale,
     theta_jets,
     truncation_radius,
 )
@@ -217,7 +218,7 @@ def residual_cm7d(Z, U, V, B: PeriodMatrix) -> list:
     # logscales
     for f, ls in zip(J.sums["f"].reshape(-1, 2, 3), J.logscale.reshape(-1, 2, 3)):
         scale = ls.sum(axis=1)
-        a, b = f.prod(axis=1) * np.exp(scale - scale.max())
+        a, b = rescale(f.prod(axis=1), scale, scale.max())
         out.append(float(abs(a + b) / (abs(a) + abs(b) + 1e-300)))
     return out
 

@@ -61,6 +61,8 @@ from .theta import FixedJets, PeriodMatrix, as_vector, gauss_exponents, lattice_
 ZERO_TARGET = 1e-10
 SIMPLE_ZERO_GUARD = 1e-10
 FACTOR_GUARD = 1e-8
+NEIGHBOUR_GUARD = 1e-10       # least normalized |tau| at a discrete zero's NEIGHBOURS
+NEIGHBOURS = ((1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0))      # (dx, dn)
 MAX_RS_STEPS = 10**6
 MAX_RS_PARTICLES = 100        # an elliptic stage is one pass of 3N(N-1)/2 <= 14850 points
 MAX_RS_POINTS = 4 * 10**6     # (steps + 1) * N positions, and as many velocities
@@ -652,6 +654,18 @@ def find_tau_zero(tau, nu: float, x_guess: complex | None = None) -> complex:
     return _newton(lambda x: tau.jets([x], nu), complex(start))[0]
 
 
+def neighbour_pass(tau, eta: complex, nu: float, extra=()) -> tuple:
+    """(f, fx, g) of tau.jets in one pass at the six NEIGHBOURS (eta + dx,
+    nu + dn) of a zero eta of tau(., nu), then at the extra (x, nu) points;
+    GuardFailed if a neighbour's normalized modulus is below NEIGHBOUR_GUARD."""
+    xs, ns = (np.array(c) for c in zip(*[(eta + dx, nu + dn) for dx, dn in NEIGHBOURS], *extra))
+    f, fx, _, g = tau.jets(xs, ns)
+    for (dx, dn), h in zip(NEIGHBOURS, np.abs(f[:6])):
+        if h < NEIGHBOUR_GUARD:
+            raise GuardFailed(f"tau(eta{dx:+d}, nu{dn:+d}) too close to zero")
+    return f, fx, g
+
+
 def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,
                  x_guess: complex | None = None, tau=None) -> float:
     """|ratio + 1| for the six-factor ratio at a zero eta of tau(., nu).
@@ -661,14 +675,7 @@ def f2d_residual(U, V, Z, B: PeriodMatrix, nu: float,
     """
     if tau is None:
         tau = DiscreteTau(U, V, Z, B)
-    eta = find_tau_zero(tau, nu, x_guess)
-    factors = [(eta + 1.0, nu + 1.0), (eta - 2.0, nu), (eta + 1.0, nu - 1.0),
-               (eta - 1.0, nu + 1.0), (eta + 2.0, nu), (eta - 1.0, nu - 1.0)]
-    xs, ns = (np.array(c) for c in zip(*factors))
-    f, _, _, g = tau.jets(xs, ns)
-    for (x, n), h in zip(factors, np.abs(f)):
-        if h < 1e-10:
-            raise GuardFailed(f"factor tau({x:.3g}, {n:g}) too close to zero")
-    ratio = (f[0] * f[1] * f[2] / (f[3] * f[4] * f[5])
-             * np.exp(g[0] + g[1] + g[2] - g[3] - g[4] - g[5]))
+    f, _, g = neighbour_pass(tau, find_tau_zero(tau, nu, x_guess), nu)
+    ratio = (f[0] * f[5] * f[1] / (f[3] * f[2] * f[4])
+             * np.exp(g[0] + g[5] + g[1] - g[3] - g[2] - g[4]))
     return float(abs(ratio + 1.0))

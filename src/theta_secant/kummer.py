@@ -35,6 +35,7 @@ from .theta import (
     lattice_distance,
     level_two_vector,
     level_two_vectors,
+    rescale,
 )
 
 RANK_TOL = 1e-12
@@ -82,7 +83,7 @@ def collinearity_defect(p1: Level2Vector, p2: Level2Vector,
 
 def _common_scale(vectors):
     ref = max(v.logscale for v in vectors)
-    return [v.coords * np.exp(v.logscale - ref) for v in vectors]
+    return [rescale(v.coords, v.logscale, ref) for v in vectors]
 
 
 def _solve(M: np.ndarray, r: np.ndarray):

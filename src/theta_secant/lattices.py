@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DivisorHit, NumericalError, ValidationError
 from .rng import Xoshiro256
-from .theta import Frozen, PeriodMatrix, as_vector, normalized_log_abs_many, theta_jets
+from .theta import (Frozen, PeriodMatrix, as_vector, normalized_log_abs_many, relative_gap,
+                    rescale, theta_jets)
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -144,20 +145,11 @@ class WindowPass(Frozen):
                   hat=np.exp(normalized_log_abs_many(J, B, P)))
 
 
-def _rescale(mantissa, logscale, ref):
-    """Values mantissa * exp(logscale) as mantissas relative to exp(ref)."""
-    return mantissa * np.exp(logscale - ref)
-
-
-def _max_relative(res, a, b) -> float:
-    """max of |res| / (|a| + |b|): the relative residual of an identity
-    between the terms a and b, all three on one scale per point."""
-    return float(np.max(np.abs(res) / (np.abs(a) + np.abs(b) + 1e-300)))
-
-
 def _fit_rows(a, b, rhs):
     """Least-squares (w0, w1) of the rows a w0 - b w1 = rhs, each row
-    divided by |a| + |b| + |rhs|."""
+    divided by |a| + |b| + |rhs|; one row (a one-point window) is an error."""
+    if np.size(rhs) < 2:
+        raise ValidationError("a one-point window gives one row for two constants")
     scale = np.abs(a) + np.abs(b) + np.abs(rhs) + 1e-300
     M = np.stack([a / scale, -b / scale], axis=-1).reshape(-1, 2)
     w, *_ = np.linalg.lstsq(M, (rhs / scale).ravel(), rcond=None)
@@ -212,10 +204,10 @@ def toda_psi_residual(table: FieldTable) -> float:
         raise ValidationError("expected a Toda table")
     psi, scale = table.psi, table.psi_logscale
     ref = np.maximum(scale[:-1], scale[1:])
-    here = _rescale(psi[:-1], scale[:-1], ref)
-    shift = _rescale(psi[1:], scale[1:], ref)
+    here = rescale(psi[:-1], scale[:-1], ref)
+    shift = rescale(psi[1:], scale[1:], ref)
     dpsi = here * (table.dlog[:-1] + table.E)
-    return _max_relative(dpsi - shift + table.u * here, shift, dpsi)
+    return relative_gap(dpsi - shift + table.u * here, shift, dpsi)
 
 
 def refit_constants_toda(table: FieldTable):
@@ -227,7 +219,7 @@ def refit_constants_toda(table: FieldTable):
     in the unknowns; the rows are taken t-major.
     """
     R, scale = table.ratio[:-1], table.ratio_logscale
-    R1 = _rescale(table.ratio[1:], scale[1:], scale[:-1])
+    R1 = rescale(table.ratio[1:], scale[1:], scale[:-1])
     return _fit_rows(R1.T, R.T, (R * table.dlog[:-1] + table.u * R).T)
 
 
@@ -255,10 +247,10 @@ def bdhe_psi_residual(table: FieldTable) -> float:
         raise ValidationError("expected a BDHE table")
     psi, scale = table.psi, table.psi_logscale
     ref = np.maximum(scale[:-1, 1:], scale[1:, :-1])
-    up = _rescale(psi[:-1, 1:], scale[:-1, 1:], ref)
-    right = _rescale(psi[1:, :-1], scale[1:, :-1], ref)
-    here = _rescale(psi[:-1, :-1], scale[:-1, :-1], ref)
-    return _max_relative(up - right - table.u * here, up, right)
+    up = rescale(psi[:-1, 1:], scale[:-1, 1:], ref)
+    right = rescale(psi[1:, :-1], scale[1:, :-1], ref)
+    here = rescale(psi[:-1, :-1], scale[:-1, :-1], ref)
+    return relative_gap(up - right - table.u * here, up, right)
 
 
 def refit_constants_bdhe(table: FieldTable):
@@ -269,8 +261,8 @@ def refit_constants_bdhe(table: FieldTable):
     """
     R, scale = table.ratio, table.ratio_logscale
     ref = scale[:-1, :-1]
-    return _fit_rows(_rescale(R[1:, :-1], scale[1:, :-1], ref),
-                     _rescale(R[:-1, 1:], scale[:-1, 1:], ref),
+    return _fit_rows(rescale(R[1:, :-1], scale[1:, :-1], ref),
+                     rescale(R[:-1, 1:], scale[:-1, 1:], ref),
                      -table.u * R[:-1, :-1])
 
 

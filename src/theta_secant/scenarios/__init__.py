@@ -4,17 +4,17 @@
 scenario runs, so a verdict compiles only the runner it runs.  This module
 holds what the runners share: the curve set-up (``resolve_curve``,
 ``_curve_setup``, ``_reject_curve``), the seeded curve data
-(``seeded_curve_points``, ``jacobian_fay_data``) and ``RS_KERNELS``.  It
-imports no numpy and no pipeline module at load, so the command line loads
-without them.  A runner imports its pipeline functions inside the function,
-so that names replaced on those modules take effect.
+(``seeded_curve_points``, ``jacobian_fay_data``), ``centered``, the two
+shared controls and ``RS_KERNELS``.  It imports no numpy and no pipeline
+module at load, so the command line loads without them.  A function imports
+its pipeline functions inside, so that names replaced there take effect.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError, NumericalError
 from ..reports import ScenarioConfig
-from ..rng import Xoshiro256
+from ..rng import Xoshiro256, random_z
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +47,7 @@ def _reject_curve(config: ScenarioConfig) -> None:
 
 
 # ----------------------------------------------------------------------
-# shared seeded data
+# shared seeded data, window ranges and controls
 # ----------------------------------------------------------------------
 
 def seeded_curve_points(data, rng: Xoshiro256, count: int):
@@ -77,6 +77,30 @@ def jacobian_fay_data(data, rng: Xoshiro256):
     a, b, c, d = seeded_curve_points(data, rng, 4)
     U, V, A = fay_vectors(data, a, b, c, d)
     return U, V, A, (a, b, c, d)
+
+
+def centered(n: int) -> tuple:
+    """The range (lo, hi) of the n consecutive integers from -(n // 2)."""
+    return -(n // 2), n - n // 2 - 1
+
+
+def random_secancy_control(B, rng: Xoshiro256, draws: int) -> float:
+    """The least discrete secancy residual over draws fits, each at three
+    random vectors: the value a Jacobian's fit residual must stay below."""
+    from ..kummer import fit_secancy_discrete
+    return min(fit_secancy_discrete(*(random_z(rng, B.g, 0.35) for _ in range(3)), B).residual
+               for _ in range(draws))
+
+
+def decomposable_control(seed: int, count: int, U, V) -> list:
+    """cm7d at count divisor samples of the decomposable matrix
+    diag(i, 1.3 i), drawn at seed + 1: an identity that must fail there."""
+    import numpy as np
+    from ..divisor import residual_cm7d, sample_theta_divisor
+    from ..theta import PeriodMatrix
+    Bd = PeriodMatrix(np.diag([1j, 1.3j]))
+    return residual_cm7d(np.array([s.Z for s in sample_theta_divisor(Bd, seed + 1, count)]),
+                         U, V, Bd)
 
 
 # the kernel spec of each --kernel name of rs simulate

@@ -6,8 +6,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..reports import CheckRecord, Report, ScenarioConfig
-from ..rng import random_z
-from . import _curve_setup, jacobian_fay_data
+from . import _curve_setup, centered, jacobian_fay_data, random_secancy_control
 
 
 def run_bdhe(config: ScenarioConfig) -> Report:
@@ -18,19 +17,15 @@ def run_bdhe(config: ScenarioConfig) -> Report:
     B = data.B
     U, V, A, _pts = jacobian_fay_data(data, rng)
     fit = fit_secancy_discrete(U, V, A, B)
-    nm = config.win("m_size")
-    nn = config.win("n_size")
-    win = LatticeWindow(m_range=(-nm // 2, nm - nm // 2 - 1),
-                        n_range=(-nn // 2, nn - nn // 2 - 1))
+    win = LatticeWindow(m_range=centered(config.win("m_size")),
+                        n_range=centered(config.win("n_size")))
     base = find_clear_base_point(U, V, fit.As, B, config.seed + 11, win)
     table = bdhe_fields(base, fit.p, fit.E)
     res = bdhe_psi_residual(table)
     ep2, eE2 = refit_constants_bdhe(table)
     ab_gap = max(abs(ep2 - fit.exp_p) / abs(fit.exp_p),
                  abs(eE2 - fit.exp_E) / abs(fit.exp_E))
-    ctrl_rng = rng.spawn(31)
-    Ur, Vr, Ar = (random_z(ctrl_rng, B.g, 0.35) for _ in range(3))
-    ctrl = fit_secancy_discrete(Ur, Vr, Ar, B).residual
+    ctrl = random_secancy_control(B, rng.spawn(31), 1)
     checks = [
         CheckRecord.le("fit_residual", fit.residual, config.tol("fit_residual")),
         CheckRecord.le("psi_residual", res, config.tol("psi_residual")),

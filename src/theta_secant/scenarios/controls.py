@@ -6,9 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..reports import CheckRecord, Report, ScenarioConfig
-from ..rng import random_z
-from ..theta import PeriodMatrix
-from . import _curve_setup, jacobian_fay_data
+from . import _curve_setup, decomposable_control, jacobian_fay_data, random_secancy_control
 
 
 def run_controls(config: ScenarioConfig) -> Report:
@@ -17,21 +15,14 @@ def run_controls(config: ScenarioConfig) -> Report:
     ident, data, rng = _curve_setup(config)
     B = data.B
     trials = config.win("trials")
-    pos_fit, neg_fit = 0.0, np.inf
-    for _ in range(trials):
-        U, V, A, _ = jacobian_fay_data(data, rng)
-        pos_fit = max(pos_fit, fit_secancy_discrete(U, V, A, B).residual)
-    ctrl = rng.spawn(13)
-    for _ in range(trials):
-        Ur, Vr, Ar = (random_z(ctrl, 2, 0.35) for _ in range(3))
-        neg_fit = min(neg_fit, fit_secancy_discrete(Ur, Vr, Ar, B).residual)
+    pos_fit = max(fit_secancy_discrete(*jacobian_fay_data(data, rng)[:3], B).residual
+                  for _ in range(trials))
+    neg_fit = random_secancy_control(B, rng.spawn(13), trials)
     Z = np.array([s.Z for s in sample_theta_divisor(B, config.seed, 4)])
     U, V, A, _ = jacobian_fay_data(data, rng.spawn(2))
     pos_id = max(residual_cm7d(Z, U, V, B))
-    Bd = PeriodMatrix(np.diag([1j, 1.3j]))
-    Zd = np.array([s.Z for s in sample_theta_divisor(Bd, config.seed + 1, 4)])
     # the strongest witness: the identity must hold at every divisor point
-    dec = residual_cm7d(Zd, U, V, Bd)
+    dec = decomposable_control(config.seed, 4, U, V)
     neg_id = max(dec)
     # fit_gap and identity_gap divide by Jacobian residuals at rounding level
     # (about 4e-15 for the fit), so any change in the order of evaluation

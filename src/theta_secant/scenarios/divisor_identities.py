@@ -9,7 +9,7 @@ import numpy as np
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import random_z
 from ..theta import PeriodMatrix
-from . import _curve_setup, jacobian_fay_data
+from . import _curve_setup, decomposable_control, jacobian_fay_data
 
 
 def run_divisor_identities(config: ScenarioConfig) -> Report:
@@ -45,11 +45,9 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     worst_cm7 = max(residual_cm7(Z, U, abel_tangent(data, pts[1]), B))
     probe = min(singular_locus_probe(Z, U, V, B, depth))
 
-    Bd = PeriodMatrix(np.diag([1j, 1.3j]))
     # the negative controls take the strongest witness: the identities must
     # hold at every divisor point, so one clear violation refutes them
-    Zd = np.array([s.Z for s in sample_theta_divisor(Bd, config.seed + 1, min(count, 5))])
-    dec = residual_cm7d(Zd, U, V, Bd)
+    dec = decomposable_control(config.seed, min(count, 5), U, V)
     ctrl_rng = rng.spawn(23)
     # three rounds over the samples, each sample with its own random pair
     rand = [[residual_cm7(z[None], random_z(ctrl_rng, 2, 0.4),

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import Xoshiro256, random_siegel, random_z
-from ..theta import PeriodMatrix, theta_jets, truncation_radius
+from ..theta import PeriodMatrix, relative_gap, rescale, theta_jets, truncation_radius
 from . import _reject_curve
 
 
@@ -19,12 +19,11 @@ def _values(Z, B: PeriodMatrix, radius: int | None = None) -> tuple:
 
 
 def _rel_diff(a: tuple, b: tuple) -> float:
-    """Largest |a - b| / (|a| + |b|) over the rows of two (mantissas, logscales)
-    pairs, each row compared at its larger scale."""
+    """relative_gap of two (mantissas, logscales) pairs, each row at its larger scale."""
     (ma, la), (mb, lb) = a, b
     ref = np.maximum(la, lb)
-    ma, mb = ma * np.exp(la - ref), mb * np.exp(lb - ref)
-    return float(np.max(np.abs(ma - mb) / (np.abs(ma) + np.abs(mb) + 1e-300)))
+    ma, mb = rescale(ma, la, ref), rescale(mb, lb, ref)
+    return relative_gap(ma - mb, ma, mb)
 
 
 def run_theta_selftest(config: ScenarioConfig) -> Report:
@@ -62,7 +61,7 @@ def run_theta_selftest(config: ScenarioConfig) -> Report:
         f, ls = _values(np.array([z + hV, z - hV, z + hV + hV, z + hV - hV,
                                   z - hV + hV, z - hV - hV]), B)
         ref = ls.max()
-        f = f * np.exp(ls - ref)
+        f = rescale(f, ls, ref)
         fd1 = (f[0] - f[1]) * (0.5 / h)
         fd2 = (f[2] - f[3] - f[4] + f[5]) * (0.25 / h ** 2)
         worst_fd1 = max(worst_fd1, _rel_diff((jet.sums["d0"], jet.logscale), (fd1, ref)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from ..reports import CheckRecord, Report, ScenarioConfig
-from . import _curve_setup, jacobian_fay_data
+from . import _curve_setup, centered, jacobian_fay_data
 
 
 def run_toda(config: ScenarioConfig) -> Report:
@@ -22,10 +22,8 @@ def run_toda(config: ScenarioConfig) -> Report:
     U, V, A, pts = jacobian_fay_data(data, rng)
     Vt = abel_tangent(data, pts[1])
     fit = fit_secancy_semidiscrete(U, Vt, A, B)
-    nx = config.win("x_size")
-    nt = config.win("t_size")
-    win = LatticeWindow(x_range=(-nx // 2, nx - nx // 2 - 1),
-                        t_samples=np.linspace(-0.3, 0.3, nt))
+    win = LatticeWindow(x_range=centered(config.win("x_size")),
+                        t_samples=np.linspace(-0.3, 0.3, config.win("t_size")))
     base = find_clear_base_point(U, Vt, fit.As, B, config.seed + 11, win)
     table = toda_fields(base, fit.p, fit.E)
     res = toda_psi_residual(table)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GuardFailed, NonPeriodic, ValidationError, WindowExhausted
-from .theta import FixedJets, PeriodMatrix, as_vector
-from .dynamics import DiscreteTau, find_tau_zero
+from .errors import NonPeriodic, ValidationError, WindowExhausted
+from .theta import FixedJets, PeriodMatrix, as_vector, rescale
+from .dynamics import DiscreteTau, find_tau_zero, neighbour_pass
 
 S_MAX = 3                     # highest level of a semi-discrete table
 RESIDUE_SEED = 0.3 + 0.1j     # xi_1 at eta - 1 in the s = 1 residue check
@@ -62,21 +62,15 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     if tau is None:
         tau = DiscreteTau(U, V, Z, B)
     eta = find_tau_zero(tau, nu)
-    # the Laurent coefficient of tau at eta (the directional derivative along
-    # the x-translation direction) and the six factors, in one lattice pass
-    shifts = ((0, 0), (1, 1), (1, -1), (2, 0), (-1, 1), (-1, -1), (-2, 0))
-    xs = [eta + dx for dx, _ in shifts]
-    ns = [nu + dn for _, dn in shifts]
+    # the six factors and, at eta, the Laurent coefficient of tau (its
+    # derivative along the x-translation direction), in one lattice pass
+    extra = [(eta, nu)]
     if s == 1:
         # and the four factors of u(x, nu-1) at x = (eta-1) + 1, the point
         # where the recursion steps xi_1 from eta-1 to eta+1 (not bitwise eta)
         x, n = (eta - 1.0) + 1.0, nu - 1.0
-        xs += [x, x, x - 1.0, x + 1.0]
-        ns += [n + 1.0, n - 1.0, n, n]
-    f, fx, _, g = tau.jets(np.array(xs), np.array(ns))
-    for (dx, dn), h in zip(shifts[1:], np.abs(f[1:7])):
-        if h < 1e-10:
-            raise GuardFailed(f"tau(eta{dx:+d}, nu{dn:+d}) too close to zero")
+        extra += [(x, n + 1.0), (x, n - 1.0), (x - 1.0, n), (x + 1.0, n)]
+    f, fx, g = neighbour_pass(tau, eta, nu, extra)
 
     xi_m = xi_p = 1.0 + 0j
     if s == 1:
@@ -88,9 +82,9 @@ def discrete_residue_consistency(U, V, Z, B: PeriodMatrix, nu: float, s: int,
     # each residue is a product of mantissas times exp of its Gaussian
     # exponents, taken at the larger of the two scales (exp(g) of tau_x(eta)
     # divides both)
-    e = np.array([g[1] + g[2] - g[3], g[4] + g[5] - g[6]])
-    r_plus, r_minus = np.exp(e - e.max()) * np.array([
-        f[1] * f[2] / (fx[0] * f[3]) * xi_p, f[4] * f[5] / (fx[0] * f[6]) * xi_m])
+    e = np.array([g[0] + g[1] - g[2], g[3] + g[4] - g[5]])
+    r_plus, r_minus = rescale(np.array([f[0] * f[1] / (fx[6] * f[2]) * xi_p,
+                                        f[3] * f[4] / (fx[6] * f[5]) * xi_m]), e, e.max())
     mismatch = abs(r_plus + r_minus) / (abs(r_plus) + abs(r_minus) + 1e-300)
     return float(mismatch), eta, fd4d_gap
 

@@ -683,6 +683,16 @@ def normalized_log_abs_many(jets: ThetaJets, B: PeriodMatrix, Z) -> np.ndarray:
         return np.log(np.abs(jets.sums["f"])) + jets.logscale - gauss_exponents(B, Z)
 
 
+def rescale(mantissa, logscale, ref):
+    """Values mantissa * exp(logscale) as mantissas relative to exp(ref)."""
+    return mantissa * np.exp(logscale - ref)
+
+
+def relative_gap(res, a, b) -> float:
+    """max |res| / (|a| + |b|), an identity's relative residual, on one scale per point."""
+    return float(np.max(np.abs(res) / (np.abs(a) + np.abs(b) + 1e-300)))
+
+
 # ----------------------------------------------------------------------
 # lattice helpers
 # ----------------------------------------------------------------------

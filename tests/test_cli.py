@@ -1,5 +1,6 @@
 """Config validation, report round-trips, determinism, CLI surface."""
 
+import csv
 import json
 import os
 import random
@@ -352,6 +353,34 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(headers)
         for name, head in headers.items():
             assert (tmp_path / name).read_text().splitlines()[0] == head
+
+    @pytest.mark.parametrize("scenario, window, name, indices", [
+        ("bdhe", ["m_size=3"], "bdhe_fields.csv", {-1, 0, 1}),
+        ("bdhe", ["m_size=2", "n_size=5"], "bdhe_fields.csv", {-1, 0}),
+        ("bdhe", ["m_size=1", "n_size=4"], "bdhe_fields.csv", {0}),
+        ("toda", ["x_size=5"], "toda_fields.csv", {-2, -1, 0, 1, 2}),
+        ("toda", ["x_size=8"], "toda_fields.csv", set(range(-4, 4))),
+    ])
+    def test_a_window_of_n_points_is_centered(self, tmp_path, capsys, scenario,
+                                              window, name, indices):
+        """A window size n tabulates the n integers from -(n // 2), odd or even."""
+        argv = [scenario, "--seed", "7", "--csv-dir", str(tmp_path)]
+        rc = main(argv + [a for w in window for a in ("--window", w)])
+        capsys.readouterr()
+        with open(tmp_path / name) as fh:
+            first = {int(row[0]) for row in list(csv.reader(fh))[1:]}
+        assert rc == 0 and first == indices
+
+    @pytest.mark.parametrize("argv", [
+        ["bdhe", "--window", "m_size=1", "--window", "n_size=1"],
+        ["toda", "--window", "x_size=1", "--window", "t_size=1"],
+    ])
+    def test_one_point_window_is_a_validation_error(self, capsys, argv):
+        """One window point leaves one refit row for the two constants."""
+        rc = main(argv + ["--seed", "7"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 2 and out["error"] == "ValidationError"
+        assert out["message"] == "a one-point window gives one row for two constants"
 
 
 @pytest.mark.parametrize("scenario, curve, seed, name, key, weakest", [

@@ -27,6 +27,7 @@ from theta_secant.dynamics import (
 from theta_secant.errors import Collision, GuardFailed, LostZero, ValidationError
 from theta_secant.rng import Xoshiro256
 from theta_secant.scenarios import RS_KERNELS
+from theta_secant.series import discrete_residue_consistency
 from theta_secant.theta import PeriodMatrix, theta_jets
 from theta_values import gauss_exponent, jet_at
 
@@ -550,6 +551,28 @@ class TestF2d:
         eta0 = find_tau_zero(tau, 0.0)
         pert = PerturbedTau(tau, 0.05, x_ref=eta0 + 0.5, mode="oscillatory")
         assert f2d_residual(Uc, Vc, Zc, B_I, 0.0, tau=pert) >= 1e-2
+
+    def test_one_pass_after_the_zero_search(self, lattice_passes):
+        # past its zero search, the residual is one pass at the six factors
+        U, V, Z = np.array([0.35 + 0.05j]), np.array([0.21 - 0.13j]), np.array([0.12 + 0.33j])
+        find_tau_zero(DiscreteTau(U, V, Z, B_I), 0.5)
+        search = list(lattice_passes)
+        lattice_passes.clear()
+        f2d_residual(U, V, Z, B_I, nu=0.5)
+        assert lattice_passes == search + [(6, False)]
+
+    @pytest.mark.parametrize("residual", [
+        lambda U, V, Z: f2d_residual(U, V, Z, B_I, 0.0),
+        lambda U, V, Z: discrete_residue_consistency(U, V, Z, B_I, 0.0, s=0),
+        lambda U, V, Z: discrete_residue_consistency(U, V, Z, B_I, 0.0, s=1),
+    ], ids=["f2d", "residue-s0", "residue-s1"])
+    def test_neighbour_guard(self, residual):
+        # U - V = 1: the x-step of 2 is a period, so tau(eta +- 2, nu) is
+        # tau(eta, nu) = 0, and both identities stop at the same neighbour
+        U, Z = np.array([0.6 + 0.1j]), np.array([0.12 + 0.33j])
+        with pytest.raises(GuardFailed) as exc:
+            residual(U, U - 1.0, Z)
+        assert str(exc.value) == "tau(eta+2, nu+0) too close to zero"
 
 
 B2 = PeriodMatrix([[1.1j, 0.2 + 0.3j], [0.2 + 0.3j, 0.9j]])

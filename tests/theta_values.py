@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from theta_secant.theta import gauss_exponents, theta_jets
+from theta_secant.theta import gauss_exponents, rescale, theta_jets
 
 
 def values(jets, key="f"):
@@ -31,7 +31,7 @@ def rel_diff(a, b, floor=1e-300):
     """|a - b| / (|a| + |b| + floor) row by row, each row at its larger scale."""
     (ma, la), (mb, lb) = a, b
     ref = np.maximum(la, lb)
-    ma, mb = ma * np.exp(la - ref), mb * np.exp(lb - ref)
+    ma, mb = rescale(ma, la, ref), rescale(mb, lb, ref)
     return np.abs(ma - mb) / (np.abs(ma) + np.abs(mb) + floor)
 
 
