@@ -25,6 +25,7 @@ the same environment and timing.  The runners' shared set-up lives in
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -45,25 +46,24 @@ from .scenarios import jacobian_fay_data, resolve_curve  # noqa: F401
 # scenario dispatch
 # ----------------------------------------------------------------------
 
-def _stamped(run, arg) -> Report:
-    """The report of run(arg), stamped with the package version, the seed
-    of arg (a ScenarioConfig or the parsed rs simulate arguments) and the
-    wall time of the run."""
+def _stamped(module: str, runner: str, arg) -> Report:
+    """The report of the function runner of .scenarios.<module> on arg (a
+    ScenarioConfig or the parsed rs simulate arguments), stamped with the
+    package version, the seed of arg and the wall time of the run.  The
+    module is imported at the call, so a verdict compiles only the runner it
+    runs, and inside the clock, so every wall time counts the same imports."""
     t0 = time.perf_counter()
-    report = run(arg)
+    report = getattr(import_module(f"{__package__}.scenarios.{module}"), runner)(arg)
     report.environment = {"version": __version__, "seed": arg.seed}
     report.timing = {"wall_s": round(time.perf_counter() - t0, 3)}
     return report
 
 
 def run_scenario(config: ScenarioConfig) -> Report:
-    """Execute one scenario and attach environment and timing metadata.
-
-    The runner is run_<name> of its module of .scenarios, imported at the
-    call: a verdict compiles only the runner it runs."""
+    """Execute one scenario and attach environment and timing metadata: the
+    runner is run_<name> of its module of .scenarios."""
     name = config.scenario.replace("-", "_")
-    module = import_module(f"{__package__}.scenarios.{name}")
-    return _stamped(getattr(module, f"run_{name}"), config)
+    return _stamped(name, f"run_{name}", config)
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +128,16 @@ def build_parser():
     return ap
 
 
+def _check_output_dirs(options: dict) -> None:
+    """FileNotFoundError unless each directory the run writes into exists:
+    --csv-dir, and those of --csv and --out, checked before the first pass."""
+    dirs = [options.get("csv_dir")] + [
+        Path(options[key]).parent for key in ("csv", "out") if options.get(key)]
+    for d in dirs:
+        if d and not Path(d).is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(d))
+
+
 def _command(argv) -> tuple:
     """(text, exit code) of the command line argv: the JSON report, None
     when it went to --out, or the JSON error (a usage error too)."""
@@ -136,11 +146,11 @@ def _command(argv) -> tuple:
         if args.command is None:
             raise ConfigError("a command is required: one of "
                               + ", ".join([*SCENARIOS, "rs"]))
+        if args.command == "rs" and args.rs_command != "simulate":
+            raise ConfigError("usage: theta-secant rs simulate ...")
+        _check_output_dirs(vars(args))
         if args.command == "rs":
-            if args.rs_command != "simulate":
-                raise ConfigError("usage: theta-secant rs simulate ...")
-            from .scenarios.rs_dynamics import run_rs_simulate
-            report = _stamped(run_rs_simulate, args)
+            report = _stamped("rs_dynamics", "run_rs_simulate", args)
         else:
             report = run_scenario(ScenarioConfig(
                 scenario=args.command,

@@ -426,9 +426,11 @@ class EllipticKernel(FixedJets):
         """F and dist, shape (3, len(q)), from one theta pass at (q + d)/omega1
         + (1 + tau)/2, d = 0, 1, -1: dist is the normalized modulus of theta1
         at (q + d)/omega1 (value and derivative share a logscale), nan where
-        q is not finite, all without numpy's division warnings."""
+        q is not finite or the modulus overflows (a bounded normalized
+        modulus past float range is no measurement), all without numpy's
+        division or overflow warnings."""
         k = len(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = np.concatenate((q, q + 1.0, q - 1.0)) / self.omega1 + self._half
             try:
                 J = self._jets(w[:, None])
@@ -443,6 +445,7 @@ class EllipticKernel(FixedJets):
                 f = J.sums["f"]
             z = J.sums["d0"] / f / self.omega1
             dist = np.abs(f) * np.exp(J.logscale - self._gauss * w.imag ** 2)
+        dist[dist == np.inf] = np.nan
         return 2.0 * z[:k] - z[k:2 * k] - z[2 * k:], dist.reshape(3, k)
 
     def forces(self, qs: list) -> list | int:

@@ -333,6 +333,15 @@ class TestKernels:
                             * mpmath.exp(-mpmath.pi * z.imag ** 2 / tau.imag))
                 assert dist[0, k] == pytest.approx(hat, rel=1e-12)
 
+    def test_elliptic_dist_past_float_range_is_not_clear(self):
+        """Far out, the exponent of the normalized modulus of theta1 (which
+        is bounded) passes exp's range: dist is nan, not inf, and the
+        separation is not clear, without an overflow warning."""
+        ker = EllipticKernel(1.1j, omega1=2.5)
+        far = 1.481e10 + 7.145e9j
+        assert np.isnan(ker.evaluate(np.array([far]))[1]).all()
+        assert ker.forces([0.6 + 0.1j, far]) == 1 and not ker.guard(far)
+
     def test_elliptic_guard_fresh_after_other_separation(self):
         ker = EllipticKernel(1.1j, omega1=2.5)
         ker.F(0.6 + 0.1j)
