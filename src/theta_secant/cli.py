@@ -7,11 +7,15 @@
                  [--csv PATH] [--out PATH]
 
 --curve names a record of the --corpus file, or of the package corpus
-when --corpus is not given (default x5m1).  Reports and errors are JSON
-on stdout (a report goes to --out when given).  Exit codes: 0 all checks
-pass, 1 at least one residual check failed, 2 invalid input or config
-(or output whose reader has gone, with nothing written), 3 numerical
-infrastructure error; error reports carry the error class name verbatim.
+when --corpus is not given (default x5m1); the six curve scenarios take
+both, theta-selftest and rs-dynamics neither.  --csv-dir is for toda
+(toda_fields.csv), bdhe (bdhe_fields.csv) and rs-dynamics (rs_trajectory.csv
+and zero_path.csv); a scenario given an option it would ignore exits 2
+(reports.INPUTS).  Reports and errors are JSON on stdout (a report goes
+to --out when given).  Exit codes: 0 all checks pass, 1 at least one
+residual check failed, 2 invalid input or config (or output whose reader
+has gone, with nothing written), 3 numerical infrastructure error; error
+reports carry the error class name verbatim.
 The THETA_SECANT_CAP environment variable, an integer of at least 1,
 overrides the theta truncation-radius cap; any other value exits 2.
 
@@ -95,9 +99,10 @@ def build_parser():
         description="Verify trisecant-type theta identities with quantified residuals.")
     sub = ap.add_subparsers(dest="command")
 
-    def add_scenario_args(p):
+    for name in SCENARIOS:
+        p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--curve", default=None,
-                       help="curve id in the corpus (default x5m1 where relevant)")
+                       help="curve id in the corpus (curve scenarios; default x5m1)")
         p.add_argument("--corpus", default=None,
                        help="curve corpus JSON path (default: the package corpus)")
         p.add_argument("--seed", type=int, default=7)
@@ -107,11 +112,7 @@ def build_parser():
         p.add_argument("--window", action="append", metavar="KEY=VALUE",
                        help="window/grid size override (repeatable)")
         p.add_argument("--csv-dir", default=None,
-                       help="directory for CSV artifacts")
-
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=f"run the {name} scenario")
-        add_scenario_args(p)
+                       help="directory for CSV files (toda, bdhe, rs-dynamics)")
 
     rs = sub.add_parser("rs", help="Ruijsenaars-Schneider utilities")
     rssub = rs.add_subparsers(dest="rs_command")
@@ -148,19 +149,13 @@ def _command(argv) -> tuple:
                               + ", ".join([*SCENARIOS, "rs"]))
         if args.command == "rs" and args.rs_command != "simulate":
             raise ConfigError("usage: theta-secant rs simulate ...")
+        config = None if args.command == "rs" else ScenarioConfig(
+            args.command, curve=args.curve, seed=args.seed, corpus=args.corpus,
+            tolerances=_kv_pairs(args.tol, "--tol"),
+            window=_kv_pairs(args.window, "--window"), csv_dir=args.csv_dir)
         _check_output_dirs(vars(args))
-        if args.command == "rs":
-            report = _stamped("rs_dynamics", "run_rs_simulate", args)
-        else:
-            report = run_scenario(ScenarioConfig(
-                scenario=args.command,
-                curve=args.curve,
-                seed=args.seed,
-                tolerances=_kv_pairs(args.tol, "--tol"),
-                window=_kv_pairs(args.window, "--window"),
-                csv_dir=args.csv_dir,
-                corpus=args.corpus,
-            ))
+        report = (_stamped("rs_dynamics", "run_rs_simulate", args) if config is None
+                  else run_scenario(config))
         text = report.to_json()
         if args.out:
             Path(args.out).write_text(text + "\n")

@@ -1,9 +1,10 @@
 """Scenario configuration and machine-readable reports.
 
-Configs reject an unknown scenario and any tolerance or window name that
-the scenario does not read (PARAMETERS lists them with their defaults);
-tolerance overrides are range checked, and window overrides must be
-integers of at least 1 (probe_depth at least 0).
+Configs refuse, before any work, an unknown scenario, a tolerance or window
+name that the scenario does not read (PARAMETERS lists them with their
+defaults) and a curve, corpus or CSV directory that it would ignore
+(INPUTS); tolerances are range checked, and window sizes must be integers
+of at least 1 (WINDOW_MIN holds the exceptions).
 Reports serialize to JSON with sorted keys so identical config + seed
 yields byte-identical output up to the isolated "timing" object.
 """
@@ -69,12 +70,19 @@ PARAMETERS = {
 
 SCENARIOS = tuple(PARAMETERS)
 
+# the scenarios that read each optional input, by its config fields (the
+# config refuses it for any other scenario), and the window minima other than 1
+INPUTS = {("curve", "corpus"): ("fay-trisecant", "divisor-identities", "toda", "bdhe",
+                                "wave-series", "controls"),
+          ("csv_dir",): ("toda", "bdhe", "rs-dynamics")}
+WINDOW_MIN = {"probe_depth": 0}
+
 TOL_BOUNDS = (1e-16, 1e-1)
 
 
 class ScenarioConfig:
     """One scenario run: its name, curve, seed, overrides and outputs,
-    checked on construction."""
+    checked on construction: an input the scenario would ignore is refused."""
 
     def __init__(self, scenario: str, curve: str | None = None, seed: int = 7,
                  tolerances: dict | None = None, window: dict | None = None,
@@ -108,10 +116,14 @@ class ScenarioConfig:
                 count = int(value, 10) if isinstance(value, str) else operator.index(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"window {name}={value!r} is not an integer")
-            low = 0 if name == "probe_depth" else 1
+            low = WINDOW_MIN.get(name, 1)
             if count < low:
                 raise ConfigError(f"window {name}={count} is below {low}")
             self.window[name] = count
+        for fields, readers in INPUTS.items():
+            if scenario not in readers and any(getattr(self, f) for f in fields):
+                raise ConfigError(f"{scenario} takes no " + " or ".join(
+                    "--" + f.replace("_", "-") for f in fields))
 
     def tol(self, name: str) -> float:
         """Tolerance name: the override, or the scenario's default."""

@@ -3,11 +3,11 @@
 ``run_scenario`` of the command line imports a scenario's module when the
 scenario runs, so a verdict compiles only the runner it runs.  This module
 holds what the runners share: the curve set-up (``resolve_curve``,
-``_curve_setup``, ``_reject_curve``), the seeded curve data
-(``seeded_curve_points``, ``jacobian_fay_data``), ``centered``, the two
-shared controls and ``RS_KERNELS``.  It imports no numpy and no pipeline
-module at load, so the command line loads without them.  A function imports
-its pipeline functions inside, so that names replaced there take effect.
+``_curve_setup``), the seeded curve data (``seeded_curve_points``,
+``jacobian_fay_data``), ``centered``, the two shared controls and
+``RS_KERNELS``.  It imports no numpy and no pipeline module at load, so
+the command line loads without them.  A function imports its pipeline
+functions inside, so that names replaced there take effect.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def _curve_setup(config: ScenarioConfig) -> tuple:
     from ..curves import build_abel_data
     ident, spec = resolve_curve(config)
     return ident, build_abel_data(spec), Xoshiro256(config.seed)
-
-
-def _reject_curve(config: ScenarioConfig) -> None:
-    """For scenarios that use no curve: --curve and --corpus are errors."""
-    if config.curve or config.corpus:
-        raise ConfigError(f"{config.scenario} takes no --curve or --corpus")
 
 
 # ----------------------------------------------------------------------

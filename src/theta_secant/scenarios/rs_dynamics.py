@@ -12,7 +12,7 @@ from ..errors import ConfigError
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import Xoshiro256
 from ..theta import PeriodMatrix
-from . import RS_KERNELS, _reject_curve
+from . import RS_KERNELS
 
 
 # frozen genus-1 seed data of the zero law; chosen so that its perturbed-tau
@@ -31,7 +31,6 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     from ..dynamics import (PerturbedTau, RSState, ThetaTau, cm5_residual,
                             elliptic_zero_crosscheck, rs_integrate,
                             track_tau_zero, track_zero)
-    _reject_curve(config)
     checks = []
     # free particle
     st1 = RSState(x=np.array([0.2 + 0.1j]), xdot=np.array([0.7 - 0.2j]))

@@ -9,7 +9,6 @@ import numpy as np
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import Xoshiro256, random_siegel, random_z
 from ..theta import PeriodMatrix, relative_gap, rescale, theta_jets, truncation_radius
-from . import _reject_curve
 
 
 def _values(Z, B: PeriodMatrix, radius: int | None = None) -> tuple:
@@ -27,7 +26,6 @@ def _rel_diff(a: tuple, b: tuple) -> float:
 
 
 def run_theta_selftest(config: ScenarioConfig) -> Report:
-    _reject_curve(config)
     rng = Xoshiro256(config.seed)
     n_even = config.win("samples")
     n_qp = max(20, n_even // 5)

@@ -22,6 +22,10 @@ from theta_secant.rng import Xoshiro256
 from theta_secant.scenarios import RS_KERNELS, jacobian_fay_data, resolve_curve
 
 
+# the scenarios that write CSV files into --csv-dir; the others refuse it
+CSV_WRITERS = ("toda", "bdhe", "rs-dynamics")
+
+
 @pytest.fixture
 def run(capsys):
     """main(argv) as (exit code, the JSON object it printed, its stderr)."""
@@ -30,6 +34,15 @@ def run(capsys):
         captured = capsys.readouterr()
         return rc, json.loads(captured.out), captured.err
     return run
+
+
+@pytest.fixture
+def entered(monkeypatch):
+    """The names cli imports while the test runs: the runner modules."""
+    names = []
+    monkeypatch.setattr(cli, "import_module",
+                        lambda name: names.append(name) or import_module(name))
+    return names
 
 
 class TestConfig:
@@ -78,6 +91,13 @@ class TestConfig:
             assert read[(scenario, "tol")] == set(params["tolerances"])
             assert read[(scenario, "win")] == set(params["window"])
 
+    def test_inputs_the_scenario_ignores_are_refused(self):
+        with pytest.raises(ConfigError, match="^controls takes no --csv-dir$"):
+            ScenarioConfig("controls", csv_dir="out")
+        with pytest.raises(ConfigError, match="^theta-selftest takes no --curve or --corpus$"):
+            ScenarioConfig("theta-selftest", corpus="corpus.json")
+        assert ScenarioConfig("rs-dynamics", csv_dir="out").csv_dir == "out"
+
     def test_window_values(self):
         cfg = ScenarioConfig(scenario="divisor-identities",
                              window={"samples": "3", "probe_depth": "0", "g1_pairs": 2})
@@ -114,16 +134,18 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_every_scenario_twice_at_seed_7_with_csv(self, run, tmp_path, scenario):
-        """A scenario at seed 7 with CSV export passes twice in this process
-        and once in a fresh interpreter, with byte-identical reports (timing
-        removed) and CSV files: neither state left by a run nor anything
-        that differs between processes reaches the output."""
-        argv = [scenario, "--seed", "7", "--csv-dir"]
+        """A scenario at seed 7, with CSV export where it writes CSV files,
+        passes twice in this process and once in a fresh interpreter, with
+        byte-identical reports (timing removed) and CSV files: neither state
+        left by a run nor anything that differs between processes reaches
+        the output."""
         runs = []
         for name in ("here", "again", "fresh"):
             out = tmp_path / name
             out.mkdir()
-            rc, report, err = (fresh if name == "fresh" else run)([*argv, str(out)])
+            argv = [scenario, "--seed", "7",
+                    *(["--csv-dir", str(out)] if scenario in CSV_WRITERS else [])]
+            rc, report, err = (fresh if name == "fresh" else run)(argv)
             assert rc == 0 and err == "" and report.pop("timing")
             runs.append((report, {p.name: p.read_bytes() for p in out.iterdir()}))
         assert runs[0] == runs[1] == runs[2]
@@ -206,10 +228,26 @@ class TestMain:
     @pytest.mark.parametrize("scenario", ["theta-selftest", "rs-dynamics"])
     @pytest.mark.parametrize("option", [["--curve", "nosuch"], ["--curve", "x5m1"],
                                         ["--corpus", "corpus.json"]])
-    def test_curveless_scenario_rejects_curve(self, run, scenario, option):
+    def test_curveless_scenario_rejects_curve(self, run, entered, scenario, option):
+        """The config refuses the curve, so no runner is entered."""
         rc, out, _ = run([scenario, *option])
         assert rc == 2 and out["error"] == "ConfigError"
         assert out["message"] == f"{scenario} takes no --curve or --corpus"
+        assert entered == []
+
+    @pytest.mark.parametrize("directory", ["existing", "missing"])
+    @pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - set(CSV_WRITERS)))
+    def test_scenario_without_csv_rejects_csv_dir(self, run, entered, tmp_path,
+                                                  scenario, directory):
+        """A scenario that writes no CSV file refuses --csv-dir, existing or
+        not, with one JSON error and no runner entered, and writes nothing."""
+        (tmp_path / "existing").mkdir()
+        rc, out, err = run([scenario, "--csv-dir", str(tmp_path / directory)])
+        assert rc == 2 and err == ""
+        assert out == {"error": "ConfigError",
+                       "message": f"{scenario} takes no --csv-dir"}
+        assert entered == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
     def test_bad_corpus_record_fails_only_its_lookup(self, run, tmp_path):
         path = tmp_path / "mixed.json"
@@ -559,11 +597,13 @@ def test_the_theta_module_imports_plainly():
     assert isinstance(m, types.ModuleType) and m.__name__ == "theta_secant.theta"
 
 
-@pytest.mark.parametrize("argv", [["bdhe", "--seed", "x"], ["--help"]],
-                         ids=["usage-error", "help"])
+@pytest.mark.parametrize("argv", [["bdhe", "--seed", "x"], ["--help"],
+                                  ["theta-selftest", "--curve", "x5m1"],
+                                  ["controls", "--csv-dir", "."]],
+                         ids=["usage-error", "help", "refused-curve", "refused-csv-dir"])
 def test_the_command_line_loads_without_numpy(argv):
     """Importing cli loads neither numpy nor the theta core, so a usage
-    error or --help exits without them."""
+    error, --help or an input the config refuses exits without them."""
     assert python_c("import sys\n"
                     "from theta_secant.cli import main\n"
                     "heavy = {'numpy', 'theta_secant.theta'}\n"
@@ -693,7 +733,7 @@ def test_empty_windows_and_particle_sets_are_config_errors(run, argv):
     ["rs", "simulate", "--n", "1000", "--kernel", "elliptic", "--t-end", "0.002",
      "--h", "1e-3"],
 ])
-def test_non_finite_rs_steps_are_validation_errors(run, monkeypatch, tmp_path, argv):
+def test_non_finite_rs_steps_are_validation_errors(run, entered, tmp_path, argv):
     """An RS run with a non-finite, empty or unbounded step count or a step
     that does not divide --t-end, a corpus that cannot be read or is no
     JSON array, and an output file in a missing directory each exit 2 with a
@@ -702,9 +742,6 @@ def test_non_finite_rs_steps_are_validation_errors(run, monkeypatch, tmp_path, a
     entered."""
     (tmp_path / "latin1.json").write_bytes('[{"id": "\xe9"}]'.encode("latin-1"))
     (tmp_path / "object.json").write_text('{"x5m1": {"kind": "hyperelliptic2"}}')
-    entered = []
-    monkeypatch.setattr(cli, "import_module",
-                        lambda name: entered.append(name) or import_module(name))
     rc, out, _ = run([a.format(tmp=tmp_path) for a in argv])
     writes = {"--out", "--csv", "--csv-dir"} & set(argv)
     assert rc == 2

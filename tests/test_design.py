@@ -48,6 +48,9 @@ RULES = {
                          "the runners take their shared set-up from .scenarios, never from cli"),
     "one-dispatch": (literal("RUNNERS", "def _runner"), PY, (),
                      "run_scenario is the one dispatch"),
+    "inputs-in-one-table": (literal("_reject_curve", '== "probe_depth"'), PY, (),
+                            "reports.INPUTS and WINDOW_MIN say what a scenario reads: the "
+                            "config refuses the rest at construction, and no runner checks it"),
     "theta-holds-jets-and-coercion": (
         literal("class FixedJets", "np.atleast_1d(np.asarray"), PY, ("theta_secant/theta.py",),
         "one holder of a fixed (B, dirs) and one vector coercion, both in theta"),
