@@ -10,9 +10,11 @@
 when --corpus is not given (default x5m1); the six curve scenarios take
 both, theta-selftest and rs-dynamics neither.  --csv-dir is for toda
 (toda_fields.csv), bdhe (bdhe_fields.csv) and rs-dynamics (rs_trajectory.csv
-and zero_path.csv); a scenario given an option it would ignore exits 2
-(reports.INPUTS).  Reports and errors are JSON on stdout (a report goes
-to --out when given).  Exit codes: 0 all checks pass, 1 at least one
+and zero_path.csv).  An option a scenario would ignore (reports.INPUTS), a
+window size outside its range (reports.PARAMETERS), an empty option value,
+an --out or --csv naming a directory and an rs simulate --n below 1 exit 2
+before any runner loads.  Reports and errors are JSON on stdout (a report
+goes to --out when given).  Exit codes: 0 all checks pass, 1 at least one
 residual check failed, 2 invalid input or config (or output whose reader
 has gone, with nothing written), 3 numerical infrastructure error; error
 reports carry the error class name verbatim.
@@ -75,13 +77,10 @@ def run_scenario(config: ScenarioConfig) -> Report:
 # ----------------------------------------------------------------------
 
 def _kv_pairs(values, what: str) -> dict:
-    out = {}
     for item in values or ():
         if "=" not in item:
             raise ConfigError(f"{what} expects name=value, got {item!r}")
-        k, v = item.split("=", 1)
-        out[k] = v
-    return out
+    return dict(item.split("=", 1) for item in values or ())
 
 
 def build_parser():
@@ -130,12 +129,18 @@ def build_parser():
 
 
 def _check_output_dirs(options: dict) -> None:
-    """FileNotFoundError unless each directory the run writes into exists:
-    --csv-dir, and those of --csv and --out, checked before the first pass."""
+    """Before the first pass: ConfigError for an empty --csv or --out,
+    IsADirectoryError for one naming a directory, and FileNotFoundError
+    unless --csv-dir and the directories of --csv and --out exist."""
+    for key in ("csv", "out"):
+        if options.get(key) == "":
+            raise ConfigError(f"--{key} is empty")
+        if options.get(key) is not None and Path(options[key]).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), options[key])
     dirs = [options.get("csv_dir")] + [
-        Path(options[key]).parent for key in ("csv", "out") if options.get(key)]
+        Path(options[key]).parent for key in ("csv", "out") if options.get(key) is not None]
     for d in dirs:
-        if d and not Path(d).is_dir():
+        if d is not None and not Path(d).is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory", str(d))
 
 
@@ -149,6 +154,8 @@ def _command(argv) -> tuple:
                               + ", ".join([*SCENARIOS, "rs"]))
         if args.command == "rs" and args.rs_command != "simulate":
             raise ConfigError("usage: theta-secant rs simulate ...")
+        if args.command == "rs" and args.n < 1:
+            raise ConfigError(f"--n must be at least 1, got {args.n}")
         config = None if args.command == "rs" else ScenarioConfig(
             args.command, curve=args.curve, seed=args.seed, corpus=args.corpus,
             tolerances=_kv_pairs(args.tol, "--tol"),
@@ -157,7 +164,7 @@ def _command(argv) -> tuple:
         report = (_stamped("rs_dynamics", "run_rs_simulate", args) if config is None
                   else run_scenario(config))
         text = report.to_json()
-        if args.out:
+        if args.out is not None:
             Path(args.out).write_text(text + "\n")
             text = None
         return text, 0 if report.passed else 1

@@ -223,12 +223,6 @@ def residual_cm7d(Z, U, V, B: PeriodMatrix) -> list:
     return out
 
 
-def check_probe_depth(K: int) -> None:
-    """Raise ValidationError unless 0 <= K <= MAX_PROBE_DEPTH."""
-    if not 0 <= K <= MAX_PROBE_DEPTH:
-        raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
-
-
 def singular_locus_probe(Z, U, V, B: PeriodMatrix, K: int) -> list:
     """max over |k| <= K of the normalized |theta(z + k(U-V))| at each
     divisor point z, a row of Z, shape (P, g), from one lattice pass.
@@ -236,9 +230,10 @@ def singular_locus_probe(Z, U, V, B: PeriodMatrix, K: int) -> list:
     A value well above zero certifies the sample is not on the maximal
     (U-V)-shift-invariant subset of the divisor, to depth K.  K = 0
     degenerates to the divisor membership itself.  K is at most
-    MAX_PROBE_DEPTH.
+    MAX_PROBE_DEPTH, or ValidationError is raised.
     """
-    check_probe_depth(K)
+    if not 0 <= K <= MAX_PROBE_DEPTH:
+        raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
     Z = _as_points(Z, B.g)
     U, V = as_vector(U), as_vector(V)
     W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)],

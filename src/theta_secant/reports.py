@@ -1,10 +1,10 @@
 """Scenario configuration and machine-readable reports.
 
 Configs refuse, before any work, an unknown scenario, a tolerance or window
-name that the scenario does not read (PARAMETERS lists them with their
-defaults) and a curve, corpus or CSV directory that it would ignore
-(INPUTS); tolerances are range checked, and window sizes must be integers
-of at least 1 (WINDOW_MIN holds the exceptions).
+name that the scenario does not read, a tolerance outside TOL_BOUNDS, a
+window size outside its range (PARAMETERS lists the names with their
+defaults, and each window's range), an empty curve, corpus or CSV
+directory, and one that the scenario would ignore (INPUTS).
 Reports serialize to JSON with sorted keys so identical config + seed
 yields byte-identical output up to the isolated "timing" object.
 """
@@ -17,72 +17,72 @@ from typing import NamedTuple
 
 from .errors import ConfigError
 
-# every scenario's tolerance and window names with their defaults: the
-# config accepts no other name, and the runners read the defaults here
+# every scenario's tolerance names with their defaults, and window names with
+# (default, low, high): the config accepts no other name and no window size outside
+# low..high, and the runners read the defaults here (README: where each high comes from)
 PARAMETERS = {
     "theta-selftest": {
         "tolerances": {"evenness": 1e-12, "quasi_periodicity": 1e-10,
                        "fd_first": 1e-6, "fd_second": 1e-4,
                        "radius_stability": 1e-13},
-        "window": {"samples": 200},
+        "window": {"samples": (200, 1, 10000)},
     },
     "fay-trisecant": {
         "tolerances": {"fit_residual": 1e-8, "fay_collinearity": 1e-7,
                        "random_control": 1e-2},
-        "window": {"tuples": 2},
+        "window": {"tuples": (2, 1, 100)},
     },
     "divisor-identities": {
         "tolerances": {"genus1_identity": 1e-10, "divisor_membership": 1e-10,
                        "divisor_reverify": 1e-10, "cm7d": 1e-8, "cm7": 1e-7,
                        "cm7d_decomposable_control": 1e-2,
                        "cm7_random_control": 1e-2, "singular_locus_probe": 1e-3},
-        "window": {"g1_pairs": 5, "samples": 5, "probe_depth": 10},
+        "window": {"g1_pairs": (5, 1, 10000), "samples": (5, 1, 50),
+                   "probe_depth": (10, 0, 1000)},
     },
     "toda": {
         "tolerances": {"fit_residual": 1e-7, "psi_residual": 1e-6,
                        "ab_consistency": 1e-6, "perturbed_E_control": 1e-4},
-        "window": {"x_size": 8, "t_size": 8},
+        "window": {"x_size": (8, 1, 64), "t_size": (8, 1, 64)},
     },
     "bdhe": {
         "tolerances": {"fit_residual": 1e-8, "psi_residual": 1e-8,
                        "ab_consistency": 1e-6, "random_control": 1e-2},
-        "window": {"m_size": 10, "n_size": 10},
+        "window": {"m_size": (10, 1, 64), "n_size": (10, 1, 64)},
     },
     "rs-dynamics": {
         "tolerances": {"free_particle_linear": 1e-12, "momentum_rational": 1e-9,
                        "elliptic_vs_tracking": 1e-5, "momentum_elliptic": 1e-8,
                        "cm5": 1e-6, "cm5_perturbed_control": 1e-2},
-        "window": {"grid": 101},
+        "window": {"grid": (101, 5, 1001)},
     },
     "wave-series": {
         "tolerances": {"f2d_genus1": 1e-8, "f2d_genus2": 1e-7,
                        "f2d_perturbed_control": 1e-2, "residue_consistency": 1e-8,
                        "residue_perturbed_control": 1e-2,
                        "semidiscrete_resubstitution": 1e-6, "kp4_skip_defect": 1e-3},
-        "window": {"zeros": 5},
+        "window": {"zeros": (5, 1, 1000)},
     },
     "controls": {
         "tolerances": {"jacobian_fit": 1e-8, "random_fit": 1e-2,
                        "jacobian_identity": 1e-8, "decomposable_identity": 1e-2},
-        "window": {"trials": 3},
+        "window": {"trials": (3, 1, 100)},
     },
 }
 
 SCENARIOS = tuple(PARAMETERS)
 
-# the scenarios that read each optional input, by its config fields (the
-# config refuses it for any other scenario), and the window minima other than 1
+# the scenarios that read each optional input, by its config fields: no other takes it
 INPUTS = {("curve", "corpus"): ("fay-trisecant", "divisor-identities", "toda", "bdhe",
                                 "wave-series", "controls"),
           ("csv_dir",): ("toda", "bdhe", "rs-dynamics")}
-WINDOW_MIN = {"probe_depth": 0}
 
 TOL_BOUNDS = (1e-16, 1e-1)
 
 
 class ScenarioConfig:
-    """One scenario run: its name, curve, seed, overrides and outputs,
-    checked on construction: an input the scenario would ignore is refused."""
+    """One scenario run: its name, curve, seed, overrides and outputs, checked
+    on construction against PARAMETERS (every window size in its range) and INPUTS."""
 
     def __init__(self, scenario: str, curve: str | None = None, seed: int = 7,
                  tolerances: dict | None = None, window: dict | None = None,
@@ -116,14 +116,17 @@ class ScenarioConfig:
                 count = int(value, 10) if isinstance(value, str) else operator.index(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"window {name}={value!r} is not an integer")
-            low = WINDOW_MIN.get(name, 1)
-            if count < low:
-                raise ConfigError(f"window {name}={count} is below {low}")
+            _, low, high = PARAMETERS[scenario]["window"][name]
+            if not low <= count <= high:
+                raise ConfigError(f"window {name}={count} is outside {low}..{high}")
             self.window[name] = count
         for fields, readers in INPUTS.items():
-            if scenario not in readers and any(getattr(self, f) for f in fields):
-                raise ConfigError(f"{scenario} takes no " + " or ".join(
-                    "--" + f.replace("_", "-") for f in fields))
+            given = {"--" + f.replace("_", "-"): getattr(self, f) for f in fields}
+            for option, value in given.items():
+                if value == "":
+                    raise ConfigError(f"{option} is empty")
+            if scenario not in readers and any(v is not None for v in given.values()):
+                raise ConfigError(f"{scenario} takes no " + " or ".join(given))
 
     def tol(self, name: str) -> float:
         """Tolerance name: the override, or the scenario's default."""
@@ -131,7 +134,7 @@ class ScenarioConfig:
 
     def win(self, name: str) -> int:
         """Window size name: the override, or the scenario's default."""
-        return self.window.get(name, PARAMETERS[self.scenario]["window"][name])
+        return self.window.get(name, PARAMETERS[self.scenario]["window"][name][0])
 
 
 class CheckRecord(NamedTuple):

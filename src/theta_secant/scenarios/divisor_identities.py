@@ -14,10 +14,8 @@ from . import _curve_setup, decomposable_control, jacobian_fay_data
 
 def run_divisor_identities(config: ScenarioConfig) -> Report:
     from ..curves import abel_tangent
-    from ..divisor import (check_probe_depth, residual_cm7, residual_cm7d,
-                           sample_theta_divisor, singular_locus_probe, verify_samples)
-    depth = config.win("probe_depth")
-    check_probe_depth(depth)
+    from ..divisor import (residual_cm7, residual_cm7d, sample_theta_divisor,
+                           singular_locus_probe, verify_samples)
     ident, data, rng = _curve_setup(config)
     B = data.B
 
@@ -43,7 +41,7 @@ def run_divisor_identities(config: ScenarioConfig) -> Report:
     # with the tangent at b
     worst_cm7d = max(residual_cm7d(Z, U, V, B))
     worst_cm7 = max(residual_cm7(Z, U, abel_tangent(data, pts[1]), B))
-    probe = min(singular_locus_probe(Z, U, V, B, depth))
+    probe = min(singular_locus_probe(Z, U, V, B, config.win("probe_depth")))
 
     # the negative controls take the strongest witness: the identities must
     # hold at every divisor point, so one clear violation refutes them

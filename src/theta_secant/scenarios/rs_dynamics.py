@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..reports import CheckRecord, Report, ScenarioConfig
 from ..rng import Xoshiro256
 from ..theta import PeriodMatrix
@@ -84,8 +83,6 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
 def run_rs_simulate(args) -> Report:
     from ..dynamics import RSState, rs_integrate
     n = args.n
-    if n < 1:
-        raise ConfigError(f"--n must be at least 1, got {n}")
     rng = Xoshiro256(args.seed)
     kernel = RS_KERNELS[args.kernel]
     x = np.array([complex(2.2 * k, 0.0) + 0.3 * rng.complex_normal()

@@ -201,13 +201,14 @@ class TestMain:
         run_scenario(ScenarioConfig(scenario="fay-trisecant", seed=7))
         assert lattice_passes == [(3 * 16, True)] * 4
 
-    def test_probe_depth_capped(self, run, lattice_passes):
+    def test_probe_depth_capped(self, run, entered, lattice_passes):
         """A probe depth past divisor.MAX_PROBE_DEPTH exits 2 with a JSON
-        error before any lattice pass; at the cap the scenario runs, one
-        probe pass of 2K + 1 points per sample, all samples in that pass."""
+        error from the config, before any runner is entered; at the cap the
+        scenario runs, one probe pass of 2K + 1 points per sample, all
+        samples in that pass."""
         rc, out, _ = run(["divisor-identities", "--window", "probe_depth=1001"])
-        assert rc == 2 and out["error"] == "ValidationError"
-        assert lattice_passes == []
+        assert rc == 2 and out["error"] == "ConfigError"
+        assert lattice_passes == [] and entered == []
         rc, out, _ = run(["divisor-identities", "--window", "probe_depth=1000",
                           "--window", "samples=2", "--window", "g1_pairs=1"])
         assert out["scenario"] == "divisor-identities"
@@ -599,8 +600,10 @@ def test_the_theta_module_imports_plainly():
 
 @pytest.mark.parametrize("argv", [["bdhe", "--seed", "x"], ["--help"],
                                   ["theta-selftest", "--curve", "x5m1"],
-                                  ["controls", "--csv-dir", "."]],
-                         ids=["usage-error", "help", "refused-curve", "refused-csv-dir"])
+                                  ["controls", "--csv-dir", "."],
+                                  ["toda", "--window", "x_size=65"]],
+                         ids=["usage-error", "help", "refused-curve", "refused-csv-dir",
+                              "window-out-of-range"])
 def test_the_command_line_loads_without_numpy(argv):
     """Importing cli loads neither numpy nor the theta core, so a usage
     error, --help or an input the config refuses exits without them."""
@@ -701,13 +704,68 @@ def test_every_scenario_and_corpus_entry_keeps_the_exit_contract(
     ["rs", "simulate", "--n", "0", "--t-end", "1", "--h", "1e-3"],
     ["theta-selftest", "--window", "sampels=5"],
     ["theta-selftest", "--tol", "evennes=1e-3"],
+    ["theta-selftest", "--curve", ""],
+    ["toda", "--corpus", ""],
+    ["toda", "--csv-dir", ""],
+    ["rs-dynamics", "--out", ""],
+    ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3", "--csv", ""],
+    ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3", "--out", ""],
+    # an output file path that names a directory cannot be written
+    ["rs-dynamics", "--out", "{tmp}"],
+    ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3", "--csv", "{tmp}"],
+    ["rs", "simulate", "--n", "1", "--t-end", "0.01", "--h", "1e-3", "--out", "{tmp}"],
 ])
-def test_empty_windows_and_particle_sets_are_config_errors(run, argv):
-    """A window or particle count that leaves nothing to check, or a name
-    the scenario does not read, is rejected (exit 2), not passed vacuously,
-    ignored or left to crash."""
-    rc, out, _ = run(argv)
-    assert rc == 2 and out["error"] == "ConfigError"
+def test_empty_windows_and_particle_sets_are_config_errors(run, entered, tmp_path, argv):
+    """A window or particle count that leaves nothing to check, a name the
+    scenario does not read, or an empty option value is a ConfigError, and
+    an --out or --csv that names a directory an IsADirectoryError: each is
+    rejected (exit 2, one JSON object, nothing on stderr) before any runner
+    is entered, not passed vacuously, ignored or left to crash."""
+    rc, out, err = run([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 2 and err == "" and entered == []
+    assert out["error"] == ("IsADirectoryError" if "{tmp}" in argv else "ConfigError")
+    assert list(tmp_path.iterdir()) == []
+
+
+WINDOWS = [(scenario, name, *bounds) for scenario, params in PARAMETERS.items()
+           for name, bounds in params["window"].items()]
+
+
+@pytest.mark.parametrize("scenario, name, default, low, high", WINDOWS)
+def test_every_window_default_lies_in_its_range(scenario, name, default, low, high):
+    assert low <= default <= high
+    assert ScenarioConfig(scenario).win(name) == default
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("scenario, name, default, low, high", WINDOWS)
+def test_a_window_outside_its_range_is_refused_before_any_runner(
+        run, entered, scenario, name, default, low, high, side):
+    value = low - 1 if side == "below" else high + 1
+    rc, out, err = run([scenario, "--window", f"{name}={value}"])
+    assert rc == 2 and err == "" and entered == []
+    assert out == {"error": "ConfigError",
+                   "message": f"window {name}={value} is outside {low}..{high}"}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_passes_with_its_windows_at_their_highs(run, scenario):
+    """The highs of PARAMETERS run and pass, each in under 3 s on a 2-core
+    box: the divisor-identities probe, one pass of 50 x 2001 points, included."""
+    highs = [f"{name}={high}" for name, (_, _, high) in PARAMETERS[scenario]["window"].items()]
+    rc, out, err = run([scenario, *(a for w in highs for a in ("--window", w))])
+    assert rc == 0 and err == "" and out["pass"] is True
+
+
+def test_the_window_highs_are_the_library_limits():
+    """The highs that a library guard also enforces equal its limit; the
+    config checks them without loading numpy, so it cannot import them."""
+    from theta_secant.divisor import MAX_PROBE_DEPTH
+    from theta_secant.lattices import MAX_WINDOW
+    highs = {(s, name): high for s, name, _, _, high in WINDOWS}
+    assert highs["divisor-identities", "probe_depth"] == MAX_PROBE_DEPTH
+    assert {highs["toda", "x_size"], highs["toda", "t_size"], highs["bdhe", "m_size"],
+            highs["bdhe", "n_size"]} == {MAX_WINDOW}
 
 
 @pytest.mark.parametrize("argv", [

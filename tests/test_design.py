@@ -48,9 +48,15 @@ RULES = {
                          "the runners take their shared set-up from .scenarios, never from cli"),
     "one-dispatch": (literal("RUNNERS", "def _runner"), PY, (),
                      "run_scenario is the one dispatch"),
-    "inputs-in-one-table": (literal("_reject_curve", '== "probe_depth"'), PY, (),
-                            "reports.INPUTS and WINDOW_MIN say what a scenario reads: the "
-                            "config refuses the rest at construction, and no runner checks it"),
+    "inputs-in-one-table": (literal("_reject_curve", '== "probe_depth"', "WINDOW_MIN",
+                                    "check_probe_depth"), PY, (),
+                            "reports.INPUTS says what a scenario reads and PARAMETERS each "
+                            "window's range: the config refuses the rest at construction, "
+                            "and no runner checks it"),
+    "inputs-in-one-table-runners": (literal("raise ConfigError"),
+                                    ["theta_secant/scenarios/[!_]*.py"], (),
+                                    "no runner checks an input: the config and cli refuse "
+                                    "it before any runner module loads"),
     "theta-holds-jets-and-coercion": (
         literal("class FixedJets", "np.atleast_1d(np.asarray"), PY, ("theta_secant/theta.py",),
         "one holder of a fixed (B, dirs) and one vector coercion, both in theta"),
