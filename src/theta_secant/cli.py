@@ -8,11 +8,11 @@
 
 --curve names a record of the --corpus file, or of the package corpus
 when --corpus is not given (default x5m1); the six curve scenarios take
-both, theta-selftest and rs-dynamics neither.  --csv-dir is for toda
-(toda_fields.csv), bdhe (bdhe_fields.csv) and rs-dynamics (rs_trajectory.csv
-and zero_path.csv).  An option a scenario would ignore (reports.INPUTS), a
-window size outside its range (reports.PARAMETERS), an empty option value,
-an --out or --csv naming a directory and an rs simulate --n below 1 exit 2
+both, theta-selftest and rs-dynamics neither; --csv-dir the scenarios of
+reports.CSV_FILES, which names each table's file.  An option a scenario
+would ignore (reports.INPUTS), a window size outside its range
+(reports.PARAMETERS), an empty option value, an --out or --csv naming a
+directory, two outputs of one file and an rs simulate --n below 1 exit 2
 before any runner loads.  Reports and errors are JSON on stdout (a report
 goes to --out when given).  Exit codes: 0 all checks pass, 1 at least one
 residual check failed, 2 invalid input or config (or output whose reader
@@ -25,8 +25,9 @@ This module holds the command line and run_scenario, the one dispatch:
 it imports a scenario's module of .scenarios at the run, so that a verdict
 compiles only the runner it runs (rs simulate runs in
 .scenarios.rs_dynamics), and stamps every report, rs simulate's too, with
-the same environment and timing.  The runners' shared set-up lives in
-.scenarios; loading this module loads neither numpy nor the theta core.
+the same environment and timing; it alone writes files, the report's
+tables and then --out.  The runners' shared set-up lives in .scenarios;
+loading this module loads neither numpy, csv nor the theta core.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, NumericalError, ValidationError
-from .reports import SCENARIOS, Report, ScenarioConfig
+from .reports import CSV_FILES, SCENARIOS, Report, ScenarioConfig
 from .scenarios import RS_KERNELS
 # not read here: the benchmark's curve-verdicts check (bench/tasks.py) imports
 # them from cli, until it imports them from .scenarios
@@ -55,19 +56,23 @@ from .scenarios import jacobian_fay_data, resolve_curve  # noqa: F401
 def _stamped(module: str, runner: str, arg) -> Report:
     """The report of the function runner of .scenarios.<module> on arg (a
     ScenarioConfig or the parsed rs simulate arguments), stamped with the
-    package version, the seed of arg and the wall time of the run.  The
+    package version, the seed of arg, numpy's version and dispatch class
+    (once the runner has loaded numpy) and the wall time of the run.  The
     module is imported at the call, so a verdict compiles only the runner it
     runs, and inside the clock, so every wall time counts the same imports."""
     t0 = time.perf_counter()
     report = getattr(import_module(f"{__package__}.scenarios.{module}"), runner)(arg)
-    report.environment = {"version": __version__, "seed": arg.seed}
     report.timing = {"wall_s": round(time.perf_counter() - t0, 3)}
+    import numpy
+    from .theta import dispatch_class
+    report.environment = {"version": __version__, "seed": arg.seed,
+                          "numpy": numpy.__version__, "numpy_dispatch": dispatch_class()}
     return report
 
 
 def run_scenario(config: ScenarioConfig) -> Report:
     """Execute one scenario and attach environment and timing metadata: the
-    runner is run_<name> of its module of .scenarios."""
+    runner is run_<name> of its module of .scenarios.  It writes no file."""
     name = config.scenario.replace("-", "_")
     return _stamped(name, f"run_{name}", config)
 
@@ -128,20 +133,38 @@ def build_parser():
     return ap
 
 
-def _check_output_dirs(options: dict) -> None:
-    """Before the first pass: ConfigError for an empty --csv or --out,
-    IsADirectoryError for one naming a directory, and FileNotFoundError
-    unless --csv-dir and the directories of --csv and --out exist."""
-    for key in ("csv", "out"):
-        if options.get(key) == "":
-            raise ConfigError(f"--{key} is empty")
-        if options.get(key) is not None and Path(options[key]).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), options[key])
-    dirs = [options.get("csv_dir")] + [
-        Path(options[key]).parent for key in ("csv", "out") if options.get(key) is not None]
-    for d in dirs:
+def _csv_paths(options: dict) -> list:
+    """Before the first pass, the file of each table of the report: --csv-dir
+    joined with the scenario's CSV_FILES, or --csv.  Refused (exit 2): a
+    --csv-dir the scenario does not take, an empty value, an output file
+    naming a directory, a missing directory, two outputs of one file."""
+    command, csv_dir = options["command"], options.get("csv_dir")
+    if csv_dir == "":
+        raise ConfigError("--csv-dir is empty")
+    if csv_dir is not None and command not in CSV_FILES:
+        raise ConfigError(f"{command} takes no --csv-dir")
+    files = [("--csv-dir", str(Path(csv_dir, name))) for name in CSV_FILES.get(command, ())
+             if csv_dir]
+    files += [(f"--{key}", options[key]) for key in ("csv", "out") if options.get(key) is not None]
+    for option, path in files:
+        if path == "":
+            raise ConfigError(f"{option} is empty")
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for d in [csv_dir] + [Path(path).parent for _, path in files]:
         if d is not None and not Path(d).is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory", str(d))
+    first = {}      # the option of each resolved path; --csv-dir's names differ
+    for option, path in files:
+        if first.setdefault(Path(path).resolve(), option) != option:
+            raise ConfigError(f"{first[Path(path).resolve()]} and {option} name one file, {path}")
+    return [Path(path) for option, path in files if option != "--out"]
+
+
+def _write_csv(path: Path, table) -> None:
+    import csv      # only a run that writes a table needs it
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(table.csv_rows())
 
 
 def _command(argv) -> tuple:
@@ -159,10 +182,12 @@ def _command(argv) -> tuple:
         config = None if args.command == "rs" else ScenarioConfig(
             args.command, curve=args.curve, seed=args.seed, corpus=args.corpus,
             tolerances=_kv_pairs(args.tol, "--tol"),
-            window=_kv_pairs(args.window, "--window"), csv_dir=args.csv_dir)
-        _check_output_dirs(vars(args))
+            window=_kv_pairs(args.window, "--window"))
+        csv_paths = _csv_paths(vars(args))
         report = (_stamped("rs_dynamics", "run_rs_simulate", args) if config is None
                   else run_scenario(config))
+        for path, table in zip(csv_paths, report.tables):
+            _write_csv(path, table)
         text = report.to_json()
         if args.out is not None:
             Path(args.out).write_text(text + "\n")

@@ -208,13 +208,10 @@ class ZeroPath(NamedTuple):
     tau_abs: np.ndarray
     v_side: np.ndarray
 
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "re_eta", "im_eta", "re_v0", "im_v0"])
-            w.writerows([t, e.real, e.imag, v.real, v.imag]
-                        for t, e, v in zip(self.t, self.eta, self.v0))
+    def csv_rows(self):
+        yield ["t", "re_eta", "im_eta", "re_v0", "im_v0"]
+        yield from ([t, e.real, e.imag, v.real, v.imag]
+                    for t, e, v in zip(self.t, self.eta, self.v0))
 
 
 def _stencil(tau, x: complex, t: float) -> tuple:
@@ -332,7 +329,6 @@ def _pole_spacing(periods: tuple) -> float:
 
 
 class RationalKernel:
-    name = "rational"
     clearance = 1e-6
     spacing = 1.0         # the least distance between the poles 0, 1, -1 of F
 
@@ -351,7 +347,6 @@ class RationalKernel:
 class TrigKernel:
     """Trigonometric kernel with period L (L must not divide 1)."""
 
-    name = "trigonometric"
     clearance = 1e-6
 
     def __init__(self, period: float = 2.0):
@@ -399,7 +394,6 @@ class EllipticKernel(FixedJets):
     identically.
     """
 
-    name = "elliptic"
     clearance = 1e-8
 
     def __init__(self, tau: complex, omega1: complex):
@@ -501,14 +495,11 @@ class Trajectory(NamedTuple):
     x: np.ndarray        # shape (steps+1, N)
     xdot: np.ndarray
 
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "i", "re_x", "im_x", "re_xdot", "im_xdot"])
-            w.writerows([t, i, x.real, x.imag, v.real, v.imag]
-                        for t, xs, vs in zip(self.t, self.x, self.xdot)
-                        for i, (x, v) in enumerate(zip(xs, vs)))
+    def csv_rows(self):
+        yield ["t", "i", "re_x", "im_x", "re_xdot", "im_xdot"]
+        yield from ([t, i, x.real, x.imag, v.real, v.imag]
+                    for t, xs, vs in zip(self.t, self.x, self.xdot)
+                    for i, (x, v) in enumerate(zip(xs, vs)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -106,21 +106,18 @@ class FieldTable:
             if values is not None and not np.isfinite(values).all():
                 raise NumericalError(f"non-finite {name} in the {window.kind} table")
 
-    def to_csv(self, path):
-        """One row per window point, first index slowest.  Columns: indices,
-        Re/Im u, Re/Im v (0 without v), psi mantissa Re/Im, psi logscale."""
-        import csv
+    def csv_rows(self):
+        """The header, then one row per window point, first index slowest:
+        indices, Re/Im u, Re/Im v (0 without v), psi mantissa Re/Im and logscale."""
         a0, a1 = self.window.axes
         n0, n1 = self.u.shape
         v = np.zeros_like(self.u) if self.v is None else self.v
         cols = (*np.meshgrid(a0[:n0], a1[:n1], indexing="ij"),
                 self.u.real, self.u.imag, v.real, v.imag,
                 self.psi[:n0, :n1].real, self.psi[:n0, :n1].imag, self.psi_logscale[:n0, :n1])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([*self.window.names, "re_u", "im_u", "re_v", "im_v",
-                        "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"])
-            w.writerows(zip(*(c.ravel().tolist() for c in cols)))
+        yield [*self.window.names, "re_u", "im_u", "re_v", "im_v",
+               "re_psi_mantissa", "im_psi_mantissa", "psi_logscale"]
+        yield from zip(*(c.ravel().tolist() for c in cols))
 
 
 class WindowPass(Frozen):

@@ -3,8 +3,8 @@
 Configs refuse, before any work, an unknown scenario, a tolerance or window
 name that the scenario does not read, a tolerance outside TOL_BOUNDS, a
 window size outside its range (PARAMETERS lists the names with their
-defaults, and each window's range), an empty curve, corpus or CSV
-directory, and one that the scenario would ignore (INPUTS).
+defaults, and each window's range), an empty curve or corpus, and one that
+the scenario would ignore (INPUTS).  CSV_FILES names each table's file.
 Reports serialize to JSON with sorted keys so identical config + seed
 yields byte-identical output up to the isolated "timing" object.
 """
@@ -74,23 +74,25 @@ SCENARIOS = tuple(PARAMETERS)
 
 # the scenarios that read each optional input, by its config fields: no other takes it
 INPUTS = {("curve", "corpus"): ("fay-trisecant", "divisor-identities", "toda", "bdhe",
-                                "wave-series", "controls"),
-          ("csv_dir",): ("toda", "bdhe", "rs-dynamics")}
+                                "wave-series", "controls")}
+
+# the file names under --csv-dir of each scenario's tables (Report.tables), in order
+CSV_FILES = {"toda": ("toda_fields.csv",), "bdhe": ("bdhe_fields.csv",),
+             "rs-dynamics": ("rs_trajectory.csv", "zero_path.csv")}
 
 TOL_BOUNDS = (1e-16, 1e-1)
 
 
 class ScenarioConfig:
-    """One scenario run: its name, curve, seed, overrides and outputs, checked
-    on construction against PARAMETERS (every window size in its range) and INPUTS."""
+    """One scenario run: its name, curve, seed and overrides, checked on
+    construction against PARAMETERS (every window size in its range) and INPUTS."""
 
     def __init__(self, scenario: str, curve: str | None = None, seed: int = 7,
                  tolerances: dict | None = None, window: dict | None = None,
-                 csv_dir: str | None = None, corpus: str | None = None):
-        self.scenario, self.curve, self.seed = scenario, curve, seed
+                 corpus: str | None = None):
+        self.scenario, self.curve, self.seed, self.corpus = scenario, curve, seed, corpus
         self.tolerances = {} if tolerances is None else tolerances
         self.window = {} if window is None else window
-        self.csv_dir, self.corpus = csv_dir, corpus
         if scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}; "
                               f"choose from {', '.join(SCENARIOS)}")
@@ -121,7 +123,7 @@ class ScenarioConfig:
                 raise ConfigError(f"window {name}={count} is outside {low}..{high}")
             self.window[name] = count
         for fields, readers in INPUTS.items():
-            given = {"--" + f.replace("_", "-"): getattr(self, f) for f in fields}
+            given = {"--" + f: getattr(self, f) for f in fields}
             for option, value in given.items():
                 if value == "":
                     raise ConfigError(f"{option} is empty")
@@ -161,15 +163,17 @@ class CheckRecord(NamedTuple):
 
 
 class Report:
-    """A scenario's checks, with its environment, timing and extra data."""
+    """A scenario's checks, with its environment, timing and extra data, and
+    its tables (records with csv_rows(), in CSV_FILES order), never serialized."""
 
     def __init__(self, scenario: str, seed: int, checks: list, curve: str | None = None,
                  environment: dict | None = None, timing: dict | None = None,
-                 extra: dict | None = None):
+                 extra: dict | None = None, tables: list | None = None):
         self.scenario, self.seed, self.checks, self.curve = scenario, seed, checks, curve
         self.environment = {} if environment is None else environment
         self.timing = {} if timing is None else timing
         self.extra = {} if extra is None else extra
+        self.tables = [] if tables is None else tables
 
     @property
     def passed(self) -> bool:

@@ -3,8 +3,6 @@ linear problem its constants give on an (m, n) lattice window."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..reports import CheckRecord, Report, ScenarioConfig
 from . import _curve_setup, centered, jacobian_fay_data, random_secancy_control
 
@@ -32,8 +30,6 @@ def run_bdhe(config: ScenarioConfig) -> Report:
         CheckRecord.le("ab_consistency", ab_gap, config.tol("ab_consistency")),
         CheckRecord.ge("random_control", ctrl, config.tol("random_control")),
     ]
-    rep = Report("bdhe", config.seed, checks, curve=ident)
+    rep = Report("bdhe", config.seed, checks, curve=ident, tables=[table])
     rep.extra["calibration_shift"] = fit.calibration_shift
-    if config.csv_dir:
-        table.to_csv(Path(config.csv_dir) / "bdhe_fields.csv")
     return rep

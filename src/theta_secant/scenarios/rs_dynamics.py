@@ -4,8 +4,6 @@ kernels, and the genus-1 zero law with its perturbed control."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from ..reports import CheckRecord, Report, ScenarioConfig
@@ -73,11 +71,7 @@ def run_rs_dynamics(config: ScenarioConfig) -> Report:
     r5p = cm5_residual(pathp, U1, V1, Z1, B1, tau=pert)
     checks.append(CheckRecord.ge("cm5_perturbed_control", r5p,
                                  config.tol("cm5_perturbed_control")))
-    rep = Report("rs-dynamics", config.seed, checks)
-    if config.csv_dir:
-        tr3.to_csv(Path(config.csv_dir) / "rs_trajectory.csv")
-        path.to_csv(Path(config.csv_dir) / "zero_path.csv")
-    return rep
+    return Report("rs-dynamics", config.seed, checks, tables=[tr3, path])
 
 
 def run_rs_simulate(args) -> Report:
@@ -98,8 +92,6 @@ def run_rs_simulate(args) -> Report:
     else:
         drift = momentum_drift(traj)
         checks.append(CheckRecord.le("momentum_conservation", drift, 1e-8))
-    if args.csv:
-        traj.to_csv(args.csv)
-    rep = Report("rs-dynamics", args.seed, checks)
+    rep = Report("rs-dynamics", args.seed, checks, tables=[traj])
     rep.extra = {"n": n, "kernel": args.kernel, "t_end": args.t_end, "h": args.h}
     return rep

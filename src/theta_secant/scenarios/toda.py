@@ -4,8 +4,6 @@ window."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from ..reports import CheckRecord, Report, ScenarioConfig
@@ -38,8 +36,6 @@ def run_toda(config: ScenarioConfig) -> Report:
         CheckRecord.le("ab_consistency", ab_gap, config.tol("ab_consistency")),
         CheckRecord.ge("perturbed_E_control", pert, config.tol("perturbed_E_control")),
     ]
-    rep = Report("toda", config.seed, checks, curve=ident)
+    rep = Report("toda", config.seed, checks, curve=ident, tables=[table])
     rep.extra["calibration_shift"] = fit.calibration_shift
-    if config.csv_dir:
-        table.to_csv(Path(config.csv_dir) / "toda_fields.csv")
     return rep

@@ -57,6 +57,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:     # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
 from .errors import (ConfigError, DimensionMismatch, NonPosDef, NumericalError,
                      RadiusCap, ValidationError)
 from .scaled import ScaledComplex
@@ -67,6 +72,14 @@ TOL_RANGE = (1e-16, 1e-4)
 _TWO_PI_I = 2j * np.pi
 _NORMAL_MIN = np.finfo(float).tiny    # the smallest normal float
 _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of dirs
+# the x86-64 levels numpy may dispatch to, highest first: several ufuncs (exp,
+# log, complex abs and multiplication among them) round differently under each
+LEVELS = ("X86_V4", "X86_V3", "X86_V2")
+
+
+def dispatch_class() -> str:
+    """The highest x86-64 level numpy dispatches to in this process."""
+    return next((v for v in LEVELS if __cpu_features__.get(v)), "below X86_V2")
 
 
 def resolve_cap() -> int:

@@ -9,18 +9,7 @@ lowers a process to X86_V3; adding X86_V3 lowers it to X86_V2.
 
 import numpy as np
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:     # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
-
-
-LEVELS = ("X86_V4", "X86_V3", "X86_V2")
-
-
-def dispatch_class() -> str:
-    """The highest x86-64 level numpy dispatches to in this process."""
-    return next((v for v in LEVELS if __cpu_features__.get(v)), "below X86_V2")
+from theta_secant.theta import dispatch_class
 
 
 def assert_frozen(digest: str, frozen: dict) -> None:

@@ -12,18 +12,19 @@ from importlib import import_module
 import numpy as np
 import pytest
 
-from theta_secant import cli
+from theta_secant import __version__, cli
 from theta_secant.cli import main, run_scenario
 from theta_secant.curves import build_abel_data, default_corpus, default_corpus_path
 from theta_secant.errors import ConfigError
-from theta_secant.reports import (PARAMETERS, SCENARIOS, CheckRecord, Report,
+from theta_secant.reports import (CSV_FILES, PARAMETERS, SCENARIOS, CheckRecord, Report,
                                   ScenarioConfig)
 from theta_secant.rng import Xoshiro256
 from theta_secant.scenarios import RS_KERNELS, jacobian_fay_data, resolve_curve
+from theta_secant.theta import dispatch_class
 
 
 # the scenarios that write CSV files into --csv-dir; the others refuse it
-CSV_WRITERS = ("toda", "bdhe", "rs-dynamics")
+CSV_WRITERS = tuple(CSV_FILES)
 
 
 @pytest.fixture
@@ -91,12 +92,18 @@ class TestConfig:
             assert read[(scenario, "tol")] == set(params["tolerances"])
             assert read[(scenario, "win")] == set(params["window"])
 
-    def test_inputs_the_scenario_ignores_are_refused(self):
-        with pytest.raises(ConfigError, match="^controls takes no --csv-dir$"):
-            ScenarioConfig("controls", csv_dir="out")
+    def test_inputs_the_scenario_ignores_are_refused(self, run, entered, tmp_path):
+        """The config refuses a curve input, and the command line --csv-dir,
+        which no config holds, where the scenario would ignore them."""
         with pytest.raises(ConfigError, match="^theta-selftest takes no --curve or --corpus$"):
             ScenarioConfig("theta-selftest", corpus="corpus.json")
-        assert ScenarioConfig("rs-dynamics", csv_dir="out").csv_dir == "out"
+        with pytest.raises(TypeError, match="csv_dir"):
+            ScenarioConfig("rs-dynamics", csv_dir="out")
+        assert run(["controls", "--csv-dir", str(tmp_path)])[:2] == (
+            2, {"error": "ConfigError", "message": "controls takes no --csv-dir"})
+        assert entered == []
+        assert cli._csv_paths({"command": "rs-dynamics", "csv_dir": str(tmp_path)}) == [
+            tmp_path / "rs_trajectory.csv", tmp_path / "zero_path.csv"]
 
     def test_window_values(self):
         cfg = ScenarioConfig(scenario="divisor-identities",
@@ -120,6 +127,24 @@ class TestReport:
     def test_overall_pass_is_conjunction(self):
         rep = Report("bdhe", 7, [CheckRecord.le("a", 1.0, 1e-8)])
         assert not rep.passed
+
+    @pytest.mark.parametrize("scenario", CSV_WRITERS)
+    def test_each_csv_writer_attaches_one_table_per_file(self, scenario):
+        """A runner hands the report one table per name of CSV_FILES, and
+        writes none itself; the tables stay out of the JSON."""
+        report = run_scenario(ScenarioConfig(scenario, window={"grid": 21} if
+                                             scenario == "rs-dynamics" else {}))
+        assert len(report.tables) == len(CSV_FILES[scenario])
+        assert all(callable(table.csv_rows) for table in report.tables)
+        assert "tables" not in report.to_dict()
+
+    def test_reports_name_their_numerics(self, run):
+        """Every report's environment names the package version, the seed,
+        and the numpy version and dispatch class that computed it."""
+        rc, out, _ = run(["rs", "simulate", "--n", "2", "--t-end", "0.01", "--h", "1e-3"])
+        assert rc == 0 and out["environment"] == {
+            "version": __version__, "seed": 7, "numpy": np.__version__,
+            "numpy_dispatch": dispatch_class()}
 
 
 class TestDeterminism:
@@ -725,6 +750,42 @@ def test_empty_windows_and_particle_sets_are_config_errors(run, entered, tmp_pat
     assert rc == 2 and err == "" and entered == []
     assert out["error"] == ("IsADirectoryError" if "{tmp}" in argv else "ConfigError")
     assert list(tmp_path.iterdir()) == []
+
+
+RS_SHORT = ["rs", "simulate", "--n", "2", "--t-end", "0.01", "--h", "1e-3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (RS_SHORT + ["--csv", "outs/x", "--out", "outs/x"], "--csv and --out name one file, outs/x"),
+    (["toda", "--seed", "7", "--csv-dir", "outs", "--out", "outs/toda_fields.csv"],
+     "--csv-dir and --out name one file, outs/toda_fields.csv"),
+    (RS_SHORT + ["--csv", "outs/x", "--out", "./outs/x"],
+     "--csv and --out name one file, ./outs/x"),
+    (["rs-dynamics", "--csv-dir", "outs/", "--out", "outs/../outs/zero_path.csv"],
+     "--csv-dir and --out name one file, outs/../outs/zero_path.csv"),
+], ids=["rs-simulate", "toda", "rs-simulate-dot-slash", "rs-dynamics-parent-dir"])
+def test_two_outputs_naming_one_file_are_refused(run, entered, tmp_path, monkeypatch,
+                                                 argv, message):
+    """Two outputs that resolve to one file, however spelled, are a
+    ConfigError (exit 2, one JSON object, nothing on stderr) before any
+    runner is entered, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outs").mkdir()
+    rc, out, err = run(argv)
+    assert rc == 2 and err == "" and entered == []
+    assert out == {"error": "ConfigError", "message": message}
+    assert list((tmp_path / "outs").iterdir()) == []
+
+
+def test_a_csv_file_naming_a_directory_is_refused_before_any_runner(run, entered, tmp_path):
+    """A file of --csv-dir that names a directory is an IsADirectoryError
+    before any runner is entered, so no other CSV file is written."""
+    (tmp_path / "zero_path.csv").mkdir()
+    rc, out, err = run(["rs-dynamics", "--csv-dir", str(tmp_path)])
+    assert rc == 2 and err == "" and entered == []
+    assert out == {"error": "IsADirectoryError",
+                   "message": f"[Errno 21] Is a directory: '{tmp_path / 'zero_path.csv'}'"}
+    assert [p.name for p in tmp_path.iterdir()] == ["zero_path.csv"]
 
 
 WINDOWS = [(scenario, name, *bounds) for scenario, params in PARAMETERS.items()

@@ -84,6 +84,13 @@ RULES = {
                           "one copy of each shared step: theta's rescale and relative_gap, "
                           "dynamics' guarded pass at a discrete zero's six neighbours, and "
                           "one centered window range"),
+    "one-file-writer": (literal("import csv", "def to_csv", "csv_dir"), PY,
+                        ("theta_secant/cli.py",),
+                        "the runners hand their tables to the report, and cli alone writes "
+                        "files: no other module imports csv, and no config holds a CSV "
+                        "directory"),
+    "csv-names-in-one-table": (literal('.csv"'), PY, ("theta_secant/reports.py",),
+                               "reports.CSV_FILES is the one table of CSV file names"),
     "decomposable-control-once": (literal("np.diag([1j, 1.3j])"), RUNNERS,
                                   ("theta_secant/scenarios/__init__.py",),
                                   "the decomposable control is defined in the scenarios "

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from frozen import LEVELS, dispatch_class
+from theta_secant.theta import LEVELS, dispatch_class
 
 HERE = Path(__file__).parent
 PINNED = ("test_curves.py::test_engine_outputs_are_pinned",
@@ -37,9 +37,8 @@ def test_frozen_hashes_hold_under_lower_classes(target):
     setting, here = SETTINGS[target], dispatch_class()
     if here not in LEVELS:
         pytest.skip(f"this run's class is {here}: no x86-64 level to lower")
-    probe = run_python(["-c", f"import sys; sys.path.insert(0, {str(HERE)!r})\n"
-                              "from frozen import dispatch_class; print(dispatch_class())"],
-                       setting)
+    probe = run_python(["-c", "from theta_secant.theta import dispatch_class; "
+                              "print(dispatch_class())"], setting)
     assert probe.returncode == 0, probe.stderr
     lowered = probe.stdout.strip()
     if lowered not in LEVELS[LEVELS.index(here) + 1:]:

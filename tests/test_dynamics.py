@@ -132,11 +132,10 @@ class TestTracking:
         assert path.v_side.shape == (len(GRID), 2)
         assert np.array_equal(path.v_side, (-ft / f).reshape(-1, 2))
 
-    def test_csv(self, tracked, tmp_path):
-        path = tmp_path / "zp.csv"
-        tracked.to_csv(path)
-        header = open(path).readline().strip().split(",")
+    def test_csv(self, tracked):
+        header, *rows = tracked.csv_rows()
         assert header == ["t", "re_eta", "im_eta", "re_v0", "im_v0"]
+        assert len(rows) == len(tracked.t)
 
 
 class TestCm5:
@@ -177,6 +176,7 @@ class TestCm5:
 
 
 KERNELS = [RationalKernel(), TrigKernel(2.0), EllipticKernel(1.1j, omega1=2.5)]
+KERNEL_IDS = ["rational", "trigonometric", "elliptic"]
 
 
 def _accel(F, x, v):
@@ -209,7 +209,7 @@ class TestKernels:
                     assert abs(F[0] + Fm[0]) <= 1e-12 * (1 + abs(F[0]))
             assert clear >= 30
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_forces_are_the_one_point_values_or_the_first_pole(self, kernel):
         rng = Xoshiro256(78)
         qs = [complex(rng.uniform_in(-1.4, 1.4), rng.uniform_in(-1.0, 1.0))
@@ -351,7 +351,7 @@ class TestKernels:
         with pytest.raises(Collision):
             rs_integrate(st, 0.01, 1e-3)
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_zero_separation_is_collision_without_warning(self, kernel):
         st = RSState(x=np.array([0.3 + 0.1j, 0.3 + 0.1j, -1.6 + 0.2j]),
                      xdot=np.array([0.1, -0.1, 0.2j]), kernel=kernel)
@@ -360,7 +360,7 @@ class TestKernels:
             with pytest.raises(Collision, match="particles 0 and 1 at separation 0"):
                 rs_integrate(st, 0.01, 1e-3)
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_collision_names_the_first_pair(self, kernel):
         # particles 1 and 2 of three collide; the separations of 0 and 1 and
         # of 0 and 2 are clear
@@ -415,7 +415,7 @@ class TestRS:
         tr = rs_integrate(st, 0.1, 1e-3)
         assert abs(tr.x[-1, 0] - (st.x[0] + 0.1 * st.xdot[0])) <= 1e-12
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_step_is_textbook_rk4(self, kernel):
         x = [0.2 + 0.1j, 0.9 - 0.2j, -0.5 + 0.3j]
         v = [0.4 + 0j, -0.3 + 0.1j, 0.1j]
@@ -439,7 +439,7 @@ class TestRS:
         assert np.array_equal(tr.xdot, [v, rk4(v, k1v, k2v, k3v, k4v)])
 
     @pytest.mark.parametrize("n", [5, 10])
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_many_body_momentum(self, kernel, n):
         # the positions of rs simulate: 2.2 apart along the real axis
         rng = Xoshiro256(7)
@@ -466,7 +466,7 @@ class TestRS:
                     for k in range(len(tr.t)))
         assert drift <= 1e-8
 
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     @pytest.mark.parametrize("x, xdot", [([0.1, complex(np.nan, 0.0)], [0.1, 0.2]),
                                          ([0.1, 0.9], [complex(0.0, np.inf), 0.2])])
     def test_non_finite_state_rejected(self, kernel, x, xdot):
@@ -525,12 +525,11 @@ class TestRS:
             elliptic_zero_crosscheck(1j, 0.35 + 0.02j, 0.21 - 0.05j, 0.12 + 0.28j,
                                      t_end=0.5, h=2e-3, samples=samples)
 
-    def test_trajectory_csv(self, tmp_path):
+    def test_trajectory_csv(self):
         st = RSState(x=np.array([0.0 + 0j]), xdot=np.array([0.5 + 0j]))
-        tr = rs_integrate(st, 0.01, 1e-3)
-        p = tmp_path / "tr.csv"
-        tr.to_csv(p)
-        assert open(p).readline().strip() == "t,i,re_x,im_x,re_xdot,im_xdot"
+        header, *rows = rs_integrate(st, 0.01, 1e-3).csv_rows()
+        assert header == ["t", "i", "re_x", "im_x", "re_xdot", "im_xdot"]
+        assert len(rows) == 11
 
 
 class TestF2d:

@@ -17,7 +17,7 @@ from theta_secant.theta import PeriodMatrix, ThetaRequest
 
 
 def test_import_paths_load_neither_dataclasses_nor_csv():
-    # csv is imported where a table is written (the to_csv methods)
+    # csv is imported where a table is written (cli._write_csv, at the run)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
