@@ -236,7 +236,6 @@ def singular_locus_probe(Z, U, V, B: PeriodMatrix, K: int) -> list:
         raise ValidationError(f"K={K} outside 0..{MAX_PROBE_DEPTH}")
     Z = _as_points(Z, B.g)
     U, V = as_vector(U), as_vector(V)
-    W = np.array([z + k * (U - V) for z in Z for k in range(-K, K + 1)],
-                 dtype=complex).reshape(-1, B.g)
+    W = (Z[:, None, :] + np.arange(-K, K + 1)[None, :, None] * (U - V)).reshape(-1, B.g)
     la = normalized_log_abs_many(theta_jets(W, B), B, W).reshape(len(Z), 2 * K + 1)
     return [float(np.exp(row).max()) for row in la]

@@ -32,16 +32,19 @@ Evaluation strategy:
    points and their phases pi*i*(B n, n) are cached on the matrix, and the
    matrix B/2 of the level-two vectors is B scaled exactly (halved);
 3. one pass for P points at once (_lattice_jets): step 1 row by row (in
-   Python floats for a single point), the radius looked up once, the
-   exponents of every point and lattice term as one (P, M) array with each
+   Python floats for a single point), the radius looked up once, then, per
+   block of max(1, PASS_TERMS // M) consecutive points for the M lattice
+   terms, the exponents of each point and term as one array with each
    row's largest real part factored out and the prefactor's phase folded
    in, one exp, the derivative factors multiplied in, and row-wise sums
-   (np.add.reduceat over the bins of the points).  A level-two vector is
+   (np.add.reduceat over the bins of the points).  So a pass's work arrays
+   hold PASS_TERMS = 2^12 terms (or one row of M), not P * M, and a pass
+   of at most PASS_TERMS // M points is one block.  A level-two vector is
    one such sum for B/2, its points stored sorted by the parity of n, one
-   bin per class.  Each row is computed alone and in an order that does
-   not depend on P, so a point's result is bitwise the same in any batch:
-   theta, theta_jet and level_two_vector are one-point views of theta_jets
-   and level_two_vectors.
+   bin per class.  Each row is computed alone and in an order that depends
+   neither on P nor on the blocks, so a point's result is bitwise the same
+   in any batch: theta, theta_jet and level_two_vector are one-point views
+   of theta_jets and level_two_vectors.
 
 The normalized modulus |theta(z)| * exp(-pi * Im z . (Im B)^-1 . Im z) is
 invariant under lattice translations of z and O(1) on the fundamental cell;
@@ -68,6 +71,8 @@ from .scaled import ScaledComplex
 
 DEFAULT_RADIUS_CAP = 64
 DEFAULT_TOL = 1e-13
+# lattice terms per row block of a pass (_lattice_jets): 64 KB per complex work array
+PASS_TERMS = 2 ** 12
 TOL_RANGE = (1e-16, 1e-4)
 _TWO_PI_I = 2j * np.pi
 _NORMAL_MIN = np.finfo(float).tiny    # the smallest normal float
@@ -147,8 +152,13 @@ class PeriodMatrix(Frozen):
 
     def _init(self, entries, im_inv, lam_min):
         entries.setflags(write=False)
+        # the matrix's own figures of every radius search and ellipsoid build
+        # (_ellipsoid_radius, _ellipsoid), computed once
+        diag = im_inv.diagonal().tolist()
+        delta = math.sqrt(0.25 * math.pi * float(np.add.reduce(np.abs(entries.imag), axis=None)))
         self._set(entries=entries, g=entries.shape[0], im=entries.imag, im_inv=im_inv,
                   lam_min=lam_min, _rows=(im_inv.tolist(), entries.tolist()),
+                  _diag=diag, _delta=delta, _w=math.sqrt(max(diag) / math.pi),
                   _radii={}, _points={}, _halved=None)
 
     def halved(self) -> "PeriodMatrix":
@@ -277,10 +287,8 @@ def _ellipsoid_radius(B: PeriodMatrix, tol: float, octaves: tuple) -> int:
     sum of at most two products, and the sums over j run in index order, so
     every figure is the one numpy's convolve and sum would give.
     """
-    g = B.g
+    g, delta, w = B.g, B._delta, B._w
     rho = math.sqrt(math.pi * B.lam_min)
-    delta = math.sqrt(0.25 * math.pi * float(np.add.reduce(np.abs(B.im), axis=None)))
-    w = math.sqrt(max(B.im_inv.diagonal().tolist()) / math.pi)
     coeffs = [1.0]
     for e in octaves:
         s = 2.0 * math.pi * 2.0 ** e
@@ -357,7 +365,7 @@ def _ellipsoid(B: PeriodMatrix, r: int, binned: bool) -> tuple:
     hit = B._points.get(key)
     if hit is None:
         g = B.g
-        yinv = B.im_inv.diagonal().tolist()
+        yinv = B._diag
         top = max(yinv)
         axes = []
         for y in yinv:
@@ -471,16 +479,24 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     dirs "d0", "d1", "d01", see theta_jet) and its bins those of
     _ellipsoid, holding mantissas relative to exp(logscale), shape (P,).
 
+    Step 1 (_reduce) runs over all P points, so that a point that is not
+    finite raises NumericalError before the radius is looked up; the rest
+    of the pass (_lattice_rows) runs over consecutive blocks of
+    max(1, PASS_TERMS // M) points for the ellipsoid's M terms, each block
+    writing its rows of sums and logscale, so that the pass's work arrays
+    hold at most max(PASS_TERMS, M) terms per jet key, not P * M (one
+    block when P is within that budget).
+
     Every step acts on each point alone, in the same order whatever P, so
-    row p is bitwise the result for Z[p] alone.  That rules out matmul
-    (see _sum_last) and a product of two general complex arrays whose
-    strides differ from row to row, which numpy may evaluate with or
-    without fused multiply-adds: the prefactor's phase joins the exponent
-    instead, and the derivative factors multiply the terms row for row
-    (each point's own row, or one row that points sharing their b share,
-    broadcast so that every row is one contiguous inner loop, as for a
-    single point).  Products with a real or imaginary factor are exact
-    either way.
+    row p is bitwise the result for Z[p] alone, whatever block it falls in.
+    That rules out matmul (see _sum_last) and a product of two general
+    complex arrays whose strides differ from row to row, which numpy may
+    evaluate with or without fused multiply-adds: the prefactor's phase
+    joins the exponent instead, and the derivative factors multiply the
+    terms row for row (each point's own row, or one row that the points of
+    a block sharing their b share, broadcast so that every row is one
+    contiguous inner loop, as for a single point).  Products with a real or
+    imaginary factor are exact either way.
 
     When no point has a lattice shift b (step 1, _reduce), the prefactor
     is exactly 1: its phase and real exponent are signed zeros that change
@@ -490,11 +506,31 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     """
     # argument reduction (step 1): z = z' + a + B b, and the prefactor
     # exp(2 pi i s), s = -(b, z' + B b / 2)
-    g = Z.shape[1]
     bvec, cols, pref = _reduce(Z, B)
     if radius is None:
         radius = _dirs_radius(B, dirs)
-    N2pi, quad, starts = _ellipsoid(B, radius, binned)
+    ellipsoid = _ellipsoid(B, radius, binned)
+    step = max(1, PASS_TERMS // ellipsoid[1].shape[1])
+    if len(Z) <= step:
+        return _lattice_rows(bvec, cols, pref, ellipsoid, dirs, binned)
+    sums = np.empty((len(_JET_KEYS[len(dirs)]), len(Z), len(ellipsoid[2])), dtype=complex)
+    logscale = np.empty(len(Z))
+    for lo in range(0, len(Z), step):
+        block = slice(lo, lo + step)
+        sums[:, block], logscale[block] = _lattice_rows(
+            bvec[block], [c[block] for c in cols],
+            None if pref is None else (pref[0][block], pref[1][block]),
+            ellipsoid, dirs, binned)
+    return sums, logscale
+
+
+def _lattice_rows(bvec: np.ndarray, cols: list, pref, ellipsoid: tuple, dirs: tuple,
+                  binned: bool) -> tuple:
+    """Steps 2 and 3 of _lattice_jets for the points that _reduce left as
+    (bvec, cols, pref), over the ellipsoid (N2pi, quad, starts): their
+    (sums, logscale)."""
+    N2pi, quad, starts = ellipsoid
+    g = len(N2pi)
     expo = quad + cols[0] * N2pi[0]
     for j in range(1, g):
         expo += cols[j] * N2pi[j]
@@ -519,7 +555,7 @@ def _lattice_jets(Z: np.ndarray, B: PeriodMatrix, dirs: tuple,
     if dirs:
         # derivative factors 2*pi*i*(d, n - b) of the terms before reduction
         # (one row, broadcast, when every point has the same b)
-        shared = bvec.tobytes() == bvec[:1].tobytes() * len(Z)
+        shared = bvec.tobytes() == bvec[:1].tobytes() * len(bvec)
         b2pi = _TWO_PI_I * (bvec[:1] if shared else bvec)
         lin = []
         for d in dirs:

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -325,6 +326,22 @@ class TestBatch:
         assert set(vecs) == {"f", "d0"} and all(len(v) == 5 for v in vecs.values())
         hats = np.exp(normalized_log_abs_many(theta_jets(Z, B), B, Z))
         assert np.allclose(hats, [hat_abs(z, B) for z in Z], rtol=1e-12)
+
+    def test_a_long_pass_works_in_bounded_blocks(self):
+        """A 20 000-point, one-direction pass at B = i (11 lattice terms)
+        runs in blocks of PASS_TERMS terms: its traced peak stays under
+        4 MB, where one block of all its points peaks at 16 MB."""
+        rng = np.random.default_rng(3)
+        Z = rng.uniform(-3.0, 3.0, (20000, 1)) + 1j * rng.uniform(-3.0, 3.0, (20000, 1))
+        V = np.ones(1, complex)
+        theta_jets(Z[:1], B_I, dirs=(V,))      # radius and ellipsoid cached first
+        tracemalloc.start()
+        try:
+            theta_jets(Z, B_I, dirs=(V,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_wrong_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):

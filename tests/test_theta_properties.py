@@ -8,10 +8,12 @@ the fundamental cell, Im z = Y t with t in [-1/2, 1/2]^g.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from theta_secant import theta as theta_module
 from theta_secant.scaled import ScaledComplex
 from theta_secant.theta import (
     PeriodMatrix,
@@ -143,21 +145,32 @@ def _same_scaled(a: ScaledComplex, b: ScaledComplex) -> bool:
 
 @settings(max_examples=60, deadline=None)
 @given(siegel_points(count=5), st.integers(0, 2),
-       st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4))
+       st.lists(st.complex_numbers(max_magnitude=2.0), min_size=4, max_size=4),
+       st.sampled_from((theta_module.PASS_TERMS, 1, 64)))
 # a subnormal direction makes the level-two derivative vectors subnormal
 @example(case=(PeriodMatrix([[1j]]), [np.zeros(1, complex)] * 5), order=1,
-         dir_entries=[2.225073858507e-311 + 0j, 0j, 0j, 0j])
-def test_batch_rows_equal_single_point_calls(case, order, dir_entries):
+         dir_entries=[2.225073858507e-311 + 0j, 0j, 0j, 0j],
+         pass_terms=theta_module.PASS_TERMS)
+@example(case=(PeriodMatrix([[0.3 + 1j, 0.2], [0.2, -0.1 + 0.8j]]),
+               [np.array([0.1 + 0.2j, -0.3j])] * 5), order=2,
+         dir_entries=[1.0 + 0j, 0.5j, -1.0 + 0j, 2.0 + 0j], pass_terms=1)
+@example(case=(PeriodMatrix([[0.3 + 1j, 0.2], [0.2, -0.1 + 0.8j]]),
+               [np.array([0.1 + 0.2j, -0.3j])] * 5), order=1,
+         dir_entries=[1.0 + 0j, 0.5j, -1.0 + 0j, 2.0 + 0j], pass_terms=64)
+def test_batch_rows_equal_single_point_calls(case, order, dir_entries, pass_terms):
     """Row p of a P-point pass is bitwise the one-point pass at that row:
     value, 1-jet and 2-jet, and the level-two vectors with and without a
-    derivative direction.  The one-point views return the rows: theta and theta_jet as
-    ScaledComplex.make(row, logscale), level_two_vector as the row's vector."""
+    derivative direction, also when the pass runs in blocks of one point
+    or of a few (theta.PASS_TERMS of 1 or 64 terms).  The one-point views
+    return the rows: theta and theta_jet as ScaledComplex.make(row,
+    logscale), level_two_vector as the row's vector."""
     B, zs = case
     g = B.g
     Z = np.array(zs) + np.arange(len(zs))[:, None] * (0.7 + 0.4j)   # far cells too
     dirs = tuple(np.array(dir_entries[2 * k:2 * k + g]) for k in range(order))
-    jets = theta_jets(Z, B, dirs=dirs)
-    vecs = level_two_vectors(Z, B, deriv_dir=dirs[0] if dirs else None)
+    with mock.patch.object(theta_module, "PASS_TERMS", pass_terms):
+        jets = theta_jets(Z, B, dirs=dirs)
+        vecs = level_two_vectors(Z, B, deriv_dir=dirs[0] if dirs else None)
     for p in range(len(Z)):
         one = theta_jets(Z[p:p + 1], B, dirs=dirs)
         assert _same(one.logscale, jets.logscale[p:p + 1])
