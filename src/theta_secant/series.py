@@ -18,9 +18,10 @@ recursion (T - 1) xi_{s+1} = xi_s' + u xi_s is solved on the cyclic grid
 Z/N by prefix sums.  Solvability requires a zero x-mean right hand side;
 the mean is cancelled by the canonical time-dependent constant c_s(t)
 satisfying c_s'(t) = -mean_x(rhs), discretized on a 5-point time stencil
-(time derivatives of xi_s by 5-point differentiation, c_s by polynomial
-quadrature of the mean).  Skipping that normalization leaves a cyclic
-defect of N * |mean|, which the negative control exhibits.
+(time derivatives of xi_s by 5-point differentiation, c_s by fixed
+interpolatory weights on the 5-point stencil, exact for degree <= 4 and
+zero at the centre).  Skipping that normalization leaves a cyclic defect
+of N * |mean|, which the negative control exhibits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPeriodic, ValidationError, WindowExhausted
-from .theta import FixedJets, PeriodMatrix, as_vector, rescale
+from .theta import FixedJets, PeriodMatrix, _sum_last, as_vector, rescale
 from .dynamics import DiscreteTau, find_tau_zero, neighbour_pass
 
 S_MAX = 3                     # highest level of a semi-discrete table
@@ -41,6 +42,16 @@ _D5 = np.array([
     [1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0],
     [-1.0 / 12.0, 0.5, -1.5, 5.0 / 6.0, 0.25],
     [0.25, -4.0 / 3.0, 3.0, -4.0, 25.0 / 12.0],
+])
+
+# 5-point integration weights on a uniform stencil: row j holds the integrals
+# from the centre node to node j of the five Lagrange basis polynomials
+_Q5 = np.array([
+    [-29.0 / 90.0, -62.0 / 45.0, -4.0 / 15.0, -2.0 / 45.0, 1.0 / 90.0],
+    [19.0 / 720.0, -173.0 / 360.0, -19.0 / 30.0, 37.0 / 360.0, -11.0 / 720.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [11.0 / 720.0, -37.0 / 360.0, 19.0 / 30.0, 173.0 / 360.0, -19.0 / 720.0],
+    [-1.0 / 90.0, 2.0 / 45.0, 4.0 / 15.0, 62.0 / 45.0, 29.0 / 90.0],
 ])
 
 
@@ -198,10 +209,7 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
         table.defect[s + 1] = float(abs(N * m[2]))
     else:
         # c_s(t_j) = -integral of the degree-4 interpolant of m from t_center
-        dts = np.array([(j - 2) * dt for j in range(5)])
-        coeffs = np.polyfit(dts, m, 4)
-        anti = np.polyint(coeffs)
-        c = -np.polyval(anti, dts) + np.polyval(anti, 0.0)
+        c = -dt * _sum_last(_Q5 * m)
         if s > 0:
             table.levels[s] = xi_s + c[:, None]
         rhs_used = (xidot - m[:, None]) + u * (xi_s + c[:, None])

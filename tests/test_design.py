@@ -91,6 +91,11 @@ RULES = {
                         "directory"),
     "csv-names-in-one-table": (literal('.csv"'), PY, ("theta_secant/reports.py",),
                                "reports.CSV_FILES is the one table of CSV file names"),
+    "pole-dynamics-without-lapack": (literal("polyfit", "polyint", "linalg"),
+                                     ["theta_secant/series.py", "theta_secant/dynamics.py"], (),
+                                     "the wave series integrates its time constant with fixed "
+                                     "weights (series._Q5), and no numpy.linalg routine runs "
+                                     "on the pole dynamics"),
     "decomposable-control-once": (literal("np.diag([1j, 1.3j])"), RUNNERS,
                                   ("theta_secant/scenarios/__init__.py",),
                                   "the decomposable control is defined in the scenarios "

@@ -96,9 +96,9 @@ def test_dynamics_outputs_are_pinned():
         _update(h, table.levels[s])
     _update(h, table.defect[3])
     assert_frozen(h.hexdigest(), {
-        "numpy 2.4 X86_V4": "63030c7be4e54a56226ecfe6bbc87de3aa1d068a97355777c0eb96569032e8c8",
-        "numpy 2.4 X86_V3": "9eff481d597560cb3dd0ed0f7b19f5389db5d3c1277bf5264c2ef05e3bf1b4e6",
-        "numpy 2.4 X86_V2": "11612303c5791a47f6b04402c8e170fc89a71e121ae1e8b38d23e7d9ece3f1be",
+        "numpy 2.4 X86_V4": "b8257cd54ea3bc1b8e2f8fdd100d8f330fb5a7b0ba8d9214eef8d75f72014008",
+        "numpy 2.4 X86_V3": "9d2dd86e9b8d2c05513c68bdcbb76530fb454bff90c22d3e3c159c2a1e149824",
+        "numpy 2.4 X86_V2": "7711480632b16ae425f6b62564ea6a388a258593d8c0e1f061994b808761a877",
     })
 
 

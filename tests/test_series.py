@@ -1,11 +1,15 @@
 """Wave-series recursion tests: residues, periodic normalization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from theta_secant.dynamics import DiscreteTau, PerturbedTau, find_tau_zero
 from theta_secant.errors import NonPeriodic, ValidationError, WindowExhausted
 from theta_secant.series import (
+    _D5,
+    _Q5,
     RESIDUE_SEED,
     SemidiscreteSystem,
     discrete_residue_consistency,
@@ -155,3 +159,75 @@ class TestSemidiscrete:
         semidiscrete_series_extend(table, sd_system, 0)
         semidiscrete_series_extend(table, sd_system, 1, skip_normalization=True)
         assert semidiscrete_cyclic_defect(table, sd_system, 2) >= 1e-3
+
+    def test_normalization_cancels_the_mean(self, sd_system):
+        # resubstitution reads only the centre row, where c = 0, so only the
+        # off-centre rows show whether c_s' = -mean_x(rhs) holds: the mean
+        # of xi_1' + u xi_1 must vanish at every stencil time
+        table = new_semidiscrete_table(t_center=0.1, dt=0.01)
+        semidiscrete_series_extend(table, sd_system, 0)
+        semidiscrete_series_extend(table, sd_system, 1)
+        N, level = sd_system.N, table.levels[1]
+        u = sd_system.u(np.tile(np.arange(N, dtype=float), (5, 1)),
+                        np.repeat(np.array(table.ts)[:, None], N, axis=1))
+        mean = (_D5 @ level / table.dt + u * level).mean(axis=1)
+        assert np.max(np.abs(mean)) <= 1e-5
+
+
+def _lagrange_integral(k: int, b: int) -> Fraction:
+    """Integral from 0 to b of the Lagrange basis polynomial of node k on
+    the unit stencil -2..2, exact."""
+    nodes = range(-2, 3)
+    coeffs = [Fraction(1)]                      # lowest degree first
+    for x in nodes:
+        if x != k - 2:
+            coeffs = [Fraction(0)] + coeffs     # times t, then minus x
+            for d in range(len(coeffs) - 1):
+                coeffs[d] -= x * coeffs[d + 1]
+            coeffs = [a / (k - 2 - x) for a in coeffs]
+    return sum(a * Fraction(b) ** (d + 1) / (d + 1) for d, a in enumerate(coeffs))
+
+
+class TestIntegrationWeights:
+    def test_weights_are_the_exact_integrals(self):
+        for j in range(5):
+            for k in range(5):
+                assert _Q5[j, k] == float(_lagrange_integral(k, j - 2)), (j, k)
+        assert not _Q5[2].any()
+
+    @pytest.mark.parametrize("dt", [0.01, 0.37, 3.0])
+    def test_monomials_integrate_exactly(self, dt):
+        ts = [(k - 2) * dt for k in range(5)]
+        for n in range(5):
+            for j in range(5):
+                c = -dt * sum(_Q5[j, k] * ts[k] ** n for k in range(5))
+                assert c == pytest.approx(-ts[j] ** (n + 1) / (n + 1), rel=1e-15, abs=0)
+
+
+class _NoLapack:
+    """Stands in for numpy's LAPACK gufunc module: any routine raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK routine {name} called")
+
+
+def test_series_steps_call_no_lapack(monkeypatch):
+    """The benchmark's series steps run with every LAPACK routine of
+    numpy.linalg raising (np.polyfit's lstsq among them)."""
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2, numpy 1
+    monkeypatch.setattr(linalg, "_umath_linalg", _NoLapack())
+    for call in (lambda: np.linalg.inv(np.eye(2)),
+                 lambda: np.polyfit(np.arange(5.0), np.ones(5), 4)):
+        with pytest.raises(AssertionError, match="LAPACK"):
+            call()
+    B = PeriodMatrix([[1j]])
+    for s in (0, 1):
+        discrete_residue_consistency(U1, V1, Z1, B, 0.0, s)
+    system = SemidiscreteSystem(np.array([0.2 + 0j]), V1, Z1 + 0.1, B, N=5)
+    table = new_semidiscrete_table(t_center=0.1, dt=0.01)
+    for s in (0, 1):
+        semidiscrete_series_extend(table, system, s)
+        semidiscrete_resubstitution(table, system, s)
+    table = new_semidiscrete_table(t_center=0.1, dt=0.01)
+    semidiscrete_series_extend(table, system, 0)
+    semidiscrete_series_extend(table, system, 1, skip_normalization=True)
