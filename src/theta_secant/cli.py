@@ -56,17 +56,19 @@ from .scenarios import jacobian_fay_data, resolve_curve  # noqa: F401
 def _stamped(module: str, runner: str, arg) -> Report:
     """The report of the function runner of .scenarios.<module> on arg (a
     ScenarioConfig or the parsed rs simulate arguments), stamped with the
-    package version, the seed of arg, numpy's version and dispatch class
-    (once the runner has loaded numpy) and the wall time of the run.  The
-    module is imported at the call, so a verdict compiles only the runner it
-    runs, and inside the clock, so every wall time counts the same imports."""
+    package version, the seed of arg, numpy's version, dispatch class and
+    OpenBLAS core (once the runner has loaded numpy) and the wall time of
+    the run.  The module is imported at the call, so a verdict compiles only
+    the runner it runs, and inside the clock, so every wall time counts the
+    same imports."""
     t0 = time.perf_counter()
     report = getattr(import_module(f"{__package__}.scenarios.{module}"), runner)(arg)
     report.timing = {"wall_s": round(time.perf_counter() - t0, 3)}
     import numpy
-    from .theta import dispatch_class
+    from .theta import blas_core, dispatch_class
     report.environment = {"version": __version__, "seed": arg.seed,
-                          "numpy": numpy.__version__, "numpy_dispatch": dispatch_class()}
+                          "numpy": numpy.__version__, "numpy_dispatch": dispatch_class(),
+                          "blas_core": blas_core()}
     return report
 
 

@@ -200,7 +200,7 @@ def semidiscrete_series_extend(table: SeriesTable, system: SemidiscreteSystem,
     u = system.u(np.tile(np.arange(N, dtype=float), (5, 1)),
                  np.repeat(np.array(ts)[:, None], N, axis=1))
 
-    xidot = (_D5 @ xi_s) / dt if s > 0 else np.zeros((5, N), complex)
+    xidot = _sum_last(_D5[:, None, :] * xi_s.T) / dt if s > 0 else np.zeros((5, N), complex)
     rhs = xidot + u * xi_s
     m = rhs.mean(axis=1)
 

@@ -80,11 +80,32 @@ _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of di
 # the x86-64 levels numpy may dispatch to, highest first: several ufuncs (exp,
 # log, complex abs and multiplication among them) round differently under each
 LEVELS = ("X86_V4", "X86_V3", "X86_V2")
+_EPS = 2.0 ** -53             # LAPACK's dlamch('E')
+_SPLIT = 2.0 ** 27 + 1.0      # Veltkamp's splitter of a 53-bit float (_fma)
 
 
 def dispatch_class() -> str:
     """The highest x86-64 level numpy dispatches to in this process."""
     return next((v for v in LEVELS if __cpu_features__.get(v)), "below X86_V2")
+
+
+@functools.cache
+def blas_core() -> str:
+    """The core name of numpy's bundled OpenBLAS in this process (SkylakeX,
+    Haswell, ...), whose kernels round BLAS products and solves differently;
+    "unknown" when numpy carries no scipy-openblas library."""
+    import ctypes
+    root = os.path.dirname(np.__file__)
+    folders = (os.path.join(root, os.pardir, "numpy.libs"), os.path.join(root, ".dylibs"))
+    for path in [os.path.join(folder, name) for folder in folders if os.path.isdir(folder)
+                 for name in os.listdir(folder) if "openblas" in name]:
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def resolve_cap() -> int:
@@ -124,12 +145,93 @@ class Frozen:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it.
+
+    Dekker's two-product, with Veltkamp's split of a and b into 26-bit
+    halves, gives a * b = p + e exactly, and fsum rounds p + e + c once.
+    The split is exact for |a|, |b| < 2^996 with a * b zero or between
+    2^-968 and 2^1023 in magnitude: the splitter does not overflow, and
+    the error e does not underflow.
+    """
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    p = a * b
+    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
+
+
+def _least_eigenvalue2(rows: list) -> float:
+    """Least eigenvalue of a symmetric 2 x 2 matrix [[a, b], [b, c]], given as
+    rows of floats, as np.linalg.eigvalsh computes it from its lower
+    triangle, bit for bit under every OpenBLAS kernel.
+
+    This is reference LAPACK's path for n = 2 (dsyevd, dsterf, dlae2):
+    dsterf's two split tests, then dlae2 (dsterf swaps a and c when
+    |c| < |a|, which changes none of dlae2's steps).  It holds while the
+    largest |entry| lies in [2^-405, 2^484], where neither dsyevd nor
+    dsterf rescales.  A trace a + c <= 0 returns min(a, c), which is then
+    <= 0 as the least eigenvalue is.
+    """
+    (a, _), (b, c) = rows
+    if (abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS
+            or b * b <= _EPS * _EPS * abs(a * c)):
+        return min(a, c)
+    rte = math.sqrt(b * b)
+    sm = a + c
+    if not sm > 0:
+        return min(a, c)
+    adf, ab = abs(a - c), abs(rte + rte)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    # q * q, not q ** 2: pow may round differently
+    if adf > ab:
+        q = ab / adf
+        rt = adf * math.sqrt(1.0 + q * q)
+    elif adf < ab:
+        q = adf / ab
+        rt = ab * math.sqrt(1.0 + q * q)
+    else:
+        rt = ab * math.sqrt(2.0)
+    rt1 = 0.5 * (sm + rt)
+    return min(rt1, (acmx / rt1) * acmn - (rte / rt1) * rte)
+
+
+def _inverse2(rows: list) -> np.ndarray:
+    """Inverse of a 2 x 2 matrix, given as rows of floats, as np.linalg.inv
+    computes it under OpenBLAS's AVX-512 (SkylakeX) kernels, on any machine.
+
+    inv solves against the identity by LU with partial pivoting: multiplier
+    l = y10 (1/y00), pivot u11 = y11 - l y01, then per column forward and
+    back substitution by the reciprocal pivots, x0 fused as
+    fma(-y01, x1, y0) (1/y00).  The unfused x0 is what the AVX2 kernels
+    return, and differs in the last bit for some matrices.
+    """
+    (a, b), (c, d) = rows
+    swap = abs(c) > abs(a)
+    if swap:
+        (a, b), (c, d) = (c, d), (a, b)
+    ra = 1.0 / a
+    l = c * ra
+    ru = 1.0 / (d - l * b)
+    x0, x1 = [], []
+    for y0, y1 in ((0.0, 1.0), (1.0, 0.0)) if swap else ((1.0, 0.0), (0.0, 1.0)):
+        x1.append((y1 - l * y0) * ru)
+        x0.append(_fma(-b, x1[-1], y0) * ra)
+    return np.array([x0, x1])
+
+
 class PeriodMatrix(Frozen):
     """Point of the Siegel upper half space: symmetric, Im positive definite.
 
     Holds its facts as attributes: entries, g, im = Im B, im_inv = (Im B)^-1
-    and lam_min, the least eigenvalue of Im B.  Compared and hashed by
-    identity: its caches live on the instance.
+    and lam_min, the least eigenvalue of Im B.  For g = 1 and 2 they are
+    computed without np.linalg, bit for bit what its eigvalsh and inv return
+    with OpenBLAS's SkylakeX kernels, whichever kernel a machine loads; for
+    g >= 3 they come from np.linalg.  Compared and hashed by identity: its
+    caches live on the instance.
     """
 
     def __init__(self, entries):
@@ -144,11 +246,14 @@ class PeriodMatrix(Frozen):
             raise ValidationError("period matrix is not symmetric to 1e-12")
         M = 0.5 * (M + M.T)
         Y = np.ascontiguousarray(M.imag)
+        g, rows = len(Y), Y.tolist()
         # for g = 1, 1/y and y are what inv and eigvalsh return, bit for bit
-        lam_min = float(Y[0, 0] if len(Y) == 1 else np.linalg.eigvalsh(Y)[0])
+        lam_min = (rows[0][0] if g == 1 else _least_eigenvalue2(rows) if g == 2
+                   else float(np.linalg.eigvalsh(Y)[0]))
         if not lam_min > 0:
             raise NonPosDef("Im B is not positive definite")
-        self._init(M, 1.0 / Y if len(Y) == 1 else np.linalg.inv(Y), lam_min)
+        im_inv = 1.0 / Y if g == 1 else _inverse2(rows) if g == 2 else np.linalg.inv(Y)
+        self._init(M, im_inv, lam_min)
 
     def _init(self, entries, im_inv, lam_min):
         entries.setflags(write=False)

@@ -20,7 +20,7 @@ from theta_secant.reports import (CSV_FILES, PARAMETERS, SCENARIOS, CheckRecord,
                                   ScenarioConfig)
 from theta_secant.rng import Xoshiro256
 from theta_secant.scenarios import RS_KERNELS, jacobian_fay_data, resolve_curve
-from theta_secant.theta import dispatch_class
+from theta_secant.theta import blas_core, dispatch_class
 
 
 # the scenarios that write CSV files into --csv-dir; the others refuse it
@@ -140,11 +140,12 @@ class TestReport:
 
     def test_reports_name_their_numerics(self, run):
         """Every report's environment names the package version, the seed,
-        and the numpy version and dispatch class that computed it."""
+        the numpy version and dispatch class, and the OpenBLAS core that
+        computed it."""
         rc, out, _ = run(["rs", "simulate", "--n", "2", "--t-end", "0.01", "--h", "1e-3"])
         assert rc == 0 and out["environment"] == {
             "version": __version__, "seed": 7, "numpy": np.__version__,
-            "numpy_dispatch": dispatch_class()}
+            "numpy_dispatch": dispatch_class(), "blas_core": blas_core()}
 
 
 class TestDeterminism:

@@ -154,9 +154,9 @@ def test_engine_outputs_are_pinned():
         for P in seeded_curve_points(data, Xoshiro256(k), 2):
             h.update(abel_map(data, P).tobytes())
     assert_frozen(h.hexdigest(), {
-        "numpy 2.4 X86_V4": "2ca13ca7c084768e37fde76ecb9642419b7f62cc153b3d7e06ed70925e00b422",
-        "numpy 2.4 X86_V3": "5e1013b5c7ce058f8b53fede548293a692827e67616a65172062db3f841c77f9",
-        "numpy 2.4 X86_V2": "0c6e4df80d470d70e6c82d99a5e16b7c7398cba50f646aa6785e7b55e3179c87",
+        "numpy 2.4 X86_V4 SkylakeX": "2ca13ca7c084768e37fde76ecb9642419b7f62cc153b3d7e06ed70925e00b422",
+        "numpy 2.4 X86_V3 Haswell": "d58284d1acde2909e427f714bc9b369606f7ab06be4be6813306ef11da3bc6b3",
+        "numpy 2.4 X86_V2 Nehalem": "8a591a227b1ad3349a2877f768116bd405290c4f9d69ca2f50ec7a4840c81d0f",
     })
 
 

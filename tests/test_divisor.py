@@ -271,9 +271,9 @@ class TestLineRoots:
                                            2, 4, 0, 2, 2, 1, 2, 0, 3, 3]
         pairs = np.array([pair for r in roots for pair in r])
         assert_frozen(hashlib.sha256(pairs.tobytes()).hexdigest(), {
-            "numpy 2.4 X86_V4": "f81904bd4ea5dc8711cc5e93ec5ecf5ce35e21040b3f88870806d5daeee69f11",
-            "numpy 2.4 X86_V3": "46284800595f3a4466d0d32a8abe85b837fd46cb3b3e1a6f8e3cde8ad482e593",
-            "numpy 2.4 X86_V2": "d5ec62a6d6b8d4395be2926eb23bdb67e1f0ef4e3a06f9752f120626fabaf348",
+            "numpy 2.4 X86_V4 SkylakeX": "f81904bd4ea5dc8711cc5e93ec5ecf5ce35e21040b3f88870806d5daeee69f11",
+            "numpy 2.4 X86_V3 Haswell": "25184f7ae4a73cb7212e0aa564516213ef8ee651f043dd42b8d65a19e5cfc0af",
+            "numpy 2.4 X86_V2 Nehalem": "5833b6b2891dd2cfdd90678cbdb690ed4dfdc20573d361e9ac1e8faea2cdca09",
         })
 
     def test_one_pass_per_bisection_round(self, x5m1, lattice_passes):

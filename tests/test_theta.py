@@ -395,8 +395,14 @@ class TestValidation:
                 lattice_distance(z, B)
 
     def test_non_posdef_rejected(self):
-        with pytest.raises(NonPosDef):
-            PeriodMatrix([[1.0 + 0j]])
+        """An Im B that is not positive definite raises, for g = 1 and for the
+        genus-2 path without LAPACK: indefinite, singular, negative definite,
+        a zero diagonal entry, and zero."""
+        for entries in ([[1.0 + 0j]], [[1j, 2j], [2j, 1j]], [[1j, 1j], [1j, 1j]],
+                        [[-1j, 0.1j], [0.1j, -2j]], [[0.3, 0.5j], [0.5j, 1j]],
+                        [[0.3, 0.2], [0.2, 0.1]]):
+            with pytest.raises(NonPosDef):
+                PeriodMatrix(entries)
 
     def test_too_many_dirs(self):
         with pytest.raises(ValidationError):

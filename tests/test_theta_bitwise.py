@@ -1,19 +1,29 @@
 """Bitwise guards of the theta core: frozen output hashes, the exact B/2,
-and batches that mix points with and without a lattice shift.
+batches that mix points with and without a lattice shift, and the genus-2
+facts of Im B that PeriodMatrix computes without LAPACK.
 
 Points "with b = 0" have Im z = Y t with t in the open cube (-1/2, 1/2)^g,
 so that step 1 of the core finds no lattice shift; points "with b != 0"
 are those moved by B m for a nonzero integer vector m.
 """
 
+import functools
 import hashlib
+import importlib.util
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from theta_secant.curves import build_abel_data, default_corpus
 from theta_secant.rng import Xoshiro256
-from theta_secant.theta import PeriodMatrix, _lattice_jets, level_two_vectors, theta_jets
+from theta_secant.theta import (PeriodMatrix, _inverse2, _lattice_jets, _least_eigenvalue2,
+                                blas_core, level_two_vectors, theta_jets)
 
 from frozen import assert_frozen
 
@@ -78,9 +88,9 @@ def test_outputs_are_pinned():
                         h.update(v.coords.tobytes())
                         h.update(np.float64(v.logscale).tobytes())
     assert_frozen(h.hexdigest(), {
-        "numpy 2.4 X86_V4": "816a704c25afc1b0634e6e5b2fb7ef603266698aefd1aceafa383f1f5606eea7",
-        "numpy 2.4 X86_V3": "816a704c25afc1b0634e6e5b2fb7ef603266698aefd1aceafa383f1f5606eea7",
-        "numpy 2.4 X86_V2": "d7b574597dac8f05254b4cfc5f1f5997d6a928f1e350ae5d7351d99ce416a06b",
+        "numpy 2.4 X86_V4 SkylakeX": "816a704c25afc1b0634e6e5b2fb7ef603266698aefd1aceafa383f1f5606eea7",
+        "numpy 2.4 X86_V3 Haswell": "816a704c25afc1b0634e6e5b2fb7ef603266698aefd1aceafa383f1f5606eea7",
+        "numpy 2.4 X86_V2 Nehalem": "b1f6ca65363ef1ddb117d5c52325311393c72dad7e197b27589cd51d128b6fe7",
     })
 
 
@@ -123,3 +133,122 @@ def test_mixed_batch_rows_equal_rows_alone(binned, order):
             for p, (s1, l1) in enumerate(_rows_alone(batch, M, dirs, binned)):
                 assert s1.tobytes() == sums[:, p:p + 1].tobytes(), p
                 assert l1.tobytes() == scale[p:p + 1].tobytes(), p
+
+
+def spd_corpus(count: int = 100_000) -> list:
+    """count symmetric positive definite [[a, b], [b, c]] as (a, b, c), built
+    by arithmetic alone (no libm call), so the same on every machine.
+
+    Five kinds in turn: rotated diag(lam1, lam2) with lam1 from 2^-10 (about
+    1e-3) to 2; the same, rotated by t down to 2^-60 (off-diagonals down to
+    about 1e-18); pivoting ones, |b| > a; ones whose off-diagonal is set to
+    a tiny number, down to 2^-60; and ones whose off-diagonal is at the
+    first split test of LAPACK's dsterf or one ulp above it, where its
+    second test decides.  Rotations are rational: (cos, sin) = ((1 - t^2), 2t) / (1 + t^2).
+    """
+    rng = random.Random(4242)
+    out = []
+    for k in range(count):
+        lam1 = math.ldexp(rng.uniform(1.0, 2.0), -rng.randrange(11))
+        lam2 = lam1 + math.ldexp(rng.uniform(1.0, 2.0), rng.randrange(-12, 2))
+        t = (math.ldexp(rng.uniform(-1.0, 1.0), -rng.randrange(8, 61)) if k % 5 == 1
+             else rng.uniform(-1.0, 1.0))
+        co, si = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+        a, b = lam1 * co * co + lam2 * si * si, (lam1 - lam2) * co * si
+        c = lam1 * si * si + lam2 * co * co
+        if k % 5 == 2:
+            a, b = lam1, rng.choice((-1.0, 1.0)) * lam1 * rng.uniform(1.01, 8.0)
+            c = b * b / a + lam2
+        elif k % 5 == 3:
+            b = rng.choice((-1.0, 1.0)) * math.ldexp(rng.uniform(1.0, 2.0),
+                                                     -rng.randrange(20, 61))
+        elif k % 5 == 4:
+            b = math.sqrt(a) * math.sqrt(c) * 2.0 ** -53
+            b = rng.choice((-1.0, 1.0)) * rng.choice((b, math.nextafter(b, math.inf)))
+        out.append((a, b, c))
+    return out
+
+
+@functools.cache
+def spd_facts() -> tuple:
+    """spd_corpus() as (N, 2, 2) matrices Y, and their least eigenvalues and
+    inverses as PeriodMatrix computes them for g = 2."""
+    Y = np.array([[[a, b], [b, c]] for a, b, c in spd_corpus()])
+    rows = Y.tolist()
+    lam = np.array([_least_eigenvalue2(r) for r in rows])
+    inv = np.array([_inverse2(r) for r in rows])
+    return Y, lam, inv
+
+
+def test_least_eigenvalue_is_eigvalsh():
+    """Over 10^5 seeded positive definite 2 x 2 matrices, thin, near-diagonal
+    and pivoting ones among them, the genus-2 least eigenvalue is bit for bit
+    np.linalg.eigvalsh's, which runs reference LAPACK under every kernel."""
+    Y, lam, _ = spd_facts()
+    assert min(lam) < 1e-3 and min(abs(Y[:, 1, 0])) < 1e-18
+    assert np.count_nonzero(abs(Y[:, 1, 0]) > Y[:, 0, 0]) > 15_000
+    assert lam.tobytes() == np.linalg.eigvalsh(Y)[:, 0].tobytes()
+    assert min(lam) > 0
+
+
+def test_inverse_is_pinned():
+    """The genus-2 inverses of the same matrices hash to one frozen value on
+    every machine (Python floats, an exact fma); with OpenBLAS's SkylakeX
+    kernels they are np.linalg.inv's bits."""
+    Y, _, inv = spd_facts()
+    assert hashlib.sha256(inv.tobytes()).hexdigest() == (
+        "6a5a6b4770f166490dc8539ebecd329548d7470ce52bd9cae9bf02bafcb9085d")
+    if blas_core() == "SkylakeX":
+        assert inv.tobytes() == np.linalg.inv(Y).tobytes()
+
+
+def test_facts_are_the_same_under_haswell_kernels():
+    """Under OPENBLAS_CORETYPE=Haswell, where np.linalg.inv rounds some of
+    these inverses differently, the genus-2 facts keep their bits."""
+    probe = ("import hashlib, sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+             "from test_theta_bitwise import spd_facts, blas_core; Y, lam, inv = spd_facts(); "
+             "print(blas_core(), hashlib.sha256(lam.tobytes()).hexdigest(), "
+             "hashlib.sha256(inv.tobytes()).hexdigest(), "
+             "np.count_nonzero((np.linalg.inv(Y) != inv).any(axis=(1, 2))))")
+    proc = subprocess.run([sys.executable, "-c", probe, str(Path(__file__).parent)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    core, lam_hash, inv_hash, differ = proc.stdout.split()
+    if core != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell loads {core} here")
+    _, lam, inv = spd_facts()
+    assert lam_hash == hashlib.sha256(lam.tobytes()).hexdigest()
+    assert inv_hash == hashlib.sha256(inv.tobytes()).hexdigest()
+    assert int(differ) > 0
+
+
+def _seed_one_siegel_matrices() -> list:
+    """The period matrices of the benchmark's siegel-sweep at seed 1 (8 rounds,
+    176 operations)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [np.array(op["B"])[..., 0] + 1j * np.array(op["B"])[..., 1]
+            for op in workloads.siegel_sweep(1, 8)["ops"]]
+
+
+def test_genus_two_matrices_need_no_lapack(monkeypatch, x5m1):
+    """With np.linalg's eigvalsh and inv raising, PeriodMatrix builds from the
+    corpus curves' period matrices (computed first: the curve engine inverts
+    its a-periods with inv) and from the siegel-sweep matrices of seed 1."""
+    corpus = default_corpus()
+    curves = [x5m1.B.entries] + [build_abel_data(corpus[k]).B.entries
+                                 for k in corpus if k != "x5m1"]
+    siegel = [E for E in _seed_one_siegel_matrices() if len(E) == 2]
+    assert len(curves) == 2 and len(siegel) == 88
+
+    def raising(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", raising)
+    monkeypatch.setattr(np.linalg, "inv", raising)
+    for E in curves + siegel:
+        B = PeriodMatrix(E)
+        assert B.lam_min > 0 and B.im_inv.shape == (2, 2)
