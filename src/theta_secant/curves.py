@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from collections.abc import Mapping
 from functools import lru_cache
 from numbers import Number, Real
@@ -49,7 +50,7 @@ from .errors import (
     QuadratureStall,
     ValidationError,
 )
-from .theta import Frozen, PeriodMatrix, lattice_distance
+from .theta import _EPS, Frozen, PeriodMatrix, _sum_last, lattice_distance
 
 QUAD_TOL = 1e-11
 QUAD_MAX_NODES = 2 ** 13
@@ -58,6 +59,10 @@ DETOUR_SCALE = 0.4            # route's first detour, per unit length of the blo
 # node doubling from 24, up to 192 per panel (_seg_adaptive) and 1536 per
 # on-cut integral (cut_integral)
 RULE_SIZES = tuple(24 * 2 ** k for k in range(7))
+ROOT_SWEEPS = 64             # cap of _roots' Aberth-Ehrlich sweeps
+# _roots' start directions, at 36.87 + 72 k degrees (k < 5)
+_STARTS = [(0.8 + 0.6j) * complex(0.30901699437494745, 0.9510565162951535) ** k
+           for k in range(5)]
 
 
 # ----------------------------------------------------------------------
@@ -70,8 +75,8 @@ class CurveSpec(Frozen):
     poly holds the coefficients of p in increasing degree order,
     [c0, c1, c2, c3, c4, 1], each a finite number or [re, im] pair (the
     corpus form), as a tuple of complex; the leading coefficient must be
-    exactly monic to 1e-9.  roots holds the five roots of p (np.roots
-    order, read-only), which the validation computes.
+    exactly monic to 1e-9.  roots holds the five roots of p sorted by
+    (Re, Im) (_roots, read-only), which the validation computes.
     """
 
     def __init__(self, kind, poly=None):
@@ -88,25 +93,27 @@ class CurveSpec(Frozen):
             raise ValidationError("poly coefficients must be finite")
         if abs(c[5] - 1.0) > 1e-9:
             raise ValidationError("poly must be monic (leading coefficient 1)")
-        p = np.array(c[::-1])
         # Root separation relative to the root scale S = max |root|, read
         # at the critical points: two roots d*S apart give
         # |p| ~ (d/2)^2 S^5 there (so d of a few 1e-6 is rejected),
         # and a repeated root of any multiplicity gives |p| at rounding
         # level, below 5e-15 S^5, whereas the computed roots of a double
         # root stay about 1e-8 S apart.  S^5 or p there must not overflow.
+        roots = _roots(c)
         try:
-            with np.errstate(over="raise"):
-                roots = np.roots(p)
-                scale = float(np.max(np.abs(roots)))
-                clear = np.min(np.abs(np.polyval(p, np.roots(np.polyder(p))))) > 1e-12 * scale ** 5
-        except (FloatingPointError, OverflowError):
-            raise ValidationError("poly coefficients too large for the degeneracy check") from None
-        if not clear:
-            gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag([np.inf] * 5)
-            i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+            crit = _roots([k * ck for k, ck in enumerate(c)][1:])
+            low = min(abs(_horner(c, z)[0]) for z in crit)
+            scale = max(map(abs, roots)) ** 5
+        except OverflowError:
+            low = math.inf
+        if not math.isfinite(low):
+            raise ValidationError("poly coefficients too large for the degeneracy check")
+        if not low > 1e-12 * scale:
+            i, j = min(((i, j) for i in range(5) for j in range(i)),
+                       key=lambda ij: abs(roots[ij[0]] - roots[ij[1]]))
             raise DegenerateCurve(
                 f"branch points {roots[i]:.6g} and {roots[j]:.6g} collide")
+        roots = np.array(roots)
         roots.setflags(write=False)
         self._set(kind=kind, poly=c, roots=roots)
 
@@ -118,6 +125,61 @@ def _coefficient(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(x, Real) for x in v):
         return complex(v[0], v[1])
     raise ValidationError(f"poly coefficient {v!r} is not a number or an [re, im] pair")
+
+
+def _horner(c, z) -> tuple:
+    """(p(z), p'(z), sum |c_k| |z|^k) of the polynomial with coefficients c,
+    in increasing degree order, by Horner's rule."""
+    f, df, size, r = c[-1], 0j, abs(c[-1]), abs(z)
+    for ck in c[-2::-1]:
+        df = df * z + f
+        f = f * z + ck
+        size = size * r + abs(ck)
+    return f, df, size
+
+
+def _roots(c) -> list:
+    """The n <= 5 roots of the polynomial with coefficients c (increasing
+    degree order, c[n] != 0), sorted by (Re, Im), in Python complex
+    arithmetic, so that every machine computes the same bits.
+
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from n points on
+    a circle about the centroid m = -c[n-1] / (n c[n]) of the roots, whose
+    radius is the power of two next above max_k |b_k|^(1/(n-k)), b the
+    coefficients of p(x + m) (radius 0, every root m, when they vanish).  A
+    sweep moves each unsettled root z by p / (p' - p sum_j 1/(z - z_j)), the
+    other roots z_j as last moved; z settles after the step from a point
+    where |p(z)| <= 8 n eps sum |c_k| |z|^k, rounding level.  ValidationError
+    when a root is not finite (the coefficients too large) or some root has
+    not settled after ROOT_SWEEPS sweeps.
+    """
+    n = len(c) - 1
+    c = [ck / c[n] for ck in c]
+    m = -c[n - 1] / n
+    b = list(c)
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            b[k] += m * b[k + 1]
+    try:
+        exps = [-(-math.frexp(abs(b[k]))[1] // (n - k)) for k in range(n) if b[k]]
+        z = [m + (math.ldexp(1.0, max(exps)) if exps else 0.0) * d for d in _STARTS[:n]]
+        settled = [False] * n
+        for _ in range(ROOT_SWEEPS):
+            for j, zj in enumerate(z):
+                if settled[j]:
+                    continue
+                f, df, size = _horner(c, zj)
+                den = df - f * sum(1.0 / (zj - zk) for zk in z if zk != zj)
+                if den:
+                    z[j] = zj - f / den
+                settled[j] = abs(f) <= 8 * n * _EPS * size
+                if not cmath.isfinite(z[j]):
+                    raise OverflowError
+            if all(settled):
+                return sorted(z, key=lambda v: (v.real, v.imag))
+    except OverflowError:
+        raise ValidationError("poly coefficients too large for the root iteration") from None
+    raise ValidationError(f"the roots of poly did not settle in {ROOT_SWEEPS} sweeps")
 
 
 class CurvePoint(Frozen):
@@ -204,8 +266,7 @@ class AbelData:
     def __init__(self, curve: CurveSpec):
         self.curve = curve
         self.coeffs = np.asarray(curve.poly, dtype=complex)       # increasing degree
-        roots = curve.roots
-        self.e = e = roots[np.lexsort((roots.imag, roots.real))]
+        self.e = e = curve.roots
         d = e[4] - np.mean(e[:4])
         self.ray_dir = d / abs(d)
         th1, th2 = np.angle(e[1] - e[0]), np.angle(e[3] - e[2])
@@ -222,10 +283,12 @@ class AbelData:
         gamma4 = 2.0 * self.path_integral(self.route(e[3], e[4]))
         self.a_periods = np.stack([gamma1, gamma3], axis=1)
         b_periods = np.stack([gamma2 + gamma4, gamma4], axis=1)
-        if abs(np.linalg.det(self.a_periods)) < 1e-14:
+        (a, b), (c, d) = self.a_periods.tolist()
+        det = a * d - b * c
+        if abs(det) < 1e-14:
             raise BadPeriods("a-period matrix is singular")
-        self.normalization = np.linalg.inv(self.a_periods)
-        Bm = self.normalization @ b_periods
+        self.normalization = np.array([[d / det, -b / det], [-c / det, a / det]])
+        Bm = _sum_last(self.normalization[:, None, :] * b_periods.T)
         asym = float(np.max(np.abs(Bm - Bm.T)))
         if asym > 1e-8:
             raise BadPeriods(f"period matrix asymmetric by {asym:.2e}; "
@@ -410,7 +473,7 @@ def abel_map(data: AbelData, P: CurvePoint) -> np.ndarray:
     sign.
     """
     raw = data.path_integral(data.route(data.basepoint, complex(P.x)))
-    return P.sheet * (data.normalization @ raw)
+    return P.sheet * _sum_last(data.normalization * raw)
 
 
 def abel_tangent(data: AbelData, P: CurvePoint) -> np.ndarray:
@@ -419,7 +482,7 @@ def abel_tangent(data: AbelData, P: CurvePoint) -> np.ndarray:
     if abs(data.p_at(x)) < 1e-10:
         raise BranchPoint(f"abel_tangent undefined at branch point x={x:.6g}")
     y = data.point_y(P)
-    return data.normalization @ (np.array([1.0, x]) / y)
+    return _sum_last(data.normalization * (np.array([1.0, x]) / y))
 
 
 def fay_vectors(data: AbelData, a: CurvePoint, b: CurvePoint,

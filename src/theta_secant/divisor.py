@@ -27,6 +27,7 @@ from .theta import (
     DEFAULT_TOL,
     PeriodMatrix,
     _as_points,
+    _norm,
     as_vector,
     normalized_log_abs_many,
     rescale,
@@ -151,12 +152,12 @@ def sample_theta_divisor(B: PeriodMatrix, seed: int, count: int) -> list:
     for _ in range(100 * count):
         Z0 = np.array(rng.complex_vector(B.g, scale=0.45))
         D = np.array(rng.complex_vector(B.g))
-        D = D / np.linalg.norm(D)
+        D = D / _norm(D)
         for s, modulus in line_roots(Z0, D, B):
             Z = Z0 + s * D
             # distinct as points of C^g; at g=1 all divisor points coincide
             # mod lattice, so reduced distance would never admit a second one
-            if any(float(np.linalg.norm(Z - s2.Z)) <= DEDUPE_DISTANCE
+            if any(_norm(Z - s2.Z) <= DEDUPE_DISTANCE
                    for s2 in samples):
                 continue
             samples.append(DivisorSample(Z, modulus))

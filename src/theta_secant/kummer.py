@@ -22,14 +22,18 @@ fitted (e^p, E) to (lam e^p, lam E) and leaves the residual unchanged.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CoincidentPoints, DimensionMismatch, RankDeficient, ZeroVector
 from .theta import (
+    _EPS,
     Level2Vector,
     PeriodMatrix,
+    _norm,
+    _sum_last,
     as_vector,
     half_period,
     lattice_distance,
@@ -38,11 +42,12 @@ from .theta import (
     rescale,
 )
 
-RANK_TOL = 1e-12
+JACOBI_SWEEPS = 30            # cap of collinearity_defect's Jacobi sweeps
+RANK_TOL = 1e-12              # least s_min / s_max of a system _least_squares2 solves
 
 
 def _unit(p: Level2Vector) -> np.ndarray:
-    n = np.linalg.norm(p.coords)
+    n = _norm(p.coords)
     if n == 0:
         raise ZeroVector("projective point has no nonzero coordinate")
     return p.coords / n
@@ -73,12 +78,36 @@ def kummer_map(Z, B: PeriodMatrix) -> Level2Vector:
 
 def collinearity_defect(p1: Level2Vector, p2: Level2Vector,
                         p3: Level2Vector) -> float:
-    """sigma_3 / sigma_1 of the stacked unit coordinate rows; 0 iff collinear."""
+    """sigma_3 / sigma_1 of the stacked unit coordinate rows; 0 iff collinear.
+
+    One-sided Jacobi (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13,
+    1992): plane rotations of pairs of rows x, y of n coordinates, sweep
+    after sweep (at most JACOBI_SWEEPS), until |x^H y| <= n eps |x| |y| for
+    every pair; the singular values are then the row norms, the least one
+    to full relative accuracy, since the rows start at unit norm.
+    """
     if not (len(p1.coords) == len(p2.coords) == len(p3.coords)):
         raise DimensionMismatch("points live in different projective spaces")
-    M = np.stack([_unit(p1), _unit(p2), _unit(p3)])
-    sv = np.linalg.svd(M, compute_uv=False)
-    return float(sv[2] / sv[0])
+    rows = [_unit(p1), _unit(p2), _unit(p3)]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            x, y = rows[i], rows[j]
+            a, b = _sum_last(x.conj() * x).real, _sum_last(y.conj() * y).real
+            c = complex(_sum_last(x.conj() * y))
+            if not abs(c) > len(x) * _EPS * math.sqrt(a * b):
+                continue
+            rotated = True
+            y = y * (c.conjugate() / abs(c))        # x^H y becomes real, |c|
+            # t = tan of the angle of the rotation that zeroes it
+            zeta = (b - a) / (2.0 * abs(c))
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cs = 1.0 / math.hypot(1.0, t)
+            rows[i], rows[j] = cs * x - cs * t * y, cs * t * x + cs * y
+        if not rotated:
+            break
+    norms = sorted(map(_norm, rows))
+    return float(norms[0] / norms[2])
 
 
 def _common_scale(vectors):
@@ -86,29 +115,46 @@ def _common_scale(vectors):
     return [rescale(v.coords, v.logscale, ref) for v in vectors]
 
 
-def _solve(M: np.ndarray, r: np.ndarray):
-    scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(r))), 1e-300)
-    Ms, rs = M / scale, r / scale
-    w, _, _, sv = np.linalg.lstsq(Ms, rs, rcond=None)
-    if sv[-1] / sv[0] < RANK_TOL:
-        return None
-    rel = np.linalg.norm(Ms @ w - rs) / (np.linalg.norm(rs)
-                                         + np.linalg.norm(Ms @ w) + 1e-300)
-    return w, float(rel)
+def _least_squares2(M: np.ndarray, r: np.ndarray) -> tuple:
+    """(w, solved): the least-squares solutions w, shape (..., 2), of the
+    systems M w = r, M of shape (..., n, 2) and r (..., n); solved is false
+    where M's singular values have s_min <= RANK_TOL s_max, w is then not a
+    solution.
+
+    M = QR by modified Gram-Schmidt, with Q^H r from the same steps on r
+    (backward stable, Bjorck 1967) and inner products summed in index order;
+    the singular values are R's, in closed form: with R = [[f, g], [0, h]]
+    up to phases, s_max = (|(f + h, g)| + |(f - h, g)|) / 2, s_min = f h / s_max.
+    """
+    a, b = M[..., 0], M[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = _norm(a)
+        q0 = a / f[..., None]
+        g = _sum_last(q0.conj() * b)
+        b = b - g[..., None] * q0
+        h = _norm(b)
+        s_max = 0.5 * (np.hypot(f + h, abs(g)) + np.hypot(f - h, abs(g)))
+        q1 = b / h[..., None]
+        z0 = _sum_last(q0.conj() * r)
+        w1 = _sum_last(q1.conj() * (r - z0[..., None] * q0)) / h
+        return np.stack([(z0 - g * w1) / f, w1], axis=-1), f * h > RANK_TOL * s_max * s_max
 
 
 def _best_shift(systems, design) -> tuple:
     """(residual, shift index, w0, w1) of the best least-squares fit over the
     shifts, lowest index on ties; design maps a shift's vectors, on their
-    common scale, to its (matrix, right-hand side)."""
-    best = None
-    for k, system in enumerate(systems):
-        sol = _solve(*design(*_common_scale(system)))
-        if sol is not None and (best is None or sol[1] < best[0]):
-            best = (sol[1], k, *sol[0])
-    if best is None:
+    common scale, to its (matrix, right-hand side), and each system is
+    divided by its largest modulus.  The residual is |M w - r| / (|r| + |M w|)."""
+    M, r = map(np.array, zip(*(design(*_common_scale(system)) for system in systems)))
+    scale = np.maximum(np.maximum(abs(M).max(axis=(1, 2)), abs(r).max(axis=1)), 1e-300)
+    M, r = M / scale[:, None, None], r / scale[:, None]
+    w, solved = _least_squares2(M, r)
+    if not solved.any():
         raise RankDeficient("design matrix rank deficient for every shift")
-    return best
+    fit = _sum_last(M * w[:, None, :])
+    rel = _norm(fit - r) / (_norm(r) + _norm(fit) + 1e-300)
+    k = int(np.argmin(np.where(solved, rel, np.inf)))
+    return float(rel[k]), k, *w[k]
 
 
 def _check_distinct(B, pairs):
@@ -134,7 +180,7 @@ def fit_secancy_semidiscrete(U, V, A, B: PeriodMatrix) -> SecancyData:
     """Best-fitting (e^p, E) for the tangency system with analytic d_V."""
     U, V, A = map(as_vector, (U, V, A))
     _check_distinct(B, [("U-A", U - A)])
-    if np.linalg.norm(V) == 0:
+    if _norm(V) == 0:
         raise CoincidentPoints("V must be nonzero")
     shifts = [A + half_period(B, k) for k in range(4 ** B.g)]
     vecs = level_two_vectors([p for As in shifts for p in ((As - U) / 2.0, (As + U) / 2.0)],

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisorHit, NumericalError, ValidationError
+from .errors import DivisorHit, NumericalError, RankDeficient, ValidationError
+from .kummer import _least_squares2
 from .rng import Xoshiro256
-from .theta import (Frozen, PeriodMatrix, as_vector, normalized_log_abs_many, relative_gap,
-                    rescale, theta_jets)
+from .theta import (Frozen, PeriodMatrix, as_vector, normalized_log_abs_many,
+                    relative_gap, rescale, theta_jets)
 
 DIVISOR_GUARD = 1e-12
 MAX_WINDOW = 64
@@ -144,12 +145,15 @@ class WindowPass(Frozen):
 
 def _fit_rows(a, b, rhs):
     """Least-squares (w0, w1) of the rows a w0 - b w1 = rhs, each row
-    divided by |a| + |b| + |rhs|; one row (a one-point window) is an error."""
+    divided by |a| + |b| + |rhs|; one row (a one-point window) is an error,
+    and rows of rank below 2 (kummer._least_squares2) are RankDeficient."""
     if np.size(rhs) < 2:
         raise ValidationError("a one-point window gives one row for two constants")
     scale = np.abs(a) + np.abs(b) + np.abs(rhs) + 1e-300
     M = np.stack([a / scale, -b / scale], axis=-1).reshape(-1, 2)
-    w, *_ = np.linalg.lstsq(M, (rhs / scale).ravel(), rcond=None)
+    w, solved = _least_squares2(M, (rhs / scale).ravel())
+    if not solved:
+        raise RankDeficient("the window's rows do not determine both constants")
     return complex(w[0]), complex(w[1])
 
 

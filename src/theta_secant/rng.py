@@ -92,8 +92,8 @@ def random_siegel(rng: Xoshiro256, g: int):
     S = np.array([[rng.normal() for _ in range(g)] for _ in range(g)])
     S = 0.15 * (S + S.T)
     Q = np.array([[rng.normal() for _ in range(g)] for _ in range(g)])
-    Y = 0.35 * (Q @ Q.T) + (0.8 + 0.4 * rng.uniform()) * np.eye(g)
-    from .theta import PeriodMatrix
+    from .theta import PeriodMatrix, _sum_last
+    Y = 0.35 * _sum_last(Q[:, None, :] * Q) + (0.8 + 0.4 * rng.uniform()) * np.eye(g)
     return PeriodMatrix(S + 1j * Y)
 
 

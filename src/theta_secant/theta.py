@@ -166,7 +166,7 @@ def _fma(a: float, b: float, c: float) -> float:
 
 def _least_eigenvalue2(rows: list) -> float:
     """Least eigenvalue of a symmetric 2 x 2 matrix [[a, b], [b, c]], given as
-    rows of floats, as np.linalg.eigvalsh computes it from its lower
+    rows of floats, as numpy's eigvalsh computes it from its lower
     triangle, bit for bit under every OpenBLAS kernel.
 
     This is reference LAPACK's path for n = 2 (dsyevd, dsterf, dlae2):
@@ -200,7 +200,7 @@ def _least_eigenvalue2(rows: list) -> float:
 
 
 def _inverse2(rows: list) -> np.ndarray:
-    """Inverse of a 2 x 2 matrix, given as rows of floats, as np.linalg.inv
+    """Inverse of a 2 x 2 matrix, given as rows of floats, as numpy's inv
     computes it under OpenBLAS's AVX-512 (SkylakeX) kernels, on any machine.
 
     inv solves against the identity by LU with partial pivoting: multiplier
@@ -223,14 +223,20 @@ def _inverse2(rows: list) -> np.ndarray:
     return np.array([x0, x1])
 
 
+def _norm(v):
+    """Euclidean norms over the last axis of v, the squared moduli summed in
+    index order."""
+    return np.sqrt(_sum_last(v.real * v.real + v.imag * v.imag))
+
+
 class PeriodMatrix(Frozen):
     """Point of the Siegel upper half space: symmetric, Im positive definite.
 
     Holds its facts as attributes: entries, g, im = Im B, im_inv = (Im B)^-1
     and lam_min, the least eigenvalue of Im B.  For g = 1 and 2 they are
-    computed without np.linalg, bit for bit what its eigvalsh and inv return
+    computed without LAPACK, bit for bit what numpy's eigvalsh and inv return
     with OpenBLAS's SkylakeX kernels, whichever kernel a machine loads; for
-    g >= 3 they come from np.linalg.  Compared and hashed by identity: its
+    g >= 3 they come from eigvalsh and inv.  Compared and hashed by identity: its
     caches live on the instance.
     """
 
@@ -856,7 +862,7 @@ def lattice_distance(v, B: PeriodMatrix) -> float:
     representative v - a - B b that argument reduction (_reduce) leaves;
     NumericalError if v is not finite."""
     _, u, _ = _reduce(as_vector(v)[None], B)
-    return float(np.linalg.norm(u))
+    return float(_norm(np.ravel(u)))
 
 
 def half_period(B: PeriodMatrix, index: int) -> np.ndarray:
@@ -870,4 +876,4 @@ def half_period(B: PeriodMatrix, index: int) -> np.ndarray:
         raise ValidationError(f"half-period index {index} out of range")
     eps = np.array([(index >> j) & 1 for j in range(g)], dtype=float)
     delta = np.array([(index >> (g + j)) & 1 for j in range(g)], dtype=float)
-    return 0.5 * eps + B.entries @ (0.5 * delta)
+    return 0.5 * eps + _sum_last(B.entries * (0.5 * delta))

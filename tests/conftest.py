@@ -62,6 +62,23 @@ def divisor_points(divisor_samples):
     return np.array([s.Z for s in divisor_samples])
 
 
+class _NoLapack:
+    """Stands in for numpy's LAPACK gufunc module: any routine raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK routine {name} called")
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Every LAPACK routine of numpy.linalg raises while the test runs: they
+    all run through its gufunc module, numpy.linalg._linalg._umath_linalg."""
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2, numpy 1
+    monkeypatch.setattr(linalg, "_umath_linalg", _NoLapack())
+    with pytest.raises(AssertionError, match="LAPACK"):
+        np.linalg.inv(np.eye(2))
+
+
 @pytest.fixture
 def lattice_passes(monkeypatch):
     """(points, binned) of every lattice pass made while the test runs."""

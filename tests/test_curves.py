@@ -5,15 +5,19 @@ originally cross-checked against a doubled-node, perturbed-path quadrature
 family and validated end to end by the trisecant fits.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from theta_secant import curves
+from theta_secant.cli import main, run_scenario
 from theta_secant.curves import (
     RULE_SIZES,
     CurvePoint,
@@ -32,6 +36,7 @@ from theta_secant.errors import (
     DegenerateCurve,
     ValidationError,
 )
+from theta_secant.reports import ScenarioConfig
 from theta_secant.rng import Xoshiro256
 from theta_secant.scenarios import seeded_curve_points
 from theta_secant.theta import (PeriodMatrix, lattice_distance, normalized_log_abs_many,
@@ -135,17 +140,27 @@ class TestPeriods:
             assert data.B.lam_min > 0
 
 
+def from_roots(roots) -> list:
+    """The coefficients of prod (x - r) over roots, increasing degree, in
+    Python complex arithmetic (numpy's polyfromroots convolves through BLAS
+    dot products, whose rounding depends on the OpenBLAS core)."""
+    c = [1 + 0j]
+    for r in roots:
+        c = [lo - r * hi for lo, hi in zip([0j] + c, c + [0j])]
+    return c
+
+
 def test_engine_outputs_are_pinned():
     """sha256 of B, the a-periods and the Abel maps of two seeded points, on
     both corpus curves and 60 seeded quintics with standard normal roots:
     the curve engine's branch, routing and quadrature, bit for bit (frozen
-    from the engine whose P- and Q-endpoint substitutions were two copies)."""
+    from the engine that calls no BLAS or LAPACK routine, so one hash per
+    numpy class holds under every OpenBLAS core)."""
     rng = Xoshiro256(2406)
     specs = [default_corpus()[ident] for ident in ("x5m1", "x5pert")]
     for _ in range(60):
         roots = [rng.complex_normal() for _ in range(5)]
-        specs.append(CurveSpec("hyperelliptic2",
-                               poly=list(np.polynomial.polynomial.polyfromroots(roots))))
+        specs.append(CurveSpec("hyperelliptic2", poly=from_roots(roots)))
     h = hashlib.sha256()
     for k, spec in enumerate(specs):
         data = build_abel_data(spec)
@@ -154,10 +169,77 @@ def test_engine_outputs_are_pinned():
         for P in seeded_curve_points(data, Xoshiro256(k), 2):
             h.update(abel_map(data, P).tobytes())
     assert_frozen(h.hexdigest(), {
-        "numpy 2.4 X86_V4 SkylakeX": "2ca13ca7c084768e37fde76ecb9642419b7f62cc153b3d7e06ed70925e00b422",
-        "numpy 2.4 X86_V3 Haswell": "d58284d1acde2909e427f714bc9b369606f7ab06be4be6813306ef11da3bc6b3",
-        "numpy 2.4 X86_V2 Nehalem": "8a591a227b1ad3349a2877f768116bd405290c4f9d69ca2f50ec7a4840c81d0f",
+        "numpy 2.4 X86_V4": "1712249de3a39514b0ed8e8b75d55077172985cb0668a44746c027b3dc55a018",
+        "numpy 2.4 X86_V3": "db52a9786d02a81ad6c0531bbdc6ab9826401b29342bd578d3104b672acbae06",
+        "numpy 2.4 X86_V2": "99fcff3191d2fd1d858814af50e3d5b5b6f2668ffb4a6fd3b0b7265a3107f753",
     })
+
+
+def mp_roots(c) -> list:
+    """The roots of the polynomial with coefficients c (increasing degree),
+    from mpmath.polyroots at 60 bits beyond double."""
+    return [complex(z) for z in mpmath.polyroots(c[::-1], maxsteps=100, extraprec=60)]
+
+
+class TestRoots:
+    """curves._roots against mpmath, for p and p', to 1e-13 S, S the largest
+    |root| of p; every call also ends within ROOT_SWEEPS sweeps, since it
+    raises otherwise."""
+
+    @staticmethod
+    def assert_roots_match(c):
+        dc = [k * ck for k, ck in enumerate(c)][1:]
+        exact = {0: mp_roots(c), 1: mp_roots(dc)}
+        scale = max(map(abs, exact[0]))
+        for k, poly in enumerate((c, dc)):
+            ours = curves._roots(poly)
+            assert ours == sorted(ours, key=lambda z: (z.real, z.imag))
+            for z in exact[k]:
+                assert min(abs(z - w) for w in ours) <= 1e-13 * scale, (poly, z, ours)
+
+    def test_corpus(self):
+        corpus = default_corpus()
+        for ident in corpus:
+            self.assert_roots_match(list(corpus[ident].poly))
+
+    def test_seeded_quintics(self):
+        """200 quintics with standard normal complex roots."""
+        rng = Xoshiro256(4301)
+        for _ in range(200):
+            self.assert_roots_match(from_roots([rng.complex_normal() for _ in range(5)]))
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3])
+    def test_near_double_roots(self, gap):
+        """Two roots gap apart among three others.  Any double-precision
+        solver's error grows as 1/gap here: at 1e-4 this one reads 1.1e-13 S."""
+        self.assert_roots_match(from_roots([0.3 + 0.2j, 0.3 + 0.2j + gap, -1.1,
+                                            0.5 - 0.9j, 1.4 + 0.7j]))
+
+    def test_fourfold_root_in_one_sweep(self, monkeypatch):
+        """p' = 5x^4 of x^5 - 1: the start circle about the centroid has
+        radius 0, and the four roots settle at 0 in the first sweep."""
+        monkeypatch.setattr(curves, "ROOT_SWEEPS", 1)
+        assert curves._roots([0j, 0j, 0j, 0j, 5 + 0j]) == [0j] * 4
+
+    def test_unsettled_roots_are_a_validation_error(self, monkeypatch):
+        """Roots that have not settled by the cap are refused: ValidationError
+        from CurveSpec, exit 2 with a JSON error from the command line."""
+        monkeypatch.setattr(curves, "ROOT_SWEEPS", 2)
+        with pytest.raises(ValidationError, match="did not settle in 2 sweeps"):
+            CurveSpec("hyperelliptic2", poly=[-1.1 + 0.05j, -0.2, 0, 0, 0, 1])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["fay-trisecant", "--curve", "x5pert"]) == 2
+        assert json.loads(out.getvalue())["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("curve", ["x5m1", "x5pert"])
+def test_curve_scenarios_call_no_lapack(no_lapack, curve):
+    """load_corpus and the five curve scenarios of the benchmark's
+    curve-verdicts pass at seed 7 with every LAPACK routine raising."""
+    assert curve in load_corpus(curves.default_corpus_path())
+    for scenario in ("fay-trisecant", "divisor-identities", "toda", "bdhe", "controls"):
+        assert run_scenario(ScenarioConfig(scenario, curve=curve, seed=7)).passed
 
 
 class TestRuleTable:

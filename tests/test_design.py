@@ -91,12 +91,15 @@ RULES = {
                         "directory"),
     "csv-names-in-one-table": (literal('.csv"'), PY, ("theta_secant/reports.py",),
                                "reports.CSV_FILES is the one table of CSV file names"),
-    "pole-dynamics-without-lapack": (literal("polyfit", "polyint", "linalg", " @ "),
-                                     ["theta_secant/series.py", "theta_secant/dynamics.py"], (),
-                                     "the wave series integrates its time constant with fixed "
-                                     "weights (series._Q5) and sums its products in index "
-                                     "order (theta._sum_last): no numpy.linalg routine and no "
-                                     "BLAS product runs on the pole dynamics"),
+    "no-blas-or-lapack": (
+        re.compile(rb"polyfit|polyint|linalg(?!\.eigvalsh\(Y\)|\.inv\(Y\))| @ |np\.roots|lstsq"
+                   rb"|svd"), PY, (),
+        "products and norms are sums in index order (theta._sum_last), 2 x 2 solves "
+        "closed forms, least squares kummer._least_squares2, collinearity a one-sided "
+        "Jacobi and curve roots an Aberth-Ehrlich iteration, and the wave series "
+        "integrates with fixed weights (series._Q5): no BLAS or LAPACK routine runs "
+        "for genus 1 and 2, and only PeriodMatrix's eigvalsh(Y) and inv(Y) of g >= 3 "
+        "call numpy.linalg"),
     "decomposable-control-once": (literal("np.diag([1j, 1.3j])"), RUNNERS,
                                   ("theta_secant/scenarios/__init__.py",),
                                   "the decomposable control is defined in the scenarios "

@@ -19,7 +19,8 @@ from theta_secant.divisor import (
 from theta_secant.errors import DimensionMismatch, ValidationError
 from theta_secant.reports import ScenarioConfig
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.theta import PeriodMatrix, lattice_distance, normalized_log_abs_many, theta_jets
+from theta_secant.theta import (PeriodMatrix, _norm, lattice_distance, normalized_log_abs_many,
+                                theta_jets)
 from frozen import assert_frozen
 from theta_values import jet_at, rel_diff, value_at
 
@@ -29,7 +30,7 @@ B_I = PeriodMatrix([[1j]])
 def reference_line(B):
     """The x5m1 line of bench/reference.py; its edges bisect to depth 5."""
     V = np.array([0.6 + 0.2j, -0.3 + 0.5j])
-    return np.array([0.21 + 0.1j, -0.13 + 0.05j]), V / np.linalg.norm(V), B
+    return np.array([0.21 + 0.1j, -0.13 + 0.05j]), V / _norm(V), B
 
 
 class TestSampling:
@@ -254,8 +255,9 @@ class TestLineRoots:
     def test_roots_are_pinned(self, x5m1):
         """(s, modulus) pairs of 21 genus-2 lines, bitwise: the reference
         line, then four seeded lines each on x5m1, x5pert, diag(i, 1.3i) and
-        two random Siegel matrices (frozen from the edge-by-edge recursion
-        that the bisection rounds replaced)."""
+        two random Siegel matrices (the counts from the edge-by-edge
+        recursion that the bisection rounds replaced; the hash from inputs
+        built without BLAS, one per numpy class under every OpenBLAS core)."""
         rng = Xoshiro256(41)
         mats = [x5m1.B, build_abel_data(default_corpus()["x5pert"]).B,
                 PeriodMatrix(np.diag([1j, 1.3j]))]
@@ -265,15 +267,15 @@ class TestLineRoots:
             for _ in range(4):
                 Z0 = np.array(rng.complex_vector(2, scale=0.45))
                 D = np.array(rng.complex_vector(2))
-                lines.append((Z0, D / np.linalg.norm(D), B))
+                lines.append((Z0, D / _norm(D), B))
         roots = [line_roots(*line) for line in lines]
         assert [len(r) for r in roots] == [9, 6, 4, 4, 3, 6, 13, 10, 7, 3, 2,
                                            2, 4, 0, 2, 2, 1, 2, 0, 3, 3]
         pairs = np.array([pair for r in roots for pair in r])
         assert_frozen(hashlib.sha256(pairs.tobytes()).hexdigest(), {
-            "numpy 2.4 X86_V4 SkylakeX": "f81904bd4ea5dc8711cc5e93ec5ecf5ce35e21040b3f88870806d5daeee69f11",
-            "numpy 2.4 X86_V3 Haswell": "25184f7ae4a73cb7212e0aa564516213ef8ee651f043dd42b8d65a19e5cfc0af",
-            "numpy 2.4 X86_V2 Nehalem": "5833b6b2891dd2cfdd90678cbdb690ed4dfdc20573d361e9ac1e8faea2cdca09",
+            "numpy 2.4 X86_V4": "99a0933fe089673c7bf3af85c912935d69abb8d52dd899949f95adc485bf4102",
+            "numpy 2.4 X86_V3": "dd1d9ae5684207f7cb929005f2df88ae1a622093cb1ffa112ecdcbaa790e6c94",
+            "numpy 2.4 X86_V2": "a4954734197b3e2fb0a849eba4c450c7d9b2dfbbab4621f8dff3f6556a6e9ff4",
         })
 
     def test_one_pass_per_bisection_round(self, x5m1, lattice_passes):

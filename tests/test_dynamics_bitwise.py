@@ -96,9 +96,9 @@ def test_dynamics_outputs_are_pinned():
         _update(h, table.levels[s])
     _update(h, table.defect[3])
     assert_frozen(h.hexdigest(), {
-        "numpy 2.4 X86_V4 SkylakeX": "5676b8c55adeacf150110d81129052b2684755ef2641fdc7d200043640dd7ab3",
-        "numpy 2.4 X86_V3 Haswell": "6bfb534990ab7da5b7bdf7bff3bf43c5ea77c5988e4b2ed14f238592e29c0da1",
-        "numpy 2.4 X86_V2 Nehalem": "81acce1b68011eb3c5b96bb63e045bf3d0e64e733f78f73817f4b550e75b33ea",
+        "numpy 2.4 X86_V4": "5676b8c55adeacf150110d81129052b2684755ef2641fdc7d200043640dd7ab3",
+        "numpy 2.4 X86_V3": "6bfb534990ab7da5b7bdf7bff3bf43c5ea77c5988e4b2ed14f238592e29c0da1",
+        "numpy 2.4 X86_V2": "81acce1b68011eb3c5b96bb63e045bf3d0e64e733f78f73817f4b550e75b33ea",
     })
 
 

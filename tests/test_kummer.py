@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from theta_secant import lattices
 from theta_secant.errors import (CoincidentPoints, DimensionMismatch, NumericalError,
                                  RankDeficient)
 from theta_secant.kummer import (
+    RANK_TOL,
     _check_distinct,
+    _least_squares2,
     collinearity_defect,
     fit_secancy_discrete,
     fit_secancy_semidiscrete,
     kummer_map,
 )
 from theta_secant.rng import Xoshiro256, random_siegel, random_z
-from theta_secant.theta import (PeriodMatrix, half_period, level_two_vector,
+from theta_secant.theta import (Level2Vector, PeriodMatrix, half_period, level_two_vector,
                                 level_two_vectors)
 
 
@@ -87,6 +90,29 @@ class TestCollinearity:
         p2 = kummer_map(random_z(rng, 2), random_siegel(rng, 2))
         with pytest.raises(DimensionMismatch):
             collinearity_defect(p1, p1, p2)
+
+    def test_agrees_with_svd(self):
+        """sigma_3 / sigma_1 from the Jacobi sweeps against LAPACK's SVD: on
+        triples of Kummer points, on triples whose third point is the sum of
+        the first two moved by delta (sigma_3 of order delta), and on exactly
+        collinear rows (a point repeated with a complex factor), where both
+        read rounding level."""
+        rng = Xoshiro256(61)
+        for k in range(60):
+            B = random_siegel(rng, 2)
+            p1, p2, p3 = (kummer_map(random_z(rng, 2), B) for _ in range(3))
+            delta = (0.0, 1e-3, 1e-6, 1e-9, 1e-12)[k % 5]
+            if delta:
+                p3 = Level2Vector(p1.coords + p2.coords * np.exp(p2.logscale - p1.logscale)
+                                  + delta * p3.coords / np.abs(p3.coords).max(), 0.0)
+            rows = np.stack([p.coords / np.linalg.norm(p.coords) for p in (p1, p2, p3)])
+            sv = np.linalg.svd(rows, compute_uv=False)
+            ratio = collinearity_defect(p1, p2, p3)
+            assert abs(ratio - sv[2] / sv[0]) <= 1e-14 + 1e-10 * ratio
+            repeated = Level2Vector((0.3 - 2.0j) * p1.coords, p1.logscale)
+            assert collinearity_defect(p1, p2, repeated) <= 1e-15
+            assert np.linalg.svd(np.stack([rows[0], rows[1], rows[0]]),
+                                 compute_uv=False)[2] <= 1e-15
 
     def test_lattice_translation_invariance(self, x5m1, fay_data, discrete_fit):
         B = x5m1.B
@@ -232,3 +258,49 @@ def test_fit_is_one_lattice_pass(lattice_passes, x5m1, fay_data, tangent_data, k
                                        tangent_data["A"], x5m1.B)
         assert lattice_passes == [(2 * 16, True)]
     assert fit.residual <= 1e-8
+
+
+class TestLeastSquares:
+    """kummer._least_squares2, the n x 2 solver of the secancy and window fits."""
+
+    @staticmethod
+    def system(seed: int, n: int, ratio: float = 1.0):
+        """(M, r): M of shape (n, 2) with singular values 1 and about ratio."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = (0.7 - 0.4j) * a + ratio * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        return np.stack([a, b], axis=1), rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    @pytest.mark.parametrize("n", [4, 256])
+    def test_agrees_with_lapack(self, n):
+        for seed in range(20):
+            M, r = self.system(seed, n, ratio=10.0 ** -(seed % 4))
+            w, solved = _least_squares2(M, r)
+            ref = np.linalg.lstsq(M, r, rcond=None)[0]
+            assert solved
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.linalg.cond(M) * np.max(np.abs(ref))
+
+    def test_batches_solve_each_system(self):
+        systems = [self.system(seed, 4) for seed in range(16)]
+        w, solved = _least_squares2(*map(np.array, zip(*systems)))
+        assert w.shape == (16, 2) and solved.all()
+        for k, (M, r) in enumerate(systems):
+            assert np.allclose(w[k], np.linalg.lstsq(M, r, rcond=None)[0], rtol=1e-13, atol=0)
+
+    def test_rank_test(self):
+        """A system is solved when s_min / s_max > RANK_TOL: its closed-form
+        singular values flag columns dependent to 1e-14, a zero column and a
+        single row, and pass columns independent to 1e-10."""
+        for ratio, expected in ((1e-10, True), (1e-14, False), (0.0, False)):
+            M, r = self.system(3, 8, ratio)
+            sv = np.linalg.svd(M, compute_uv=False)
+            assert (sv[1] > RANK_TOL * sv[0]) == expected
+            assert bool(_least_squares2(M, r)[1]) == expected
+        M, r = self.system(3, 8)
+        assert not _least_squares2(M * [1.0, 0.0], r)[1]
+        assert not _least_squares2(M[:1], r[:1])[1]
+
+    def test_dependent_window_rows_are_rank_deficient(self):
+        a = np.arange(1.0, 9.0) + 0.5j
+        with pytest.raises(RankDeficient, match="do not determine both constants"):
+            lattices._fit_rows(a, 2.0 * a, a)
