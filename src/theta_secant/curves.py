@@ -50,7 +50,7 @@ from .errors import (
     QuadratureStall,
     ValidationError,
 )
-from .theta import _EPS, Frozen, PeriodMatrix, _sum_last, lattice_distance
+from .theta import _EPS, Frozen, PeriodMatrix, _inverse2, _sum_last, lattice_distance
 
 QUAD_TOL = 1e-11
 QUAD_MAX_NODES = 2 ** 13
@@ -265,7 +265,6 @@ class AbelData:
 
     def __init__(self, curve: CurveSpec):
         self.curve = curve
-        self.coeffs = np.asarray(curve.poly, dtype=complex)       # increasing degree
         self.e = e = curve.roots
         d = e[4] - np.mean(e[:4])
         self.ray_dir = d / abs(d)
@@ -283,11 +282,9 @@ class AbelData:
         gamma4 = 2.0 * self.path_integral(self.route(e[3], e[4]))
         self.a_periods = np.stack([gamma1, gamma3], axis=1)
         b_periods = np.stack([gamma2 + gamma4, gamma4], axis=1)
-        (a, b), (c, d) = self.a_periods.tolist()
-        det = a * d - b * c
+        det, self.normalization = _inverse2(self.a_periods.tolist())
         if abs(det) < 1e-14:
             raise BadPeriods("a-period matrix is singular")
-        self.normalization = np.array([[d / det, -b / det], [-c / det, a / det]])
         Bm = _sum_last(self.normalization[:, None, :] * b_periods.T)
         asym = float(np.max(np.abs(Bm - Bm.T)))
         if asym > 1e-8:
@@ -319,9 +316,6 @@ class AbelData:
                                    self.fac_angle[keep].reshape(shape)):
             out = out * factor
         return out
-
-    def p_at(self, x):
-        return np.polyval(self.coeffs[::-1], x)
 
     # -- routing --------------------------------------------------------
 
@@ -479,7 +473,7 @@ def abel_map(data: AbelData, P: CurvePoint) -> np.ndarray:
 def abel_tangent(data: AbelData, P: CurvePoint) -> np.ndarray:
     """Derivative of the Abel map in the affine x chart at P."""
     x = complex(P.x)
-    if abs(data.p_at(x)) < 1e-10:
+    if abs(_horner(data.curve.poly, x)[0]) < 1e-10:
         raise BranchPoint(f"abel_tangent undefined at branch point x={x:.6g}")
     y = data.point_y(P)
     return _sum_last(data.normalization * (np.array([1.0, x]) / y))

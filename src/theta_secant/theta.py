@@ -80,8 +80,7 @@ _JET_KEYS = (("f",), ("f", "d0"), ("f", "d0", "d1", "d01"))    # by number of di
 # the x86-64 levels numpy may dispatch to, highest first: several ufuncs (exp,
 # log, complex abs and multiplication among them) round differently under each
 LEVELS = ("X86_V4", "X86_V3", "X86_V2")
-_EPS = 2.0 ** -53             # LAPACK's dlamch('E')
-_SPLIT = 2.0 ** 27 + 1.0      # Veltkamp's splitter of a 53-bit float (_fma)
+_EPS = 2.0 ** -53             # the unit roundoff
 
 
 def dispatch_class() -> str:
@@ -145,82 +144,16 @@ class Frozen:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it.
-
-    Dekker's two-product, with Veltkamp's split of a and b into 26-bit
-    halves, gives a * b = p + e exactly, and fsum rounds p + e + c once.
-    The split is exact for |a|, |b| < 2^996 with a * b zero or between
-    2^-968 and 2^1023 in magnitude: the splitter does not overflow, and
-    the error e does not underflow.
-    """
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    p = a * b
-    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
-
-
-def _least_eigenvalue2(rows: list) -> float:
-    """Least eigenvalue of a symmetric 2 x 2 matrix [[a, b], [b, c]], given as
-    rows of floats, as numpy's eigvalsh computes it from its lower
-    triangle, bit for bit under every OpenBLAS kernel.
-
-    This is reference LAPACK's path for n = 2 (dsyevd, dsterf, dlae2):
-    dsterf's two split tests, then dlae2 (dsterf swaps a and c when
-    |c| < |a|, which changes none of dlae2's steps).  It holds while the
-    largest |entry| lies in [2^-405, 2^484], where neither dsyevd nor
-    dsterf rescales.  A trace a + c <= 0 returns min(a, c), which is then
-    <= 0 as the least eigenvalue is.
-    """
-    (a, _), (b, c) = rows
-    if (abs(b) <= math.sqrt(abs(a)) * math.sqrt(abs(c)) * _EPS
-            or b * b <= _EPS * _EPS * abs(a * c)):
-        return min(a, c)
-    rte = math.sqrt(b * b)
-    sm = a + c
-    if not sm > 0:
-        return min(a, c)
-    adf, ab = abs(a - c), abs(rte + rte)
-    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-    # q * q, not q ** 2: pow may round differently
-    if adf > ab:
-        q = ab / adf
-        rt = adf * math.sqrt(1.0 + q * q)
-    elif adf < ab:
-        q = adf / ab
-        rt = ab * math.sqrt(1.0 + q * q)
-    else:
-        rt = ab * math.sqrt(2.0)
-    rt1 = 0.5 * (sm + rt)
-    return min(rt1, (acmx / rt1) * acmn - (rte / rt1) * rte)
-
-
-def _inverse2(rows: list) -> np.ndarray:
-    """Inverse of a 2 x 2 matrix, given as rows of floats, as numpy's inv
-    computes it under OpenBLAS's AVX-512 (SkylakeX) kernels, on any machine.
-
-    inv solves against the identity by LU with partial pivoting: multiplier
-    l = y10 (1/y00), pivot u11 = y11 - l y01, then per column forward and
-    back substitution by the reciprocal pivots, x0 fused as
-    fma(-y01, x1, y0) (1/y00).  The unfused x0 is what the AVX2 kernels
-    return, and differs in the last bit for some matrices.
-    """
+def _inverse2(rows: list) -> tuple:
+    """(det, inverse) of a 2 x 2 matrix, given as rows of Python floats or
+    complex numbers: the adjugate divided by det, entry by entry.  The
+    inverse is None when det is 0, so a caller checks det before it reads
+    the inverse."""
     (a, b), (c, d) = rows
-    swap = abs(c) > abs(a)
-    if swap:
-        (a, b), (c, d) = (c, d), (a, b)
-    ra = 1.0 / a
-    l = c * ra
-    ru = 1.0 / (d - l * b)
-    x0, x1 = [], []
-    for y0, y1 in ((0.0, 1.0), (1.0, 0.0)) if swap else ((1.0, 0.0), (0.0, 1.0)):
-        x1.append((y1 - l * y0) * ru)
-        x0.append(_fma(-b, x1[-1], y0) * ra)
-    return np.array([x0, x1])
+    det = a * d - b * c
+    if not det:
+        return det, None
+    return det, np.array([[d / det, -b / det], [-c / det, a / det]])
 
 
 def _norm(v):
@@ -234,10 +167,12 @@ class PeriodMatrix(Frozen):
 
     Holds its facts as attributes: entries, g, im = Im B, im_inv = (Im B)^-1
     and lam_min, the least eigenvalue of Im B.  For g = 1 and 2 they are
-    computed without LAPACK, bit for bit what numpy's eigvalsh and inv return
-    with OpenBLAS's SkylakeX kernels, whichever kernel a machine loads; for
-    g >= 3 they come from eigvalsh and inv.  Compared and hashed by identity: its
-    caches live on the instance.
+    closed forms in Python floats, the same bits on every machine: 1/y and y
+    for g = 1; for g = 2, with Y = Im B = [[a, b], [b, c]] scaled exactly by
+    a power of two to a largest entry in [1/2, 1), the adjugate inverse
+    (_inverse2) and det / lam_max, lam_max = ((a + c) + hypot(a - c, 2b)) / 2,
+    scaled back.  For g >= 3 they come from numpy's eigvalsh and inv.
+    Compared and hashed by identity: its caches live on the instance.
     """
 
     def __init__(self, entries):
@@ -252,13 +187,21 @@ class PeriodMatrix(Frozen):
             raise ValidationError("period matrix is not symmetric to 1e-12")
         M = 0.5 * (M + M.T)
         Y = np.ascontiguousarray(M.imag)
-        g, rows = len(Y), Y.tolist()
-        # for g = 1, 1/y and y are what inv and eigvalsh return, bit for bit
-        lam_min = (rows[0][0] if g == 1 else _least_eigenvalue2(rows) if g == 2
-                   else float(np.linalg.eigvalsh(Y)[0]))
+        g = len(Y)
+        if g == 2:
+            # Y scaled by 2^-e to a largest entry in [1/2, 1): det and hypot
+            # do not depend on Y's scale, and B/2 differs only in e
+            e = math.frexp(np.maximum.reduce(np.abs(Y), axis=None))[1]
+            (a, b), (_, c) = rows = np.ldexp(Y, -e).tolist()
+            det, inv = _inverse2(rows)
+            if not (a > 0 and det > 0):
+                raise NonPosDef("Im B is not positive definite")
+            lam_min = math.ldexp(det / (0.5 * ((a + c) + math.hypot(a - c, 2.0 * b))), e)
+        else:   # for g = 1, y and 1/y are what eigvalsh and inv return, bit for bit
+            lam_min = float(Y[0, 0] if g == 1 else np.linalg.eigvalsh(Y)[0])
         if not lam_min > 0:
             raise NonPosDef("Im B is not positive definite")
-        im_inv = 1.0 / Y if g == 1 else _inverse2(rows) if g == 2 else np.linalg.inv(Y)
+        im_inv = 1.0 / Y if g == 1 else np.ldexp(inv, -e) if g == 2 else np.linalg.inv(Y)
         self._init(M, im_inv, lam_min)
 
     def _init(self, entries, im_inv, lam_min):
@@ -277,9 +220,10 @@ class PeriodMatrix(Frozen):
 
         Built from B by exact power-of-two scaling: entries/2, 2 (Im B)^-1 and
         lam_min/2 are bit for bit what PeriodMatrix(B.entries / 2) computes
-        (its LU and eigensolver commute with scaling by 2 in binary floating
-        point, barring underflow), without its factorizations; B/2 is
-        positive definite when B is.
+        (1/y and y, the genus-2 facts of Im B scaled to a largest entry in
+        [1/2, 1), and numpy's inv and eigvalsh commute with scaling by 2 in
+        binary floating point, barring underflow), without computing them
+        again; B/2 is positive definite when B is.
         """
         if self._halved is None:
             half = object.__new__(PeriodMatrix)

@@ -100,6 +100,13 @@ RULES = {
         "integrates with fixed weights (series._Q5): no BLAS or LAPACK routine runs "
         "for genus 1 and 2, and only PeriodMatrix's eigvalsh(Y) and inv(Y) of g >= 3 "
         "call numpy.linalg"),
+    "one-inverse-one-evaluator": (
+        literal("def _fma", "_least_eigenvalue2", "dlae2", "polyval"), PY, (),
+        "one polynomial evaluator (curves._horner) and closed-form genus-2 facts of Im B: "
+        "no replica of a LAPACK path and no exact fused multiply-add"),
+    "one-two-by-two-inverse": (
+        literal("/ det"), PY, ("theta_secant/theta.py",),
+        "theta._inverse2 is the one 2 x 2 inverse, for the a-periods and for Im B"),
     "decomposable-control-once": (literal("np.diag([1j, 1.3j])"), RUNNERS,
                                   ("theta_secant/scenarios/__init__.py",),
                                   "the decomposable control is defined in the scenarios "

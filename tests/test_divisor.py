@@ -273,9 +273,9 @@ class TestLineRoots:
                                            2, 4, 0, 2, 2, 1, 2, 0, 3, 3]
         pairs = np.array([pair for r in roots for pair in r])
         assert_frozen(hashlib.sha256(pairs.tobytes()).hexdigest(), {
-            "numpy 2.4 X86_V4": "99a0933fe089673c7bf3af85c912935d69abb8d52dd899949f95adc485bf4102",
-            "numpy 2.4 X86_V3": "dd1d9ae5684207f7cb929005f2df88ae1a622093cb1ffa112ecdcbaa790e6c94",
-            "numpy 2.4 X86_V2": "a4954734197b3e2fb0a849eba4c450c7d9b2dfbbab4621f8dff3f6556a6e9ff4",
+            "numpy 2.4 X86_V4": "40ac062789fd14a8f7bc27739716c7278354f64e4c70ae6ceda5c01d2c24cec1",
+            "numpy 2.4 X86_V3": "c8da16370d0e94fc869f7db39cb121a5cadcaf5fdea4674141a6a1e681238951",
+            "numpy 2.4 X86_V2": "6cbc6bcae1459c084af2d14787395b2f67635c6e678a9eb067a6059c3b8d38d4",
         })
 
     def test_one_pass_per_bisection_round(self, x5m1, lattice_passes):
